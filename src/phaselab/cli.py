@@ -174,7 +174,7 @@ def cmd_bound_check(args) -> int:
 def cmd_rate_fit(args) -> int:
     deltas = _parse_deltas(args.deltas, args.per_decade)
     template = _multiplier_template(args, deltas[0])
-    report = rate_fit(template, deltas)
+    report = rate_fit(template, deltas, strict=not args.unsafe_params)
     if args.format == "csv":
         text = _csv_text(["delta", "sup", "envelope", "ratio"], report.sweep_rows())
     else:

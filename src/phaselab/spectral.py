@@ -3,9 +3,18 @@
 A field lives purely in frequency space: a rectangular lattice of modes
 xi_j with spacing dxi and one complex coefficient per mode.  Integrals
 become finite quadrature sums with weight dxi**n, so norms and synthesis
-are exact up to floating point.  Every reduction runs in the fixed
-lexicographic mode order through exactly-rounded summation (math.fsum),
-which keeps results bit-identical across runs and thread counts.
+are exact up to floating point.  Every reduction is exactly rounded: the
+result is the true sum of the terms rounded once to the nearest double,
+so it does not depend on summation order, runs or thread counts.
+
+``csum`` sums one vector with ``math.fsum``, or every row of a 2-D block
+at once.  The batched path splits each row with error-free TwoSum steps
+(Ogita, Rump and Oishi, "Accurate Sum and Dot Product", 2005), rounds
+the result, and accepts it only when a rigorous error bound proves it is
+the exactly-rounded sum; any row the bound cannot certify (ties, zeros,
+non-finite values) is summed again with ``math.fsum`` (Shewchuk 1997),
+so both paths give the same bits.  Callers keep blocks small:
+``pointwise_trace`` caps each block at 1 MiB of complex products.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -39,10 +48,94 @@ __all__ = [
 DEFAULT_GRID_PARAMS = (1, 64.0, 0.125)
 
 
-def csum(values: np.ndarray) -> complex:
-    """Exactly-rounded complex sum, taken in array order."""
+#: Unit roundoff of float64.
+_U = 2.0**-53
+#: Smallest positive subnormal; absorbs underflow in the error bound.
+_TINY = 5e-324
+
+
+def _two_sum(a, b):
+    """s + e == a + b exactly, with s = fl(a + b) (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    e = s - bb
+    np.subtract(a, e, out=e)
+    np.subtract(b, bb, out=bb)
+    e += bb
+    return s, e
+
+
+def _certified_row_sums(x: np.ndarray):
+    """Sums of x (rows, M, planes) over its mode axis, with a certificate.
+
+    Returns ``(r, ok)``, both (rows, planes).  Where ``ok`` holds, ``r`` is
+    the exactly-rounded sum; elsewhere the caller must sum again.
+
+    A pairwise TwoSum cascade of R rounds leaves s and M-1 error terms e
+    with s + sum(e) equal to the exact sum.  Each |e| is at most u times
+    the |s| of its node, and the nodes of one round cover disjoint terms,
+    so sum|e| <= R * u * (1+u)^R * sum|x|.  Adding the e in floating
+    point errs by at most gamma_M * sum|e|.  For M*u << 1 that is below
+    bound = 2 * (M+R) * R * u^2 * A, with A the computed sum of |x| over
+    both planes; the factor 2 covers the rounding in A and in the bound,
+    and one subnormal covers underflow.  With r = fl(s + sum(e)) and its
+    exact residual d, the exact sum lies within |d| + bound of r.  When
+    that is strictly less than half the smaller gap from r to a
+    neighbouring double, r is the exactly-rounded sum.
+    """
+    # non-finite rows turn into inf/nan here; they fail the test and go to fsum
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = n = x.shape[1]
+        mag = np.abs(x).sum(axis=(1, 2))[:, None]
+        err = None
+        rounds = 0
+        while n > 1:
+            h = n // 2
+            s, e = _two_sum(x[:, :h], x[:, h : 2 * h])
+            if err is not None:
+                e += err[:, :h]
+                e += err[:, h : 2 * h]
+            if n % 2:
+                # fold the unpaired last column into the first sum
+                s0, e0 = _two_sum(s[:, 0], x[:, -1])
+                s[:, 0] = s0
+                e[:, 0] += e0
+                if err is not None:
+                    e[:, 0] += err[:, -1]
+                rounds += 1
+            x, err, n = s, e, h
+            rounds += 1
+        s = x[:, 0]
+        r, d = _two_sum(s, err[:, 0] if err is not None else np.zeros_like(s))
+        bound = (2.0 * (m + rounds) * rounds * _U * _U) * mag + _TINY
+        half_gap = np.abs(r)
+        half_gap -= np.nextafter(half_gap, 0.0)
+        half_gap *= 0.5
+        np.abs(d, out=d)
+        d += bound
+        return r, (d < half_gap) & np.isfinite(r)
+
+
+def csum(values: np.ndarray):
+    """Exactly-rounded complex sum of a vector, or of each row of a 2-D array.
+
+    A 1-D input gives a complex number; a 2-D input (rows, M) gives a
+    complex array with one sum per row.  Rows are summed together by the
+    certified batched kernel; rows it cannot certify go to ``math.fsum``.
+    """
     values = np.asarray(values)
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+    if values.ndim == 1:
+        return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+    if values.ndim != 2:
+        raise ParameterError(f"csum takes a 1-D or 2-D array, got {values.ndim}-D")
+    if values.shape[1] == 0:
+        return np.zeros(values.shape[0], dtype=complex)
+    values = np.ascontiguousarray(values, dtype=complex)
+    planes = values.view(float).reshape(values.shape[0], values.shape[1], 2)
+    r, ok = _certified_row_sums(planes)
+    for i, c in zip(*np.nonzero(~ok)):
+        r[i, c] = math.fsum(planes[i, :, c].tolist())
+    return r.view(complex)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,15 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phaselab
 from phaselab import SpectralField, make_grid, write_field_csv
 from phaselab.cli import main
 
@@ -121,6 +126,20 @@ class TestRateFit:
         assert code == 0
         assert out.read_text().splitlines()[0] == "delta,sup,envelope,ratio"
 
+    def test_unsafe_params_relaxes_ranges(self, tmp_path, capsys):
+        args = (
+            "rate-fit", "--family", "power", "--s", "0.5", "--a", "1.5",
+            "--deltas", "1e-2:1e-8",
+        )
+        assert run(*args) == 1
+        assert "0 < s <= a <= 1" in capsys.readouterr().err
+        out = tmp_path / "fit.json"
+        assert run(*args, "--out", str(out), "--unsafe-params") == 0
+        payload = json.loads(out.read_text())
+        assert payload["theoretical_slope"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+        first = payload["sweep"][0]
+        assert first["envelope"] == pytest.approx(first["delta"] ** (0.5 / 1.5), rel=1e-12)
+
 
 class TestSeqCheck:
     def test_divergent_power_sequence(self, capsys):
@@ -208,3 +227,60 @@ class TestTrace:
         )
         assert code == 1
         assert "not accepted" in capsys.readouterr().err
+
+
+# sha256 of the trace CLI's JSON and CSV output, made by the per-(k, point)
+# fsum reduction; the 2-D case has more (point, mode) products than one
+# reduction block holds, so each k is split over points
+GOLDEN_TRACES = {
+    "1d": (
+        "--a 0.5 --s 0.5 --seq power:p=2 --grid 1,16,0.125 --K 64 --num-points 8 --seed 3",
+        "8467f889d2065fda8bb6561a5ce78a1a735d9350573c09a05eac7263edb3f2ad",
+        "ca1832b1729ad7a41356afa36bbace6c24a094f6c425c74c3120df74d71b2395",
+    ),
+    "2d-shift": (
+        "--gamma boussinesq --s 0.5 --seq geometric:r=0.5 --beta 1.5 --grid 2,16,0.25"
+        " --K 16 --num-points 8 --seed 5",
+        "6e9872d857afa2adb2253be0b01e7105a3b8f1080500687e5b7e3b5d517bfd4d",
+        "85ef827e7272bc5f6707de07d1ad63a38e4bf5042514ab8d55d5a7b2b4ea9c08",
+    ),
+    "3d": (
+        "--gamma boussinesq --s 0.5 --seq geometric:r=0.5 --grid 3,2,0.25"
+        " --K 16 --num-points 8 --seed 1",
+        "275f659f5c814e2e8b70178df81d6e7398c3cbf3458f878e7362913a7d753756",
+        "077c9b6ae46b153ea62dae52f4a2752a2723515fe1125286bdcf2453d736a184",
+    ),
+}
+
+# runs each golden case through the CLI entry point in a fresh interpreter,
+# so the BLAS thread count is fixed before numpy loads
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from phaselab.cli import main
+digests = {}
+for name, args in json.loads(sys.argv[1]).items():
+    for fmt in ("json", "csv"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["trace", *args.split(), "--format", fmt])
+        digests[name + "." + fmt] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_trace_golden_digests(threads):
+    src = str(Path(phaselab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cases = {name: args for name, (args, _, _) in GOLDEN_TRACES.items()}
+    proc = subprocess.run(
+        [sys.executable, "-c", DIGEST_SCRIPT, json.dumps(cases)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    got = json.loads(proc.stdout)
+    want = {}
+    for name, (_, json_digest, csv_digest) in GOLDEN_TRACES.items():
+        want[name + ".json"] = [0, json_digest]
+        want[name + ".csv"] = [0, csv_digest]
+    assert got == want

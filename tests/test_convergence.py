@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phaselab import (
+    BOUSSINESQ,
     LINEAR,
     QUARTIC,
     ConvergenceCriterion,
@@ -27,7 +28,9 @@ from phaselab import (
     required_exponent,
     sequence_applicable,
 )
+from phaselab import convergence
 from phaselab.convergence import default_points
+from phaselab.propagation import ShiftSpec, _angles
 
 
 class TestTimeSequence:
@@ -230,6 +233,59 @@ class TestPointwiseTrace:
         f = random_field(g, np.random.default_rng(2))
         with pytest.raises(ParameterError):
             pointwise_trace(f, power_law(0.5), TimeSequence.power(2.0), 0.5, [[0.0]], k_max=8)
+
+
+def reference_history(field, law, seq, points, k_max, shift=None):
+    """The per-(k, point) fsum loop that the batched trace reduction replaced."""
+    grid = field.grid
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    norm = grid.weight / (2.0 * math.pi) ** grid.n
+    waves = np.exp(1j * (pts @ grid.modes.T))
+    times = seq.terms(k_max)
+    history = np.empty((len(times), pts.shape[0]))
+    running = np.zeros(pts.shape[0])
+    for k in range(len(times)):
+        theta = _angles(grid, law, float(times[k]), shift)
+        coeff = (np.exp(1j * theta) - 1.0) * field.coefficients
+        for i in range(pts.shape[0]):
+            z = coeff * waves[i]
+            val = complex(math.fsum(z.real), math.fsum(z.imag)) * norm
+            running[i] += val.real * val.real + val.imag * val.imag
+        history[k] = running
+    return history
+
+
+TRACE_CASES = {
+    "1d": ((1, 8, 0.125), power_law(0.5), TimeSequence.power(2.0), None, 32),
+    "2d-shift": ((2, 4, 0.25), BOUSSINESQ, TimeSequence.geometric(0.5), 1.5, 16),
+    "3d": ((3, 1, 0.25), BOUSSINESQ, TimeSequence.geometric(0.5), None, 16),
+}
+
+
+class TestBatchedTrace:
+    @pytest.mark.parametrize("case", sorted(TRACE_CASES))
+    @pytest.mark.parametrize("rows_per_block", [None, 2])
+    def test_bit_identical_to_per_point_loop(self, case, rows_per_block, monkeypatch):
+        grid_args, law, seq, beta, k_max = TRACE_CASES[case]
+        g = make_grid(*grid_args)
+        f = random_field(g, np.random.default_rng(41))
+        shift = ShiftSpec(beta=beta, mu=np.eye(g.n)[0]) if beta is not None else None
+        points = default_points(g.n, 5)
+        if rows_per_block is not None:
+            # blocks of 2 (k, point) rows: every k splits its 5 points
+            monkeypatch.setattr(convergence, "TRACE_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+        tr = pointwise_trace(f, law, seq, 0.5, points, k_max=k_max, shift=shift)
+        want = reference_history(f, law, seq, points, k_max, shift)
+        assert tr.history.shape == want.shape
+        np.testing.assert_array_equal(tr.history.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(tr.partial_sums.view(np.int64), want[-1].view(np.int64))
+
+    def test_no_points(self):
+        g = make_grid(1, 2, 0.5)
+        f = random_field(g, np.random.default_rng(2))
+        tr = pointwise_trace(f, power_law(0.5), TimeSequence.power(2.0), 0.5, np.empty((0, 1)), k_max=16)
+        assert tr.history.shape == (16, 0)
+        assert tr.partial_sums.size == 0
 
 
 class TestConsistencyChain:

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phaselab import (
     ParameterError,
@@ -15,6 +17,7 @@ from phaselab import (
     synthesize,
     write_field_csv,
 )
+from phaselab.spectral import _certified_row_sums, csum
 
 
 def one_mode(grid, xi, c):
@@ -200,3 +203,162 @@ class TestCsvRoundTrip:
         p.write_text("xi_1,re,im\n0.0,1.0,0.0\n")
         with pytest.raises(ParameterError):
             read_field_csv(p)
+
+
+# row widths around the halving steps of the batched kernel
+WIDTHS = sorted({1, 2} | {2**j + d for j in range(1, 11) for d in (-1, 1)})
+MODERATE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+
+def complex_rows(re, im):
+    """Complex array with exactly these real and imaginary parts, signed zeros kept."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def fsum_rows(values):
+    return complex_rows(
+        [math.fsum(row.real.tolist()) for row in values],
+        [math.fsum(row.imag.tolist()) for row in values],
+    )
+
+
+def assert_csum_is_fsum(values):
+    """csum of a 2-D block and of each row equal per-row fsum, bit for bit."""
+    want = fsum_rows(values).view(np.int64)
+    np.testing.assert_array_equal(csum(values).view(np.int64), want)
+    one_by_one = np.array([csum(row) for row in values], dtype=complex)
+    np.testing.assert_array_equal(one_by_one.view(np.int64), want)
+
+
+@st.composite
+def random_blocks(draw):
+    width = draw(st.sampled_from(WIDTHS))
+    rows = draw(st.integers(1, 3))
+    parts = [
+        draw(hnp.arrays(np.float64, (rows, width), elements=MODERATE)) for _ in range(2)
+    ]
+    return complex_rows(*parts)
+
+
+@st.composite
+def scaled_normal_blocks(draw):
+    """Dense rows whose terms span many binades, as in trace products."""
+    width = draw(st.sampled_from(WIDTHS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(0, 60))
+    scale = np.ldexp(1.0, rng.integers(-spread, spread + 1, size=(2, 3, width)))
+    return complex_rows(*(rng.standard_normal((2, 3, width)) * scale))
+
+
+@st.composite
+def near_tie_rows(draw):
+    """Rows whose exact sum is a rounding midpoint, or just beside one.
+
+    a + 2**-53 lies halfway between a = 1 + k*2**-52 and its successor; a
+    nudge moves it off the midpoint.  A nudge of 2**-160 is lost when it is
+    added to 2**-53 in floating point, so only an exact sum rounds right.
+    Pairs (c, -c) widen the row without changing the exact sum, and a power
+    of two scales it.
+    """
+    a = 1.0 + draw(st.integers(0, 2**20)) * 2.0**-52
+    nudge = draw(st.sampled_from([0.0, 2.0**-100, -(2.0**-100), 2.0**-160, -(2.0**-160)]))
+    pads = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), max_size=20))
+    terms = [a, 2.0**-53, nudge] + pads + [-c for c in pads]
+    terms = draw(st.permutations(terms))
+    scale = 2.0 ** draw(st.integers(-200, 200))
+    re = np.array(terms) * scale
+    return complex_rows([re], [re[::-1]])
+
+
+@st.composite
+def rounding_error_rows(draw):
+    """Rows whose exact sum lies within the float error of adding their small terms
+    of a rounding midpoint of a = 1 + k*2**-52.
+
+    Small terms near 2**-60 add up to T; one more term c makes the exact sum
+    a + 2**-53 + (T - T rounded at 2**-q).  Adding the small terms in
+    floating point errs by about 2**-112, so only a rigorous error bound
+    tells which side of the midpoint the sum is on.
+    """
+    a = 1.0 + draw(st.integers(1, 2**20)) * 2.0**-52
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = (rng.standard_normal(draw(st.integers(4, 30))) * 2.0**-60).tolist()
+    total = sum(map(Fraction, small))
+    q = draw(st.integers(100, 117))
+    c = float(Fraction(1, 2**53) - Fraction(round(total * 2**q), 2**q))
+    terms = draw(st.permutations([a, c] + small))
+    return complex_rows([terms], [terms[::-1]])
+
+
+class TestCsum:
+    @settings(max_examples=80, deadline=None)
+    @given(values=random_blocks())
+    def test_rows_match_fsum(self, values):
+        assert_csum_is_fsum(values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=scaled_normal_blocks())
+    def test_dense_rows_match_fsum(self, values):
+        assert_csum_is_fsum(values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=near_tie_rows())
+    def test_near_ties_match_fsum(self, values):
+        assert_csum_is_fsum(values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=rounding_error_rows())
+    def test_sums_beside_midpoints_match_fsum(self, values):
+        assert_csum_is_fsum(values)
+
+    def test_error_bound_decides_a_midpoint(self):
+        # fl(s + sum(e)) lands one ulp below the exact sum, with a residual
+        # under half an ulp: only the error bound sends this row to fsum
+        terms = [float.fromhex(h) for h in (
+            "0x1.9cbd9e174d76dp-62", "0x1.0df665301d242p-60", "0x1.f73cc3103893ap-54",
+            "-0x1.774efb2bff6dap-61", "0x1.249245c935165p-62", "0x1.1dc9bf20f1ac8p-61",
+            "0x1.029095f5f8417p-60", "0x1.564e4cd946b5ap-59", "-0x1.e6e8b62e2044dp-61",
+            "-0x1.a064cbb99fd25p-61", "0x1.c28ab0cc20b38p-61", "0x1.9bc94277d752dp-62",
+            "0x1.252e87b61ba4ep-63", "-0x1.468b7f51154cbp-60", "0x1.00000000a73bfp+0",
+            "-0x1.ae9894c6a8635p-62", "-0x1.06eac85d8bacdp-60",
+        )]
+        _, ok = _certified_row_sums(np.array(terms)[None, :, None])
+        assert not ok[0, 0]
+        assert csum(np.array([terms]))[0].real == math.fsum(terms) == float.fromhex("0x1.00000000a73c0p+0")
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_edge_rows_match_fsum(self, width):
+        pad = np.zeros(max(0, width - 3))
+        zeros = np.zeros(width)
+        rows = [
+            complex_rows(np.concatenate([[1e300, 1.0, -1e300], pad])[:width], zeros),
+            complex_rows(np.full(width, 5e-324), np.full(width, -3e-320)),
+            complex_rows(np.linspace(-1e-310, 1e-309, width), zeros),
+            complex_rows(np.full(width, -0.0), np.full(width, -0.0)),
+            complex_rows(np.concatenate([[math.inf], np.ones(width - 1)]), -np.ones(width)),
+            complex_rows(np.ones(width), np.concatenate([np.ones(width - 1), [-math.inf]])),
+        ]
+        assert_csum_is_fsum(np.vstack(rows))
+
+    def test_uncertified_row_falls_back_to_fsum(self):
+        # 1 + 2**-53 is the midpoint between 1 and its successor: the kernel
+        # cannot prove which way it rounds, while 1 + 0.5 is certified
+        x = np.array([[[1.0], [2.0**-53]], [[1.0], [0.5]]])
+        _, ok = _certified_row_sums(x)
+        assert ok[:, 0].tolist() == [False, True]
+        assert_csum_is_fsum(complex_rows(x[..., 0], np.zeros((2, 2))))
+
+    def test_dense_rows_are_certified(self):
+        # the batched path, not the fsum fallback, does the work on trace-like rows
+        rng = np.random.default_rng(3)
+        _, ok = _certified_row_sums(rng.standard_normal((8, 1025, 2)))
+        assert ok.all()
+
+    def test_shapes(self):
+        assert csum(np.ones(4)) == 4.0
+        assert csum(np.ones((2, 0))).tolist() == [0j, 0j]
+        with pytest.raises(ParameterError):
+            csum(np.ones((2, 2, 2)))
