@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import phaselab
-from phaselab import SpectralField, make_grid, write_field_csv
+from phaselab import SpectralField, make_grid, random_field, write_field_csv
 from phaselab.cli import main
 
 
@@ -234,21 +234,147 @@ class TestTrace:
 # reduction block holds, so each k is split over points
 GOLDEN_TRACES = {
     "1d": (
-        "--a 0.5 --s 0.5 --seq power:p=2 --grid 1,16,0.125 --K 64 --num-points 8 --seed 3",
+        "trace --a 0.5 --s 0.5 --seq power:p=2 --grid 1,16,0.125 --K 64 --num-points 8 --seed 3",
         "8467f889d2065fda8bb6561a5ce78a1a735d9350573c09a05eac7263edb3f2ad",
         "ca1832b1729ad7a41356afa36bbace6c24a094f6c425c74c3120df74d71b2395",
     ),
     "2d-shift": (
-        "--gamma boussinesq --s 0.5 --seq geometric:r=0.5 --beta 1.5 --grid 2,16,0.25"
+        "trace --gamma boussinesq --s 0.5 --seq geometric:r=0.5 --beta 1.5 --grid 2,16,0.25"
         " --K 16 --num-points 8 --seed 5",
         "6e9872d857afa2adb2253be0b01e7105a3b8f1080500687e5b7e3b5d517bfd4d",
         "85ef827e7272bc5f6707de07d1ad63a38e4bf5042514ab8d55d5a7b2b4ea9c08",
     ),
     "3d": (
-        "--gamma boussinesq --s 0.5 --seq geometric:r=0.5 --grid 3,2,0.25"
+        "trace --gamma boussinesq --s 0.5 --seq geometric:r=0.5 --grid 3,2,0.25"
         " --K 16 --num-points 8 --seed 1",
         "275f659f5c814e2e8b70178df81d6e7398c3cbf3458f878e7362913a7d753756",
         "077c9b6ae46b153ea62dae52f4a2752a2723515fe1125286bdcf2453d736a184",
+    ),
+}
+
+# sha256 and exit code of the sweep, classifier and propagation commands'
+# JSON and CSV output, made by three 160-step bisections per delta and a
+# batched inversion that iterates every element until all converge;
+# {dir} is the directory holding the fields that golden_fields writes
+GOLDEN_SWEEPS = {
+    "bc-gamma-boussinesq": (
+        "bound-check --family gamma --gamma boussinesq --s 0.5 --deltas 1e-2:1e-6 "
+        "--per-decade 2",
+        0, "51cfd38a89082f4c3f1a9240036b9b68a0822ffce708b47d36956ef171c08506",
+        0, "d78f767609d9b8667bb91f5ce03cfb9d0ccf7b6dd6b5f88a32e3649b88e705d6",
+    ),
+    "bc-gamma-quartic": (
+        "bound-check --family gamma --gamma quartic --s 0.75 --deltas 1e-2:1e-6 "
+        "--per-decade 2",
+        0, "a49e6b283c584da611b234f37884819958e1c33d8f7dee4f4ecfba082f52c6cd",
+        0, "60b485eebf145a63eeea93ef9751605e19396b66ccad8200cf7b7e01017404c9",
+    ),
+    "bc-gamma-shift-boussinesq-0.8": (
+        "bound-check --family gamma-shift --gamma boussinesq --s 0.5 --beta 0.8 --deltas "
+        "1e-2:1e-6 --per-decade 2",
+        2, "8d751576798cc38a23a605cabfcbf97fc641d23efb0c626d86f9981dd2e8cbf5",
+        2, "f95bfd00bab0130dd8543207a2e424e5d03ecabafb7b821189884109b64f0d54",
+    ),
+    "bc-gamma-shift-boussinesq-1.5": (
+        "bound-check --family gamma-shift --gamma boussinesq --s 0.5 --beta 1.5 --deltas "
+        "1e-2:1e-6 --per-decade 2",
+        0, "01bc59b9141002a1e51e1cc37531d35e5f783f972fc8729ed3676abc930200c6",
+        0, "d2bc7d47db1e76a2db925421432e1610bd2f5de5ad077c89b60adc7a4d492b2e",
+    ),
+    "bc-gamma-shift-quartic-0.8": (
+        "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 0.8 --deltas "
+        "1e-2:1e-6 --per-decade 2",
+        2, "a7c1837df34606e1dc94455b21d86a4738eec65fa203638f4c7f4f03a7c036a6",
+        2, "9139e461d03ff7320248f58bae00b445b3b11ae1dd17cef4a4e9d2537dd9faca",
+    ),
+    "bc-gamma-shift-quartic-1.5": (
+        "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 1.5 --deltas "
+        "1e-2:1e-6 --per-decade 2",
+        0, "6a682e9aa9dd7371626d277afcd674b1d86a7b5b6f45ef9e909a6339a78ac6cb",
+        0, "451c2656160f249b4d392a05dc771f10ecd2547016f5762f9217f39b518d237e",
+    ),
+    "bc-power-shift-sub": (
+        "bound-check --family power-shift --s 0.75 --a 0.5 --beta 1.5 --deltas 1e-2:1e-6 "
+        "--per-decade 2",
+        2, "442a1ae2c75ca34c570a39db2313414e439de368a0705062cc7d1713565bff43",
+        2, "f64106407e80e97b52a940d4925e73cbe3b4eea55895d383dfc6eb3aa0de0319",
+    ),
+    "bc-power-shift-super": (
+        "bound-check --family power-shift --s 1.0 --a 2 --beta 0.8 --deltas 1e-2:1e-6 "
+        "--per-decade 2",
+        2, "99c1f01e7e0703c98842bcf3622791f295047a41245c7f77a5784c531e92f7e1",
+        2, "6cace24c6975645b4546bbc6c0f02ad945f6c062cad53fe9fe6f88b694b0c386",
+    ),
+    "bc-gamma-linear": (
+        "bound-check --family gamma --gamma linear --s 0.5 --deltas 1e-2:1e-6 "
+        "--per-decade 2",
+        0, "0a2c57017c253046b7f3893fef0145cda1679aca9d109310ece793206bc387cd",
+        0, "a87c2c4ffa35cdf8360aaf0b9935c97d9d9ba58a25299fc513e494a0bc9296dc",
+    ),
+    "bc-gamma-power2": (
+        "bound-check --family gamma-shift --gamma power:a=2 --s 0.5 --beta 1.5 --deltas "
+        "1e-2:1e-6 --per-decade 2",
+        0, "124d0ad94231df9aeab8534fcc06119d594d520f37becc723b0b4064a60d5af4",
+        0, "5eb55c93ef59a4068d2320542f21efed7c2327c49f867c147ada4d45a11f9481",
+    ),
+    "bc-unsafe-list": (
+        "bound-check --family gamma --gamma boussinesq --s 1.5 --deltas "
+        "1e-2,3e-3,1e-4,2e-5,1e-6 --unsafe-params",
+        0, "167402a0a1a133cfa7c667426a7ffcb50884b629b0d13cdc311a4aaf00ea109c",
+        0, "f9aa0aa730183860f70ec74def3802475e1d618f03673ddacdcc579c946e3479",
+    ),
+    "rf-gamma-boussinesq": (
+        "rate-fit --family gamma --gamma boussinesq --s 0.5 --deltas 1e-2:1e-8 "
+        "--per-decade 1",
+        0, "44d982fc53f533c4a29d522169fb129bd1e2ad334180defbb63d3fda7a53e0a8",
+        0, "b8fe8cb72de737bc86293d8bb258f6ddbe9e80e8559085d24bb4435e284392af",
+    ),
+    "rf-gamma-shift-quartic": (
+        "rate-fit --family gamma-shift --gamma quartic --s 0.5 --beta 0.8 --deltas "
+        "1e-2:1e-7 --per-decade 1",
+        2, "b74c03d0b28717eaf341bba44d445d1176b2510a9f9f8781e01ca58010a03e91",
+        2, "053b3662cf9cb54b30eb56e19a405deb1b155609f336ebb68ea2f5f01a25d405",
+    ),
+    "rf-power-shift": (
+        "rate-fit --family power-shift --s 0.75 --a 0.5 --beta 0.8 --deltas 1e-2:1e-8 "
+        "--per-decade 1",
+        2, "643c267836eeffa2297fc2a9309141f182dea423eafca0eb84ef1d0cdde2f116",
+        2, "3d7186692104272ae5c382a11918e65fb9be73eaf597e1b269e0c13ed36545cd",
+    ),
+    "sc-gamma-shift-explicit": (
+        "seq-check --criterion gamma-shift --gamma quartic --beta 0.8 --s 0.5 --seq "
+        + "explicit:" + ",".join(repr(0.5**k) for k in range(1, 25)),
+        0, "138f1b27e8d5fd56d8a43dc26eeb33f5cb2ab4059b6225ebfca553feb088cfcd",
+        0, "62055411439a1aeb99e606dcac10da92f12638245371646574a0d5b48edb299f",
+    ),
+    "sc-gamma-explicit": (
+        "seq-check --criterion gamma --gamma boussinesq --s 0.75 --seq "
+        "explicit:0.9,0.5,0.3,0.1,0.05,0.01,0.003,0.001",
+        0, "615ed59fc456caaa4cb64aa126ba3597b9e3a3a90db061680864f41c5d8c9c4a",
+        0, "640244e6f0d1ad8e09b66b4597eaea14bccf4f05d90468c47914ea30b85f440d",
+    ),
+    "sc-power-low": (
+        "seq-check --criterion power-low --seq power:p=2 --s 0.5 --a 0.5",
+        0, "f6dcd3630c308e35e890b0a9a1fd8bce5302171acec9ea771740ff5d82162b68",
+        0, "6bbb88c7eb27be0442963b529e1c0878fcf5ab68ce0fe437521d743dbe3f06f7",
+    ),
+    "prop-beta-2d": (
+        "propagate --field {dir}/f2.csv --gamma boussinesq --times 0,0.1,0.5 --beta 1.5 "
+        "--mu 1,2 --num-points 4 --seed 3",
+        0, "f2d797360e805c298b7864361a238ebb499901c9404132b0840a6d767a701754",
+        0, "064b48accc1fb4b64b661ab2cf75cb8c3dfc034e008cb85f7b46394ce3e49220",
+    ),
+    "prop-beta-1d": (
+        "propagate --field {dir}/f1.csv --a 0.5 --times 0.05,1 --beta 0.8 --num-points 4 "
+        "--seed 4",
+        0, "fffd6a27463ced9ff4e0ee247e4c7aade7e752b6d05fabe534653e393626ee7f",
+        0, "c761be3b8ba3fa8300afa2574166e8c0112a5cd45a42e3fc6e5453a87c17bab4",
+    ),
+    "prop-plain-2d": (
+        "propagate --field {dir}/f2.csv --gamma quartic --times 0.25 --points "
+        "0.1,0.2;0.3,-0.4",
+        0, "1964d6959f480d7fd49c26f9306baa8f51092606c6ae588d0881563ccde344bc",
+        0, "3b23dff9d17cba8061484e37f89e2460663e76b53408561705acb41563e246b7",
     ),
 }
 
@@ -262,25 +388,50 @@ for name, args in json.loads(sys.argv[1]).items():
     for fmt in ("json", "csv"):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["trace", *args.split(), "--format", fmt])
+            code = main([*args.split(), "--format", fmt])
         digests[name + "." + fmt] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
 print(json.dumps(digests))
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_trace_golden_digests(threads):
+def _cli_digests(cases, threads):
+    """{name.fmt: [exit code, sha256 of stdout]} for each CLI argument string."""
     src = str(Path(phaselab.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cases = {name: args for name, (args, _, _) in GOLDEN_TRACES.items()}
     proc = subprocess.run(
         [sys.executable, "-c", DIGEST_SCRIPT, json.dumps(cases)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
-    got = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_trace_golden_digests(threads):
+    cases = {name: args for name, (args, _, _) in GOLDEN_TRACES.items()}
     want = {}
     for name, (_, json_digest, csv_digest) in GOLDEN_TRACES.items():
         want[name + ".json"] = [0, json_digest]
         want[name + ".csv"] = [0, csv_digest]
-    assert got == want
+    assert _cli_digests(cases, threads) == want
+
+
+@pytest.fixture(scope="module")
+def golden_fields(tmp_path_factory):
+    """Seeded random fields in 1-D and 2-D for the propagate cases."""
+    root = tmp_path_factory.mktemp("fields")
+    write_field_csv(random_field(make_grid(1, 8, 0.25), 11), root / "f1.csv")
+    write_field_csv(random_field(make_grid(2, 4, 0.5), 12), root / "f2.csv")
+    return root
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_golden_digests(threads, golden_fields):
+    cases = {
+        name: args.format(dir=golden_fields) for name, (args, *_) in GOLDEN_SWEEPS.items()
+    }
+    want = {}
+    for name, (_, json_code, json_digest, csv_code, csv_digest) in GOLDEN_SWEEPS.items():
+        want[name + ".json"] = [json_code, json_digest]
+        want[name + ".csv"] = [csv_code, csv_digest]
+    assert _cli_digests(cases, threads) == want
