@@ -89,6 +89,8 @@ def _parse_grid(text: str):
 
 def _parse_deltas(text: str, per_decade: int):
     """Geometric sweep ``start:end`` at per_decade points per decade."""
+    if per_decade < 1:
+        raise ParameterError(f"--per-decade must be positive, got {per_decade}")
     parts = text.split(":")
     if len(parts) == 1:
         values = [float(v) for v in text.split(",")]
@@ -113,6 +115,14 @@ def _parse_points(text: str, n: int):
             raise ParameterError(f"point {chunk!r} does not have dimension {n}")
         pts.append(coords)
     return np.asarray(pts, dtype=float)
+
+
+def _check_sampling_flags(args) -> None:
+    """Reject sampling flags that would otherwise be dropped or give no output."""
+    if args.num_points < 1:
+        raise ParameterError(f"--num-points must be positive, got {args.num_points}")
+    if args.mu is not None and args.beta is None:
+        raise ParameterError("--mu requires --beta (it sets the shift direction)")
 
 
 def _parse_mu(text: str, n: int):
@@ -222,6 +232,7 @@ def cmd_seq_check(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    _check_sampling_flags(args)
     field = read_field_csv(args.field)
     law = _law_from_args(args)
     times = [float(v) for v in args.times.split(",")]
@@ -253,6 +264,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    _check_sampling_flags(args)
     grid = _parse_grid(args.grid)
     if args.field is not None:
         field = read_field_csv(args.field)

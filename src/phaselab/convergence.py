@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolation, NotApplicableError, ParameterError
-from .multipliers import Family, MultiplierSpec, analytic_envelope, numeric_sup
+from .multipliers import Family, MultiplierSpec, analytic_envelope, numeric_sup, sweep_specs
 from .phase_laws import PhaseLaw, invert_many
 from .propagation import ShiftSpec, _angles
 from .spectral import SpectralField, csum
@@ -384,8 +384,7 @@ def rate_fit(
         raise ParameterError("rate-fit deltas must span at least four decades")
     sups = []
     envs = []
-    for d in deltas:
-        spec = template.with_delta(d)
+    for spec in sweep_specs(template, deltas, strict):
         sups.append(numeric_sup(spec, per_decade=per_decade).sup)
         envs.append(analytic_envelope(spec, strict=strict))
     logd = np.log(np.asarray(deltas))

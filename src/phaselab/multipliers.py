@@ -43,6 +43,7 @@ from .errors import (
     ParameterError,
     ScanTooSmallError,
 )
+from . import phase_laws
 from .phase_laws import PhaseLaw, check_hypotheses, invert
 from .spectral import FrequencyGrid, SpectralField
 
@@ -61,6 +62,7 @@ __all__ = [
     "modulus_on_axis",
     "multiplier_value",
     "numeric_sup",
+    "sweep_specs",
     "validate_hypotheses",
 ]
 
@@ -101,6 +103,11 @@ class MultiplierSpec:
     a: float | None = None
     law: PhaseLaw | None = None
     beta: float | None = None
+    # gamma^{-1}(gamma(1)/delta), filled on first use or by ``sweep_specs``;
+    # a pure function of the fields above, so it is left out of eq and repr
+    _critical_radius: float | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
@@ -238,7 +245,7 @@ def analytic_envelope(spec: MultiplierSpec, strict: bool = True) -> float:
         else:
             expo = s / a if b > 1 else b - 1.0 + s / a
         return d**expo
-    base = 1.0 / invert(spec.law, float(spec.law(1.0)) / d) ** spec.s
+    base = 1.0 / critical_radius(spec) ** spec.s
     if spec.family is Family.GAMMA_SHIFT and spec.beta <= 1:
         return d ** (spec.beta - 1.0) * base
     return base
@@ -247,32 +254,71 @@ def analytic_envelope(spec: MultiplierSpec, strict: bool = True) -> float:
 def critical_radius(spec: MultiplierSpec) -> float:
     """Radius where the family's own phase scale turns over.
 
-    delta**(-1/a) for power phases; gamma^{-1}(gamma(1)/delta) otherwise.
+    delta**(-1/a) for power phases; gamma^{-1}(gamma(1)/delta) otherwise,
+    inverted once per spec and kept on it.
     """
-    if spec.family.uses_law:
-        return invert(spec.law, float(spec.law(1.0)) / spec.delta)
-    return spec.delta ** (-1.0 / spec.a)
+    if not spec.family.uses_law:
+        return spec.delta ** (-1.0 / spec.a)
+    if spec._critical_radius is None:
+        r_c = invert(spec.law, float(spec.law(1.0)) / spec.delta)
+        object.__setattr__(spec, "_critical_radius", r_c)
+    return spec._critical_radius
 
 
-def _phase_radii(spec: MultiplierSpec, targets: np.ndarray) -> np.ndarray:
-    """Radii where the +mu-direction phase reaches the target values."""
-    targets = np.asarray(targets, dtype=float)
+def sweep_specs(template: MultiplierSpec, deltas, strict: bool = True) -> list:
+    """The per-delta specs of a sweep, each with its critical radius set.
+
+    The envelope hypotheses are validated first, so a violation is reported
+    before any inversion; then one batched inversion serves every delta,
+    bit-identical to inverting them one by one.
+    """
+    deltas = list(deltas)
+    first = template.with_delta(deltas[0])
+    validate_hypotheses(first, strict)
+    specs = [first] + [template.with_delta(d) for d in deltas[1:]]
+    if template.family.uses_law:
+        ys = float(template.law(1.0)) / np.asarray([spec.delta for spec in specs])
+        # looked up on phase_laws, so perfbench/spans.py's wrapper sees the call
+        for spec, r_c in zip(specs, phase_laws.invert_many(template.law, ys)):
+            object.__setattr__(spec, "_critical_radius", float(r_c))
+    return specs
+
+
+def _phase_radii(spec: MultiplierSpec, *target_sets) -> tuple:
+    """Radii where the +mu-direction phase reaches each set of target values.
+
+    Each set is bracketed on [0, hi], hi the first max(1, r_c) * 2**j whose
+    phase reaches the set's largest target, and all sets are bisected
+    together.  The bisection stops at the first step that moves no bracket
+    end: each step depends only on (lo, hi, targets), so every later step
+    up to the 160-step cap would be a no-op as well.
+    """
+    sets = [np.asarray(t, dtype=float) for t in target_sets]
     if spec.family is Family.POWER:
-        return (targets / spec.delta) ** (1.0 / spec.a)
+        return tuple((t / spec.delta) ** (1.0 / spec.a) for t in sets)
+    tops = [float(t.max()) for t in sets]
     hi = max(1.0, critical_radius(spec))
-    top = float(targets.max())
+    brackets = [None] * len(sets)
     for _ in range(200):
-        if float(_theta_axis(spec, np.asarray(hi))) >= top:
+        theta = float(_theta_axis(spec, np.asarray(hi)))
+        for i, top in enumerate(tops):
+            if brackets[i] is None and theta >= top:
+                brackets[i] = hi
+        if None not in brackets:
             break
         hi *= 2.0
+    sizes = [t.size for t in sets]
+    targets = np.concatenate(sets)
     lo = np.zeros_like(targets)
-    hi_arr = np.full_like(targets, hi)
+    hi_arr = np.repeat([hi if b is None else b for b in brackets], sizes)
     for _ in range(160):
         mid = 0.5 * (lo + hi_arr)
         above = _theta_axis(spec, mid) >= targets
+        if np.array_equal(mid, np.where(above, hi_arr, lo)):
+            break
         hi_arr = np.where(above, mid, hi_arr)
         lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi_arr)
+    return tuple(np.split(0.5 * (lo + hi_arr), np.cumsum(sizes)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -295,7 +341,9 @@ def _scan(spec: MultiplierSpec, radii: np.ndarray) -> ScanResult:
     return ScanResult(sup=top, argmax=float(signed[ties[order[0]]]), points=signed.size)
 
 
-def _scan_radii(spec: MultiplierSpec, xi_max: float, per_decade: int, refine: int) -> np.ndarray:
+def _scan_radii(
+    xi_max: float, per_decade: int, r_turn: np.ndarray, r_pi: float
+) -> np.ndarray:
     parts = []
     lo_exp = math.ceil(-6 * per_decade)
     hi_exp = math.floor(math.log10(xi_max) * per_decade)
@@ -303,10 +351,8 @@ def _scan_radii(spec: MultiplierSpec, xi_max: float, per_decade: int, refine: in
     parts.append(10.0**exps)
     parts.append(np.asarray([xi_max]))
     # refinement 1: resolve the phase u = theta(r) uniformly through its first turn
-    u = np.linspace(2.0 * math.pi / refine, 2.0 * math.pi, refine)
-    parts.append(_phase_radii(spec, u))
+    parts.append(r_turn)
     # refinement 2: linear window around the first |numerator| = 2 crossing
-    r_pi = float(_phase_radii(spec, np.asarray([math.pi]))[0])
     parts.append(np.linspace(0.6 * r_pi, 1.4 * r_pi, 1001))
     # refinement 3: the order-one region, where shifted suprema often live
     parts.append(np.linspace(0.05, min(20.0, xi_max), 800))
@@ -332,13 +378,18 @@ def numeric_sup(
         raise ParameterError(f"per_decade must be positive, got {per_decade}")
     r_c = critical_radius(spec)
     floor = 4.0 * r_c
-    if xi_max is None:
-        xi_max = max(floor, 1.05 * float(_phase_radii(spec, np.asarray([2.0 * math.pi]))[0]), 8.0)
-    elif xi_max < floor * (1.0 - 1e-9):
+    if xi_max is not None and xi_max < floor * (1.0 - 1e-9):
         raise ScanTooSmallError(
             f"xi_max={xi_max:g} is below 4x the critical radius {r_c:g}"
         )
-    return _scan(spec, _scan_radii(spec, float(xi_max), int(per_decade), int(refine)))
+    # the phase u = theta(r) through its first turn (u[-1] == 2*pi), and pi
+    refine = int(refine)
+    u = np.linspace(2.0 * math.pi / refine, 2.0 * math.pi, refine)
+    r_turn, r_pi = _phase_radii(spec, u, np.asarray([math.pi]))
+    if xi_max is None:
+        xi_max = max(floor, 1.05 * float(r_turn[-1]), 8.0)
+    radii = _scan_radii(float(xi_max), int(per_decade), r_turn, float(r_pi[0]))
+    return _scan(spec, radii)
 
 
 @dataclass(frozen=True)
@@ -388,8 +439,7 @@ def certify(
     if len(deltas) < 2 or max(deltas) / min(deltas) < 1e4 * (1.0 - 1e-9):
         raise ParameterError("delta sweep must span at least four decades")
     sups, envs, ratios, args = [], [], [], []
-    for d in deltas:
-        spec = template.with_delta(d)
+    for spec in sweep_specs(template, deltas, strict):
         env = analytic_envelope(spec, strict=strict)
         scan = numeric_sup(spec, per_decade=per_decade)
         sups.append(scan.sup)

@@ -139,7 +139,9 @@ def invert_many(law: PhaseLaw, ys, rel_tol: float = 1e-10) -> np.ndarray:
     """Vectorized inverse: returns r with |gamma(r) - y| <= rel_tol*max(1, y).
 
     Pure powers use the closed form y**(1/a); everything else goes through
-    bracketing bisection on [0, 1e9] (at most 200 halvings).
+    bracketing bisection on [0, 1e9] (at most 200 halvings).  Each element
+    stops halving once its own bracket passes the width test, so
+    ``invert_many(law, ys)[i] == invert(law, ys[i])`` bit for bit.
     """
     ys = np.asarray(ys, dtype=float)
     if not np.all(np.isfinite(ys)) or np.any(ys <= 0.0):
@@ -154,16 +156,21 @@ def invert_many(law: PhaseLaw, ys, rel_tol: float = 1e-10) -> np.ndarray:
         raise OutOfRangeError(
             f"value exceeds {law.name}({BRACKET_HI:g}) = {top:g}"
         )
-    lo = np.zeros_like(ys)
-    hi = np.full_like(ys, BRACKET_HI)
+    flat = ys.ravel()
+    lo = np.zeros_like(flat)
+    hi = np.full_like(flat, BRACKET_HI)
+    active = np.arange(flat.size)  # elements whose bracket is still too wide
     for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        above = np.asarray(law(mid), dtype=float) >= ys
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.all(hi - lo <= 1e-14 * np.maximum(hi, 1.0)):
+        a_lo, a_hi = lo[active], hi[active]
+        mid = 0.5 * (a_lo + a_hi)
+        above = np.asarray(law(mid), dtype=float) >= flat[active]
+        a_hi = np.where(above, mid, a_hi)
+        a_lo = np.where(above, a_lo, mid)
+        hi[active], lo[active] = a_hi, a_lo
+        active = active[~(a_hi - a_lo <= 1e-14 * np.maximum(a_hi, 1.0))]
+        if active.size == 0:
             break
-    roots = 0.5 * (lo + hi)
+    roots = (0.5 * (lo + hi)).reshape(ys.shape)
     err = np.abs(np.asarray(law(roots), dtype=float) - ys)
     if np.any(err > rel_tol * np.maximum(1.0, ys)):
         raise ParameterError(f"bisection for {law.name} missed tolerance {rel_tol:g}")

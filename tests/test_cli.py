@@ -229,6 +229,63 @@ class TestTrace:
         assert "not accepted" in capsys.readouterr().err
 
 
+class TestFlagsAreNotIgnored:
+    """A flag that would be dropped or empty the output is a usage error."""
+
+    @pytest.fixture
+    def field_path(self, tmp_path):
+        path = tmp_path / "field.csv"
+        write_field_csv(random_field(make_grid(1, 2, 0.5), 5), path)
+        return str(path)
+
+    def test_propagate_mu_without_beta(self, field_path, capsys):
+        code = run(
+            "propagate", "--field", field_path, "--a", "0.5", "--times", "0.1",
+            "--points", "0.0", "--mu", "1",
+        )
+        assert code == 1
+        assert "--mu requires --beta" in capsys.readouterr().err
+
+    def test_trace_mu_without_beta(self, capsys):
+        code = run(
+            "trace", "--a", "0.5", "--s", "0.5", "--seq", "power:p=2",
+            "--grid", "1,4,0.5", "--K", "8", "--num-points", "2", "--mu", "1",
+        )
+        assert code == 1
+        assert "--mu requires --beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bound-check", "rate-fit"])
+    def test_nonpositive_per_decade(self, command, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = run(
+            command, "--family", "power", "--s", "0.25", "--a", "0.5",
+            "--deltas", "1e-2:1e-8", "--per-decade", "-2", "--out", str(out),
+        )
+        assert code == 1
+        assert "--per-decade must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_propagate_zero_points(self, field_path, capsys):
+        code = run(
+            "propagate", "--field", field_path, "--a", "0.5", "--times", "0.1",
+            "--num-points", "0",
+        )
+        assert code == 1
+        err = capsys.readouterr()
+        assert "--num-points must be positive" in err.err
+        assert err.out == ""
+
+    def test_trace_zero_points(self, capsys):
+        code = run(
+            "trace", "--a", "0.5", "--s", "0.5", "--seq", "power:p=2",
+            "--grid", "1,4,0.5", "--K", "8", "--num-points", "0",
+        )
+        assert code == 1
+        err = capsys.readouterr()
+        assert "--num-points must be positive" in err.err
+        assert err.out == ""
+
+
 # sha256 of the trace CLI's JSON and CSV output, made by the per-(k, point)
 # fsum reduction; the 2-D case has more (point, mode) products than one
 # reduction block holds, so each k is split over points

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import phaselab.convergence
+import phaselab.multipliers
 from phaselab import (
     BOUSSINESQ,
     LINEAR,
@@ -14,6 +18,8 @@ from phaselab import (
     ScanTooSmallError,
     analytic_envelope,
     certify,
+    critical_radius,
+    custom_law,
     error_field,
     extremal_witness,
     invert,
@@ -21,8 +27,15 @@ from phaselab import (
     multiplier_value,
     numeric_sup,
     power_law,
+    rate_fit,
 )
-from phaselab.multipliers import RATIO_CAP, modulus_on_axis
+from phaselab.multipliers import (
+    RATIO_CAP,
+    _phase_radii,
+    _theta_axis,
+    modulus_on_axis,
+    sweep_specs,
+)
 
 DELTAS_4DEC = [10.0 ** (-e) for e in np.linspace(2, 6, 17)]
 
@@ -226,6 +239,123 @@ class TestCertify:
         d = cert.to_dict()
         assert set(d) == {"family", "params", "delta_sweep", "pass"}
         assert set(d["delta_sweep"][0]) == {"delta", "sup", "envelope", "ratio", "argmax"}
+
+
+def reference_phase_radii(spec, targets):
+    """The single-set bisection merged into _phase_radii, kept as the reference:
+    the critical radius is inverted on every call and all 160 steps run."""
+    targets = np.asarray(targets, dtype=float)
+    if spec.family is Family.POWER:
+        return (targets / spec.delta) ** (1.0 / spec.a)
+    if spec.family.uses_law:
+        r_c = invert(spec.law, float(spec.law(1.0)) / spec.delta)
+    else:
+        r_c = spec.delta ** (-1.0 / spec.a)
+    hi = max(1.0, r_c)
+    top = float(targets.max())
+    for _ in range(200):
+        if float(_theta_axis(spec, np.asarray(hi))) >= top:
+            break
+        hi *= 2.0
+    lo = np.zeros_like(targets)
+    hi_arr = np.full_like(targets, hi)
+    for _ in range(160):
+        mid = 0.5 * (lo + hi_arr)
+        above = _theta_axis(spec, mid) >= targets
+        hi_arr = np.where(above, mid, hi_arr)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi_arr)
+
+
+@st.composite
+def any_family_spec(draw):
+    family = draw(st.sampled_from(list(Family)))
+    kwargs = dict(
+        s=draw(st.floats(0.05, 1.0)),
+        delta=draw(st.floats(1e-8, 0.5, exclude_max=True)),
+    )
+    if family.uses_law:
+        kwargs["law"] = draw(st.sampled_from([BOUSSINESQ, QUARTIC, LINEAR, power_law(2.0)]))
+    else:
+        kwargs["a"] = draw(st.floats(0.25, 2.5))
+    if family.shifted:
+        kwargs["beta"] = draw(st.floats(0.3, 2.5))
+    return MultiplierSpec(family, **kwargs)
+
+
+class TestMergedBisection:
+    @settings(max_examples=40, deadline=None)
+    @given(spec=any_family_spec())
+    def test_bit_identical_to_three_full_bisections(self, spec):
+        u = np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500)
+        r_turn, r_pi = _phase_radii(spec, u, np.asarray([math.pi]))
+        assert np.array_equal(r_turn, reference_phase_radii(spec, u))
+        assert r_turn[-1] == reference_phase_radii(spec, [2.0 * math.pi])[0]
+        assert np.array_equal(r_pi, reference_phase_radii(spec, [math.pi]))
+
+    def test_merged_sets_equal_one_call_per_set(self):
+        spec = MultiplierSpec(Family.GAMMA_SHIFT, s=0.5, delta=1e-3, law=QUARTIC, beta=0.8)
+        sets = ([0.5, 2.0, 6.0], [math.pi], [1e-3, 40.0])
+        merged = _phase_radii(spec, *sets)
+        assert len(merged) == 3
+        for radii, targets in zip(merged, sets):
+            assert np.array_equal(radii, _phase_radii(spec, targets)[0])
+            assert np.array_equal(radii, reference_phase_radii(spec, targets))
+
+
+def _recorded_sups(monkeypatch, module):
+    """Record (delta, ScanResult) for every numeric_sup the module calls."""
+    calls = []
+    original = module.numeric_sup
+
+    def recorder(spec, *args, **kwargs):
+        result = original(spec, *args, **kwargs)
+        calls.append((spec.delta, result))
+        return result
+
+    monkeypatch.setattr(module, "numeric_sup", recorder)
+    return calls
+
+
+SWEEP_TEMPLATES = [
+    MultiplierSpec(Family.GAMMA, s=0.5, delta=1e-3, law=BOUSSINESQ),
+    MultiplierSpec(Family.GAMMA_SHIFT, s=0.5, delta=1e-3, law=QUARTIC, beta=0.8),
+    MultiplierSpec(Family.POWER_SHIFT, s=1.0, delta=1e-3, a=2.0, beta=1.5),
+]
+
+
+class TestSweepSpecs:
+    @pytest.mark.parametrize("template", SWEEP_TEMPLATES, ids=lambda s: s.family.value)
+    def test_certify_scans_match_standalone_numeric_sup(self, template, monkeypatch):
+        calls = _recorded_sups(monkeypatch, phaselab.multipliers)
+        deltas = DELTAS_4DEC[::2]
+        certify(template, deltas)
+        assert [d for d, _ in calls] == deltas
+        for d, scan in calls:
+            alone = numeric_sup(template.with_delta(d))
+            assert (scan.sup, scan.argmax, scan.points) == (alone.sup, alone.argmax, alone.points)
+
+    def test_rate_fit_scans_match_standalone_numeric_sup(self, monkeypatch):
+        calls = _recorded_sups(monkeypatch, phaselab.convergence)
+        template = SWEEP_TEMPLATES[1]
+        rate_fit(template, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6], per_decade=8)
+        assert len(calls) == 5
+        for d, scan in calls:
+            alone = numeric_sup(template.with_delta(d), per_decade=8)
+            assert (scan.sup, scan.argmax, scan.points) == (alone.sup, alone.argmax, alone.points)
+
+    def test_batched_critical_radius_equals_scalar_inversion(self):
+        template = SWEEP_TEMPLATES[0]
+        for spec in sweep_specs(template, DELTAS_4DEC):
+            assert critical_radius(spec) == invert(BOUSSINESQ, math.sqrt(2) / spec.delta)
+            assert spec == template.with_delta(spec.delta)
+
+    def test_hypotheses_checked_before_inversion(self):
+        # a non-increasing law cannot be inverted; the hypothesis error wins
+        bumpy = custom_law(lambda r: np.asarray(r) * (2.0 + np.sin(np.asarray(r))), "bumpy")
+        template = MultiplierSpec(Family.GAMMA, s=0.5, delta=1e-3, law=bumpy)
+        with pytest.raises(HypothesisViolation, match="bumpy is ineligible"):
+            sweep_specs(template, DELTAS_4DEC)
 
 
 class TestExtremalWitness:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -113,6 +114,51 @@ class TestInvert:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
             invert(LINEAR, 0.0)
+
+
+class TestBatchedInverse:
+    @pytest.mark.parametrize(
+        "law",
+        [
+            BOUSSINESQ,
+            QUARTIC,
+            LINEAR,
+            custom_law(lambda r: np.asarray(r) + np.asarray(r) ** 3, "cubic"),
+        ],
+        ids=lambda law: law.name,
+    )
+    def test_elementwise_equal_to_scalar_inverse(self, law):
+        # values spread over many decades stop halving at different steps
+        ys = np.random.default_rng(7).permutation(np.geomspace(1e-6, 1e12, 150))
+        batch = invert_many(law, ys)
+        assert batch.shape == ys.shape
+        assert np.array_equal(batch, [invert(law, y) for y in ys])
+        assert np.array_equal(invert_many(law, ys.reshape(10, 15)), batch.reshape(10, 15))
+
+
+def mp_inverse(gamma, y, growth):
+    """Root of gamma(r) = y at 50 digits by secant steps from the power-law
+    guess y**growth (large y) or y**(1/order at 0) (small y)."""
+    with mpmath.workdps(50):
+        y = mpmath.mpf(y)
+        return mpmath.findroot(lambda r: gamma(r) - y, y ** growth, tol=mpmath.mpf(10) ** -45)
+
+
+class TestInverseOracle:
+    @pytest.mark.parametrize(
+        "law, gamma, growth",
+        [
+            (BOUSSINESQ, lambda r: r * mpmath.sqrt(1 + r**2), (1.0, 0.5)),
+            (QUARTIC, lambda r: r**2 + r**4, (0.5, 0.25)),
+        ],
+        ids=["boussinesq", "quartic"],
+    )
+    def test_against_mpmath_at_50_digits(self, law, gamma, growth):
+        ys = np.geomspace(1e-6, 1e12, 200)
+        for y, r in zip(ys, invert_many(law, ys)):
+            exact = mp_inverse(gamma, float(y), growth[0] if y < 1 else growth[1])
+            bound = 1e-14 * max(float(exact), 1.0) + 1e-15 * float(exact)
+            assert abs(mpmath.mpf(float(r)) - exact) <= bound, (y, r, exact)
 
 
 class TestInverseAsymptotics:
