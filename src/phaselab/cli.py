@@ -13,6 +13,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -39,6 +40,11 @@ from .propagation import ShiftSpec, evaluate_shifted
 from .spectral import make_grid, random_field, read_field_csv
 
 __all__ = ["build_parser", "main"]
+
+#: Defaults of the flags whose absence the commands must see.
+DEFAULT_GRID = "1,64,0.125"
+DEFAULT_NUM_POINTS = 32
+DEFAULT_PER_DECADE = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,12 +93,14 @@ def _parse_grid(text: str):
     return make_grid(int(parts[0]), float(parts[1]), float(parts[2]))
 
 
-def _parse_deltas(text: str, per_decade: int):
+def _parse_deltas(text: str, per_decade: int | None):
     """Geometric sweep ``start:end`` at per_decade points per decade."""
-    if per_decade < 1:
+    if per_decade is not None and per_decade < 1:
         raise ParameterError(f"--per-decade must be positive, got {per_decade}")
     parts = text.split(":")
     if len(parts) == 1:
+        if per_decade is not None:
+            raise ParameterError("--per-decade is not valid with a comma list of --deltas")
         values = [float(v) for v in text.split(",")]
         if not values:
             raise ParameterError("empty delta list")
@@ -103,6 +111,8 @@ def _parse_deltas(text: str, per_decade: int):
     if not (0 < end <= start < 1):
         raise ParameterError("delta sweep needs 0 < end <= start < 1")
     e0, e1 = math.log10(start), math.log10(end)
+    if per_decade is None:
+        per_decade = DEFAULT_PER_DECADE
     count = int(round((e0 - e1) * per_decade)) + 1
     return [float(10.0**e) for e in np.linspace(e0, e1, max(count, 2))]
 
@@ -119,10 +129,29 @@ def _parse_points(text: str, n: int):
 
 def _check_sampling_flags(args) -> None:
     """Reject sampling flags that would otherwise be dropped or give no output."""
-    if args.num_points < 1:
+    if args.points is not None:
+        if args.num_points is not None:
+            raise ParameterError("--num-points is not valid with --points")
+        if args.seed is not None and args.field is not None:
+            raise ParameterError(
+                "--seed is not valid with --points and --field "
+                "(it seeds only the default points and the random field)"
+            )
+    if args.num_points is not None and args.num_points < 1:
         raise ParameterError(f"--num-points must be positive, got {args.num_points}")
     if args.mu is not None and args.beta is None:
         raise ParameterError("--mu requires --beta (it sets the shift direction)")
+
+
+def _seed(args) -> int:
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
+def _sample_points(args, n: int):
+    if args.points is not None:
+        return _parse_points(args.points, n)
+    count = DEFAULT_NUM_POINTS if args.num_points is None else args.num_points
+    return default_points(n, count, _seed(args))
 
 
 def _parse_mu(text: str, n: int):
@@ -238,18 +267,15 @@ def cmd_propagate(args) -> int:
     times = [float(v) for v in args.times.split(",")]
     if any(t < 0 for t in times):
         raise ParameterError("times must be nonnegative")
-    if args.points is not None:
-        points = _parse_points(args.points, field.grid.n)
-    else:
-        points = default_points(field.grid.n, args.num_points, args.seed)
+    points = _sample_points(args, field.grid.n)
     shift = None
     if args.beta is not None:
         mu = _parse_mu(args.mu, field.grid.n) if args.mu else np.eye(field.grid.n)[0]
         shift = ShiftSpec(beta=args.beta, mu=mu)
+    values = evaluate_shifted(field, law, np.asarray(times), shift, points).tolist()
     rows = []
-    for t in times:
-        for x in points:
-            value = evaluate_shifted(field, law, t, shift, x)
+    for t, row_values in zip(times, values):
+        for x, value in zip(points, row_values):
             row = {"t": t}
             row.update({f"x_{i + 1}": float(v) for i, v in enumerate(np.atleast_1d(x))})
             row.update({"re": value.real, "im": value.imag})
@@ -265,18 +291,19 @@ def cmd_propagate(args) -> int:
 
 def cmd_trace(args) -> int:
     _check_sampling_flags(args)
-    grid = _parse_grid(args.grid)
     if args.field is not None:
+        if args.grid is not None:
+            raise ParameterError(
+                "--grid is not valid with --field (the field's sidecar sets the grid)"
+            )
         field = read_field_csv(args.field)
-        grid = field.grid
     else:
-        field = random_field(grid, np.random.default_rng(args.seed))
+        grid = _parse_grid(args.grid or DEFAULT_GRID)
+        field = random_field(grid, np.random.default_rng(_seed(args)))
+    grid = field.grid
     law = _law_from_args(args)
     seq = parse_sequence(args.seq)
-    if args.points is not None:
-        points = _parse_points(args.points, grid.n)
-    else:
-        points = default_points(grid.n, args.num_points, args.seed)
+    points = _sample_points(args, grid.n)
     shift = None
     if args.beta is not None:
         mu = _parse_mu(args.mu, grid.n) if args.mu else np.eye(grid.n)[0]
@@ -294,13 +321,25 @@ def cmd_trace(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (stdout when omitted)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--grid", default="1,64,0.125", help="n,xi_max,dxi")
+
+
+def _add_unsafe_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--unsafe-params",
         action="store_true",
         help="relax parameter-range checks (never changes envelope formulas)",
     )
+
+
+def _add_sampling(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--points", default=None, help="semicolon-separated points, comma coords")
+    parser.add_argument(
+        "--num-points", type=int, default=None, dest="num_points",
+        help=f"seeded default points when --points is omitted (default {DEFAULT_NUM_POINTS})",
+    )
+    parser.add_argument("--seed", type=int, default=None, help=f"default {DEFAULT_SEED}")
+    parser.add_argument("--beta", type=float, default=None)
+    parser.add_argument("--mu", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,28 +348,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound-check", help="certify sup|m| against its envelope over a delta sweep")
     _add_common(p)
+    _add_unsafe_params(p)
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--gamma", default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--deltas", required=True, help="start:end geometric sweep or comma list")
-    p.add_argument("--per-decade", type=int, default=4, dest="per_decade")
+    p.add_argument(
+        "--per-decade", type=int, default=None, dest="per_decade",
+        help=f"points per decade of a start:end sweep (default {DEFAULT_PER_DECADE})",
+    )
     p.set_defaults(func=cmd_bound_check)
 
     p = sub.add_parser("rate-fit", help="log-log decay rate of sup|m| vs the envelope exponent")
     _add_common(p)
+    _add_unsafe_params(p)
     p.add_argument("--family", choices=[f.value for f in Family], required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--gamma", default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--deltas", required=True)
-    p.add_argument("--per-decade", type=int, default=4, dest="per_decade")
+    p.add_argument(
+        "--per-decade", type=int, default=None, dest="per_decade",
+        help=f"points per decade of a start:end sweep (default {DEFAULT_PER_DECADE})",
+    )
     p.set_defaults(func=cmd_rate_fit)
 
     p = sub.add_parser("seq-check", help="classify a time sequence against a convergence criterion")
     _add_common(p)
+    _add_unsafe_params(p)
     p.add_argument("--criterion", choices=[c.value for c in ConvergenceCriterion], required=True)
     p.add_argument("--seq", required=True, help="power:p=2 | geometric:r=0.5 | explicit:...")
     p.add_argument("--s", type=float, required=True)
@@ -341,36 +389,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate", help="evolve a stored field and sample it at points")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--field", required=True, help="field CSV (with JSON sidecar)")
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--gamma", default=None)
     p.add_argument("--times", required=True, help="comma list of t values")
-    p.add_argument("--points", default=None, help="semicolon-separated points, comma coords")
-    p.add_argument("--num-points", type=int, default=32, dest="num_points")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--mu", default=None)
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("trace", help="accumulate sum_k |h_k(x)|^2 along a time sequence")
     _add_common(p)
+    _add_sampling(p)
     p.add_argument("--field", default=None, help="field CSV; a seeded random field when omitted")
+    p.add_argument(
+        "--grid", default=None, help=f"n,xi_max,dxi of the random field (default {DEFAULT_GRID})"
+    )
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--gamma", default=None)
     p.add_argument("--seq", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--K", type=int, default=2048)
-    p.add_argument("--points", default=None)
-    p.add_argument("--num-points", type=int, default=32, dest="num_points")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--mu", default=None)
     p.set_defaults(func=cmd_trace)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the life of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, OSError, ValueError) as exc:

@@ -3,7 +3,10 @@
 Evolution multiplies each coefficient by a unit phase, so it is exactly
 unitary on every weighted norm and satisfies the group law in t.  The
 drifted evaluation point x + t**beta * mu contributes the extra linear
-phase t**beta * mu.xi.  The residual against the initial datum is formed
+phase t**beta * mu.xi.  ``evaluate_shifted`` samples T times at P points in
+one pass: one phase and one evolved field per time, then one ``synthesize``
+call that forms each point's plane wave once and sums every (time, point)
+row exactly.  The residual against the initial datum is formed
 directly in frequency space, h_j = (e^{i theta_j} - 1) f_j, which keeps
 synthesis quadrature out of the estimates under test.
 """
@@ -71,16 +74,29 @@ def apply_phase(field: SpectralField, law, t: float) -> SpectralField:
     return SpectralField(field.grid, field.coefficients * np.exp(1j * theta))
 
 
-def evaluate_shifted(field: SpectralField, law, t: float, shift: ShiftSpec | None, x) -> complex:
-    """Evolved solution sampled at the drifted point x + t**beta * mu.
+def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
+    """Evolved solution sampled at the drifted points x + t**beta * mu.
 
     Computed as (2*pi)**(-n) sum_j e^{i(x.xi_j + t**beta mu.xi_j + t gamma(|xi_j|))} f_j dxi^n.
-    At t = 0 (with beta > 0) this is the band-limited representative of the
-    initial datum.
+    ``t`` is one time or a 1-D array of T times, ``x`` one point or a
+    (P, n) array of points.  One time at one point gives a complex number;
+    otherwise the result is a complex array with a time axis (for an array
+    of times) followed by a point axis (for a (P, n) array), so T times at
+    P points give (T, P).  The phase is evaluated once per time and the
+    plane wave once per point.  At t = 0 (with beta > 0) this is the
+    band-limited representative of the initial datum.
     """
-    theta = _angles(field.grid, law, t, shift)
-    moved = SpectralField(field.grid, field.coefficients * np.exp(1j * theta))
-    return synthesize(moved, x)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0:
+        raise ParameterError(
+            f"times must be a number or a nonempty 1-D array, got shape {times.shape}"
+        )
+    grid = field.grid
+    moved = [
+        SpectralField(grid, field.coefficients * np.exp(1j * _angles(grid, law, float(ti), shift)))
+        for ti in times.reshape(-1)
+    ]
+    return synthesize(moved if times.ndim else moved[0], x)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,21 @@ are exact up to floating point.  Every reduction is exactly rounded: the
 result is the true sum of the terms rounded once to the nearest double,
 so it does not depend on summation order, runs or thread counts.
 
-``csum`` sums one vector with ``math.fsum``, or every row of a 2-D block
-at once.  The batched path splits each row with error-free TwoSum steps
+``csum`` sums every row of a 2-D block at once (a vector is a one-row
+block).  It splits each row with error-free TwoSum steps
 (Ogita, Rump and Oishi, "Accurate Sum and Dot Product", 2005), rounds
 the result, and accepts it only when a rigorous error bound proves it is
 the exactly-rounded sum; any row the bound cannot certify (ties, zeros,
 non-finite values) is summed again with ``math.fsum`` (Shewchuk 1997),
 so both paths give the same bits.  Callers keep blocks small:
-``pointwise_trace`` caps each block at 1 MiB of complex products.
+``pointwise_trace`` caps each block at 1 MiB of complex products and
+``synthesize`` at ``SYNTH_BLOCK_BYTES``.
+
+``synthesize`` samples one field at one point, or a sequence of fields on
+one grid at a (P, n) array of points.  Each point's plane wave is formed
+once, by its own matrix-vector product ``modes @ x`` (a matrix product
+over all points can round some phases differently), and every (field,
+point) row is summed exactly before the common scale is applied.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -47,6 +54,11 @@ __all__ = [
 #: Default lattice used by the experiments: resolves |xi| up to 64 at 1/8 spacing.
 DEFAULT_GRID_PARAMS = (1, 64.0, 0.125)
 
+
+#: Cap on the bytes of complex products ``synthesize`` passes to one ``csum``
+#: call (one row at least), so a block does not grow with the field or
+#: point count.
+SYNTH_BLOCK_BYTES = 1 << 17
 
 #: Unit roundoff of float64.
 _U = 2.0**-53
@@ -119,13 +131,14 @@ def _certified_row_sums(x: np.ndarray):
 def csum(values: np.ndarray):
     """Exactly-rounded complex sum of a vector, or of each row of a 2-D array.
 
-    A 1-D input gives a complex number; a 2-D input (rows, M) gives a
-    complex array with one sum per row.  Rows are summed together by the
-    certified batched kernel; rows it cannot certify go to ``math.fsum``.
+    A 1-D input gives a complex number (it is summed as a one-row block);
+    a 2-D input (rows, M) gives a complex array with one sum per row.
+    Rows are summed together by the certified batched kernel; rows it
+    cannot certify go to ``math.fsum``.
     """
     values = np.asarray(values)
     if values.ndim == 1:
-        return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+        return complex(csum(values[None, :])[0])
     if values.ndim != 2:
         raise ParameterError(f"csum takes a 1-D or 2-D array, got {values.ndim}-D")
     if values.shape[1] == 0:
@@ -225,15 +238,59 @@ def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
     return math.sqrt(total * field.grid.weight)
 
 
-def synthesize(field: SpectralField, x) -> complex:
-    """Evaluate (2*pi)**(-n) * sum_j e^{i x.xi_j} f_j dxi^n at a physical point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (field.grid.n,):
-        raise ParameterError(
-            f"point has shape {x.shape}, expected ({field.grid.n},)"
-        )
-    z = field.coefficients * np.exp(1j * (field.grid.modes @ x))
-    return csum(z) * (field.grid.weight / (2.0 * math.pi) ** field.grid.n)
+def synthesize(field, x):
+    """Evaluate (2*pi)**(-n) * sum_j e^{i x.xi_j} f_j dxi^n at physical points.
+
+    ``field`` is one SpectralField or a sequence of fields on one grid; ``x``
+    is one point (shape (n,), or a number when n = 1) or a (P, n) array of
+    points.  One field at one point gives a complex number; otherwise the
+    result is a complex array with a field axis (for a sequence) followed
+    by a point axis (for a (P, n) array).
+    """
+    one_field = isinstance(field, SpectralField)
+    fields = [field] if one_field else list(field)
+    if not fields:
+        raise ParameterError("synthesize needs at least one field")
+    grid = fields[0].grid
+    if any(f.grid is not grid for f in fields):
+        raise GridMismatchError("the fields to synthesize must share one grid")
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim <= 1
+    if single:
+        pts = np.atleast_1d(pts)
+        if pts.shape != (grid.n,):
+            raise ParameterError(f"point has shape {pts.shape}, expected ({grid.n},)")
+        pts = pts.reshape(1, grid.n)
+    elif pts.ndim != 2 or pts.shape[1] != grid.n:
+        raise ParameterError(f"points have shape {pts.shape}, expected (P, {grid.n})")
+    num_modes, num_pts = grid.num_modes, pts.shape[0]
+    coeffs = np.stack([f.coefficients for f in fields])
+    # each csum call sums one block of (field, point) rows: all fields
+    # against one chunk of points, or whole chunks of fields per point
+    # chunk when the points fit; a chunk's waves are formed once and kept
+    # only while its blocks are summed
+    block_rows = max(1, SYNTH_BLOCK_BYTES // (16 * num_modes))
+    p_step = max(1, min(num_pts, block_rows))
+    t_step = max(1, block_rows // p_step)
+    sums = np.empty((len(fields), num_pts), dtype=complex)
+    for p0 in range(0, num_pts, p_step):
+        chunk = pts[p0 : p0 + p_step]
+        waves = np.empty((len(chunk), num_modes), dtype=complex)
+        for i, point in enumerate(chunk):
+            waves[i] = np.exp(1j * (grid.modes @ point))
+        for t0 in range(0, len(fields), t_step):
+            # the mode axis stays last and contiguous, so numpy forms each
+            # product with the same loop as a single coefficient * wave
+            block = coeffs[t0 : t0 + t_step, None, :] * waves[None, :, :]
+            sums[t0 : t0 + t_step, p0 : p0 + p_step] = csum(
+                block.reshape(-1, num_modes)
+            ).reshape(block.shape[:2])
+    sums *= grid.weight / (2.0 * math.pi) ** grid.n
+    if one_field:
+        sums = sums[0]
+    if single:
+        sums = sums[..., 0]
+    return complex(sums) if sums.ndim == 0 else sums
 
 
 def random_field(grid: FrequencyGrid, rng) -> SpectralField:

@@ -11,6 +11,7 @@ import pytest
 
 import phaselab
 from phaselab import SpectralField, make_grid, random_field, write_field_csv
+from phaselab import cli
 from phaselab.cli import main
 
 
@@ -286,6 +287,95 @@ class TestFlagsAreNotIgnored:
         assert err.out == ""
 
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (("bound-check", "--family", "power", "--s", "0.5", "--a", "0.5",
+              "--deltas", "1e-2:1e-6", "--seed", "9"), "--seed"),
+            (("rate-fit", "--family", "power", "--s", "0.25", "--a", "0.5",
+              "--deltas", "1e-2:1e-8", "--grid", "3,1,0.5"), "--grid"),
+            (("seq-check", "--criterion", "power-low", "--seq", "power:p=2", "--s", "0.5",
+              "--a", "0.5", "--num-points", "3"), "--num-points"),
+            (("propagate", "--field", "{field}", "--a", "0.5", "--times", "0.1",
+              "--grid", "1,2,0.5"), "--grid"),
+            (("propagate", "--field", "{field}", "--a", "0.5", "--times", "0.1",
+              "--unsafe-params"), "--unsafe-params"),
+            (("trace", "--a", "0.5", "--s", "0.5", "--seq", "power:p=2", "--grid", "1,4,0.5",
+              "--K", "16", "--unsafe-params"), "--unsafe-params"),
+        ],
+    )
+    def test_flag_the_command_never_reads(self, args, flag, field_path, capsys):
+        # argparse rejects an unknown flag by exiting, with code 1 here
+        with pytest.raises(SystemExit) as exc:
+            run(*(a.format(field=field_path) for a in args))
+        assert exc.value.code == 1
+        err = capsys.readouterr()
+        assert f"unrecognized arguments: {flag}" in err.err
+        assert err.out == ""
+
+    def test_trace_grid_with_field(self, field_path, capsys):
+        code = run(
+            "trace", "--field", field_path, "--a", "0.5", "--s", "0.5", "--seq", "power:p=2",
+            "--K", "16", "--num-points", "2", "--grid", "1,4,0.5",
+        )
+        assert code == 1
+        assert "--grid is not valid with --field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bound-check", "rate-fit"])
+    def test_per_decade_with_delta_list(self, command, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = run(
+            command, "--family", "power", "--s", "0.25", "--a", "0.5",
+            "--deltas", "1e-2,1e-4,1e-6,1e-8,1e-9", "--per-decade", "7", "--out", str(out),
+        )
+        assert code == 1
+        assert "--per-decade is not valid with a comma list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["propagate", "trace"])
+    def test_num_points_with_points(self, command, field_path, capsys):
+        if command == "propagate":
+            args = ("propagate", "--field", field_path, "--a", "0.5", "--times", "0.1")
+        else:
+            args = ("trace", "--a", "0.5", "--s", "0.5", "--seq", "power:p=2", "--K", "16")
+        code = run(*args, "--points", "0.0;1.0", "--num-points", "2")
+        assert code == 1
+        assert "--num-points is not valid with --points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["propagate", "trace"])
+    def test_seed_with_points_and_field(self, command, field_path, capsys):
+        if command == "propagate":
+            args = ("propagate", "--times", "0.1")
+        else:
+            args = ("trace", "--s", "0.5", "--seq", "power:p=2", "--K", "16")
+        code = run(*args, "--field", field_path, "--a", "0.5", "--points", "0.0", "--seed", "3")
+        assert code == 1
+        assert "--seed is not valid with --points and --field" in capsys.readouterr().err
+
+    def test_trace_seed_with_points_seeds_the_field(self, capsys):
+        args = ("trace", "--a", "0.5", "--s", "0.5", "--seq", "power:p=2", "--grid", "1,4,0.5",
+                "--K", "16", "--points", "0.0;1.0")
+        assert run(*args, "--seed", "3") == 0
+        seeded = capsys.readouterr().out
+        assert run(*args) == 0
+        assert capsys.readouterr().out != seeded
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for p in ("2", "3"):
+            assert run("seq-check", "--criterion", "power-low", "--seq", f"power:p={p}",
+                       "--s", "0.5", "--a", "0.5") == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
+    assert capsys.readouterr().out.count('"decision"') == 2
+
+
 # sha256 of the trace CLI's JSON and CSV output, made by the per-(k, point)
 # fsum reduction; the 2-D case has more (point, mode) products than one
 # reduction block holds, so each k is split over points
@@ -433,10 +523,21 @@ GOLDEN_SWEEPS = {
         0, "1964d6959f480d7fd49c26f9306baa8f51092606c6ae588d0881563ccde344bc",
         0, "3b23dff9d17cba8061484e37f89e2460663e76b53408561705acb41563e246b7",
     ),
+    # 4225 modes at 32 points: one time's (point, mode) products exceed a
+    # synthesis block, so the points of each time are split over blocks
+    "prop-beta-2d-wide": (
+        "propagate --field {dir}/f3.csv --gamma quartic --times 0,0.05,0.5 --beta 1.5 "
+        "--mu 1,2 --num-points 32 --seed 6",
+        0, "705e6fb51698ef363c55ae01598dba85084b3f42c1dcc621b069adb3bc42d018",
+        0, "85eaffbc5be9bb7e0864d27a91d74dee84940c3180f9ad83a71a5da8c26b1f6f",
+    ),
 }
 
 # runs each golden case through the CLI entry point in a fresh interpreter,
-# so the BLAS thread count is fixed before numpy loads
+# so the BLAS thread count is fixed before numpy loads; all cases of one
+# script share that interpreter and the parser main() builds once per
+# process, so state leaking from one main() call into the next would change
+# a digest
 DIGEST_SCRIPT = """
 import contextlib, hashlib, io, json, sys
 from phaselab.cli import main
@@ -475,10 +576,11 @@ def test_trace_golden_digests(threads):
 
 @pytest.fixture(scope="module")
 def golden_fields(tmp_path_factory):
-    """Seeded random fields in 1-D and 2-D for the propagate cases."""
+    """Seeded random fields for the propagate cases: 65 modes in 1-D, 289 and 4225 in 2-D."""
     root = tmp_path_factory.mktemp("fields")
     write_field_csv(random_field(make_grid(1, 8, 0.25), 11), root / "f1.csv")
     write_field_csv(random_field(make_grid(2, 4, 0.5), 12), root / "f2.csv")
+    write_field_csv(random_field(make_grid(2, 8, 0.25), 13), root / "f3.csv")
     return root
 
 

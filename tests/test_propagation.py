@@ -19,6 +19,9 @@ from phaselab import (
     sobolev_norm,
     synthesize,
 )
+from phaselab import spectral
+from phaselab.convergence import default_points
+from phaselab.propagation import _angles
 
 E1 = np.array([1.0])
 
@@ -110,6 +113,94 @@ class TestEvaluateShifted:
     def test_mu_must_be_unit(self):
         with pytest.raises(ParameterError):
             ShiftSpec(beta=1.0, mu=np.array([1.0, 1.0]))
+
+
+def reference_evaluate(field, law, times, shift, points):
+    """The per-(t, x) loop that the batched evaluation replaced."""
+    grid = field.grid
+    scale = grid.weight / (2.0 * math.pi) ** grid.n
+    out = np.empty((len(times), len(points)), dtype=complex)
+    for i, t in enumerate(times):
+        moved = field.coefficients * np.exp(1j * _angles(grid, law, float(t), shift))
+        for j, x in enumerate(points):
+            z = moved * np.exp(1j * (grid.modes @ x))
+            out[i, j] = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist())) * scale
+    return out
+
+
+def bits(values):
+    return np.ascontiguousarray(np.atleast_1d(values), dtype=complex).view(np.int64)
+
+
+EVALUATE_CASES = {
+    "1d": ((1, 8, 0.125), power_law(0.5), None),
+    "2d-shift": ((2, 4, 0.25), BOUSSINESQ, ShiftSpec(beta=1.5, mu=np.array([0.6, 0.8]))),
+    "3d": ((3, 1, 0.25), power_law(2.0), None),
+}
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+    def test_bit_identical_to_per_sample_loop(self, case, rows_per_block, monkeypatch):
+        grid_args, law, shift = EVALUATE_CASES[case]
+        g = make_grid(*grid_args)
+        f = random_field(g, np.random.default_rng(43))
+        times = np.array([0.0, 0.05, 0.3, 1.0])
+        points = default_points(g.n, 5)
+        if rows_per_block is not None:
+            # blocks of 1 or 2 (time, point) rows: every time splits its 5 points
+            monkeypatch.setattr(spectral, "SYNTH_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+        got = evaluate_shifted(f, law, times, shift, points)
+        want = reference_evaluate(f, law, times, shift, points)
+        assert got.shape == (4, 5)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_blocks_span_several_times(self, monkeypatch):
+        # one point and 3-row blocks: each block holds three times
+        g = make_grid(2, 2, 0.5)
+        f = random_field(g, np.random.default_rng(44))
+        times = np.linspace(0.0, 1.0, 7)
+        points = np.array([[0.3, -1.1]])
+        monkeypatch.setattr(spectral, "SYNTH_BLOCK_BYTES", 16 * g.num_modes * 3)
+        got = evaluate_shifted(f, BOUSSINESQ, times, None, points)
+        want = reference_evaluate(f, BOUSSINESQ, times, None, points)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_axes_follow_the_arguments(self):
+        g = make_grid(2, 2, 0.5)
+        f = random_field(g, np.random.default_rng(45))
+        times = np.array([0.1, 0.4])
+        points = default_points(2, 3)
+        full = evaluate_shifted(f, BOUSSINESQ, times, None, points)
+        one = evaluate_shifted(f, BOUSSINESQ, 0.4, None, points[2])
+        assert type(one) is complex
+        np.testing.assert_array_equal(bits(one), bits(full[1, 2]))
+        at_one_time = evaluate_shifted(f, BOUSSINESQ, 0.4, None, points)
+        np.testing.assert_array_equal(bits(at_one_time), bits(full[1]))
+        at_one_point = evaluate_shifted(f, BOUSSINESQ, times, None, points[2])
+        np.testing.assert_array_equal(bits(at_one_point), bits(full[:, 2]))
+
+    def test_zero_field(self):
+        # zero rows are not certified and take csum's fsum fallback
+        g = make_grid(1, 2, 0.5)
+        f = SpectralField(g, np.full(g.num_modes, -0.0 - 0.0j))
+        times = np.array([0.0, 0.5])
+        points = default_points(1, 3)
+        got = evaluate_shifted(f, power_law(0.5), times, None, points)
+        want = reference_evaluate(f, power_law(0.5), times, None, points)
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("times", [np.empty(0), np.zeros((2, 2))])
+    def test_times_must_be_a_nonempty_vector(self, times):
+        f = random_field(make_grid(1, 1, 1), np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="times"):
+            evaluate_shifted(f, BOUSSINESQ, times, None, 0.0)
+
+    def test_points_must_match_the_grid(self):
+        f = random_field(make_grid(2, 1, 1), np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="points"):
+            evaluate_shifted(f, BOUSSINESQ, np.array([0.1]), None, np.zeros((4, 3)))
 
 
 class TestErrorField:

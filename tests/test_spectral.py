@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from phaselab import (
     synthesize,
     write_field_csv,
 )
+from phaselab import spectral
+from phaselab.convergence import default_points
 from phaselab.spectral import _certified_row_sums, csum
 
 
@@ -160,6 +163,90 @@ class TestSynthesize:
     def test_zero_field(self):
         g = make_grid(2, 1, 1)
         assert synthesize(SpectralField(g, np.zeros(9)), [0.4, -0.2]) == 0
+
+
+def exact_sum(values):
+    """The double nearest the exact sum of doubles, ties to even.
+
+    mpmath works at 700 digits (about 2300 bits): every double is an
+    integer multiple of 2**-1074 below 2**1024, so a sum of fewer than
+    2**100 of them is exact at that precision and is rounded only once.
+    """
+    with mpmath.workdps(700):
+        total = mpmath.fsum([mpmath.mpf(v) for v in np.asarray(values, dtype=float).tolist()])
+    return mpmath.libmp.to_float(total._mpf_, rnd=mpmath.libmp.round_nearest)
+
+
+def oracle_field(grid, seed):
+    """Random coefficients spread over 16 decades, so the sums cancel deeply."""
+    rng = np.random.default_rng(seed)
+    coeffs = random_field(grid, rng).coefficients * 10.0 ** rng.uniform(-8, 8, grid.num_modes)
+    return SpectralField(grid, coeffs)
+
+
+class _RecordingMath:
+    """``math`` as the spectral module sees it, with every fsum call recorded."""
+
+    def __init__(self):
+        self.calls = []
+
+    def fsum(self, values):
+        values = list(values)
+        total = math.fsum(values)
+        self.calls.append((values, total))
+        return total
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+class TestReductionsAgainstMpmath:
+    """The exactly-rounded sums equal an mpmath oracle before any scaling."""
+
+    @pytest.mark.parametrize("grid_args", [(1, 8, 0.125), (2, 4, 0.25), (3, 1, 0.25)])
+    @pytest.mark.parametrize("s", [0.0, 0.75, -1.5])
+    def test_sobolev_norm(self, grid_args, s, monkeypatch):
+        g = make_grid(*grid_args)
+        f = oracle_field(g, 61)
+        rec = _RecordingMath()
+        monkeypatch.setattr(spectral, "math", rec)
+        norm = sobolev_norm(f, s)
+        c = f.coefficients
+        terms = (c.real * c.real + c.imag * c.imag) * (1.0 + g.radii**2) ** s
+        [(seen, total)] = rec.calls
+        np.testing.assert_array_equal(np.array(seen).view(np.int64), terms.view(np.int64))
+        assert total == exact_sum(terms)
+        assert norm == math.sqrt(total * g.weight)
+
+    @pytest.mark.parametrize("grid_args", [(1, 8, 0.125), (2, 4, 0.25)])
+    @pytest.mark.parametrize("num_points", [None, 1, 5])
+    @pytest.mark.parametrize("rows_per_block", [None, 2])
+    def test_synthesize(self, grid_args, num_points, rows_per_block, monkeypatch):
+        g = make_grid(*grid_args)
+        f = oracle_field(g, 62)
+        # one bare point, or a (P, n) array of points
+        x = default_points(g.n, num_points or 1, 5)
+        if num_points is None:
+            x = x[0]
+        if rows_per_block is not None:
+            monkeypatch.setattr(spectral, "SYNTH_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+        sums = []
+
+        def recording_csum(values):
+            out = csum(values)
+            sums.extend(np.atleast_1d(out).tolist())
+            return out
+
+        monkeypatch.setattr(spectral, "csum", recording_csum)
+        got = np.atleast_1d(synthesize(f, x))
+        scale = g.weight / (2.0 * math.pi) ** g.n
+        assert len(sums) == len(got)
+        for p, point in enumerate(np.atleast_2d(x)):
+            z = f.coefficients * np.exp(1j * (g.modes @ point))
+            want = complex(exact_sum(z.real), exact_sum(z.imag))
+            assert sums[p] == want
+            assert csum(z) == want  # the 1-D path of csum
+            assert got[p] == want * scale
 
 
 class TestFieldValidation:
