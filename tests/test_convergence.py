@@ -264,7 +264,7 @@ TRACE_CASES = {
 
 class TestBatchedTrace:
     @pytest.mark.parametrize("case", sorted(TRACE_CASES))
-    @pytest.mark.parametrize("rows_per_block", [None, 2])
+    @pytest.mark.parametrize("rows_per_block", [None, 2, 15])
     def test_bit_identical_to_per_point_loop(self, case, rows_per_block, monkeypatch):
         grid_args, law, seq, beta, k_max = TRACE_CASES[case]
         g = make_grid(*grid_args)
@@ -272,7 +272,8 @@ class TestBatchedTrace:
         shift = ShiftSpec(beta=beta, mu=np.eye(g.n)[0]) if beta is not None else None
         points = default_points(g.n, 5)
         if rows_per_block is not None:
-            # blocks of 2 (k, point) rows: every k splits its 5 points
+            # blocks of 2 (k, point) rows split every k's 5 points; blocks of
+            # 15 rows hold three k, and the last block is shorter than the rest
             monkeypatch.setattr(convergence, "TRACE_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
         tr = pointwise_trace(f, law, seq, 0.5, points, k_max=k_max, shift=shift)
         want = reference_history(f, law, seq, points, k_max, shift)

@@ -141,7 +141,7 @@ EVALUATE_CASES = {
 
 class TestBatchedEvaluate:
     @pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
-    @pytest.mark.parametrize("rows_per_block", [None, 1, 2])
+    @pytest.mark.parametrize("rows_per_block", [None, 1, 2, 15])
     def test_bit_identical_to_per_sample_loop(self, case, rows_per_block, monkeypatch):
         grid_args, law, shift = EVALUATE_CASES[case]
         g = make_grid(*grid_args)
@@ -149,7 +149,8 @@ class TestBatchedEvaluate:
         times = np.array([0.0, 0.05, 0.3, 1.0])
         points = default_points(g.n, 5)
         if rows_per_block is not None:
-            # blocks of 1 or 2 (time, point) rows: every time splits its 5 points
+            # blocks of 1 or 2 (time, point) rows split every time's 5 points;
+            # blocks of 15 rows hold three times, then one time is left over
             monkeypatch.setattr(spectral, "SYNTH_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
         got = evaluate_shifted(f, law, times, shift, points)
         want = reference_evaluate(f, law, times, shift, points)

@@ -232,8 +232,8 @@ class TestReductionsAgainstMpmath:
             monkeypatch.setattr(spectral, "SYNTH_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
         sums = []
 
-        def recording_csum(values):
-            out = csum(values)
+        def recording_csum(values, *args, **kwargs):
+            out = csum(values, *args, **kwargs)
             sums.extend(np.atleast_1d(out).tolist())
             return out
 
@@ -449,3 +449,108 @@ class TestCsum:
         assert csum(np.ones((2, 0))).tolist() == [0j, 0j]
         with pytest.raises(ParameterError):
             csum(np.ones((2, 2, 2)))
+
+
+def binade_block(rng, exponents, width):
+    """Rows of one sign pattern or mixed signs, each row's terms in [2**(e-1), 2**e)."""
+    rows = []
+    for e in exponents:
+        mag = np.ldexp(rng.uniform(0.5, 1.0, (2, width)), e)
+        rows.append(complex_rows(mag[0], -mag[1]))
+        rows.append(complex_rows(mag[0] * rng.choice([-1.0, 1.0], width), mag[1]))
+    return np.vstack(rows)
+
+
+class TestCsumExtremes:
+    """Rows at the edges of the certified path, all equal to per-row fsum."""
+
+    @pytest.mark.parametrize("j", [2, 3, 4, 5, 7, 10, 11])
+    @pytest.mark.parametrize("d", [-3, -2, -1, 0])
+    def test_widths_beside_powers_of_two(self, j, d):
+        # M + 2 crosses a power of two between these widths; rows of one sign
+        # near the top of a binade make the largest partial sums for their width
+        width = 2**j + d
+        rng = np.random.default_rng(100 * j - d)
+        assert_csum_is_fsum(binade_block(rng, [0, 1, 40, -40], width))
+        top = np.full(width, np.nextafter(1.0, 0.0))
+        assert_csum_is_fsum(np.vstack([complex_rows(top, -top), complex_rows(-top, top * 0.75)]))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 17, 64, 1025])
+    @pytest.mark.parametrize("e", [0, 1, -30, 300])
+    def test_maximum_at_a_power_of_two_and_its_predecessor(self, width, e):
+        rng = np.random.default_rng(1000 * width + e + 100)
+        for peak in (math.ldexp(1.0, e), np.nextafter(math.ldexp(1.0, e), 0.0)):
+            re = np.ldexp(rng.uniform(-1.0, 1.0, width), e - 1)
+            im = np.ldexp(rng.uniform(-1.0, 1.0, width), e - 1)
+            re[rng.integers(width)] = peak
+            im[rng.integers(width)] = -peak
+            assert_csum_is_fsum(np.vstack([complex_rows(re, im), complex_rows(-re, re)]))
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 31, 64])
+    def test_rows_near_overflow(self, width):
+        # the row maxima reach 2**1015 and beyond, so 2**(e + L) overflows;
+        # signs alternate so the exact sums stay finite for fsum
+        rng = np.random.default_rng(width)
+        signs = np.resize([1.0, -1.0], width)
+        rows = [
+            complex_rows(signs * np.ldexp(rng.uniform(0.5, 1.0, width), e), np.ldexp(1.0, e - 3) * signs)
+            for e in (1015, 1016, 1018, 1020, 1022)
+        ]
+        rows.append(complex_rows(np.full(width, 2.0**1010), np.ones(width)))
+        assert_csum_is_fsum(np.vstack(rows))
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 33, 1025])
+    def test_rows_near_underflow(self, width):
+        # maxima around 2**-960 straddle the kernel's underflow guard; the
+        # smallest rows are subnormal
+        rng = np.random.default_rng(7 * width)
+        rows = [
+            complex_rows(np.ldexp(rng.standard_normal(width), e), np.ldexp(rng.standard_normal(width), e - 5))
+            for e in (-955, -958, -959, -960, -961, -962, -1000, -1022, -1040, -1070)
+        ]
+        rows.append(complex_rows(np.full(width, 5e-324), np.full(width, -1e-320)))
+        rows.append(complex_rows(rng.integers(-8, 9, width) * 5e-324, np.zeros(width)))
+        assert_csum_is_fsum(np.vstack(rows))
+
+    @pytest.mark.parametrize("width", [3, 16, 257, 1025])
+    @pytest.mark.parametrize("tiny", [-60, -200, -700])
+    def test_dominant_term_and_cancelling_tiny_terms(self, width, tiny):
+        # one term near 1 and many terms far below it that cancel in pairs
+        # up to a remainder near the rounding point of the dominant term
+        rng = np.random.default_rng(width - tiny)
+        half = (width - 1) // 2
+        small = np.ldexp(rng.standard_normal(half), tiny)
+        rest = np.concatenate([small, -small[::-1]])
+        rows = []
+        for nudge in (0.0, 2.0**-53, 2.0**-53 + 2.0**-80, -(2.0**-54) - 2.0**-90):
+            re = np.concatenate([[1.0 + 3 * 2.0**-52], rest, [nudge]])[:width]
+            if width > 2 * half + 1:
+                re[-1] = nudge
+            rows.append(complex_rows(rng.permutation(re), re))
+        assert_csum_is_fsum(np.vstack(rows))
+
+    @pytest.mark.parametrize("width", [1, 4, 129])
+    def test_tiny_and_huge_rows_in_one_block(self, width):
+        rng = np.random.default_rng(width)
+        a, b = rng.standard_normal((2, width))
+        rows = [
+            complex_rows(a * 1e-300, b * 1e-300),
+            complex_rows(a * 1e300, b * 1e300),
+            complex_rows(a * 1e-300, b * 1e300),
+            complex_rows(a * 1e300, b * 1e-300),
+            complex_rows(a, b * 2.0**-600),
+        ]
+        assert_csum_is_fsum(np.vstack(rows))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 9), (3, 1025)])
+    def test_input_is_not_written(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = complex_rows(*rng.standard_normal((2,) + shape))
+        if shape[1] > 1:
+            values[0, :2] = [1.0, 2.0**-53]  # a midpoint row takes the fsum fallback
+        before = values.copy()
+        csum(values)
+        np.testing.assert_array_equal(values.view(np.int64), before.view(np.int64))
+        planes = values.view(float).reshape(shape + (2,))
+        _certified_row_sums(planes)
+        np.testing.assert_array_equal(values.view(np.int64), before.view(np.int64))
