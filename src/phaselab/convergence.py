@@ -29,7 +29,7 @@ from .errors import HypothesisViolation, NotApplicableError, ParameterError
 from .multipliers import Family, MultiplierSpec, analytic_envelope, numeric_sup, sweep_specs
 from .phase_laws import PhaseLaw, invert_many
 from .propagation import ShiftSpec, _angles
-from .spectral import SpectralField, csum
+from .spectral import SpectralField, csum, csum_scratch
 
 __all__ = [
     "Applicability",
@@ -386,7 +386,8 @@ def rate_fit(
     envs = []
     for spec in sweep_specs(template, deltas, strict):
         sups.append(numeric_sup(spec, per_decade=per_decade).sup)
-        envs.append(analytic_envelope(spec, strict=strict))
+        # sweep_specs validated the delta-independent hypotheses once
+        envs.append(analytic_envelope(spec, strict=False))
     logd = np.log(np.asarray(deltas))
     logs = np.log(np.asarray(sups))
     slope, intercept = np.polyfit(logd, logs, 1)
@@ -532,10 +533,13 @@ def pointwise_trace(
     times = seq.terms(k_max)
     k_eff = len(times)
     num_pts, num_modes = waves.shape
-    # each csum call sums one block of (k, point) rows, chunked over k and points
+    # each csum call sums one block of (k, point) rows, chunked over k and
+    # points; the block and csum's work array are allocated once and reused
     block_rows = max(1, TRACE_BLOCK_BYTES // (16 * num_modes))
     k_step = max(1, block_rows // max(num_pts, 1))
     p_step = max(1, min(num_pts, block_rows))
+    block_buf = np.empty(k_step * p_step * num_modes, dtype=complex)
+    scratch = csum_scratch(k_step * p_step, num_modes)
     history = np.empty((k_eff, num_pts))
     running = np.zeros(num_pts)
     for k0 in range(0, k_eff, k_step):
@@ -551,8 +555,13 @@ def pointwise_trace(
         for p0 in range(0, num_pts, p_step):
             # the mode axis stays last and contiguous, so numpy forms each
             # product with the same loop as a per-point coeff * wave
-            block = coeffs[:, None, :] * waves[None, p0 : p0 + p_step, :]
-            sums[:, p0 : p0 + p_step] = csum(block.reshape(-1, num_modes)).reshape(len(ks), -1)
+            chunk = waves[p0 : p0 + p_step]
+            rows = len(ks) * len(chunk)
+            block = block_buf[: rows * num_modes].reshape(rows, num_modes)
+            np.multiply(
+                coeffs[:, None, :], chunk[None, :, :], out=block.reshape(len(ks), len(chunk), -1)
+            )
+            sums[:, p0 : p0 + p_step] = csum(block, scratch).reshape(len(ks), -1)
         vals = sums * norm
         terms = vals.real * vals.real + vals.imag * vals.imag
         for j, k in enumerate(ks):

@@ -8,14 +8,19 @@ result is the true sum of the terms rounded once to the nearest double,
 so it does not depend on summation order, runs or thread counts.
 
 ``csum`` sums every row of a 2-D block at once (a vector is a one-row
-block).  It splits each row with error-free TwoSum steps
-(Ogita, Rump and Oishi, "Accurate Sum and Dot Product", 2005), rounds
-the result, and accepts it only when a rigorous error bound proves it is
-the exactly-rounded sum; any row the bound cannot certify (ties, zeros,
-non-finite values) is summed again with ``math.fsum`` (Shewchuk 1997),
-so both paths give the same bits.  Callers keep blocks small:
-``pointwise_trace`` caps each block at 1 MiB of complex products and
-``synthesize`` at ``SYNTH_BLOCK_BYTES``.
+block).  It splits each term once against a power of two sigma chosen
+per row and plane (error-free extraction: Rump, Ogita and Oishi,
+"Accurate floating-point summation part I", 2008), so the high parts add
+up exactly in any order and numpy's contiguous ``sum`` can add them;
+the low parts are added in floating point and a rigorous error bound
+decides whether the rounded total is the exactly-rounded sum.  Rows the
+bound cannot certify (ties and near-ties, zeros, non-finite values,
+maxima near overflow or below 2**-960) are summed again with
+``math.fsum`` (Shewchuk 1997), so both paths give the same bits.
+Callers keep blocks small: ``pointwise_trace`` caps each block at 1 MiB
+of complex products and ``synthesize`` at ``SYNTH_BLOCK_BYTES``; both
+allocate the block and ``csum``'s work array (``csum_scratch``) once per
+call and reuse them for every block.
 
 ``synthesize`` samples one field at one point, or a sequence of fields on
 one grid at a (P, n) array of points.  Each point's plane wave is formed
@@ -42,6 +47,7 @@ __all__ = [
     "FrequencyGrid",
     "SpectralField",
     "csum",
+    "csum_scratch",
     "default_grid",
     "make_grid",
     "random_field",
@@ -64,6 +70,11 @@ SYNTH_BLOCK_BYTES = 1 << 17
 _U = 2.0**-53
 #: Smallest positive subnormal; absorbs underflow in the error bound.
 _TINY = 5e-324
+#: Rows whose largest term is below 2**_MIN_EXPONENT go to ``math.fsum``,
+#: so the split point and the error bound stay clear of the subnormal range.
+_MIN_EXPONENT = -960
+#: Widest row the extraction handles; M*(M+2) must stay below 2**54.
+_MAX_WIDTH = 2**26
 
 
 def _two_sum(a, b):
@@ -77,75 +88,91 @@ def _two_sum(a, b):
     return s, e
 
 
-def _certified_row_sums(x: np.ndarray):
+def csum_scratch(rows: int, width: int) -> np.ndarray:
+    """Work array for ``csum`` on blocks of up to ``rows`` rows of ``width`` terms."""
+    return np.empty(4 * rows * width)
+
+
+def _certified_row_sums(x: np.ndarray, scratch: np.ndarray | None = None):
     """Sums of x (rows, M, planes) over its mode axis, with a certificate.
 
     Returns ``(r, ok)``, both (rows, planes).  Where ``ok`` holds, ``r`` is
-    the exactly-rounded sum; elsewhere the caller must sum again.
+    the exactly-rounded sum; elsewhere the caller must sum again.  ``x`` is
+    only read: its planes are copied into ``scratch`` (at least
+    ``2 * x.size`` floats, from ``csum_scratch``), which the kernel
+    overwrites; a fresh one is made when it is not given.
 
-    A pairwise TwoSum cascade of R rounds leaves s and M-1 error terms e
-    with s + sum(e) equal to the exact sum.  Each |e| is at most u times
-    the |s| of its node, and the nodes of one round cover disjoint terms,
-    so sum|e| <= R * u * (1+u)^R * sum|x|.  Adding the e in floating
-    point errs by at most gamma_M * sum|e|.  For M*u << 1 that is below
-    bound = 2 * (M+R) * R * u^2 * A, with A the computed sum of |x| over
-    both planes; the factor 2 covers the rounding in A and in the bound,
-    and one subnormal covers underflow.  With r = fl(s + sum(e)) and its
-    exact residual d, the exact sum lies within |d| + bound of r.  When
-    that is strictly less than half the smaller gap from r to a
-    neighbouring double, r is the exactly-rounded sum.
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", 2008).  For each row and plane let 2**(e-1) <=
+    max|x| < 2**e (from ``frexp``), L = ceil(log2(M + 2)) and
+    sigma = 2**(e + L).  Then q = fl(fl(x + sigma) - sigma) is exact, q is
+    a multiple of u*sigma (u = 2**-53), and p = x - q is exact with
+    |p| <= u*sigma.  Every partial sum of the q, in any order, is a
+    multiple of u*sigma no larger than M*(2**e + u*sigma) <= sigma (this
+    needs M*(M+2) <= 2**54, so M <= 2**26), hence exact: t = sum(q) is
+    exact whatever order numpy adds in.  The p sum P' = fl(sum(p)), in
+    any order, errs by at most gamma_{M-1} * sum|p| <= 2*(M-1)*u * M*u*sigma
+    < 2*M**2*u**2*sigma; bound = 4*M**2*u**2*sigma keeps a factor of 2
+    spare, and one subnormal covers the rounding of the bound when it
+    underflows.  With r = fl(t + P') and its exact residual d (TwoSum),
+    the exact sum lies within |d| + bound of r.  When that is strictly
+    less than half the smaller gap from r to a neighbouring double, r is
+    the exactly-rounded sum.
+
+    Rows are refused (``ok`` false) when r is not finite (non-finite
+    terms, or sigma overflows for maxima near 2**1024), when
+    e <= _MIN_EXPONENT (near-subnormal rows), when M > _MAX_WIDTH, and
+    when the test above fails (zero rows, exact and near ties).
     """
-    # non-finite rows turn into inf/nan here; they fail the test and go to fsum
+    rows, m, planes = x.shape
+    size = 2 * rows * planes * m
+    if scratch is None:
+        scratch = np.empty(size)
+    w, q = scratch[:size].reshape(2, rows, planes, m)
+    np.copyto(w, x.transpose(0, 2, 1))
+    # non-finite rows and overflowing sigma turn into inf/nan here; they
+    # fail the test and go to fsum
     with np.errstate(invalid="ignore", over="ignore"):
-        m = n = x.shape[1]
-        mag = np.abs(x).sum(axis=(1, 2))[:, None]
-        err = None
-        rounds = 0
-        while n > 1:
-            h = n // 2
-            s, e = _two_sum(x[:, :h], x[:, h : 2 * h])
-            if err is not None:
-                e += err[:, :h]
-                e += err[:, h : 2 * h]
-            if n % 2:
-                # fold the unpaired last column into the first sum
-                s0, e0 = _two_sum(s[:, 0], x[:, -1])
-                s[:, 0] = s0
-                e[:, 0] += e0
-                if err is not None:
-                    e[:, 0] += err[:, -1]
-                rounds += 1
-            x, err, n = s, e, h
-            rounds += 1
-        s = x[:, 0]
-        r, d = _two_sum(s, err[:, 0] if err is not None else np.zeros_like(s))
-        bound = (2.0 * (m + rounds) * rounds * _U * _U) * mag + _TINY
+        peak = np.maximum(w.max(axis=-1), -w.min(axis=-1))
+        e = np.frexp(peak)[1]
+        sigma = np.ldexp(1.0, e + (m + 1).bit_length())
+        np.add(w, sigma[..., None], out=q)
+        q -= sigma[..., None]
+        w -= q
+        t = q.sum(axis=-1)
+        p = w.sum(axis=-1)
+        r, d = _two_sum(t, p)
+        bound = (4.0 * m * m * _U * _U) * sigma
+        bound += _TINY
         half_gap = np.abs(r)
         half_gap -= np.nextafter(half_gap, 0.0)
         half_gap *= 0.5
         np.abs(d, out=d)
         d += bound
-        return r, (d < half_gap) & np.isfinite(r)
+        ok = (d < half_gap) & np.isfinite(r) & (e > _MIN_EXPONENT)
+    return r, ok & (m <= _MAX_WIDTH)
 
 
-def csum(values: np.ndarray):
+def csum(values: np.ndarray, scratch: np.ndarray | None = None):
     """Exactly-rounded complex sum of a vector, or of each row of a 2-D array.
 
     A 1-D input gives a complex number (it is summed as a one-row block);
     a 2-D input (rows, M) gives a complex array with one sum per row.
     Rows are summed together by the certified batched kernel; rows it
-    cannot certify go to ``math.fsum``.
+    cannot certify go to ``math.fsum``.  ``scratch``, from
+    ``csum_scratch``, lets a caller that sums many blocks reuse one work
+    array; it changes no result.
     """
     values = np.asarray(values)
     if values.ndim == 1:
-        return complex(csum(values[None, :])[0])
+        return complex(csum(values[None, :], scratch)[0])
     if values.ndim != 2:
         raise ParameterError(f"csum takes a 1-D or 2-D array, got {values.ndim}-D")
     if values.shape[1] == 0:
         return np.zeros(values.shape[0], dtype=complex)
     values = np.ascontiguousarray(values, dtype=complex)
     planes = values.view(float).reshape(values.shape[0], values.shape[1], 2)
-    r, ok = _certified_row_sums(planes)
+    r, ok = _certified_row_sums(planes, scratch)
     for i, c in zip(*np.nonzero(~ok)):
         r[i, c] = math.fsum(planes[i, :, c].tolist())
     return r.view(complex)[:, 0]
@@ -267,24 +294,29 @@ def synthesize(field, x):
     coeffs = np.stack([f.coefficients for f in fields])
     # each csum call sums one block of (field, point) rows: all fields
     # against one chunk of points, or whole chunks of fields per point
-    # chunk when the points fit; a chunk's waves are formed once and kept
-    # only while its blocks are summed
+    # chunk when the points fit; a chunk's waves are formed once, and the
+    # waves, the block and csum's work array are allocated once per call
     block_rows = max(1, SYNTH_BLOCK_BYTES // (16 * num_modes))
     p_step = max(1, min(num_pts, block_rows))
     t_step = max(1, block_rows // p_step)
+    wave_buf = np.empty((p_step, num_modes), dtype=complex)
+    block_buf = np.empty(t_step * p_step * num_modes, dtype=complex)
+    scratch = csum_scratch(t_step * p_step, num_modes)
     sums = np.empty((len(fields), num_pts), dtype=complex)
     for p0 in range(0, num_pts, p_step):
         chunk = pts[p0 : p0 + p_step]
-        waves = np.empty((len(chunk), num_modes), dtype=complex)
+        waves = wave_buf[: len(chunk)]
         for i, point in enumerate(chunk):
             waves[i] = np.exp(1j * (grid.modes @ point))
         for t0 in range(0, len(fields), t_step):
             # the mode axis stays last and contiguous, so numpy forms each
             # product with the same loop as a single coefficient * wave
-            block = coeffs[t0 : t0 + t_step, None, :] * waves[None, :, :]
-            sums[t0 : t0 + t_step, p0 : p0 + p_step] = csum(
-                block.reshape(-1, num_modes)
-            ).reshape(block.shape[:2])
+            rows = coeffs[t0 : t0 + t_step]
+            block = block_buf[: len(rows) * len(chunk) * num_modes].reshape(-1, num_modes)
+            np.multiply(
+                rows[:, None, :], waves[None, :, :], out=block.reshape(len(rows), len(chunk), -1)
+            )
+            sums[t0 : t0 + t_step, p0 : p0 + p_step] = csum(block, scratch).reshape(len(rows), -1)
     sums *= grid.weight / (2.0 * math.pi) ** grid.n
     if one_field:
         sums = sums[0]

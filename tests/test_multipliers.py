@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,59 @@ class TestNumericSup:
             numeric_sup(spec, xi_max=1e6)  # needs 4 * delta^(-2) = 4e8
 
 
+#: The families' phase laws at 50 digits, keyed by the law's name.
+MP_LAWS = {
+    "boussinesq": lambda r: r * mpmath.sqrt(1 + r * r),
+    "quartic": lambda r: r**2 + r**4,
+}
+
+ORACLE_SPECS = [
+    MultiplierSpec(Family.POWER, s=0.5, delta=0.5, a=0.5),
+    MultiplierSpec(Family.POWER, s=0.25, delta=0.5, a=0.75),
+    MultiplierSpec(Family.POWER_SHIFT, s=1.0, delta=0.5, a=2.0, beta=1.5),
+    MultiplierSpec(Family.POWER_SHIFT, s=0.5, delta=0.5, a=0.5, beta=0.8),
+    MultiplierSpec(Family.GAMMA, s=0.5, delta=0.5, law=BOUSSINESQ),
+    MultiplierSpec(Family.GAMMA_SHIFT, s=0.5, delta=0.5, law=QUARTIC, beta=0.8),
+    MultiplierSpec(Family.GAMMA_SHIFT, s=1.0, delta=0.5, law=QUARTIC, beta=1.5),
+]
+
+
+class TestNumericSupAgainstMpmath:
+    """The reported sup is |m| at the reported argmax, to a few ulps."""
+
+    @pytest.mark.parametrize("template", ORACLE_SPECS, ids=lambda s: s.family.value)
+    @pytest.mark.parametrize("delta", [0.09, 1e-3, 3e-6])
+    def test_sup_is_the_modulus_at_the_argmax(self, template, delta):
+        spec = template.with_delta(delta)
+        scan = numeric_sup(spec, per_decade=8)
+        u = 2.0**-53
+        with mpmath.workdps(50):
+            xi = mpmath.mpf(scan.argmax)
+            r = abs(xi)
+            d = mpmath.mpf(spec.delta)
+            if spec.family.uses_law:
+                gamma = MP_LAWS[spec.law.name](r)
+            else:
+                gamma = r ** mpmath.mpf(spec.a)
+            base = d * gamma
+            shift = d ** mpmath.mpf(spec.beta) * xi if spec.family.shifted else mpmath.mpf(0)
+            half_sin = abs(mpmath.sin((base + shift) / 2))
+            exact = 2 * half_sin / (1 + xi * xi) ** (mpmath.mpf(spec.s) / 2)
+            # Error budget of modulus_on_axis in float64 (u = 2**-53, pow and
+            # sin within one ulp = 2u): gamma(r) takes at most 4u relative
+            # error (three roundings and a sqrt, or two pows and a sum, or one
+            # pow), delta*gamma one more rounding, delta**beta*xi at most 3u
+            # and theta = base + shift one more, so |theta^ - theta| <=
+            # 6u*(|base| + |shift|) and sin(theta/2) moves by at most half of
+            # that.  sin itself, (1+xi^2)**(s/2) (two roundings and a pow,
+            # s <= 2) and the division add at most 9u relative.  The bound
+            # doubles this budget.
+            rel = 2 * (9 * u + 3 * u * (abs(base) + abs(shift)) / half_sin)
+            err = abs(mpmath.mpf(scan.sup) - exact) / exact
+        assert rel < 1e-13  # the maximum lies where sin(theta/2) is far from 0
+        assert err <= rel, (scan.argmax, float(err), float(rel))
+
+
 class TestCertify:
     def test_linear_power_pair_all_ratios_below_two(self):
         cert = certify(power_spec(1.0, 1.0, 1e-3), DELTAS_4DEC)
@@ -349,6 +403,24 @@ class TestSweepSpecs:
         for spec in sweep_specs(template, DELTAS_4DEC):
             assert critical_radius(spec) == invert(BOUSSINESQ, math.sqrt(2) / spec.delta)
             assert spec == template.with_delta(spec.delta)
+
+    @pytest.mark.parametrize("template", SWEEP_TEMPLATES[:2], ids=lambda s: s.family.value)
+    def test_hypotheses_probed_once_per_sweep(self, template, monkeypatch):
+        # the hypotheses do not depend on delta: certify and rate_fit probe
+        # the law once per sweep, not once per delta
+        probes = []
+        original = phaselab.multipliers.check_hypotheses
+
+        def counting(law, *args):
+            probes.append(law)
+            return original(law, *args)
+
+        monkeypatch.setattr(phaselab.multipliers, "check_hypotheses", counting)
+        certify(template, DELTAS_4DEC[::2])
+        assert probes == [template.law]
+        probes.clear()
+        rate_fit(template, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6], per_decade=8)
+        assert probes == [template.law]
 
     def test_hypotheses_checked_before_inversion(self):
         # a non-increasing law cannot be inverted; the hypothesis error wins

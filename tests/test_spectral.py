@@ -292,7 +292,7 @@ class TestCsvRoundTrip:
             read_field_csv(p)
 
 
-# row widths around the halving steps of the batched kernel
+# row widths beside powers of two, where the kernel's split exponent L moves
 WIDTHS = sorted({1, 2} | {2**j + d for j in range(1, 11) for d in (-1, 1)})
 MODERATE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
 
@@ -488,8 +488,8 @@ class TestCsumExtremes:
 
     @pytest.mark.parametrize("width", [1, 2, 5, 31, 64])
     def test_rows_near_overflow(self, width):
-        # the row maxima reach 2**1015 and beyond, so 2**(e + L) overflows;
-        # signs alternate so the exact sums stay finite for fsum
+        # row maxima from 2**1014 up to just below 2**1022: for the larger
+        # ones 2**(e + L) overflows; signs alternate so fsum stays finite
         rng = np.random.default_rng(width)
         signs = np.resize([1.0, -1.0], width)
         rows = [
@@ -529,15 +529,18 @@ class TestCsumExtremes:
             rows.append(complex_rows(rng.permutation(re), re))
         assert_csum_is_fsum(np.vstack(rows))
 
-    @pytest.mark.parametrize("width", [1, 4, 129])
+    @pytest.mark.parametrize("width", [1, 4, 129, 1025])
     def test_tiny_and_huge_rows_in_one_block(self, width):
+        # each row and each plane needs its own split point: a plane split
+        # at the other plane's scale is summed inexactly or not certified
         rng = np.random.default_rng(width)
-        a, b = rng.standard_normal((2, width))
+        a, b = rng.standard_normal((2, 4, width))
         rows = [
             complex_rows(a * 1e-300, b * 1e-300),
             complex_rows(a * 1e300, b * 1e300),
-            complex_rows(a * 1e-300, b * 1e300),
-            complex_rows(a * 1e300, b * 1e-300),
+            complex_rows(a * 1e-200, b * 1e200),
+            complex_rows(a * 1e200, b * 1e-200),
+            complex_rows(a * 2.0**-600, b),
             complex_rows(a, b * 2.0**-600),
         ]
         assert_csum_is_fsum(np.vstack(rows))
