@@ -531,6 +531,19 @@ GOLDEN_SWEEPS = {
         0, "705e6fb51698ef363c55ae01598dba85084b3f42c1dcc621b069adb3bc42d018",
         0, "85eaffbc5be9bb7e0864d27a91d74dee84940c3180f9ad83a71a5da8c26b1f6f",
     ),
+    "prop-beta-3d": (
+        "propagate --field {dir}/f4.csv --gamma boussinesq --times 0,0.1,0.5 --beta 1.5 "
+        "--mu 1,2,2 --num-points 4 --seed 7",
+        0, "771b2731f6b7044a3fc579ec87b9d2df8caed00732f7b2b7a475756a4da82a50",
+        0, "96b167036c087f27eb73cc9f07a0bad2efc5c7f322dfa3782b4b9e3b5c6bf8d3",
+    ),
+    # a signed zero and non-finite points: JSON spells the non-finite
+    # values NaN, Infinity and -Infinity, CSV writes their repr
+    "prop-nonfinite-1d": (
+        "propagate --field {dir}/f1.csv --a 0.5 --times 0,0.5 --points nan;-0.0;inf;-inf;1e-05",
+        0, "d4eedad952557d6c60a91a041eb3313ea2d97bbe878d61597da103bd9e4274d8",
+        0, "31988bcc372cbc5d33cea258029e4d779599e3868b85c1a877275d631caafafe",
+    ),
 }
 
 # runs each golden case through the CLI entry point in a fresh interpreter,
@@ -576,11 +589,13 @@ def test_trace_golden_digests(threads):
 
 @pytest.fixture(scope="module")
 def golden_fields(tmp_path_factory):
-    """Seeded random fields for the propagate cases: 65 modes in 1-D, 289 and 4225 in 2-D."""
+    """Seeded random fields for the propagate cases: 65 modes in 1-D, 289 and
+    4225 in 2-D, 729 in 3-D."""
     root = tmp_path_factory.mktemp("fields")
     write_field_csv(random_field(make_grid(1, 8, 0.25), 11), root / "f1.csv")
     write_field_csv(random_field(make_grid(2, 4, 0.5), 12), root / "f2.csv")
     write_field_csv(random_field(make_grid(2, 8, 0.25), 13), root / "f3.csv")
+    write_field_csv(random_field(make_grid(3, 1, 0.25), 14), root / "f4.csv")
     return root
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -267,7 +268,51 @@ class TestFieldValidation:
             f.coefficients[0] = 2.0
 
 
+def crafted_field():
+    """A 7-mode 1-D field whose values have short, long, signed and extreme reprs."""
+    values = [
+        complex(-0.0, 5e-324), complex(1e16, 1e-05), complex(1e22, 123456789.0),
+        complex(-5e-324, -0.0), complex(-1e16, 0.1), complex(1.7e308, -1e-300),
+        complex(0.0, 2.5),
+    ]
+    return SpectralField(make_grid(1, 3, 1), values)
+
+
+# sha256 of write_field_csv's CSV and sidecar bytes; the 2-D grid's
+# coordinates (multiples of 0.1) have reprs such as -0.30000000000000004
+GOLDEN_FIELD_FILES = {
+    "1d": (
+        lambda: random_field(make_grid(1, 8, 0.25), 31),
+        "2066c2be15d6d4b6a03e7e6a0c72700afd8bbc7121309526a15fd4d0cc5fc710",
+        "619d18211912cfc65c0b07c46620f3ccc70526cef588d47eac8fc86d6a6fa737",
+    ),
+    "2d": (
+        lambda: random_field(make_grid(2, 0.5, 0.1), 32),
+        "c7cde0aa51211128839c3ad36a981ac3eb86f2b5a3f6c00d366283725b34334d",
+        "ac0d3e09a08e8c7b28d4d11a625680f6993e8860a81913397bac32eb584f0ec6",
+    ),
+    "3d": (
+        lambda: random_field(make_grid(3, 1, 0.25), 33),
+        "cd344467038a2453f4a88a55e71f611b30a689e0ed57ba2aac03a44b9e9bf48f",
+        "d6bc0f3b607c4a90afbbedda4c28c9daeaefd72e6af61b03cbd4c7cda05dbf8f",
+    ),
+    "crafted": (
+        crafted_field,
+        "b03f551195a0fec2e367aa63e7ac27269c84203dd0e24320899f286b4858966c",
+        "7d3e464d92a9440fd01ff9ed891042506b933da2bc57d8471efdcce2cb26ed4d",
+    ),
+}
+
+
 class TestCsvRoundTrip:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FIELD_FILES))
+    def test_writer_bytes(self, name, tmp_path):
+        make_field, csv_digest, sidecar_digest = GOLDEN_FIELD_FILES[name]
+        path = tmp_path / "field.csv"
+        write_field_csv(make_field(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(path.with_suffix(".json").read_bytes()).hexdigest() == sidecar_digest
+
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
         g = make_grid(2, 2, 0.5)
