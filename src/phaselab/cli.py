@@ -79,6 +79,31 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+#: json.dumps's spelling of the floats whose repr is not JSON.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_cells(values, fmt: str) -> list:
+    """Each float as its output cell: ``repr`` in CSV, and as json.dumps
+    writes it in JSON (``repr``, or NaN, Infinity and -Infinity)."""
+    cells = list(map(repr, values))
+    if fmt == "json":
+        cells = [_JSON_NONFINITE.get(c, c) for c in cells]
+    return cells
+
+
+def _rows_text(header, columns, fmt: str) -> str:
+    """Rows of formatted cells, given column by column, as CSV with a header
+    line or as ``json.dumps(rows, indent=2)`` of one dict per row keyed by
+    ``header`` (cells from ``_float_cells``)."""
+    rows = zip(*columns)
+    if fmt == "csv":
+        return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+    template = "  {{\n" + ",\n".join(f'    "{h}": {{}}' for h in header) + "\n  }}"
+    body = ",\n".join(template.format(*row) for row in rows)
+    return ("[\n" + body + "\n]" if body else "[]") + "\n"
+
+
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -272,20 +297,19 @@ def cmd_propagate(args) -> int:
     if args.beta is not None:
         mu = _parse_mu(args.mu, field.grid.n) if args.mu else np.eye(field.grid.n)[0]
         shift = ShiftSpec(beta=args.beta, mu=mu)
-    values = evaluate_shifted(field, law, np.asarray(times), shift, points).tolist()
-    rows = []
-    for t, row_values in zip(times, values):
-        for x, value in zip(points, row_values):
-            row = {"t": t}
-            row.update({f"x_{i + 1}": float(v) for i, v in enumerate(np.atleast_1d(x))})
-            row.update({"re": value.real, "im": value.imag})
-            rows.append(row)
+    values = evaluate_shifted(field, law, np.asarray(times), shift, points)
+    # one row per (time, point), times outermost; each time, coordinate
+    # and value is formatted once and the rows are built from those cells
+    num_points = len(points)
+    cells = functools.partial(_float_cells, fmt=args.format)
+    columns = [
+        [t for t in cells(times) for _ in range(num_points)],
+        *[cells(points[:, i].tolist()) * len(times) for i in range(field.grid.n)],
+        cells(values.real.ravel().tolist()),
+        cells(values.imag.ravel().tolist()),
+    ]
     header = ["t"] + [f"x_{i + 1}" for i in range(field.grid.n)] + ["re", "im"]
-    if args.format == "csv":
-        text = _csv_text(header, rows)
-    else:
-        text = _json_text(rows)
-    _emit(args, text)
+    _emit(args, _rows_text(header, columns, args.format))
     return 0
 
 

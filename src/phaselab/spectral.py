@@ -16,7 +16,9 @@ the low parts are added in floating point and a rigorous error bound
 decides whether the rounded total is the exactly-rounded sum.  Rows the
 bound cannot certify (ties and near-ties, zeros, non-finite values,
 maxima near overflow or below 2**-960) are summed again with
-``math.fsum`` (Shewchuk 1997), so both paths give the same bits.
+``math.fsum`` (Shewchuk 1997), so both paths give the same bits; the
+rare rows whose partial sums overflow ``fsum`` are summed exactly in
+integers and rounded once.
 Callers keep blocks small: ``pointwise_trace`` caps each block at 1 MiB
 of complex products and ``synthesize`` at ``SYNTH_BLOCK_BYTES``; both
 allocate the block and ``csum``'s work array (``csum_scratch``) once per
@@ -75,6 +77,9 @@ _TINY = 5e-324
 _MIN_EXPONENT = -960
 #: Widest row the extraction handles; M*(M+2) must stay below 2**54.
 _MAX_WIDTH = 2**26
+#: Exact sums this large round to infinity: the midpoint between the
+#: largest double and 2**1024.
+_OVERFLOW = 2**1024 - 2**970
 
 
 def _two_sum(a, b):
@@ -174,8 +179,31 @@ def csum(values: np.ndarray, scratch: np.ndarray | None = None):
     planes = values.view(float).reshape(values.shape[0], values.shape[1], 2)
     r, ok = _certified_row_sums(planes, scratch)
     for i, c in zip(*np.nonzero(~ok)):
-        r[i, c] = math.fsum(planes[i, :, c].tolist())
+        r[i, c] = _fsum(planes[i, :, c].tolist())
     return r.view(complex)[:, 0]
+
+
+def _fsum(values: list) -> float:
+    """``math.fsum``, also for rows whose partial sums overflow.
+
+    ``fsum`` refuses a row of finite terms when a partial sum overflows,
+    even if the exact sum is finite.  Such rows are summed exactly as
+    integer multiples of 2**-1074 and rounded once (``int / int`` is
+    correctly rounded); an exact sum at or beyond the midpoint between the
+    largest double and 2**1024 rounds to infinity, as IEEE round-to-nearest
+    does.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        special = [v for v in values if not math.isfinite(v)]
+        if special:
+            return math.fsum(special)
+        scale = 1 << 1074
+        total = sum(num * (scale // den) for num, den in map(float.as_integer_ratio, values))
+        if abs(total) >= _OVERFLOW * scale:
+            return math.inf if total > 0 else -math.inf
+        return total / scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,19 +237,27 @@ class FrequencyGrid:
         return float(np.max(np.abs(self.modes))) if self.num_modes else 0.0
 
 
-def make_grid(n: int, xi_max: float, dxi: float) -> FrequencyGrid:
-    """Build the lattice {-M*dxi, ..., 0, ..., M*dxi}**n with M = floor(xi_max/dxi).
-
-    The lattice is symmetric about the origin, duplicate-free, and ordered
-    lexicographically.
-    """
+def _half_width(n: int, xi_max: float, dxi: float) -> int:
+    """Check the lattice parameters and return M = floor(xi_max/dxi), so the
+    lattice has (2M+1)**n modes."""
     if n not in (1, 2, 3):
         raise ParameterError(f"dimension must be 1, 2 or 3, got {n}")
     if not (math.isfinite(xi_max) and xi_max > 0):
         raise ParameterError(f"xi_max must be positive, got {xi_max}")
     if not (math.isfinite(dxi) and 0 < dxi <= xi_max):
         raise ParameterError(f"dxi must lie in (0, xi_max], got {dxi}")
-    m = int(math.floor(xi_max / dxi + 1e-9))
+    if not math.isfinite(xi_max / dxi):
+        raise ParameterError(f"xi_max/dxi overflows: {xi_max}/{dxi}")
+    return int(math.floor(xi_max / dxi + 1e-9))
+
+
+def make_grid(n: int, xi_max: float, dxi: float) -> FrequencyGrid:
+    """Build the lattice {-M*dxi, ..., 0, ..., M*dxi}**n with M = floor(xi_max/dxi).
+
+    The lattice is symmetric about the origin, duplicate-free, and ordered
+    lexicographically.
+    """
+    m = _half_width(n, xi_max, dxi)
     axis = dxi * np.arange(-m, m + 1, dtype=float)
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     modes = np.stack([g.ravel() for g in mesh], axis=-1)
@@ -333,39 +369,74 @@ def random_field(grid: FrequencyGrid, rng) -> SpectralField:
     return SpectralField(grid, coeffs)
 
 
+def _field_header(n: int) -> str:
+    return ",".join([f"xi_{i + 1}" for i in range(n)] + ["re", "im"])
+
+
 def write_field_csv(field: SpectralField, path) -> None:
-    """Write the field as CSV (xi_1,...,xi_n,re,im) plus a JSON grid sidecar."""
+    """Write the field as CSV (xi_1,...,xi_n,re,im) plus a JSON grid sidecar.
+
+    Every value is written as its shortest round-trip ``repr``, so
+    ``read_field_csv`` gets the same bits back, signed zeros included.
+    Each distinct mode coordinate is formatted once: a lattice axis has
+    only 2M+1 values.
+    """
     path = Path(path)
     grid = field.grid
-    header = [f"xi_{i + 1}" for i in range(grid.n)] + ["re", "im"]
-    lines = [",".join(header)]
-    for mode, c in zip(grid.modes, field.coefficients):
-        row = [repr(float(v)) for v in mode] + [repr(float(c.real)), repr(float(c.imag))]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    # distinct bit patterns, so -0.0 and 0.0 keep their own reprs
+    coords, where = np.unique(grid.modes.view(np.int64), return_inverse=True)
+    cells = np.array(list(map(repr, coords.view(float).tolist())), dtype=object)
+    where = where.reshape(grid.modes.shape)
+    c = field.coefficients
+    columns = [cells[where[:, i]].tolist() for i in range(grid.n)]
+    columns += [list(map(repr, c.real.tolist())), list(map(repr, c.imag.tolist()))]
+    path.write_text("\n".join([_field_header(grid.n), *map(",".join, zip(*columns))]) + "\n")
     sidecar = {"n": grid.n, "xi_max": grid.xi_max, "dxi": grid.dxi}
     path.with_suffix(".json").write_text(json.dumps(sidecar) + "\n")
 
 
 def read_field_csv(path) -> SpectralField:
-    """Read a field written by write_field_csv, verifying the mode layout."""
+    """Read a field written by write_field_csv, verifying the mode layout.
+
+    The sidecar must give n, xi_max and dxi; the CSV must have the header,
+    one row per mode with n + 2 columns, and mode columns equal to the
+    sidecar grid's.  Cells are parsed by ``float()``, so each value comes
+    back bit for bit.
+    """
     path = Path(path)
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise ParameterError(f"missing grid sidecar {sidecar_path}")
     meta = json.loads(sidecar_path.read_text())
-    grid = make_grid(int(meta["n"]), float(meta["xi_max"]), float(meta["dxi"]))
+    try:
+        n, xi_max, dxi = int(meta["n"]), float(meta["xi_max"]), float(meta["dxi"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(
+            f"grid sidecar {sidecar_path} must give numbers n, xi_max and dxi"
+        ) from exc
+    # the row count is checked before the grid is built, so a sidecar
+    # naming a huge grid fails without allocating it
+    num_modes = (2 * _half_width(n, xi_max, dxi) + 1) ** n
     lines = path.read_text().strip().splitlines()
-    expected_header = ",".join([f"xi_{i + 1}" for i in range(grid.n)] + ["re", "im"])
-    if not lines or lines[0] != expected_header:
+    if not lines or lines[0] != _field_header(n):
         raise ParameterError(f"unexpected CSV header in {path}")
     rows = [line.split(",") for line in lines[1:]]
-    if len(rows) != grid.num_modes:
+    if len(rows) != num_modes:
         raise GridMismatchError(
-            f"{path} has {len(rows)} rows but the sidecar grid has {grid.num_modes} modes"
+            f"{path} has {len(rows)} rows but the sidecar grid has {num_modes} modes"
         )
-    data = np.array([[float(v) for v in row] for row in rows])
-    if not np.array_equal(data[:, : grid.n], grid.modes):
+    for number, row in enumerate(rows, start=2):
+        if len(row) != n + 2:
+            raise ParameterError(
+                f"line {number} of {path} has {len(row)} columns, expected {n + 2}"
+            )
+    data = np.array(rows, dtype=float)
+    grid = make_grid(n, xi_max, dxi)
+    if not np.array_equal(data[:, :n], grid.modes):
         raise GridMismatchError(f"mode columns in {path} do not match the sidecar grid")
-    coeffs = data[:, grid.n] + 1j * data[:, grid.n + 1]
+    # the planes are filled directly: data[:, n] + 1j * data[:, n + 1]
+    # would turn -0.0 into 0.0
+    coeffs = np.empty(num_modes, dtype=complex)
+    coeffs.real = data[:, n]
+    coeffs.imag = data[:, n + 1]
     return SpectralField(grid, coeffs)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phaselab
 from phaselab import SpectralField, make_grid, random_field, write_field_csv
@@ -196,6 +198,57 @@ class TestPropagate:
             "--times", "0.1", "--points", "0.0",
         )
         assert code == 1
+
+
+class TestMalformedFieldFiles:
+    """A malformed field file exits 1 with a message: no traceback, no dropped column."""
+
+    @pytest.fixture
+    def field_path(self, tmp_path):
+        path = tmp_path / "field.csv"
+        write_field_csv(random_field(make_grid(1, 1, 0.5), 5), path)
+        return path
+
+    def propagate(self, path):
+        return run("propagate", "--field", str(path), "--a", "0.5", "--times", "0.1",
+                   "--points", "0.0")
+
+    def rewrite_rows(self, path, edit):
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *map(edit, rows)]) + "\n")
+
+    def test_rows_with_too_few_columns(self, field_path, capsys):
+        self.rewrite_rows(field_path, lambda row: row.rsplit(",", 1)[0])
+        assert self.propagate(field_path) == 1
+        err = capsys.readouterr()
+        assert "has 2 columns, expected 3" in err.err
+        assert err.out == ""
+
+    def test_rows_with_an_extra_column(self, field_path, capsys):
+        self.rewrite_rows(field_path, lambda row: row + ",0.0")
+        assert self.propagate(field_path) == 1
+        err = capsys.readouterr()
+        assert "has 4 columns, expected 3" in err.err
+        assert err.out == ""
+
+    def test_sidecar_without_dxi(self, field_path, capsys):
+        field_path.with_suffix(".json").write_text('{"n": 1, "xi_max": 1.0}\n')
+        assert self.propagate(field_path) == 1
+        err = capsys.readouterr()
+        assert "must give numbers n, xi_max and dxi" in err.err
+        assert err.out == ""
+
+
+def test_propagate_field_whose_partial_sums_overflow(tmp_path, capsys):
+    # the exact sum is finite, but 1.7e308 + 1.7e308 overflows, so math.fsum
+    # refuses the row and csum sums it exactly instead
+    path = tmp_path / "field.csv"
+    write_field_csv(SpectralField(make_grid(1, 1, 1), [1.7e308, 1.7e308, -1.7e308]), path)
+    code = run("propagate", "--field", str(path), "--points", "0", "--times", "0",
+               "--gamma", "boussinesq", "--format", "csv")
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == f"0.0,0.0,{1.7e308 * (1.0 / (2.0 * math.pi))!r},0.0"
 
 
 class TestTrace:
@@ -609,3 +662,36 @@ def test_sweep_golden_digests(threads, golden_fields):
         want[name + ".json"] = [json_code, json_digest]
         want[name + ".csv"] = [csv_code, csv_digest]
     assert _cli_digests(cases, threads) == want
+
+
+def reference_csv_text(header, rows) -> str:
+    """The per-cell CSV writer that propagate used before its output was
+    built column by column; kept as the reference for ``cli._rows_text``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(row[h])) for h in header))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+     1e-310, 1e16, 1e-05, 1e22, 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 5),
+    data=st.data(),
+)
+def test_rows_text_matches_json_dumps_and_csv_writer(width, data):
+    header = [f"c_{i}" for i in range(width)]
+    rows = data.draw(
+        st.lists(st.lists(st.one_of(EDGE_FLOATS, st.floats()), min_size=width, max_size=width),
+                 max_size=6)
+    )
+    dicts = [dict(zip(header, row)) for row in rows]
+    for fmt, want in (("json", json.dumps(dicts, indent=2) + "\n"),
+                      ("csv", reference_csv_text(header, dicts))):
+        columns = [cli._float_cells([row[i] for row in rows], fmt) for i in range(width)]
+        assert cli._rows_text(header, columns, fmt) == want

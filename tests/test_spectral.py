@@ -1,6 +1,8 @@
 import hashlib
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from phaselab import (
+    GridMismatchError,
     ParameterError,
     SpectralField,
     make_grid,
@@ -268,6 +271,14 @@ class TestFieldValidation:
             f.coefficients[0] = 2.0
 
 
+#: Values whose reprs or bits are easy to lose: signed zeros, subnormals,
+#: the edge of overflow and reprs with exponents.
+EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.7e308, -1.7e308,
+     1e16, 1e-05, 1e22, 123456789.0, 0.1]
+)
+
+
 def crafted_field():
     """A 7-mode 1-D field whose values have short, long, signed and extreme reprs."""
     values = [
@@ -335,6 +346,77 @@ class TestCsvRoundTrip:
         p.write_text("xi_1,re,im\n0.0,1.0,0.0\n")
         with pytest.raises(ParameterError):
             read_field_csv(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid_args=st.sampled_from([(1, 1, 1), (1, 0.5, 0.1), (2, 1, 1), (3, 1, 1)]),
+        data=st.data(),
+    )
+    def test_bit_exact_round_trip(self, grid_args, data):
+        g = make_grid(*grid_args)
+        planes = data.draw(
+            hnp.arrays(float, (g.num_modes, 2), elements=st.one_of(EDGE_VALUES, st.floats(
+                allow_nan=False, allow_infinity=False)))
+        )
+        f = SpectralField(g, planes.view(complex)[:, 0])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "field.csv"
+            write_field_csv(f, path)
+            back = read_field_csv(path)
+        np.testing.assert_array_equal(back.grid.modes, g.modes)
+        np.testing.assert_array_equal(back.coefficients.view(np.int64), planes.reshape(-1).view(np.int64))
+
+    def test_signed_zeros_survive(self, tmp_path):
+        f = SpectralField(make_grid(1, 0.5, 0.5), [complex(-0.0, 1), complex(1, -0.0), -0.0j])
+        write_field_csv(f, tmp_path / "f.csv")
+        back = read_field_csv(tmp_path / "f.csv").coefficients
+        np.testing.assert_array_equal(back.view(np.int64), f.coefficients.view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid_args=st.sampled_from([(1, 1, 0.5), (2, 1, 1)]),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["csv", "sidecar"]),
+                st.sampled_from(["delete", "insert", "replace", "drop-line", "repeat-line"]),
+                st.integers(0, 10**6),
+                st.sampled_from(list(',\n.-+e0123456789naifINF{}[]:" xr_')),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_mutated_files_raise_only_value_errors(self, grid_args, edits):
+        # mutated field files are read back or refused with a ValueError
+        # (ParameterError and GridMismatchError are ValueErrors): never an
+        # IndexError, KeyError, TypeError or OverflowError
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "field.csv"
+            write_field_csv(random_field(make_grid(*grid_args), 3), path)
+            files = {"csv": path, "sidecar": path.with_suffix(".json")}
+            for which, kind, at, char in edits:
+                text = files[which].read_text()
+                if kind in ("drop-line", "repeat-line"):
+                    lines = text.splitlines(keepends=True)
+                    i = at % len(lines) if lines else 0
+                    lines[i:i + 1] = [] if kind == "drop-line" else lines[i:i + 1] * 2
+                    text = "".join(lines)
+                else:
+                    i = at % (len(text) + 1)
+                    tail = text[i + 1:] if kind in ("delete", "replace") else text[i:]
+                    text = text[:i] + (char if kind != "delete" else "") + tail
+                files[which].write_text(text)
+            try:
+                back = read_field_csv(path)
+            except ValueError:
+                return
+            assert back.coefficients.shape == (back.grid.num_modes,)
+
+    def test_sidecar_naming_a_huge_grid_fails_before_building_it(self, tmp_path):
+        path = tmp_path / "f.csv"
+        write_field_csv(random_field(make_grid(2, 1, 1), 3), path)
+        path.with_suffix(".json").write_text('{"n": 2, "xi_max": 1e6, "dxi": 1e-6}')
+        with pytest.raises(GridMismatchError, match="9 rows but the sidecar grid has"):
+            read_field_csv(path)
 
 
 # row widths beside powers of two, where the kernel's split exponent L moves
@@ -602,3 +684,62 @@ class TestCsumExtremes:
         planes = values.view(float).reshape(shape + (2,))
         _certified_row_sums(planes)
         np.testing.assert_array_equal(values.view(np.int64), before.view(np.int64))
+
+
+DBL_MAX = np.finfo(float).max
+HUGE = st.floats(min_value=1e306, max_value=DBL_MAX).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+class TestCsumOverflow:
+    """Rows whose partial sums overflow ``math.fsum`` are summed exactly."""
+
+    def assert_csum_is_exact(self, rows):
+        # exact_sum rounds the 700-digit sum once: beyond the double range
+        # it gives +-inf, as IEEE round-to-nearest does
+        values = np.array(rows, dtype=complex)
+        got = csum(values)
+        for row, total in zip(values, got):
+            want = complex(exact_sum(row.real), exact_sum(row.imag))
+            assert total.real == want.real and total.imag == want.imag, (row, total, want)
+            assert csum(row) == total  # the 1-D path
+
+    def test_finite_sum_of_overflowing_terms(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1.7e308, 1.7e308, -1.7e308])
+        self.assert_csum_is_exact([[1.7e308, 1.7e308, -1.7e308]])
+        assert csum(np.array([1.7e308, 1.7e308, -1.7e308])) == 1.7e308
+
+    def test_rounding_at_the_edge_of_the_range(self):
+        below = 2.0**970 - 2.0**918  # the largest double below the midpoint's excess
+        rows = [
+            [DBL_MAX, DBL_MAX, -DBL_MAX, 2.0**970],  # the midpoint: rounds to inf
+            [DBL_MAX, DBL_MAX, -DBL_MAX, below],  # just below it: DBL_MAX
+            [-DBL_MAX, -DBL_MAX, DBL_MAX, -(2.0**970)],
+            [DBL_MAX, DBL_MAX, 1.0, 5e-324],
+            [-DBL_MAX, -DBL_MAX, -1.0, 5e-324],
+            [1.7e308, 1.7e308, -1.7e308, -1.7e308],  # exactly zero
+            [1e308] * 10 + [-1e308] * 9 + [5e-324],
+        ]
+        width = max(map(len, rows))
+        self.assert_csum_is_exact([row + [0.0] * (width - len(row)) for row in rows])
+        got = csum(np.array([row + [0.0] * (width - len(row)) for row in rows]))
+        assert got[:3].real.tolist() == [math.inf, DBL_MAX, -math.inf]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda width: st.lists(
+                st.lists(st.one_of(HUGE, MODERATE), min_size=2 * width, max_size=2 * width),
+                min_size=1, max_size=4,
+            )
+        )
+    )
+    def test_matches_mpmath(self, rows):
+        self.assert_csum_is_exact([np.array(row).view(complex) for row in rows])
+
+    def test_infinite_terms_keep_fsum_semantics(self):
+        # fsum reports an overflow here too, though a term is already inf
+        with pytest.raises(OverflowError):
+            math.fsum([math.inf, 1e308, 1e308])
+        assert csum(np.array([math.inf, 1e308, 1e308])) == math.inf
+        assert csum(np.array([-math.inf, 1e308, 1e308])) == -math.inf
