@@ -383,13 +383,15 @@ def write_field_csv(field: SpectralField, path) -> None:
     """
     path = Path(path)
     grid = field.grid
-    # distinct bit patterns, so -0.0 and 0.0 keep their own reprs
-    coords, where = np.unique(grid.modes.view(np.int64), return_inverse=True)
-    cells = np.array(list(map(repr, coords.view(float).tolist())), dtype=object)
-    where = where.reshape(grid.modes.shape)
+    # coordinates are keyed by their bits, so -0.0 and 0.0 keep their own
+    # reprs; a dict dedupes them without numpy's sort kernels, whose first
+    # use would raise the process's peak RSS
+    bits = grid.modes.view(np.int64)
+    distinct = list(dict.fromkeys(bits.ravel().tolist()))
+    cell = dict(zip(distinct, map(repr, np.array(distinct, dtype=np.int64).view(float).tolist())))
     c = field.coefficients
-    columns = [cells[where[:, i]].tolist() for i in range(grid.n)]
-    columns += [list(map(repr, c.real.tolist())), list(map(repr, c.imag.tolist()))]
+    columns = [map(cell.__getitem__, bits[:, i].tolist()) for i in range(grid.n)]
+    columns += [map(repr, c.real.tolist()), map(repr, c.imag.tolist())]
     path.write_text("\n".join([_field_header(grid.n), *map(",".join, zip(*columns))]) + "\n")
     sidecar = {"n": grid.n, "xi_max": grid.xi_max, "dxi": grid.dxi}
     path.with_suffix(".json").write_text(json.dumps(sidecar) + "\n")
