@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from phaselab import (
+    FrequencyGrid,
     GridMismatchError,
     ParameterError,
     SpectralField,
@@ -316,6 +317,18 @@ GOLDEN_FIELD_FILES = {
 }
 
 
+def per_row_field_text(field):
+    """The CSV text of the per-row field writer that write_field_csv replaced;
+    kept as its reference."""
+    grid = field.grid
+    header = [f"xi_{i + 1}" for i in range(grid.n)] + ["re", "im"]
+    lines = [",".join(header)]
+    for mode, c in zip(grid.modes, field.coefficients):
+        row = [repr(float(v)) for v in mode] + [repr(float(c.real)), repr(float(c.imag))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvRoundTrip:
     @pytest.mark.parametrize("name", sorted(GOLDEN_FIELD_FILES))
     def test_writer_bytes(self, name, tmp_path):
@@ -324,6 +337,22 @@ class TestCsvRoundTrip:
         write_field_csv(make_field(), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256(path.with_suffix(".json").read_bytes()).hexdigest() == sidecar_digest
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_writer_matches_per_row_writer_on_any_grid(self, n, data):
+        # hand-built grids may repeat coordinates and hold both -0.0 and 0.0
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        modes = data.draw(hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(n)),
+                                     elements=st.one_of(EDGE_VALUES, finite)))
+        planes = data.draw(
+            hnp.arrays(float, (len(modes), 2), elements=st.one_of(EDGE_VALUES, finite))
+        )
+        field = SpectralField(FrequencyGrid(n, 1.0, 1.0, modes), planes.view(complex)[:, 0])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "field.csv"
+            write_field_csv(field, path)
+            assert path.read_text() == per_row_field_text(field)
 
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
