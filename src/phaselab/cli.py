@@ -104,11 +104,11 @@ def _rows_text(header, columns, fmt: str) -> str:
     return ("[\n" + body + "\n]" if body else "[]") + "\n"
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(row[h])) for h in header))
-    return "\n".join(lines) + "\n"
+def _csv_rows(header, rows) -> str:
+    """CSV of dict rows of floats, keyed by ``header``."""
+    rows = list(rows)
+    columns = [_float_cells([float(row[h]) for row in rows], "csv") for h in header]
+    return _rows_text(header, columns, "csv")
 
 
 def _parse_grid(text: str):
@@ -189,28 +189,12 @@ def _parse_mu(text: str, n: int):
     return mu / norm
 
 
-def _multiplier_template(args, delta: float) -> MultiplierSpec:
-    family = Family(args.family)
-    if family.uses_law:
-        if args.gamma is None:
-            raise ParameterError(f"--family {family.value} requires --gamma")
-        if args.a is not None:
-            raise ParameterError(f"--a is not valid with --family {family.value}")
-        law, a = parse_law(args.gamma), None
-    else:
-        if args.a is None:
-            raise ParameterError(f"--family {family.value} requires --a")
-        if args.gamma is not None:
-            raise ParameterError(f"--gamma is not valid with --family {family.value}")
-        law, a = None, args.a
-    beta = None
-    if family.shifted:
-        if args.beta is None:
-            raise ParameterError(f"--family {family.value} requires --beta")
-        beta = args.beta
-    elif args.beta is not None:
-        raise ParameterError(f"--beta is not valid with --family {family.value}")
-    return MultiplierSpec(family=family, s=args.s, delta=delta, a=a, law=law, beta=beta)
+def _shift(args, n: int):
+    """The drift of ``--beta`` along ``--mu`` (the first axis by default)."""
+    if args.beta is None:
+        return None
+    mu = _parse_mu(args.mu, n) if args.mu else np.eye(n)[0]
+    return ShiftSpec(beta=args.beta, mu=mu)
 
 
 def _law_from_args(args):
@@ -223,28 +207,26 @@ def _law_from_args(args):
     raise ParameterError("a phase law is required (--gamma NAME or --a EXPONENT)")
 
 
-def cmd_bound_check(args) -> int:
+def _run_sweep(args, run, header) -> int:
+    """Run a delta sweep of the family the flags give; exit 2 when it fails."""
     deltas = _parse_deltas(args.deltas, args.per_decade)
-    template = _multiplier_template(args, deltas[0])
-    cert = certify(template, deltas, strict=not args.unsafe_params)
+    law = parse_law(args.gamma) if args.gamma is not None else None
+    template = MultiplierSpec(Family(args.family), args.s, deltas[0], args.a, law, args.beta)
+    result = run(template, deltas, strict=not args.unsafe_params)
     if args.format == "csv":
-        text = _csv_text(["delta", "sup", "envelope", "ratio", "argmax"], cert.sweep_rows())
+        text = _csv_rows(header, result.sweep_rows())
     else:
-        text = _json_text(cert.to_dict())
+        text = _json_text(result.to_dict())
     _emit(args, text)
-    return 0 if cert.passed else 2
+    return 0 if result.passed else 2
+
+
+def cmd_bound_check(args) -> int:
+    return _run_sweep(args, certify, ["delta", "sup", "envelope", "ratio", "argmax"])
 
 
 def cmd_rate_fit(args) -> int:
-    deltas = _parse_deltas(args.deltas, args.per_decade)
-    template = _multiplier_template(args, deltas[0])
-    report = rate_fit(template, deltas, strict=not args.unsafe_params)
-    if args.format == "csv":
-        text = _csv_text(["delta", "sup", "envelope", "ratio"], report.sweep_rows())
-    else:
-        text = _json_text(report.to_dict())
-    _emit(args, text)
-    return 0 if report.passed else 2
+    return _run_sweep(args, rate_fit, ["delta", "sup", "envelope", "ratio"])
 
 
 def cmd_seq_check(args) -> int:
@@ -264,21 +246,9 @@ def cmd_seq_check(args) -> int:
         "reason": verdict.reason,
     }
     if args.format == "csv":
-        lines = ["criterion,sequence,form,q,decision,reason"]
-        q = payload["q"]
-        lines.append(
-            ",".join(
-                [
-                    payload["criterion"],
-                    payload["sequence"],
-                    payload["form"],
-                    repr(float(q)) if q is not None else "",
-                    payload["decision"],
-                    '"' + payload["reason"] + '"',
-                ]
-            )
-        )
-        text = "\n".join(lines) + "\n"
+        cells = {**payload, "q": "" if payload["q"] is None else repr(float(payload["q"]))}
+        cells["reason"] = '"' + payload["reason"] + '"'
+        text = _rows_text(list(cells), [[cell] for cell in cells.values()], "csv")
     else:
         text = _json_text(payload)
     _emit(args, text)
@@ -293,11 +263,7 @@ def cmd_propagate(args) -> int:
     if any(t < 0 for t in times):
         raise ParameterError("times must be nonnegative")
     points = _sample_points(args, field.grid.n)
-    shift = None
-    if args.beta is not None:
-        mu = _parse_mu(args.mu, field.grid.n) if args.mu else np.eye(field.grid.n)[0]
-        shift = ShiftSpec(beta=args.beta, mu=mu)
-    values = evaluate_shifted(field, law, np.asarray(times), shift, points)
+    values = evaluate_shifted(field, law, np.asarray(times), _shift(args, field.grid.n), points)
     # one row per (time, point), times outermost; each time, coordinate
     # and value is formatted once and the rows are built from those cells
     num_points = len(points)
@@ -328,14 +294,11 @@ def cmd_trace(args) -> int:
     law = _law_from_args(args)
     seq = parse_sequence(args.seq)
     points = _sample_points(args, grid.n)
-    shift = None
-    if args.beta is not None:
-        mu = _parse_mu(args.mu, grid.n) if args.mu else np.eye(grid.n)[0]
-        shift = ShiftSpec(beta=args.beta, mu=mu)
+    shift = _shift(args, grid.n)
     trace = pointwise_trace(field, law, seq, args.s, points, k_max=args.K, shift=shift)
     if args.format == "csv":
         header = [f"x_{i + 1}" for i in range(grid.n)] + ["partial_sum", "tail"]
-        text = _csv_text(header, trace.rows())
+        text = _csv_rows(header, trace.rows())
     else:
         text = _json_text(trace.to_dict())
     _emit(args, text)
@@ -347,12 +310,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _add_unsafe_params(parser: argparse.ArgumentParser) -> None:
+def _add_regime_params(parser: argparse.ArgumentParser) -> None:
+    """The common flags, --unsafe-params, and the parameters of a regime."""
+    _add_common(parser)
     parser.add_argument(
         "--unsafe-params",
         action="store_true",
         help="relax parameter-range checks (never changes envelope formulas)",
     )
+    parser.add_argument("--s", type=float, required=True)
+    parser.add_argument("--a", type=float, default=None)
+    parser.add_argument("--gamma", default=None)
+    parser.add_argument("--beta", type=float, default=None)
 
 
 def _add_sampling(parser: argparse.ArgumentParser) -> None:
@@ -370,45 +339,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="phaselab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("bound-check", help="certify sup|m| against its envelope over a delta sweep")
-    _add_common(p)
-    _add_unsafe_params(p)
-    p.add_argument("--family", choices=[f.value for f in Family], required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--deltas", required=True, help="start:end geometric sweep or comma list")
-    p.add_argument(
-        "--per-decade", type=int, default=None, dest="per_decade",
-        help=f"points per decade of a start:end sweep (default {DEFAULT_PER_DECADE})",
-    )
-    p.set_defaults(func=cmd_bound_check)
-
-    p = sub.add_parser("rate-fit", help="log-log decay rate of sup|m| vs the envelope exponent")
-    _add_common(p)
-    _add_unsafe_params(p)
-    p.add_argument("--family", choices=[f.value for f in Family], required=True)
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--deltas", required=True)
-    p.add_argument(
-        "--per-decade", type=int, default=None, dest="per_decade",
-        help=f"points per decade of a start:end sweep (default {DEFAULT_PER_DECADE})",
-    )
-    p.set_defaults(func=cmd_rate_fit)
+    for name, func, text in (
+        ("bound-check", cmd_bound_check, "certify sup|m| against its envelope over a delta sweep"),
+        ("rate-fit", cmd_rate_fit, "log-log decay rate of sup|m| vs the envelope exponent"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_regime_params(p)
+        p.add_argument("--family", choices=[f.value for f in Family], required=True)
+        p.add_argument("--deltas", required=True, help="start:end geometric sweep or comma list")
+        p.add_argument(
+            "--per-decade", type=int, default=None, dest="per_decade",
+            help=f"points per decade of a start:end sweep (default {DEFAULT_PER_DECADE})",
+        )
+        p.set_defaults(func=func)
 
     p = sub.add_parser("seq-check", help="classify a time sequence against a convergence criterion")
-    _add_common(p)
-    _add_unsafe_params(p)
+    _add_regime_params(p)
     p.add_argument("--criterion", choices=[c.value for c in ConvergenceCriterion], required=True)
     p.add_argument("--seq", required=True, help="power:p=2 | geometric:r=0.5 | explicit:...")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--beta", type=float, default=None)
     p.set_defaults(func=cmd_seq_check)
 
     p = sub.add_parser("propagate", help="evolve a stored field and sample it at points")

@@ -1,11 +1,14 @@
 """Summability classification of time sequences and convergence experiments.
 
 A time sequence {t_k} decreasing to 0 qualifies for almost-everywhere
-pointwise recovery of the datum when a sum over k of multiplier envelopes
-is finite.  Each convergence criterion below names one such sufficient
-condition; ``required_exponent`` turns it into either a pure power sum
-(sum t_k**q < infinity) or a gamma-sum with an explicit summand, and
-``sequence_applicable`` decides membership exactly for symbolic sequences.
+pointwise recovery of the datum when the sum over k of the squared
+multiplier envelopes is finite.  Each convergence criterion names a row of
+``multipliers.REGIMES`` (``boussinesq`` and ``quartic`` are aliases of
+``gamma`` with that catalog law); a row's envelope delta**e makes the
+condition sum t_k**q < infinity with q = 2e.  ``required_exponent`` gives
+it as a power sum or, for the gamma rows, a gamma-sum with an explicit
+summand; ``sequence_applicable`` decides membership exactly for symbolic
+sequences.
 
 The criteria only assert sufficiency: a "no" decision means the
 hypotheses are not satisfied, never that the error sum diverges.
@@ -21,15 +24,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .errors import HypothesisViolation, NotApplicableError, ParameterError
-from .multipliers import Family, MultiplierSpec, analytic_envelope, numeric_sup, sweep_specs
-from .phase_laws import PhaseLaw, invert_many
+from .multipliers import (
+    REGIMES,
+    Family,
+    MultiplierSpec,
+    analytic_envelope,
+    check_reads,
+    numeric_sup,
+    regime,
+    sweep_specs,
+)
+from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw, invert_many
 from .propagation import ShiftSpec, _angles
-from .spectral import SpectralField, csum, csum_scratch
+from .spectral import SpectralField, _fsum, csum, csum_scratch
 
 __all__ = [
     "Applicability",
@@ -131,16 +144,20 @@ def parse_sequence(text: str) -> TimeSequence:
 
 
 class ConvergenceCriterion(str, Enum):
-    """Sufficient conditions for a.e. recovery along {t_k}, by regime."""
+    """Sufficient conditions for a.e. recovery along {t_k}: the regime rows."""
 
-    POWER_HIGH = "power-high"  # plain r^a phase, 0 < a < 1, s >= a
-    POWER_LOW = "power-low"  # plain r^a phase, 0 < s <= a <= 1
-    POWER_SHIFT_SUB = "power-shift-sub"  # drifted point, 0 < a < 1
-    POWER_SHIFT_SUPER = "power-shift-super"  # drifted point, a >= 1
-    GAMMA = "gamma"  # general eligible phase law
-    GAMMA_SHIFT = "gamma-shift"  # general law with drifted point
-    BOUSSINESQ = "boussinesq"  # closed-form special case of gamma
-    QUARTIC = "quartic"  # closed-form special case of gamma
+    POWER_HIGH = "power-high"
+    POWER_LOW = "power-low"
+    POWER_SHIFT_SUB = "power-shift-sub"
+    POWER_SHIFT_SUPER = "power-shift-super"
+    GAMMA = "gamma"
+    GAMMA_SHIFT = "gamma-shift"
+    BOUSSINESQ = "boussinesq"  # gamma with the boussinesq law
+    QUARTIC = "quartic"  # gamma with the quartic law
+
+
+#: The criteria that name the gamma row with a catalog law.
+_ALIAS_LAWS = {ConvergenceCriterion.BOUSSINESQ: BOUSSINESQ, ConvergenceCriterion.QUARTIC: QUARTIC}
 
 
 @dataclass(frozen=True)
@@ -156,12 +173,6 @@ class SummabilityCondition:
     q: float | None = None
     summand: Callable | None = None
     power_equivalent: float | None = None
-    description: str = ""
-
-
-def _require(ok: bool, message: str, strict: bool) -> None:
-    if strict and not ok:
-        raise HypothesisViolation(message)
 
 
 def required_exponent(
@@ -173,96 +184,33 @@ def required_exponent(
     law: PhaseLaw | None = None,
     strict: bool = True,
 ) -> SummabilityCondition:
-    """The summability condition attached to a criterion, as an exact exponent.
+    """The summability condition of a criterion's regime row: the sum of the
+    squared envelope, sum_k t_k**q with q = 2 * the row's envelope exponent.
 
-    Raises HypothesisViolation naming the failed inequality when the
-    parameters fall outside the criterion's stated range (strict mode).
+    Raises ParameterError when a parameter the row reads is missing or one
+    it does not read is given, and (strict mode) HypothesisViolation naming
+    the failed inequality when the parameters fall outside the row's range.
     """
     criterion = ConvergenceCriterion(criterion)
     if not (np.isfinite(s) and s > 0):
         raise ParameterError(f"s must be positive, got {s}")
+    row = REGIMES["gamma" if criterion in _ALIAS_LAWS else criterion.value]
+    reads = () if criterion in _ALIAS_LAWS else row.family.reads
+    check_reads(criterion.value, reads, a=a, beta=beta, law=law)
+    p = SimpleNamespace(s=s, a=a, beta=beta, law=_ALIAS_LAWS.get(criterion, law))
+    if strict:
+        row.check(p)
+    e = row.exponent(p)
+    if not row.family.uses_law:
+        return SummabilityCondition("power-sum", q=2.0 * e)
+    law, g1, t_power = p.law, float(p.law(1.0)), 2.0 * row.delta_power(p)
 
-    if criterion is ConvergenceCriterion.POWER_HIGH:
-        if a is None:
-            raise ParameterError("power-high requires a")
-        _require(0 < a < 1, f"0 < a < 1 required (got a={a})", strict)
-        _require(s >= a, f"s >= a required (got s={s}, a={a})", strict)
-        return SummabilityCondition("power-sum", q=2.0, description="sum t_k**2")
-
-    if criterion is ConvergenceCriterion.POWER_LOW:
-        if a is None:
-            raise ParameterError("power-low requires a")
-        _require(0 < s <= a <= 1, f"0 < s <= a <= 1 required (got s={s}, a={a})", strict)
-        return SummabilityCondition(
-            "power-sum", q=2.0 * s / a, description="sum t_k**(2s/a)"
-        )
-
-    if criterion is ConvergenceCriterion.POWER_SHIFT_SUB:
-        if a is None or beta is None:
-            raise ParameterError("power-shift-sub requires a and beta")
-        _require(0 < a < 1, f"0 < a < 1 required (got a={a})", strict)
-        _require(0 < s <= 1, f"0 < s <= 1 required (got s={s})", strict)
-        if beta > 1:
-            _require(s > 1 - a, f"s > 1 - a required when beta > 1 (got s={s}, 1-a={1 - a})", strict)
-            q = 2.0 * (1.0 + (s - 1.0) / a)
-        else:
-            _require(
-                s > 1 - a * beta,
-                f"s > 1 - a*beta required when beta <= 1 (got s={s}, 1-a*beta={1 - a * beta})",
-                strict,
-            )
-            q = 2.0 * (beta + (s - 1.0) / a)
-        return SummabilityCondition("power-sum", q=q, description="shifted sub-linear phase")
-
-    if criterion is ConvergenceCriterion.POWER_SHIFT_SUPER:
-        if a is None or beta is None:
-            raise ParameterError("power-shift-super requires a and beta")
-        _require(a >= 1, f"a >= 1 required (got a={a})", strict)
-        _require(0 < s <= a, f"0 < s <= a required (got s={s}, a={a})", strict)
-        if beta > 1:
-            q = 2.0 * s / a
-        else:
-            _require(
-                s > a * (1 - beta),
-                f"s > a*(1-beta) required when beta <= 1 (got s={s}, a*(1-beta)={a * (1 - beta)})",
-                strict,
-            )
-            q = 2.0 * (beta - 1.0 + s / a)
-        return SummabilityCondition("power-sum", q=q, description="shifted super-linear phase")
-
-    if criterion is ConvergenceCriterion.BOUSSINESQ:
-        _require(0 < s <= 1, f"0 < s <= 1 required (got s={s})", strict)
-        return SummabilityCondition("power-sum", q=s, description="sum t_k**s")
-
-    if criterion is ConvergenceCriterion.QUARTIC:
-        _require(0 < s <= 1, f"0 < s <= 1 required (got s={s})", strict)
-        return SummabilityCondition("power-sum", q=s / 2.0, description="sum t_k**(s/2)")
-
-    # gamma and gamma-shift
-    if law is None:
-        raise ParameterError(f"{criterion.value} requires a phase law")
-    _require(0 < s <= 1, f"0 < s <= 1 required (got s={s})", strict)
-    if criterion is ConvergenceCriterion.GAMMA_SHIFT and beta is None:
-        raise ParameterError("gamma-shift requires beta")
-    g1 = float(law(1.0))
-
-    shift_power = 0.0
-    if criterion is ConvergenceCriterion.GAMMA_SHIFT and beta <= 1:
-        shift_power = beta - 1.0
-
-    def summand(t, _law=law, _s=s, _g1=g1, _sp=shift_power):
+    def summand(t):
         t = np.asarray(t, dtype=float)
-        base = invert_many(_law, _g1 / t) ** (-2.0 * _s)
-        return base if _sp == 0.0 else t**_sp * base
+        return t**t_power * invert_many(law, g1 / t) ** (-2.0 * s)
 
-    equivalent = None
-    if law.inverse_growth is not None:
-        equivalent = 2.0 * s * law.inverse_growth + shift_power
     return SummabilityCondition(
-        "gamma-sum",
-        summand=summand,
-        power_equivalent=equivalent,
-        description="sum of inverse-law envelopes",
+        "gamma-sum", summand=summand, power_equivalent=None if e is None else 2.0 * e
     )
 
 
@@ -325,14 +273,8 @@ def sequence_applicable(
 
 def envelope_log_slope(template: MultiplierSpec) -> float:
     """d log(envelope) / d log(delta), the theoretical sup-norm decay rate."""
-    f = template.family
-    if f is Family.POWER:
-        return template.s / template.a
-    if f is Family.POWER_SHIFT:
-        a, s, b = template.a, template.s, template.beta
-        if a < 1:
-            return 1.0 + (s - 1.0) / a if b > 1 else b + (s - 1.0) / a
-        return s / a if b > 1 else b - 1.0 + s / a
+    if not template.family.uses_law:
+        return regime(template.family, template.a).exponent(template)
     # gamma families: probe the implemented envelope in the asymptotic regime
     e1 = analytic_envelope(template.with_delta(1e-8), strict=False)
     e2 = analytic_envelope(template.with_delta(1e-10), strict=False)
@@ -393,11 +335,9 @@ def rate_fit(
     slope, intercept = np.polyfit(logd, logs, 1)
     residual = float(np.sqrt(np.mean((logs - (slope * logd + intercept)) ** 2)))
     theoretical = envelope_log_slope(template)
-    params = template.params_dict()
-    del params["delta"]
     return RateReport(
         family=template.family,
-        params=params,
+        params=template.params_dict(),
         deltas=tuple(deltas),
         sups=tuple(sups),
         envelopes=tuple(envs),
@@ -409,26 +349,22 @@ def rate_fit(
 
 
 def _matching_criterion(law: PhaseLaw, shift: ShiftSpec | None, s: float):
-    """Pick the criterion covering a propagation setup, with its parameters."""
-    if law.power is not None:
-        a = law.power
-        if shift is None:
-            if 0 < s <= a <= 1:
-                return ConvergenceCriterion.POWER_LOW, {"s": s, "a": a}
-            if a < 1 and s >= a:
-                return ConvergenceCriterion.POWER_HIGH, {"s": s, "a": a}
-            if a > 1 and 0 < s <= 1:
-                return ConvergenceCriterion.GAMMA, {"s": s, "law": law}
-            raise ParameterError(f"no plain-phase criterion covers s={s}, a={a}")
-        crit = (
-            ConvergenceCriterion.POWER_SHIFT_SUB
-            if a < 1
-            else ConvergenceCriterion.POWER_SHIFT_SUPER
-        )
-        return crit, {"s": s, "a": a, "beta": shift.beta}
-    if shift is None:
-        return ConvergenceCriterion.GAMMA, {"s": s, "law": law}
-    return ConvergenceCriterion.GAMMA_SHIFT, {"s": s, "law": law, "beta": shift.beta}
+    """Pick the criterion covering a propagation setup, with its parameters.
+
+    A plain power law takes the first of power-low, power-high and gamma
+    whose hypotheses hold; every other setup takes its family's row.
+    """
+    p = SimpleNamespace(s=s, a=law.power, beta=None if shift is None else shift.beta, law=law)
+    if law.power is None:
+        row = regime(Family.GAMMA if shift is None else Family.GAMMA_SHIFT)
+    elif shift is not None:
+        row = regime(Family.POWER_SHIFT, law.power)
+    else:
+        rows = [REGIMES[name] for name in ("power-low", "power-high", "gamma")]
+        row = next((row for row in rows if all(h(p) for h in row.hypotheses.values())), None)
+        if row is None:
+            raise ParameterError(f"no plain-phase criterion covers s={s}, a={law.power}")
+    return ConvergenceCriterion(row.name), {"s": s, **{k: getattr(p, k) for k in row.family.reads}}
 
 
 @dataclass(frozen=True)
@@ -468,7 +404,7 @@ def _tail_bound(field: SpectralField, law, shift: ShiftSpec | None, seq: TimeSeq
     """Explicit bound on sum_{k>K} ||h_k||_inf^2 for symbolic sequences."""
     grid = field.grid
     mass = (
-        math.fsum(np.abs(field.coefficients))
+        _fsum(np.abs(field.coefficients).tolist())
         * grid.weight
         / (2.0 * math.pi) ** grid.n
     )

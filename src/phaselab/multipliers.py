@@ -1,23 +1,22 @@
 """Oscillatory multipliers m(xi) = (e^{i theta(xi)} - 1) / (1+|xi|^2)^{s/2}.
 
-Four families, classified by the phase theta:
+Four families share one phase, theta = delta * gamma(|xi|) + delta**beta * mu.xi:
+gamma(r) = r**a in the power families, and no drift term without -shift.
 
-    power         theta = delta * |xi|**a
-    power-shift   theta = delta**beta * mu.xi + delta * |xi|**a
-    gamma         theta = delta * gamma(|xi|)
-    gamma-shift   theta = delta**beta * mu.xi + delta * gamma(|xi|)
+``REGIMES`` is the one table of the regimes: the parameters each row
+reads, its hypotheses, and its envelope for sup|m|, a pure expression in
+delta with no hidden constant (b = beta):
 
-Each family carries an analytic envelope for sup|m|, a pure expression in
-delta with no hidden constant:
+    power-low (power)                  delta**(s/a)              (0 < s <= a <= 1)
+    power-high (a criterion only)      delta                     (0 < a < 1, s >= a)
+    power-shift-sub, a < 1, b > 1      delta**(1+(s-1)/a)
+    power-shift-sub, a < 1, b <= 1     delta**(b+(s-1)/a)
+    power-shift-super, a >= 1, b > 1   delta**(s/a)
+    power-shift-super, a >= 1, b <= 1  delta**(b-1+s/a)
+    gamma, and gamma-shift with b > 1  ginv(g(1)/delta)**(-s)
+    gamma-shift, b <= 1                delta**(b-1) * ginv(g(1)/delta)**(-s)
 
-    power                        delta**(s/a)              (0 < s <= a <= 1)
-    power-shift, a < 1, b > 1    delta**(1+(s-1)/a)
-    power-shift, a < 1, b <= 1   delta**(b+(s-1)/a)
-    power-shift, a >= 1, b > 1   delta**(s/a)
-    power-shift, a >= 1, b <= 1  delta**(b-1+s/a)
-    gamma                        ginv(g(1)/delta)**(-s)
-    gamma-shift, b > 1           ginv(g(1)/delta)**(-s)
-    gamma-shift, b <= 1          delta**(b-1) * ginv(g(1)/delta)**(-s)
+ginv(g(1)/delta)**(-s) decays like delta**(s*rho) when ginv(y) ~ y**rho.
 
 ``numeric_sup`` measures sup|m| over a geometric radial scan densified
 around the phase transition theta ~ pi (and, for shift families, along
@@ -34,6 +33,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,8 @@ from .errors import (
     ScanTooSmallError,
 )
 from . import phase_laws
-from .phase_laws import PhaseLaw, check_hypotheses, invert
+from .phase_laws import PhaseLaw, check_hypotheses, invert, power_law
+from .propagation import phase
 from .spectral import FrequencyGrid, SpectralField
 
 __all__ = [
@@ -54,6 +55,8 @@ __all__ = [
     "Family",
     "MultiplierSpec",
     "RATIO_CAP",
+    "REGIMES",
+    "Regime",
     "ScanResult",
     "analytic_envelope",
     "certify",
@@ -62,6 +65,7 @@ __all__ = [
     "modulus_on_axis",
     "multiplier_value",
     "numeric_sup",
+    "regime",
     "sweep_specs",
     "validate_hypotheses",
 ]
@@ -88,6 +92,21 @@ class Family(str, Enum):
     def uses_law(self) -> bool:
         return self in (Family.GAMMA, Family.GAMMA_SHIFT)
 
+    @property
+    def reads(self) -> tuple:
+        """The parameters the family's phase reads besides s."""
+        return ("law" if self.uses_law else "a",) + (("beta",) if self.shifted else ())
+
+
+def check_reads(owner: str, reads: tuple, **given) -> None:
+    """Reject a parameter in ``reads`` that is not given, and one given but not read."""
+    unread = [name for name, value in given.items() if value is not None and name not in reads]
+    if unread:
+        raise ParameterError(f"{owner} does not read {' or '.join(unread)}")
+    missing = [name for name in reads if given[name] is None]
+    if missing:
+        raise ParameterError(f"{owner} requires {' and '.join(missing)}")
+
 
 @dataclass(frozen=True)
 class MultiplierSpec:
@@ -108,6 +127,8 @@ class MultiplierSpec:
     _critical_radius: float | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The phase's law: ``law`` for the gamma families, r**a for the power ones.
+    phase_law: PhaseLaw = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
@@ -117,79 +138,96 @@ class MultiplierSpec:
             )
         if not (np.isfinite(self.s) and self.s > 0):
             raise ParameterError(f"s must be positive, got {self.s}")
-        if self.family.uses_law:
-            if self.law is None:
-                raise ParameterError(f"{self.family.value} family requires a phase law")
-            if self.a is not None:
-                raise ParameterError("a is only meaningful for power families")
-        else:
-            if self.a is None or not (np.isfinite(self.a) and self.a > 0):
-                raise ParameterError("power families require a > 0")
-            if self.law is not None:
-                raise ParameterError("phase law is only meaningful for gamma families")
-        if self.family.shifted:
-            if self.beta is None or not np.isfinite(self.beta):
-                raise ParameterError("shift families require a finite beta")
-        elif self.beta is not None:
-            raise ParameterError("beta is only meaningful for shift families")
+        check_reads(f"{self.family.value} family", self.family.reads,
+                    a=self.a, beta=self.beta, law=self.law)
+        if self.a is not None and not (np.isfinite(self.a) and self.a > 0):
+            raise ParameterError("power families require a > 0")
+        if self.beta is not None and not np.isfinite(self.beta):
+            raise ParameterError("shift families require a finite beta")
+        law = self.law if self.family.uses_law else power_law(self.a)
+        object.__setattr__(self, "phase_law", law)
 
     def with_delta(self, delta: float) -> "MultiplierSpec":
         return dataclasses.replace(self, delta=float(delta))
 
     def params_dict(self) -> dict:
-        out = {"s": self.s, "delta": self.delta}
-        if self.a is not None:
-            out["a"] = self.a
-        if self.law is not None:
-            out["gamma"] = self.law.name
-        if self.beta is not None:
-            out["beta"] = self.beta
-        return out
+        """s and the family's parameters, the law by its name (delta is left out)."""
+        named = {"a": self.a, "gamma": self.law.name if self.law else None, "beta": self.beta}
+        return {"s": self.s, **{k: v for k, v in named.items() if v is not None}}
+
+
+class Regime(NamedTuple):
+    """A row: the family whose phase it bounds, each hypothesis's text and
+    test (of a MultiplierSpec, or any object with its s, a, beta and law),
+    and the power of delta in the envelope, before ginv(g(1)/delta)**(-s)
+    in a gamma row."""
+
+    name: str
+    family: Family
+    hypotheses: dict
+    delta_power: Callable
+
+    def check(self, p) -> None:
+        """Raise HypothesisViolation naming the first hypothesis p fails."""
+        for text, holds in self.hypotheses.items():
+            if not holds(p):
+                got = [f"{k}={getattr(p, k)}" for k in ("s", *self.family.reads) if k != "law"]
+                raise HypothesisViolation(f"{self.name} requires {text} (got {', '.join(got)})")
+
+    def exponent(self, p) -> float | None:
+        """e in sup|m_delta| <~ delta**e; None for a law of unknown inverse growth."""
+        if not self.family.uses_law:
+            return self.delta_power(p)
+        rho = p.law.inverse_growth
+        return None if rho is None else p.s * rho + self.delta_power(p)
+
+
+_S_UNIT = {"0 < s <= 1": lambda p: 0 < p.s <= 1}
+
+#: The regime table, keyed by row name (the convergence criteria's names).
+REGIMES = {row.name: row for row in (
+    Regime("power-low", Family.POWER, {
+        "0 < s <= a <= 1": lambda p: 0 < p.s <= p.a <= 1,
+    }, lambda p: p.s / p.a),
+    Regime("power-high", Family.POWER, {
+        "0 < a < 1": lambda p: 0 < p.a < 1,
+        "s >= a": lambda p: p.s >= p.a,
+    }, lambda p: 1.0),
+    Regime("power-shift-sub", Family.POWER_SHIFT, {
+        "0 < a < 1": lambda p: 0 < p.a < 1,
+        **_S_UNIT,
+        "s > 1 - a when beta > 1": lambda p: p.beta <= 1 or p.s > 1 - p.a,
+        "s > 1 - a*beta when beta <= 1": lambda p: p.beta > 1 or p.s > 1 - p.a * p.beta,
+    }, lambda p: 1.0 + (p.s - 1.0) / p.a if p.beta > 1 else p.beta + (p.s - 1.0) / p.a),
+    Regime("power-shift-super", Family.POWER_SHIFT, {
+        "a >= 1": lambda p: p.a >= 1,
+        "0 < s <= a": lambda p: 0 < p.s <= p.a,
+        "s > a*(1-beta) when beta <= 1": lambda p: p.beta > 1 or p.s > p.a * (1 - p.beta),
+    }, lambda p: p.s / p.a if p.beta > 1 else p.beta - 1.0 + p.s / p.a),
+    Regime("gamma", Family.GAMMA, _S_UNIT, lambda p: 0.0),
+    Regime("gamma-shift", Family.GAMMA_SHIFT, _S_UNIT,
+           lambda p: 0.0 if p.beta > 1 else p.beta - 1.0),
+)}
+
+
+def regime(family: Family, a: float | None = None) -> Regime:
+    """The row of a family's envelope: its first, but power-shift splits at a = 1."""
+    if family is Family.POWER_SHIFT:
+        return REGIMES["power-shift-sub" if a < 1 else "power-shift-super"]
+    return next(row for row in REGIMES.values() if row.family is family)
 
 
 def validate_hypotheses(spec: MultiplierSpec, strict: bool = True) -> None:
-    """Range checks for the envelope branch that applies to ``spec``.
+    """The hypotheses of the spec's regime row, and for the gamma families
+    the law's eligibility.
 
     strict=False skips the checks (the formulas themselves never change);
     errors name the violated inequality.
     """
     if not strict:
         return
-    f = spec.family
-    if f is Family.POWER:
-        if not (0 < spec.s <= spec.a <= 1):
-            raise HypothesisViolation(
-                f"power envelope requires 0 < s <= a <= 1 (got s={spec.s}, a={spec.a})"
-            )
-    elif f is Family.POWER_SHIFT:
-        a, s, b = spec.a, spec.s, spec.beta
-        if a < 1:
-            if not (0 < s <= 1):
-                raise HypothesisViolation(
-                    f"power-shift with a < 1 requires 0 < s <= 1 (got s={s})"
-                )
-            if b > 1 and not (s > 1 - a):
-                raise HypothesisViolation(
-                    f"s > 1 - a required when beta > 1 (got s={s}, 1-a={1 - a})"
-                )
-            if b <= 1 and not (s > 1 - a * b):
-                raise HypothesisViolation(
-                    f"s > 1 - a*beta required when beta <= 1 (got s={s}, 1-a*beta={1 - a * b})"
-                )
-        else:
-            if not (0 < s <= a):
-                raise HypothesisViolation(
-                    f"power-shift with a >= 1 requires 0 < s <= a (got s={s}, a={a})"
-                )
-            if b <= 1 and not (s > a * (1 - b)):
-                raise HypothesisViolation(
-                    f"s > a*(1-beta) required when beta <= 1 (got s={s}, a*(1-beta)={a * (1 - b)})"
-                )
-    else:
-        if not (0 < spec.s <= 1):
-            raise HypothesisViolation(
-                f"gamma envelope requires 0 < s <= 1 (got s={spec.s})"
-            )
+    regime(spec.family, spec.a).check(spec)
+    if spec.family.uses_law:
         report = check_hypotheses(spec.law, 256)
         if not report.eligible:
             raise HypothesisViolation(
@@ -199,25 +237,10 @@ def validate_hypotheses(spec: MultiplierSpec, strict: bool = True) -> None:
             )
 
 
-def _base_phase(spec: MultiplierSpec, r: np.ndarray) -> np.ndarray:
-    if spec.family.uses_law:
-        return spec.delta * np.asarray(spec.law(r), dtype=float)
-    return spec.delta * r**spec.a
-
-
-def _theta_axis(spec: MultiplierSpec, xi: np.ndarray) -> np.ndarray:
-    """Total phase at the point xi*mu (signed coordinate along the shift axis)."""
-    xi = np.asarray(xi, dtype=float)
-    theta = _base_phase(spec, np.abs(xi))
-    if spec.family.shifted:
-        theta = theta + spec.delta**spec.beta * xi
-    return theta
-
-
 def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
     """|m| along the shift axis: 2|sin(theta/2)| / (1+xi^2)^{s/2}."""
     xi = np.asarray(xi, dtype=float)
-    theta = _theta_axis(spec, xi)
+    theta = phase(spec.phase_law, spec.delta, np.abs(xi), spec.beta, xi)
     return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + xi * xi) ** (0.5 * spec.s)
 
 
@@ -225,9 +248,7 @@ def multiplier_value(spec: MultiplierSpec, xi) -> complex:
     """Complex multiplier value at a frequency vector xi (any dimension)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     r = float(np.linalg.norm(xi))
-    theta = float(_base_phase(spec, np.asarray(r)))
-    if spec.family.shifted:
-        theta += spec.delta**spec.beta * float(xi[0])
+    theta = float(phase(spec.phase_law, spec.delta, r, spec.beta, float(xi[0])))
     num = complex(math.cos(theta) - 1.0, math.sin(theta))
     return num / (1.0 + r * r) ** (0.5 * spec.s)
 
@@ -235,20 +256,10 @@ def multiplier_value(spec: MultiplierSpec, xi) -> complex:
 def analytic_envelope(spec: MultiplierSpec, strict: bool = True) -> float:
     """The family's delta-envelope for sup|m| (no constant attached)."""
     validate_hypotheses(spec, strict)
-    d = spec.delta
-    if spec.family is Family.POWER:
-        return d ** (spec.s / spec.a)
-    if spec.family is Family.POWER_SHIFT:
-        a, s, b = spec.a, spec.s, spec.beta
-        if a < 1:
-            expo = 1.0 + (s - 1.0) / a if b > 1 else b + (s - 1.0) / a
-        else:
-            expo = s / a if b > 1 else b - 1.0 + s / a
-        return d**expo
-    base = 1.0 / critical_radius(spec) ** spec.s
-    if spec.family is Family.GAMMA_SHIFT and spec.beta <= 1:
-        return d ** (spec.beta - 1.0) * base
-    return base
+    env = spec.delta ** regime(spec.family, spec.a).delta_power(spec)
+    if spec.family.uses_law:
+        env *= 1.0 / critical_radius(spec) ** spec.s
+    return env
 
 
 def critical_radius(spec: MultiplierSpec) -> float:
@@ -300,7 +311,7 @@ def _phase_radii(spec: MultiplierSpec, *target_sets) -> tuple:
     hi = max(1.0, critical_radius(spec))
     brackets = [None] * len(sets)
     for _ in range(200):
-        theta = float(_theta_axis(spec, np.asarray(hi)))
+        theta = float(phase(spec.phase_law, spec.delta, hi, spec.beta, hi))
         for i, top in enumerate(tops):
             if brackets[i] is None and theta >= top:
                 brackets[i] = hi
@@ -313,7 +324,7 @@ def _phase_radii(spec: MultiplierSpec, *target_sets) -> tuple:
     hi_arr = np.repeat([hi if b is None else b for b in brackets], sizes)
     for _ in range(160):
         mid = 0.5 * (lo + hi_arr)
-        above = _theta_axis(spec, mid) >= targets
+        above = phase(spec.phase_law, spec.delta, mid, spec.beta, mid) >= targets
         if np.array_equal(mid, np.where(above, hi_arr, lo)):
             break
         hi_arr = np.where(above, mid, hi_arr)
@@ -449,11 +460,9 @@ def certify(
         args.append(scan.argmax)
     max_ratio = max(ratios)
     drift = max(ratios) / min(ratios)
-    params = template.params_dict()
-    del params["delta"]
     return BoundCertificate(
         family=template.family,
-        params=params,
+        params=template.params_dict(),
         deltas=tuple(deltas),
         sups=tuple(sups),
         envelopes=tuple(envs),
@@ -475,9 +484,7 @@ def extremal_witness(spec: MultiplierSpec, grid: FrequencyGrid) -> SpectralField
     if grid.num_modes == 0:
         raise GridMismatchError("grid has no modes")
     r = grid.radii
-    theta = _base_phase(spec, r)
-    if spec.family.shifted:
-        theta = theta + spec.delta**spec.beta * grid.modes[:, 0]
+    theta = phase(spec.phase_law, spec.delta, r, spec.beta, grid.modes[:, 0])
     w = 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * spec.s)
     ties = np.flatnonzero(w == w.max())
     idx = min(ties, key=lambda j: (r[j], tuple(grid.modes[j])))

@@ -26,6 +26,7 @@ __all__ = [
     "apply_phase",
     "error_field",
     "evaluate_shifted",
+    "phase",
     "shift_offset",
 ]
 
@@ -55,17 +56,23 @@ def shift_offset(t: float, beta: float) -> float:
     raise UndefinedShiftError(f"t**beta is undefined at t=0 for beta={beta}")
 
 
+def phase(law, t, r, beta: float | None = None, proj=None):
+    """t*law(r) + shift_offset(t, beta)*proj, proj = mu.xi (no drift term for
+    beta None).  Arguments are not checked, so bisections call it in loops."""
+    theta = t * np.asarray(law(r), dtype=float)
+    if beta is None:
+        return theta
+    return theta + shift_offset(t, beta) * proj
+
+
 def _angles(grid: FrequencyGrid, law, t: float, shift: ShiftSpec | None) -> np.ndarray:
     if not (t >= 0):
         raise ParameterError(f"t must be nonnegative, got {t}")
-    theta = t * np.asarray(law(grid.radii), dtype=float)
-    if shift is not None:
-        if shift.mu.shape != (grid.n,):
-            raise ParameterError(
-                f"mu has shape {shift.mu.shape}, expected ({grid.n},)"
-            )
-        theta = theta + shift_offset(t, shift.beta) * (grid.modes @ shift.mu)
-    return theta
+    if shift is None:
+        return phase(law, t, grid.radii)
+    if shift.mu.shape != (grid.n,):
+        raise ParameterError(f"mu has shape {shift.mu.shape}, expected ({grid.n},)")
+    return phase(law, t, grid.radii, shift.beta, grid.modes @ shift.mu)
 
 
 def apply_phase(field: SpectralField, law, t: float) -> SpectralField:

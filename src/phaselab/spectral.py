@@ -297,7 +297,7 @@ def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
     """
     c = field.coefficients
     w = (1.0 + field.grid.radii**2) ** s
-    total = math.fsum((c.real * c.real + c.imag * c.imag) * w)
+    total = _fsum(((c.real * c.real + c.imag * c.imag) * w).tolist())
     return math.sqrt(total * field.grid.weight)
 
 

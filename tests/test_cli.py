@@ -163,6 +163,31 @@ class TestSeqCheck:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["decision"] == "yes"
 
+    def test_gamma_shift_power_law_agrees_with_power_shift_super(self, capsys):
+        # both rows bound the same multiplier by delta**0.3, so both ask for q = 0.6
+        base = ("seq-check", "--s", "1", "--beta", "0.8", "--seq", "power:p=1.5")
+        payloads = []
+        for flags in (("--criterion", "gamma-shift", "--gamma", "power:a=2"),
+                      ("--criterion", "power-shift-super", "--a", "2")):
+            assert run(*base, *flags) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        for payload in payloads:
+            assert payload["q"] == pytest.approx(0.6, rel=1e-12)
+            assert payload["decision"] == "no"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--criterion", "power-low", "--a", "0.5", "--gamma", "quartic", "--beta", "3"),
+            ("--criterion", "boussinesq", "--gamma", "quartic", "--a", "9"),
+        ],
+    )
+    def test_unread_parameter_is_an_error(self, flags, capsys):
+        assert run("seq-check", "--s", "0.5", "--seq", "power:p=2", *flags) == 1
+        err = capsys.readouterr()
+        assert "does not read" in err.err
+        assert err.out == ""
+
     def test_vacuous_boundary_is_an_error(self, capsys):
         code = run(
             "seq-check", "--criterion", "power-shift-super", "--s", "1", "--a", "2",
@@ -249,6 +274,17 @@ def test_propagate_field_whose_partial_sums_overflow(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == f"0.0,0.0,{1.7e308 * (1.0 / (2.0 * math.pi))!r},0.0"
+
+
+def test_trace_tail_of_a_field_whose_mass_overflows(tmp_path, capsys):
+    # the tail bound sums |f_j|, whose partial sums overflow math.fsum; the
+    # terms are nonnegative, so the bound is +inf
+    path = tmp_path / "field.csv"
+    write_field_csv(SpectralField(make_grid(1, 1, 1), [1.7e308, 1.7e308, -1.7e308]), path)
+    code = run("trace", "--field", str(path), "--a", "0.5", "--s", "0.5",
+               "--seq", "power:p=2", "--K", "16", "--points", "0")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["tail"] == math.inf
 
 
 class TestTrace:
@@ -544,8 +580,8 @@ GOLDEN_SWEEPS = {
     "sc-gamma-shift-explicit": (
         "seq-check --criterion gamma-shift --gamma quartic --beta 0.8 --s 0.5 --seq "
         + "explicit:" + ",".join(repr(0.5**k) for k in range(1, 25)),
-        0, "138f1b27e8d5fd56d8a43dc26eeb33f5cb2ab4059b6225ebfca553feb088cfcd",
-        0, "62055411439a1aeb99e606dcac10da92f12638245371646574a0d5b48edb299f",
+        0, "b3ea1d70d6e613de0db3f2a93c85bd3358240bcc99e617f5d444f5217d097704",
+        0, "44ce1dadb4610b208964660c322a6fbab5793853f3298bdf172aa62cfc132f80",
     ),
     "sc-gamma-explicit": (
         "seq-check --criterion gamma --gamma boussinesq --s 0.75 --seq "

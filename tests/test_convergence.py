@@ -29,7 +29,7 @@ from phaselab import (
     sequence_applicable,
 )
 from phaselab import convergence
-from phaselab.convergence import default_points
+from phaselab.convergence import default_points, envelope_log_slope
 from phaselab.propagation import ShiftSpec, _angles
 
 
@@ -80,8 +80,9 @@ class TestRequiredExponent:
         assert lo.q == pytest.approx(2.0 * (0.5 + (1 - 1) / 0.5))
 
     def test_special_cases(self):
-        assert required_exponent(ConvergenceCriterion.BOUSSINESQ, s=0.8).q == pytest.approx(0.8)
-        assert required_exponent(ConvergenceCriterion.QUARTIC, s=0.8).q == pytest.approx(0.4)
+        boussinesq = required_exponent(ConvergenceCriterion.BOUSSINESQ, s=0.8)
+        assert boussinesq.power_equivalent == pytest.approx(0.8)
+        assert required_exponent(ConvergenceCriterion.QUARTIC, s=0.8).power_equivalent == pytest.approx(0.4)
 
     def test_gamma_sum_summand_oracle(self):
         # quartic with s=1: the summand behaves like (t/2)^(1/2) for small t
@@ -96,12 +97,108 @@ class TestRequiredExponent:
         assert cond.power_equivalent == pytest.approx(0.5)
 
     def test_shift_gamma_adds_beta_factor(self):
+        # the squared envelope: t**(2*(beta-1)) * ginv(g(1)/t)**(-2s)
         cond = required_exponent(
             ConvergenceCriterion.GAMMA_SHIFT, s=1.0, law=LINEAR, beta=0.5
         )
-        assert cond.power_equivalent == pytest.approx(2.0 + (0.5 - 1.0))
+        assert cond.power_equivalent == pytest.approx(2.0 * (1.0 + 0.5 - 1.0))
         t = 1e-6
-        assert float(cond.summand(t)) == pytest.approx(t**-0.5 * t**2.0, rel=1e-9)
+        assert float(cond.summand(t)) == pytest.approx(t**-1.0 * t**2.0, rel=1e-9)
+
+
+#: One setting of each row's parameters inside its hypotheses.
+ROW_PARAMS = {
+    "power-low": dict(s=0.25, a=0.5),
+    "power-high": dict(s=0.75, a=0.5),
+    "power-shift-sub": dict(s=0.75, a=0.5, beta=1.5),
+    "power-shift-super": dict(s=1.0, a=2.0, beta=0.8),
+    "gamma": dict(s=0.5, law=QUARTIC),
+    "gamma-shift": dict(s=0.5, law=BOUSSINESQ, beta=1.5),
+    "boussinesq": dict(s=0.5),
+    "quartic": dict(s=0.5),
+}
+
+
+class TestRegimeRows:
+    @pytest.mark.parametrize("criterion", sorted(ROW_PARAMS))
+    def test_unread_parameter_is_rejected(self, criterion):
+        params = ROW_PARAMS[criterion]
+        required_exponent(criterion, **params)
+        unread = {"a": 0.5, "beta": 1.5, "law": QUARTIC}
+        for name, value in unread.items():
+            if name not in params:
+                with pytest.raises(ParameterError, match=f"does not read {name}"):
+                    required_exponent(criterion, **params, **{name: value})
+
+    @pytest.mark.parametrize("criterion", sorted(ROW_PARAMS))
+    def test_missing_parameter_is_rejected(self, criterion):
+        params = ROW_PARAMS[criterion]
+        for name in set(params) - {"s"}:
+            with pytest.raises(ParameterError, match="requires"):
+                required_exponent(criterion, **{k: v for k, v in params.items() if k != name})
+
+    def test_gamma_shift_power_law_matches_power_shift_super(self):
+        # a power law through the gamma-shift row has the q of power-shift-super
+        checked = 0
+        for s in (0.25, 0.5, 0.75, 1.0):
+            for a in (1.0, 1.5, 2.0, 3.0):
+                for beta in (0.3, 0.6, 0.9, 1.0, 1.2, 2.5):
+                    p = dict(s=s, beta=beta)
+                    try:
+                        gamma = required_exponent("gamma-shift", law=power_law(a), **p)
+                        power = required_exponent("power-shift-super", a=a, **p)
+                    except HypothesisViolation:
+                        continue
+                    assert gamma.power_equivalent == pytest.approx(power.q, rel=1e-12)
+                    checked += 1
+        assert checked > 40
+
+    def test_gamma_linear_power_matches_power_low(self):
+        for s in (0.1, 0.5, 1.0):
+            gamma = required_exponent("gamma", s=s, law=power_law(1.0))
+            assert gamma.power_equivalent == required_exponent("power-low", s=s, a=1.0).q
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            MultiplierSpec(Family.POWER, s=0.25, delta=1e-3, a=0.5),
+            MultiplierSpec(Family.POWER_SHIFT, s=0.75, delta=1e-3, a=0.5, beta=1.5),
+            MultiplierSpec(Family.POWER_SHIFT, s=0.75, delta=1e-3, a=0.7, beta=0.8),
+            MultiplierSpec(Family.POWER_SHIFT, s=1.0, delta=1e-3, a=2.0, beta=1.5),
+            MultiplierSpec(Family.POWER_SHIFT, s=1.0, delta=1e-3, a=2.0, beta=0.8),
+        ],
+        ids=lambda spec: f"{spec.family.value}-a{spec.a}-b{spec.beta}",
+    )
+    def test_power_row_q_is_twice_the_envelope_slope(self, template):
+        criterion = {
+            Family.POWER: "power-low",
+            Family.POWER_SHIFT: "power-shift-sub" if template.a < 1 else "power-shift-super",
+        }[template.family]
+        cond = required_exponent(criterion, **template.params_dict())
+        assert 2.0 * envelope_log_slope(template) == cond.q  # bitwise
+
+    @pytest.mark.parametrize("alias,law", [("boussinesq", BOUSSINESQ), ("quartic", QUARTIC)])
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            TimeSequence.power(3.0),
+            TimeSequence.power(0.5),
+            TimeSequence.geometric(0.5),
+            TimeSequence.explicit([0.5, 0.25, 0.125, 0.0625]),
+            TimeSequence.explicit([2.0**-k for k in range(1, 41)]),
+        ],
+        ids=lambda seq: seq.describe(),
+    )
+    def test_alias_is_gamma_with_its_law(self, alias, law, seq):
+        by_alias = required_exponent(alias, s=0.5)
+        by_gamma = required_exponent("gamma", s=0.5, law=law)
+        assert by_alias.form == by_gamma.form == "gamma-sum"
+        assert by_alias.power_equivalent == by_gamma.power_equivalent
+        t = seq.terms(40)
+        assert np.array_equal(by_alias.summand(t), by_gamma.summand(t))
+        assert sequence_applicable(seq, alias, s=0.5) == sequence_applicable(
+            seq, "gamma", s=0.5, law=law
+        )
 
 
 class TestSequenceApplicable:

@@ -33,10 +33,10 @@ from phaselab import (
 from phaselab.multipliers import (
     RATIO_CAP,
     _phase_radii,
-    _theta_axis,
     modulus_on_axis,
     sweep_specs,
 )
+from phaselab.propagation import phase
 
 DELTAS_4DEC = [10.0 ** (-e) for e in np.linspace(2, 6, 17)]
 
@@ -308,14 +308,14 @@ def reference_phase_radii(spec, targets):
     hi = max(1.0, r_c)
     top = float(targets.max())
     for _ in range(200):
-        if float(_theta_axis(spec, np.asarray(hi))) >= top:
+        if float(phase(spec.phase_law, spec.delta, hi, spec.beta, hi)) >= top:
             break
         hi *= 2.0
     lo = np.zeros_like(targets)
     hi_arr = np.full_like(targets, hi)
     for _ in range(160):
         mid = 0.5 * (lo + hi_arr)
-        above = _theta_axis(spec, mid) >= targets
+        above = phase(spec.phase_law, spec.delta, mid, spec.beta, mid) >= targets
         hi_arr = np.where(above, mid, hi_arr)
         lo = np.where(above, lo, mid)
     return 0.5 * (lo + hi_arr)

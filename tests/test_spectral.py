@@ -112,6 +112,12 @@ class TestSobolevNorm:
         )
         assert sobolev_norm(f, 0.0) == expected  # bitwise
 
+    def test_sum_past_the_double_range_is_infinite(self):
+        # 3e308 overflows a partial sum of math.fsum; the terms are
+        # nonnegative, so the norm is +inf rather than an OverflowError
+        f = SpectralField(make_grid(1, 1, 1), [1e154, 1e154, 1e154])
+        assert sobolev_norm(f, 0.0) == math.inf
+
     def test_zero_iff_zero_field(self):
         g = make_grid(1, 2, 1)
         assert sobolev_norm(SpectralField(g, np.zeros(5)), 0.7) == 0.0
