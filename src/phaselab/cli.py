@@ -179,22 +179,19 @@ def _sample_points(args, n: int):
     return default_points(n, count, _seed(args))
 
 
-def _parse_mu(text: str, n: int):
-    mu = np.asarray([float(v) for v in text.split(",")], dtype=float)
+def _shift(args, n: int):
+    """The drift of ``--beta`` along ``--mu``, normalized (the first axis by default)."""
+    if args.beta is None:
+        return None
+    if not args.mu:
+        return ShiftSpec(beta=args.beta, mu=np.eye(n)[0])
+    mu = np.asarray([float(v) for v in args.mu.split(",")], dtype=float)
     if mu.shape != (n,):
         raise ParameterError(f"mu must have dimension {n}")
     norm = float(np.linalg.norm(mu))
     if norm == 0.0:
         raise ParameterError("mu must be nonzero")
-    return mu / norm
-
-
-def _shift(args, n: int):
-    """The drift of ``--beta`` along ``--mu`` (the first axis by default)."""
-    if args.beta is None:
-        return None
-    mu = _parse_mu(args.mu, n) if args.mu else np.eye(n)[0]
-    return ShiftSpec(beta=args.beta, mu=mu)
+    return ShiftSpec(beta=args.beta, mu=mu / norm)
 
 
 def _law_from_args(args):
@@ -246,9 +243,10 @@ def cmd_seq_check(args) -> int:
         "reason": verdict.reason,
     }
     if args.format == "csv":
-        cells = {**payload, "q": "" if payload["q"] is None else repr(float(payload["q"]))}
-        cells["reason"] = '"' + payload["reason"] + '"'
-        text = _rows_text(list(cells), [[cell] for cell in cells.values()], "csv")
+        q = payload["q"]
+        cells = [criterion.value, seq.describe(), cond.form, "" if q is None else repr(float(q)),
+                 verdict.decision, '"' + verdict.reason.replace('"', '""') + '"']
+        text = "criterion,sequence,form,q,decision,reason\n" + ",".join(cells) + "\n"
     else:
         text = _json_text(payload)
     _emit(args, text)
@@ -324,7 +322,11 @@ def _add_regime_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", type=float, default=None)
 
 
-def _add_sampling(parser: argparse.ArgumentParser) -> None:
+def _add_evolution(parser: argparse.ArgumentParser) -> None:
+    """The common flags, the phase law, the sample points and the shift."""
+    _add_common(parser)
+    parser.add_argument("--a", type=float, default=None)
+    parser.add_argument("--gamma", default=None)
     parser.add_argument("--points", default=None, help="semicolon-separated points, comma coords")
     parser.add_argument(
         "--num-points", type=int, default=None, dest="num_points",
@@ -360,23 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_seq_check)
 
     p = sub.add_parser("propagate", help="evolve a stored field and sample it at points")
-    _add_common(p)
-    _add_sampling(p)
+    _add_evolution(p)
     p.add_argument("--field", required=True, help="field CSV (with JSON sidecar)")
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--gamma", default=None)
     p.add_argument("--times", required=True, help="comma list of t values")
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser("trace", help="accumulate sum_k |h_k(x)|^2 along a time sequence")
-    _add_common(p)
-    _add_sampling(p)
+    _add_evolution(p)
     p.add_argument("--field", default=None, help="field CSV; a seeded random field when omitted")
     p.add_argument(
         "--grid", default=None, help=f"n,xi_max,dxi of the random field (default {DEFAULT_GRID})"
     )
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--gamma", default=None)
     p.add_argument("--seq", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--K", type=int, default=2048)

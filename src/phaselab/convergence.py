@@ -7,7 +7,8 @@ multiplier envelopes is finite.  Each convergence criterion names a row of
 ``gamma`` with that catalog law); a row's envelope delta**e makes the
 condition sum t_k**q < infinity with q = 2e.  ``required_exponent`` gives
 it as a power sum or, for the gamma rows, a gamma-sum with an explicit
-summand; ``sequence_applicable`` decides membership exactly for symbolic
+summand; the aliases stay power sums, t**q with their gamma row's q.
+``sequence_applicable`` decides membership exactly for symbolic
 sequences.
 
 The criteria only assert sufficiency: a "no" decision means the
@@ -201,7 +202,9 @@ def required_exponent(
     if strict:
         row.check(p)
     e = row.exponent(p)
-    if not row.family.uses_law:
+    # an alias's summand is within constant factors of t**q (its law's
+    # inverse grows like y**rho), so it sums t**q and inverts nothing
+    if not row.family.uses_law or criterion in _ALIAS_LAWS:
         return SummabilityCondition("power-sum", q=2.0 * e)
     law, g1, t_power = p.law, float(p.law(1.0)), 2.0 * row.delta_power(p)
 

@@ -188,6 +188,14 @@ class TestSeqCheck:
         assert "does not read" in err.err
         assert err.out == ""
 
+    @pytest.mark.parametrize("alias,q", [("boussinesq", 0.5), ("quartic", 0.25)])
+    def test_alias_on_an_explicit_list_past_the_inversion_bracket(self, alias, q, capsys):
+        terms = ",".join(repr(2.0**-k) for k in range(1, 71))
+        assert run("seq-check", "--criterion", alias, "--s", "0.5",
+                   "--seq", "explicit:" + terms) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["form"], payload["q"], payload["decision"]) == ("power-sum", q, "unknown")
+
     def test_vacuous_boundary_is_an_error(self, capsys):
         code = run(
             "seq-check", "--criterion", "power-shift-super", "--s", "1", "--a", "2",

@@ -80,9 +80,8 @@ class TestRequiredExponent:
         assert lo.q == pytest.approx(2.0 * (0.5 + (1 - 1) / 0.5))
 
     def test_special_cases(self):
-        boussinesq = required_exponent(ConvergenceCriterion.BOUSSINESQ, s=0.8)
-        assert boussinesq.power_equivalent == pytest.approx(0.8)
-        assert required_exponent(ConvergenceCriterion.QUARTIC, s=0.8).power_equivalent == pytest.approx(0.4)
+        assert required_exponent(ConvergenceCriterion.BOUSSINESQ, s=0.8).q == pytest.approx(0.8)
+        assert required_exponent(ConvergenceCriterion.QUARTIC, s=0.8).q == pytest.approx(0.4)
 
     def test_gamma_sum_summand_oracle(self):
         # quartic with s=1: the summand behaves like (t/2)^(1/2) for small t
@@ -189,16 +188,24 @@ class TestRegimeRows:
         ],
         ids=lambda seq: seq.describe(),
     )
-    def test_alias_is_gamma_with_its_law(self, alias, law, seq):
+    def test_alias_is_a_power_sum_with_the_gamma_rows_q(self, alias, law, seq):
         by_alias = required_exponent(alias, s=0.5)
         by_gamma = required_exponent("gamma", s=0.5, law=law)
-        assert by_alias.form == by_gamma.form == "gamma-sum"
-        assert by_alias.power_equivalent == by_gamma.power_equivalent
-        t = seq.terms(40)
-        assert np.array_equal(by_alias.summand(t), by_gamma.summand(t))
-        assert sequence_applicable(seq, alias, s=0.5) == sequence_applicable(
-            seq, "gamma", s=0.5, law=law
-        )
+        assert (by_alias.form, by_gamma.form) == ("power-sum", "gamma-sum")
+        assert by_alias.q == by_gamma.power_equivalent  # bitwise
+        decision = sequence_applicable(seq, alias, s=0.5).decision
+        assert decision == sequence_applicable(seq, "gamma", s=0.5, law=law).decision
+
+    @pytest.mark.parametrize("alias,q", [("boussinesq", 0.5), ("quartic", 0.25)])
+    def test_alias_sums_terms_below_the_inversion_bracket(self, alias, q):
+        # 2**-70 lies below g(1)/g(1e9) for both laws, so the gamma summand
+        # cannot be evaluated there; the alias's power sum still answers
+        t = [2.0**-k for k in range(1, 71)]
+        verdict = sequence_applicable(TimeSequence.explicit(t), alias, s=0.5)
+        g = np.asarray(t) ** q
+        growth = math.fsum(g) - math.fsum(g[:7])
+        assert verdict.decision == "unknown"
+        assert f"{growth:.3e}" in verdict.reason
 
 
 class TestSequenceApplicable:
