@@ -8,17 +8,23 @@ result is the true sum of the terms rounded once to the nearest double,
 so it does not depend on summation order, runs or thread counts.
 
 ``csum`` sums every row of a 2-D block at once (a vector is a one-row
-block).  It splits each term once against a power of two sigma chosen
-per row and plane (error-free extraction: Rump, Ogita and Oishi,
-"Accurate floating-point summation part I", 2008), so the high parts add
-up exactly in any order and numpy's contiguous ``sum`` can add them;
-the low parts are added in floating point and a rigorous error bound
-decides whether the rounded total is the exactly-rounded sum.  Rows the
-bound cannot certify (ties and near-ties, zeros, non-finite values,
-maxima near overflow or below 2**-960) are summed again with
-``math.fsum`` (Shewchuk 1997), so both paths give the same bits; the
-rare rows whose partial sums overflow ``fsum`` are summed exactly in
-integers and rounded once.
+block).  It splits each term once against a power of two sigma
+(error-free extraction: Rump, Ogita and Oishi, "Accurate floating-point
+summation part I", 2008), so the high parts add up exactly in any order
+and numpy's contiguous ``sum`` can add them; the low parts are added in
+floating point and a rigorous error bound decides whether the rounded
+total is the exactly-rounded sum.  The proof needs only a sigma of at
+least 2**L times the power of two just above each row's largest term
+(L = ceil(log2(M + 2)) for M terms).  So rows and planes whose largest
+terms lie within a few binades of each other share one sigma, a Python
+float, and a block of trace products is split with one add and one
+subtract.  A shared sigma loosens the bound by at most 2**_BAND, which
+may refuse a few more rows but moves no result.  Rows the bound cannot
+certify (ties and near-ties, zeros, non-finite values, maxima near
+overflow or below 2**-960) are summed again with ``math.fsum``
+(Shewchuk 1997), so both paths give the same bits; the rare rows whose
+partial sums overflow ``fsum`` are summed exactly in integers and
+rounded once.
 Callers keep blocks small: ``pointwise_trace`` caps each block at 1 MiB
 of complex products and ``synthesize`` at ``SYNTH_BLOCK_BYTES``; both
 allocate the block and ``csum``'s work array (``csum_scratch``) once per
@@ -77,6 +83,10 @@ _TINY = 5e-324
 _MIN_EXPONENT = -960
 #: Widest row the extraction handles; M*(M+2) must stay below 2**54.
 _MAX_WIDTH = 2**26
+#: ``_certified_row_sums`` splits rows whose largest terms lie within
+#: _BAND + 1 binades of each other against one sigma; that loosens the
+#: error bound by at most 2**_BAND.
+_BAND = 4
 #: Exact sums this large round to infinity: the midpoint between the
 #: largest double and 2**1024.
 _OVERFLOW = 2**1024 - 2**970
@@ -109,25 +119,39 @@ def _certified_row_sums(x: np.ndarray, scratch: np.ndarray | None = None):
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", 2008).  For each row and plane let 2**(e-1) <=
-    max|x| < 2**e (from ``frexp``), L = ceil(log2(M + 2)) and
-    sigma = 2**(e + L).  Then q = fl(fl(x + sigma) - sigma) is exact, q is
-    a multiple of u*sigma (u = 2**-53), and p = x - q is exact with
-    |p| <= u*sigma.  Every partial sum of the q, in any order, is a
-    multiple of u*sigma no larger than M*(2**e + u*sigma) <= sigma (this
-    needs M*(M+2) <= 2**54, so M <= 2**26), hence exact: t = sum(q) is
-    exact whatever order numpy adds in.  The p sum P' = fl(sum(p)), in
-    any order, errs by at most gamma_{M-1} * sum|p| <= 2*(M-1)*u * M*u*sigma
-    < 2*M**2*u**2*sigma; bound = 4*M**2*u**2*sigma keeps a factor of 2
-    spare, and one subnormal covers the rounding of the bound when it
-    underflows.  With r = fl(t + P') and its exact residual d (TwoSum),
-    the exact sum lies within |d| + bound of r.  When that is strictly
-    less than half the smaller gap from r to a neighbouring double, r is
-    the exactly-rounded sum.
+    max|x| < 2**e (from ``frexp``), L = ceil(log2(M + 2)), and let sigma
+    be any power of two with sigma >= 2**(e + L).  Then
+    q = fl(fl(x + sigma) - sigma) is exact, q is a multiple of u*sigma
+    (u = 2**-53), and p = x - q is exact with |p| <= u*sigma.  Every
+    partial sum of the q, in any order, is a multiple of u*sigma no larger
+    than M*(2**e + u*sigma) <= sigma (this needs M*(M+2) <= 2**54, so
+    M <= 2**26), hence exact: t = sum(q) is exact whatever order numpy
+    adds in.  The p sum P' = fl(sum(p)), in any order, errs by at most
+    gamma_{M-1} * sum|p| <= 2*(M-1)*u * M*u*sigma < 2*M**2*u**2*sigma;
+    bound = 4*M**2*u**2*sigma keeps a factor of 2 spare, and one
+    subnormal covers the rounding of the bound when it underflows.  With
+    r = fl(t + P') and its exact residual d (TwoSum), the exact sum lies
+    within |d| + bound of r.  When that is strictly less than half the
+    smaller gap from r to a neighbouring double, r is the exactly-rounded
+    sum.
 
-    Rows are refused (``ok`` false) when r is not finite (non-finite
-    terms, or sigma overflows for maxima near 2**1024), when
-    e <= _MIN_EXPONENT (near-subnormal rows), when M > _MAX_WIDTH, and
-    when the test above fails (zero rows, exact and near ties).
+    Rows share sigma by bands, so the split adds and subtracts one Python
+    float instead of broadcasting a sigma per row, which numpy runs row
+    by row.  With top the largest e of the live rows, a row's band is
+    the step of _BAND + 1 binades down from top that holds its e, and
+    sigma = 2**(b + L) for the band's highest exponent b.  That sigma is
+    at most 2**_BAND times the row's own 2**(e + L), so the bound is at
+    most that much looser: a row is refused a little more often, and a
+    certified result is still the exactly-rounded sum.  When all live
+    rows fit the top band (every block of trace products does) the whole
+    work array is split in place against one sigma; otherwise each run
+    of adjacent rows in one band is split in place against its own.
+
+    Dead rows join no band and are refused (``ok`` false): rows whose
+    largest term is zero or not finite, rows with e <= _MIN_EXPONENT
+    (near-subnormal rows) or e + L > 1023 (sigma would overflow), and
+    every row when M > _MAX_WIDTH.  Live rows are refused when the test
+    above fails (exact and near ties).
     """
     rows, m, planes = x.shape
     size = 2 * rows * planes * m
@@ -135,27 +159,41 @@ def _certified_row_sums(x: np.ndarray, scratch: np.ndarray | None = None):
         scratch = np.empty(size)
     w, q = scratch[:size].reshape(2, rows, planes, m)
     np.copyto(w, x.transpose(0, 2, 1))
-    # non-finite rows and overflowing sigma turn into inf/nan here; they
-    # fail the test and go to fsum
+    levels = (m + 1).bit_length()
+    # comparisons with nan are false, so non-finite rows are dead too
     with np.errstate(invalid="ignore", over="ignore"):
         peak = np.maximum(w.max(axis=-1), -w.min(axis=-1))
+        live = (peak >= 2.0**_MIN_EXPONENT) & (peak < 2.0 ** (1023 - levels)) & (m <= _MAX_WIDTH)
         e = np.frexp(peak)[1]
-        sigma = np.ldexp(1.0, e + (m + 1).bit_length())
-        np.add(w, sigma[..., None], out=q)
-        q -= sigma[..., None]
+        # live rows have e > _MIN_EXPONENT, so top stays there only when
+        # no row is live
+        top = int(e.max(where=live, initial=_MIN_EXPONENT))
+        if top == _MIN_EXPONENT:
+            return np.zeros((rows, planes)), live
+        if top - e.min(where=live, initial=top) <= _BAND:
+            sigma = math.ldexp(1.0, top + levels)
+            np.add(w, sigma, out=q)
+            q -= sigma
+        else:
+            # dead rows get sigma 0, which leaves them unsplit
+            e = top - (top - e) // (_BAND + 1) * (_BAND + 1)
+            sigma = np.where(live, np.ldexp(1.0, e + levels), 0.0)
+            flat, w2, q2 = sigma.ravel(), w.reshape(-1, m), q.reshape(-1, m)
+            edges = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
+            for start, stop in zip(edges, edges[1:]):
+                run = float(flat[start])
+                np.add(w2[start:stop], run, out=q2[start:stop])
+                q2[start:stop] -= run
         w -= q
         t = q.sum(axis=-1)
         p = w.sum(axis=-1)
         r, d = _two_sum(t, p)
-        bound = (4.0 * m * m * _U * _U) * sigma
-        bound += _TINY
         half_gap = np.abs(r)
         half_gap -= np.nextafter(half_gap, 0.0)
         half_gap *= 0.5
         np.abs(d, out=d)
-        d += bound
-        ok = (d < half_gap) & np.isfinite(r) & (e > _MIN_EXPONENT)
-    return r, ok & (m <= _MAX_WIDTH)
+        d += 4.0 * m * m * _U * _U * sigma + _TINY
+    return r, (d < half_gap) & live
 
 
 def csum(values: np.ndarray, scratch: np.ndarray | None = None):

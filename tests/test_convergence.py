@@ -393,6 +393,40 @@ class TestBatchedTrace:
         assert tr.partial_sums.size == 0
 
 
+class TestTorusOracle:
+    """Grid means of the trace against a closed form that uses no waves.
+
+    Lattice fields are periodic with period 2*pi/dxi in each axis.  On the
+    N**n points x = (2*pi/dxi) * m / N, m in {0, ..., N-1}**n, the plane
+    waves of two modes j != j' are orthogonal when N > 2*max|j|, so the
+    grid mean of |h_k(x)|**2 is (2*pi)**(-2n) * dxi**(2n) * sum_j |h_kj|**2,
+    h_kj = (e^{i theta_kj} - 1) * f_j.  The mean of the partial sums is the
+    sum of these over k.  The points and the waves are rounded, so the two
+    agree to a relative 1e-12, not bit for bit.
+    """
+
+    @pytest.mark.parametrize("beta", [None, 1.5])
+    @pytest.mark.parametrize(
+        "grid_args, n_points", [((1, 2.0, 0.25), 17), ((2, 1.0, 0.25), 9), ((3, 0.5, 0.25), 5)]
+    )
+    def test_grid_mean_matches_closed_form(self, grid_args, n_points, beta):
+        g = make_grid(*grid_args)
+        assert n_points > 2 * round(g.extent / g.dxi)
+        f = random_field(g, np.random.default_rng(17))
+        shift = ShiftSpec(beta=beta, mu=np.eye(g.n)[0]) if beta is not None else None
+        seq, k_max = TimeSequence.geometric(0.5), 24
+        axis = (2.0 * math.pi / g.dxi) * np.arange(n_points) / n_points
+        points = np.stack([c.ravel() for c in np.meshgrid(*[axis] * g.n, indexing="ij")], axis=-1)
+        tr = pointwise_trace(f, BOUSSINESQ, seq, 0.5, points, k_max=k_max, shift=shift)
+        norm = g.weight / (2.0 * math.pi) ** g.n
+        energies = []
+        for t in seq.terms(k_max):
+            h = (np.exp(1j * _angles(g, BOUSSINESQ, float(t), shift)) - 1.0) * f.coefficients
+            energies.append(math.fsum((np.abs(h) ** 2).tolist()))
+        want = math.fsum(energies) * norm**2
+        assert math.fsum(tr.partial_sums.tolist()) / len(points) == pytest.approx(want, rel=1e-12)
+
+
 class TestConsistencyChain:
     def test_certified_family_with_accepted_sequence_sums(self):
         # if the certificate holds and the sequence is accepted with exponent

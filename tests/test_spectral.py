@@ -506,6 +506,25 @@ def scaled_normal_blocks(draw):
 
 
 @st.composite
+def independently_scaled_rows(draw):
+    """Rows each at its own power-of-two scale, about 600 binades either way.
+
+    Rows far apart in scale need split points of their own; rows a few
+    binades apart may share one.  Some rows are also far from their
+    neighbours in one plane only.
+    """
+    width = draw(st.sampled_from(WIDTHS))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = st.lists(st.integers(-600, 600), min_size=rows, max_size=rows)
+    scales = [draw(exponents) for _ in range(2)]
+    if draw(st.booleans()):
+        scales[1] = scales[0]
+    parts = [np.ldexp(rng.standard_normal((rows, width)), np.array(e)[:, None]) for e in scales]
+    return complex_rows(*parts)
+
+
+@st.composite
 def near_tie_rows(draw):
     """Rows whose exact sum is a rounding midpoint, or just beside one.
 
@@ -554,6 +573,11 @@ class TestCsum:
     @settings(max_examples=80, deadline=None)
     @given(values=scaled_normal_blocks())
     def test_dense_rows_match_fsum(self, values):
+        assert_csum_is_fsum(values)
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=independently_scaled_rows())
+    def test_independently_scaled_rows_match_fsum(self, values):
         assert_csum_is_fsum(values)
 
     @settings(max_examples=80, deadline=None)
@@ -608,6 +632,25 @@ class TestCsum:
         rng = np.random.default_rng(3)
         _, ok = _certified_row_sums(rng.standard_normal((8, 1025, 2)))
         assert ok.all()
+
+    def test_trace_blocks_need_no_fallback(self):
+        # a trace-1d block: 32 points' products of coefficients and unit
+        # plane waves at one time, and a geometric trace's block, whose rows
+        # sit 2**-k apart for k up to 60; every row is certified, so neither
+        # block takes the fsum fallback (one split point for a whole block
+        # would send most rows of the second to it)
+        grid = spectral.default_grid()
+        rng = np.random.default_rng(8)
+        field = random_field(grid, rng)
+        coeffs = (np.exp(0.01j * np.sqrt(grid.radii)) - 1.0) * field.coefficients
+        waves = np.exp(1j * (default_points(1, 32) @ grid.modes.T))
+        block = coeffs * waves
+        assert block.shape == (32, 1025)
+        geometric = block[np.arange(61) % 32] * np.ldexp(1.0, -np.arange(61))[:, None]
+        for values in (block, geometric):
+            planes = values.view(float).reshape(values.shape + (2,))
+            assert _certified_row_sums(planes)[1].all()
+            assert_csum_is_fsum(values)
 
     def test_shapes(self):
         assert csum(np.ones(4)) == 4.0
@@ -696,8 +739,9 @@ class TestCsumExtremes:
 
     @pytest.mark.parametrize("width", [1, 4, 129, 1025])
     def test_tiny_and_huge_rows_in_one_block(self, width):
-        # each row and each plane needs its own split point: a plane split
-        # at the other plane's scale is summed inexactly or not certified
+        # rows and planes far apart in scale each need a split point near
+        # their own scale: a plane split at a much smaller one is summed
+        # inexactly, and at a much larger one it is not certified
         rng = np.random.default_rng(width)
         a, b = rng.standard_normal((2, 4, width))
         rows = [
