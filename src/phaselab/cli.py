@@ -37,7 +37,7 @@ from .errors import ParameterError
 from .multipliers import Family, MultiplierSpec, certify
 from .phase_laws import parse_law
 from .propagation import ShiftSpec, evaluate_shifted
-from .spectral import make_grid, random_field, read_field_csv
+from .spectral import _dot, make_grid, random_field, read_field_csv
 
 __all__ = ["build_parser", "main"]
 
@@ -188,9 +188,9 @@ def _shift(args, n: int):
     mu = np.asarray([float(v) for v in args.mu.split(",")], dtype=float)
     if mu.shape != (n,):
         raise ParameterError(f"mu must have dimension {n}")
-    norm = float(np.linalg.norm(mu))
-    if norm == 0.0:
-        raise ParameterError("mu must be nonzero")
+    norm = math.sqrt(_dot(mu, mu))
+    if not 0.0 < norm < math.inf:
+        raise ParameterError(f"mu must be nonzero with a finite norm, got {args.mu!r}")
     return ShiftSpec(beta=args.beta, mu=mu / norm)
 
 

@@ -15,9 +15,10 @@ The criteria only assert sufficiency: a "no" decision means the
 hypotheses are not satisfied, never that the error sum diverges.
 
 ``rate_fit`` checks the measured sup-norm decay of a multiplier family
-against its envelope exponent on a log-log fit, and ``pointwise_trace``
-accumulates sum_k |h_k(x)|^2 at sample points together with an explicit
-bound on the truncated tail.
+against its envelope exponent on a log-log least-squares fit, computed
+exactly in rationals and rounded once.  ``pointwise_trace`` sums
+|h_k(x)|^2 over k at sample points, each h_k(x) from spectral's one wave
+reduction, together with an explicit bound on the truncated tail.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable
 
@@ -43,7 +45,7 @@ from .multipliers import (
 )
 from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw, invert_many
 from .propagation import ShiftSpec, _angles
-from .spectral import SpectralField, _fsum, csum, csum_scratch
+from .spectral import SpectralField, _dot, _fsum, _wave_sums
 
 __all__ = [
     "Applicability",
@@ -64,11 +66,6 @@ __all__ = [
 
 #: Seed used for the documented default sample points.
 DEFAULT_SEED = 1729
-
-#: Cap on the bytes of complex products ``pointwise_trace`` passes to one
-#: ``csum`` call (one row at least), so a block does not grow with K or P.
-TRACE_BLOCK_BYTES = 1 << 20
-
 
 @dataclass(frozen=True)
 class TimeSequence:
@@ -312,6 +309,20 @@ class RateReport:
         }
 
 
+def _line_fit(x, y) -> tuple:
+    """Slope and root mean square residual of the least-squares line through
+    the points (x_i, y_i).  The closed form is evaluated exactly in rationals
+    and the slope and mean squared residual are each rounded once, so no
+    CPU-dependent LAPACK kernel is involved."""
+    x = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    y = [Fraction(v) for v in np.asarray(y, dtype=float).tolist()]
+    n, sx, sy = len(x), sum(x), sum(y)
+    slope = (n * sum(a * b for a, b in zip(x, y)) - sx * sy) / (n * sum(a * a for a in x) - sx * sx)
+    intercept = (sy - slope * sx) / n
+    mean_sq = sum((b - slope * a - intercept) ** 2 for a, b in zip(x, y)) / n
+    return float(slope), math.sqrt(float(mean_sq))
+
+
 def rate_fit(
     template: MultiplierSpec, deltas, per_decade: int = 32, strict: bool = True
 ) -> RateReport:
@@ -333,10 +344,7 @@ def rate_fit(
         sups.append(numeric_sup(spec, per_decade=per_decade).sup)
         # sweep_specs validated the delta-independent hypotheses once
         envs.append(analytic_envelope(spec, strict=False))
-    logd = np.log(np.asarray(deltas))
-    logs = np.log(np.asarray(sups))
-    slope, intercept = np.polyfit(logd, logs, 1)
-    residual = float(np.sqrt(np.mean((logs - (slope * logd + intercept)) ** 2)))
+    slope, residual = _line_fit(np.log(np.asarray(deltas)), np.log(np.asarray(sups)))
     theoretical = envelope_log_slope(template)
     return RateReport(
         family=template.family,
@@ -344,10 +352,10 @@ def rate_fit(
         deltas=tuple(deltas),
         sups=tuple(sups),
         envelopes=tuple(envs),
-        fitted_slope=float(slope),
+        fitted_slope=slope,
         theoretical_slope=float(theoretical),
         residual=residual,
-        passed=bool(abs(float(slope) - theoretical) <= 0.05),
+        passed=bool(abs(slope - theoretical) <= 0.05),
     )
 
 
@@ -412,7 +420,7 @@ def _tail_bound(field: SpectralField, law, shift: ShiftSpec | None, seq: TimeSeq
         / (2.0 * math.pi) ** grid.n
     )
     gmax = float(np.max(np.asarray(law(grid.radii), dtype=float))) if grid.num_modes else 0.0
-    proj = float(np.max(np.abs(grid.modes @ shift.mu))) if shift is not None else 0.0
+    proj = float(np.max(np.abs(_dot(grid.modes, shift.mu)))) if shift is not None else 0.0
 
     def power_tail(c: float) -> float:
         # sum_{k>K} (k+1)^(-c) <= (K+1)^(1-c) / (c-1)
@@ -467,49 +475,18 @@ def pointwise_trace(
     if pts.shape[1] != field.grid.n:
         raise ParameterError(f"points must have dimension {field.grid.n}")
     grid = field.grid
-    norm = grid.weight / (2.0 * math.pi) ** grid.n
-    waves = np.exp(1j * (pts @ grid.modes.T))  # (P, M)
     times = seq.terms(k_max)
-    k_eff = len(times)
-    num_pts, num_modes = waves.shape
-    # each csum call sums one block of (k, point) rows, chunked over k and
-    # points; the block and csum's work array are allocated once and reused
-    block_rows = max(1, TRACE_BLOCK_BYTES // (16 * num_modes))
-    k_step = max(1, block_rows // max(num_pts, 1))
-    p_step = max(1, min(num_pts, block_rows))
-    block_buf = np.empty(k_step * p_step * num_modes, dtype=complex)
-    scratch = csum_scratch(k_step * p_step, num_modes)
-    history = np.empty((k_eff, num_pts))
-    running = np.zeros(num_pts)
-    for k0 in range(0, k_eff, k_step):
-        ks = range(k0, min(k0 + k_step, k_eff))
-        coeffs = np.stack(
-            [
-                (np.exp(1j * _angles(grid, law, float(times[k]), shift)) - 1.0)
-                * field.coefficients
-                for k in ks
-            ]
-        )
-        sums = np.empty((len(ks), num_pts), dtype=complex)
-        for p0 in range(0, num_pts, p_step):
-            # the mode axis stays last and contiguous, so numpy forms each
-            # product with the same loop as a per-point coeff * wave
-            chunk = waves[p0 : p0 + p_step]
-            rows = len(ks) * len(chunk)
-            block = block_buf[: rows * num_modes].reshape(rows, num_modes)
-            np.multiply(
-                coeffs[:, None, :], chunk[None, :, :], out=block.reshape(len(ks), len(chunk), -1)
-            )
-            sums[:, p0 : p0 + p_step] = csum(block, scratch).reshape(len(ks), -1)
-        vals = sums * norm
-        terms = vals.real * vals.real + vals.imag * vals.imag
-        for j, k in enumerate(ks):
-            running += terms[j]
-            history[k] = running
+
+    def residual(k):
+        return (np.exp(1j * _angles(grid, law, float(times[k]), shift)) - 1.0) * field.coefficients
+
+    values = _wave_sums(grid, pts, len(times), residual)
+    # np.cumsum adds along k in order, as a running sum would
+    history = np.cumsum(values.real * values.real + values.imag * values.imag, axis=0)
     return TraceResult(
         points=pts,
-        partial_sums=running.copy(),
+        partial_sums=history[-1],
         history=history,
-        tail=_tail_bound(field, law, shift, seq, k_eff),
-        k_max=k_eff,
+        tail=_tail_bound(field, law, shift, seq, len(times)),
+        k_max=len(times),
     )

@@ -46,7 +46,7 @@ from .errors import (
 from . import phase_laws
 from .phase_laws import PhaseLaw, check_hypotheses, invert, power_law
 from .propagation import phase
-from .spectral import FrequencyGrid, SpectralField
+from .spectral import FrequencyGrid, SpectralField, _dot
 
 __all__ = [
     "BoundCertificate",
@@ -247,7 +247,7 @@ def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
 def multiplier_value(spec: MultiplierSpec, xi) -> complex:
     """Complex multiplier value at a frequency vector xi (any dimension)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    r = float(np.linalg.norm(xi))
+    r = math.sqrt(_dot(xi, xi))
     theta = float(phase(spec.phase_law, spec.delta, r, spec.beta, float(xi[0])))
     num = complex(math.cos(theta) - 1.0, math.sin(theta))
     return num / (1.0 + r * r) ** (0.5 * spec.s)

@@ -139,9 +139,12 @@ def invert_many(law: PhaseLaw, ys, rel_tol: float = 1e-10) -> np.ndarray:
     """Vectorized inverse: returns r with |gamma(r) - y| <= rel_tol*max(1, y).
 
     Pure powers use the closed form y**(1/a); everything else goes through
-    bracketing bisection on [0, 1e9] (at most 200 halvings).  Each element
-    stops halving once its own bracket passes the width test, so
-    ``invert_many(law, ys)[i] == invert(law, ys[i])`` bit for bit.
+    bracketing bisection (at most 200 halvings).  Each element's bracket is
+    [0, 1e9], or, for y above gamma(1e9), [0, 1e9 * 2**j] with the first j
+    whose gamma reaches y; OutOfRangeError only when that end or its gamma
+    is no longer finite.  Each element stops halving once its own bracket
+    passes the width test, so ``invert_many(law, ys)[i] == invert(law,
+    ys[i])`` bit for bit.
     """
     ys = np.asarray(ys, dtype=float)
     if not np.all(np.isfinite(ys)) or np.any(ys <= 0.0):
@@ -151,14 +154,18 @@ def invert_many(law: PhaseLaw, ys, rel_tol: float = 1e-10) -> np.ndarray:
     report = check_hypotheses(law, 128)
     if not (report.gamma_nonneg and report.gamma_increasing):
         raise NotInvertibleError(f"{law.name} is not strictly increasing on the probe range")
-    top = float(law(np.float64(BRACKET_HI)))
-    if np.any(ys > top * (1.0 + 1e-12)):
-        raise OutOfRangeError(
-            f"value exceeds {law.name}({BRACKET_HI:g}) = {top:g}"
-        )
     flat = ys.ravel()
     lo = np.zeros_like(flat)
     hi = np.full_like(flat, BRACKET_HI)
+    top = float(law(np.float64(BRACKET_HI)))
+    past = np.flatnonzero(flat > top * (1.0 + 1e-12))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while past.size:
+            hi[past] *= 2.0
+            reach = np.asarray(law(hi[past]), dtype=float)
+            if not (np.all(np.isfinite(hi[past])) and np.all(np.isfinite(reach))):
+                raise OutOfRangeError(f"value exceeds the finite range of {law.name}")
+            past = past[reach < flat[past]]
     active = np.arange(flat.size)  # elements whose bracket is still too wide
     for _ in range(MAX_BISECT):
         a_lo, a_hi = lo[active], hi[active]

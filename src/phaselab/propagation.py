@@ -13,12 +13,13 @@ synthesis quadrature out of the estimates under test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, UndefinedShiftError
-from .spectral import FrequencyGrid, SpectralField, sobolev_norm, synthesize
+from .spectral import FrequencyGrid, SpectralField, _dot, sobolev_norm, synthesize
 
 __all__ = [
     "ErrorField",
@@ -40,7 +41,9 @@ class ShiftSpec:
 
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if abs(float(np.linalg.norm(mu)) - 1.0) > 1e-12:
+        if not (math.isfinite(self.beta) and np.all(np.isfinite(mu))):
+            raise ParameterError(f"beta and mu must be finite, got beta={self.beta}, mu={mu}")
+        if abs(math.sqrt(_dot(mu, mu)) - 1.0) > 1e-12:
             raise ParameterError("mu must be a unit vector (within 1e-12)")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -50,7 +53,10 @@ class ShiftSpec:
 def shift_offset(t: float, beta: float) -> float:
     """t**beta with the convention 0**beta = 0 for beta > 0."""
     if t > 0:
-        return t**beta
+        try:
+            return t**beta
+        except OverflowError:
+            raise ParameterError(f"t**beta overflows at t={t} for beta={beta}") from None
     if beta > 0:
         return 0.0
     raise UndefinedShiftError(f"t**beta is undefined at t=0 for beta={beta}")
@@ -66,13 +72,13 @@ def phase(law, t, r, beta: float | None = None, proj=None):
 
 
 def _angles(grid: FrequencyGrid, law, t: float, shift: ShiftSpec | None) -> np.ndarray:
-    if not (t >= 0):
-        raise ParameterError(f"t must be nonnegative, got {t}")
+    if not (0 <= t < math.inf):
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
     if shift is None:
         return phase(law, t, grid.radii)
     if shift.mu.shape != (grid.n,):
         raise ParameterError(f"mu has shape {shift.mu.shape}, expected ({grid.n},)")
-    return phase(law, t, grid.radii, shift.beta, grid.modes @ shift.mu)
+    return phase(law, t, grid.radii, shift.beta, _dot(grid.modes, shift.mu))
 
 
 def apply_phase(field: SpectralField, law, t: float) -> SpectralField:

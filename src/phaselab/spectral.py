@@ -25,16 +25,14 @@ overflow or below 2**-960) are summed again with ``math.fsum``
 (Shewchuk 1997), so both paths give the same bits; the rare rows whose
 partial sums overflow ``fsum`` are summed exactly in integers and
 rounded once.
-Callers keep blocks small: ``pointwise_trace`` caps each block at 1 MiB
-of complex products and ``synthesize`` at ``SYNTH_BLOCK_BYTES``; both
-allocate the block and ``csum``'s work array (``csum_scratch``) once per
-call and reuse them for every block.
 
-``synthesize`` samples one field at one point, or a sequence of fields on
-one grid at a (P, n) array of points.  Each point's plane wave is formed
-once, by its own matrix-vector product ``modes @ x`` (a matrix product
-over all points can round some phases differently), and every (field,
-point) row is summed exactly before the common scale is applied.
+``_wave_sums`` evaluates (2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for
+rows of coefficients c at points x, for ``synthesize`` (fields) and
+``pointwise_trace`` (residuals h_k, formed one block at a time): one wave
+per point, every (row, point) sum exactly rounded by ``csum`` in blocks of
+at most ``BLOCK_BYTES``, and the scale applied once.  Every product over
+the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes through ``_dot``, which
+adds them left to right elementwise, so no BLAS kernel touches the bits.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -55,7 +53,6 @@ __all__ = [
     "FrequencyGrid",
     "SpectralField",
     "csum",
-    "csum_scratch",
     "default_grid",
     "make_grid",
     "random_field",
@@ -69,10 +66,10 @@ __all__ = [
 DEFAULT_GRID_PARAMS = (1, 64.0, 0.125)
 
 
-#: Cap on the bytes of complex products ``synthesize`` passes to one ``csum``
-#: call (one row at least), so a block does not grow with the field or
+#: Cap on the bytes of complex products ``_wave_sums`` passes to one ``csum``
+#: call (one row at least), so a block grows with neither the row nor the
 #: point count.
-SYNTH_BLOCK_BYTES = 1 << 17
+BLOCK_BYTES = 1 << 20
 
 #: Unit roundoff of float64.
 _U = 2.0**-53
@@ -92,6 +89,16 @@ _BAND = 4
 _OVERFLOW = 2**1024 - 2**970
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_1*b_1 + a_2*b_2 + ... over the last axis of two float arrays
+    (broadcast), added left to right element by element.  Unlike a BLAS
+    product, its rounding does not depend on the CPU's kernels."""
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        total += a[..., i] * b[..., i]
+    return total
+
+
 def _two_sum(a, b):
     """s + e == a + b exactly, with s = fl(a + b) (Knuth's TwoSum)."""
     s = a + b
@@ -103,18 +110,13 @@ def _two_sum(a, b):
     return s, e
 
 
-def csum_scratch(rows: int, width: int) -> np.ndarray:
-    """Work array for ``csum`` on blocks of up to ``rows`` rows of ``width`` terms."""
-    return np.empty(4 * rows * width)
-
-
 def _certified_row_sums(x: np.ndarray, scratch: np.ndarray | None = None):
     """Sums of x (rows, M, planes) over its mode axis, with a certificate.
 
     Returns ``(r, ok)``, both (rows, planes).  Where ``ok`` holds, ``r`` is
     the exactly-rounded sum; elsewhere the caller must sum again.  ``x`` is
     only read: its planes are copied into ``scratch`` (at least
-    ``2 * x.size`` floats, from ``csum_scratch``), which the kernel
+    ``2 * x.size`` floats), which the kernel
     overwrites; a fresh one is made when it is not given.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
@@ -202,8 +204,8 @@ def csum(values: np.ndarray, scratch: np.ndarray | None = None):
     A 1-D input gives a complex number (it is summed as a one-row block);
     a 2-D input (rows, M) gives a complex array with one sum per row.
     Rows are summed together by the certified batched kernel; rows it
-    cannot certify go to ``math.fsum``.  ``scratch``, from
-    ``csum_scratch``, lets a caller that sums many blocks reuse one work
+    cannot certify go to ``math.fsum``.  ``scratch``, at least four floats
+    per complex value, lets a caller that sums many blocks reuse one work
     array; it changes no result.
     """
     values = np.asarray(values)
@@ -265,7 +267,7 @@ class FrequencyGrid:
     @cached_property
     def radii(self) -> np.ndarray:
         """|xi_j| for every mode, in mode order."""
-        r = np.sqrt(np.einsum("ij,ij->i", self.modes, self.modes))
+        r = np.sqrt(_dot(self.modes, self.modes))
         r.setflags(write=False)
         return r
 
@@ -339,6 +341,39 @@ def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
     return math.sqrt(total * field.grid.weight)
 
 
+def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.ndarray:
+    """(2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for ``num_rows`` rows c,
+    row i given by ``row(i)`` and read one block at a time, at each point x
+    of the (P, n) array ``pts``: a (num_rows, P) array.  The waves are formed
+    once; each csum call sums a block of (row, point) rows of at most
+    ``BLOCK_BYTES``, and the buffers are allocated once and reused.
+    """
+    num_modes, num_pts = grid.num_modes, len(pts)
+    waves = np.exp(1j * _dot(pts[:, None, :], grid.modes))
+    block_rows = max(1, BLOCK_BYTES // (16 * num_modes))
+    p_step = max(1, min(num_pts, block_rows))
+    r_step = max(1, block_rows // p_step)
+    coeffs = np.empty((r_step, num_modes), dtype=complex)
+    block_buf = np.empty(r_step * p_step * num_modes, dtype=complex)
+    scratch = np.empty(4 * r_step * p_step * num_modes)
+    sums = np.empty((num_rows, num_pts), dtype=complex)
+    for r0 in range(0, num_rows, r_step):
+        rows = coeffs[: min(r_step, num_rows - r0)]
+        for i in range(len(rows)):
+            rows[i] = row(r0 + i)
+        for p0 in range(0, num_pts, p_step):
+            # the mode axis stays last and contiguous, so numpy forms each
+            # product with the same loop as a single coefficient * wave
+            chunk = waves[p0 : p0 + p_step]
+            block = block_buf[: len(rows) * len(chunk) * num_modes].reshape(-1, num_modes)
+            np.multiply(
+                rows[:, None, :], chunk[None, :, :], out=block.reshape(len(rows), len(chunk), -1)
+            )
+            sums[r0 : r0 + r_step, p0 : p0 + p_step] = csum(block, scratch).reshape(len(rows), -1)
+    sums *= grid.weight / (2.0 * math.pi) ** grid.n
+    return sums
+
+
 def synthesize(field, x):
     """Evaluate (2*pi)**(-n) * sum_j e^{i x.xi_j} f_j dxi^n at physical points.
 
@@ -364,34 +399,7 @@ def synthesize(field, x):
         pts = pts.reshape(1, grid.n)
     elif pts.ndim != 2 or pts.shape[1] != grid.n:
         raise ParameterError(f"points have shape {pts.shape}, expected (P, {grid.n})")
-    num_modes, num_pts = grid.num_modes, pts.shape[0]
-    coeffs = np.stack([f.coefficients for f in fields])
-    # each csum call sums one block of (field, point) rows: all fields
-    # against one chunk of points, or whole chunks of fields per point
-    # chunk when the points fit; a chunk's waves are formed once, and the
-    # waves, the block and csum's work array are allocated once per call
-    block_rows = max(1, SYNTH_BLOCK_BYTES // (16 * num_modes))
-    p_step = max(1, min(num_pts, block_rows))
-    t_step = max(1, block_rows // p_step)
-    wave_buf = np.empty((p_step, num_modes), dtype=complex)
-    block_buf = np.empty(t_step * p_step * num_modes, dtype=complex)
-    scratch = csum_scratch(t_step * p_step, num_modes)
-    sums = np.empty((len(fields), num_pts), dtype=complex)
-    for p0 in range(0, num_pts, p_step):
-        chunk = pts[p0 : p0 + p_step]
-        waves = wave_buf[: len(chunk)]
-        for i, point in enumerate(chunk):
-            waves[i] = np.exp(1j * (grid.modes @ point))
-        for t0 in range(0, len(fields), t_step):
-            # the mode axis stays last and contiguous, so numpy forms each
-            # product with the same loop as a single coefficient * wave
-            rows = coeffs[t0 : t0 + t_step]
-            block = block_buf[: len(rows) * len(chunk) * num_modes].reshape(-1, num_modes)
-            np.multiply(
-                rows[:, None, :], waves[None, :, :], out=block.reshape(len(rows), len(chunk), -1)
-            )
-            sums[t0 : t0 + t_step, p0 : p0 + p_step] = csum(block, scratch).reshape(len(rows), -1)
-    sums *= grid.weight / (2.0 * math.pi) ** grid.n
+    sums = _wave_sums(grid, pts, len(fields), lambda i: fields[i].coefficients)
     if one_field:
         sums = sums[0]
     if single:

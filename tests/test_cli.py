@@ -1,9 +1,13 @@
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +199,17 @@ class TestSeqCheck:
                    "--seq", "explicit:" + terms) == 0
         payload = json.loads(capsys.readouterr().out)
         assert (payload["form"], payload["q"], payload["decision"]) == ("power-sum", q, "unknown")
+
+    @pytest.mark.parametrize("flags", [("--criterion", "gamma"),
+                                       ("--criterion", "gamma-shift", "--beta", "1.5")])
+    def test_gamma_sum_past_the_inversion_bracket(self, flags, capsys):
+        # g(1)/2**-70 is above boussinesq(1e9), so the summand's inversions
+        # widen their brackets
+        terms = ",".join(repr(2.0**-k) for k in range(1, 71))
+        assert run("seq-check", *flags, "--gamma", "boussinesq", "--s", "0.5",
+                   "--seq", "explicit:" + terms) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["form"], payload["q"], payload["decision"]) == ("gamma-sum", 0.5, "unknown")
 
     def test_vacuous_boundary_is_an_error(self, capsys):
         code = run(
@@ -458,6 +473,99 @@ class TestFlagsAreNotIgnored:
         assert capsys.readouterr().out != seeded
 
 
+class TestNonFiniteDriftAndTime:
+    """A non-finite drift or time is a usage error, raised before any phase
+    is evaluated (so no overflow warning either)."""
+
+    @pytest.mark.parametrize("mu", ["nan,1", "inf,1"])
+    def test_trace_mu(self, mu, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("trace", "--a", "2", "--s", "1", "--seq", "power:p=2", "--grid",
+                       "2,2,0.5", "--K", "16", "--beta", "1.5", "--mu", mu)
+        assert code == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert "mu must be nonzero with a finite norm" in err.err
+
+    def test_propagate_infinite_time(self, tmp_path, capsys):
+        path = tmp_path / "field.csv"
+        write_field_csv(random_field(make_grid(2, 2, 0.5), 5), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("propagate", "--field", str(path), "--gamma", "boussinesq",
+                       "--times", "0.1,inf", "--num-points", "2")
+        assert code == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert "t must be nonnegative and finite, got inf" in err.err
+
+
+#: Small valid commands whose numeric tokens the fuzz below replaces;
+#: {field} is a 2-D field on the grid 2,2,0.5
+FUZZ_COMMANDS = [
+    "trace --a 2 --s 1 --seq power:p=2 --grid 2,2,0.5 --K 16 --beta 1.5 --mu 1,1 "
+    "--points 0.1,0.2;0.3,-0.4",
+    "trace --gamma boussinesq --s 0.5 --seq geometric:r=0.5 --grid 2,2,0.5 --K 16 "
+    "--num-points 4 --seed 3",
+    "propagate --field {field} --gamma boussinesq --times 0,0.1 --beta 1.5 --mu 1,2 "
+    "--points 0.1,0.2;0.3,-0.4",
+    "propagate --field {field} --a 0.5 --times 0.5 --num-points 2 --seed 4",
+    "bound-check --family power --s 0.5 --a 0.5 --deltas 1e-2:1e-6 --per-decade 1",
+    "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 1.5 --deltas 1e-2,1e-6",
+    "seq-check --criterion gamma --gamma boussinesq --s 0.5 --seq explicit:0.5,0.25,0.125",
+    "seq-check --criterion power-shift-sub --a 0.5 --beta 1.5 --s 0.75 --seq power:p=2",
+]
+FUZZ_VALUES = ["nan", "inf", "-0.0", "1e308", "5e-324", "", "x", "1,", ";"]
+#: Flags whose values size the work: the fuzz never makes them larger
+SIZE_FLAGS = {"--grid", "--K", "--num-points", "--per-decade"}
+NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e-?\d+)?")
+
+
+def fuzz_sites(argv):
+    """(argument index, start, end) of each numeric token in a flag's value."""
+    return [(i, m.start(), m.end()) for i, arg in enumerate(argv)
+            if i and argv[i - 1] != "--field" and not arg.startswith("--")
+            for m in NUMBER.finditer(arg)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_field(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "f.csv"
+    write_field_csv(random_field(make_grid(2, 2, 0.5), 21), path)
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
+    """One numeric token swapped for an edge or malformed value: the command
+    exits 0 (2 for a failed certificate), or 1 with one error line, and never
+    raises.  RuntimeWarnings are printed, not raised: non-finite points give
+    NaN values with numpy's warnings, and that output is documented."""
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS)).split()
+    i, start, end = data.draw(st.sampled_from(fuzz_sites(argv)))
+    values = FUZZ_VALUES
+    if argv[i - 1] in SIZE_FLAGS:
+        values = [v for v in FUZZ_VALUES if v not in ("inf", "1e308")]
+    argv[i] = argv[i][:start] + data.draw(st.sampled_from(values)) + argv[i][end:]
+    argv = [arg.format(field=fuzz_field) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if ": error: " in line]
+    if code == 1:
+        assert len(errors) == 1 and errors[0].startswith("phaselab"), err.getvalue()
+    else:
+        assert code == 0 or (code == 2 and argv[0] == "bound-check"), (argv, code)
+        assert not errors, err.getvalue()
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     builds = []
     build = cli.build_parser
@@ -474,8 +582,9 @@ def test_parser_is_built_once(monkeypatch, capsys):
 
 
 # sha256 of the trace CLI's JSON and CSV output, made by the per-(k, point)
-# fsum reduction; the 2-D case has more (point, mode) products than one
-# reduction block holds, so each k is split over points
+# fsum reduction with x.xi and mu.xi added coordinate by coordinate; the
+# 2-D case has more (point, mode) products than one reduction block holds,
+# so each k is split over points
 GOLDEN_TRACES = {
     "1d": (
         "trace --a 0.5 --s 0.5 --seq power:p=2 --grid 1,16,0.125 --K 64 --num-points 8 --seed 3",
@@ -485,21 +594,23 @@ GOLDEN_TRACES = {
     "2d-shift": (
         "trace --gamma boussinesq --s 0.5 --seq geometric:r=0.5 --beta 1.5 --grid 2,16,0.25"
         " --K 16 --num-points 8 --seed 5",
-        "6e9872d857afa2adb2253be0b01e7105a3b8f1080500687e5b7e3b5d517bfd4d",
-        "85ef827e7272bc5f6707de07d1ad63a38e4bf5042514ab8d55d5a7b2b4ea9c08",
+        "4f985d71791e969a360f6f45c8c1d12f69389d7ac935f3474d0844334e1e287e",
+        "20eed20a58dca71aa55a76581eac8f2bd74faef5edb7dffb4567238356922c7b",
     ),
     "3d": (
         "trace --gamma boussinesq --s 0.5 --seq geometric:r=0.5 --grid 3,2,0.25"
         " --K 16 --num-points 8 --seed 1",
-        "275f659f5c814e2e8b70178df81d6e7398c3cbf3458f878e7362913a7d753756",
-        "077c9b6ae46b153ea62dae52f4a2752a2723515fe1125286bdcf2453d736a184",
+        "25dfa6c0273ee5a69e571c2b2d205c5af4291f9f9e57adb81e307c28cdd318b5",
+        "68187d2a6b54eebe42889f494655a175440adb9f16d55d6b4685b3bad9e56047",
     ),
 }
 
 # sha256 and exit code of the sweep, classifier and propagation commands'
 # JSON and CSV output, made by three 160-step bisections per delta and a
-# batched inversion that iterates every element until all converge;
-# {dir} is the directory holding the fields that golden_fields writes
+# batched inversion that iterates every element until all converge, rate
+# fits summed exactly and rounded once, and propagate phases added
+# coordinate by coordinate; {dir} is the directory holding the fields that
+# golden_fields writes
 GOLDEN_SWEEPS = {
     "bc-gamma-boussinesq": (
         "bound-check --family gamma --gamma boussinesq --s 0.5 --deltas 1e-2:1e-6 "
@@ -570,19 +681,19 @@ GOLDEN_SWEEPS = {
     "rf-gamma-boussinesq": (
         "rate-fit --family gamma --gamma boussinesq --s 0.5 --deltas 1e-2:1e-8 "
         "--per-decade 1",
-        0, "44d982fc53f533c4a29d522169fb129bd1e2ad334180defbb63d3fda7a53e0a8",
+        0, "f307625f082b20c3f57717d1dbe57c6b49297c67af1b5246b4f07fd853778dab",
         0, "b8fe8cb72de737bc86293d8bb258f6ddbe9e80e8559085d24bb4435e284392af",
     ),
     "rf-gamma-shift-quartic": (
         "rate-fit --family gamma-shift --gamma quartic --s 0.5 --beta 0.8 --deltas "
         "1e-2:1e-7 --per-decade 1",
-        2, "b74c03d0b28717eaf341bba44d445d1176b2510a9f9f8781e01ca58010a03e91",
+        2, "55c4b8712ccff9b8c87b1348f06347fafdd34341dc8cd37a98174005a8c24c56",
         2, "053b3662cf9cb54b30eb56e19a405deb1b155609f336ebb68ea2f5f01a25d405",
     ),
     "rf-power-shift": (
         "rate-fit --family power-shift --s 0.75 --a 0.5 --beta 0.8 --deltas 1e-2:1e-8 "
         "--per-decade 1",
-        2, "643c267836eeffa2297fc2a9309141f182dea423eafca0eb84ef1d0cdde2f116",
+        2, "a634df2ed4f37d719061429294bfa215837790d20ea250edec908ce6617f0546",
         2, "3d7186692104272ae5c382a11918e65fb9be73eaf597e1b269e0c13ed36545cd",
     ),
     "sc-gamma-shift-explicit": (
@@ -605,8 +716,8 @@ GOLDEN_SWEEPS = {
     "prop-beta-2d": (
         "propagate --field {dir}/f2.csv --gamma boussinesq --times 0,0.1,0.5 --beta 1.5 "
         "--mu 1,2 --num-points 4 --seed 3",
-        0, "f2d797360e805c298b7864361a238ebb499901c9404132b0840a6d767a701754",
-        0, "064b48accc1fb4b64b661ab2cf75cb8c3dfc034e008cb85f7b46394ce3e49220",
+        0, "de0de549b5025152e148d29f9388e2d590c95bd37affa8f045dc6d43b814f594",
+        0, "0013d5f5d0406eb6937b839af9fa56ba5a3dc61823f213f14f42d65ea3fe4d08",
     ),
     "prop-beta-1d": (
         "propagate --field {dir}/f1.csv --a 0.5 --times 0.05,1 --beta 0.8 --num-points 4 "
@@ -617,22 +728,22 @@ GOLDEN_SWEEPS = {
     "prop-plain-2d": (
         "propagate --field {dir}/f2.csv --gamma quartic --times 0.25 --points "
         "0.1,0.2;0.3,-0.4",
-        0, "1964d6959f480d7fd49c26f9306baa8f51092606c6ae588d0881563ccde344bc",
-        0, "3b23dff9d17cba8061484e37f89e2460663e76b53408561705acb41563e246b7",
+        0, "fa372252d2017ef398b41a05adc7315f96d95eb3af7b80a233742dfe6e286ff1",
+        0, "01c6aede8c6459f1f99ceec1bd07f2964ae054b9e325c9966237508a77d5a038",
     ),
     # 4225 modes at 32 points: one time's (point, mode) products exceed a
     # synthesis block, so the points of each time are split over blocks
     "prop-beta-2d-wide": (
         "propagate --field {dir}/f3.csv --gamma quartic --times 0,0.05,0.5 --beta 1.5 "
         "--mu 1,2 --num-points 32 --seed 6",
-        0, "705e6fb51698ef363c55ae01598dba85084b3f42c1dcc621b069adb3bc42d018",
-        0, "85eaffbc5be9bb7e0864d27a91d74dee84940c3180f9ad83a71a5da8c26b1f6f",
+        0, "618a40451c8cd64d2822f0f4020418973ac56dbfa752c806a2943b9df5a664be",
+        0, "396555e43d296748ed70e0eac5403b5516e94b0319d862ec59c10d04c628de65",
     ),
     "prop-beta-3d": (
         "propagate --field {dir}/f4.csv --gamma boussinesq --times 0,0.1,0.5 --beta 1.5 "
         "--mu 1,2,2 --num-points 4 --seed 7",
-        0, "771b2731f6b7044a3fc579ec87b9d2df8caed00732f7b2b7a475756a4da82a50",
-        0, "96b167036c087f27eb73cc9f07a0bad2efc5c7f322dfa3782b4b9e3b5c6bf8d3",
+        0, "670c024a63aa0c9ec31672e5f6269dd67209852304e1bb796dc297761e341baf",
+        0, "9779c1508c6a7cf44b0d3d4aa412717dd3b66f4e4c4698bb365de4f6070acb1a",
     ),
     # a signed zero and non-finite points: JSON spells the non-finite
     # values NaN, Infinity and -Infinity, CSV writes their repr
@@ -662,10 +773,15 @@ print(json.dumps(digests))
 """
 
 
-def _cli_digests(cases, threads):
-    """{name.fmt: [exit code, sha256 of stdout]} for each CLI argument string."""
+def _cli_digests(cases, threads, coretype):
+    """{name.fmt: [exit code, sha256 of stdout]} for each CLI argument string,
+    with ``threads`` BLAS threads and OpenBLAS's ``coretype`` kernels (None
+    for the kernels it picks for this CPU)."""
     src = str(Path(phaselab.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", DIGEST_SCRIPT, json.dumps(cases)],
@@ -674,14 +790,20 @@ def _cli_digests(cases, threads):
     return json.loads(proc.stdout)
 
 
+#: BLAS kernels the digests must not depend on: the ones OpenBLAS picks for
+#: this CPU, and its Sandybridge kernels (AVX without FMA)
+CORETYPES = [pytest.param(None, id="default"), "Sandybridge"]
+
+
+@pytest.mark.parametrize("coretype", CORETYPES)
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_trace_golden_digests(threads):
+def test_trace_golden_digests(threads, coretype):
     cases = {name: args for name, (args, _, _) in GOLDEN_TRACES.items()}
     want = {}
     for name, (_, json_digest, csv_digest) in GOLDEN_TRACES.items():
         want[name + ".json"] = [0, json_digest]
         want[name + ".csv"] = [0, csv_digest]
-    assert _cli_digests(cases, threads) == want
+    assert _cli_digests(cases, threads, coretype) == want
 
 
 @pytest.fixture(scope="module")
@@ -696,8 +818,9 @@ def golden_fields(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("coretype", CORETYPES)
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_sweep_golden_digests(threads, golden_fields):
+def test_sweep_golden_digests(threads, coretype, golden_fields):
     cases = {
         name: args.format(dir=golden_fields) for name, (args, *_) in GOLDEN_SWEEPS.items()
     }
@@ -705,7 +828,7 @@ def test_sweep_golden_digests(threads, golden_fields):
     for name, (_, json_code, json_digest, csv_code, csv_digest) in GOLDEN_SWEEPS.items():
         want[name + ".json"] = [json_code, json_digest]
         want[name + ".csv"] = [csv_code, csv_digest]
-    assert _cli_digests(cases, threads) == want
+    assert _cli_digests(cases, threads, coretype) == want
 
 
 def reference_csv_text(header, rows) -> str:

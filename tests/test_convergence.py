@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from phaselab import (
     required_exponent,
     sequence_applicable,
 )
-from phaselab import convergence
+from phaselab import convergence, spectral
 from phaselab.convergence import default_points, envelope_log_slope
 from phaselab.propagation import ShiftSpec, _angles
 
@@ -185,6 +186,9 @@ class TestRegimeRows:
             TimeSequence.geometric(0.5),
             TimeSequence.explicit([0.5, 0.25, 0.125, 0.0625]),
             TimeSequence.explicit([2.0**-k for k in range(1, 41)]),
+            # 2**-70 lies below g(1)/g(1e9) for both laws: the gamma summand
+            # widens its inversion brackets there
+            TimeSequence.explicit([2.0**-k for k in range(1, 71)]),
         ],
         ids=lambda seq: seq.describe(),
     )
@@ -198,8 +202,8 @@ class TestRegimeRows:
 
     @pytest.mark.parametrize("alias,q", [("boussinesq", 0.5), ("quartic", 0.25)])
     def test_alias_sums_terms_below_the_inversion_bracket(self, alias, q):
-        # 2**-70 lies below g(1)/g(1e9) for both laws, so the gamma summand
-        # cannot be evaluated there; the alias's power sum still answers
+        # 2**-70 lies below g(1)/g(1e9) for both laws; the alias's power sum
+        # answers without inverting the law
         t = [2.0**-k for k in range(1, 71)]
         verdict = sequence_applicable(TimeSequence.explicit(t), alias, s=0.5)
         g = np.asarray(t) ** q
@@ -283,6 +287,31 @@ class TestRateFit:
         trimmed = rate_fit(template, self.DELTAS[:-1]).fitted_slope
         assert abs(full - trimmed) < 0.02
 
+    @pytest.mark.parametrize("source", ["power-fit", "noisy-line"])
+    def test_fit_matches_mpmath_and_polyfit(self, source):
+        if source == "power-fit":
+            rep = rate_fit(MultiplierSpec(Family.POWER, s=0.25, delta=1e-3, a=0.5), self.DELTAS)
+            x, y = np.log(np.asarray(rep.deltas)), np.log(np.asarray(rep.sups))
+            got = (rep.fitted_slope, rep.residual)
+        else:
+            x = np.log(np.asarray(self.DELTAS))
+            y = 0.3 * x - 1.0 + np.random.default_rng(5).normal(0.0, 0.2, x.size)
+            got = convergence._line_fit(x, y)
+        # at 60 digits the closed form misses the exact rational by far less
+        # than half an ulp, so both round to the same double
+        nearest = lambda v: mpmath.libmp.to_float(v._mpf_, rnd=mpmath.libmp.round_nearest)
+        with mpmath.workdps(60):
+            mx, my = [mpmath.mpf(v) for v in x.tolist()], [mpmath.mpf(v) for v in y.tolist()]
+            n, sx, sy = len(mx), mpmath.fsum(mx), mpmath.fsum(my)
+            sxy, sxx = mpmath.fsum(a * b for a, b in zip(mx, my)), mpmath.fsum(a * a for a in mx)
+            slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
+            intercept = (sy - slope * sx) / n
+            mean_sq = mpmath.fsum((b - slope * a - intercept) ** 2 for a, b in zip(mx, my)) / n
+        assert got == (nearest(slope), math.sqrt(nearest(mean_sq)))
+        fit = np.polyfit(x, y, 1)
+        assert got[0] == pytest.approx(fit[0], rel=1e-12)
+        assert got[1] == pytest.approx(np.sqrt(np.mean((y - np.polyval(fit, x)) ** 2)), rel=1e-12)
+
     def test_needs_five_values_and_four_decades(self):
         template = MultiplierSpec(Family.POWER, s=0.5, delta=1e-3, a=0.5)
         with pytest.raises(ParameterError):
@@ -340,11 +369,15 @@ class TestPointwiseTrace:
 
 
 def reference_history(field, law, seq, points, k_max, shift=None):
-    """The per-(k, point) fsum loop that the batched trace reduction replaced."""
+    """The per-(k, point) fsum loop that the batched trace reduction replaced,
+    with each phase x.xi summed coordinate by coordinate from the first."""
     grid = field.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     norm = grid.weight / (2.0 * math.pi) ** grid.n
-    waves = np.exp(1j * (pts @ grid.modes.T))
+    phases = pts[:, None, 0] * grid.modes[:, 0]
+    for i in range(1, grid.n):
+        phases = phases + pts[:, None, i] * grid.modes[:, i]
+    waves = np.exp(1j * phases)
     times = seq.terms(k_max)
     history = np.empty((len(times), pts.shape[0]))
     running = np.zeros(pts.shape[0])
@@ -378,7 +411,7 @@ class TestBatchedTrace:
         if rows_per_block is not None:
             # blocks of 2 (k, point) rows split every k's 5 points; blocks of
             # 15 rows hold three k, and the last block is shorter than the rest
-            monkeypatch.setattr(convergence, "TRACE_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
         tr = pointwise_trace(f, law, seq, 0.5, points, k_max=k_max, shift=shift)
         want = reference_history(f, law, seq, points, k_max, shift)
         assert tr.history.shape == want.shape

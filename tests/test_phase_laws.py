@@ -107,9 +107,19 @@ class TestInvert:
         with pytest.raises(NotInvertibleError):
             invert(decreasing, 0.5)
 
-    def test_out_of_range(self):
+    @pytest.mark.parametrize(
+        "law, y",
+        [
+            (BOUSSINESQ, 1.7976931348623157e308),
+            (custom_law(lambda r: np.asarray(r) / (1.0 + np.asarray(r)), "saturating"), 2.0),
+        ],
+        ids=["boussinesq-max-double", "saturating"],
+    )
+    def test_out_of_range(self, law, y):
+        # the bracket end doubles from 1e9 until gamma reaches y; here the
+        # end or its gamma stops being finite first
         with pytest.raises(OutOfRangeError):
-            invert(BOUSSINESQ, 1e30)
+            invert(law, y)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ParameterError):
@@ -159,6 +169,29 @@ class TestInverseOracle:
             exact = mp_inverse(gamma, float(y), growth[0] if y < 1 else growth[1])
             bound = 1e-14 * max(float(exact), 1.0) + 1e-15 * float(exact)
             assert abs(mpmath.mpf(float(r)) - exact) <= bound, (y, r, exact)
+
+
+    @pytest.mark.parametrize(
+        "law, gamma, growth",
+        [
+            (BOUSSINESQ, lambda r: r * mpmath.sqrt(1 + r**2), 0.5),
+            (QUARTIC, lambda r: r**2 + r**4, 0.25),
+        ],
+        ids=["boussinesq", "quartic"],
+    )
+    def test_past_the_first_bracket_against_mpmath(self, law, gamma, growth):
+        # boussinesq(1e9) is about 1e18 and quartic(1e9) 1e36: these values
+        # widen their brackets, and the bisection still matches the root
+        ys = np.geomspace(1e19, 1e300, 60)
+        batch = invert_many(law, ys)
+        assert np.array_equal(batch, [invert(law, y) for y in ys])
+        for y, r in zip(ys, batch):
+            with mpmath.workdps(50):
+                # a relative residual and two secant starts: gamma(r) - y and
+                # the default second start r + 1/4 are lost at these magnitudes
+                y = mpmath.mpf(float(y))
+                exact = mpmath.findroot(lambda r: gamma(r) / y - 1, (y**growth, 1.01 * y**growth))
+            assert abs(mpmath.mpf(float(r)) - exact) <= 2e-14 * exact, (y, r, exact)
 
 
 class TestInverseAsymptotics:

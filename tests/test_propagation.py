@@ -114,16 +114,33 @@ class TestEvaluateShifted:
         with pytest.raises(ParameterError):
             ShiftSpec(beta=1.0, mu=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "beta, mu", [(math.nan, [1.0]), (math.inf, [1.0]), (1.5, [math.nan, 1.0]), (1.5, [math.inf])]
+    )
+    def test_beta_and_mu_must_be_finite(self, beta, mu):
+        with pytest.raises(ParameterError, match="finite"):
+            ShiftSpec(beta=beta, mu=np.array(mu))
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        f = random_field(make_grid(1, 1, 1), np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="nonnegative and finite"):
+            evaluate_shifted(f, BOUSSINESQ, t, None, 0.0)
+
 
 def reference_evaluate(field, law, times, shift, points):
-    """The per-(t, x) loop that the batched evaluation replaced."""
+    """The per-(t, x) loop that the batched evaluation replaced, with each
+    phase x.xi summed coordinate by coordinate from the first."""
     grid = field.grid
     scale = grid.weight / (2.0 * math.pi) ** grid.n
     out = np.empty((len(times), len(points)), dtype=complex)
     for i, t in enumerate(times):
         moved = field.coefficients * np.exp(1j * _angles(grid, law, float(t), shift))
         for j, x in enumerate(points):
-            z = moved * np.exp(1j * (grid.modes @ x))
+            phase = x[0] * grid.modes[:, 0]
+            for c in range(1, grid.n):
+                phase = phase + x[c] * grid.modes[:, c]
+            z = moved * np.exp(1j * phase)
             out[i, j] = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist())) * scale
     return out
 
@@ -151,7 +168,7 @@ class TestBatchedEvaluate:
         if rows_per_block is not None:
             # blocks of 1 or 2 (time, point) rows split every time's 5 points;
             # blocks of 15 rows hold three times, then one time is left over
-            monkeypatch.setattr(spectral, "SYNTH_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
         got = evaluate_shifted(f, law, times, shift, points)
         want = reference_evaluate(f, law, times, shift, points)
         assert got.shape == (4, 5)
@@ -163,7 +180,7 @@ class TestBatchedEvaluate:
         f = random_field(g, np.random.default_rng(44))
         times = np.linspace(0.0, 1.0, 7)
         points = np.array([[0.3, -1.1]])
-        monkeypatch.setattr(spectral, "SYNTH_BLOCK_BYTES", 16 * g.num_modes * 3)
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * 3)
         got = evaluate_shifted(f, BOUSSINESQ, times, None, points)
         want = reference_evaluate(f, BOUSSINESQ, times, None, points)
         np.testing.assert_array_equal(bits(got), bits(want))

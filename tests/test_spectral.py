@@ -241,7 +241,7 @@ class TestReductionsAgainstMpmath:
         if num_points is None:
             x = x[0]
         if rows_per_block is not None:
-            monkeypatch.setattr(spectral, "SYNTH_BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
         sums = []
 
         def recording_csum(values, *args, **kwargs):
@@ -254,7 +254,11 @@ class TestReductionsAgainstMpmath:
         scale = g.weight / (2.0 * math.pi) ** g.n
         assert len(sums) == len(got)
         for p, point in enumerate(np.atleast_2d(x)):
-            z = f.coefficients * np.exp(1j * (g.modes @ point))
+            # x.xi summed coordinate by coordinate from the first
+            phase = point[0] * g.modes[:, 0]
+            for c in range(1, g.n):
+                phase = phase + point[c] * g.modes[:, c]
+            z = f.coefficients * np.exp(1j * phase)
             want = complex(exact_sum(z.real), exact_sum(z.imag))
             assert sums[p] == want
             assert csum(z) == want  # the 1-D path of csum
