@@ -188,6 +188,8 @@ def required_exponent(
     Raises ParameterError when a parameter the row reads is missing or one
     it does not read is given, and (strict mode) HypothesisViolation naming
     the failed inequality when the parameters fall outside the row's range.
+    A gamma-sum's summand raises ParameterError naming the first term t at
+    which g(1)/t overflows.
     """
     criterion = ConvergenceCriterion(criterion)
     if not (np.isfinite(s) and s > 0):
@@ -207,7 +209,12 @@ def required_exponent(
 
     def summand(t):
         t = np.asarray(t, dtype=float)
-        return t**t_power * invert_many(law, g1 / t) ** (-2.0 * s)
+        with np.errstate(over="ignore"):
+            y = g1 / t
+        if not np.isfinite(y).all():
+            term = float(t[~np.isfinite(y)].flat[0])
+            raise ParameterError(f"g(1)/t overflows for {law.name} at the term t={term!r}")
+        return t**t_power * invert_many(law, y) ** (-2.0 * s)
 
     return SummabilityCondition(
         "gamma-sum", summand=summand, power_equivalent=None if e is None else 2.0 * e

@@ -253,12 +253,20 @@ def multiplier_value(spec: MultiplierSpec, xi) -> complex:
     return num / (1.0 + r * r) ** (0.5 * spec.s)
 
 
+def _float_power(base: float, exponent: float, name: str) -> float:
+    """base**exponent; a ParameterError naming the power where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ParameterError(f"{name} = {base!r}**{exponent!r} overflows") from None
+
+
 def analytic_envelope(spec: MultiplierSpec, strict: bool = True) -> float:
     """The family's delta-envelope for sup|m| (no constant attached)."""
     validate_hypotheses(spec, strict)
-    env = spec.delta ** regime(spec.family, spec.a).delta_power(spec)
+    env = _float_power(spec.delta, regime(spec.family, spec.a).delta_power(spec), "delta**e")
     if spec.family.uses_law:
-        env *= 1.0 / critical_radius(spec) ** spec.s
+        env *= 1.0 / _float_power(critical_radius(spec), spec.s, "r_c**s")
     return env
 
 
@@ -269,7 +277,7 @@ def critical_radius(spec: MultiplierSpec) -> float:
     inverted once per spec and kept on it.
     """
     if not spec.family.uses_law:
-        return spec.delta ** (-1.0 / spec.a)
+        return _float_power(spec.delta, -1.0 / spec.a, "delta**(-1/a)")
     if spec._critical_radius is None:
         r_c = invert(spec.law, float(spec.law(1.0)) / spec.delta)
         object.__setattr__(spec, "_critical_radius", r_c)
@@ -295,36 +303,104 @@ def sweep_specs(template: MultiplierSpec, deltas, strict: bool = True) -> list:
     return specs
 
 
+#: Doublings allowed in the search for a set's bracket end, and halvings
+#: allowed in the bisection.
+_DOUBLINGS = 200
+_HALVINGS = 160
+#: The geometric table below a bracket end H: H * 2**(-j / _PER_BINADE)
+#: for j < _TABLE_SIZE, and 0.  Its powers are Python floats: an array
+#: power at import would page numpy's pow kernel into every process.
+_PER_BINADE = 8
+_TABLE_SIZE = 64 * _PER_BINADE
+_TABLE = np.array([0.0] + [2.0 ** (j / _PER_BINADE) for j in range(1 - _TABLE_SIZE, 1)])
+#: Secant steps inside a table bracket, and the relative half-width of the
+#: tight bracket around the last secant point.
+_SECANT_STEPS = 5
+_TIGHT = 2.0**-48
+#: A start below H * _FLOOR may need more than _HALVINGS halvings from
+#: [0, H], so it starts from [0, H].
+_FLOOR = 2.0**-100
+
+
+def _start_brackets(theta, targets, ends, sizes):
+    """Starting brackets lo < hi for the bisection, one per target.
+
+    A target's table bracket [a, b] (adjacent table radii below its set's
+    end H) is narrowed by secant steps inside it.  The start is the tight
+    bracket around the last secant point where theta(lo) < target <=
+    theta(hi) holds on it, else [a, b] where that holds, else [0, H]; and
+    [0, H] wherever lo < H * _FLOOR.
+    """
+    end = np.repeat(ends, sizes)
+    table = np.multiply.outer(ends, _TABLE)
+    values = theta(table.ravel()).reshape(table.shape)
+    idx = np.concatenate([
+        np.clip(np.searchsorted(v, t), 1, _TABLE.size - 1) + i * _TABLE.size
+        for i, (v, t) in enumerate(zip(values, np.split(targets, np.cumsum(sizes)[:-1])))
+    ])
+    table, values = table.ravel(), values.ravel()
+    a, b = table[idx - 1], table[idx]
+    table_ok = (values[idx - 1] < targets) & (values[idx] >= targets)
+    x0, f0, x, f = a, values[idx - 1] - targets, b, values[idx] - targets
+    for _ in range(_SECANT_STEPS):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = x - f * (x - x0) / (f - f0)
+        # a step whose two phase values are equal divides by 0 and keeps its point
+        step = np.where(np.isfinite(step), np.clip(step, a, b), x)
+        x0, f0 = x, f
+        x, f = step, theta(step) - targets
+    x_lo, x_hi = np.maximum(x - x * _TIGHT, a), np.minimum(x + x * _TIGHT, b)
+    tight = (theta(x_lo) < targets) & (theta(x_hi) >= targets)
+    lo = np.where(tight, x_lo, np.where(table_ok, a, 0.0))
+    hi = np.where(tight, x_hi, np.where(table_ok, b, end))
+    floor = lo < end * _FLOOR
+    return np.where(floor, 0.0, lo), np.where(floor, end, hi)
+
+
 def _phase_radii(spec: MultiplierSpec, *target_sets) -> tuple:
     """Radii where the +mu-direction phase reaches each set of target values.
 
-    Each set is bracketed on [0, hi], hi the first max(1, r_c) * 2**j whose
-    phase reaches the set's largest target, and all sets are bisected
-    together.  The bisection stops at the first step that moves no bracket
-    end: each step depends only on (lo, hi, targets), so every later step
-    up to the 160-step cap would be a no-op as well.
+    Each set's bracket end H is the first max(1, r_c) * 2**j whose phase
+    reaches the set's largest target.  Each target then gets a starting
+    bracket from ``_start_brackets``: a geometric table of phases below H,
+    a few secant steps and a tight bracket, or [0, H] where these do not
+    straddle it.  All targets are bisected together.  The bisection stops
+    at the first step that moves no bracket end: each step depends only on
+    (lo, hi, targets), so every later step up to the 160-step cap would be
+    a no-op as well.
+
+    Every bisection ends on adjacent doubles lo < hi with phase(lo) <
+    target <= phase(hi).  When the computed phase is nondecreasing in r on
+    [0, H], hi is the smallest double whose phase reaches the target,
+    whatever straddling bracket the bisection starts from, so the radii
+    are bit for bit those of 160 halvings from [0, H].
     """
     sets = [np.asarray(t, dtype=float) for t in target_sets]
     if spec.family is Family.POWER:
         return tuple((t / spec.delta) ** (1.0 / spec.a) for t in sets)
+
+    def theta(r):
+        return phase(spec.phase_law, spec.delta, r, spec.beta, r)
+
     tops = [float(t.max()) for t in sets]
     hi = max(1.0, critical_radius(spec))
     brackets = [None] * len(sets)
-    for _ in range(200):
-        theta = float(phase(spec.phase_law, spec.delta, hi, spec.beta, hi))
+    for _ in range(_DOUBLINGS):
+        reach = float(theta(hi))
         for i, top in enumerate(tops):
-            if brackets[i] is None and theta >= top:
+            if brackets[i] is None and reach >= top:
                 brackets[i] = hi
         if None not in brackets:
             break
         hi *= 2.0
     sizes = [t.size for t in sets]
     targets = np.concatenate(sets)
-    lo = np.zeros_like(targets)
-    hi_arr = np.repeat([hi if b is None else b for b in brackets], sizes)
-    for _ in range(160):
+    lo, hi_arr = _start_brackets(
+        theta, targets, np.asarray([hi if b is None else b for b in brackets]), sizes
+    )
+    for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi_arr)
-        above = phase(spec.phase_law, spec.delta, mid, spec.beta, mid) >= targets
+        above = theta(mid) >= targets
         if np.array_equal(mid, np.where(above, hi_arr, lo)):
             break
         hi_arr = np.where(above, mid, hi_arr)

@@ -72,13 +72,19 @@ def phase(law, t, r, beta: float | None = None, proj=None):
 
 
 def _angles(grid: FrequencyGrid, law, t: float, shift: ShiftSpec | None) -> np.ndarray:
+    """The phase at every mode of the grid; ParameterError where it is not finite."""
     if not (0 <= t < math.inf):
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
-    if shift is None:
-        return phase(law, t, grid.radii)
-    if shift.mu.shape != (grid.n,):
+    if shift is not None and shift.mu.shape != (grid.n,):
         raise ParameterError(f"mu has shape {shift.mu.shape}, expected ({grid.n},)")
-    return phase(law, t, grid.radii, shift.beta, _dot(grid.modes, shift.mu))
+    beta, proj = (None, None) if shift is None else (shift.beta, _dot(grid.modes, shift.mu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = phase(law, t, grid.radii, beta, proj)
+    if not np.isfinite(theta).all():
+        raise ParameterError(
+            f"the phase of {getattr(law, 'name', law)} is not finite at t={t}"
+        )
+    return theta
 
 
 def apply_phase(field: SpectralField, law, t: float) -> SpectralField:

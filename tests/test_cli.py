@@ -501,6 +501,51 @@ class TestNonFiniteDriftAndTime:
         assert "t must be nonnegative and finite, got inf" in err.err
 
 
+class TestOverflowIsAnError:
+    """A power, phase or quotient that overflows is one error line naming
+    it, with no traceback and no RuntimeWarning."""
+
+    @staticmethod
+    def run_quiet(command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(*command.split())
+
+    @pytest.mark.parametrize("command, message", [
+        ("bound-check --family power-shift --s 0.5 --a 0.5 --beta -400 --deltas 1e-2:1e-6",
+         "delta**e = 0.01**-401.0 overflows"),
+        ("bound-check --family power --s 0.0005 --a 0.001 --deltas 1e-2:1e-6",
+         "delta**(-1/a) = 0.01**-1000.0 overflows"),
+        ("bound-check --family gamma --gamma boussinesq --s 400 --deltas 1e-2:1e-6",
+         "r_c**s = 11.87106735378"),
+    ])
+    def test_sweep_power(self, command, message, capsys):
+        assert self.run_quiet(command + " --unsafe-params") == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err.startswith(f"phaselab: error: {message}")
+        assert err.err.endswith(" overflows\n") and err.err.count("\n") == 1
+
+    @pytest.mark.parametrize("law, time, message", [
+        ("--a 1e308", "0.5", "the phase of power:a=1e+308 is not finite at t=0.5"),
+        ("--gamma boussinesq", "1e308", "the phase of boussinesq is not finite at t=1e+308"),
+    ])
+    def test_propagate_phase(self, law, time, message, tmp_path, capsys):
+        path = tmp_path / "field.csv"
+        write_field_csv(random_field(make_grid(2, 2, 0.5), 21), path)
+        assert self.run_quiet(f"propagate --field {path} {law} --times {time} --num-points 2") == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == f"phaselab: error: {message}\n"
+
+    def test_gamma_sum_tiny_term(self, capsys):
+        command = "seq-check --criterion gamma --gamma boussinesq --s 0.5 --seq explicit:0.5,0.25,5e-324"
+        assert self.run_quiet(command) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == "phaselab: error: g(1)/t overflows for boussinesq at the term t=5e-324\n"
+
+
 #: Small valid commands whose numeric tokens the fuzz below replaces;
 #: {field} is a 2-D field on the grid 2,2,0.5
 FUZZ_COMMANDS = [
@@ -606,7 +651,8 @@ GOLDEN_TRACES = {
 }
 
 # sha256 and exit code of the sweep, classifier and propagation commands'
-# JSON and CSV output, made by three 160-step bisections per delta and a
+# JSON and CSV output, made by one bisection per delta from narrowed
+# brackets (the radii of three 160-step bisections from [0, H]) and a
 # batched inversion that iterates every element until all converge, rate
 # fits summed exactly and rounded once, and propagate phases added
 # coordinate by coordinate; {dir} is the directory holding the fields that
