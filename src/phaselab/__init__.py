@@ -30,12 +30,14 @@ from .multipliers import (
     Family,
     MultiplierSpec,
     ScanResult,
+    Sweep,
     analytic_envelope,
     certify,
     critical_radius,
     extremal_witness,
     multiplier_value,
     numeric_sup,
+    sweep,
 )
 from .phase_laws import (
     BOUSSINESQ,

@@ -104,11 +104,9 @@ def _rows_text(header, columns, fmt: str) -> str:
     return ("[\n" + body + "\n]" if body else "[]") + "\n"
 
 
-def _csv_rows(header, rows) -> str:
-    """CSV of dict rows of floats, keyed by ``header``."""
-    rows = list(rows)
-    columns = [_float_cells([float(row[h]) for row in rows], "csv") for h in header]
-    return _rows_text(header, columns, "csv")
+def _csv_columns(header, columns) -> str:
+    """CSV of columns of Python floats under ``header``."""
+    return _rows_text(header, [_float_cells(column, "csv") for column in columns], "csv")
 
 
 def _parse_grid(text: str):
@@ -204,26 +202,35 @@ def _law_from_args(args):
     raise ParameterError("a phase law is required (--gamma NAME or --a EXPONENT)")
 
 
-def _run_sweep(args, run, header) -> int:
-    """Run a delta sweep of the family the flags give; exit 2 when it fails."""
+def _run_sweep(args, run, header, verdict) -> int:
+    """Run the flags' delta sweep; write its ``header`` columns (a prefix of delta, sup,
+    envelope, ratio, argmax) and, in JSON, ``verdict(result, rows)``; exit 2 if it fails."""
     deltas = _parse_deltas(args.deltas, args.per_decade)
     law = parse_law(args.gamma) if args.gamma is not None else None
     template = MultiplierSpec(Family(args.family), args.s, deltas[0], args.a, law, args.beta)
     result = run(template, deltas, strict=not args.unsafe_params)
+    sweep = result.sweep
+    columns = [sweep.deltas, [scan.sup for scan in sweep.scans], sweep.envelopes,
+               sweep.ratios, [scan.argmax for scan in sweep.scans]][: len(header)]
     if args.format == "csv":
-        text = _csv_rows(header, result.sweep_rows())
+        text = _csv_columns(header, columns)
     else:
-        text = _json_text(result.to_dict())
+        rows = [dict(zip(header, row)) for row in zip(*columns)]
+        text = _json_text({"family": sweep.family.value, "params": sweep.params,
+                           **verdict(result, rows)})
     _emit(args, text)
     return 0 if result.passed else 2
 
 
 def cmd_bound_check(args) -> int:
-    return _run_sweep(args, certify, ["delta", "sup", "envelope", "ratio", "argmax"])
+    return _run_sweep(args, certify, ["delta", "sup", "envelope", "ratio", "argmax"],
+                      lambda cert, rows: {"delta_sweep": rows, "pass": cert.passed})
 
 
 def cmd_rate_fit(args) -> int:
-    return _run_sweep(args, rate_fit, ["delta", "sup", "envelope", "ratio"])
+    return _run_sweep(args, rate_fit, ["delta", "sup", "envelope", "ratio"], lambda rep, rows: {
+        "fitted_slope": rep.fitted_slope, "theoretical_slope": rep.theoretical_slope,
+        "residual": rep.residual, "pass": rep.passed, "sweep": rows})
 
 
 def cmd_seq_check(args) -> int:
@@ -296,9 +303,11 @@ def cmd_trace(args) -> int:
     trace = pointwise_trace(field, law, seq, args.s, points, k_max=args.K, shift=shift)
     if args.format == "csv":
         header = [f"x_{i + 1}" for i in range(grid.n)] + ["partial_sum", "tail"]
-        text = _csv_rows(header, trace.rows())
+        tails = [math.nan if trace.tail is None else trace.tail] * len(trace.points)
+        text = _csv_columns(header, [*trace.points.T.tolist(), trace.partial_sums.tolist(), tails])
     else:
-        text = _json_text(trace.to_dict())
+        text = _json_text({"k": trace.k_max, "points": trace.points.tolist(),
+                           "partial_sums": trace.partial_sums.tolist(), "tail": trace.tail})
     _emit(args, text)
     return 0
 

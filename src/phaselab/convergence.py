@@ -14,11 +14,12 @@ sequences.
 The criteria only assert sufficiency: a "no" decision means the
 hypotheses are not satisfied, never that the error sum diverges.
 
-``rate_fit`` checks the measured sup-norm decay of a multiplier family
-against its envelope exponent on a log-log least-squares fit, computed
-exactly in rationals and rounded once.  ``pointwise_trace`` sums
-|h_k(x)|^2 over k at sample points, each h_k(x) from spectral's one wave
-reduction, together with an explicit bound on the truncated tail.
+``rate_fit`` is the second verdict on a ``multipliers.sweep``: it checks
+the measured sup-norm decay against the envelope exponent on a log-log
+least-squares fit, computed exactly in rationals and rounded once.
+``pointwise_trace`` sums |h_k(x)|^2 over k at sample points, each h_k(x)
+from spectral's one wave reduction, together with an explicit bound on
+the truncated tail.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from .multipliers import (
     REGIMES,
     Family,
     MultiplierSpec,
+    Sweep,
     analytic_envelope,
     check_reads,
-    numeric_sup,
     regime,
-    sweep_specs,
+    sweep,
 )
 from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw, invert_many
 from .propagation import ShiftSpec, _angles
@@ -245,7 +246,8 @@ def sequence_applicable(
     growth): power sequences qualify iff p*q > 1 and geometric sequences
     qualify for every positive exponent.  Everything else falls back to
     partial sums over the first ``k_probe`` terms, answering "unknown"
-    unless they visibly stabilize.
+    unless they visibly stabilize; a summand that is not finite at some
+    term raises ParameterError naming the first such term.
     """
     cond = required_exponent(criterion, s=s, a=a, beta=beta, law=law, strict=strict)
     q = cond.q if cond.form == "power-sum" else cond.power_equivalent
@@ -263,7 +265,12 @@ def sequence_applicable(
 
     # numeric fallback: explicit lists, or laws without a known inverse growth
     t = seq.terms(k_probe if seq.kind != "explicit" else len(seq.values))
-    g = cond.summand(t) if cond.form == "gamma-sum" else t**q
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = cond.summand(t) if cond.form == "gamma-sum" else t**q
+    if not np.isfinite(g).all():
+        term = float(t[~np.isfinite(g)][0])
+        name = ConvergenceCriterion(criterion).value
+        raise ParameterError(f"the summand of {name} is not finite at the term t={term!r}")
     head = math.fsum(g[: max(1, len(g) // 10)])
     total = math.fsum(g)
     growth = total - head
@@ -290,30 +297,13 @@ def envelope_log_slope(template: MultiplierSpec) -> float:
 
 @dataclass(frozen=True)
 class RateReport:
-    family: Family
-    params: dict
-    deltas: tuple
-    sups: tuple
-    envelopes: tuple
+    """Verdict on a delta sweep: does log sup|m| fall with the envelope's slope?"""
+
+    sweep: Sweep
     fitted_slope: float
     theoretical_slope: float
     residual: float
     passed: bool
-
-    def sweep_rows(self):
-        for d, sup, env in zip(self.deltas, self.sups, self.envelopes):
-            yield {"delta": d, "sup": sup, "envelope": env, "ratio": sup / env}
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "params": self.params,
-            "fitted_slope": self.fitted_slope,
-            "theoretical_slope": self.theoretical_slope,
-            "residual": self.residual,
-            "pass": self.passed,
-            "sweep": list(self.sweep_rows()),
-        }
 
 
 def _line_fit(x, y) -> tuple:
@@ -345,25 +335,11 @@ def rate_fit(
         raise ParameterError("rate-fit deltas must lie in (1e-10, 1e-1)")
     if deltas[-1] / deltas[0] < 1e4 * (1.0 - 1e-9):
         raise ParameterError("rate-fit deltas must span at least four decades")
-    sups = []
-    envs = []
-    for spec in sweep_specs(template, deltas, strict):
-        sups.append(numeric_sup(spec, per_decade=per_decade).sup)
-        # sweep_specs validated the delta-independent hypotheses once
-        envs.append(analytic_envelope(spec, strict=False))
+    result = sweep(template, deltas, per_decade, strict)
+    sups = [scan.sup for scan in result.scans]
     slope, residual = _line_fit(np.log(np.asarray(deltas)), np.log(np.asarray(sups)))
-    theoretical = envelope_log_slope(template)
-    return RateReport(
-        family=template.family,
-        params=template.params_dict(),
-        deltas=tuple(deltas),
-        sups=tuple(sups),
-        envelopes=tuple(envs),
-        fitted_slope=slope,
-        theoretical_slope=float(theoretical),
-        residual=residual,
-        passed=bool(abs(slope - theoretical) <= 0.05),
-    )
+    theoretical = float(envelope_log_slope(template))
+    return RateReport(result, slope, theoretical, residual, abs(slope - theoretical) <= 0.05)
 
 
 def _matching_criterion(law: PhaseLaw, shift: ShiftSpec | None, s: float):
@@ -391,25 +367,8 @@ class TraceResult:
 
     points: np.ndarray  # (P, n)
     partial_sums: np.ndarray  # (P,)
-    history: np.ndarray  # (K, P) running partial sums
     tail: float | None
     k_max: int
-
-    def rows(self):
-        for x, value in zip(self.points, self.partial_sums):
-            yield {
-                **{f"x_{i + 1}": float(v) for i, v in enumerate(x)},
-                "partial_sum": float(value),
-                "tail": float(self.tail) if self.tail is not None else float("nan"),
-            }
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k_max,
-            "points": [[float(v) for v in x] for x in self.points],
-            "partial_sums": [float(v) for v in self.partial_sums],
-            "tail": float(self.tail) if self.tail is not None else None,
-        }
 
 
 def default_points(n: int, count: int = 32, seed: int = DEFAULT_SEED) -> np.ndarray:
@@ -488,12 +447,6 @@ def pointwise_trace(
         return (np.exp(1j * _angles(grid, law, float(times[k]), shift)) - 1.0) * field.coefficients
 
     values = _wave_sums(grid, pts, len(times), residual)
-    # np.cumsum adds along k in order, as a running sum would
-    history = np.cumsum(values.real * values.real + values.imag * values.imag, axis=0)
-    return TraceResult(
-        points=pts,
-        partial_sums=history[-1],
-        history=history,
-        tail=_tail_bound(field, law, shift, seq, len(times)),
-        k_max=len(times),
-    )
+    # np.cumsum adds along k in order, as a running sum would (np.sum pairs terms)
+    sums = np.cumsum(values.real * values.real + values.imag * values.imag, axis=0)[-1]
+    return TraceResult(pts, sums, _tail_bound(field, law, shift, seq, len(times)), len(times))

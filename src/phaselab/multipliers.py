@@ -20,11 +20,12 @@ ginv(g(1)/delta)**(-s) decays like delta**(s*rho) when ginv(y) ~ y**rho.
 
 ``numeric_sup`` measures sup|m| over a geometric radial scan densified
 around the phase transition theta ~ pi (and, for shift families, along
-both signs of mu, the worst directions for mu.xi).  ``certify`` sweeps
-delta across decades and checks that the measured sup stays within a
-bounded multiple of the envelope without drifting, i.e. that the envelope
-constant is bounded and delta-independent.  Constants are measured, never
-assumed.
+both signs of mu, the worst directions for mu.xi).  ``sweep`` records
+one scan and one envelope per delta, and a sweep has two verdicts:
+``certify`` checks that the measured sup stays within a bounded multiple
+of the envelope across decades without drifting, i.e. that the envelope
+constant is bounded and delta-independent, and ``convergence.rate_fit``
+checks its decay rate.  Constants are measured, never assumed.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "REGIMES",
     "Regime",
     "ScanResult",
+    "Sweep",
     "analytic_envelope",
     "certify",
     "critical_radius",
@@ -66,7 +68,7 @@ __all__ = [
     "multiplier_value",
     "numeric_sup",
     "regime",
-    "sweep_specs",
+    "sweep",
     "validate_hypotheses",
 ]
 
@@ -122,7 +124,7 @@ class MultiplierSpec:
     a: float | None = None
     law: PhaseLaw | None = None
     beta: float | None = None
-    # gamma^{-1}(gamma(1)/delta), filled on first use or by ``sweep_specs``;
+    # gamma^{-1}(gamma(1)/delta), filled on first use or by ``sweep``;
     # a pure function of the fields above, so it is left out of eq and repr
     _critical_radius: float | None = dataclasses.field(
         default=None, init=False, repr=False, compare=False
@@ -241,7 +243,8 @@ def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
     """|m| along the shift axis: 2|sin(theta/2)| / (1+xi^2)^{s/2}."""
     xi = np.asarray(xi, dtype=float)
     theta = phase(spec.phase_law, spec.delta, np.abs(xi), spec.beta, xi)
-    return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + xi * xi) ** (0.5 * spec.s)
+    with np.errstate(over="ignore"):  # a weight past the double range makes |m| 0
+        return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + xi * xi) ** (0.5 * spec.s)
 
 
 def multiplier_value(spec: MultiplierSpec, xi) -> complex:
@@ -264,9 +267,12 @@ def _float_power(base: float, exponent: float, name: str) -> float:
 def analytic_envelope(spec: MultiplierSpec, strict: bool = True) -> float:
     """The family's delta-envelope for sup|m| (no constant attached)."""
     validate_hypotheses(spec, strict)
-    env = _float_power(spec.delta, regime(spec.family, spec.a).delta_power(spec), "delta**e")
+    row = regime(spec.family, spec.a)
+    env = _float_power(spec.delta, row.delta_power(spec), "delta**e")
     if spec.family.uses_law:
         env *= 1.0 / _float_power(critical_radius(spec), spec.s, "r_c**s")
+    if env == 0.0:
+        raise ParameterError(f"the {row.name} envelope underflows to 0 at delta={spec.delta!r}")
     return env
 
 
@@ -282,25 +288,6 @@ def critical_radius(spec: MultiplierSpec) -> float:
         r_c = invert(spec.law, float(spec.law(1.0)) / spec.delta)
         object.__setattr__(spec, "_critical_radius", r_c)
     return spec._critical_radius
-
-
-def sweep_specs(template: MultiplierSpec, deltas, strict: bool = True) -> list:
-    """The per-delta specs of a sweep, each with its critical radius set.
-
-    The envelope hypotheses are validated first, so a violation is reported
-    before any inversion; then one batched inversion serves every delta,
-    bit-identical to inverting them one by one.
-    """
-    deltas = list(deltas)
-    first = template.with_delta(deltas[0])
-    validate_hypotheses(first, strict)
-    specs = [first] + [template.with_delta(d) for d in deltas[1:]]
-    if template.family.uses_law:
-        ys = float(template.law(1.0)) / np.asarray([spec.delta for spec in specs])
-        # looked up on phase_laws, so perfbench/spans.py's wrapper sees the call
-        for spec, r_c in zip(specs, phase_laws.invert_many(template.law, ys)):
-            object.__setattr__(spec, "_critical_radius", float(r_c))
-    return specs
 
 
 #: Doublings allowed in the search for a set's bracket end, and halvings
@@ -480,33 +467,49 @@ def numeric_sup(
 
 
 @dataclass(frozen=True)
-class BoundCertificate:
-    """Result of a delta sweep: measured sup vs envelope, per decade."""
+class Sweep:
+    """sup|m_delta| against its envelope: one scan and one envelope per delta."""
 
     family: Family
     params: dict
     deltas: tuple
-    sups: tuple
+    scans: tuple  # ScanResult per delta
     envelopes: tuple
-    ratios: tuple
-    argmaxes: tuple
+
+    @property
+    def ratios(self) -> tuple:
+        return tuple(scan.sup / env for scan, env in zip(self.scans, self.envelopes))
+
+
+def sweep(template: MultiplierSpec, deltas, per_decade: int = 32, strict: bool = True) -> Sweep:
+    """Each delta's envelope, then its scan.  The hypotheses are validated
+    once, before any inversion; then one batched inversion serves every
+    delta, bit-identical to inverting them one by one."""
+    deltas = tuple(float(d) for d in deltas)
+    first = template.with_delta(deltas[0])
+    validate_hypotheses(first, strict)
+    specs = [first] + [template.with_delta(d) for d in deltas[1:]]
+    if template.family.uses_law:
+        ys = float(template.law(1.0)) / np.asarray(deltas)
+        # looked up on phase_laws, so perfbench/spans.py's wrapper sees the call
+        for spec, r_c in zip(specs, phase_laws.invert_many(template.law, ys)):
+            object.__setattr__(spec, "_critical_radius", float(r_c))
+    envelopes, scans = [], []
+    for spec in specs:
+        # the delta-independent hypotheses were validated once above
+        envelopes.append(analytic_envelope(spec, strict=False))
+        scans.append(numeric_sup(spec, per_decade=per_decade))
+    return Sweep(template.family, template.params_dict(), deltas, tuple(scans), tuple(envelopes))
+
+
+@dataclass(frozen=True)
+class BoundCertificate:
+    """Verdict on a delta sweep: is sup/envelope bounded and drift-free?"""
+
+    sweep: Sweep
     max_ratio: float
     drift: float
     passed: bool
-
-    def sweep_rows(self):
-        for d, sup, env, ratio, arg in zip(
-            self.deltas, self.sups, self.envelopes, self.ratios, self.argmaxes
-        ):
-            yield {"delta": d, "sup": sup, "envelope": env, "ratio": ratio, "argmax": arg}
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family.value,
-            "params": self.params,
-            "delta_sweep": list(self.sweep_rows()),
-            "pass": self.passed,
-        }
 
 
 def certify(
@@ -525,29 +528,11 @@ def certify(
         raise ParameterError("every delta must lie in (0, 1)")
     if len(deltas) < 2 or max(deltas) / min(deltas) < 1e4 * (1.0 - 1e-9):
         raise ParameterError("delta sweep must span at least four decades")
-    sups, envs, ratios, args = [], [], [], []
-    for spec in sweep_specs(template, deltas, strict):
-        # sweep_specs validated the delta-independent hypotheses once
-        env = analytic_envelope(spec, strict=False)
-        scan = numeric_sup(spec, per_decade=per_decade)
-        sups.append(scan.sup)
-        envs.append(env)
-        ratios.append(scan.sup / env)
-        args.append(scan.argmax)
+    result = sweep(template, deltas, per_decade, strict)
+    ratios = result.ratios
     max_ratio = max(ratios)
-    drift = max(ratios) / min(ratios)
-    return BoundCertificate(
-        family=template.family,
-        params=template.params_dict(),
-        deltas=tuple(deltas),
-        sups=tuple(sups),
-        envelopes=tuple(envs),
-        ratios=tuple(ratios),
-        argmaxes=tuple(args),
-        max_ratio=max_ratio,
-        drift=drift,
-        passed=bool(max_ratio <= RATIO_CAP and drift <= DRIFT_CAP),
-    )
+    drift = max_ratio / min(ratios)
+    return BoundCertificate(result, max_ratio, drift, max_ratio <= RATIO_CAP and drift <= DRIFT_CAP)
 
 
 def extremal_witness(spec: MultiplierSpec, grid: FrequencyGrid) -> SpectralField:

@@ -74,7 +74,7 @@ def test_criterion_2_shift_envelope_certificates():
         )
         elapsed = time.perf_counter() - start
         assert cert.passed, (a, s, b, cert.max_ratio, cert.drift)
-        for d, env in zip(cert.deltas, cert.envelopes):
+        for d, env in zip(cert.sweep.deltas, cert.sweep.envelopes):
             assert env == pytest.approx(envelope(d, s, a, b), rel=1e-12)
         assert elapsed < 10.0
     report(2, "all four shifted-branch certificates pass against their envelopes")
@@ -238,7 +238,9 @@ def test_criterion_8_pointwise_trace():
     points = default_points(1, 32)
     trace = pointwise_trace(f, power_law(0.5), seq, 0.5, points, k_max=2048)
     assert trace.tail is not None and trace.tail < 1e-6, trace.tail
-    assert np.all(np.diff(trace.history, axis=0) >= 0.0)
+    sums = [pointwise_trace(f, power_law(0.5), seq, 0.5, points, k_max=k).partial_sums
+            for k in (16, 32, 64)] + [trace.partial_sums]
+    assert np.all(np.diff(sums, axis=0) >= 0.0)
     report(
         8,
         f"trace tail bound {trace.tail:.2e} < 1e-6 at K=2048 with monotone partial sums",

@@ -34,6 +34,7 @@ class TestBoundCheck:
         )
         assert code == 0
         payload = json.loads(out.read_text())
+        assert list(payload) == ["family", "params", "delta_sweep", "pass"]
         assert payload["pass"] is True
         assert payload["family"] == "power"
         row = payload["delta_sweep"][0]
@@ -121,6 +122,9 @@ class TestRateFit:
         )
         assert code == 0
         payload = json.loads(out.read_text())
+        assert list(payload) == ["family", "params", "fitted_slope", "theoretical_slope",
+                                 "residual", "pass", "sweep"]
+        assert list(payload["sweep"][0]) == ["delta", "sup", "envelope", "ratio"]
         assert abs(payload["fitted_slope"] - 0.5) <= 0.05
         assert payload["pass"] is True
 
@@ -502,8 +506,9 @@ class TestNonFiniteDriftAndTime:
 
 
 class TestOverflowIsAnError:
-    """A power, phase or quotient that overflows is one error line naming
-    it, with no traceback and no RuntimeWarning."""
+    """A power, phase, quotient or summand that overflows, or an envelope
+    that underflows to 0, is one error line naming it, with no traceback
+    and no RuntimeWarning."""
 
     @staticmethod
     def run_quiet(command):
@@ -511,20 +516,50 @@ class TestOverflowIsAnError:
             warnings.simplefilter("error")
             return run(*command.split())
 
-    @pytest.mark.parametrize("command, message", [
-        ("bound-check --family power-shift --s 0.5 --a 0.5 --beta -400 --deltas 1e-2:1e-6",
-         "delta**e = 0.01**-401.0 overflows"),
-        ("bound-check --family power --s 0.0005 --a 0.001 --deltas 1e-2:1e-6",
-         "delta**(-1/a) = 0.01**-1000.0 overflows"),
-        ("bound-check --family gamma --gamma boussinesq --s 400 --deltas 1e-2:1e-6",
-         "r_c**s = 11.87106735378"),
-    ])
-    def test_sweep_power(self, command, message, capsys):
-        assert self.run_quiet(command + " --unsafe-params") == 1
+    @pytest.mark.parametrize("command", ["bound-check", "rate-fit"])
+    @pytest.mark.parametrize("flags, messages", [
+        ("--family power-shift --s 0.5 --a 0.5 --beta -400",
+         ("delta**e = 0.01**-401.0 overflows", "delta**e = 1e-06**-401.0 overflows")),
+        ("--family power --s 0.0005 --a 0.001",
+         ("delta**(-1/a) = 0.01**-1000.0 overflows", "delta**(-1/a) = 1e-06**-1000.0 overflows")),
+        ("--family gamma --gamma boussinesq --s 400",
+         ("r_c**s = 11.87106735378", "r_c**s = 1189.20690477")),
+    ], ids=["delta**e", "delta**(-1/a)", "r_c**s"])
+    def test_sweep_power(self, command, flags, messages, capsys):
+        # both commands run one sweep, which meets each delta's envelope
+        # before its scan; rate-fit sorts its deltas, so it starts at 1e-6
+        message = messages[command == "rate-fit"]
+        assert self.run_quiet(f"{command} {flags} --deltas 1e-2:1e-6 --unsafe-params") == 1
         err = capsys.readouterr()
         assert err.out == ""
         assert err.err.startswith(f"phaselab: error: {message}")
         assert err.err.endswith(" overflows\n") and err.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, message", [
+        ("bound-check --family power --s 60 --a 0.5",
+         "the power-low envelope underflows to 0 at delta=0.0017782794100389228"),
+        ("rate-fit --family power --s 200 --a 1",
+         "the power-low envelope underflows to 0 at delta=1e-06"),
+    ])
+    def test_envelope_underflow(self, command, message, capsys):
+        assert self.run_quiet(command + " --deltas 1e-2:1e-6 --unsafe-params") == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == f"phaselab: error: {message}\n"
+
+    @pytest.mark.parametrize("params, criterion", [
+        ("--criterion gamma-shift --gamma boussinesq --beta -400 --s 0.5", "gamma-shift"),
+        ("--criterion power-shift-super --a 2 --s 1 --beta -400", "power-shift-super"),
+    ])
+    def test_summand_not_finite(self, params, criterion, capsys):
+        # t**(2*(beta-1)) overflows at 0.25, not at 0.5
+        command = f"seq-check {params} --seq explicit:0.5,0.25,1e-300 --unsafe-params"
+        assert self.run_quiet(command) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == (
+            f"phaselab: error: the summand of {criterion} is not finite at the term t=0.25\n"
+        )
 
     @pytest.mark.parametrize("law, time, message", [
         ("--a 1e308", "0.5", "the phase of power:a=1e+308 is not finite at t=0.5"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import phaselab.convergence
 import phaselab.multipliers
 from phaselab import (
     BOUSSINESQ,
@@ -20,7 +20,6 @@ from phaselab import (
     ScanTooSmallError,
     analytic_envelope,
     certify,
-    critical_radius,
     custom_law,
     error_field,
     extremal_witness,
@@ -36,7 +35,7 @@ from phaselab.multipliers import (
     RATIO_CAP,
     _phase_radii,
     modulus_on_axis,
-    sweep_specs,
+    sweep,
 )
 from phaselab.propagation import phase
 
@@ -254,7 +253,7 @@ class TestCertify:
     def test_linear_power_pair_all_ratios_below_two(self):
         cert = certify(power_spec(1.0, 1.0, 1e-3), DELTAS_4DEC)
         assert cert.passed
-        assert all(r <= 2.0 for r in cert.ratios)
+        assert all(r <= 2.0 for r in cert.sweep.ratios)
 
     def test_shift_branch_beta_above_one(self):
         # sharp configuration for the sub-linear shifted branch
@@ -282,19 +281,25 @@ class TestCertify:
             MultiplierSpec(Family.GAMMA, s=0.5, delta=1e-3, law=BOUSSINESQ), DELTAS_4DEC
         )
         assert cert.passed
-        for row in cert.sweep_rows():
-            inv = invert(BOUSSINESQ, math.sqrt(2) / row["delta"])
-            assert row["envelope"] == pytest.approx(inv**-0.5, rel=1e-12)
+        for d, env in zip(cert.sweep.deltas, cert.sweep.envelopes):
+            inv = invert(BOUSSINESQ, math.sqrt(2) / d)
+            assert env == pytest.approx(inv**-0.5, rel=1e-12)
 
     def test_sweep_must_span_four_decades(self):
         with pytest.raises(ParameterError):
             certify(power_spec(0.5, 0.5, 1e-3), [1e-2, 1e-3])
 
-    def test_certificate_dict_schema(self):
+    def test_certificate_record(self):
+        # the certificate is a verdict on one sweep record; the CLI formats both
         cert = certify(power_spec(0.5, 0.5, 1e-3), DELTAS_4DEC)
-        d = cert.to_dict()
-        assert set(d) == {"family", "params", "delta_sweep", "pass"}
-        assert set(d["delta_sweep"][0]) == {"delta", "sup", "envelope", "ratio", "argmax"}
+        assert [f.name for f in dataclasses.fields(cert)] == ["sweep", "max_ratio", "drift", "passed"]
+        sw = cert.sweep
+        assert (sw.family, sw.params, sw.deltas) == (Family.POWER, {"s": 0.5, "a": 0.5},
+                                                     tuple(DELTAS_4DEC))
+        assert len(sw.scans) == len(sw.envelopes) == len(sw.ratios) == len(DELTAS_4DEC)
+        assert sw.ratios == tuple(scan.sup / env for scan, env in zip(sw.scans, sw.envelopes))
+        assert cert.max_ratio == max(sw.ratios)
+        assert cert.drift == max(sw.ratios) / min(sw.ratios)
 
 
 def reference_phase_radii(spec, targets):
@@ -432,7 +437,7 @@ SWEEP_TEMPLATES = [
 ]
 
 
-class TestSweepSpecs:
+class TestSweep:
     @pytest.mark.parametrize("template", SWEEP_TEMPLATES, ids=lambda s: s.family.value)
     def test_certify_scans_match_standalone_numeric_sup(self, template, monkeypatch):
         calls = _recorded_sups(monkeypatch, phaselab.multipliers)
@@ -444,7 +449,7 @@ class TestSweepSpecs:
             assert (scan.sup, scan.argmax, scan.points) == (alone.sup, alone.argmax, alone.points)
 
     def test_rate_fit_scans_match_standalone_numeric_sup(self, monkeypatch):
-        calls = _recorded_sups(monkeypatch, phaselab.convergence)
+        calls = _recorded_sups(monkeypatch, phaselab.multipliers)
         template = SWEEP_TEMPLATES[1]
         rate_fit(template, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6], per_decade=8)
         assert len(calls) == 5
@@ -452,11 +457,23 @@ class TestSweepSpecs:
             alone = numeric_sup(template.with_delta(d), per_decade=8)
             assert (scan.sup, scan.argmax, scan.points) == (alone.sup, alone.argmax, alone.points)
 
-    def test_batched_critical_radius_equals_scalar_inversion(self):
-        template = SWEEP_TEMPLATES[0]
-        for spec in sweep_specs(template, DELTAS_4DEC):
-            assert critical_radius(spec) == invert(BOUSSINESQ, math.sqrt(2) / spec.delta)
-            assert spec == template.with_delta(spec.delta)
+    @pytest.mark.parametrize("template", SWEEP_TEMPLATES, ids=lambda s: s.family.value)
+    def test_each_delta_matches_standalone_spec(self, template):
+        # one batched inversion serves the sweep, yet each delta's envelope
+        # and scan are bit for bit those of its own spec, inverted alone
+        result = sweep(template, DELTAS_4DEC)
+        assert result.deltas == tuple(DELTAS_4DEC)
+        for d, env, scan in zip(result.deltas, result.envelopes, result.scans):
+            alone = template.with_delta(d)
+            assert env.hex() == analytic_envelope(alone).hex()
+            want = numeric_sup(alone)
+            assert (scan.sup.hex(), scan.argmax.hex(), scan.points) == (
+                want.sup.hex(), want.argmax.hex(), want.points)
+
+    def test_certify_and_rate_fit_share_one_sweep(self):
+        template = SWEEP_TEMPLATES[1]
+        ds = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]  # ascending, as rate_fit sorts them
+        assert certify(template, ds).sweep == rate_fit(template, ds).sweep
 
     @pytest.mark.parametrize("template", SWEEP_TEMPLATES[:2], ids=lambda s: s.family.value)
     def test_hypotheses_probed_once_per_sweep(self, template, monkeypatch):
@@ -481,7 +498,7 @@ class TestSweepSpecs:
         bumpy = custom_law(lambda r: np.asarray(r) * (2.0 + np.sin(np.asarray(r))), "bumpy")
         template = MultiplierSpec(Family.GAMMA, s=0.5, delta=1e-3, law=bumpy)
         with pytest.raises(HypothesisViolation, match="bumpy is ineligible"):
-            sweep_specs(template, DELTAS_4DEC)
+            sweep(template, DELTAS_4DEC)
 
 
 class TestExtremalWitness:
