@@ -37,12 +37,11 @@ from .errors import ParameterError
 from .multipliers import Family, MultiplierSpec, certify
 from .phase_laws import parse_law
 from .propagation import ShiftSpec, evaluate_shifted
-from .spectral import _dot, make_grid, random_field, read_field_csv
+from .spectral import DEFAULT_GRID_PARAMS, _dot, default_grid, make_grid, random_field, read_field_csv
 
 __all__ = ["build_parser", "main"]
 
 #: Defaults of the flags whose absence the commands must see.
-DEFAULT_GRID = "1,64,0.125"
 DEFAULT_NUM_POINTS = 32
 DEFAULT_PER_DECADE = 4
 
@@ -293,7 +292,7 @@ def cmd_trace(args) -> int:
             )
         field = read_field_csv(args.field)
     else:
-        grid = _parse_grid(args.grid or DEFAULT_GRID)
+        grid = _parse_grid(args.grid) if args.grid else default_grid()
         field = random_field(grid, np.random.default_rng(_seed(args)))
     grid = field.grid
     law = _law_from_args(args)
@@ -380,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_evolution(p)
     p.add_argument("--field", default=None, help="field CSV; a seeded random field when omitted")
     p.add_argument(
-        "--grid", default=None, help=f"n,xi_max,dxi of the random field (default {DEFAULT_GRID})"
+        "--grid", default=None,
+        help="n,xi_max,dxi of the random field (default %d,%g,%g)" % DEFAULT_GRID_PARAMS,
     )
     p.add_argument("--seq", required=True)
     p.add_argument("--s", type=float, required=True)

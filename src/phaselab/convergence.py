@@ -52,6 +52,7 @@ __all__ = [
     "Applicability",
     "ConvergenceCriterion",
     "DEFAULT_SEED",
+    "K_PROBE",
     "RateReport",
     "SummabilityCondition",
     "TimeSequence",
@@ -67,6 +68,8 @@ __all__ = [
 
 #: Seed used for the documented default sample points.
 DEFAULT_SEED = 1729
+#: Terms of a symbolic sequence that ``sequence_applicable``'s fallback sums.
+K_PROBE = 4096
 
 @dataclass(frozen=True)
 class TimeSequence:
@@ -186,18 +189,17 @@ def required_exponent(
     """The summability condition of a criterion's regime row: the sum of the
     squared envelope, sum_k t_k**q with q = 2 * the row's envelope exponent.
 
-    Raises ParameterError when a parameter the row reads is missing or one
-    it does not read is given, and (strict mode) HypothesisViolation naming
+    Raises ParameterError when s, a or beta lies outside its domain, when a
+    parameter the row reads is missing or one it does not read is given
+    (``multipliers.check_reads``), and (strict mode) HypothesisViolation naming
     the failed inequality when the parameters fall outside the row's range.
     A gamma-sum's summand raises ParameterError naming the first term t at
     which g(1)/t overflows.
     """
     criterion = ConvergenceCriterion(criterion)
-    if not (np.isfinite(s) and s > 0):
-        raise ParameterError(f"s must be positive, got {s}")
     row = REGIMES["gamma" if criterion in _ALIAS_LAWS else criterion.value]
     reads = () if criterion in _ALIAS_LAWS else row.family.reads
-    check_reads(criterion.value, reads, a=a, beta=beta, law=law)
+    check_reads(criterion.value, reads, s, a=a, beta=beta, law=law)
     p = SimpleNamespace(s=s, a=a, beta=beta, law=_ALIAS_LAWS.get(criterion, law))
     if strict:
         row.check(p)
@@ -236,7 +238,6 @@ def sequence_applicable(
     a: float | None = None,
     beta: float | None = None,
     law: PhaseLaw | None = None,
-    k_probe: int = 4096,
     strict: bool = True,
 ) -> Applicability:
     """Decide whether {t_k} satisfies the criterion's summability condition.
@@ -245,7 +246,7 @@ def sequence_applicable(
     known (power sums, and gamma sums over laws with a known inverse
     growth): power sequences qualify iff p*q > 1 and geometric sequences
     qualify for every positive exponent.  Everything else falls back to
-    partial sums over the first ``k_probe`` terms, answering "unknown"
+    partial sums over the first ``K_PROBE`` terms, answering "unknown"
     unless they visibly stabilize; a summand that is not finite at some
     term raises ParameterError naming the first such term.
     """
@@ -264,7 +265,7 @@ def sequence_applicable(
         return Applicability("no", f"nonpositive exponent q = {q:g}")
 
     # numeric fallback: explicit lists, or laws without a known inverse growth
-    t = seq.terms(k_probe if seq.kind != "explicit" else len(seq.values))
+    t = seq.terms(K_PROBE if seq.kind != "explicit" else len(seq.values))
     with np.errstate(over="ignore", invalid="ignore"):
         g = cond.summand(t) if cond.form == "gamma-sum" else t**q
     if not np.isfinite(g).all():
@@ -320,9 +321,7 @@ def _line_fit(x, y) -> tuple:
     return float(slope), math.sqrt(float(mean_sq))
 
 
-def rate_fit(
-    template: MultiplierSpec, deltas, per_decade: int = 32, strict: bool = True
-) -> RateReport:
+def rate_fit(template: MultiplierSpec, deltas, strict: bool = True) -> RateReport:
     """Least-squares slope of log sup|m| against log delta vs the envelope rate.
 
     Passes iff |fitted - theoretical| <= 0.05.  strict=False skips the
@@ -335,7 +334,7 @@ def rate_fit(
         raise ParameterError("rate-fit deltas must lie in (1e-10, 1e-1)")
     if deltas[-1] / deltas[0] < 1e4 * (1.0 - 1e-9):
         raise ParameterError("rate-fit deltas must span at least four decades")
-    result = sweep(template, deltas, per_decade, strict)
+    result = sweep(template, deltas, strict)
     sups = [scan.sup for scan in result.scans]
     slope, residual = _line_fit(np.log(np.asarray(deltas)), np.log(np.asarray(sups)))
     theoretical = float(envelope_log_slope(template))
@@ -379,6 +378,8 @@ def default_points(n: int, count: int = 32, seed: int = DEFAULT_SEED) -> np.ndar
 
 def _tail_bound(field: SpectralField, law, shift: ShiftSpec | None, seq: TimeSequence, k_max: int):
     """Explicit bound on sum_{k>K} ||h_k||_inf^2 for symbolic sequences."""
+    if seq.kind == "explicit":
+        return None
     grid = field.grid
     mass = (
         _fsum(np.abs(field.coefficients).tolist())
@@ -388,27 +389,21 @@ def _tail_bound(field: SpectralField, law, shift: ShiftSpec | None, seq: TimeSeq
     gmax = float(np.max(np.asarray(law(grid.radii), dtype=float))) if grid.num_modes else 0.0
     proj = float(np.max(np.abs(_dot(grid.modes, shift.mu)))) if shift is not None else 0.0
 
-    def power_tail(c: float) -> float:
+    def tail(x: float) -> float:
+        """A bound on sum_{k>K} t_k**(2x): x = 1 for the phase, beta for the drift."""
+        if seq.kind == "geometric":
+            rho = seq.r ** (2.0 * x)
+            return rho ** (k_max + 1) / (1.0 - rho)
         # sum_{k>K} (k+1)^(-c) <= (K+1)^(1-c) / (c-1)
+        c = 2.0 * seq.p * x
         if c <= 1.0:
             return math.inf
         return (k_max + 1.0) ** (1.0 - c) / (c - 1.0)
 
-    def geometric_tail(c: float) -> float:
-        rho = seq.r**c
-        return rho ** (k_max + 1) / (1.0 - rho)
-
-    if seq.kind == "power":
-        tail_sq = (mass * gmax) ** 2 * power_tail(2.0 * seq.p)
-        if shift is not None:
-            tail_sq = 2.0 * tail_sq + 2.0 * (mass * proj) ** 2 * power_tail(2.0 * seq.p * shift.beta)
-        return tail_sq
-    if seq.kind == "geometric":
-        tail_sq = (mass * gmax) ** 2 * geometric_tail(2.0)
-        if shift is not None:
-            tail_sq = 2.0 * tail_sq + 2.0 * (mass * proj) ** 2 * geometric_tail(2.0 * shift.beta)
-        return tail_sq
-    return None
+    tail_sq = (mass * gmax) ** 2 * tail(1.0)
+    if shift is not None:
+        tail_sq = 2.0 * tail_sq + 2.0 * (mass * proj) ** 2 * tail(shift.beta)
+    return tail_sq
 
 
 def pointwise_trace(

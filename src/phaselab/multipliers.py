@@ -46,7 +46,7 @@ from .errors import (
 )
 from . import phase_laws
 from .phase_laws import PhaseLaw, check_hypotheses, invert, power_law
-from .propagation import phase
+from .propagation import _modulus, phase
 from .spectral import FrequencyGrid, SpectralField, _dot
 
 __all__ = [
@@ -100,14 +100,22 @@ class Family(str, Enum):
         return ("law" if self.uses_law else "a",) + (("beta",) if self.shifted else ())
 
 
-def check_reads(owner: str, reads: tuple, **given) -> None:
-    """Reject a parameter in ``reads`` that is not given, and one given but not read."""
+def check_reads(owner: str, reads: tuple, s: float, **given) -> None:
+    """The one check of a regime's parameter domain: s > 0, every parameter
+    in ``reads`` given and no other, a > 0 and beta finite where given."""
+    if not (np.isfinite(s) and s > 0):
+        raise ParameterError(f"s must be positive, got {s}")
     unread = [name for name, value in given.items() if value is not None and name not in reads]
     if unread:
         raise ParameterError(f"{owner} does not read {' or '.join(unread)}")
     missing = [name for name in reads if given[name] is None]
     if missing:
         raise ParameterError(f"{owner} requires {' and '.join(missing)}")
+    a, beta = given["a"], given["beta"]
+    if a is not None and not (np.isfinite(a) and a > 0):
+        raise ParameterError("power families require a > 0")
+    if beta is not None and not np.isfinite(beta):
+        raise ParameterError("shift families require a finite beta")
 
 
 @dataclass(frozen=True)
@@ -138,14 +146,8 @@ class MultiplierSpec:
             raise ParameterError(
                 f"delta must lie in [1e-10, 1), got {self.delta}"
             )
-        if not (np.isfinite(self.s) and self.s > 0):
-            raise ParameterError(f"s must be positive, got {self.s}")
-        check_reads(f"{self.family.value} family", self.family.reads,
+        check_reads(f"{self.family.value} family", self.family.reads, self.s,
                     a=self.a, beta=self.beta, law=self.law)
-        if self.a is not None and not (np.isfinite(self.a) and self.a > 0):
-            raise ParameterError("power families require a > 0")
-        if self.beta is not None and not np.isfinite(self.beta):
-            raise ParameterError("shift families require a finite beta")
         law = self.law if self.family.uses_law else power_law(self.a)
         object.__setattr__(self, "phase_law", law)
 
@@ -219,15 +221,9 @@ def regime(family: Family, a: float | None = None) -> Regime:
     return next(row for row in REGIMES.values() if row.family is family)
 
 
-def validate_hypotheses(spec: MultiplierSpec, strict: bool = True) -> None:
+def validate_hypotheses(spec: MultiplierSpec) -> None:
     """The hypotheses of the spec's regime row, and for the gamma families
-    the law's eligibility.
-
-    strict=False skips the checks (the formulas themselves never change);
-    errors name the violated inequality.
-    """
-    if not strict:
-        return
+    the law's eligibility; errors name the violated inequality."""
     regime(spec.family, spec.a).check(spec)
     if spec.family.uses_law:
         report = check_hypotheses(spec.law, 256)
@@ -242,9 +238,7 @@ def validate_hypotheses(spec: MultiplierSpec, strict: bool = True) -> None:
 def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
     """|m| along the shift axis: 2|sin(theta/2)| / (1+xi^2)^{s/2}."""
     xi = np.asarray(xi, dtype=float)
-    theta = phase(spec.phase_law, spec.delta, np.abs(xi), spec.beta, xi)
-    with np.errstate(over="ignore"):  # a weight past the double range makes |m| 0
-        return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + xi * xi) ** (0.5 * spec.s)
+    return _modulus(spec.phase_law, spec.delta, np.abs(xi), spec.beta, xi, spec.s)
 
 
 def multiplier_value(spec: MultiplierSpec, xi) -> complex:
@@ -265,8 +259,10 @@ def _float_power(base: float, exponent: float, name: str) -> float:
 
 
 def analytic_envelope(spec: MultiplierSpec, strict: bool = True) -> float:
-    """The family's delta-envelope for sup|m| (no constant attached)."""
-    validate_hypotheses(spec, strict)
+    """The family's delta-envelope for sup|m| (no constant attached);
+    strict=False skips the hypotheses (the formula never changes)."""
+    if strict:
+        validate_hypotheses(spec)
     row = regime(spec.family, spec.a)
     env = _float_power(spec.delta, row.delta_power(spec), "delta**e")
     if spec.family.uses_law:
@@ -290,7 +286,7 @@ def critical_radius(spec: MultiplierSpec) -> float:
     return spec._critical_radius
 
 
-#: Doublings allowed in the search for a set's bracket end, and halvings
+#: Doublings allowed in the search for the bracket end, and halvings
 #: allowed in the bisection.
 _DOUBLINGS = 200
 _HALVINGS = 160
@@ -309,23 +305,18 @@ _TIGHT = 2.0**-48
 _FLOOR = 2.0**-100
 
 
-def _start_brackets(theta, targets, ends, sizes):
+def _start_brackets(theta, targets, end):
     """Starting brackets lo < hi for the bisection, one per target.
 
-    A target's table bracket [a, b] (adjacent table radii below its set's
-    end H) is narrowed by secant steps inside it.  The start is the tight
-    bracket around the last secant point where theta(lo) < target <=
-    theta(hi) holds on it, else [a, b] where that holds, else [0, H]; and
-    [0, H] wherever lo < H * _FLOOR.
+    A target's table bracket [a, b] (adjacent table radii below the end H)
+    is narrowed by secant steps inside it.  The start is the tight bracket
+    around the last secant point where theta(lo) < target <= theta(hi)
+    holds on it, else [a, b] where that holds, else [0, H]; and [0, H]
+    wherever lo < H * _FLOOR.
     """
-    end = np.repeat(ends, sizes)
-    table = np.multiply.outer(ends, _TABLE)
-    values = theta(table.ravel()).reshape(table.shape)
-    idx = np.concatenate([
-        np.clip(np.searchsorted(v, t), 1, _TABLE.size - 1) + i * _TABLE.size
-        for i, (v, t) in enumerate(zip(values, np.split(targets, np.cumsum(sizes)[:-1])))
-    ])
-    table, values = table.ravel(), values.ravel()
+    table = end * _TABLE
+    values = theta(table)
+    idx = np.clip(np.searchsorted(values, targets), 1, _TABLE.size - 1)
     a, b = table[idx - 1], table[idx]
     table_ok = (values[idx - 1] < targets) & (values[idx] >= targets)
     x0, f0, x, f = a, values[idx - 1] - targets, b, values[idx] - targets
@@ -344,55 +335,47 @@ def _start_brackets(theta, targets, ends, sizes):
     return np.where(floor, 0.0, lo), np.where(floor, end, hi)
 
 
-def _phase_radii(spec: MultiplierSpec, *target_sets) -> tuple:
-    """Radii where the +mu-direction phase reaches each set of target values.
+def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
+    """Radii where the +mu-direction phase reaches each target value.
 
-    Each set's bracket end H is the first max(1, r_c) * 2**j whose phase
-    reaches the set's largest target.  Each target then gets a starting
-    bracket from ``_start_brackets``: a geometric table of phases below H,
-    a few secant steps and a tight bracket, or [0, H] where these do not
-    straddle it.  All targets are bisected together.  The bisection stops
-    at the first step that moves no bracket end: each step depends only on
-    (lo, hi, targets), so every later step up to the 160-step cap would be
-    a no-op as well.
+    The bracket end H is the first max(1, r_c) * 2**j whose phase reaches
+    the largest target.  Each target then gets a starting bracket from
+    ``_start_brackets``: a geometric table of phases below H, a few secant
+    steps and a tight bracket, or [0, H] where these do not straddle it.
+    All targets are bisected together.  The bisection stops at the first
+    step that moves no bracket end: each step depends only on (lo, hi,
+    targets), so every later step up to the 160-step cap would be a no-op
+    as well.
 
     Every bisection ends on adjacent doubles lo < hi with phase(lo) <
     target <= phase(hi).  When the computed phase is nondecreasing in r on
     [0, H], hi is the smallest double whose phase reaches the target,
     whatever straddling bracket the bisection starts from, so the radii
-    are bit for bit those of 160 halvings from [0, H].
+    are bit for bit those of 160 halvings from [0, H], or from any lower
+    end whose phase reaches the target.
     """
-    sets = [np.asarray(t, dtype=float) for t in target_sets]
+    targets = np.asarray(targets, dtype=float)
     if spec.family is Family.POWER:
-        return tuple((t / spec.delta) ** (1.0 / spec.a) for t in sets)
+        return (targets / spec.delta) ** (1.0 / spec.a)
 
     def theta(r):
         return phase(spec.phase_law, spec.delta, r, spec.beta, r)
 
-    tops = [float(t.max()) for t in sets]
-    hi = max(1.0, critical_radius(spec))
-    brackets = [None] * len(sets)
+    top = float(targets.max())
+    end = max(1.0, critical_radius(spec))
     for _ in range(_DOUBLINGS):
-        reach = float(theta(hi))
-        for i, top in enumerate(tops):
-            if brackets[i] is None and reach >= top:
-                brackets[i] = hi
-        if None not in brackets:
+        if float(theta(end)) >= top:
             break
-        hi *= 2.0
-    sizes = [t.size for t in sets]
-    targets = np.concatenate(sets)
-    lo, hi_arr = _start_brackets(
-        theta, targets, np.asarray([hi if b is None else b for b in brackets]), sizes
-    )
+        end *= 2.0
+    lo, hi = _start_brackets(theta, targets, end)
     for _ in range(_HALVINGS):
-        mid = 0.5 * (lo + hi_arr)
+        mid = 0.5 * (lo + hi)
         above = theta(mid) >= targets
-        if np.array_equal(mid, np.where(above, hi_arr, lo)):
+        if np.array_equal(mid, np.where(above, hi, lo)):
             break
-        hi_arr = np.where(above, mid, hi_arr)
+        hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-    return tuple(np.split(0.5 * (lo + hi_arr), np.cumsum(sizes)[:-1]))
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -459,7 +442,7 @@ def numeric_sup(
     # the phase u = theta(r) through its first turn (u[-1] == 2*pi), and pi
     refine = int(refine)
     u = np.linspace(2.0 * math.pi / refine, 2.0 * math.pi, refine)
-    r_turn, r_pi = _phase_radii(spec, u, np.asarray([math.pi]))
+    r_turn, r_pi = np.split(_phase_radii(spec, np.append(u, math.pi)), [refine])
     if xi_max is None:
         xi_max = max(floor, 1.05 * float(r_turn[-1]), 8.0)
     radii = _scan_radii(float(xi_max), int(per_decade), r_turn, float(r_pi[0]))
@@ -481,13 +464,14 @@ class Sweep:
         return tuple(scan.sup / env for scan, env in zip(self.scans, self.envelopes))
 
 
-def sweep(template: MultiplierSpec, deltas, per_decade: int = 32, strict: bool = True) -> Sweep:
+def sweep(template: MultiplierSpec, deltas, strict: bool = True) -> Sweep:
     """Each delta's envelope, then its scan.  The hypotheses are validated
     once, before any inversion; then one batched inversion serves every
     delta, bit-identical to inverting them one by one."""
     deltas = tuple(float(d) for d in deltas)
     first = template.with_delta(deltas[0])
-    validate_hypotheses(first, strict)
+    if strict:
+        validate_hypotheses(first)
     specs = [first] + [template.with_delta(d) for d in deltas[1:]]
     if template.family.uses_law:
         ys = float(template.law(1.0)) / np.asarray(deltas)
@@ -498,7 +482,7 @@ def sweep(template: MultiplierSpec, deltas, per_decade: int = 32, strict: bool =
     for spec in specs:
         # the delta-independent hypotheses were validated once above
         envelopes.append(analytic_envelope(spec, strict=False))
-        scans.append(numeric_sup(spec, per_decade=per_decade))
+        scans.append(numeric_sup(spec))
     return Sweep(template.family, template.params_dict(), deltas, tuple(scans), tuple(envelopes))
 
 
@@ -512,12 +496,7 @@ class BoundCertificate:
     passed: bool
 
 
-def certify(
-    template: MultiplierSpec,
-    deltas,
-    per_decade: int = 32,
-    strict: bool = True,
-) -> BoundCertificate:
+def certify(template: MultiplierSpec, deltas, strict: bool = True) -> BoundCertificate:
     """Sweep delta and certify that sup|m| <= C * envelope with stable C.
 
     Passes iff every ratio sup/envelope is at most RATIO_CAP and the
@@ -528,7 +507,7 @@ def certify(
         raise ParameterError("every delta must lie in (0, 1)")
     if len(deltas) < 2 or max(deltas) / min(deltas) < 1e4 * (1.0 - 1e-9):
         raise ParameterError("delta sweep must span at least four decades")
-    result = sweep(template, deltas, per_decade, strict)
+    result = sweep(template, deltas, strict)
     ratios = result.ratios
     max_ratio = max(ratios)
     drift = max_ratio / min(ratios)
@@ -545,8 +524,7 @@ def extremal_witness(spec: MultiplierSpec, grid: FrequencyGrid) -> SpectralField
     if grid.num_modes == 0:
         raise GridMismatchError("grid has no modes")
     r = grid.radii
-    theta = phase(spec.phase_law, spec.delta, r, spec.beta, grid.modes[:, 0])
-    w = 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * spec.s)
+    w = _modulus(spec.phase_law, spec.delta, r, spec.beta, grid.modes[:, 0], spec.s)
     ties = np.flatnonzero(w == w.max())
     idx = min(ties, key=lambda j: (r[j], tuple(grid.modes[j])))
     coeff = 1.0 / ((1.0 + r[idx] ** 2) ** (0.5 * spec.s) * grid.weight**0.5)

@@ -40,6 +40,8 @@ __all__ = [
 
 BRACKET_HI = 1e9
 MAX_BISECT = 200
+#: Relative tolerance of an inverse: |gamma(r) - y| <= REL_TOL * max(1, y).
+REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,8 @@ def check_hypotheses(law: PhaseLaw, r_samples: int = 512) -> HypothesisReport:
     return HypothesisReport(True, increasing, ratio_increasing)
 
 
-def invert_many(law: PhaseLaw, ys, rel_tol: float = 1e-10) -> np.ndarray:
-    """Vectorized inverse: returns r with |gamma(r) - y| <= rel_tol*max(1, y).
+def invert_many(law: PhaseLaw, ys) -> np.ndarray:
+    """Vectorized inverse: returns r with |gamma(r) - y| <= REL_TOL*max(1, y).
 
     Pure powers use the closed form y**(1/a); everything else goes through
     bracketing bisection (at most 200 halvings).  Each element's bracket is
@@ -179,11 +181,11 @@ def invert_many(law: PhaseLaw, ys, rel_tol: float = 1e-10) -> np.ndarray:
             break
     roots = (0.5 * (lo + hi)).reshape(ys.shape)
     err = np.abs(np.asarray(law(roots), dtype=float) - ys)
-    if np.any(err > rel_tol * np.maximum(1.0, ys)):
-        raise ParameterError(f"bisection for {law.name} missed tolerance {rel_tol:g}")
+    if np.any(err > REL_TOL * np.maximum(1.0, ys)):
+        raise ParameterError(f"bisection for {law.name} missed tolerance {REL_TOL:g}")
     return roots
 
 
-def invert(law: PhaseLaw, y: float, rel_tol: float = 1e-10) -> float:
+def invert(law: PhaseLaw, y: float) -> float:
     """Scalar inverse of an eligible phase law."""
-    return float(invert_many(law, np.asarray([y], dtype=float), rel_tol)[0])
+    return float(invert_many(law, np.asarray([y], dtype=float))[0])

@@ -71,6 +71,14 @@ def phase(law, t, r, beta: float | None = None, proj=None):
     return theta + shift_offset(t, beta) * proj
 
 
+def _modulus(law, t, r, beta, proj, s):
+    """|e^{i theta} - 1| / (1+r*r)**(s/2) as 2|sin(theta/2)| over the weight, for
+    the ``phase`` arguments and the index s; a weight past the double range gives 0."""
+    theta = phase(law, t, r, beta, proj)
+    with np.errstate(over="ignore"):
+        return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * s)
+
+
 def _angles(grid: FrequencyGrid, law, t: float, shift: ShiftSpec | None) -> np.ndarray:
     """The phase at every mode of the grid; ParameterError where it is not finite."""
     if not (0 <= t < math.inf):
@@ -147,9 +155,9 @@ def error_field(
     l2 = sobolev_norm(h, 0.0)
     hs = sobolev_norm(field, s)
     if __debug__ and field.grid.num_modes:
-        wsup = float(
-            np.max(np.abs(factor) / (1.0 + field.grid.radii**2) ** (s / 2.0))
-        )
+        grid = field.grid
+        beta, proj = (None, None) if shift is None else (shift.beta, _dot(grid.modes, shift.mu))
+        wsup = float(np.max(_modulus(law, t, grid.radii, beta, proj, s)))
         assert l2 <= wsup * hs * (1.0 + 1e-10) + 1e-300, (
             "discrete multiplier bound violated"
         )

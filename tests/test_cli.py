@@ -196,6 +196,23 @@ class TestSeqCheck:
         assert "does not read" in err.err
         assert err.out == ""
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--criterion", "gamma-shift", "--gamma", "quartic", "--beta", "nan"),
+         "shift families require a finite beta"),
+        (("--criterion", "power-low", "--a", "nan", "--unsafe-params"),
+         "power families require a > 0"),
+        (("--criterion", "power-high", "--a", "-1", "--unsafe-params"),
+         "power families require a > 0"),
+        (("--criterion", "power-high", "--a", "inf", "--unsafe-params"),
+         "power families require a > 0"),
+    ])
+    def test_parameter_outside_its_domain_is_an_error(self, flags, message, capsys):
+        # bound-check rejects the same values in its MultiplierSpec
+        assert run("seq-check", "--s", "0.5", "--seq", "power:p=2", *flags) == 1
+        err = capsys.readouterr()
+        assert err.err.splitlines() == [f"phaselab: error: {message}"]
+        assert err.out == ""
+
     @pytest.mark.parametrize("alias,q", [("boussinesq", 0.5), ("quartic", 0.25)])
     def test_alias_on_an_explicit_list_past_the_inversion_bracket(self, alias, q, capsys):
         terms = ",".join(repr(2.0**-k) for k in range(1, 71))
@@ -595,6 +612,8 @@ FUZZ_COMMANDS = [
     "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 1.5 --deltas 1e-2,1e-6",
     "seq-check --criterion gamma --gamma boussinesq --s 0.5 --seq explicit:0.5,0.25,0.125",
     "seq-check --criterion power-shift-sub --a 0.5 --beta 1.5 --s 0.75 --seq power:p=2",
+    "seq-check --criterion gamma-shift --gamma quartic --beta 1.5 --s 0.5 --seq power:p=2 "
+    "--unsafe-params",
 ]
 FUZZ_VALUES = ["nan", "inf", "-0.0", "1e308", "5e-324", "", "x", "1,", ";"]
 #: Flags whose values size the work: the fuzz never makes them larger
@@ -621,8 +640,9 @@ def fuzz_field(tmp_path_factory):
 def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
     """One numeric token swapped for an edge or malformed value: the command
     exits 0 (2 for a failed certificate), or 1 with one error line, and never
-    raises.  RuntimeWarnings are printed, not raised: non-finite points give
-    NaN values with numpy's warnings, and that output is documented."""
+    raises; a seq-check that exits 0 reports a finite q, or none.
+    RuntimeWarnings are printed, not raised: non-finite points give NaN
+    values with numpy's warnings, and that output is documented."""
     argv = data.draw(st.sampled_from(FUZZ_COMMANDS)).split()
     i, start, end = data.draw(st.sampled_from(fuzz_sites(argv)))
     values = FUZZ_VALUES
@@ -644,6 +664,9 @@ def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
     else:
         assert code == 0 or (code == 2 and argv[0] == "bound-check"), (argv, code)
         assert not errors, err.getvalue()
+    if code == 0 and argv[0] == "seq-check":
+        q = json.loads(out.getvalue())["q"]
+        assert q is None or math.isfinite(q), (argv, q)
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

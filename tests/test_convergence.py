@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -129,6 +130,18 @@ class TestRegimeRows:
             if name not in params:
                 with pytest.raises(ParameterError, match=f"does not read {name}"):
                     required_exponent(criterion, **params, **{name: value})
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("criterion, params, message", [
+        ("gamma-shift", dict(law=QUARTIC, beta=math.nan), "shift families require a finite beta"),
+        ("power-low", dict(a=math.nan), "power families require a > 0"),
+        ("power-high", dict(a=-1.0), "power families require a > 0"),
+        ("power-high", dict(a=math.inf), "power families require a > 0"),
+    ])
+    def test_parameter_outside_its_domain_is_rejected(self, criterion, params, message, strict):
+        # the check MultiplierSpec makes, in strict mode and out of it
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            required_exponent(criterion, s=0.5, **params, strict=strict)
 
     @pytest.mark.parametrize("criterion", sorted(ROW_PARAMS))
     def test_missing_parameter_is_rejected(self, criterion):
