@@ -292,7 +292,7 @@ def cmd_trace(args) -> int:
             )
         field = read_field_csv(args.field)
     else:
-        grid = _parse_grid(args.grid) if args.grid else default_grid()
+        grid = default_grid() if args.grid is None else _parse_grid(args.grid)
         field = random_field(grid, np.random.default_rng(_seed(args)))
     grid = field.grid
     law = _law_from_args(args)

@@ -433,6 +433,8 @@ def numeric_sup(
     """
     if per_decade < 1:
         raise ParameterError(f"per_decade must be positive, got {per_decade}")
+    if refine < 1:
+        raise ParameterError(f"refine must be positive, got {refine}")
     r_c = critical_radius(spec)
     floor = 4.0 * r_c
     if xi_max is not None and xi_max < floor * (1.0 - 1e-9):

@@ -8,29 +8,37 @@ result is the true sum of the terms rounded once to the nearest double,
 so it does not depend on summation order, runs or thread counts.
 
 ``csum`` sums every row of a 2-D block at once (a vector is a one-row
-block).  It splits each term once against a power of two sigma
-(error-free extraction: Rump, Ogita and Oishi, "Accurate floating-point
-summation part I", 2008), so the high parts add up exactly in any order
-and numpy's contiguous ``sum`` can add them; the low parts are added in
-floating point and a rigorous error bound decides whether the rounded
-total is the exactly-rounded sum.  The proof needs only a sigma of at
-least 2**L times the power of two just above each row's largest term
-(L = ceil(log2(M + 2)) for M terms).  So rows and planes whose largest
-terms lie within a few binades of each other share one sigma, a Python
-float, and a block of trace products is split with one add and one
-subtract.  A shared sigma loosens the bound by at most 2**_BAND, which
-may refuse a few more rows but moves no result.  Rows the bound cannot
-certify (ties and near-ties, zeros, non-finite values, maxima near
-overflow or below 2**-960) are summed again with ``math.fsum``
-(Shewchuk 1997), so both paths give the same bits; the rare rows whose
-partial sums overflow ``fsum`` are summed exactly in integers and
-rounded once.
+block).  The kernel, ``_certified_row_sums``, splits each term once
+against a power of two sigma (error-free extraction: Rump, Ogita and
+Oishi, "Accurate floating-point summation part I", 2008), so the high
+parts add up exactly in any order and numpy's contiguous ``sum`` can add
+them; the low parts are added in floating point and a rigorous error
+bound decides whether the rounded total is the exactly-rounded sum.  The
+proof needs only a sigma of at least 2**L times the power of two just
+above each row's largest term (L = ceil(log2(M + 2)) for M terms).  The
+kernel works in place on the interleaved (rows, M, 2) layout that
+``np.multiply`` writes into a complex array: one sigma serves both planes
+of a complex row, taken from a contiguous max and min over the row, and
+both planes are summed through a complex view.  Rows whose largest terms
+lie within a few binades of each other share one sigma, a Python float,
+so a block of trace products is split with one add and one subtract into
+one split buffer the size of the block.  A shared sigma loosens the bound
+by at most 2**_BAND, which may refuse a few more rows but moves no
+result.  Sums the bound cannot certify (ties and near-ties, zeros,
+non-finite values, maxima near overflow or below 2**-960) are summed
+again from the original terms with ``math.fsum`` (Shewchuk 1997), so both
+paths give the same bits; the rare rows whose partial sums overflow
+``fsum`` are summed exactly in integers and rounded once.  ``csum`` only
+reads its input: it splits a contiguous copy.
 
 ``_wave_sums`` evaluates (2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for
 rows of coefficients c at points x, for ``synthesize`` (fields) and
 ``pointwise_trace`` (residuals h_k, formed one block at a time): one wave
-per point, every (row, point) sum exactly rounded by ``csum`` in blocks of
-at most ``BLOCK_BYTES``, and the scale applied once.  Every product over
+per point, and every (row, point) sum exactly rounded by the kernel,
+which splits each block of at most ``BLOCK_BYTES`` of products in the
+buffer ``np.multiply`` wrote it to; the few blocks with a refused sum are
+multiplied again for ``fsum``.  So the products take one buffer and the
+split another, and the scale is applied once.  Every product over
 the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes through ``_dot``, which
 adds them left to right elementwise, so no BLAS kernel touches the bits.
 
@@ -66,9 +74,9 @@ __all__ = [
 DEFAULT_GRID_PARAMS = (1, 64.0, 0.125)
 
 
-#: Cap on the bytes of complex products ``_wave_sums`` passes to one ``csum``
-#: call (one row at least), so a block grows with neither the row nor the
-#: point count.
+#: Cap on the bytes of complex products ``_wave_sums`` sums in one block
+#: (one row at least), so a block grows with neither the row nor the point
+#: count.
 BLOCK_BYTES = 1 << 20
 
 #: Unit roundoff of float64.
@@ -110,32 +118,38 @@ def _two_sum(a, b):
     return s, e
 
 
-def _certified_row_sums(x: np.ndarray, scratch: np.ndarray | None = None):
-    """Sums of x (rows, M, planes) over its mode axis, with a certificate.
+def _certified_row_sums(x: np.ndarray, split: np.ndarray | None = None):
+    """Sums of the complex rows of x (rows, M, 2) over M, with a certificate.
 
-    Returns ``(r, ok)``, both (rows, planes).  Where ``ok`` holds, ``r`` is
-    the exactly-rounded sum; elsewhere the caller must sum again.  ``x`` is
-    only read: its planes are copied into ``scratch`` (at least
-    ``2 * x.size`` floats), which the kernel
-    overwrites; a fresh one is made when it is not given.
+    ``x`` is the interleaved layout ``np.multiply`` writes into a complex
+    array: x[i, j] holds the real and imaginary parts of term j of row i.
+    Returns ``(r, ok)``, both (rows, 2), one entry per plane.  Where ``ok``
+    holds, ``r`` is the exactly-rounded sum; elsewhere the caller must sum
+    again from the original terms, because the kernel splits ``x`` in
+    place: it leaves x the low parts p and writes the high parts q into
+    ``split`` (at least ``x.size`` floats; a fresh one is made when it is
+    not given), and q + p equals the old x on every live row.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I", 2008).  For each row and plane let 2**(e-1) <=
-    max|x| < 2**e (from ``frexp``), L = ceil(log2(M + 2)), and let sigma
-    be any power of two with sigma >= 2**(e + L).  Then
-    q = fl(fl(x + sigma) - sigma) is exact, q is a multiple of u*sigma
-    (u = 2**-53), and p = x - q is exact with |p| <= u*sigma.  Every
-    partial sum of the q, in any order, is a multiple of u*sigma no larger
-    than M*(2**e + u*sigma) <= sigma (this needs M*(M+2) <= 2**54, so
-    M <= 2**26), hence exact: t = sum(q) is exact whatever order numpy
-    adds in.  The p sum P' = fl(sum(p)), in any order, errs by at most
+    summation part I", 2008).  For each row let 2**(e-1) <= max|x| < 2**e
+    over both planes (from ``frexp`` of a contiguous max and min), let
+    L = ceil(log2(M + 2)), and let sigma be any power of two with
+    sigma >= 2**(e + L).  Then q = fl(fl(x + sigma) - sigma) is exact, q
+    is a multiple of u*sigma (u = 2**-53), and p = x - q is exact with
+    |p| <= u*sigma.  Every partial sum of the q of one plane, in any
+    order, is a multiple of u*sigma no larger than M*(2**e + u*sigma) <=
+    sigma (this needs M*(M+2) <= 2**54, so M <= 2**26), hence exact:
+    t = sum(q) is exact whatever order numpy adds in.  The p sum
+    P' = fl(sum(p)), in any order, errs by at most
     gamma_{M-1} * sum|p| <= 2*(M-1)*u * M*u*sigma < 2*M**2*u**2*sigma;
-    bound = 4*M**2*u**2*sigma keeps a factor of 2 spare, and one
-    subnormal covers the rounding of the bound when it underflows.  With
+    bound = 4*M**2*u**2*sigma keeps a factor of 2 spare, and one subnormal
+    covers the rounding of the bound when it underflows.  With
     r = fl(t + P') and its exact residual d (TwoSum), the exact sum lies
     within |d| + bound of r.  When that is strictly less than half the
     smaller gap from r to a neighbouring double, r is the exactly-rounded
-    sum.
+    sum.  One sigma serves both planes of a row, since the row's e is at
+    least each plane's; both sums run on a complex view of the q and the
+    p, one ``sum(axis=1)`` each.
 
     Rows share sigma by bands, so the split adds and subtracts one Python
     float instead of broadcasting a sigma per row, which numpy runs row
@@ -146,56 +160,65 @@ def _certified_row_sums(x: np.ndarray, scratch: np.ndarray | None = None):
     most that much looser: a row is refused a little more often, and a
     certified result is still the exactly-rounded sum.  When all live
     rows fit the top band (every block of trace products does) the whole
-    work array is split in place against one sigma; otherwise each run
-    of adjacent rows in one band is split in place against its own.
+    block is split against one sigma; otherwise each run of adjacent rows
+    in one band is split against its own.
 
-    Dead rows join no band and are refused (``ok`` false): rows whose
-    largest term is zero or not finite, rows with e <= _MIN_EXPONENT
-    (near-subnormal rows) or e + L > 1023 (sigma would overflow), and
-    every row when M > _MAX_WIDTH.  Live rows are refused when the test
-    above fails (exact and near ties).
+    Dead rows join no band and both their planes are refused (``ok``
+    false): rows whose largest term is zero or not finite, rows with
+    e <= _MIN_EXPONENT (near-subnormal rows) or e + L > 1023 (sigma would
+    overflow), and every row when M > _MAX_WIDTH.  Live rows are refused
+    plane by plane when the test above fails (exact and near ties, and
+    planes that sum to zero).
     """
-    rows, m, planes = x.shape
-    size = 2 * rows * planes * m
-    if scratch is None:
-        scratch = np.empty(size)
-    w, q = scratch[:size].reshape(2, rows, planes, m)
-    np.copyto(w, x.transpose(0, 2, 1))
+    rows, m, _ = x.shape
+    flat = x.reshape(rows, 2 * m)
+    if split is None:
+        split = np.empty(x.size)
+    q = split[: x.size].reshape(rows, 2 * m)
     levels = (m + 1).bit_length()
     # comparisons with nan are false, so non-finite rows are dead too
     with np.errstate(invalid="ignore", over="ignore"):
-        peak = np.maximum(w.max(axis=-1), -w.min(axis=-1))
+        peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
         live = (peak >= 2.0**_MIN_EXPONENT) & (peak < 2.0 ** (1023 - levels)) & (m <= _MAX_WIDTH)
         e = np.frexp(peak)[1]
         # live rows have e > _MIN_EXPONENT, so top stays there only when
         # no row is live
         top = int(e.max(where=live, initial=_MIN_EXPONENT))
         if top == _MIN_EXPONENT:
-            return np.zeros((rows, planes)), live
+            return np.zeros((rows, 2)), np.zeros((rows, 2), dtype=bool)
         if top - e.min(where=live, initial=top) <= _BAND:
             sigma = math.ldexp(1.0, top + levels)
-            np.add(w, sigma, out=q)
+            np.add(flat, sigma, out=q)
             q -= sigma
         else:
             # dead rows get sigma 0, which leaves them unsplit
             e = top - (top - e) // (_BAND + 1) * (_BAND + 1)
             sigma = np.where(live, np.ldexp(1.0, e + levels), 0.0)
-            flat, w2, q2 = sigma.ravel(), w.reshape(-1, m), q.reshape(-1, m)
-            edges = [0, *(np.flatnonzero(flat[1:] != flat[:-1]) + 1).tolist(), flat.size]
+            edges = [0, *(np.flatnonzero(sigma[1:] != sigma[:-1]) + 1).tolist(), rows]
             for start, stop in zip(edges, edges[1:]):
-                run = float(flat[start])
-                np.add(w2[start:stop], run, out=q2[start:stop])
-                q2[start:stop] -= run
-        w -= q
-        t = q.sum(axis=-1)
-        p = w.sum(axis=-1)
+                run = float(sigma[start])
+                np.add(flat[start:stop], run, out=q[start:stop])
+                q[start:stop] -= run
+            sigma = sigma[:, None]
+        flat -= q
+        t = q.view(complex).sum(axis=1).view(float).reshape(rows, 2)
+        p = flat.view(complex).sum(axis=1).view(float).reshape(rows, 2)
         r, d = _two_sum(t, p)
         half_gap = np.abs(r)
         half_gap -= np.nextafter(half_gap, 0.0)
         half_gap *= 0.5
         np.abs(d, out=d)
         d += 4.0 * m * m * _U * _U * sigma + _TINY
-    return r, (d < half_gap) & live
+    return r, (d < half_gap) & live[:, None]
+
+
+def _sum_refused(r: np.ndarray, ok: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The complex sums of ``_certified_row_sums``, each refused (row, plane)
+    summed again with ``_fsum`` from ``terms`` (rows, M, 2), the block's
+    original terms."""
+    for i, c in zip(*np.nonzero(~ok)):
+        r[i, c] = _fsum(terms[i, :, c].tolist())
+    return r.view(complex)[:, 0]
 
 
 def csum(values: np.ndarray, scratch: np.ndarray | None = None):
@@ -203,10 +226,11 @@ def csum(values: np.ndarray, scratch: np.ndarray | None = None):
 
     A 1-D input gives a complex number (it is summed as a one-row block);
     a 2-D input (rows, M) gives a complex array with one sum per row.
-    Rows are summed together by the certified batched kernel; rows it
-    cannot certify go to ``math.fsum``.  ``scratch``, at least four floats
-    per complex value, lets a caller that sums many blocks reuse one work
-    array; it changes no result.
+    ``values`` is only read: it is copied into a work array, and the
+    certified batched kernel splits the copy; rows it cannot certify go
+    to ``math.fsum``.  ``scratch``, at least four floats per complex
+    value, lets a caller that sums many blocks reuse one work array; it
+    changes no result.
     """
     values = np.asarray(values)
     if values.ndim == 1:
@@ -216,11 +240,14 @@ def csum(values: np.ndarray, scratch: np.ndarray | None = None):
     if values.shape[1] == 0:
         return np.zeros(values.shape[0], dtype=complex)
     values = np.ascontiguousarray(values, dtype=complex)
-    planes = values.view(float).reshape(values.shape[0], values.shape[1], 2)
-    r, ok = _certified_row_sums(planes, scratch)
-    for i, c in zip(*np.nonzero(~ok)):
-        r[i, c] = _fsum(planes[i, :, c].tolist())
-    return r.view(complex)[:, 0]
+    terms = values.view(float).reshape(values.shape + (2,))
+    size = terms.size
+    if scratch is None:
+        scratch = np.empty(2 * size)
+    work = scratch[:size].reshape(terms.shape)
+    np.copyto(work, terms)
+    r, ok = _certified_row_sums(work, scratch[size : 2 * size])
+    return _sum_refused(r, ok, terms)
 
 
 def _fsum(values: list) -> float:
@@ -345,8 +372,11 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     """(2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for ``num_rows`` rows c,
     row i given by ``row(i)`` and read one block at a time, at each point x
     of the (P, n) array ``pts``: a (num_rows, P) array.  The waves are formed
-    once; each csum call sums a block of (row, point) rows of at most
-    ``BLOCK_BYTES``, and the buffers are allocated once and reused.
+    once; each block of (row, point) products, at most ``BLOCK_BYTES``, is
+    split in place by ``_certified_row_sums`` in the layout ``np.multiply``
+    writes, and the buffers are allocated once and reused.  A block with a
+    refused sum is formed again by the same multiply, and its refused sums
+    are taken from it with ``_fsum``.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
     waves = np.exp(1j * _dot(pts[:, None, :], grid.modes))
@@ -355,7 +385,7 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     r_step = max(1, block_rows // p_step)
     coeffs = np.empty((r_step, num_modes), dtype=complex)
     block_buf = np.empty(r_step * p_step * num_modes, dtype=complex)
-    scratch = np.empty(4 * r_step * p_step * num_modes)
+    split = np.empty(2 * block_buf.size)
     sums = np.empty((num_rows, num_pts), dtype=complex)
     for r0 in range(0, num_rows, r_step):
         rows = coeffs[: min(r_step, num_rows - r0)]
@@ -365,11 +395,17 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
             # the mode axis stays last and contiguous, so numpy forms each
             # product with the same loop as a single coefficient * wave
             chunk = waves[p0 : p0 + p_step]
-            block = block_buf[: len(rows) * len(chunk) * num_modes].reshape(-1, num_modes)
-            np.multiply(
-                rows[:, None, :], chunk[None, :, :], out=block.reshape(len(rows), len(chunk), -1)
+            block = block_buf[: len(rows) * len(chunk) * num_modes].reshape(
+                len(rows), len(chunk), num_modes
             )
-            sums[r0 : r0 + r_step, p0 : p0 + p_step] = csum(block, scratch).reshape(len(rows), -1)
+            np.multiply(rows[:, None, :], chunk[None, :, :], out=block)
+            terms = block.view(float).reshape(-1, num_modes, 2)
+            r, ok = _certified_row_sums(terms, split)
+            if not ok.all():
+                np.multiply(rows[:, None, :], chunk[None, :, :], out=block)
+            sums[r0 : r0 + r_step, p0 : p0 + p_step] = _sum_refused(r, ok, terms).reshape(
+                len(rows), -1
+            )
     sums *= grid.weight / (2.0 * math.pi) ** grid.n
     return sums
 

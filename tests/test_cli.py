@@ -354,6 +354,23 @@ class TestTrace:
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_trace_1d_rows_are_certified(self, monkeypatch, capsys):
+        # the trace-1d benchmark job sums 512 x 32 rows of 1025 products;
+        # the certified kernel refuses 10 of its 32768 sums, so a kernel
+        # that slid into the fsum fallback would show here
+        calls = []
+
+        def counting_fsum(values):
+            calls.append(len(values))
+            return fsum(values)
+
+        fsum = phaselab.spectral._fsum
+        monkeypatch.setattr(phaselab.spectral, "_fsum", counting_fsum)
+        assert run("trace", "--a", "0.5", "--s", "0.5", "--seq", "power:p=2",
+                   "--K", "512", "--seed", "1") == 0
+        capsys.readouterr()
+        assert 0 < len(calls) <= 16
+
     def test_non_applicable_sequence_is_an_error(self, tmp_path, capsys):
         code = run(
             "trace", "--a", "0.5", "--s", "0.25", "--seq", "power:p=0.5",
@@ -444,6 +461,16 @@ class TestFlagsAreNotIgnored:
         assert exc.value.code == 1
         err = capsys.readouterr()
         assert f"unrecognized arguments: {flag}" in err.err
+        assert err.out == ""
+
+    def test_trace_empty_grid(self, capsys):
+        code = run(
+            "trace", "--a", "0.5", "--s", "0.5", "--seq", "power:p=2", "--K", "16",
+            "--grid", "", "--num-points", "1",
+        )
+        assert code == 1
+        err = capsys.readouterr()
+        assert err.err == "phaselab: error: grid must be n,xi_max,dxi, got ''\n"
         assert err.out == ""
 
     def test_trace_grid_with_field(self, field_path, capsys):

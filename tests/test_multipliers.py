@@ -195,6 +195,13 @@ class TestNumericSup:
         with pytest.raises(ScanTooSmallError):
             numeric_sup(spec, xi_max=1e6)  # needs 4 * delta^(-2) = 4e8
 
+    @pytest.mark.parametrize("option", ["per_decade", "refine"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_nonpositive_scan_density_is_rejected(self, option, value):
+        spec = MultiplierSpec(Family.GAMMA, s=0.5, delta=1e-3, law=BOUSSINESQ)
+        with pytest.raises(ParameterError, match=f"{option} must be positive"):
+            numeric_sup(spec, **{option: value})
+
 
 #: The families' phase laws at 50 digits, keyed by the law's name.
 MP_LAWS = {

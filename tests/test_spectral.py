@@ -242,15 +242,19 @@ class TestReductionsAgainstMpmath:
             x = x[0]
         if rows_per_block is not None:
             monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
-        sums = []
+        blocks = []
 
-        def recording_csum(values, *args, **kwargs):
-            out = csum(values, *args, **kwargs)
-            sums.extend(np.atleast_1d(out).tolist())
+        def recording_kernel(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            blocks.append(out[0])
             return out
 
-        monkeypatch.setattr(spectral, "csum", recording_csum)
+        kernel = spectral._certified_row_sums
+        monkeypatch.setattr(spectral, "_certified_row_sums", recording_kernel)
         got = np.atleast_1d(synthesize(f, x))
+        # the sums the kernel refuses are written into its result by the
+        # fsum fallback, so each recorded block ends with its final sums
+        sums = [v for r in blocks for v in r.view(complex)[:, 0].tolist()]
         scale = g.weight / (2.0 * math.pi) ** g.n
         assert len(sums) == len(got)
         for p, point in enumerate(np.atleast_2d(x)):
@@ -263,6 +267,58 @@ class TestReductionsAgainstMpmath:
             assert sums[p] == want
             assert csum(z) == want  # the 1-D path of csum
             assert got[p] == want * scale
+
+
+class TestWaveSumsFallback:
+    """A block with refused sums is formed again, and its refused sums equal
+    the per-row ``math.fsum`` of the products, bit for bit."""
+
+    def assert_wave_sums_are_fsum(self, grid, pts, coeffs, monkeypatch):
+        """Run ``_wave_sums`` on the rows of ``coeffs`` at ``pts`` and return
+        the number of fsum calls it made."""
+        before = coeffs.copy()
+        rec = _RecordingMath()
+        monkeypatch.setattr(spectral, "math", rec)
+        got = spectral._wave_sums(grid, pts, len(coeffs), lambda i: coeffs[i])
+        want = np.empty((len(coeffs), len(pts)), dtype=complex)
+        for i, c in enumerate(coeffs):
+            for p, point in enumerate(pts):
+                phase = point[0] * grid.modes[:, 0]
+                for a in range(1, grid.n):
+                    phase = phase + point[a] * grid.modes[:, a]
+                z = c * np.exp(1j * phase)
+                want[i, p] = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist()))
+        want *= grid.weight / (2.0 * math.pi) ** grid.n
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        np.testing.assert_array_equal(coeffs.view(np.int64), before.view(np.int64))
+        return len(rec.calls)
+
+    def test_zero_field(self, monkeypatch):
+        g = make_grid(2, 1, 1)
+        pts = default_points(2, 3)
+        # every row is dead, so both planes of each (row, point) go to fsum
+        coeffs = np.zeros((2, g.num_modes), dtype=complex)
+        assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) == 12
+
+    def test_midpoint_row(self, monkeypatch):
+        g = make_grid(1, 1, 1)
+        coeffs = np.array([[1.0, 2.0**-53, 0.0]], dtype=complex)
+        # at x = 0 the real sum is the midpoint 1 + 2**-53 and the imaginary
+        # one is zero: both are refused, and the row at x = 1 is certified
+        pts = np.array([[0.0], [1.0]])
+        assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) == 2
+
+    def test_ragged_last_block(self, monkeypatch):
+        g = make_grid(1, 2, 0.5)
+        rng = np.random.default_rng(12)
+        coeffs = complex_rows(*rng.standard_normal((2, 5, g.num_modes)))
+        coeffs[4] = 0.0
+        coeffs[4, [2, 6]] = [1.0, 2.0**-53]  # a midpoint row at x = 0
+        pts = np.array([[0.7], [0.0], [-1.3]])
+        # 7 (row, point) sums per block: 2 rows of 3 points, so the rows
+        # come in blocks of 2, 2 and 1
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * 7)
+        assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
 
 
 class TestFieldValidation:
@@ -481,6 +537,12 @@ def fsum_rows(values):
     )
 
 
+def interleaved(values):
+    """A fresh (rows, M, 2) copy of complex rows, for the kernel to split in place."""
+    values = np.asarray(values, dtype=complex)
+    return values.view(float).reshape(values.shape + (2,)).copy()
+
+
 def assert_csum_is_fsum(values):
     """csum of a 2-D block and of each row equal per-row fsum, bit for bit."""
     want = fsum_rows(values).view(np.int64)
@@ -605,7 +667,7 @@ class TestCsum:
             "0x1.252e87b61ba4ep-63", "-0x1.468b7f51154cbp-60", "0x1.00000000a73bfp+0",
             "-0x1.ae9894c6a8635p-62", "-0x1.06eac85d8bacdp-60",
         )]
-        _, ok = _certified_row_sums(np.array(terms)[None, :, None])
+        _, ok = _certified_row_sums(interleaved(complex_rows([terms], np.zeros((1, len(terms))))))
         assert not ok[0, 0]
         assert csum(np.array([terms]))[0].real == math.fsum(terms) == float.fromhex("0x1.00000000a73c0p+0")
 
@@ -626,10 +688,10 @@ class TestCsum:
     def test_uncertified_row_falls_back_to_fsum(self):
         # 1 + 2**-53 is the midpoint between 1 and its successor: the kernel
         # cannot prove which way it rounds, while 1 + 0.5 is certified
-        x = np.array([[[1.0], [2.0**-53]], [[1.0], [0.5]]])
-        _, ok = _certified_row_sums(x)
+        values = complex_rows([[1.0, 2.0**-53], [1.0, 0.5]], np.zeros((2, 2)))
+        _, ok = _certified_row_sums(interleaved(values))
         assert ok[:, 0].tolist() == [False, True]
-        assert_csum_is_fsum(complex_rows(x[..., 0], np.zeros((2, 2))))
+        assert_csum_is_fsum(values)
 
     def test_dense_rows_are_certified(self):
         # the batched path, not the fsum fallback, does the work on trace-like rows
@@ -652,8 +714,7 @@ class TestCsum:
         assert block.shape == (32, 1025)
         geometric = block[np.arange(61) % 32] * np.ldexp(1.0, -np.arange(61))[:, None]
         for values in (block, geometric):
-            planes = values.view(float).reshape(values.shape + (2,))
-            assert _certified_row_sums(planes)[1].all()
+            assert _certified_row_sums(interleaved(values))[1].all()
             assert_csum_is_fsum(values)
 
     def test_shapes(self):
@@ -760,6 +821,9 @@ class TestCsumExtremes:
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 9), (3, 1025)])
     def test_input_is_not_written(self, shape):
+        # csum only reads its input; the kernel splits its own in place,
+        # into high parts in the split buffer and low parts left behind,
+        # which add back to the terms bit for bit
         rng = np.random.default_rng(sum(shape))
         values = complex_rows(*rng.standard_normal((2,) + shape))
         if shape[1] > 1:
@@ -767,9 +831,10 @@ class TestCsumExtremes:
         before = values.copy()
         csum(values)
         np.testing.assert_array_equal(values.view(np.int64), before.view(np.int64))
-        planes = values.view(float).reshape(shape + (2,))
-        _certified_row_sums(planes)
-        np.testing.assert_array_equal(values.view(np.int64), before.view(np.int64))
+        planes, split = interleaved(values), np.empty(2 * values.size)
+        _certified_row_sums(planes, split)
+        restored = split.reshape(planes.shape) + planes
+        np.testing.assert_array_equal(restored.view(np.int64), interleaved(before).view(np.int64))
 
 
 DBL_MAX = np.finfo(float).max
