@@ -221,32 +221,25 @@ def _sum_refused(r: np.ndarray, ok: np.ndarray, terms: np.ndarray) -> np.ndarray
     return r.view(complex)[:, 0]
 
 
-def csum(values: np.ndarray, scratch: np.ndarray | None = None):
+def csum(values: np.ndarray):
     """Exactly-rounded complex sum of a vector, or of each row of a 2-D array.
 
     A 1-D input gives a complex number (it is summed as a one-row block);
     a 2-D input (rows, M) gives a complex array with one sum per row.
     ``values`` is only read: it is copied into a work array, and the
     certified batched kernel splits the copy; rows it cannot certify go
-    to ``math.fsum``.  ``scratch``, at least four floats per complex
-    value, lets a caller that sums many blocks reuse one work array; it
-    changes no result.
+    to ``math.fsum``.
     """
     values = np.asarray(values)
     if values.ndim == 1:
-        return complex(csum(values[None, :], scratch)[0])
+        return complex(csum(values[None, :])[0])
     if values.ndim != 2:
         raise ParameterError(f"csum takes a 1-D or 2-D array, got {values.ndim}-D")
     if values.shape[1] == 0:
         return np.zeros(values.shape[0], dtype=complex)
     values = np.ascontiguousarray(values, dtype=complex)
     terms = values.view(float).reshape(values.shape + (2,))
-    size = terms.size
-    if scratch is None:
-        scratch = np.empty(2 * size)
-    work = scratch[:size].reshape(terms.shape)
-    np.copyto(work, terms)
-    r, ok = _certified_row_sums(work, scratch[size : 2 * size])
+    r, ok = _certified_row_sums(terms.copy())
     return _sum_refused(r, ok, terms)
 
 
