@@ -22,7 +22,6 @@ from .errors import (
     NotInvertibleError,
     OutOfRangeError,
     ParameterError,
-    ScanTooSmallError,
     UndefinedShiftError,
 )
 from .multipliers import (

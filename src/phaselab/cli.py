@@ -234,23 +234,21 @@ def cmd_rate_fit(args) -> int:
 
 def cmd_seq_check(args) -> int:
     seq = parse_sequence(args.seq)
-    criterion = ConvergenceCriterion(args.criterion)
     law = parse_law(args.gamma) if args.gamma is not None else None
-    strict = not args.unsafe_params
-    kwargs = dict(s=args.s, a=args.a, beta=args.beta, law=law)
-    cond = required_exponent(criterion, **kwargs, strict=strict)
-    verdict = sequence_applicable(seq, criterion, **kwargs, strict=strict)
+    cond = required_exponent(ConvergenceCriterion(args.criterion), s=args.s, a=args.a,
+                             beta=args.beta, law=law, strict=not args.unsafe_params)
+    verdict = sequence_applicable(seq, cond)
     payload = {
-        "criterion": criterion.value,
+        "criterion": cond.criterion.value,
         "sequence": seq.describe(),
         "form": cond.form,
-        "q": cond.q if cond.q is not None else cond.power_equivalent,
+        "q": cond.q,
         "decision": verdict.decision,
         "reason": verdict.reason,
     }
     if args.format == "csv":
-        q = payload["q"]
-        cells = [criterion.value, seq.describe(), cond.form, "" if q is None else repr(float(q)),
+        cells = [cond.criterion.value, seq.describe(), cond.form,
+                 "" if cond.q is None else repr(float(cond.q)),
                  verdict.decision, '"' + verdict.reason.replace('"', '""') + '"']
         text = "criterion,sequence,form,q,decision,reason\n" + ",".join(cells) + "\n"
     else:

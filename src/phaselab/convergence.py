@@ -164,17 +164,20 @@ _ALIAS_LAWS = {ConvergenceCriterion.BOUSSINESQ: BOUSSINESQ, ConvergenceCriterion
 
 @dataclass(frozen=True)
 class SummabilityCondition:
-    """The sum the criterion requires to be finite.
+    """The sum a criterion requires to be finite: sum_k t_k**q as a
+    ``power-sum``, or a ``gamma-sum`` of the callable ``summand``.
 
-    ``power-sum`` means sum t_k**q; ``gamma-sum`` carries the summand as a
-    callable plus, when the law's inverse growth exponent is known, the
-    exact power ``power_equivalent`` the summand decays with.
+    ``q`` is the power the summand decays with; a gamma-sum over a law of
+    unknown inverse growth has none.
     """
 
-    form: str
-    q: float | None = None
+    criterion: ConvergenceCriterion
+    q: float | None
     summand: Callable | None = None
-    power_equivalent: float | None = None
+
+    @property
+    def form(self) -> str:
+        return "power-sum" if self.summand is None else "gamma-sum"
 
 
 def required_exponent(
@@ -207,7 +210,7 @@ def required_exponent(
     # an alias's summand is within constant factors of t**q (its law's
     # inverse grows like y**rho), so it sums t**q and inverts nothing
     if not row.family.uses_law or criterion in _ALIAS_LAWS:
-        return SummabilityCondition("power-sum", q=2.0 * e)
+        return SummabilityCondition(criterion, 2.0 * e)
     law, g1, t_power = p.law, float(p.law(1.0)), 2.0 * row.delta_power(p)
 
     def summand(t):
@@ -219,9 +222,7 @@ def required_exponent(
             raise ParameterError(f"g(1)/t overflows for {law.name} at the term t={term!r}")
         return t**t_power * invert_many(law, y) ** (-2.0 * s)
 
-    return SummabilityCondition(
-        "gamma-sum", summand=summand, power_equivalent=None if e is None else 2.0 * e
-    )
+    return SummabilityCondition(criterion, None if e is None else 2.0 * e, summand)
 
 
 @dataclass(frozen=True)
@@ -230,19 +231,10 @@ class Applicability:
     reason: str
 
 
-def sequence_applicable(
-    seq: TimeSequence,
-    criterion: ConvergenceCriterion,
-    *,
-    s: float,
-    a: float | None = None,
-    beta: float | None = None,
-    law: PhaseLaw | None = None,
-    strict: bool = True,
-) -> Applicability:
-    """Decide whether {t_k} satisfies the criterion's summability condition.
+def sequence_applicable(seq: TimeSequence, cond: SummabilityCondition) -> Applicability:
+    """Decide whether {t_k} satisfies a criterion's summability condition.
 
-    Exact for symbolic sequences whenever the summand's decay exponent is
+    Exact for symbolic sequences whenever the summand's decay exponent q is
     known (power sums, and gamma sums over laws with a known inverse
     growth): power sequences qualify iff p*q > 1 and geometric sequences
     qualify for every positive exponent.  Everything else falls back to
@@ -250,8 +242,7 @@ def sequence_applicable(
     unless they visibly stabilize; a summand that is not finite at some
     term raises ParameterError naming the first such term.
     """
-    cond = required_exponent(criterion, s=s, a=a, beta=beta, law=law, strict=strict)
-    q = cond.q if cond.form == "power-sum" else cond.power_equivalent
+    q = cond.q
 
     if q is not None and seq.kind == "power":
         product = seq.p * q
@@ -267,11 +258,12 @@ def sequence_applicable(
     # numeric fallback: explicit lists, or laws without a known inverse growth
     t = seq.terms(K_PROBE if seq.kind != "explicit" else len(seq.values))
     with np.errstate(over="ignore", invalid="ignore"):
-        g = cond.summand(t) if cond.form == "gamma-sum" else t**q
+        g = t**q if cond.summand is None else cond.summand(t)
     if not np.isfinite(g).all():
         term = float(t[~np.isfinite(g)][0])
-        name = ConvergenceCriterion(criterion).value
-        raise ParameterError(f"the summand of {name} is not finite at the term t={term!r}")
+        raise ParameterError(
+            f"the summand of {cond.criterion.value} is not finite at the term t={term!r}"
+        )
     head = math.fsum(g[: max(1, len(g) // 10)])
     total = math.fsum(g)
     growth = total - head
@@ -426,7 +418,7 @@ def pointwise_trace(
     if k_max < 16:
         raise ParameterError(f"k_max must be at least 16, got {k_max}")
     criterion, params = _matching_criterion(law, shift, s)
-    verdict = sequence_applicable(seq, criterion, **params)
+    verdict = sequence_applicable(seq, required_exponent(criterion, **params))
     if verdict.decision != "yes":
         raise NotApplicableError(
             f"sequence {seq.describe()} not accepted for criterion "

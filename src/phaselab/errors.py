@@ -17,10 +17,6 @@ class OutOfRangeError(ParameterError):
     """Requested value lies outside the invertible range of the phase law."""
 
 
-class ScanTooSmallError(ParameterError):
-    """The scan window does not cover the multiplier's transition region."""
-
-
 class GridMismatchError(ParameterError):
     """The frequency grid cannot host the requested construction."""
 

@@ -38,12 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    HypothesisViolation,
-    ParameterError,
-    ScanTooSmallError,
-)
+from .errors import GridMismatchError, HypothesisViolation, ParameterError
 from . import phase_laws
 from .phase_laws import PhaseLaw, check_hypotheses, invert, power_law
 from .propagation import _modulus, phase
@@ -58,6 +53,8 @@ __all__ = [
     "RATIO_CAP",
     "REGIMES",
     "Regime",
+    "SCAN_PER_DECADE",
+    "SCAN_REFINE",
     "ScanResult",
     "Sweep",
     "analytic_envelope",
@@ -78,6 +75,10 @@ DELTA_MIN = 1e-10
 RATIO_CAP = 2.5
 #: ... and largest admissible max/min ratio spread across the sweep.
 DRIFT_CAP = 3.0
+#: ``numeric_sup``'s scan: geometric points per decade, and phase values
+#: through the first turn.
+SCAN_PER_DECADE = 32
+SCAN_REFINE = 1500
 
 
 class Family(str, Enum):
@@ -398,13 +399,11 @@ def _scan(spec: MultiplierSpec, radii: np.ndarray) -> ScanResult:
     return ScanResult(sup=top, argmax=float(signed[ties[order[0]]]), points=signed.size)
 
 
-def _scan_radii(
-    xi_max: float, per_decade: int, r_turn: np.ndarray, r_pi: float
-) -> np.ndarray:
+def _scan_radii(xi_max: float, r_turn: np.ndarray, r_pi: float) -> np.ndarray:
     parts = []
-    lo_exp = math.ceil(-6 * per_decade)
-    hi_exp = math.floor(math.log10(xi_max) * per_decade)
-    exps = np.arange(lo_exp, hi_exp + 1, dtype=float) / per_decade
+    lo_exp = -6 * SCAN_PER_DECADE
+    hi_exp = math.floor(math.log10(xi_max) * SCAN_PER_DECADE)
+    exps = np.arange(lo_exp, hi_exp + 1, dtype=float) / SCAN_PER_DECADE
     parts.append(10.0**exps)
     parts.append(np.asarray([xi_max]))
     # refinement 1: resolve the phase u = theta(r) uniformly through its first turn
@@ -417,38 +416,21 @@ def _scan_radii(
     return radii[radii <= xi_max * (1.0 + 1e-12)]
 
 
-def numeric_sup(
-    spec: MultiplierSpec,
-    xi_max: float | None = None,
-    per_decade: int = 32,
-    refine: int = 1500,
-) -> ScanResult:
+def numeric_sup(spec: MultiplierSpec) -> ScanResult:
     """Empirical sup|m| over a radial scan.
 
-    The scan takes a geometric grid on [1e-6, xi_max] at ``per_decade``
-    points per decade plus dense refinements around the transition region;
-    shift families are scanned along both signs of mu.  ``xi_max`` defaults
-    to cover the whole first phase turn and must be at least four times the
-    critical radius.
+    The scan takes a geometric grid on [1e-6, xi_max] at ``SCAN_PER_DECADE``
+    points per decade plus dense refinements around the transition region,
+    among them ``SCAN_REFINE`` radii through the first phase turn; shift
+    families are scanned along both signs of mu.  ``xi_max`` covers the
+    whole first phase turn and four times the critical radius.
     """
-    if per_decade < 1:
-        raise ParameterError(f"per_decade must be positive, got {per_decade}")
-    if refine < 1:
-        raise ParameterError(f"refine must be positive, got {refine}")
     r_c = critical_radius(spec)
-    floor = 4.0 * r_c
-    if xi_max is not None and xi_max < floor * (1.0 - 1e-9):
-        raise ScanTooSmallError(
-            f"xi_max={xi_max:g} is below 4x the critical radius {r_c:g}"
-        )
     # the phase u = theta(r) through its first turn (u[-1] == 2*pi), and pi
-    refine = int(refine)
-    u = np.linspace(2.0 * math.pi / refine, 2.0 * math.pi, refine)
-    r_turn, r_pi = np.split(_phase_radii(spec, np.append(u, math.pi)), [refine])
-    if xi_max is None:
-        xi_max = max(floor, 1.05 * float(r_turn[-1]), 8.0)
-    radii = _scan_radii(float(xi_max), int(per_decade), r_turn, float(r_pi[0]))
-    return _scan(spec, radii)
+    u = np.linspace(2.0 * math.pi / SCAN_REFINE, 2.0 * math.pi, SCAN_REFINE)
+    r_turn, r_pi = np.split(_phase_radii(spec, np.append(u, math.pi)), [SCAN_REFINE])
+    xi_max = max(4.0 * r_c, 1.05 * float(r_turn[-1]), 8.0)
+    return _scan(spec, _scan_radii(xi_max, r_turn, float(r_pi[0])))
 
 
 @dataclass(frozen=True)

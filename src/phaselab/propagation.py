@@ -62,7 +62,7 @@ def shift_offset(t: float, beta: float) -> float:
     raise UndefinedShiftError(f"t**beta is undefined at t=0 for beta={beta}")
 
 
-def phase(law, t, r, beta: float | None = None, proj=None):
+def phase(law, t, r, beta: float | None, proj):
     """t*law(r) + shift_offset(t, beta)*proj, proj = mu.xi (no drift term for
     beta None).  Arguments are not checked, so bisections call it in loops."""
     theta = t * np.asarray(law(r), dtype=float)

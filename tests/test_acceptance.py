@@ -208,9 +208,8 @@ def test_criterion_7_sequence_classifier():
         q = 2.0 * s / a
         if abs(p * q - 1.0) < 1e-9:
             continue
-        verdict = sequence_applicable(
-            TimeSequence.power(p), ConvergenceCriterion.POWER_LOW, s=s, a=a
-        )
+        cond = required_exponent(ConvergenceCriterion.POWER_LOW, s=s, a=a)
+        verdict = sequence_applicable(TimeSequence.power(p), cond)
         assert verdict.decision == ("yes" if p * q > 1.0 else "no")
         checked += 1
 
@@ -219,9 +218,8 @@ def test_criterion_7_sequence_classifier():
         a = float(rng.uniform(0.05, 1.0))
         s = float(rng.uniform(0.05, 1.0)) * a
         r = float(rng.uniform(0.05, 0.95))
-        verdict = sequence_applicable(
-            TimeSequence.geometric(r), ConvergenceCriterion.POWER_LOW, s=s, a=a
-        )
+        cond = required_exponent(ConvergenceCriterion.POWER_LOW, s=s, a=a)
+        verdict = sequence_applicable(TimeSequence.geometric(r), cond)
         assert verdict.decision == "yes"
 
     # the vacuous q = 0 boundary of the super-linear shifted branch

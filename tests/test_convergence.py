@@ -89,20 +89,20 @@ class TestRequiredExponent:
         # quartic with s=1: the summand behaves like (t/2)^(1/2) for small t
         cond = required_exponent(ConvergenceCriterion.GAMMA, s=1.0, law=QUARTIC)
         assert cond.form == "gamma-sum"
-        assert cond.power_equivalent == pytest.approx(0.5)
+        assert cond.q == pytest.approx(0.5)
         for t in (1e-6, 1e-8):
             assert float(cond.summand(t)) == pytest.approx((t / 2) ** 0.5, rel=1e-3)
 
     def test_gamma_power_equivalent_matches_low_regularity(self):
         cond = required_exponent(ConvergenceCriterion.GAMMA, s=0.5, law=power_law(2.0))
-        assert cond.power_equivalent == pytest.approx(0.5)
+        assert cond.q == pytest.approx(0.5)
 
     def test_shift_gamma_adds_beta_factor(self):
         # the squared envelope: t**(2*(beta-1)) * ginv(g(1)/t)**(-2s)
         cond = required_exponent(
             ConvergenceCriterion.GAMMA_SHIFT, s=1.0, law=LINEAR, beta=0.5
         )
-        assert cond.power_equivalent == pytest.approx(2.0 * (1.0 + 0.5 - 1.0))
+        assert cond.q == pytest.approx(2.0 * (1.0 + 0.5 - 1.0))
         t = 1e-6
         assert float(cond.summand(t)) == pytest.approx(t**-1.0 * t**2.0, rel=1e-9)
 
@@ -162,14 +162,14 @@ class TestRegimeRows:
                         power = required_exponent("power-shift-super", a=a, **p)
                     except HypothesisViolation:
                         continue
-                    assert gamma.power_equivalent == pytest.approx(power.q, rel=1e-12)
+                    assert gamma.q == pytest.approx(power.q, rel=1e-12)
                     checked += 1
         assert checked > 40
 
     def test_gamma_linear_power_matches_power_low(self):
         for s in (0.1, 0.5, 1.0):
             gamma = required_exponent("gamma", s=s, law=power_law(1.0))
-            assert gamma.power_equivalent == required_exponent("power-low", s=s, a=1.0).q
+            assert gamma.q == required_exponent("power-low", s=s, a=1.0).q
 
     @pytest.mark.parametrize(
         "template",
@@ -209,16 +209,16 @@ class TestRegimeRows:
         by_alias = required_exponent(alias, s=0.5)
         by_gamma = required_exponent("gamma", s=0.5, law=law)
         assert (by_alias.form, by_gamma.form) == ("power-sum", "gamma-sum")
-        assert by_alias.q == by_gamma.power_equivalent  # bitwise
-        decision = sequence_applicable(seq, alias, s=0.5).decision
-        assert decision == sequence_applicable(seq, "gamma", s=0.5, law=law).decision
+        assert by_alias.q == by_gamma.q  # bitwise
+        decision = sequence_applicable(seq, by_alias).decision
+        assert decision == sequence_applicable(seq, by_gamma).decision
 
     @pytest.mark.parametrize("alias,q", [("boussinesq", 0.5), ("quartic", 0.25)])
     def test_alias_sums_terms_below_the_inversion_bracket(self, alias, q):
         # 2**-70 lies below g(1)/g(1e9) for both laws; the alias's power sum
         # answers without inverting the law
         t = [2.0**-k for k in range(1, 71)]
-        verdict = sequence_applicable(TimeSequence.explicit(t), alias, s=0.5)
+        verdict = sequence_applicable(TimeSequence.explicit(t), required_exponent(alias, s=0.5))
         g = np.asarray(t) ** q
         growth = math.fsum(g) - math.fsum(g[:7])
         assert verdict.decision == "unknown"
@@ -227,32 +227,31 @@ class TestRegimeRows:
 
 class TestSequenceApplicable:
     def test_p_one_with_square_sum(self):
-        verdict = sequence_applicable(
-            TimeSequence.power(1.0), ConvergenceCriterion.POWER_HIGH, s=0.5, a=0.5
-        )
+        cond = required_exponent(ConvergenceCriterion.POWER_HIGH, s=0.5, a=0.5)
+        verdict = sequence_applicable(TimeSequence.power(1.0), cond)
         assert verdict.decision == "yes"
 
     def test_slow_power_diverges(self):
-        verdict = sequence_applicable(
-            TimeSequence.power(0.5), ConvergenceCriterion.POWER_LOW, s=0.25, a=0.5
-        )
+        cond = required_exponent(ConvergenceCriterion.POWER_LOW, s=0.25, a=0.5)
+        verdict = sequence_applicable(TimeSequence.power(0.5), cond)
         assert verdict.decision == "no"
 
     def test_geometric_quartic(self):
-        verdict = sequence_applicable(
-            TimeSequence.geometric(0.5), ConvergenceCriterion.GAMMA, s=1.0, law=QUARTIC
-        )
+        cond = required_exponent(ConvergenceCriterion.GAMMA, s=1.0, law=QUARTIC)
+        verdict = sequence_applicable(TimeSequence.geometric(0.5), cond)
         assert verdict.decision == "yes"
 
     def test_explicit_fast_decay_numeric_yes(self):
         seq = TimeSequence.explicit([2.0**-k for k in range(1, 160)])
-        verdict = sequence_applicable(seq, ConvergenceCriterion.POWER_HIGH, s=0.5, a=0.5)
+        cond = required_exponent(ConvergenceCriterion.POWER_HIGH, s=0.5, a=0.5)
+        verdict = sequence_applicable(seq, cond)
         assert verdict.decision == "yes"
         assert "stabilized" in verdict.reason
 
     def test_explicit_slow_decay_unknown(self):
         seq = TimeSequence.explicit([1.0 / (k + 1) for k in range(1, 200)])
-        verdict = sequence_applicable(seq, ConvergenceCriterion.POWER_HIGH, s=0.5, a=0.5)
+        cond = required_exponent(ConvergenceCriterion.POWER_HIGH, s=0.5, a=0.5)
+        verdict = sequence_applicable(seq, cond)
         assert verdict.decision == "unknown"
 
     @settings(max_examples=200, deadline=None)
@@ -266,9 +265,8 @@ class TestSequenceApplicable:
         q = 2.0 * s / a
         if abs(p * q - 1.0) < 1e-9:
             return
-        verdict = sequence_applicable(
-            TimeSequence.power(p), ConvergenceCriterion.POWER_LOW, s=s, a=a
-        )
+        cond = required_exponent(ConvergenceCriterion.POWER_LOW, s=s, a=a)
+        verdict = sequence_applicable(TimeSequence.power(p), cond)
         assert verdict.decision == ("yes" if p * q > 1 else "no")
 
 
@@ -482,7 +480,8 @@ class TestConsistencyChain:
         s, a, p = 0.5, 0.5, 2.0
         template = MultiplierSpec(Family.POWER, s=s, delta=1e-3, a=a)
         seq = TimeSequence.power(p)
-        verdict = sequence_applicable(seq, ConvergenceCriterion.POWER_LOW, s=s, a=a)
+        cond = required_exponent(ConvergenceCriterion.POWER_LOW, s=s, a=a)
+        verdict = sequence_applicable(seq, cond)
         assert verdict.decision == "yes"
         k_max = 4096
         t = seq.terms(k_max)
@@ -490,7 +489,7 @@ class TestConsistencyChain:
         env_sq = []
         for tk in t:
             spec = template.with_delta(float(tk))
-            sup_sq.append(numeric_sup(spec, per_decade=8, refine=128).sup ** 2)
+            sup_sq.append(numeric_sup(spec).sup ** 2)
             env_sq.append(analytic_envelope(spec) ** 2)
         sup_total = math.fsum(sup_sq)
         env_total = math.fsum(env_sq)
