@@ -25,6 +25,8 @@ import numpy as np
 
 from .convergence import (
     ConvergenceCriterion,
+    DEFAULT_K_MAX,
+    DEFAULT_NUM_POINTS,
     DEFAULT_SEED,
     default_points,
     parse_sequence,
@@ -41,8 +43,7 @@ from .spectral import DEFAULT_GRID_PARAMS, _dot, default_grid, make_grid, random
 
 __all__ = ["build_parser", "main"]
 
-#: Defaults of the flags whose absence the commands must see.
-DEFAULT_NUM_POINTS = 32
+#: Default of a flag whose absence the commands must see.
 DEFAULT_PER_DECADE = 4
 
 
@@ -382,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seq", required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--K", type=int, default=2048)
+    p.add_argument("--K", type=int, default=DEFAULT_K_MAX,
+                   help=f"terms of the sequence to sum (default {DEFAULT_K_MAX})")
     p.set_defaults(func=cmd_trace)
 
     return parser

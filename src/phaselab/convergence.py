@@ -51,6 +51,8 @@ from .spectral import SpectralField, _dot, _fsum, _wave_sums
 __all__ = [
     "Applicability",
     "ConvergenceCriterion",
+    "DEFAULT_K_MAX",
+    "DEFAULT_NUM_POINTS",
     "DEFAULT_SEED",
     "K_PROBE",
     "RateReport",
@@ -66,8 +68,11 @@ __all__ = [
     "sequence_applicable",
 ]
 
-#: Seed used for the documented default sample points.
+#: Seed and size of the documented default sample points, and the terms
+#: a trace sums by default.
 DEFAULT_SEED = 1729
+DEFAULT_NUM_POINTS = 32
+DEFAULT_K_MAX = 2048
 #: Terms of a symbolic sequence that ``sequence_applicable``'s fallback sums.
 K_PROBE = 4096
 
@@ -239,8 +244,9 @@ def sequence_applicable(seq: TimeSequence, cond: SummabilityCondition) -> Applic
     growth): power sequences qualify iff p*q > 1 and geometric sequences
     qualify for every positive exponent.  Everything else falls back to
     partial sums over the first ``K_PROBE`` terms, answering "unknown"
-    unless they visibly stabilize; a summand that is not finite at some
-    term raises ParameterError naming the first such term.
+    unless they visibly stabilize.  A summand that is not finite at some
+    term, or a partial sum that overflows, raises ParameterError naming
+    the term or the partial sum.
     """
     q = cond.q
 
@@ -264,8 +270,13 @@ def sequence_applicable(seq: TimeSequence, cond: SummabilityCondition) -> Applic
         raise ParameterError(
             f"the summand of {cond.criterion.value} is not finite at the term t={term!r}"
         )
-    head = math.fsum(g[: max(1, len(g) // 10)])
-    total = math.fsum(g)
+    counts = (max(1, len(g) // 10), len(g))
+    head, total = (_fsum(g[:count].tolist()) for count in counts)
+    if total == math.inf:
+        count = counts[0] if head == math.inf else counts[1]
+        raise ParameterError(
+            f"the partial sum of the first {count} terms of {cond.criterion.value} overflows"
+        )
     growth = total - head
     if growth < 1e-6:
         return Applicability(
@@ -362,7 +373,9 @@ class TraceResult:
     k_max: int
 
 
-def default_points(n: int, count: int = 32, seed: int = DEFAULT_SEED) -> np.ndarray:
+def default_points(
+    n: int, count: int = DEFAULT_NUM_POINTS, seed: int = DEFAULT_SEED
+) -> np.ndarray:
     """The documented default sample set: uniform points in [-pi, pi]**n."""
     rng = np.random.default_rng(seed)
     return rng.uniform(-math.pi, math.pi, size=(count, n))
@@ -404,7 +417,7 @@ def pointwise_trace(
     seq: TimeSequence,
     s: float,
     points,
-    k_max: int = 2048,
+    k_max: int = DEFAULT_K_MAX,
     shift: ShiftSpec | None = None,
 ) -> TraceResult:
     """Accumulate sum_{k<=K} |h_k(x)|^2 at each sample point in fixed k order.

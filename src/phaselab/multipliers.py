@@ -425,6 +425,7 @@ def numeric_sup(spec: MultiplierSpec) -> ScanResult:
     families are scanned along both signs of mu.  ``xi_max`` covers the
     whole first phase turn and four times the critical radius.
     """
+    # before the bisection, so an r_c that overflows is the error named
     r_c = critical_radius(spec)
     # the phase u = theta(r) through its first turn (u[-1] == 2*pi), and pi
     u = np.linspace(2.0 * math.pi / SCAN_REFINE, 2.0 * math.pi, SCAN_REFINE)

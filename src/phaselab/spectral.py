@@ -475,10 +475,10 @@ def write_field_csv(field: SpectralField, path) -> None:
 def read_field_csv(path) -> SpectralField:
     """Read a field written by write_field_csv, verifying the mode layout.
 
-    The sidecar must give n, xi_max and dxi; the CSV must have the header,
-    one row per mode with n + 2 columns, and mode columns equal to the
-    sidecar grid's.  Cells are parsed by ``float()``, so each value comes
-    back bit for bit.
+    The sidecar must give n as a JSON integer and xi_max and dxi as JSON
+    numbers; the CSV must have the header, one row per mode with n + 2
+    columns, and mode columns equal to the sidecar grid's.  Cells are
+    parsed by ``float()``, so each value comes back bit for bit.
     """
     path = Path(path)
     sidecar_path = path.with_suffix(".json")
@@ -486,8 +486,12 @@ def read_field_csv(path) -> SpectralField:
         raise ParameterError(f"missing grid sidecar {sidecar_path}")
     meta = json.loads(sidecar_path.read_text())
     try:
-        n, xi_max, dxi = int(meta["n"]), float(meta["xi_max"]), float(meta["dxi"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        n, xi_max, dxi = (meta[key] for key in ("n", "xi_max", "dxi"))
+        # JSON numbers, n an integer: int() and float() would read 1.9, true or "1" as 1
+        if type(n) is not int or {type(xi_max), type(dxi)} - {int, float}:
+            raise TypeError
+        xi_max, dxi = float(xi_max), float(dxi)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ParameterError(
             f"grid sidecar {sidecar_path} must give numbers n, xi_max and dxi"
         ) from exc

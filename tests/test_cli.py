@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import phaselab
 from phaselab import SpectralField, make_grid, random_field, write_field_csv
-from phaselab import cli
+from phaselab import cli, convergence
 from phaselab.cli import main
 
 
@@ -239,6 +239,22 @@ class TestSeqCheck:
         )
         assert code == 1
         assert "s > a*(1-beta)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "seq-check --criterion power-low --seq power:p=2 --s 0.5 --a 0.5",
+    "seq-check --criterion gamma-shift --gamma boussinesq --beta 1.5 --s 0.5 "
+    "--seq explicit:0.5,0.25",
+    "trace --a 0.5 --seq power:p=2 --s 0.5 --grid 1,2,1 --K 16 --num-points 2",
+])
+def test_each_answer_builds_its_condition_once(command, monkeypatch, capsys):
+    # check_reads opens every build of a summability condition
+    calls = []
+    original = convergence.check_reads
+    monkeypatch.setattr(convergence, "check_reads",
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    assert run(*command.split()) == 0
+    assert len(calls) == 1
 
 
 class TestPropagate:
@@ -603,6 +619,22 @@ class TestOverflowIsAnError:
         assert err.out == ""
         assert err.err == (
             f"phaselab: error: the summand of {criterion} is not finite at the term t=0.25\n"
+        )
+
+    @pytest.mark.parametrize("terms, count", [
+        ("1.9e-103,1.88e-103", 2),  # finite terms t**-3 whose sum passes the double range
+        (",".join(repr(2.1e-103 * (1 - k * 1e-4)) for k in range(20)), 2),
+        (",".join(repr(4e-103 * (1 - k * 1e-4)) for k in range(20)), 20),
+    ], ids=["two-terms", "head", "tail"])
+    def test_partial_sum_overflow(self, terms, count, capsys):
+        command = ("seq-check --criterion power-shift-super --a 2 --s 1 --beta -1 "
+                   f"--seq explicit:{terms} --unsafe-params")
+        assert self.run_quiet(command) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == (
+            f"phaselab: error: the partial sum of the first {count} terms "
+            "of power-shift-super overflows\n"
         )
 
     @pytest.mark.parametrize("law, time, message", [

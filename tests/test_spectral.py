@@ -443,6 +443,25 @@ class TestCsvRoundTrip:
         with pytest.raises(ParameterError):
             read_field_csv(p)
 
+    @pytest.mark.parametrize("sidecar", [
+        '{"n": 1.9, "xi_max": 1, "dxi": 1}',
+        '{"n": 1.0, "xi_max": 1, "dxi": 1}',
+        '{"n": true, "xi_max": 1, "dxi": 1}',
+        '{"n": "1", "xi_max": 1, "dxi": 1}',
+        '{"n": 1, "xi_max": "1", "dxi": 1}',
+        '{"n": 1, "xi_max": 1, "dxi": true}',
+        '{"n": 1, "xi_max": 1, "dxi": null}',
+        '[1, 1, 1]',
+    ])
+    def test_sidecar_must_give_json_numbers(self, sidecar, tmp_path):
+        # each of these would read as the grid (1, 1, 1) if n were truncated
+        # by int() or a string or bool taken by float()
+        path = tmp_path / "f.csv"
+        write_field_csv(random_field(make_grid(1, 1, 1), 3), path)
+        path.with_suffix(".json").write_text(sidecar)
+        with pytest.raises(ParameterError, match="must give numbers n, xi_max and dxi"):
+            read_field_csv(path)
+
     @settings(max_examples=60, deadline=None)
     @given(
         grid_args=st.sampled_from([(1, 1, 1), (1, 0.5, 0.1), (2, 1, 1), (3, 1, 1)]),
