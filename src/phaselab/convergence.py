@@ -46,7 +46,7 @@ from .multipliers import (
 )
 from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw, invert_many
 from .propagation import ShiftSpec, _angles
-from .spectral import SpectralField, _dot, _fsum, _wave_sums
+from .spectral import SpectralField, _dot, _fsum, _points, _wave_sums
 
 __all__ = [
     "Applicability",
@@ -437,10 +437,8 @@ def pointwise_trace(
             f"sequence {seq.describe()} not accepted for criterion "
             f"{criterion.value}: {verdict.reason}"
         )
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != field.grid.n:
-        raise ParameterError(f"points must have dimension {field.grid.n}")
     grid = field.grid
+    pts = _points(grid, points)[0]
     times = seq.terms(k_max)
 
     def residual(k):

@@ -239,7 +239,8 @@ def validate_hypotheses(spec: MultiplierSpec) -> None:
 def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
     """|m| along the shift axis: 2|sin(theta/2)| / (1+xi^2)^{s/2}."""
     xi = np.asarray(xi, dtype=float)
-    return _modulus(spec.phase_law, spec.delta, np.abs(xi), spec.beta, xi, spec.s)
+    r = np.abs(xi)
+    return _modulus(phase(spec.phase_law, spec.delta, r, spec.beta, xi), r, spec.s)
 
 
 def multiplier_value(spec: MultiplierSpec, xi) -> complex:
@@ -509,7 +510,7 @@ def extremal_witness(spec: MultiplierSpec, grid: FrequencyGrid) -> SpectralField
     if grid.num_modes == 0:
         raise GridMismatchError("grid has no modes")
     r = grid.radii
-    w = _modulus(spec.phase_law, spec.delta, r, spec.beta, grid.modes[:, 0], spec.s)
+    w = _modulus(phase(spec.phase_law, spec.delta, r, spec.beta, grid.modes[:, 0]), r, spec.s)
     ties = np.flatnonzero(w == w.max())
     idx = min(ties, key=lambda j: (r[j], tuple(grid.modes[j])))
     coeff = 1.0 / ((1.0 + r[idx] ** 2) ** (0.5 * spec.s) * grid.weight**0.5)

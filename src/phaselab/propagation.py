@@ -4,11 +4,11 @@ Evolution multiplies each coefficient by a unit phase, so it is exactly
 unitary on every weighted norm and satisfies the group law in t.  The
 drifted evaluation point x + t**beta * mu contributes the extra linear
 phase t**beta * mu.xi.  ``evaluate_shifted`` samples T times at P points in
-one pass: one phase and one evolved field per time, then one ``synthesize``
-call that forms each point's plane wave once and sums every (time, point)
-row exactly.  The residual against the initial datum is formed
-directly in frequency space, h_j = (e^{i theta_j} - 1) f_j, which keeps
-synthesis quadrature out of the estimates under test.
+one pass: ``spectral._wave_sums`` gets one row per time, the datum times its
+phase factor, and forms each point's plane wave once.  The residual
+against the initial datum is formed directly in frequency space,
+h_j = (e^{i theta_j} - 1) f_j, which keeps synthesis quadrature out of
+the estimates under test.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UndefinedShiftError
-from .spectral import FrequencyGrid, SpectralField, _dot, sobolev_norm, synthesize
+from .spectral import FrequencyGrid, SpectralField, _dot, _points, _wave_sums, sobolev_norm
 
 __all__ = [
     "ErrorField",
@@ -71,10 +71,9 @@ def phase(law, t, r, beta: float | None, proj):
     return theta + shift_offset(t, beta) * proj
 
 
-def _modulus(law, t, r, beta, proj, s):
+def _modulus(theta, r, s):
     """|e^{i theta} - 1| / (1+r*r)**(s/2) as 2|sin(theta/2)| over the weight, for
-    the ``phase`` arguments and the index s; a weight past the double range gives 0."""
-    theta = phase(law, t, r, beta, proj)
+    the phase theta at radii r and the index s; a weight past the double range gives 0."""
     with np.errstate(over="ignore"):
         return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * s)
 
@@ -119,11 +118,14 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
             f"times must be a number or a nonempty 1-D array, got shape {times.shape}"
         )
     grid = field.grid
-    moved = [
-        SpectralField(grid, field.coefficients * np.exp(1j * _angles(grid, law, float(ti), shift)))
-        for ti in times.reshape(-1)
-    ]
-    return synthesize(moved if times.ndim else moved[0], x)
+    pts, single = _points(grid, x)
+
+    def evolved(i):
+        return field.coefficients * np.exp(1j * _angles(grid, law, float(times.flat[i]), shift))
+
+    sums = _wave_sums(grid, pts, times.size, evolved)
+    sums = sums.reshape(times.shape + (() if single else (len(pts),)))
+    return complex(sums) if sums.ndim == 0 else sums
 
 
 @dataclass(frozen=True)
@@ -155,9 +157,7 @@ def error_field(
     l2 = sobolev_norm(h, 0.0)
     hs = sobolev_norm(field, s)
     if __debug__ and field.grid.num_modes:
-        grid = field.grid
-        beta, proj = (None, None) if shift is None else (shift.beta, _dot(grid.modes, shift.mu))
-        wsup = float(np.max(_modulus(law, t, grid.radii, beta, proj, s)))
+        wsup = float(np.max(_modulus(theta, field.grid.radii, s)))
         assert l2 <= wsup * hs * (1.0 + 1e-10) + 1e-300, (
             "discrete multiplier bound violated"
         )

@@ -32,15 +32,15 @@ paths give the same bits; the rare rows whose partial sums overflow
 reads its input: it splits a contiguous copy.
 
 ``_wave_sums`` evaluates (2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for
-rows of coefficients c at points x, for ``synthesize`` (fields) and
-``pointwise_trace`` (residuals h_k, formed one block at a time): one wave
-per point, and every (row, point) sum exactly rounded by the kernel,
-which splits each block of at most ``BLOCK_BYTES`` of products in the
-buffer ``np.multiply`` wrote it to; the few blocks with a refused sum are
-multiplied again for ``fsum``.  So the products take one buffer and the
-split another, and the scale is applied once.  Every product over
-the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes through ``_dot``, which
-adds them left to right elementwise, so no BLAS kernel touches the bits.
+rows c at points x (checked by ``_points``), the one sampler: a field for
+``synthesize``, the evolved datum (``evaluate_shifted``) or residual h_k
+(``pointwise_trace``) per time, each row formed with its block.  One wave
+per point; the kernel exactly rounds every (row, point) sum, splitting
+each block of at most ``BLOCK_BYTES`` of products where ``np.multiply``
+wrote it; blocks with a refused sum are multiplied again for ``fsum``.
+Every product over the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes
+through ``_dot``, which adds them left to right elementwise, so no BLAS
+kernel touches the bits.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -403,37 +403,29 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     return sums
 
 
-def synthesize(field, x):
-    """Evaluate (2*pi)**(-n) * sum_j e^{i x.xi_j} f_j dxi^n at physical points.
-
-    ``field`` is one SpectralField or a sequence of fields on one grid; ``x``
-    is one point (shape (n,), or a number when n = 1) or a (P, n) array of
-    points.  One field at one point gives a complex number; otherwise the
-    result is a complex array with a field axis (for a sequence) followed
-    by a point axis (for a (P, n) array).
-    """
-    one_field = isinstance(field, SpectralField)
-    fields = [field] if one_field else list(field)
-    if not fields:
-        raise ParameterError("synthesize needs at least one field")
-    grid = fields[0].grid
-    if any(f.grid is not grid for f in fields):
-        raise GridMismatchError("the fields to synthesize must share one grid")
+def _points(grid: FrequencyGrid, x):
+    """The sample points x as a (P, n) array, and whether x is one point
+    (shape (n,), or a number when n = 1) rather than a (P, n) array."""
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim <= 1
-    if single:
+    if pts.ndim <= 1:
         pts = np.atleast_1d(pts)
         if pts.shape != (grid.n,):
             raise ParameterError(f"point has shape {pts.shape}, expected ({grid.n},)")
-        pts = pts.reshape(1, grid.n)
-    elif pts.ndim != 2 or pts.shape[1] != grid.n:
+        return pts.reshape(1, grid.n), True
+    if pts.ndim != 2 or pts.shape[1] != grid.n:
         raise ParameterError(f"points have shape {pts.shape}, expected (P, {grid.n})")
-    sums = _wave_sums(grid, pts, len(fields), lambda i: fields[i].coefficients)
-    if one_field:
-        sums = sums[0]
-    if single:
-        sums = sums[..., 0]
-    return complex(sums) if sums.ndim == 0 else sums
+    return pts, False
+
+
+def synthesize(field: SpectralField, x):
+    """Evaluate (2*pi)**(-n) * sum_j e^{i x.xi_j} f_j dxi^n at physical points.
+
+    ``x`` is one point (shape (n,), or a number when n = 1), which gives a
+    complex number, or a (P, n) array of points, which gives P values.
+    """
+    pts, single = _points(field.grid, x)
+    sums = _wave_sums(field.grid, pts, 1, lambda i: field.coefficients)[0]
+    return complex(sums[0]) if single else sums
 
 
 def random_field(grid: FrequencyGrid, rng) -> SpectralField:
