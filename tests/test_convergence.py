@@ -376,6 +376,14 @@ class TestPointwiseTrace:
         with pytest.raises(NotApplicableError):
             pointwise_trace(f, power_law(0.5), TimeSequence.power(0.4), 0.25, [[0.0]], k_max=32)
 
+    @pytest.mark.parametrize("n, shape", [(1, (2, 1, 5)), (2, (2, 2, 2))])
+    def test_rejects_3d_points(self, n, shape):
+        f = random_field(make_grid(n, 1, 1), np.random.default_rng(2))
+        with pytest.raises(ParameterError, match=re.escape(f"points have shape {shape}")):
+            pointwise_trace(
+                f, power_law(0.5), TimeSequence.power(2.0), 0.5, np.zeros(shape), k_max=16
+            )
+
     def test_k_floor(self):
         g = make_grid(1, 2, 1)
         f = random_field(g, np.random.default_rng(2))

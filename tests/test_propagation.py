@@ -19,7 +19,7 @@ from phaselab import (
     sobolev_norm,
     synthesize,
 )
-from phaselab import spectral
+from phaselab import propagation, spectral
 from phaselab.convergence import default_points
 from phaselab.propagation import _angles
 
@@ -208,6 +208,15 @@ class TestBatchedEvaluate:
         got = evaluate_shifted(f, power_law(0.5), times, None, points)
         want = reference_evaluate(f, power_law(0.5), times, None, points)
         np.testing.assert_array_equal(bits(got), bits(want))
+
+    def test_builds_no_field_per_time(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            propagation, "SpectralField", lambda *args: built.append(args) or SpectralField(*args)
+        )
+        f = random_field(make_grid(1, 2, 0.5), np.random.default_rng(46))
+        evaluate_shifted(f, BOUSSINESQ, np.linspace(0.0, 1.0, 8), None, default_points(1, 3))
+        assert built == []
 
     @pytest.mark.parametrize("times", [np.empty(0), np.zeros((2, 2))])
     def test_times_must_be_a_nonempty_vector(self, times):
