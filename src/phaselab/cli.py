@@ -186,7 +186,8 @@ def _shift(args, n: int):
     mu = np.asarray([float(v) for v in args.mu.split(",")], dtype=float)
     if mu.shape != (n,):
         raise ParameterError(f"mu must have dimension {n}")
-    norm = math.sqrt(_dot(mu, mu))
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(_dot(mu, mu))
     if not 0.0 < norm < math.inf:
         raise ParameterError(f"mu must be nonzero with a finite norm, got {args.mu!r}")
     return ShiftSpec(beta=args.beta, mu=mu / norm)

@@ -227,7 +227,7 @@ def validate_hypotheses(spec: MultiplierSpec) -> None:
     the law's eligibility; errors name the violated inequality."""
     regime(spec.family, spec.a).check(spec)
     if spec.family.uses_law:
-        report = check_hypotheses(spec.law, 256)
+        report = check_hypotheses(spec.law)
         if not report.eligible:
             raise HypothesisViolation(
                 f"phase law {spec.law.name} is ineligible "

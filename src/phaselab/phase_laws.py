@@ -42,6 +42,8 @@ BRACKET_HI = 1e9
 MAX_BISECT = 200
 #: Relative tolerance of an inverse: |gamma(r) - y| <= REL_TOL * max(1, y).
 REL_TOL = 1e-10
+#: Geometric samples of [1e-6, 1e6] on which ``check_hypotheses`` probes a law.
+PROBE_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -117,17 +119,16 @@ class HypothesisReport:
         return self.gamma_nonneg and self.gamma_increasing and self.ratio_increasing
 
 
-def check_hypotheses(law: PhaseLaw, r_samples: int = 512) -> HypothesisReport:
+def check_hypotheses(law: PhaseLaw) -> HypothesisReport:
     """Probe nonnegativity and the two monotonicities on a geometric sample.
 
     gamma itself must be strictly increasing (invertibility); gamma(r)/r is
     allowed to be flat (the linear law) but not decreasing.  Non-finite or
     negative evaluations produce an all-false report, not an exception.
     """
-    if r_samples < 2:
-        raise ParameterError(f"r_samples must be at least 2, got {r_samples}")
-    r = np.geomspace(1e-6, 1e6, int(r_samples))
-    vals = np.asarray(law(r), dtype=float)
+    r = np.geomspace(1e-6, 1e6, PROBE_POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(law(r), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
         return HypothesisReport(False, False, False)
     increasing = bool(np.all(np.diff(vals) > 0.0))
@@ -153,7 +154,7 @@ def invert_many(law: PhaseLaw, ys) -> np.ndarray:
         raise ParameterError("values to invert must be positive and finite")
     if law.power is not None:
         return ys ** (1.0 / law.power)
-    report = check_hypotheses(law, 128)
+    report = check_hypotheses(law)
     if not (report.gamma_nonneg and report.gamma_increasing):
         raise NotInvertibleError(f"{law.name} is not strictly increasing on the probe range")
     flat = ys.ravel()

@@ -372,7 +372,9 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     are taken from it with ``_fsum``.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
-    waves = np.exp(1j * _dot(pts[:, None, :], grid.modes))
+    # a non-finite or overflowing point gives a NaN wave, so NaN sums
+    with np.errstate(invalid="ignore", over="ignore"):
+        waves = np.exp(1j * _dot(pts[:, None, :], grid.modes))
     block_rows = max(1, BLOCK_BYTES // (16 * num_modes))
     p_step = max(1, min(num_pts, block_rows))
     r_step = max(1, block_rows // p_step)

@@ -657,6 +657,28 @@ class TestOverflowIsAnError:
         assert err.err == "phaselab: error: g(1)/t overflows for boussinesq at the term t=5e-324\n"
 
 
+@pytest.mark.parametrize("command, code, stderr", [
+    ("propagate --field {field} --a 0.5 --times 0,0.5 --points nan;-0.0;inf;-inf;1e-05", 0, ""),
+    ("trace --a 0.5 --s 0.5 --seq power:p=2 --K 16 --points 1e308", 0, ""),
+    ("trace --a 2 --s 1 --seq power:p=2 --grid 2,2,0.5 --K 16 --beta 1.5 --mu 1e308,1 "
+     "--points 0.1,0.2", 1, "mu must be nonzero with a finite norm, got '1e308,1'"),
+    ("bound-check --family gamma --gamma power:a=60 --s 0.5 --deltas 1e-2:1e-6", 1,
+     "phase law power:a=60 is ineligible "
+     "(nonneg=False, increasing=False, ratio_increasing=False)"),
+], ids=["propagate-nonfinite-points", "trace-overflowing-point", "trace-overflowing-mu",
+        "bound-check-overflowing-probe"])
+def test_no_runtime_warning_reaches_stderr(command, code, stderr, tmp_path, capsys):
+    """Non-finite sample points give NaN rows, and an overflowing --mu norm or
+    probe value gives one error line; numpy prints no warning."""
+    field = tmp_path / "f.csv"
+    write_field_csv(random_field(make_grid(1, 4, 1), 1), field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(*command.format(field=field).split()) == code
+    err = capsys.readouterr().err
+    assert err == (f"phaselab: error: {stderr}\n" if stderr else "")
+
+
 #: Small valid commands whose numeric tokens the fuzz below replaces;
 #: {field} is a 2-D field on the grid 2,2,0.5
 FUZZ_COMMANDS = [
@@ -699,9 +721,9 @@ def fuzz_field(tmp_path_factory):
 def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
     """One numeric token swapped for an edge or malformed value: the command
     exits 0 (2 for a failed certificate), or 1 with one error line, and never
-    raises; a seq-check that exits 0 reports a finite q, or none.
-    RuntimeWarnings are printed, not raised: non-finite points give NaN
-    values with numpy's warnings, and that output is documented."""
+    raises; a seq-check that exits 0 reports a finite q, or none.  A
+    RuntimeWarning is raised, so one that would reach stderr fails: code
+    that overflows on purpose does so inside ``np.errstate``."""
     argv = data.draw(st.sampled_from(FUZZ_COMMANDS)).split()
     i, start, end = data.draw(st.sampled_from(fuzz_sites(argv)))
     values = FUZZ_VALUES
@@ -712,7 +734,7 @@ def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
-        warnings.simplefilter("always", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
@@ -921,7 +943,7 @@ GOLDEN_SWEEPS = {
 # so the BLAS thread count is fixed before numpy loads; all cases of one
 # script share that interpreter and the parser main() builds once per
 # process, so state leaking from one main() call into the next would change
-# a digest
+# a digest; a RuntimeWarning is an error there, since nothing reads stderr
 DIGEST_SCRIPT = """
 import contextlib, hashlib, io, json, sys
 from phaselab.cli import main
@@ -947,7 +969,7 @@ def _cli_digests(cases, threads, coretype):
         env["OPENBLAS_CORETYPE"] = coretype
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", DIGEST_SCRIPT, json.dumps(cases)],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", DIGEST_SCRIPT, json.dumps(cases)],
         env=env, capture_output=True, text=True, timeout=300, check=True,
     )
     return json.loads(proc.stdout)

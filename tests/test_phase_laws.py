@@ -54,11 +54,11 @@ class TestCatalog:
 
 class TestCheckHypotheses:
     def test_square_power(self):
-        rep = check_hypotheses(power_law(2.0), 256)
+        rep = check_hypotheses(power_law(2.0))
         assert rep.gamma_nonneg and rep.gamma_increasing and rep.ratio_increasing
 
     def test_boussinesq_eligible(self):
-        rep = check_hypotheses(BOUSSINESQ, 256)
+        rep = check_hypotheses(BOUSSINESQ)
         assert rep.eligible
 
     def test_quartic_and_linear_eligible(self):
@@ -66,7 +66,7 @@ class TestCheckHypotheses:
         assert check_hypotheses(LINEAR).eligible  # flat ratio counts as nondecreasing
 
     def test_sqrt_power_fails_ratio(self):
-        rep = check_hypotheses(power_law(0.5), 256)
+        rep = check_hypotheses(power_law(0.5))
         assert rep.gamma_increasing
         assert not rep.ratio_increasing
 
@@ -74,10 +74,6 @@ class TestCheckHypotheses:
         rep = check_hypotheses(custom_law(lambda r: np.asarray(r) - 1.0))
         assert not rep.gamma_nonneg
         assert not rep.eligible
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ParameterError):
-            check_hypotheses(LINEAR, 1)
 
 
 class TestInvert:
