@@ -405,9 +405,16 @@ def _tail_bound(field: SpectralField, law, shift: ShiftSpec | None, seq: TimeSeq
             return math.inf
         return (k_max + 1.0) ** (1.0 - c) / (c - 1.0)
 
-    tail_sq = (mass * gmax) ** 2 * tail(1.0)
+    def squared(x: float) -> float:
+        """x**2, and inf past the double range, where float ** raises."""
+        try:
+            return x**2
+        except OverflowError:
+            return math.inf
+
+    tail_sq = squared(mass * gmax) * tail(1.0)
     if shift is not None:
-        tail_sq = 2.0 * tail_sq + 2.0 * (mass * proj) ** 2 * tail(shift.beta)
+        tail_sq = 2.0 * tail_sq + 2.0 * squared(mass * proj) * tail(shift.beta)
     return tail_sq
 
 
@@ -445,6 +452,8 @@ def pointwise_trace(
         return (np.exp(1j * _angles(grid, law, float(times[k]), shift)) - 1.0) * field.coefficients
 
     values = _wave_sums(grid, pts, len(times), residual)
-    # np.cumsum adds along k in order, as a running sum would (np.sum pairs terms)
-    sums = np.cumsum(values.real * values.real + values.imag * values.imag, axis=0)[-1]
+    # np.cumsum adds along k in order, as a running sum would (np.sum pairs
+    # terms); a square past the double range is inf, its rounded value
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(values.real * values.real + values.imag * values.imag, axis=0)[-1]
     return TraceResult(pts, sums, _tail_bound(field, law, shift, seq, len(times)), len(times))

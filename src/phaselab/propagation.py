@@ -121,7 +121,14 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
     pts, single = _points(grid, x)
 
     def evolved(i):
-        return field.coefficients * np.exp(1j * _angles(grid, law, float(times.flat[i]), shift))
+        # formed under _wave_sums' np.errstate, so an overflow warns nothing
+        t = float(times.flat[i])
+        row = field.coefficients * np.exp(1j * _angles(grid, law, t, shift))
+        if not np.isfinite(row).all():
+            raise ParameterError(
+                f"coefficients too large to sample: the evolved coefficients overflow at t={t}"
+            )
+        return row
 
     sums = _wave_sums(grid, pts, times.size, evolved)
     sums = sums.reshape(times.shape + (() if single else (len(pts),)))

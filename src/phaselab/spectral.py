@@ -118,17 +118,23 @@ def _two_sum(a, b):
     return s, e
 
 
-def _certified_row_sums(x: np.ndarray, split: np.ndarray | None = None):
+def _certified_row_sums(x: np.ndarray, split: np.ndarray | None = None, terms=None):
     """Sums of the complex rows of x (rows, M, 2) over M, with a certificate.
 
     ``x`` is the interleaved layout ``np.multiply`` writes into a complex
     array: x[i, j] holds the real and imaginary parts of term j of row i.
     Returns ``(r, ok)``, both (rows, 2), one entry per plane.  Where ``ok``
-    holds, ``r`` is the exactly-rounded sum; elsewhere the caller must sum
-    again from the original terms, because the kernel splits ``x`` in
-    place: it leaves x the low parts p and writes the high parts q into
-    ``split`` (at least ``x.size`` floats; a fresh one is made when it is
-    not given), and q + p equals the old x on every live row.
+    holds, ``r`` is the exactly-rounded sum.  Elsewhere ``r`` holds the
+    ``_fsum`` of plane c of ``terms(i)`` when ``terms`` is given, the
+    original (M, 2) terms of row i; without it the caller must sum again,
+    because the kernel splits ``x`` in place: it leaves x the low parts p
+    and writes the high parts q into ``split`` (at least ``x.size``
+    floats; a fresh one is made when it is not given), and q + p equals
+    the old x on every live row.
+
+    The two steps run back to back here; ``_wave_sums`` runs the split
+    (``_split_sums``) once per block and the certificate
+    (``_certify_sums``) once per batch of blocks.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", 2008).  For each row let 2**(e-1) <= max|x| < 2**e
@@ -158,17 +164,35 @@ def _certified_row_sums(x: np.ndarray, split: np.ndarray | None = None):
     sigma = 2**(b + L) for the band's highest exponent b.  That sigma is
     at most 2**_BAND times the row's own 2**(e + L), so the bound is at
     most that much looser: a row is refused a little more often, and a
-    certified result is still the exactly-rounded sum.  When all live
-    rows fit the top band (every block of trace products does) the whole
-    block is split against one sigma; otherwise each run of adjacent rows
-    in one band is split against its own.
+    certified result is still the exactly-rounded sum.  When every row is
+    live and all fit the top band (every block of trace products does),
+    which the block's largest and smallest peak decide as two Python
+    floats, the whole block is split against one sigma; otherwise each run
+    of adjacent rows in one band is split against its own.
 
     Dead rows join no band and both their planes are refused (``ok``
-    false): rows whose largest term is zero or not finite, rows with
-    e <= _MIN_EXPONENT (near-subnormal rows) or e + L > 1023 (sigma would
-    overflow), and every row when M > _MAX_WIDTH.  Live rows are refused
-    plane by plane when the test above fails (exact and near ties, and
-    planes that sum to zero).
+    false; their bound is inf): rows whose largest term is zero or not
+    finite, rows with e <= _MIN_EXPONENT (near-subnormal rows) or
+    e + L > 1023 (sigma would overflow), and every row when M > _MAX_WIDTH.
+    Live rows are refused plane by plane when the test above fails (exact
+    and near ties, and planes that sum to zero).
+    """
+    rows = x.shape[0]
+    r, low, bound = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex), np.empty(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _split_sums(x, r, low, bound, split)
+        ok = _certify_sums(r, low, bound, terms)
+    return r.view(float).reshape(rows, 2), ok
+
+
+def _split_sums(x: np.ndarray, high, low, bound, split: np.ndarray | None = None) -> None:
+    """The split step of ``_certified_row_sums``, run once per block.
+
+    Splits x (rows, M, 2) in place against each row's sigma and writes,
+    per row, the complex sum of the high parts into ``high``, that of the
+    low parts into ``low`` and the error bound of the low sum into
+    ``bound`` (inf for a dead row): three caller-given arrays of ``rows``
+    entries.  Runs under the caller's ``np.errstate``.
     """
     rows, m, _ = x.shape
     flat = x.reshape(rows, 2 * m)
@@ -176,49 +200,67 @@ def _certified_row_sums(x: np.ndarray, split: np.ndarray | None = None):
         split = np.empty(x.size)
     q = split[: x.size].reshape(rows, 2 * m)
     levels = (m + 1).bit_length()
-    # comparisons with nan are false, so non-finite rows are dead too
-    with np.errstate(invalid="ignore", over="ignore"):
-        peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    most, least = float(peak.max()), float(peak.min())
+    # comparisons with nan are false, so a block with a non-finite row
+    # takes the band path, where that row is dead
+    if least >= 2.0**_MIN_EXPONENT and most < 2.0 ** (1023 - levels) and m <= _MAX_WIDTH and (
+        math.frexp(most)[1] - math.frexp(least)[1] <= _BAND
+    ):
+        sigma = math.ldexp(1.0, math.frexp(most)[1] + levels)
+        np.add(flat, sigma, out=q)
+        q -= sigma
+        bound.fill(4.0 * m * m * _U * _U * sigma + _TINY)
+    else:
         live = (peak >= 2.0**_MIN_EXPONENT) & (peak < 2.0 ** (1023 - levels)) & (m <= _MAX_WIDTH)
         e = np.frexp(peak)[1]
         # live rows have e > _MIN_EXPONENT, so top stays there only when
         # no row is live
         top = int(e.max(where=live, initial=_MIN_EXPONENT))
         if top == _MIN_EXPONENT:
-            return np.zeros((rows, 2)), np.zeros((rows, 2), dtype=bool)
-        if top - e.min(where=live, initial=top) <= _BAND:
-            sigma = math.ldexp(1.0, top + levels)
-            np.add(flat, sigma, out=q)
-            q -= sigma
-        else:
-            # dead rows get sigma 0, which leaves them unsplit
-            e = top - (top - e) // (_BAND + 1) * (_BAND + 1)
-            sigma = np.where(live, np.ldexp(1.0, e + levels), 0.0)
-            edges = [0, *(np.flatnonzero(sigma[1:] != sigma[:-1]) + 1).tolist(), rows]
-            for start, stop in zip(edges, edges[1:]):
-                run = float(sigma[start])
-                np.add(flat[start:stop], run, out=q[start:stop])
-                q[start:stop] -= run
-            sigma = sigma[:, None]
-        flat -= q
-        t = q.view(complex).sum(axis=1).view(float).reshape(rows, 2)
-        p = flat.view(complex).sum(axis=1).view(float).reshape(rows, 2)
-        r, d = _two_sum(t, p)
-        half_gap = np.abs(r)
-        half_gap -= np.nextafter(half_gap, 0.0)
-        half_gap *= 0.5
-        np.abs(d, out=d)
-        d += 4.0 * m * m * _U * _U * sigma + _TINY
-    return r, (d < half_gap) & live[:, None]
+            high.fill(0.0)
+            low.fill(0.0)
+            bound.fill(math.inf)
+            return
+        # dead rows get sigma 0, which leaves them unsplit
+        e = top - (top - e) // (_BAND + 1) * (_BAND + 1)
+        sigma = np.where(live, np.ldexp(1.0, e + levels), 0.0)
+        edges = [0, *(np.flatnonzero(sigma[1:] != sigma[:-1]) + 1).tolist(), rows]
+        for start, stop in zip(edges, edges[1:]):
+            run = float(sigma[start])
+            np.add(flat[start:stop], run, out=q[start:stop])
+            q[start:stop] -= run
+        np.copyto(bound, np.where(live, 4.0 * m * m * _U * _U * sigma + _TINY, math.inf))
+    flat -= q
+    q.view(complex).sum(axis=1, out=high)
+    flat.view(complex).sum(axis=1, out=low)
 
 
-def _sum_refused(r: np.ndarray, ok: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """The complex sums of ``_certified_row_sums``, each refused (row, plane)
-    summed again with ``_fsum`` from ``terms`` (rows, M, 2), the block's
-    original terms."""
-    for i, c in zip(*np.nonzero(~ok)):
-        r[i, c] = _fsum(terms[i, :, c].tolist())
-    return r.view(complex)[:, 0]
+def _certify_sums(high, low, bound, terms=None) -> np.ndarray:
+    """The certificate of ``_certified_row_sums``, run once per batch of sums.
+
+    ``high``, ``low`` and ``bound`` hold what ``_split_sums`` wrote for n
+    sums.  Replaces each high sum by r = fl(high + low) and returns ``ok``
+    (n, 2): whether r is the exactly-rounded sum, plane by plane.  Where
+    it is not and ``terms`` is given, plane c of sum j is taken again as
+    the ``_fsum`` of plane c of ``terms(j)``, the original (M, 2) terms.
+    Runs under the caller's ``np.errstate``.
+    """
+    out = high.view(float).reshape(-1, 2)
+    r, d = _two_sum(out, low.view(float).reshape(-1, 2))
+    out[...] = r
+    half_gap = np.abs(r)
+    half_gap -= np.nextafter(half_gap, 0.0)
+    half_gap *= 0.5
+    np.abs(d, out=d)
+    d += bound[:, None]
+    ok = d < half_gap
+    if terms is not None and not ok.all():
+        for j in np.flatnonzero(~ok.all(axis=1)).tolist():
+            planes = terms(j)
+            for c in np.flatnonzero(~ok[j]).tolist():
+                out[j, c] = _fsum(planes[:, c].tolist())
+    return ok
 
 
 def csum(values: np.ndarray):
@@ -235,12 +277,12 @@ def csum(values: np.ndarray):
         return complex(csum(values[None, :])[0])
     if values.ndim != 2:
         raise ParameterError(f"csum takes a 1-D or 2-D array, got {values.ndim}-D")
-    if values.shape[1] == 0:
+    if values.size == 0:
         return np.zeros(values.shape[0], dtype=complex)
     values = np.ascontiguousarray(values, dtype=complex)
     terms = values.view(float).reshape(values.shape + (2,))
-    r, ok = _certified_row_sums(terms.copy())
-    return _sum_refused(r, ok, terms)
+    r, _ = _certified_row_sums(terms.copy(), terms=terms.__getitem__)
+    return r.view(complex)[:, 0]
 
 
 def _fsum(values: list) -> float:
@@ -251,14 +293,15 @@ def _fsum(values: list) -> float:
     integer multiples of 2**-1074 and rounded once (``int / int`` is
     correctly rounded); an exact sum at or beyond the midpoint between the
     largest double and 2**1024 rounds to infinity, as IEEE round-to-nearest
-    does.
+    does.  A row with non-finite terms sums to their IEEE sum, the
+    infinity they share or nan (``fsum`` raises for inf and -inf).
     """
     try:
         return math.fsum(values)
-    except OverflowError:
+    except (OverflowError, ValueError):
         special = [v for v in values if not math.isfinite(v)]
         if special:
-            return math.fsum(special)
+            return sum(special)
         scale = 1 << 1074
         total = sum(num * (scale // den) for num, den in map(float.as_integer_ratio, values))
         if abs(total) >= _OVERFLOW * scale:
@@ -361,46 +404,99 @@ def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
     return math.sqrt(total * field.grid.weight)
 
 
+def _products(rows: np.ndarray, waves: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The (rows, P, M) products of each coefficient row with each wave.
+    The mode axis stays last and contiguous, so numpy forms every (row,
+    point) product with the same loop over M, and a product formed on its
+    own has the bits of its slice of a block."""
+    return np.multiply(rows[:, None, :], waves[None, :, :], out=out)
+
+
 def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.ndarray:
     """(2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for ``num_rows`` rows c,
     row i given by ``row(i)`` and read one block at a time, at each point x
-    of the (P, n) array ``pts``: a (num_rows, P) array.  The waves are formed
-    once; each block of (row, point) products, at most ``BLOCK_BYTES``, is
-    split in place by ``_certified_row_sums`` in the layout ``np.multiply``
-    writes, and the buffers are allocated once and reused.  A block with a
-    refused sum is formed again by the same multiply, and its refused sums
-    are taken from it with ``_fsum``.
+    of the (P, n) array ``pts``: a (num_rows, P) array.
+
+    The waves are formed once.  Each block of (row, point) products, at
+    most ``BLOCK_BYTES``, is split in place by ``_split_sums`` in the layout
+    ``np.multiply`` writes; its high sums go straight into the result, its
+    low sums and bounds into buffers of one batch.  Blocks cover the result
+    in row-major order, and ``_certify_sums`` runs once per batch of
+    ``max(1, BLOCK_BYTES >> 10)`` sums (1,024 by default), so a batch may
+    end inside a block.  A refused sum's products are formed again on
+    their own, from ``row(i)`` (so every row function must be pure) and
+    the same multiply, and summed with ``_fsum``.  All buffers are
+    allocated once.  Rows are formed under the loop's ``np.errstate``, so a
+    row or product that overflows warns nothing; a product or a sum that
+    is not finite at a finite wave raises ``ParameterError``.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
-    # a non-finite or overflowing point gives a NaN wave, so NaN sums
+    # a non-finite or overflowing point gives a NaN wave, so NaN sums; the
+    # waves come before the buffers, so their temporaries do not add to
+    # the peak
     with np.errstate(invalid="ignore", over="ignore"):
         waves = np.exp(1j * _dot(pts[:, None, :], grid.modes))
     block_rows = max(1, BLOCK_BYTES // (16 * num_modes))
     p_step = max(1, min(num_pts, block_rows))
     r_step = max(1, block_rows // p_step)
+    batch = max(1, BLOCK_BYTES >> 10)
     coeffs = np.empty((r_step, num_modes), dtype=complex)
     block_buf = np.empty(r_step * p_step * num_modes, dtype=complex)
     split = np.empty(2 * block_buf.size)
     sums = np.empty((num_rows, num_pts), dtype=complex)
-    for r0 in range(0, num_rows, r_step):
-        rows = coeffs[: min(r_step, num_rows - r0)]
-        for i in range(len(rows)):
-            rows[i] = row(r0 + i)
-        for p0 in range(0, num_pts, p_step):
-            # the mode axis stays last and contiguous, so numpy forms each
-            # product with the same loop as a single coefficient * wave
-            chunk = waves[p0 : p0 + p_step]
-            block = block_buf[: len(rows) * len(chunk) * num_modes].reshape(
-                len(rows), len(chunk), num_modes
+    flat = sums.reshape(-1)
+    # the low sums and bounds of the ``pending`` sums from flat[done] on,
+    # split but not yet certified: less than a batch, plus one block
+    low = np.empty(batch + r_step * p_step, dtype=complex)
+    bound = np.empty(len(low))
+    done = pending = 0
+    formed = {}
+
+    def terms(j):
+        i, p = divmod(j, num_pts)
+        if i not in formed:
+            formed.clear()
+            formed[i] = np.asarray(row(i), dtype=complex)
+        product = _products(formed[i][None], waves[p : p + 1])
+        if not np.isfinite(product).all() and np.isfinite(waves[p]).all():
+            raise ParameterError(
+                "coefficients too large to sample: their products with a plane wave overflow"
             )
-            np.multiply(rows[:, None, :], chunk[None, :, :], out=block)
-            terms = block.view(float).reshape(-1, num_modes, 2)
-            r, ok = _certified_row_sums(terms, split)
-            if not ok.all():
-                np.multiply(rows[:, None, :], chunk[None, :, :], out=block)
-            sums[r0 : r0 + r_step, p0 : p0 + p_step] = _sum_refused(r, ok, terms).reshape(
-                len(rows), -1
-            )
+        return product.view(float).reshape(num_modes, 2)
+
+    def certify(start, low, bound):
+        _certify_sums(flat[start : start + len(low)], low, bound, lambda j: terms(start + j))
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        for r0 in range(0, num_rows, r_step):
+            rows = coeffs[: min(r_step, num_rows - r0)]
+            for i in range(len(rows)):
+                rows[i] = row(r0 + i)
+            for p0 in range(0, num_pts, p_step):
+                chunk = waves[p0 : p0 + p_step]
+                size = len(rows) * len(chunk)
+                block = block_buf[: size * num_modes].reshape(len(rows), len(chunk), num_modes)
+                _products(rows, chunk, out=block)
+                start = done + pending
+                _split_sums(
+                    block.view(float).reshape(size, num_modes, 2),
+                    flat[start : start + size],
+                    low[pending : pending + size],
+                    bound[pending : pending + size],
+                    split,
+                )
+                pending += size
+                whole = pending - pending % batch
+                for b in range(0, whole, batch):
+                    certify(done + b, low[b : b + batch], bound[b : b + batch])
+                if whole:
+                    done, pending = done + whole, pending - whole
+                    low[:pending] = low[whole : whole + pending]
+                    bound[:pending] = bound[whole : whole + pending]
+        if pending:
+            certify(done, low[:pending], bound[:pending])
+    if not np.isfinite(sums).all() and (~np.isfinite(sums) & np.isfinite(waves).all(axis=1)).any():
+        raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
     sums *= grid.weight / (2.0 * math.pi) ** grid.n
     return sums
 

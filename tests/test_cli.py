@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -649,6 +650,34 @@ class TestOverflowIsAnError:
         assert err.out == ""
         assert err.err == f"phaselab: error: {message}\n"
 
+    @pytest.mark.parametrize("times, message", [
+        ("0,0.5", "the evolved coefficients overflow at t=0.5"),
+        ("0", "their products with a plane wave overflow"),
+    ])
+    def test_propagate_coefficients_past_the_double_range(self, times, message, tmp_path, capsys):
+        # 1.7e308 + 1.7e308j times a unit phase has a part near 1.7e308 * (cos + sin)
+        path = tmp_path / "big.csv"
+        grid = make_grid(1, 2, 1)
+        write_field_csv(SpectralField(grid, np.full(grid.num_modes, 1.7e308 + 1.7e308j)), path)
+        command = f"propagate --field {path} --a 0.5 --times {times} --points 0.1"
+        assert self.run_quiet(command) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err == f"phaselab: error: coefficients too large to sample: {message}\n"
+
+    def test_trace_squares_past_the_double_range(self, tmp_path, capsys):
+        # sums near 1e200 have squares past the double range: the partial
+        # sums and the tail are inf, with no warning and no traceback
+        path = tmp_path / "big.csv"
+        grid = make_grid(1, 2, 1)
+        write_field_csv(SpectralField(grid, np.full(grid.num_modes, 1e200 + 1e200j)), path)
+        command = f"trace --field {path} --a 0.5 --s 0.5 --seq power:p=2 --K 16 --points 0.1"
+        assert self.run_quiet(command) == 0
+        err = capsys.readouterr()
+        assert err.err == ""
+        out = json.loads(err.out)
+        assert out["partial_sums"] == [math.inf] and out["tail"] == math.inf
+
     def test_gamma_sum_tiny_term(self, capsys):
         command = "seq-check --criterion gamma --gamma boussinesq --s 0.5 --seq explicit:0.5,0.25,5e-324"
         assert self.run_quiet(command) == 1
@@ -687,6 +716,7 @@ FUZZ_COMMANDS = [
     "propagate --field {field} --gamma boussinesq --times 0,0.1 --beta 1.5 --mu 1,2 "
     "--points 0.1,0.2;0.3,-0.4",
     "propagate --field {field} --a 0.5 --times 0.5 --num-points 2 --seed 4",
+    "trace --field {field} --a 2 --s 1 --seq power:p=2 --K 16 --points 0.1,0.2;0.3,-0.4",
     "bound-check --family power --s 0.5 --a 0.5 --deltas 1e-2:1e-6 --per-decade 1",
     "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 1.5 --deltas 1e-2,1e-6",
     "seq-check --criterion gamma --gamma boussinesq --s 0.5 --seq explicit:0.5,0.25,0.125",
@@ -695,6 +725,8 @@ FUZZ_COMMANDS = [
     "--unsafe-params",
 ]
 FUZZ_VALUES = ["nan", "inf", "-0.0", "1e308", "5e-324", "", "x", "1,", ";"]
+#: Values the fuzz may write into both parts of every coefficient of {field}
+FIELD_VALUES = ["1.7e308", "-1e308", "1e200", "5e-324", "-0.0", "nan", "inf"]
 #: Flags whose values size the work: the fuzz never makes them larger
 SIZE_FLAGS = {"--grid", "--K", "--num-points", "--per-decade"}
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:e-?\d+)?")
@@ -714,29 +746,39 @@ def fuzz_field(tmp_path_factory):
     return str(path)
 
 
+def field_of(path, value, directory):
+    """A copy of the field at ``path`` in ``directory`` with both parts of
+    every coefficient set to the CSV cell ``value``."""
+    lines = Path(path).read_text().splitlines()
+    cells = [line.split(",") for line in lines[1:]]
+    copy = Path(directory) / "field.csv"
+    copy.write_text("\n".join([lines[0]] + [",".join(c[:-2] + [value, value]) for c in cells]) + "\n")
+    copy.with_suffix(".json").write_text(Path(path).with_suffix(".json").read_text())
+    return str(copy)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
-    """One numeric token swapped for an edge or malformed value: the command
+    """One numeric token swapped for an edge or malformed value, and for
+    commands that read {field} perhaps every coefficient too: the command
     exits 0 (2 for a failed certificate), or 1 with one error line, and never
     raises; a seq-check that exits 0 reports a finite q, or none.  A
     RuntimeWarning is raised, so one that would reach stderr fails: code
     that overflows on purpose does so inside ``np.errstate``."""
-    argv = data.draw(st.sampled_from(FUZZ_COMMANDS)).split()
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = command.split()
     i, start, end = data.draw(st.sampled_from(fuzz_sites(argv)))
     values = FUZZ_VALUES
     if argv[i - 1] in SIZE_FLAGS:
         values = [v for v in FUZZ_VALUES if v not in ("inf", "1e308")]
     argv[i] = argv[i][:start] + data.draw(st.sampled_from(values)) + argv[i][end:]
-    argv = [arg.format(field=fuzz_field) for arg in argv]
+    coefficient = data.draw(st.sampled_from([None, *FIELD_VALUES])) if "{field}" in command else None
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+    with tempfile.TemporaryDirectory() as directory:
+        field = fuzz_field if coefficient is None else field_of(fuzz_field, coefficient, directory)
+        argv = [arg.format(field=field) for arg in argv]
+        code = run_fuzzed(argv, out, err)
     errors = [line for line in err.getvalue().splitlines() if ": error: " in line]
     if code == 1:
         assert len(errors) == 1 and errors[0].startswith("phaselab"), err.getvalue()
@@ -746,6 +788,18 @@ def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
     if code == 0 and argv[0] == "seq-check":
         q = json.loads(out.getvalue())["q"]
         assert q is None or math.isfinite(q), (argv, q)
+
+
+def run_fuzzed(argv, out, err):
+    """The exit code of ``main(argv)``, its output captured, with a
+    RuntimeWarning raised."""
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            return exc.code
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

@@ -157,6 +157,14 @@ EVALUATE_CASES = {
 
 
 class TestBatchedEvaluate:
+    def test_evolved_coefficients_past_the_double_range(self):
+        g = make_grid(1, 2, 1)
+        f = SpectralField(g, np.full(g.num_modes, 1.7e308 + 1.7e308j))
+        # at t = 0 the evolved row is the datum; at t = 0.5 the mode xi = 1
+        # turns by 0.5 rad, and 1.7e308 * (cos + sin) overflows
+        with pytest.raises(ParameterError, match=r"^coefficients too large to sample: the evolved coefficients overflow at t=0\.5$"):
+            evaluate_shifted(f, power_law(0.5), np.array([0.0, 0.5]), None, np.array([[math.nan]]))
+
     @pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
     @pytest.mark.parametrize("rows_per_block", [None, 1, 2, 15])
     def test_bit_identical_to_per_sample_loop(self, case, rows_per_block, monkeypatch):

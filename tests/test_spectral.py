@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -242,19 +243,20 @@ class TestReductionsAgainstMpmath:
             x = x[0]
         if rows_per_block is not None:
             monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
-        blocks = []
+        batches = []
 
-        def recording_kernel(*args, **kwargs):
-            out = kernel(*args, **kwargs)
-            blocks.append(out[0])
-            return out
+        def recording_certify(high, *args, **kwargs):
+            ok = certify(high, *args, **kwargs)
+            batches.append(high.copy())
+            return ok
 
-        kernel = spectral._certified_row_sums
-        monkeypatch.setattr(spectral, "_certified_row_sums", recording_kernel)
+        certify = spectral._certify_sums
+        monkeypatch.setattr(spectral, "_certify_sums", recording_certify)
         got = np.atleast_1d(synthesize(f, x))
-        # the sums the kernel refuses are written into its result by the
-        # fsum fallback, so each recorded block ends with its final sums
-        sums = [v for r in blocks for v in r.view(complex)[:, 0].tolist()]
+        # the certify step writes the fsum of each sum it refuses into its
+        # high sums before it returns, and the result is scaled only after
+        # every batch, so each recorded batch holds its final unscaled sums
+        sums = [v for r in batches for v in r.tolist()]
         scale = g.weight / (2.0 * math.pi) ** g.n
         assert len(sums) == len(got)
         for p, point in enumerate(np.atleast_2d(x)):
@@ -270,8 +272,8 @@ class TestReductionsAgainstMpmath:
 
 
 class TestWaveSumsFallback:
-    """A block with refused sums is formed again, and its refused sums equal
-    the per-row ``math.fsum`` of the products, bit for bit."""
+    """A refused sum's products are formed again on their own, and its
+    refused planes equal the ``math.fsum`` of the products, bit for bit."""
 
     def assert_wave_sums_are_fsum(self, grid, pts, coeffs, monkeypatch):
         """Run ``_wave_sums`` on the rows of ``coeffs`` at ``pts`` and return
@@ -319,6 +321,109 @@ class TestWaveSumsFallback:
         # come in blocks of 2, 2 and 1
         monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * 7)
         assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
+
+
+class TestWaveSumsBatches:
+    """``_wave_sums`` splits once per block and certifies once per batch of
+    ``BLOCK_BYTES >> 10`` sums, which may end inside a block."""
+
+    def test_bits_do_not_depend_on_blocks_or_batches(self, monkeypatch):
+        g = make_grid(1, 16, 0.125)
+        rng = np.random.default_rng(31)
+        coeffs = complex_rows(*rng.standard_normal((2, 20, g.num_modes)))
+        coeffs[11] = 0.0
+        coeffs[11, [128, 130]] = [1.0, 2.0**-53]  # a midpoint row at x = 0
+        pts = np.array([[0.7], [0.0], [-1.3]])
+        want = spectral._wave_sums(g, pts, len(coeffs), lambda i: coeffs[i])
+        for rows_per_block in (1, 2, 7):
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+            batches = []
+
+            def recording_certify(high, *args, **kwargs):
+                ok = certify(high, *args, **kwargs)
+                batches.append((len(high), ok.all()))
+                return ok
+
+            certify = spectral._certify_sums
+            monkeypatch.setattr(spectral, "_certify_sums", recording_certify)
+            fallback = TestWaveSumsFallback()
+            assert fallback.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
+            got = spectral._wave_sums(g, pts, len(coeffs), lambda i: coeffs[i])
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            batch = spectral.BLOCK_BYTES >> 10
+            sizes = [size for size, _ in batches[len(batches) // 2 :]]
+            assert sizes == [batch] * (60 // batch) + ([60 % batch] if 60 % batch else [])
+            # the midpoint row's sums are 33 and 34 in row-major order
+            refused = [i for i, (_, ok) in enumerate(batches[len(batches) // 2 :]) if not ok]
+            assert refused == sorted({33 // batch, 34 // batch})
+            monkeypatch.setattr(spectral, "_certify_sums", certify)
+        # at 7 rows a block holds 2 rows of 3 points, and batches of 28 sums
+        # end inside the blocks of sums 24-29 and 54-59; the midpoint row's
+        # sums are refused in the second batch
+        assert (batch, refused) == (28, [1])
+
+    @pytest.mark.parametrize("width", [1, 7, 1025, 16641])
+    def test_product_formed_alone_matches_its_block(self, width):
+        rng = np.random.default_rng(width)
+        rows = complex_rows(*rng.standard_normal((2, 3, width)))
+        waves = np.exp(1j * rng.uniform(-50.0, 50.0, (5, width)))
+        # a block written into a larger buffer, as ``_wave_sums`` does
+        buf = np.empty(4 * 5 * width, dtype=complex)
+        block = spectral._products(rows, waves, out=buf[: 3 * 5 * width].reshape(3, 5, width))
+        for i in range(3):
+            for p in range(5):
+                alone = spectral._products(rows[i][None], waves[p : p + 1])
+                np.testing.assert_array_equal(alone[0, 0].view(np.int64), block[i, p].view(np.int64))
+
+    def test_certify_step_runs_once_per_batch(self, monkeypatch):
+        g = spectral.default_grid()
+        pts = default_points(1, 32)
+        c = random_field(g, 1).coefficients
+        calls = []
+
+        def counting_certify(*args, **kwargs):
+            calls.append(1)
+            return certify(*args, **kwargs)
+
+        certify = spectral._certify_sums
+        monkeypatch.setattr(spectral, "_certify_sums", counting_certify)
+        spectral._wave_sums(g, pts, 512, lambda i: c * (1.0 + i / 512))
+        assert g.num_modes == 1025
+        assert len(calls) == math.ceil(512 * 32 / (spectral.BLOCK_BYTES >> 10)) == 16
+
+    def test_deferred_state_does_not_grow_with_the_sums(self):
+        # K = 2048 rows at 32 points: beyond the result and the waves, the
+        # peak is the block and its split buffer plus at most 256 KB (the
+        # batch buffers, one batch's certify temporaries and a few rows);
+        # deferring every low sum and bound would add 1.5 MB
+        g = spectral.default_grid()
+        pts = default_points(1, 32)
+        c = random_field(g, 1).coefficients
+        num_rows = 2048
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sums = spectral._wave_sums(g, pts, num_rows, lambda i: c * (1.0 + i / num_rows))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        waves = 16 * len(pts) * g.num_modes
+        block = 16 * len(pts) * g.num_modes  # 32 points of one row
+        assert sums.nbytes == 16 * num_rows * len(pts)
+        assert peak - sums.nbytes - waves <= 2 * block + 256 * 1024
+
+    def test_products_past_the_double_range_are_an_error(self):
+        g = make_grid(1, 2, 1)
+        f = SpectralField(g, np.full(g.num_modes, 1.7e308 + 1.7e308j))
+        # at x = 0.1 a product's imaginary part is 1.7e308*(cos + sin) > DBL_MAX
+        with pytest.raises(ParameterError, match="^coefficients too large to sample: their products"):
+            synthesize(f, 0.1)
+        # at x = 0 every product is its coefficient, and the sum overflows
+        with pytest.raises(ParameterError, match="^coefficients too large to sample: a sum"):
+            synthesize(f, 0.0)
+        # a non-finite point still gives NaN
+        assert math.isnan(synthesize(f, math.nan).real)
 
 
 class TestFieldValidation:
@@ -906,6 +1011,29 @@ class TestCsumOverflow:
     )
     def test_matches_mpmath(self, rows):
         self.assert_csum_is_exact([np.array(row).view(complex) for row in rows])
+
+    @pytest.mark.parametrize("terms", [
+        [math.inf, -math.inf], [-math.inf, math.inf], [1e308, 1e308, math.inf, -math.inf],
+    ])
+    def test_both_infinities_sum_to_nan(self, terms):
+        # fsum raises on inf + -inf (or on the overflow of 1e308 + 1e308 first);
+        # their IEEE sum is nan, as nan + 1 is
+        assert math.isnan(csum(np.array(terms)).real)
+        assert math.isnan(csum(np.array([math.nan, 1.0])).real)
+
+    def test_an_infinity_in_each_plane(self):
+        values = complex_rows(
+            [[math.inf, 1.0, -math.inf], [math.inf, 1.0, 2.0]],
+            [[2.0, -math.inf, 1e308], [-math.inf, 3.0, -math.inf]],
+        )
+        got = csum(values)
+        for row, total in zip(values, got):
+            # terms with an infinity sum to the same value in any order
+            want = complex(sum(row.real.tolist()), sum(row.imag.tolist()))
+            np.testing.assert_array_equal(np.array([total]).view(np.int64), np.array([want]).view(np.int64))
+        assert [math.isnan(got[0].real), got[0].imag, got[1].real, got[1].imag] == [
+            True, -math.inf, math.inf, -math.inf,
+        ]
 
     def test_infinite_terms_keep_fsum_semantics(self):
         # fsum reports an overflow here too, though a term is already inf
