@@ -28,8 +28,11 @@ result.  Sums the bound cannot certify (ties and near-ties, zeros,
 non-finite values, maxima near overflow or below 2**-960) are summed
 again from the original terms with ``math.fsum`` (Shewchuk 1997), so both
 paths give the same bits; the rare rows whose partial sums overflow
-``fsum`` are summed exactly in integers and rounded once.  ``csum`` only
-reads its input: it splits a contiguous copy.
+``fsum`` are summed exactly in integers and rounded once.  The kernel has
+two steps: the split (``_split_sums``) leaves per row a high sum, a low
+sum and an error bound, and the certificate (``_certify_sums``) adds them
+and tests the bound for any number of rows at once.  ``csum`` only reads
+its input: it runs both steps on a contiguous copy.
 
 ``_wave_sums`` evaluates (2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for
 rows c at points x (checked by ``_points``), the one sampler: a field for
@@ -37,7 +40,8 @@ rows c at points x (checked by ``_points``), the one sampler: a field for
 (``pointwise_trace``) per time, each row formed with its block.  One wave
 per point; the kernel exactly rounds every (row, point) sum, splitting
 each block of at most ``BLOCK_BYTES`` of products where ``np.multiply``
-wrote it; blocks with a refused sum are multiplied again for ``fsum``.
+wrote it and certifying the sums once per batch of 1,024; a refused sum's
+products are formed again on their own for ``fsum``.
 Every product over the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes
 through ``_dot``, which adds them left to right elementwise, so no BLAS
 kernel touches the bits.
@@ -76,7 +80,8 @@ DEFAULT_GRID_PARAMS = (1, 64.0, 0.125)
 
 #: Cap on the bytes of complex products ``_wave_sums`` sums in one block
 #: (one row at least), so a block grows with neither the row nor the point
-#: count.
+#: count.  Its sums are certified in batches of ``BLOCK_BYTES >> 10``
+#: (1,024), whose deferred low sums and bounds take 24 bytes a sum.
 BLOCK_BYTES = 1 << 20
 
 #: Unit roundoff of float64.
@@ -105,17 +110,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(1, a.shape[-1]):
         total += a[..., i] * b[..., i]
     return total
-
-
-def _two_sum(a, b):
-    """s + e == a + b exactly, with s = fl(a + b) (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    e = s - bb
-    np.subtract(a, e, out=e)
-    np.subtract(b, bb, out=bb)
-    e += bb
-    return s, e
 
 
 def _certified_row_sums(x: np.ndarray, split: np.ndarray | None = None, terms=None):
@@ -200,14 +194,16 @@ def _split_sums(x: np.ndarray, high, low, bound, split: np.ndarray | None = None
         split = np.empty(x.size)
     q = split[: x.size].reshape(rows, 2 * m)
     levels = (m + 1).bit_length()
-    peak = np.maximum(flat.max(axis=1), -flat.min(axis=1))
+    # ufunc reductions, not the array methods, save a wrapper call a block
+    peak = np.maximum(np.maximum.reduce(flat, axis=1), -np.minimum.reduce(flat, axis=1))
     most, least = float(peak.max()), float(peak.min())
+    top = math.frexp(most)[1]
     # comparisons with nan are false, so a block with a non-finite row
     # takes the band path, where that row is dead
     if least >= 2.0**_MIN_EXPONENT and most < 2.0 ** (1023 - levels) and m <= _MAX_WIDTH and (
-        math.frexp(most)[1] - math.frexp(least)[1] <= _BAND
+        top - math.frexp(least)[1] <= _BAND
     ):
-        sigma = math.ldexp(1.0, math.frexp(most)[1] + levels)
+        sigma = math.ldexp(1.0, top + levels)
         np.add(flat, sigma, out=q)
         q -= sigma
         bound.fill(4.0 * m * m * _U * _U * sigma + _TINY)
@@ -232,8 +228,8 @@ def _split_sums(x: np.ndarray, high, low, bound, split: np.ndarray | None = None
             q[start:stop] -= run
         np.copyto(bound, np.where(live, 4.0 * m * m * _U * _U * sigma + _TINY, math.inf))
     flat -= q
-    q.view(complex).sum(axis=1, out=high)
-    flat.view(complex).sum(axis=1, out=low)
+    np.add.reduce(q.view(complex), axis=1, out=high)
+    np.add.reduce(flat.view(complex), axis=1, out=low)
 
 
 def _certify_sums(high, low, bound, terms=None) -> np.ndarray:
@@ -244,22 +240,30 @@ def _certify_sums(high, low, bound, terms=None) -> np.ndarray:
     (n, 2): whether r is the exactly-rounded sum, plane by plane.  Where
     it is not and ``terms`` is given, plane c of sum j is taken again as
     the ``_fsum`` of plane c of ``terms(j)``, the original (M, 2) terms.
-    Runs under the caller's ``np.errstate``.
+    ``low`` is overwritten.  Runs under the caller's ``np.errstate``.
     """
-    out = high.view(float).reshape(-1, 2)
-    r, d = _two_sum(out, low.view(float).reshape(-1, 2))
-    out[...] = r
-    half_gap = np.abs(r)
-    half_gap -= np.nextafter(half_gap, 0.0)
-    half_gap *= 0.5
-    np.abs(d, out=d)
-    d += bound[:, None]
-    ok = d < half_gap
+    t, p = high.view(float).reshape(-1, 2), low.view(float).reshape(-1, 2)
+    # Knuth's TwoSum, r + e == t + p exactly, in place in t and p with two
+    # temporaries: e = (t - (r - bb)) + (p - bb) for bb = r - t
+    r = t + p
+    bb = r - t
+    p -= bb
+    np.subtract(r, bb, out=bb)
+    t -= bb
+    t += p
+    np.abs(t, out=p)
+    p += bound[:, None]
+    t[...] = r
+    # r becomes the half gap from |r| to the next double toward zero
+    np.abs(r, out=r)
+    r -= np.nextafter(r, 0.0, out=bb)
+    r *= 0.5
+    ok = p < r
     if terms is not None and not ok.all():
         for j in np.flatnonzero(~ok.all(axis=1)).tolist():
             planes = terms(j)
             for c in np.flatnonzero(~ok[j]).tolist():
-                out[j, c] = _fsum(planes[:, c].tolist())
+                t[j, c] = _fsum(planes[:, c].tolist())
     return ok
 
 
@@ -436,6 +440,7 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     # the peak
     with np.errstate(invalid="ignore", over="ignore"):
         waves = np.exp(1j * _dot(pts[:, None, :], grid.modes))
+    finite = np.isfinite(waves).all(axis=1)
     block_rows = max(1, BLOCK_BYTES // (16 * num_modes))
     p_step = max(1, min(num_pts, block_rows))
     r_step = max(1, block_rows // p_step)
@@ -450,22 +455,22 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     low = np.empty(batch + r_step * p_step, dtype=complex)
     bound = np.empty(len(low))
     done = pending = 0
-    formed = {}
 
     def terms(j):
         i, p = divmod(j, num_pts)
-        if i not in formed:
-            formed.clear()
-            formed[i] = np.asarray(row(i), dtype=complex)
-        product = _products(formed[i][None], waves[p : p + 1])
-        if not np.isfinite(product).all() and np.isfinite(waves[p]).all():
+        product = _products(np.asarray(row(i), dtype=complex)[None], waves[p : p + 1])
+        if finite[p] and not np.isfinite(product).all():
             raise ParameterError(
                 "coefficients too large to sample: their products with a plane wave overflow"
             )
         return product.view(float).reshape(num_modes, 2)
 
     def certify(start, low, bound):
-        _certify_sums(flat[start : start + len(low)], low, bound, lambda j: terms(start + j))
+        high = flat[start : start + len(low)]
+        _certify_sums(high, low, bound, lambda j: terms(start + j))
+        overflow = ~np.isfinite(high)
+        if overflow.any() and finite[(start + np.flatnonzero(overflow)) % num_pts].any():
+            raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
 
     with np.errstate(invalid="ignore", over="ignore"):
         for r0 in range(0, num_rows, r_step):
@@ -495,8 +500,6 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
                     bound[:pending] = bound[whole : whole + pending]
         if pending:
             certify(done, low[:pending], bound[:pending])
-    if not np.isfinite(sums).all() and (~np.isfinite(sums) & np.isfinite(waves).all(axis=1)).any():
-        raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
     sums *= grid.weight / (2.0 * math.pi) ** grid.n
     return sums
 

@@ -393,8 +393,9 @@ class TestWaveSumsBatches:
 
     def test_deferred_state_does_not_grow_with_the_sums(self):
         # K = 2048 rows at 32 points: beyond the result and the waves, the
-        # peak is the block and its split buffer plus at most 256 KB (the
-        # batch buffers, one batch's certify temporaries and a few rows);
+        # peak is the block and its split buffer plus at most 256 KB (about
+        # 160 KB, the same at K = 512 and 8192: the batch buffers, a batch's
+        # certify temporaries, a few rows and a refused sum's fsum list);
         # deferring every low sum and bound would add 1.5 MB
         g = spectral.default_grid()
         pts = default_points(1, 32)
