@@ -440,7 +440,6 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     # the peak
     with np.errstate(invalid="ignore", over="ignore"):
         waves = np.exp(1j * _dot(pts[:, None, :], grid.modes))
-    finite = np.isfinite(waves).all(axis=1)
     block_rows = max(1, BLOCK_BYTES // (16 * num_modes))
     p_step = max(1, min(num_pts, block_rows))
     r_step = max(1, block_rows // p_step)
@@ -451,15 +450,16 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     sums = np.empty((num_rows, num_pts), dtype=complex)
     flat = sums.reshape(-1)
     # the low sums and bounds of the ``pending`` sums from flat[done] on,
-    # split but not yet certified: less than a batch, plus one block
-    low = np.empty(batch + r_step * p_step, dtype=complex)
+    # split but not yet certified: less than a batch (or than all the
+    # sums), plus one block
+    low = np.empty(min(batch, sums.size) + r_step * p_step, dtype=complex)
     bound = np.empty(len(low))
     done = pending = 0
 
     def terms(j):
         i, p = divmod(j, num_pts)
         product = _products(np.asarray(row(i), dtype=complex)[None], waves[p : p + 1])
-        if finite[p] and not np.isfinite(product).all():
+        if not np.isfinite(product).all() and np.isfinite(waves[p]).all():
             raise ParameterError(
                 "coefficients too large to sample: their products with a plane wave overflow"
             )
@@ -469,8 +469,12 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
         high = flat[start : start + len(low)]
         _certify_sums(high, low, bound, lambda j: terms(start + j))
         overflow = ~np.isfinite(high)
-        if overflow.any() and finite[(start + np.flatnonzero(overflow)) % num_pts].any():
-            raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
+        if overflow.any():
+            points = (start + np.flatnonzero(overflow)) % num_pts
+            if np.isfinite(waves[points]).all(axis=1).any():
+                raise ParameterError(
+                    "coefficients too large to sample: a sum over the modes overflows"
+                )
 
     with np.errstate(invalid="ignore", over="ignore"):
         for r0 in range(0, num_rows, r_step):
