@@ -124,10 +124,7 @@ def _parse_deltas(text: str, per_decade: int | None):
     if len(parts) == 1:
         if per_decade is not None:
             raise ParameterError("--per-decade is not valid with a comma list of --deltas")
-        values = [float(v) for v in text.split(",")]
-        if not values:
-            raise ParameterError("empty delta list")
-        return values
+        return [float(v) for v in text.split(",")]
     if len(parts) != 2:
         raise ParameterError(f"deltas must be start:end or a comma list, got {text!r}")
     start, end = float(parts[0]), float(parts[1])

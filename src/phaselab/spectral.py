@@ -8,31 +8,19 @@ result is the true sum of the terms rounded once to the nearest double,
 so it does not depend on summation order, runs or thread counts.
 
 ``csum`` sums every row of a 2-D block at once (a vector is a one-row
-block).  The kernel, ``_certified_row_sums``, splits each term once
-against a power of two sigma (error-free extraction: Rump, Ogita and
-Oishi, "Accurate floating-point summation part I", 2008), so the high
-parts add up exactly in any order and numpy's contiguous ``sum`` can add
-them; the low parts are added in floating point and a rigorous error
-bound decides whether the rounded total is the exactly-rounded sum.  The
-proof needs only a sigma of at least 2**L times the power of two just
-above each row's largest term (L = ceil(log2(M + 2)) for M terms).  The
-kernel works in place on the interleaved (rows, M, 2) layout that
-``np.multiply`` writes into a complex array: one sigma serves both planes
-of a complex row, taken from a contiguous max and min over the row, and
-both planes are summed through a complex view.  Rows whose largest terms
-lie within a few binades of each other share one sigma, a Python float,
-so a block of trace products is split with one add and one subtract into
-one split buffer the size of the block.  A shared sigma loosens the bound
-by at most 2**_BAND, which may refuse a few more rows but moves no
-result.  Sums the bound cannot certify (ties and near-ties, zeros,
-non-finite values, maxima near overflow or below 2**-960) are summed
-again from the original terms with ``math.fsum`` (Shewchuk 1997), so both
-paths give the same bits; the rare rows whose partial sums overflow
-``fsum`` are summed exactly in integers and rounded once.  The kernel has
-two steps: the split (``_split_sums``) leaves per row a high sum, a low
-sum and an error bound, and the certificate (``_certify_sums``) adds them
-and tests the bound for any number of rows at once.  ``csum`` only reads
-its input: it runs both steps on a contiguous copy.
+block) in two steps.  The split (``_split_sums``, where the proof lives)
+splits each term once against a power of two by error-free extraction
+(Rump, Ogita and Oishi, "Accurate floating-point summation part I",
+2008): the high parts add up exactly in any order, the low parts are
+added in floating point, and it leaves per row a high sum, a low sum and
+an error bound.  The certificate (``_certify_sums``) adds them and keeps
+the rounded total where the bound proves it the exactly-rounded sum, for
+any number of rows at once.  Sums it cannot certify (ties and near-ties,
+zeros, non-finite values, terms near overflow or below 2**-960) are
+summed again from the original terms with ``math.fsum`` (Shewchuk 1997),
+so both paths give the same bits; the rare rows whose partial sums
+overflow ``fsum`` are summed exactly in integers and rounded once.
+``csum`` only reads its input: it splits a contiguous copy.
 
 ``_wave_sums`` evaluates (2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for
 rows c at points x (checked by ``_points``), the one sampler: a field for
@@ -40,8 +28,9 @@ rows c at points x (checked by ``_points``), the one sampler: a field for
 (``pointwise_trace``) per time, each row formed with its block.  One wave
 per point; the kernel exactly rounds every (row, point) sum, splitting
 each block of at most ``BLOCK_BYTES`` of products where ``np.multiply``
-wrote it and certifying the sums once per batch of 1,024; a refused sum's
-products are formed again on their own for ``fsum``.
+wrote it and certifying the sums once at least 1,024 have been split,
+at a block's end; a refused sum's products are formed again on their own
+for ``fsum``.
 Every product over the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes
 through ``_dot``, which adds them left to right elementwise, so no BLAS
 kernel touches the bits.
@@ -93,7 +82,7 @@ _TINY = 5e-324
 _MIN_EXPONENT = -960
 #: Widest row the extraction handles; M*(M+2) must stay below 2**54.
 _MAX_WIDTH = 2**26
-#: ``_certified_row_sums`` splits rows whose largest terms lie within
+#: ``_split_sums`` splits rows whose largest terms lie within
 #: _BAND + 1 binades of each other against one sigma; that loosens the
 #: error bound by at most 2**_BAND.
 _BAND = 4
@@ -112,23 +101,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _certified_row_sums(x: np.ndarray, split: np.ndarray | None = None, terms=None):
-    """Sums of the complex rows of x (rows, M, 2) over M, with a certificate.
+def _split_sums(x: np.ndarray, high, low, bound, split: np.ndarray) -> None:
+    """The split step of the certified sums of the complex rows of x.
 
-    ``x`` is the interleaved layout ``np.multiply`` writes into a complex
-    array: x[i, j] holds the real and imaginary parts of term j of row i.
-    Returns ``(r, ok)``, both (rows, 2), one entry per plane.  Where ``ok``
-    holds, ``r`` is the exactly-rounded sum.  Elsewhere ``r`` holds the
-    ``_fsum`` of plane c of ``terms(i)`` when ``terms`` is given, the
-    original (M, 2) terms of row i; without it the caller must sum again,
-    because the kernel splits ``x`` in place: it leaves x the low parts p
-    and writes the high parts q into ``split`` (at least ``x.size``
-    floats; a fresh one is made when it is not given), and q + p equals
-    the old x on every live row.
-
-    The two steps run back to back here; ``_wave_sums`` runs the split
-    (``_split_sums``) once per block and the certificate
-    (``_certify_sums``) once per batch of blocks.
+    ``x`` (rows, M, 2) is the interleaved layout ``np.multiply`` writes
+    into a complex array: x[i, j] holds the real and imaginary parts of
+    term j of row i.  The split works in place: it leaves x the low parts
+    p and writes the high parts q into ``split`` (at least ``x.size``
+    floats), and q + p equals the old x on every live row.  Per row it
+    writes the complex sum of the high parts into ``high``, that of the
+    low parts into ``low`` and the error bound of the low sum into
+    ``bound`` (inf for a dead row): three caller-given arrays of ``rows``
+    entries, which ``_certify_sums`` reads.  Runs under the caller's
+    ``np.errstate``.
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", 2008).  For each row let 2**(e-1) <= max|x| < 2**e
@@ -171,27 +156,8 @@ def _certified_row_sums(x: np.ndarray, split: np.ndarray | None = None, terms=No
     Live rows are refused plane by plane when the test above fails (exact
     and near ties, and planes that sum to zero).
     """
-    rows = x.shape[0]
-    r, low, bound = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex), np.empty(rows)
-    with np.errstate(invalid="ignore", over="ignore"):
-        _split_sums(x, r, low, bound, split)
-        ok = _certify_sums(r, low, bound, terms)
-    return r.view(float).reshape(rows, 2), ok
-
-
-def _split_sums(x: np.ndarray, high, low, bound, split: np.ndarray | None = None) -> None:
-    """The split step of ``_certified_row_sums``, run once per block.
-
-    Splits x (rows, M, 2) in place against each row's sigma and writes,
-    per row, the complex sum of the high parts into ``high``, that of the
-    low parts into ``low`` and the error bound of the low sum into
-    ``bound`` (inf for a dead row): three caller-given arrays of ``rows``
-    entries.  Runs under the caller's ``np.errstate``.
-    """
     rows, m, _ = x.shape
     flat = x.reshape(rows, 2 * m)
-    if split is None:
-        split = np.empty(x.size)
     q = split[: x.size].reshape(rows, 2 * m)
     levels = (m + 1).bit_length()
     # ufunc reductions, not the array methods, save a wrapper call a block
@@ -232,15 +198,15 @@ def _split_sums(x: np.ndarray, high, low, bound, split: np.ndarray | None = None
     np.add.reduce(flat.view(complex), axis=1, out=low)
 
 
-def _certify_sums(high, low, bound, terms=None) -> np.ndarray:
-    """The certificate of ``_certified_row_sums``, run once per batch of sums.
+def _certify_sums(high, low, bound, terms) -> np.ndarray:
+    """The certificate of the sums ``_split_sums`` split, for n sums at once.
 
     ``high``, ``low`` and ``bound`` hold what ``_split_sums`` wrote for n
     sums.  Replaces each high sum by r = fl(high + low) and returns ``ok``
     (n, 2): whether r is the exactly-rounded sum, plane by plane.  Where
-    it is not and ``terms`` is given, plane c of sum j is taken again as
-    the ``_fsum`` of plane c of ``terms(j)``, the original (M, 2) terms.
-    ``low`` is overwritten.  Runs under the caller's ``np.errstate``.
+    it is not, plane c of sum j is taken again as the ``_fsum`` of plane c
+    of ``terms(j)``, the original (M, 2) terms.  ``low`` is overwritten.
+    Runs under the caller's ``np.errstate``.
     """
     t, p = high.view(float).reshape(-1, 2), low.view(float).reshape(-1, 2)
     # Knuth's TwoSum, r + e == t + p exactly, in place in t and p with two
@@ -259,7 +225,7 @@ def _certify_sums(high, low, bound, terms=None) -> np.ndarray:
     r -= np.nextafter(r, 0.0, out=bb)
     r *= 0.5
     ok = p < r
-    if terms is not None and not ok.all():
+    if not ok.all():
         for j in np.flatnonzero(~ok.all(axis=1)).tolist():
             planes = terms(j)
             for c in np.flatnonzero(~ok[j]).tolist():
@@ -272,9 +238,8 @@ def csum(values: np.ndarray):
 
     A 1-D input gives a complex number (it is summed as a one-row block);
     a 2-D input (rows, M) gives a complex array with one sum per row.
-    ``values`` is only read: it is copied into a work array, and the
-    certified batched kernel splits the copy; rows it cannot certify go
-    to ``math.fsum``.
+    ``values`` is only read: ``_split_sums`` splits a copy, and the rows
+    ``_certify_sums`` cannot certify go to ``math.fsum``.
     """
     values = np.asarray(values)
     if values.ndim == 1:
@@ -285,8 +250,12 @@ def csum(values: np.ndarray):
         return np.zeros(values.shape[0], dtype=complex)
     values = np.ascontiguousarray(values, dtype=complex)
     terms = values.view(float).reshape(values.shape + (2,))
-    r, _ = _certified_row_sums(terms.copy(), terms=terms.__getitem__)
-    return r.view(complex)[:, 0]
+    rows = len(values)
+    r, low, bound = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex), np.empty(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _split_sums(terms.copy(), r, low, bound, np.empty(terms.size))
+        _certify_sums(r, low, bound, terms.__getitem__)
+    return r
 
 
 def _fsum(values: list) -> float:
@@ -337,11 +306,6 @@ class FrequencyGrid:
         r = np.sqrt(_dot(self.modes, self.modes))
         r.setflags(write=False)
         return r
-
-    @property
-    def extent(self) -> float:
-        """Largest axis coordinate present on the lattice."""
-        return float(np.max(np.abs(self.modes))) if self.num_modes else 0.0
 
 
 def _half_width(n: int, xi_max: float, dxi: float) -> int:
@@ -424,15 +388,16 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     The waves are formed once.  Each block of (row, point) products, at
     most ``BLOCK_BYTES``, is split in place by ``_split_sums`` in the layout
     ``np.multiply`` writes; its high sums go straight into the result, its
-    low sums and bounds into buffers of one batch.  Blocks cover the result
-    in row-major order, and ``_certify_sums`` runs once per batch of
-    ``max(1, BLOCK_BYTES >> 10)`` sums (1,024 by default), so a batch may
-    end inside a block.  A refused sum's products are formed again on
-    their own, from ``row(i)`` (so every row function must be pure) and
-    the same multiply, and summed with ``_fsum``.  All buffers are
-    allocated once.  Rows are formed under the loop's ``np.errstate``, so a
-    row or product that overflows warns nothing; a product or a sum that
-    is not finite at a finite wave raises ``ParameterError``.
+    low sums and bounds into buffers of one batch and one block.  Blocks
+    cover the result in row-major order, and ``_certify_sums`` runs on the
+    pending sums at the end of the first block that brings them to a batch
+    of ``max(1, BLOCK_BYTES >> 10)`` (1,024 by default), and once more on
+    the rest after the last block.  A refused sum's products are formed
+    again on their own, from ``row(i)`` (so every row function must be
+    pure) and the same multiply, and summed with ``_fsum``.  All buffers
+    are allocated once.  Rows are formed under the loop's ``np.errstate``,
+    so a row or product that overflows warns nothing; a product or a sum
+    that is not finite at a finite wave raises ``ParameterError``.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
     # a non-finite or overflowing point gives a NaN wave, so NaN sums; the
@@ -451,7 +416,7 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     flat = sums.reshape(-1)
     # the low sums and bounds of the ``pending`` sums from flat[done] on,
     # split but not yet certified: less than a batch (or than all the
-    # sums), plus one block
+    # sums) before a block, plus that block
     low = np.empty(min(batch, sums.size) + r_step * p_step, dtype=complex)
     bound = np.empty(len(low))
     done = pending = 0
@@ -465,9 +430,9 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
             )
         return product.view(float).reshape(num_modes, 2)
 
-    def certify(start, low, bound):
-        high = flat[start : start + len(low)]
-        _certify_sums(high, low, bound, lambda j: terms(start + j))
+    def certify(start, count):
+        high = flat[start : start + count]
+        _certify_sums(high, low[:count], bound[:count], lambda j: terms(start + j))
         overflow = ~np.isfinite(high)
         if overflow.any():
             points = (start + np.flatnonzero(overflow)) % num_pts
@@ -495,15 +460,11 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
                     split,
                 )
                 pending += size
-                whole = pending - pending % batch
-                for b in range(0, whole, batch):
-                    certify(done + b, low[b : b + batch], bound[b : b + batch])
-                if whole:
-                    done, pending = done + whole, pending - whole
-                    low[:pending] = low[whole : whole + pending]
-                    bound[:pending] = bound[whole : whole + pending]
+                if pending >= batch:
+                    certify(done, pending)
+                    done, pending = done + pending, 0
         if pending:
-            certify(done, low[:pending], bound[:pending])
+            certify(done, pending)
     sums *= grid.weight / (2.0 * math.pi) ** grid.n
     return sums
 

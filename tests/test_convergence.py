@@ -465,7 +465,7 @@ class TestTorusOracle:
     )
     def test_grid_mean_matches_closed_form(self, grid_args, n_points, beta):
         g = make_grid(*grid_args)
-        assert n_points > 2 * round(g.extent / g.dxi)
+        assert n_points > 2 * spectral._half_width(*grid_args)
         f = random_field(g, np.random.default_rng(17))
         shift = ShiftSpec(beta=beta, mu=np.eye(g.n)[0]) if beta is not None else None
         seq, k_max = TimeSequence.geometric(0.5), 24

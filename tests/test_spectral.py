@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 import tempfile
@@ -26,7 +27,7 @@ from phaselab import (
 )
 from phaselab import spectral
 from phaselab.convergence import default_points
-from phaselab.spectral import _certified_row_sums, csum
+from phaselab.spectral import csum
 
 
 def one_mode(grid, xi, c):
@@ -324,8 +325,9 @@ class TestWaveSumsFallback:
 
 
 class TestWaveSumsBatches:
-    """``_wave_sums`` splits once per block and certifies once per batch of
-    ``BLOCK_BYTES >> 10`` sums, which may end inside a block."""
+    """``_wave_sums`` splits once per block and certifies the pending sums
+    at the end of the first block that brings them to a batch of
+    ``BLOCK_BYTES >> 10``."""
 
     def test_bits_do_not_depend_on_blocks_or_batches(self, monkeypatch):
         g = make_grid(1, 16, 0.125)
@@ -339,8 +341,8 @@ class TestWaveSumsBatches:
             monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
             batches = []
 
-            def recording_certify(high, *args, **kwargs):
-                ok = certify(high, *args, **kwargs)
+            def recording_certify(high, *args):
+                ok = certify(high, *args)
                 batches.append((len(high), ok.all()))
                 return ok
 
@@ -352,15 +354,48 @@ class TestWaveSumsBatches:
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
             batch = spectral.BLOCK_BYTES >> 10
             sizes = [size for size, _ in batches[len(batches) // 2 :]]
-            assert sizes == [batch] * (60 // batch) + ([60 % batch] if 60 % batch else [])
-            # the midpoint row's sums are 33 and 34 in row-major order
+            ends = np.cumsum(sizes).tolist()
+            assert ends[-1] == 60
+            # the midpoint row's sums are 33-35 in row-major order, and all
+            # three are refused
             refused = [i for i, (_, ok) in enumerate(batches[len(batches) // 2 :]) if not ok]
-            assert refused == sorted({33 // batch, 34 // batch})
+            assert refused == sorted({bisect.bisect(ends, j) for j in (33, 34, 35)})
             monkeypatch.setattr(spectral, "_certify_sums", certify)
-        # at 7 rows a block holds 2 rows of 3 points, and batches of 28 sums
-        # end inside the blocks of sums 24-29 and 54-59; the midpoint row's
-        # sums are refused in the second batch
-        assert (batch, refused) == (28, [1])
+        # at 7 rows a block holds 2 rows of 3 points, and a batch of 28
+        # sums ends with the first block that reaches it: the blocks of sums
+        # 24-29 and 54-59; the midpoint row's sums are refused in the second
+        assert (batch, sizes, refused) == (28, [30, 30], [1])
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 7])
+    def test_batches_end_at_block_ends(self, rows_per_block, monkeypatch):
+        # 20 rows at 3 points; blocks of 1 sum, of 2 and 1 sums, and of 6
+        g = make_grid(1, 16, 0.125)
+        coeffs = complex_rows(*np.random.default_rng(32).standard_normal((2, 20, g.num_modes)))
+        pts = np.array([[0.7], [0.0], [-1.3]])
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+        calls = []  # (step, number of sums) of each call, in call order
+        for name in ("_split_sums", "_certify_sums"):
+
+            def recording(sums, *args, name=name, step=getattr(spectral, name)):
+                calls.append((name, len(sums)))
+                return step(sums, *args)
+
+            monkeypatch.setattr(spectral, name, recording)
+        spectral._wave_sums(g, pts, len(coeffs), lambda i: coeffs[i])
+        batch = spectral.BLOCK_BYTES >> 10
+        # the blocks split before each certify call, which must certify
+        # exactly their sums: so it starts and ends at block boundaries
+        covered, blocks = [], []
+        for name, n in calls:
+            if name == "_split_sums":
+                blocks.append(n)
+            else:
+                assert n == sum(blocks)
+                covered.append(blocks)
+                blocks = []
+        assert not blocks and sum(map(sum, covered)) == 60
+        for blocks in covered[:-1]:
+            assert batch <= sum(blocks) < batch + blocks[-1]
 
     @pytest.mark.parametrize("width", [1, 7, 1025, 16641])
     def test_product_formed_alone_matches_its_block(self, width):
@@ -662,10 +697,26 @@ def fsum_rows(values):
     )
 
 
-def interleaved(values):
-    """A fresh (rows, M, 2) copy of complex rows, for the kernel to split in place."""
-    values = np.asarray(values, dtype=complex)
-    return values.view(float).reshape(values.shape + (2,)).copy()
+def csum_steps(values):
+    """Run ``csum`` on the rows of ``values`` and return what its two kernel
+    steps left: the certificate's ``ok`` (rows, 2), and the high parts (in
+    the split buffer) and low parts (in the split copy) of the terms."""
+    seen = {}
+    split, certify = spectral._split_sums, spectral._certify_sums
+
+    def recording_split(x, high, low, bound, buf):
+        split(x, high, low, bound, buf)
+        seen.update(high=buf[: x.size].reshape(x.shape), low=x)
+
+    def recording_certify(*args):
+        seen["ok"] = certify(*args)
+        return seen["ok"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_split_sums", recording_split)
+        mp.setattr(spectral, "_certify_sums", recording_certify)
+        csum(values)
+    return seen["ok"], seen["high"], seen["low"]
 
 
 def assert_csum_is_fsum(values):
@@ -792,7 +843,7 @@ class TestCsum:
             "0x1.252e87b61ba4ep-63", "-0x1.468b7f51154cbp-60", "0x1.00000000a73bfp+0",
             "-0x1.ae9894c6a8635p-62", "-0x1.06eac85d8bacdp-60",
         )]
-        _, ok = _certified_row_sums(interleaved(complex_rows([terms], np.zeros((1, len(terms))))))
+        ok, _, _ = csum_steps(complex_rows([terms], np.zeros((1, len(terms)))))
         assert not ok[0, 0]
         assert csum(np.array([terms]))[0].real == math.fsum(terms) == float.fromhex("0x1.00000000a73c0p+0")
 
@@ -814,14 +865,14 @@ class TestCsum:
         # 1 + 2**-53 is the midpoint between 1 and its successor: the kernel
         # cannot prove which way it rounds, while 1 + 0.5 is certified
         values = complex_rows([[1.0, 2.0**-53], [1.0, 0.5]], np.zeros((2, 2)))
-        _, ok = _certified_row_sums(interleaved(values))
+        ok, _, _ = csum_steps(values)
         assert ok[:, 0].tolist() == [False, True]
         assert_csum_is_fsum(values)
 
     def test_dense_rows_are_certified(self):
         # the batched path, not the fsum fallback, does the work on trace-like rows
         rng = np.random.default_rng(3)
-        _, ok = _certified_row_sums(rng.standard_normal((8, 1025, 2)))
+        ok, _, _ = csum_steps(rng.standard_normal((8, 1025, 2)).view(complex)[..., 0])
         assert ok.all()
 
     def test_trace_blocks_need_no_fallback(self):
@@ -839,7 +890,7 @@ class TestCsum:
         assert block.shape == (32, 1025)
         geometric = block[np.arange(61) % 32] * np.ldexp(1.0, -np.arange(61))[:, None]
         for values in (block, geometric):
-            assert _certified_row_sums(interleaved(values))[1].all()
+            assert csum_steps(values)[0].all()
             assert_csum_is_fsum(values)
 
     def test_shapes(self):
@@ -946,7 +997,7 @@ class TestCsumExtremes:
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 9), (3, 1025)])
     def test_input_is_not_written(self, shape):
-        # csum only reads its input; the kernel splits its own in place,
+        # csum only reads its input; the split step splits a copy in place,
         # into high parts in the split buffer and low parts left behind,
         # which add back to the terms bit for bit
         rng = np.random.default_rng(sum(shape))
@@ -954,12 +1005,10 @@ class TestCsumExtremes:
         if shape[1] > 1:
             values[0, :2] = [1.0, 2.0**-53]  # a midpoint row takes the fsum fallback
         before = values.copy()
-        csum(values)
+        _, high, low = csum_steps(values)
         np.testing.assert_array_equal(values.view(np.int64), before.view(np.int64))
-        planes, split = interleaved(values), np.empty(2 * values.size)
-        _certified_row_sums(planes, split)
-        restored = split.reshape(planes.shape) + planes
-        np.testing.assert_array_equal(restored.view(np.int64), interleaved(before).view(np.int64))
+        restored = (high + low).view(np.int64)
+        np.testing.assert_array_equal(restored, before.view(np.int64).reshape(high.shape))
 
 
 DBL_MAX = np.finfo(float).max
