@@ -26,11 +26,13 @@ overflow ``fsum`` are summed exactly in integers and rounded once.
 rows c at points x (checked by ``_points``), the one sampler: a field for
 ``synthesize``, the evolved datum (``evaluate_shifted``) or residual h_k
 (``pointwise_trace``) per time, each row formed with its block.  One wave
-per point; the kernel exactly rounds every (row, point) sum, splitting
-each block of at most ``BLOCK_BYTES`` of products where ``np.multiply``
-wrote it and certifying the sums once at least 1,024 have been split,
-at a block's end; a refused sum's products are formed again on their own
-for ``fsum``.
+per point (``_waves``): a symmetric lattice's second half is the conjugate
+of its first, since x.(-xi) = -(x.xi) exactly and libm's sin is odd and
+its cos even, bit for bit.  The kernel exactly rounds every (row, point)
+sum, splitting each block of at most ``BLOCK_BYTES`` of products where
+``np.multiply`` wrote it and certifying the sums once at least 1,024 have
+been split, at a block's end; a refused sum's products are formed again on
+their own for ``fsum``.
 Every product over the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes
 through ``_dot``, which adds them left to right elementwise, so no BLAS
 kernel touches the bits.
@@ -91,11 +93,11 @@ _BAND = 4
 _OVERFLOW = 2**1024 - 2**970
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a_1*b_1 + a_2*b_2 + ... over the last axis of two float arrays
-    (broadcast), added left to right element by element.  Unlike a BLAS
-    product, its rounding does not depend on the CPU's kernels."""
-    total = a[..., 0] * b[..., 0]
+    (broadcast), added left to right element by element, into ``out`` if
+    given.  Unlike a BLAS product, its rounding does not depend on the CPU."""
+    total = np.multiply(a[..., 0], b[..., 0], out=out)
     for i in range(1, a.shape[-1]):
         total += a[..., i] * b[..., i]
     return total
@@ -380,6 +382,22 @@ def _products(rows: np.ndarray, waves: np.ndarray, out: np.ndarray | None = None
     return np.multiply(rows[:, None, :], waves[None, :, :], out=out)
 
 
+def _waves(grid: FrequencyGrid, pts: np.ndarray) -> np.ndarray:
+    """The (P, M) plane waves e^{i x.xi_j}, bit for bit ``np.exp(1j *
+    _dot(pts[:, None, :], grid.modes))``, formed in place from the first
+    ceil(M/2) modes when xi_{M-1-j} = -xi_j (every ``make_grid`` lattice),
+    else from all M.  Wave M-1-j is the conjugate of wave j, and adding
+    +0.0 turns the -0 a zero phase leaves into the +0 of ``1j * phase``."""
+    num_modes = grid.num_modes
+    half = (num_modes + 1) // 2 if np.array_equal(grid.modes[::-1], -grid.modes) else num_modes
+    waves = np.zeros((len(pts), num_modes), dtype=complex)
+    _dot(pts[:, None, :], grid.modes[:half], out=waves.imag[:, :half])
+    np.exp(waves[:, :half], out=waves[:, :half])
+    np.conjugate(waves[:, : num_modes - half][:, ::-1], out=waves[:, half:])
+    np.add(waves.imag, 0.0, out=waves.imag)
+    return waves
+
+
 def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.ndarray:
     """(2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for ``num_rows`` rows c,
     row i given by ``row(i)`` and read one block at a time, at each point x
@@ -400,11 +418,10 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     that is not finite at a finite wave raises ``ParameterError``.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
-    # a non-finite or overflowing point gives a NaN wave, so NaN sums; the
-    # waves come before the buffers, so their temporaries do not add to
-    # the peak
+    # a non-finite or overflowing point gives a NaN wave, so NaN sums;
+    # forming the waves holds one (P, M/2) float temporary when n > 1
     with np.errstate(invalid="ignore", over="ignore"):
-        waves = np.exp(1j * _dot(pts[:, None, :], grid.modes))
+        waves = _waves(grid, pts)
     block_rows = max(1, BLOCK_BYTES // (16 * num_modes))
     p_step = max(1, min(num_pts, block_rows))
     r_step = max(1, block_rows // p_step)

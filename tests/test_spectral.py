@@ -1,6 +1,9 @@
 import bisect
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -324,6 +327,26 @@ class TestWaveSumsFallback:
         assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
 
 
+def traced_wave_sums(grid, num_rows):
+    """``_wave_sums`` of ``num_rows`` scaled copies of a random field at 32
+    default points, traced: (sums, bytes of the waves, bytes of one
+    product block, traced peak beyond what was held before the call)."""
+    pts = default_points(grid.n, 32)
+    c = random_field(grid, 1).coefficients
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sums = spectral._wave_sums(grid, pts, num_rows, lambda i: c * (1.0 + i / num_rows))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sums.nbytes == 16 * num_rows * len(pts)
+    products = max(1, spectral.BLOCK_BYTES // (16 * grid.num_modes))
+    block = 16 * grid.num_modes * (min(len(pts), products) * max(1, products // len(pts)))
+    return sums, 16 * len(pts) * grid.num_modes, block, peak
+
+
 class TestWaveSumsBatches:
     """``_wave_sums`` splits once per block and certifies the pending sums
     at the end of the first block that brings them to a batch of
@@ -433,21 +456,22 @@ class TestWaveSumsBatches:
         # certify temporaries, a few rows and a refused sum's fsum list);
         # deferring every low sum and bound would add 1.5 MB
         g = spectral.default_grid()
-        pts = default_points(1, 32)
-        c = random_field(g, 1).coefficients
         num_rows = 2048
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            sums = spectral._wave_sums(g, pts, num_rows, lambda i: c * (1.0 + i / num_rows))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        waves = 16 * len(pts) * g.num_modes
-        block = 16 * len(pts) * g.num_modes  # 32 points of one row
-        assert sums.nbytes == 16 * num_rows * len(pts)
+        sums, waves, block, peak = traced_wave_sums(g, num_rows)
+        assert block == 16 * 32 * g.num_modes  # 32 points of one row
         assert peak - sums.nbytes - waves <= 2 * block + 256 * 1024
+
+    def test_forming_the_waves_does_not_set_the_2d_peak(self):
+        # the 2-D trace shape: 16,641 modes, 32 points and 32 rows, 3
+        # (row, point) products a block.  Beyond the result and the waves,
+        # the peak is the block, its split buffer, four rows' worth of
+        # terms (the row buffer, a formed row, a refused sum's products
+        # and its fsum list) and 256 KB, about 2.9 MB; forming the full
+        # (P, M) phases and ``1j * phase`` before ``exp`` held 8.5 MB
+        g = make_grid(2, 16, 0.25)
+        sums, waves, block, peak = traced_wave_sums(g, 32)
+        assert block == 16 * 3 * g.num_modes
+        assert peak - sums.nbytes - waves <= 2 * block + 4 * (16 * g.num_modes) + 256 * 1024
 
     def test_products_past_the_double_range_are_an_error(self):
         g = make_grid(1, 2, 1)
@@ -460,6 +484,89 @@ class TestWaveSumsBatches:
             synthesize(f, 0.0)
         # a non-finite point still gives NaN
         assert math.isnan(synthesize(f, math.nan).real)
+
+
+def wave_points(n, rng):
+    """Sample points for the wave tests: random ones, moderate and large,
+    and the edges: (0.25, 0.25) (whose phases include +0 on both sides of
+    the lattice), (1, -1), zero and -0.0 coordinates, nan, +-inf and
+    1e308, whose phases overflow."""
+    edges = [[0.25] * n, [1.0, -1.0, 0.5][:n], [0.0] * n, [-0.0] * n, [0.0, -0.0, 0.0][:n],
+             [-0.0, 0.5, 0.0][:n], [math.nan] * n, [0.5, math.nan, 1.0][:n], [math.inf] * n,
+             [-math.inf] * n, [1.0, -math.inf, 0.0][:n], [1e308] * n, [-1e308, 0.25, 1e308][:n]]
+    return np.concatenate(
+        [rng.uniform(-4.0, 4.0, (16, n)), rng.uniform(-1e6, 1e6, (4, n)), np.array(edges)]
+    )
+
+
+#: A lattice whose reverse is not its negative: ``_waves`` computes every wave
+ASYMMETRIC_GRID = FrequencyGrid(
+    n=2, xi_max=1.0, dxi=0.5,
+    modes=np.array([[-1.0, 0.5], [-0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [1.0, -0.5]]),
+)
+
+WAVE_GRIDS = [
+    pytest.param(make_grid(1, 64, 0.125), id="1d-1025"),
+    pytest.param(make_grid(2, 4, 0.25), id="2d-1089"),
+    pytest.param(make_grid(2, 16, 0.25), id="2d-16641"),
+    pytest.param(make_grid(3, 2, 0.5), id="3d-729"),
+    pytest.param(ASYMMETRIC_GRID, id="asymmetric"),
+]
+
+#: Per-process variants of the elementary functions the waves must not
+#: depend on: glibc's non-FMA sin and cos, and numpy's AVX2 and SSE4 dispatch
+LIBM_VARIANTS = [
+    pytest.param({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA"}, id="glibc-no-fma"),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}, id="numpy-avx2"),
+    pytest.param({"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}, id="numpy-sse4"),
+]
+
+
+class TestWaves:
+    """``_waves`` forms half the waves of a symmetric lattice and mirrors
+    them, which needs libm's sin odd and cos even bit for bit."""
+
+    @pytest.mark.parametrize("grid", WAVE_GRIDS)
+    def test_waves_are_the_full_formula_bit_for_bit(self, grid):
+        pts = wave_points(grid.n, np.random.default_rng(grid.num_modes))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.exp(1j * spectral._dot(pts[:, None, :], grid.modes)).view(float)
+            got = spectral._waves(grid, pts).view(float)
+        # where the full formula gives nan, so must the waves, with any
+        # payload and sign; everywhere else the bits are equal
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+        assert nan.any() and not nan.all()
+
+    def test_only_the_asymmetric_lattice_computes_every_wave(self, monkeypatch):
+        widths = []
+
+        def recording_dot(a, b, out=None):
+            widths.append(b.shape[0])
+            return dot(a, b, out=out)
+
+        dot = spectral._dot
+        monkeypatch.setattr(spectral, "_dot", recording_dot)
+        for param in WAVE_GRIDS:
+            spectral._waves(param.values[0], np.zeros((1, param.values[0].n)))
+        assert widths == [513, 545, 8321, 365, 6]
+
+    @pytest.mark.parametrize("variant", LIBM_VARIANTS)
+    def test_waves_are_the_full_formula_under_libm_variants(self, variant):
+        # the bit-identity test again in a fresh interpreter, where the
+        # variables take effect: a libm whose sin is not odd fails here
+        # instead of moving a golden digest
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        env = dict(os.environ, **variant)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        test = f"{Path(__file__).resolve()}::TestWaves::test_waves_are_the_full_formula_bit_for_bit"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert f"{len(WAVE_GRIDS)} passed" in proc.stdout
 
 
 class TestFieldValidation:
