@@ -391,7 +391,7 @@ def _tail_bound(field: SpectralField, law, shift: ShiftSpec | None, seq: TimeSeq
         * grid.weight
         / (2.0 * math.pi) ** grid.n
     )
-    gmax = float(np.max(np.asarray(law(grid.radii), dtype=float))) if grid.num_modes else 0.0
+    gmax = float(np.max(np.asarray(law(grid.radii), dtype=float)))
     proj = float(np.max(np.abs(_dot(grid.modes, shift.mu)))) if shift is not None else 0.0
 
     def tail(x: float) -> float:

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import GridMismatchError, HypothesisViolation, ParameterError
+from .errors import HypothesisViolation, ParameterError
 from . import phase_laws
 from .phase_laws import PhaseLaw, check_hypotheses, invert, power_law
 from .propagation import _modulus, phase
@@ -507,12 +507,11 @@ def extremal_witness(spec: MultiplierSpec, grid: FrequencyGrid) -> SpectralField
     the residual of this witness realizes the grid-restricted sup bound
     exactly: l2 = |m(xi*)| * ||f||_{H^s}.
     """
-    if grid.num_modes == 0:
-        raise GridMismatchError("grid has no modes")
     r = grid.radii
     w = _modulus(phase(spec.phase_law, spec.delta, r, spec.beta, grid.modes[:, 0]), r, spec.s)
     ties = np.flatnonzero(w == w.max())
-    idx = min(ties, key=lambda j: (r[j], tuple(grid.modes[j])))
+    # mode order is lexicographic, so the first smallest radius breaks ties
+    idx = ties[np.argmin(r[ties])]
     coeff = 1.0 / ((1.0 + r[idx] ** 2) ** (0.5 * spec.s) * grid.weight**0.5)
     coeffs = np.zeros(grid.num_modes, dtype=complex)
     coeffs[idx] = coeff

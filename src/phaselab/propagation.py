@@ -163,7 +163,7 @@ def error_field(
     h = SpectralField(field.grid, factor * field.coefficients)
     l2 = sobolev_norm(h, 0.0)
     hs = sobolev_norm(field, s)
-    if __debug__ and field.grid.num_modes:
+    if __debug__:
         wsup = float(np.max(_modulus(theta, field.grid.radii, s)))
         assert l2 <= wsup * hs * (1.0 + 1e-10) + 1e-300, (
             "discrete multiplier bound violated"

@@ -1,11 +1,12 @@
 """Band-limited fields on symmetric frequency lattices.
 
-A field lives purely in frequency space: a rectangular lattice of modes
-xi_j with spacing dxi and one complex coefficient per mode.  Integrals
-become finite quadrature sums with weight dxi**n, so norms and synthesis
-are exact up to floating point.  Every reduction is exactly rounded: the
-result is the true sum of the terms rounded once to the nearest double,
-so it does not depend on summation order, runs or thread counts.
+A field lives purely in frequency space: one complex coefficient per mode
+xi_j of the lattice {-M*dxi, ..., M*dxi}**n, which n, xi_max and dxi fix
+(M = floor(xi_max/dxi)).  Integrals become finite quadrature sums with
+weight dxi**n, so norms and synthesis are exact up to floating point.
+Every reduction is exactly rounded: the result is the true sum of the
+terms rounded once to the nearest double, so it does not depend on
+summation order, runs or thread counts.
 
 ``csum`` sums every row of a 2-D block at once (a vector is a one-row
 block) in two steps.  The split (``_split_sums``, where the proof lives)
@@ -26,8 +27,8 @@ overflow ``fsum`` are summed exactly in integers and rounded once.
 rows c at points x (checked by ``_points``), the one sampler: a field for
 ``synthesize``, the evolved datum (``evaluate_shifted``) or residual h_k
 (``pointwise_trace``) per time, each row formed with its block.  One wave
-per point (``_waves``): a symmetric lattice's second half is the conjugate
-of its first, since x.(-xi) = -(x.xi) exactly and libm's sin is odd and
+per point (``_waves``): the lattice's second half is the conjugate of
+its first, since x.(-xi) = -(x.xi) exactly and libm's sin is odd and
 its cos even, bit for bit.  The kernel exactly rounds every (row, point)
 sum, splitting each block of at most ``BLOCK_BYTES`` of products where
 ``np.multiply`` wrote it and certifying the sums once at least 1,024 have
@@ -42,6 +43,7 @@ All types are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -178,14 +180,7 @@ def _split_sums(x: np.ndarray, high, low, bound, split: np.ndarray) -> None:
     else:
         live = (peak >= 2.0**_MIN_EXPONENT) & (peak < 2.0 ** (1023 - levels)) & (m <= _MAX_WIDTH)
         e = np.frexp(peak)[1]
-        # live rows have e > _MIN_EXPONENT, so top stays there only when
-        # no row is live
         top = int(e.max(where=live, initial=_MIN_EXPONENT))
-        if top == _MIN_EXPONENT:
-            high.fill(0.0)
-            low.fill(0.0)
-            bound.fill(math.inf)
-            return
         # dead rows get sigma 0, which leaves them unsplit
         e = top - (top - e) // (_BAND + 1) * (_BAND + 1)
         sigma = np.where(live, np.ldexp(1.0, e + levels), 0.0)
@@ -286,12 +281,17 @@ def _fsum(values: list) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Symmetric rectangular lattice of frequency modes in dimension n."""
+    """The lattice {-M*dxi, ..., 0, ..., M*dxi}**n, M = floor(xi_max/dxi) >= 1,
+    checked at construction; its axis, modes and radii are derived on first use."""
 
     n: int
     xi_max: float
     dxi: float
-    modes: np.ndarray  # (num_modes, n), lexicographically ordered
+
+    def __post_init__(self):
+        m = _half_width(self.n, self.xi_max, self.dxi)
+        # frozen: the fields are set past __setattr__, as cached_property does
+        self.__dict__.update(n=int(self.n), xi_max=float(self.xi_max), dxi=float(self.dxi), _m=m)
 
     @property
     def weight(self) -> float:
@@ -300,7 +300,22 @@ class FrequencyGrid:
 
     @property
     def num_modes(self) -> int:
-        return self.modes.shape[0]
+        return (2 * self._m + 1) ** self.n
+
+    @cached_property
+    def axis(self) -> np.ndarray:
+        """The 2M+1 coordinates -M*dxi, ..., M*dxi of every axis."""
+        axis = self.dxi * np.arange(-self._m, self._m + 1, dtype=float)
+        axis.setflags(write=False)
+        return axis
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        """The (num_modes, n) modes in lexicographic order; reversed, they are negated."""
+        mesh = np.meshgrid(*([self.axis] * self.n), indexing="ij")
+        modes = np.stack([g.ravel() for g in mesh], axis=-1)
+        modes.setflags(write=False)
+        return modes
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -325,17 +340,8 @@ def _half_width(n: int, xi_max: float, dxi: float) -> int:
 
 
 def make_grid(n: int, xi_max: float, dxi: float) -> FrequencyGrid:
-    """Build the lattice {-M*dxi, ..., 0, ..., M*dxi}**n with M = floor(xi_max/dxi).
-
-    The lattice is symmetric about the origin, duplicate-free, and ordered
-    lexicographically.
-    """
-    m = _half_width(n, xi_max, dxi)
-    axis = dxi * np.arange(-m, m + 1, dtype=float)
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    modes = np.stack([g.ravel() for g in mesh], axis=-1)
-    modes.setflags(write=False)
-    return FrequencyGrid(n=int(n), xi_max=float(xi_max), dxi=float(dxi), modes=modes)
+    """Build the lattice {-M*dxi, ..., 0, ..., M*dxi}**n with M = floor(xi_max/dxi)."""
+    return FrequencyGrid(n, xi_max, dxi)
 
 
 def default_grid() -> FrequencyGrid:
@@ -385,11 +391,11 @@ def _products(rows: np.ndarray, waves: np.ndarray, out: np.ndarray | None = None
 def _waves(grid: FrequencyGrid, pts: np.ndarray) -> np.ndarray:
     """The (P, M) plane waves e^{i x.xi_j}, bit for bit ``np.exp(1j *
     _dot(pts[:, None, :], grid.modes))``, formed in place from the first
-    ceil(M/2) modes when xi_{M-1-j} = -xi_j (every ``make_grid`` lattice),
-    else from all M.  Wave M-1-j is the conjugate of wave j, and adding
-    +0.0 turns the -0 a zero phase leaves into the +0 of ``1j * phase``."""
+    ceil(M/2) modes: xi_{M-1-j} = -xi_j, so wave M-1-j is the conjugate of
+    wave j, and adding +0.0 turns the -0 a zero phase leaves into the +0
+    of ``1j * phase``."""
     num_modes = grid.num_modes
-    half = (num_modes + 1) // 2 if np.array_equal(grid.modes[::-1], -grid.modes) else num_modes
+    half = (num_modes + 1) // 2
     waves = np.zeros((len(pts), num_modes), dtype=complex)
     _dot(pts[:, None, :], grid.modes[:half], out=waves.imag[:, :half])
     np.exp(waves[:, :half], out=waves[:, :half])
@@ -528,21 +534,15 @@ def write_field_csv(field: SpectralField, path) -> None:
 
     Every value is written as its shortest round-trip ``repr``, so
     ``read_field_csv`` gets the same bits back, signed zeros included.
-    Each distinct mode coordinate is formatted once: a lattice axis has
-    only 2M+1 values.
+    The 2M+1 axis values are formatted once, and the mode columns are
+    their n-fold product, which runs in the lexicographic mode order.
     """
     path = Path(path)
     grid = field.grid
-    # coordinates are keyed by their bits, so -0.0 and 0.0 keep their own
-    # reprs; a dict dedupes them without numpy's sort kernels, whose first
-    # use would raise the process's peak RSS
-    bits = grid.modes.view(np.int64)
-    distinct = list(dict.fromkeys(bits.ravel().tolist()))
-    cell = dict(zip(distinct, map(repr, np.array(distinct, dtype=np.int64).view(float).tolist())))
     c = field.coefficients
-    columns = [map(cell.__getitem__, bits[:, i].tolist()) for i in range(grid.n)]
-    columns += [map(repr, c.real.tolist()), map(repr, c.imag.tolist())]
-    path.write_text("\n".join([_field_header(grid.n), *map(",".join, zip(*columns))]) + "\n")
+    modes = map(",".join, itertools.product(map(repr, grid.axis.tolist()), repeat=grid.n))
+    rows = map(",".join, zip(modes, map(repr, c.real.tolist()), map(repr, c.imag.tolist())))
+    path.write_text("\n".join([_field_header(grid.n), *rows]) + "\n")
     sidecar = {"n": grid.n, "xi_max": grid.xi_max, "dxi": grid.dxi}
     path.with_suffix(".json").write_text(json.dumps(sidecar) + "\n")
 
@@ -570,16 +570,16 @@ def read_field_csv(path) -> SpectralField:
         raise ParameterError(
             f"grid sidecar {sidecar_path} must give numbers n, xi_max and dxi"
         ) from exc
-    # the row count is checked before the grid is built, so a sidecar
-    # naming a huge grid fails without allocating it
-    num_modes = (2 * _half_width(n, xi_max, dxi) + 1) ** n
+    # the row count is checked before the modes are built, so a sidecar
+    # naming a huge grid fails without allocating them
+    grid = make_grid(n, xi_max, dxi)
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0] != _field_header(n):
         raise ParameterError(f"unexpected CSV header in {path}")
     rows = [line.split(",") for line in lines[1:]]
-    if len(rows) != num_modes:
+    if len(rows) != grid.num_modes:
         raise GridMismatchError(
-            f"{path} has {len(rows)} rows but the sidecar grid has {num_modes} modes"
+            f"{path} has {len(rows)} rows but the sidecar grid has {grid.num_modes} modes"
         )
     for number, row in enumerate(rows, start=2):
         if len(row) != n + 2:
@@ -587,12 +587,11 @@ def read_field_csv(path) -> SpectralField:
                 f"line {number} of {path} has {len(row)} columns, expected {n + 2}"
             )
     data = np.array(rows, dtype=float)
-    grid = make_grid(n, xi_max, dxi)
     if not np.array_equal(data[:, :n], grid.modes):
         raise GridMismatchError(f"mode columns in {path} do not match the sidecar grid")
     # the planes are filled directly: data[:, n] + 1j * data[:, n + 1]
     # would turn -0.0 into 0.0
-    coeffs = np.empty(num_modes, dtype=complex)
+    coeffs = np.empty(grid.num_modes, dtype=complex)
     coeffs.real = data[:, n]
     coeffs.imag = data[:, n + 1]
     return SpectralField(grid, coeffs)

@@ -519,6 +519,16 @@ class TestExtremalWitness:
         (idx,) = np.flatnonzero(w.coefficients)
         assert g.radii[idx] == 0.125
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_ties_go_to_the_first_mode_of_the_smallest_radius(self, n):
+        # with the weight past the double range the peak is shared by the
+        # 2n modes of radius 0.125; the witness takes the first of them in
+        # lexicographic (that is, index) order
+        g = make_grid(n, 1, 0.125)
+        w = extremal_witness(power_spec(400.0, 0.5, 1e-3), g)
+        (idx,) = np.flatnonzero(w.coefficients)
+        np.testing.assert_array_equal(g.modes[idx], [-0.125] + [0.0] * (n - 1))
+
     def test_halving_delta_stays_in_band(self):
         g = make_grid(1, 64, 0.125)
         for d in (1e-3, 5e-4):

@@ -78,6 +78,10 @@ class TestMakeGrid:
         with pytest.raises(ParameterError):
             make_grid(*args)
 
+    def test_the_grid_checks_its_parameters_at_construction(self):
+        with pytest.raises(ParameterError, match="xi_max must be positive"):
+            FrequencyGrid(2, -1.0, 0.5)
+
 
 class TestSobolevNorm:
     def test_zero_mode_any_s(self):
@@ -146,6 +150,14 @@ class TestSobolevNorm:
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("grid_args", [(1, 2, 0.5), (2, 1, 0.5), (3, 1, 1)])
+    def test_zero_field_samples_to_positive_zero(self, grid_args):
+        # every product is a signed zero, so every block has no live row
+        g = make_grid(*grid_args)
+        pts = np.vstack([default_points(g.n, 8), np.zeros(g.n), np.full(g.n, -0.0)])
+        got = synthesize(SpectralField(g, np.zeros(g.num_modes)), pts)
+        np.testing.assert_array_equal(got.view(np.int64), 0)
+
     def test_single_mode_at_origin(self):
         g = make_grid(1, 3, 1)
         f = one_mode(g, [2.0], 1.5 + 0.5j)
@@ -469,6 +481,7 @@ class TestWaveSumsBatches:
         # and its fsum list) and 256 KB, about 2.9 MB; forming the full
         # (P, M) phases and ``1j * phase`` before ``exp`` held 8.5 MB
         g = make_grid(2, 16, 0.25)
+        g.modes  # built before tracing, as make_grid built them eagerly
         sums, waves, block, peak = traced_wave_sums(g, 32)
         assert block == 16 * 3 * g.num_modes
         assert peak - sums.nbytes - waves <= 2 * block + 4 * (16 * g.num_modes) + 256 * 1024
@@ -499,18 +512,11 @@ def wave_points(n, rng):
     )
 
 
-#: A lattice whose reverse is not its negative: ``_waves`` computes every wave
-ASYMMETRIC_GRID = FrequencyGrid(
-    n=2, xi_max=1.0, dxi=0.5,
-    modes=np.array([[-1.0, 0.5], [-0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 1.0], [1.0, -0.5]]),
-)
-
 WAVE_GRIDS = [
     pytest.param(make_grid(1, 64, 0.125), id="1d-1025"),
     pytest.param(make_grid(2, 4, 0.25), id="2d-1089"),
     pytest.param(make_grid(2, 16, 0.25), id="2d-16641"),
     pytest.param(make_grid(3, 2, 0.5), id="3d-729"),
-    pytest.param(ASYMMETRIC_GRID, id="asymmetric"),
 ]
 
 #: Per-process variants of the elementary functions the waves must not
@@ -523,8 +529,8 @@ LIBM_VARIANTS = [
 
 
 class TestWaves:
-    """``_waves`` forms half the waves of a symmetric lattice and mirrors
-    them, which needs libm's sin odd and cos even bit for bit."""
+    """``_waves`` forms half the waves of the lattice and mirrors them,
+    which needs libm's sin odd and cos even bit for bit."""
 
     @pytest.mark.parametrize("grid", WAVE_GRIDS)
     def test_waves_are_the_full_formula_bit_for_bit(self, grid):
@@ -539,7 +545,7 @@ class TestWaves:
         np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
         assert nan.any() and not nan.all()
 
-    def test_only_the_asymmetric_lattice_computes_every_wave(self, monkeypatch):
+    def test_every_lattice_computes_half_the_waves(self, monkeypatch):
         widths = []
 
         def recording_dot(a, b, out=None):
@@ -550,7 +556,7 @@ class TestWaves:
         monkeypatch.setattr(spectral, "_dot", recording_dot)
         for param in WAVE_GRIDS:
             spectral._waves(param.values[0], np.zeros((1, param.values[0].n)))
-        assert widths == [513, 545, 8321, 365, 6]
+        assert widths == [513, 545, 8321, 365]
 
     @pytest.mark.parametrize("variant", LIBM_VARIANTS)
     def test_waves_are_the_full_formula_under_libm_variants(self, variant):
@@ -653,20 +659,31 @@ class TestCsvRoundTrip:
         assert hashlib.sha256(path.with_suffix(".json").read_bytes()).hexdigest() == sidecar_digest
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 3), data=st.data())
-    def test_writer_matches_per_row_writer_on_any_grid(self, n, data):
-        # hand-built grids may repeat coordinates and hold both -0.0 and 0.0
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        # spacings whose multiples have long reprs, such as 0.30000000000000004
+        dxi=st.one_of(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 1e-05]),
+                      st.floats(min_value=1e-3, max_value=1e3)),
+        data=st.data(),
+    )
+    def test_writer_matches_per_row_writer_on_any_grid(self, n, m, dxi, data):
+        grid = make_grid(n, m * dxi, dxi)
+        assert grid.num_modes == (2 * m + 1) ** n
         finite = st.floats(allow_nan=False, allow_infinity=False)
-        modes = data.draw(hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(n)),
-                                     elements=st.one_of(EDGE_VALUES, finite)))
         planes = data.draw(
-            hnp.arrays(float, (len(modes), 2), elements=st.one_of(EDGE_VALUES, finite))
+            hnp.arrays(float, (grid.num_modes, 2), elements=st.one_of(EDGE_VALUES, finite))
         )
-        field = SpectralField(FrequencyGrid(n, 1.0, 1.0, modes), planes.view(complex)[:, 0])
+        field = SpectralField(grid, planes.view(complex)[:, 0])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "field.csv"
             write_field_csv(field, path)
             assert path.read_text() == per_row_field_text(field)
+            back = read_field_csv(path)
+        assert (back.grid.n, back.grid.xi_max, back.grid.dxi) == (n, grid.xi_max, dxi)
+        np.testing.assert_array_equal(
+            back.coefficients.view(np.int64), planes.reshape(-1).view(np.int64)
+        )
 
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -1101,6 +1118,28 @@ class TestCsumExtremes:
             complex_rows(a, b * 2.0**-600),
         ]
         assert_csum_is_fsum(np.vstack(rows))
+
+    @pytest.mark.parametrize("width", [1, 2, 33, 1025])
+    def test_block_with_no_live_row(self, width):
+        # zero, all -0.0, peak below 2**-960, +-inf and nan rows: the split
+        # gives none a sigma, so every sum is refused and taken by fsum
+        rng = np.random.default_rng(width)
+        tiny = np.ldexp(rng.uniform(-1.0, 1.0, width), -961)
+        ones = np.ones(width)
+        block = np.vstack([
+            complex_rows(0.0 * ones, 0.0 * ones),
+            complex_rows(-0.0 * ones, -0.0 * ones),
+            complex_rows(tiny, -tiny[::-1]),
+            complex_rows(np.where(ones.cumsum() == 1, math.inf, 1.0), -math.inf * ones),
+            complex_rows(np.resize([math.inf, -math.inf], width), math.nan * ones),
+        ])
+        want = complex_rows(
+            [spectral._fsum(row.real.tolist()) for row in block],
+            [spectral._fsum(row.imag.tolist()) for row in block],
+        ).view(np.int64)
+        np.testing.assert_array_equal(csum(block).view(np.int64), want)
+        one_by_one = np.array([csum(row) for row in block], dtype=complex)
+        np.testing.assert_array_equal(one_by_one.view(np.int64), want)
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 9), (3, 1025)])
     def test_input_is_not_written(self, shape):
