@@ -41,7 +41,7 @@ import numpy as np
 from .errors import HypothesisViolation, ParameterError
 from . import phase_laws
 from .phase_laws import PhaseLaw, check_hypotheses, invert, power_law
-from .propagation import _modulus, phase
+from .propagation import _modulus, phase, shift_offset
 from .spectral import FrequencyGrid, SpectralField, _dot
 
 __all__ = [
@@ -76,9 +76,10 @@ RATIO_CAP = 2.5
 #: ... and largest admissible max/min ratio spread across the sweep.
 DRIFT_CAP = 3.0
 #: ``numeric_sup``'s scan: geometric points per decade, and phase values
-#: through the first turn.
+#: through the first turn (the last is 2*pi), which with pi are its targets.
 SCAN_PER_DECADE = 32
 SCAN_REFINE = 1500
+_SCAN_TARGETS = np.append(np.linspace(2 * math.pi / SCAN_REFINE, 2 * math.pi, SCAN_REFINE), math.pi)
 
 
 class Family(str, Enum):
@@ -298,23 +299,24 @@ _HALVINGS = 160
 _PER_BINADE = 8
 _TABLE_SIZE = 64 * _PER_BINADE
 _TABLE = np.array([0.0] + [2.0 ** (j / _PER_BINADE) for j in range(1 - _TABLE_SIZE, 1)])
-#: Secant steps inside a table bracket, and the relative half-width of the
-#: tight bracket around the last secant point.
+#: Secant steps inside a table bracket, and one-ulp steps allowed in the
+#: walk from the last secant point.
 _SECANT_STEPS = 5
-_TIGHT = 2.0**-48
+_WALK_STEPS = 8
 #: A start below H * _FLOOR may need more than _HALVINGS halvings from
 #: [0, H], so it starts from [0, H].
 _FLOOR = 2.0**-100
 
 
 def _start_brackets(theta, targets, end):
-    """Starting brackets lo < hi for the bisection, one per target.
+    """Each target's last secant point x, f = theta(x) - target, and its
+    bracket lo < hi for the bisection.
 
     A target's table bracket [a, b] (adjacent table radii below the end H)
-    is narrowed by secant steps inside it.  The start is the tight bracket
-    around the last secant point where theta(lo) < target <= theta(hi)
-    holds on it, else [a, b] where that holds, else [0, H]; and [0, H]
-    wherever lo < H * _FLOOR.
+    is narrowed by secant steps inside it.  The bisection bracket is [a, b]
+    where theta(a) < target <= theta(b) holds, else [0, H]; and [0, H]
+    wherever a < H * _FLOOR.  f is NaN where [a, b] does not straddle the
+    target or x < H * _FLOOR: those targets do not walk.
     """
     table = end * _TABLE
     values = theta(table)
@@ -329,32 +331,28 @@ def _start_brackets(theta, targets, end):
         step = np.where(np.isfinite(step), np.clip(step, a, b), x)
         x0, f0 = x, f
         x, f = step, theta(step) - targets
-    x_lo, x_hi = np.maximum(x - x * _TIGHT, a), np.minimum(x + x * _TIGHT, b)
-    tight = (theta(x_lo) < targets) & (theta(x_hi) >= targets)
-    lo = np.where(tight, x_lo, np.where(table_ok, a, 0.0))
-    hi = np.where(tight, x_hi, np.where(table_ok, b, end))
-    floor = lo < end * _FLOOR
-    return np.where(floor, 0.0, lo), np.where(floor, end, hi)
+    f = np.where(table_ok & (x >= end * _FLOOR), f, np.nan)
+    floor = ~table_ok | (a < end * _FLOOR)
+    return x, f, np.where(floor, 0.0, a), np.where(floor, end, b)
 
 
 def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
     """Radii where the +mu-direction phase reaches each target value.
 
-    The bracket end H is the first max(1, r_c) * 2**j whose phase reaches
-    the largest target.  Each target then gets a starting bracket from
-    ``_start_brackets``: a geometric table of phases below H, a few secant
-    steps and a tight bracket, or [0, H] where these do not straddle it.
-    All targets are bisected together.  The bisection stops at the first
-    step that moves no bracket end: each step depends only on (lo, hi,
-    targets), so every later step up to the 160-step cap would be a no-op
-    as well.
+    The bracket end H is the first r0 * 2**j whose phase reaches the top
+    target, from r0 = max(1, r_c), or max(1, min(r_c, top / delta**beta))
+    for the shift families, whose drift term alone reaches it there.  Each
+    target walks one ulp a step from its secant point (``_start_brackets``)
+    towards its crossing, to the adjacent doubles lo < hi with phase(lo) <
+    target <= phase(hi), both evaluated.  The targets that cannot walk, or
+    still walk after ``_WALK_STEPS`` steps, are bisected from their bracket
+    until a step moves no bracket end (no later step of the 160 would
+    either: a step depends only on lo, hi and the target).
 
-    Every bisection ends on adjacent doubles lo < hi with phase(lo) <
-    target <= phase(hi).  When the computed phase is nondecreasing in r on
-    [0, H], hi is the smallest double whose phase reaches the target,
-    whatever straddling bracket the bisection starts from, so the radii
-    are bit for bit those of 160 halvings from [0, H], or from any lower
-    end whose phase reaches the target.
+    The radius is 0.5 * (lo + hi), the end of the pair whose significand
+    is even, so its phase may lie below the target.  When the computed
+    phase is nondecreasing on [0, H], the straddling pair is unique, so the
+    radii are bit for bit those of 160 halvings from [0, H].
     """
     targets = np.asarray(targets, dtype=float)
     if spec.family is Family.POWER:
@@ -364,20 +362,36 @@ def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
         return phase(spec.phase_law, spec.delta, r, spec.beta, r)
 
     top = float(targets.max())
-    end = max(1.0, critical_radius(spec))
+    drift = shift_offset(spec.delta, spec.beta) if spec.family.shifted else 0.0
+    end = max(1.0, min(critical_radius(spec), top / drift if drift > 0.0 else math.inf))
     for _ in range(_DOUBLINGS):
         if float(theta(end)) >= top:
             break
         end *= 2.0
-    lo, hi = _start_brackets(theta, targets, end)
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        above = theta(mid) >= targets
-        if np.array_equal(mid, np.where(above, hi, lo)):
+    x, f, lo, hi = _start_brackets(theta, targets, end)
+    radii = np.full_like(targets, np.nan)  # NaN until the walk or the bisection ends
+    down, going = f >= 0.0, ~np.isnan(f)
+    for _ in range(_WALK_STEPS):
+        if not going.any():
             break
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
+        y = np.nextafter(x, np.where(down, 0.0, np.inf))
+        value = theta(y)
+        # a NaN phase neither crosses nor goes on, so its target is bisected
+        above, below = value >= targets, value < targets
+        np.copyto(radii, 0.5 * (x + y), where=going & np.where(down, below, above))
+        going &= np.where(down, above, below)
+        x = y
+    bisect = np.flatnonzero(np.isnan(radii))
+    if bisect.size:
+        lo, hi, t = lo[bisect], hi[bisect], targets[bisect]
+        for _ in range(_HALVINGS):
+            mid = 0.5 * (lo + hi)
+            above = theta(mid) >= t
+            if np.array_equal(mid, np.where(above, hi, lo)):
+                break
+            hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
+        radii[bisect] = 0.5 * (lo + hi)
+    return radii
 
 
 @dataclass(frozen=True)
@@ -422,17 +436,15 @@ def numeric_sup(spec: MultiplierSpec) -> ScanResult:
 
     The scan takes a geometric grid on [1e-6, xi_max] at ``SCAN_PER_DECADE``
     points per decade plus dense refinements around the transition region,
-    among them ``SCAN_REFINE`` radii through the first phase turn; shift
-    families are scanned along both signs of mu.  ``xi_max`` covers the
-    whole first phase turn and four times the critical radius.
+    among them the ``SCAN_REFINE`` radii of the first phase turn, found with
+    that of pi in one ``_phase_radii`` call; shift families are scanned
+    along both signs of mu.  ``xi_max`` covers the first turn and 4 * r_c.
     """
-    # before the bisection, so an r_c that overflows is the error named
+    # before the phase radii, so an r_c that overflows is the error named
     r_c = critical_radius(spec)
-    # the phase u = theta(r) through its first turn (u[-1] == 2*pi), and pi
-    u = np.linspace(2.0 * math.pi / SCAN_REFINE, 2.0 * math.pi, SCAN_REFINE)
-    r_turn, r_pi = np.split(_phase_radii(spec, np.append(u, math.pi)), [SCAN_REFINE])
-    xi_max = max(4.0 * r_c, 1.05 * float(r_turn[-1]), 8.0)
-    return _scan(spec, _scan_radii(xi_max, r_turn, float(r_pi[0])))
+    radii = _phase_radii(spec, _SCAN_TARGETS)
+    xi_max = max(4.0 * r_c, 1.05 * float(radii[SCAN_REFINE - 1]), 8.0)
+    return _scan(spec, _scan_radii(xi_max, radii[:SCAN_REFINE], float(radii[SCAN_REFINE])))
 
 
 @dataclass(frozen=True)

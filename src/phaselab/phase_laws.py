@@ -145,9 +145,9 @@ def invert_many(law: PhaseLaw, ys) -> np.ndarray:
     bracketing bisection (at most 200 halvings).  Each element's bracket is
     [0, 1e9], or, for y above gamma(1e9), [0, 1e9 * 2**j] with the first j
     whose gamma reaches y; OutOfRangeError only when that end or its gamma
-    is no longer finite.  Each element stops halving once its own bracket
-    passes the width test, so ``invert_many(law, ys)[i] == invert(law,
-    ys[i])`` bit for bit.
+    is no longer finite.  The halvings run on the whole array under a mask:
+    each element stops once its own bracket passes the width test, so
+    ``invert_many(law, ys)[i] == invert(law, ys[i])`` bit for bit.
     """
     ys = np.asarray(ys, dtype=float)
     if not np.all(np.isfinite(ys)) or np.any(ys <= 0.0):
@@ -169,16 +169,14 @@ def invert_many(law: PhaseLaw, ys) -> np.ndarray:
             if not (np.all(np.isfinite(hi[past])) and np.all(np.isfinite(reach))):
                 raise OutOfRangeError(f"value exceeds the finite range of {law.name}")
             past = past[reach < flat[past]]
-    active = np.arange(flat.size)  # elements whose bracket is still too wide
+    active = np.ones(flat.shape, dtype=bool)  # elements whose bracket is still too wide
     for _ in range(MAX_BISECT):
-        a_lo, a_hi = lo[active], hi[active]
-        mid = 0.5 * (a_lo + a_hi)
-        above = np.asarray(law(mid), dtype=float) >= flat[active]
-        a_hi = np.where(above, mid, a_hi)
-        a_lo = np.where(above, a_lo, mid)
-        hi[active], lo[active] = a_hi, a_lo
-        active = active[~(a_hi - a_lo <= 1e-14 * np.maximum(a_hi, 1.0))]
-        if active.size == 0:
+        mid = 0.5 * (lo + hi)
+        above = np.asarray(law(mid), dtype=float) >= flat
+        np.copyto(hi, mid, where=active & above)
+        np.copyto(lo, mid, where=active & ~above)
+        active &= ~(hi - lo <= 1e-14 * np.maximum(hi, 1.0))
+        if not active.any():
             break
     roots = (0.5 * (lo + hi)).reshape(ys.shape)
     err = np.abs(np.asarray(law(roots), dtype=float) - ys)

@@ -36,6 +36,7 @@ from phaselab.multipliers import (
     modulus_on_axis,
     sweep,
 )
+from phaselab.phase_laws import invert_many
 from phaselab.propagation import phase
 
 DELTAS_4DEC = [10.0 ** (-e) for e in np.linspace(2, 6, 17)]
@@ -295,7 +296,9 @@ class TestCertify:
 def reference_phase_radii(spec, targets):
     """The plain bisection that _phase_radii narrows, kept as the reference:
     the critical radius is inverted on every call, every target starts from
-    [0, H] and all 160 steps run."""
+    [0, H] and all 160 steps run.  The search for H starts where
+    _phase_radii's does, at max(1, r_c), or for the shift families at
+    max(1, min(r_c, top / delta**beta))."""
     targets = np.asarray(targets, dtype=float)
     if spec.family is Family.POWER:
         return (targets / spec.delta) ** (1.0 / spec.a)
@@ -303,8 +306,10 @@ def reference_phase_radii(spec, targets):
         r_c = invert(spec.law, float(spec.law(1.0)) / spec.delta)
     else:
         r_c = spec.delta ** (-1.0 / spec.a)
-    hi = max(1.0, r_c)
     top = float(targets.max())
+    if spec.family.shifted:
+        r_c = min(r_c, top / spec.delta**spec.beta)
+    hi = max(1.0, r_c)
     for _ in range(200):
         if float(phase(spec.phase_law, spec.delta, hi, spec.beta, hi)) >= top:
             break
@@ -391,7 +396,8 @@ class TestMergedBisection:
         """The 1500 + 1 targets of numeric_sup.  Bisecting every target from
         [0, H] evaluates about 0.38 of the reference's radii even when the
         loop stops early, and from the table brackets without secant steps
-        about 0.34; the narrowed brackets take about 0.09."""
+        about 0.34; bisecting from a tight bracket around the secant point
+        took about 0.09, and the ulp walk from it takes 0.046-0.061."""
         law, count = counting_law(law)
         spec = MultiplierSpec(family, s=0.5, delta=delta, law=law, beta=beta)
         u = np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500)
@@ -399,6 +405,45 @@ class TestMergedBisection:
         narrowed, count[0] = count[0], 0
         reference_phase_radii(spec, np.append(u, math.pi))
         assert narrowed <= count[0] / 4
+        assert narrowed <= count[0] / 14
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=any_family_spec().filter(lambda spec: spec.family is not Family.POWER))
+    def test_bisection_alone_gives_the_same_radii(self, spec):
+        # a step cap of 0 sends every target to the bisection from its bracket
+        u = np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(phaselab.multipliers, "_WALK_STEPS", 0)
+            radii = _phase_radii(spec, u)
+        assert np.array_equal(radii, reference_phase_radii(spec, u))
+
+    def test_radii_set_by_the_drift_term_are_even_ends(self):
+        """power-shift with a small a: r_c = 1e40, far above the radii of
+        4.2..6283 that the drift term sets.  A bracket-end search from r_c
+        left every radius about 1e6 ulps from its crossing."""
+        spec = MultiplierSpec(Family.POWER_SHIFT, s=0.95, delta=DELTA_MIN, a=0.25, beta=0.3)
+        assert_even_ends_of_straddling_pairs(spec)
+
+    # the power family's radii are the closed form, not a crossing
+    @settings(max_examples=40, deadline=None)
+    @given(spec=any_family_spec().filter(lambda spec: spec.family is not Family.POWER))
+    def test_radii_are_even_ends(self, spec):
+        assert_even_ends_of_straddling_pairs(spec)
+
+
+def assert_even_ends_of_straddling_pairs(spec):
+    """Each of numeric_sup's radii is the end with an even significand of
+    the adjacent doubles lo < hi with phase(lo) < target <= phase(hi)."""
+    targets = np.append(np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500), math.pi)
+    radii = _phase_radii(spec, targets)
+
+    def theta(r):
+        return phase(spec.phase_law, spec.delta, r, spec.beta, r)
+
+    reached = theta(radii) >= targets
+    partner = theta(np.nextafter(radii, np.where(reached, 0.0, np.inf)))
+    assert np.all(np.where(reached, partner < targets, partner >= targets))
+    assert np.all(radii.view(np.int64) % 2 == 0)
 
 
 def _recorded_sups(monkeypatch, module):
@@ -477,6 +522,22 @@ class TestSweep:
         probes.clear()
         rate_fit(template, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
         assert probes == [template.law]
+
+    @pytest.mark.parametrize("law", [BOUSSINESQ, QUARTIC], ids=lambda law: law.name)
+    def test_batched_critical_radii_equal_scalar_inverses(self, law):
+        """g(1)/delta over ten decades, and values past g(1e9): the scalar
+        inverses stop at different halvings, and the batch still equals
+        them bit for bit."""
+        ys = np.append(float(law(1.0)) / np.geomspace(0.5, DELTA_MIN, 41),
+                       float(law(1e9)) * np.array([1.5, 1e3]))
+        counted, count = counting_law(law)
+        evaluated = []
+        for y in ys:
+            count[0] = 0
+            invert(counted, y)
+            evaluated.append(count[0])
+        assert len(set(evaluated)) > 10
+        assert np.array_equal(invert_many(law, ys), [invert(law, y) for y in ys])
 
     def test_hypotheses_checked_before_inversion(self):
         # a non-increasing law cannot be inverted; the hypothesis error wins
