@@ -19,8 +19,6 @@ from .errors import (
     GridMismatchError,
     HypothesisViolation,
     NotApplicableError,
-    NotInvertibleError,
-    OutOfRangeError,
     ParameterError,
     UndefinedShiftError,
 )
@@ -43,10 +41,7 @@ from .phase_laws import (
     CATALOG,
     LINEAR,
     QUARTIC,
-    HypothesisReport,
     PhaseLaw,
-    check_hypotheses,
-    custom_law,
     invert,
     invert_many,
     parse_law,

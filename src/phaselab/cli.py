@@ -246,8 +246,7 @@ def cmd_seq_check(args) -> int:
         "reason": verdict.reason,
     }
     if args.format == "csv":
-        cells = [cond.criterion.value, seq.describe(), cond.form,
-                 "" if cond.q is None else repr(float(cond.q)),
+        cells = [cond.criterion.value, seq.describe(), cond.form, repr(float(cond.q)),
                  verdict.decision, '"' + verdict.reason.replace('"', '""') + '"']
         text = "criterion,sequence,form,q,decision,reason\n" + ",".join(cells) + "\n"
     else:

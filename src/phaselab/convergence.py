@@ -44,7 +44,7 @@ from .multipliers import (
     regime,
     sweep,
 )
-from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw, invert_many
+from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw
 from .propagation import ShiftSpec, _angles
 from .spectral import SpectralField, _dot, _fsum, _points, _wave_sums
 
@@ -172,12 +172,12 @@ class SummabilityCondition:
     """The sum a criterion requires to be finite: sum_k t_k**q as a
     ``power-sum``, or a ``gamma-sum`` of the callable ``summand``.
 
-    ``q`` is the power the summand decays with; a gamma-sum over a law of
-    unknown inverse growth has none.
+    ``q`` is the power the summand decays with: 2e, with e the row's
+    envelope exponent.
     """
 
     criterion: ConvergenceCriterion
-    q: float | None
+    q: float
     summand: Callable | None = None
 
     @property
@@ -225,9 +225,9 @@ def required_exponent(
         if not np.isfinite(y).all():
             term = float(t[~np.isfinite(y)].flat[0])
             raise ParameterError(f"g(1)/t overflows for {law.name} at the term t={term!r}")
-        return t**t_power * invert_many(law, y) ** (-2.0 * s)
+        return t**t_power * law.inverse(y) ** (-2.0 * s)
 
-    return SummabilityCondition(criterion, None if e is None else 2.0 * e, summand)
+    return SummabilityCondition(criterion, 2.0 * e, summand)
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,9 @@ class Applicability:
 def sequence_applicable(seq: TimeSequence, cond: SummabilityCondition) -> Applicability:
     """Decide whether {t_k} satisfies a criterion's summability condition.
 
-    Exact for symbolic sequences whenever the summand's decay exponent q is
-    known (power sums, and gamma sums over laws with a known inverse
-    growth): power sequences qualify iff p*q > 1 and geometric sequences
-    qualify for every positive exponent.  Everything else falls back to
+    Exact for symbolic sequences, from the summand's decay exponent q:
+    power sequences qualify iff p*q > 1 and geometric sequences qualify
+    for every positive exponent.  Explicit lists fall back to
     partial sums over the first ``K_PROBE`` terms, answering "unknown"
     unless they visibly stabilize.  A summand that is not finite at some
     term, or a partial sum that overflows, raises ParameterError naming
@@ -250,18 +249,18 @@ def sequence_applicable(seq: TimeSequence, cond: SummabilityCondition) -> Applic
     """
     q = cond.q
 
-    if q is not None and seq.kind == "power":
+    if seq.kind == "power":
         product = seq.p * q
         if product > 1.0:
             return Applicability("yes", f"p*q = {product:g} > 1, the power sum converges")
         return Applicability("no", f"p*q = {product:g} <= 1, the power sum diverges")
 
-    if q is not None and seq.kind == "geometric":
+    if seq.kind == "geometric":
         if q > 0.0:
             return Applicability("yes", f"terms decay geometrically like r**(k*q) with q = {q:g} > 0")
         return Applicability("no", f"nonpositive exponent q = {q:g}")
 
-    # numeric fallback: explicit lists, or laws without a known inverse growth
+    # numeric fallback: explicit lists
     t = seq.terms(K_PROBE if seq.kind != "explicit" else len(seq.values))
     with np.errstate(over="ignore", invalid="ignore"):
         g = t**q if cond.summand is None else cond.summand(t)

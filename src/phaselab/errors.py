@@ -9,14 +9,6 @@ class HypothesisViolation(ParameterError):
     """A named hypothesis on (s, a, beta, gamma) fails for the requested bound."""
 
 
-class NotInvertibleError(ParameterError):
-    """The phase law is not strictly increasing, so it has no usable inverse."""
-
-
-class OutOfRangeError(ParameterError):
-    """Requested value lies outside the invertible range of the phase law."""
-
-
 class GridMismatchError(ParameterError):
     """The frequency grid cannot host the requested construction."""
 

@@ -16,7 +16,9 @@ delta with no hidden constant (b = beta):
     gamma, and gamma-shift with b > 1  ginv(g(1)/delta)**(-s)
     gamma-shift, b <= 1                delta**(b-1) * ginv(g(1)/delta)**(-s)
 
-ginv(g(1)/delta)**(-s) decays like delta**(s*rho) when ginv(y) ~ y**rho.
+ginv(g(1)/delta)**(-s) decays like delta**(s*rho) when ginv(y) ~ y**rho;
+ginv is the law's closed-form inverse, which also gives the scan radii of
+the unshifted families.  Only a shifted phase is inverted numerically.
 
 ``numeric_sup`` measures sup|m| over a geometric radial scan densified
 around the phase transition theta ~ pi (and, for shift families, along
@@ -39,8 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolation, ParameterError
-from . import phase_laws
-from .phase_laws import PhaseLaw, check_hypotheses, invert, power_law
+from .phase_laws import PhaseLaw, invert, power_law
 from .propagation import _modulus, phase, shift_offset
 from .spectral import FrequencyGrid, SpectralField, _dot
 
@@ -134,11 +135,6 @@ class MultiplierSpec:
     a: float | None = None
     law: PhaseLaw | None = None
     beta: float | None = None
-    # gamma^{-1}(gamma(1)/delta), filled on first use or by ``sweep``;
-    # a pure function of the fields above, so it is left out of eq and repr
-    _critical_radius: float | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
     #: The phase's law: ``law`` for the gamma families, r**a for the power ones.
     phase_law: PhaseLaw = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
@@ -180,12 +176,11 @@ class Regime(NamedTuple):
                 got = [f"{k}={getattr(p, k)}" for k in ("s", *self.family.reads) if k != "law"]
                 raise HypothesisViolation(f"{self.name} requires {text} (got {', '.join(got)})")
 
-    def exponent(self, p) -> float | None:
-        """e in sup|m_delta| <~ delta**e; None for a law of unknown inverse growth."""
+    def exponent(self, p) -> float:
+        """e in sup|m_delta| <~ delta**e."""
         if not self.family.uses_law:
             return self.delta_power(p)
-        rho = p.law.inverse_growth
-        return None if rho is None else p.s * rho + self.delta_power(p)
+        return p.s * p.law.inverse_growth + self.delta_power(p)
 
 
 _S_UNIT = {"0 < s <= 1": lambda p: 0 < p.s <= 1}
@@ -226,15 +221,12 @@ def regime(family: Family, a: float | None = None) -> Regime:
 def validate_hypotheses(spec: MultiplierSpec) -> None:
     """The hypotheses of the spec's regime row, and for the gamma families
     the law's eligibility; errors name the violated inequality."""
-    regime(spec.family, spec.a).check(spec)
-    if spec.family.uses_law:
-        report = check_hypotheses(spec.law)
-        if not report.eligible:
-            raise HypothesisViolation(
-                f"phase law {spec.law.name} is ineligible "
-                f"(nonneg={report.gamma_nonneg}, increasing={report.gamma_increasing}, "
-                f"ratio_increasing={report.ratio_increasing})"
-            )
+    row = regime(spec.family, spec.a)
+    row.check(spec)
+    if spec.family.uses_law and not spec.law.eligible:
+        raise HypothesisViolation(
+            f"{row.name} requires gamma(r)/r nondecreasing, which {spec.law.name} is not"
+        )
 
 
 def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
@@ -278,15 +270,12 @@ def analytic_envelope(spec: MultiplierSpec, strict: bool = True) -> float:
 def critical_radius(spec: MultiplierSpec) -> float:
     """Radius where the family's own phase scale turns over.
 
-    delta**(-1/a) for power phases; gamma^{-1}(gamma(1)/delta) otherwise,
-    inverted once per spec and kept on it.
+    delta**(-1/a) for power phases; gamma^{-1}(gamma(1)/delta), by the
+    law's closed form, otherwise.
     """
     if not spec.family.uses_law:
         return _float_power(spec.delta, -1.0 / spec.a, "delta**(-1/a)")
-    if spec._critical_radius is None:
-        r_c = invert(spec.law, float(spec.law(1.0)) / spec.delta)
-        object.__setattr__(spec, "_critical_radius", r_c)
-    return spec._critical_radius
+    return invert(spec.law, float(spec.law(1.0)) / spec.delta)
 
 
 #: Doublings allowed in the search for the bracket end, and halvings
@@ -339,9 +328,11 @@ def _start_brackets(theta, targets, end):
 def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
     """Radii where the +mu-direction phase reaches each target value.
 
-    The bracket end H is the first r0 * 2**j whose phase reaches the top
-    target, from r0 = max(1, r_c), or max(1, min(r_c, top / delta**beta))
-    for the shift families, whose drift term alone reaches it there.  Each
+    Without a shift the phase is delta * gamma(r), and the radii are the
+    law's closed-form inverse of targets / delta.  For the shift families
+    the bracket end H is the first r0 * 2**j whose phase reaches the top
+    target, from r0 = max(1, min(r_c, top / delta**beta)): the drift term
+    alone reaches the top target at top / delta**beta.  Each
     target walks one ulp a step from its secant point (``_start_brackets``)
     towards its crossing, to the adjacent doubles lo < hi with phase(lo) <
     target <= phase(hi), both evaluated.  The targets that cannot walk, or
@@ -355,14 +346,14 @@ def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
     radii are bit for bit those of 160 halvings from [0, H].
     """
     targets = np.asarray(targets, dtype=float)
-    if spec.family is Family.POWER:
-        return (targets / spec.delta) ** (1.0 / spec.a)
+    if not spec.family.shifted:
+        return spec.phase_law.inverse(targets / spec.delta)
 
     def theta(r):
         return phase(spec.phase_law, spec.delta, r, spec.beta, r)
 
     top = float(targets.max())
-    drift = shift_offset(spec.delta, spec.beta) if spec.family.shifted else 0.0
+    drift = shift_offset(spec.delta, spec.beta)
     end = max(1.0, min(critical_radius(spec), top / drift if drift > 0.0 else math.inf))
     for _ in range(_DOUBLINGS):
         if float(theta(end)) >= top:
@@ -463,19 +454,13 @@ class Sweep:
 
 
 def sweep(template: MultiplierSpec, deltas, strict: bool = True) -> Sweep:
-    """Each delta's envelope, then its scan.  The hypotheses are validated
-    once, before any inversion; then one batched inversion serves every
-    delta, bit-identical to inverting them one by one."""
+    """Each delta's envelope, then its scan.  The hypotheses do not depend
+    on delta, so they are validated once, for the first delta."""
     deltas = tuple(float(d) for d in deltas)
     first = template.with_delta(deltas[0])
     if strict:
         validate_hypotheses(first)
     specs = [first] + [template.with_delta(d) for d in deltas[1:]]
-    if template.family.uses_law:
-        ys = float(template.law(1.0)) / np.asarray(deltas)
-        # looked up on phase_laws, so perfbench/spans.py's wrapper sees the call
-        for spec, r_c in zip(specs, phase_laws.invert_many(template.law, ys)):
-            object.__setattr__(spec, "_critical_radius", float(r_c))
     envelopes, scans = [], []
     for spec in specs:
         # the delta-independent hypotheses were validated once above

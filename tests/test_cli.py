@@ -11,6 +11,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -691,14 +692,15 @@ class TestOverflowIsAnError:
     ("trace --a 0.5 --s 0.5 --seq power:p=2 --K 16 --points 1e308", 0, ""),
     ("trace --a 2 --s 1 --seq power:p=2 --grid 2,2,0.5 --K 16 --beta 1.5 --mu 1e308,1 "
      "--points 0.1,0.2", 1, "mu must be nonzero with a finite norm, got '1e308,1'"),
-    ("bound-check --family gamma --gamma power:a=60 --s 0.5 --deltas 1e-2:1e-6", 1,
-     "phase law power:a=60 is ineligible "
-     "(nonneg=False, increasing=False, ratio_increasing=False)"),
+    # r**60 overflows from r = 1.4e5 on, and the law is eligible: a >= 1
+    ("bound-check --family gamma --gamma power:a=60 --s 0.5 --deltas 1e-2:1e-6", 0, ""),
+    ("bound-check --family gamma --gamma power:a=0.5 --s 0.5 --deltas 1e-2:1e-6", 1,
+     "gamma requires gamma(r)/r nondecreasing, which power:a=0.5 is not"),
 ], ids=["propagate-nonfinite-points", "trace-overflowing-point", "trace-overflowing-mu",
-        "bound-check-overflowing-probe"])
+        "bound-check-overflowing-probe", "bound-check-decreasing-ratio"])
 def test_no_runtime_warning_reaches_stderr(command, code, stderr, tmp_path, capsys):
-    """Non-finite sample points give NaN rows, and an overflowing --mu norm or
-    probe value gives one error line; numpy prints no warning."""
+    """Non-finite sample points give NaN rows, an overflowing --mu norm or
+    an ineligible law gives one error line; numpy prints no warning."""
     field = tmp_path / "f.csv"
     write_field_csv(random_field(make_grid(1, 4, 1), 1), field)
     assert TestOverflowIsAnError.run_quiet(command.format(field=field)) == code
@@ -787,7 +789,7 @@ def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
         assert not errors, err.getvalue()
     if code == 0 and argv[0] == "seq-check":
         q = json.loads(out.getvalue())["q"]
-        assert q is None or math.isfinite(q), (argv, q)
+        assert math.isfinite(q), (argv, q)
 
 
 def run_fuzzed(argv, out, err):
@@ -842,48 +844,48 @@ GOLDEN_TRACES = {
 }
 
 # sha256 and exit code of the sweep, classifier and propagation commands'
-# JSON and CSV output, made by one bisection per delta from narrowed
-# brackets (the radii of three 160-step bisections from [0, H]) and a
-# batched inversion that iterates every element until all converge, rate
-# fits summed exactly and rounded once, and propagate phases added
-# coordinate by coordinate; {dir} is the directory holding the fields that
-# golden_fields writes
+# JSON and CSV output, made by the laws' closed-form inverses (the critical
+# radii, and the scan radii of the unshifted families), one bisection per
+# delta from narrowed brackets for the shift families (the radii of three
+# 160-step bisections from [0, H]), rate fits summed exactly and rounded
+# once, and propagate phases added coordinate by coordinate; {dir} is the
+# directory holding the fields that golden_fields writes
 GOLDEN_SWEEPS = {
     "bc-gamma-boussinesq": (
         "bound-check --family gamma --gamma boussinesq --s 0.5 --deltas 1e-2:1e-6 "
         "--per-decade 2",
-        0, "51cfd38a89082f4c3f1a9240036b9b68a0822ffce708b47d36956ef171c08506",
-        0, "d78f767609d9b8667bb91f5ce03cfb9d0ccf7b6dd6b5f88a32e3649b88e705d6",
+        0, "575e0e53082c184dfe49bf559ac1e3ce4cb7c7fc4631f5d0823698911c00b0ee",
+        0, "cb3e03af8ba4501c8b4303116d9bd7f2a2186ff53400bc75d2307c7f9a6164b7",
     ),
     "bc-gamma-quartic": (
         "bound-check --family gamma --gamma quartic --s 0.75 --deltas 1e-2:1e-6 "
         "--per-decade 2",
-        0, "a49e6b283c584da611b234f37884819958e1c33d8f7dee4f4ecfba082f52c6cd",
-        0, "60b485eebf145a63eeea93ef9751605e19396b66ccad8200cf7b7e01017404c9",
+        0, "0105631b8fbb4b0c2484bf8c775a70f635a0f5d155ff463916e6cb9c63c8d1b4",
+        0, "a76c4797c45f19657c65a07998500fe9799253265ffdeb782d080eb906a69af2",
     ),
     "bc-gamma-shift-boussinesq-0.8": (
         "bound-check --family gamma-shift --gamma boussinesq --s 0.5 --beta 0.8 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        2, "8d751576798cc38a23a605cabfcbf97fc641d23efb0c626d86f9981dd2e8cbf5",
-        2, "f95bfd00bab0130dd8543207a2e424e5d03ecabafb7b821189884109b64f0d54",
+        2, "432b410cd8bc06f3caa0414cfa51726e4ce15b31d04926569ad92889e707ce24",
+        2, "8f03d48d1eb65325121c0a9b631d7652a30928975f33abecb38284932c5de77d",
     ),
     "bc-gamma-shift-boussinesq-1.5": (
         "bound-check --family gamma-shift --gamma boussinesq --s 0.5 --beta 1.5 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        0, "01bc59b9141002a1e51e1cc37531d35e5f783f972fc8729ed3676abc930200c6",
-        0, "d2bc7d47db1e76a2db925421432e1610bd2f5de5ad077c89b60adc7a4d492b2e",
+        0, "f975d98f4560ff2f3fe3a7eb9834b3160d19494231ec94ce4b6b680489715f4b",
+        0, "eda3642a999364d21671ea51a2a55fbd6f2b98139225736dccc24df77f45a687",
     ),
     "bc-gamma-shift-quartic-0.8": (
         "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 0.8 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        2, "a7c1837df34606e1dc94455b21d86a4738eec65fa203638f4c7f4f03a7c036a6",
-        2, "9139e461d03ff7320248f58bae00b445b3b11ae1dd17cef4a4e9d2537dd9faca",
+        2, "f7ad45cb5e94c3632716bdcc04592dfe37a326d6e3c60a3c1df7e195aa0cc768",
+        2, "82db837f71b0db8cdc54a383420f5115b17faee225efc7c4a3af849496aeb48c",
     ),
     "bc-gamma-shift-quartic-1.5": (
         "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 1.5 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        0, "6a682e9aa9dd7371626d277afcd674b1d86a7b5b6f45ef9e909a6339a78ac6cb",
-        0, "451c2656160f249b4d392a05dc771f10ecd2547016f5762f9217f39b518d237e",
+        0, "1e27b9c879b70aebe37599f7e493604d4739958137dcea8dc6e69c7d7e8e91c1",
+        0, "a21afc290cb576eb8bf5a6043365fa093393e5a42219bc465065da1ef36b571c",
     ),
     "bc-power-shift-sub": (
         "bound-check --family power-shift --s 0.75 --a 0.5 --beta 1.5 --deltas 1e-2:1e-6 "
@@ -900,8 +902,8 @@ GOLDEN_SWEEPS = {
     "bc-gamma-linear": (
         "bound-check --family gamma --gamma linear --s 0.5 --deltas 1e-2:1e-6 "
         "--per-decade 2",
-        0, "0a2c57017c253046b7f3893fef0145cda1679aca9d109310ece793206bc387cd",
-        0, "a87c2c4ffa35cdf8360aaf0b9935c97d9d9ba58a25299fc513e494a0bc9296dc",
+        0, "6440ccf4d49c3a4f3cb3cd4581f215e031d09e225985122447aaf0cd1dc87ca7",
+        0, "1b1f0372ca22993dc4c6fa472edb61e4ccc62851f6157a617740379060d7302c",
     ),
     "bc-gamma-power2": (
         "bound-check --family gamma-shift --gamma power:a=2 --s 0.5 --beta 1.5 --deltas "
@@ -912,20 +914,20 @@ GOLDEN_SWEEPS = {
     "bc-unsafe-list": (
         "bound-check --family gamma --gamma boussinesq --s 1.5 --deltas "
         "1e-2,3e-3,1e-4,2e-5,1e-6 --unsafe-params",
-        0, "167402a0a1a133cfa7c667426a7ffcb50884b629b0d13cdc311a4aaf00ea109c",
-        0, "f9aa0aa730183860f70ec74def3802475e1d618f03673ddacdcc579c946e3479",
+        0, "d9ef4fb6ac3dbe8d2016ae0cdd58bb6e7aa19f63c34d5c16eecb6adea56d96e3",
+        0, "1c94e504d895959ae4cbf515d6e9cf012c67563f8368ffed13205bc01ac20be3",
     ),
     "rf-gamma-boussinesq": (
         "rate-fit --family gamma --gamma boussinesq --s 0.5 --deltas 1e-2:1e-8 "
         "--per-decade 1",
-        0, "f307625f082b20c3f57717d1dbe57c6b49297c67af1b5246b4f07fd853778dab",
-        0, "b8fe8cb72de737bc86293d8bb258f6ddbe9e80e8559085d24bb4435e284392af",
+        0, "6fd21ba8ad9e5b6848d59c398ca9953a1b061bb30091517e444ba28801be9dbf",
+        0, "8f4edaf9fb932dbc7f8dbaf79e2736146067542a3cccee09bab6cd018c2da4e5",
     ),
     "rf-gamma-shift-quartic": (
         "rate-fit --family gamma-shift --gamma quartic --s 0.5 --beta 0.8 --deltas "
         "1e-2:1e-7 --per-decade 1",
-        2, "55c4b8712ccff9b8c87b1348f06347fafdd34341dc8cd37a98174005a8c24c56",
-        2, "053b3662cf9cb54b30eb56e19a405deb1b155609f336ebb68ea2f5f01a25d405",
+        2, "27642ea1408b6368821a4e93e6ae66e4d0e94369f04f5ce0a2952e63fa4ff8fa",
+        2, "f5b7bcbbbec46e647745aa467f120190518df9541e88b86a63cdbe4714258028",
     ),
     "rf-power-shift": (
         "rate-fit --family power-shift --s 0.75 --a 0.5 --beta 0.8 --deltas 1e-2:1e-8 "
@@ -991,6 +993,51 @@ GOLDEN_SWEEPS = {
     ),
 }
 
+#: The laws of the gamma golden cases at 50 digits: gamma, and the power
+#: rho with gamma^{-1}(y) ~ y**rho for large y.
+MP_LAWS = {
+    "linear": (lambda r: r, 1.0),
+    "boussinesq": (lambda r: r * mpmath.sqrt(1 + r * r), 0.5),
+    "quartic": (lambda r: r**2 + r**4, 0.25),
+    "power:a=2": (lambda r: r**2, 0.5),
+}
+
+
+def mp_envelope(law, s, beta, delta):
+    """ginv(g(1)/delta)**(-s) * delta**e at 50 digits, with e = beta - 1 in
+    the gamma-shift row with beta <= 1 and 0 otherwise; ginv by secant
+    steps on gamma(r)/y - 1 from y**rho, not by the law's closed form."""
+    gamma, rho = MP_LAWS[law]
+    with mpmath.workdps(50):
+        delta = mpmath.mpf(delta)
+        y = gamma(mpmath.mpf(1)) / delta
+        start = y**rho
+        r = mpmath.findroot(lambda r: gamma(r) / y - 1, (start, 1.01 * start),
+                            tol=mpmath.mpf(10) ** -45)
+        e = mpmath.mpf(beta) - 1 if beta is not None and beta <= 1 else 0
+        return r ** -mpmath.mpf(s) * delta**e
+
+
+@pytest.mark.parametrize("name", [
+    name for name, (args, *_) in GOLDEN_SWEEPS.items() if "--family gamma" in args
+])
+def test_golden_gamma_envelopes_against_mpmath(name, capsys):
+    """Every envelope a gamma or gamma-shift golden sweep prints is within
+    2 ulps of its value at 50 digits."""
+    argv = GOLDEN_SWEEPS[name][0].split()
+
+    def flag(name):
+        return argv[argv.index(name) + 1] if name in argv else None
+
+    beta = None if flag("--beta") is None else float(flag("--beta"))
+    main([*argv, "--format", "json"])
+    out = json.loads(capsys.readouterr().out)
+    for row in out.get("delta_sweep", out.get("sweep")):
+        exact = mp_envelope(flag("--gamma"), float(flag("--s")), beta, row["delta"])
+        ulps = abs(mpmath.mpf(row["envelope"]) - exact) / math.ulp(float(exact))
+        assert ulps <= 2, (row["delta"], row["envelope"], ulps)
+
+
 # runs each golden case through the CLI entry point in a fresh interpreter,
 # so the BLAS thread count is fixed before numpy loads; all cases of one
 # script share that interpreter and the parser main() builds once per
@@ -1043,16 +1090,19 @@ def test_trace_golden_digests(threads, coretype):
     assert _cli_digests(cases, threads, coretype) == want
 
 
-@pytest.fixture(scope="module")
-def golden_fields(tmp_path_factory):
-    """Seeded random fields for the propagate cases: 65 modes in 1-D, 289 and
-    4225 in 2-D, 729 in 3-D."""
-    root = tmp_path_factory.mktemp("fields")
+def write_golden_fields(root):
+    """Seeded random fields for the propagate cases, written into ``root``:
+    65 modes in 1-D, 289 and 4225 in 2-D, 729 in 3-D."""
     write_field_csv(random_field(make_grid(1, 8, 0.25), 11), root / "f1.csv")
     write_field_csv(random_field(make_grid(2, 4, 0.5), 12), root / "f2.csv")
     write_field_csv(random_field(make_grid(2, 8, 0.25), 13), root / "f3.csv")
     write_field_csv(random_field(make_grid(3, 1, 0.25), 14), root / "f4.csv")
     return root
+
+
+@pytest.fixture(scope="module")
+def golden_fields(tmp_path_factory):
+    return write_golden_fields(tmp_path_factory.mktemp("fields"))
 
 
 @pytest.mark.parametrize("coretype", CORETYPES)
@@ -1099,3 +1149,25 @@ def test_rows_text_matches_json_dumps_and_csv_writer(width, data):
                       ("csv", reference_csv_text(header, dicts))):
         columns = [cli._float_cells([row[i] for row in rows], fmt) for i in range(width)]
         assert cli._rows_text(header, columns, fmt) == want
+
+
+def print_digest_tables():
+    """Print every golden case's current exit codes and digests, in the
+    order of the tables' entries, with a * before each case whose entry
+    differs; one BLAS thread and the kernels OpenBLAS picks."""
+    traces = {name: (args, 0, j, 0, c) for name, (args, j, c) in GOLDEN_TRACES.items()}
+    with tempfile.TemporaryDirectory() as directory:
+        fields = write_golden_fields(Path(directory))
+        for title, table in (("GOLDEN_TRACES", traces), ("GOLDEN_SWEEPS", GOLDEN_SWEEPS)):
+            cases = {name: args.format(dir=fields) for name, (args, *_) in table.items()}
+            got = _cli_digests(cases, "1", None)
+            print(title)
+            for name, (_, *want) in table.items():
+                now = got[name + ".json"] + got[name + ".csv"]
+                mark = " " if now == want else "*"
+                print(f'{mark} {name}: {now[0]}, "{now[1]}", {now[2]}, "{now[3]}"')
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_cli.py
+    print_digest_tables()

@@ -19,7 +19,6 @@ from phaselab import (
     PhaseLaw,
     analytic_envelope,
     certify,
-    custom_law,
     error_field,
     extremal_witness,
     invert,
@@ -36,7 +35,6 @@ from phaselab.multipliers import (
     modulus_on_axis,
     sweep,
 )
-from phaselab.phase_laws import invert_many
 from phaselab.propagation import phase
 
 DELTAS_4DEC = [10.0 ** (-e) for e in np.linspace(2, 6, 17)]
@@ -164,7 +162,7 @@ class TestAnalyticEnvelope:
 
     def test_ineligible_law_rejected(self):
         spec = MultiplierSpec(Family.GAMMA, s=0.5, delta=1e-3, law=power_law(0.5))
-        with pytest.raises(HypothesisViolation):
+        with pytest.raises(HypothesisViolation, match=r"gamma\(r\)/r nondecreasing"):
             analytic_envelope(spec)
 
 
@@ -294,22 +292,17 @@ class TestCertify:
 
 
 def reference_phase_radii(spec, targets):
-    """The plain bisection that _phase_radii narrows, kept as the reference:
-    the critical radius is inverted on every call, every target starts from
-    [0, H] and all 160 steps run.  The search for H starts where
-    _phase_radii's does, at max(1, r_c), or for the shift families at
+    """The plain bisection that _phase_radii narrows for the shift families,
+    kept as the reference: every target starts from [0, H] and all 160
+    steps run.  The search for H starts where _phase_radii's does, at
     max(1, min(r_c, top / delta**beta))."""
     targets = np.asarray(targets, dtype=float)
-    if spec.family is Family.POWER:
-        return (targets / spec.delta) ** (1.0 / spec.a)
     if spec.family.uses_law:
         r_c = invert(spec.law, float(spec.law(1.0)) / spec.delta)
     else:
         r_c = spec.delta ** (-1.0 / spec.a)
     top = float(targets.max())
-    if spec.family.shifted:
-        r_c = min(r_c, top / spec.delta**spec.beta)
-    hi = max(1.0, r_c)
+    hi = max(1.0, min(r_c, top / spec.delta**spec.beta))
     for _ in range(200):
         if float(phase(spec.phase_law, spec.delta, hi, spec.beta, hi)) >= top:
             break
@@ -325,8 +318,8 @@ def reference_phase_radii(spec, targets):
 
 
 @st.composite
-def any_family_spec(draw):
-    family = draw(st.sampled_from(list(Family)))
+def any_family_spec(draw, families=tuple(Family)):
+    family = draw(st.sampled_from(families))
     kwargs = dict(
         s=draw(st.floats(0.05, 1.0)),
         # log-uniform, so every decade down to DELTA_MIN is drawn
@@ -353,7 +346,11 @@ def counting_law(law):
         count[0] += np.size(r)
         return law.evaluator(r)
 
-    return PhaseLaw(law.name, evaluator, law.power, law.inverse_growth), count
+    return PhaseLaw(law.name, evaluator, law.inverse, law.inverse_growth, law.power), count
+
+
+#: The families whose radii _phase_radii finds by root finding.
+SHIFT_FAMILIES = (Family.POWER_SHIFT, Family.GAMMA_SHIFT)
 
 
 #: Targets the doubling search cannot bracket (the phase at max(1, r_c) *
@@ -365,7 +362,7 @@ TINY = [1e-300, 1e-60, 1e-25, 0.5]
 
 class TestMergedBisection:
     @settings(max_examples=40, deadline=None)
-    @given(spec=any_family_spec())
+    @given(spec=any_family_spec(SHIFT_FAMILIES))
     def test_bit_identical_to_three_full_bisections(self, spec):
         # numeric_sup's one target set: the first turn, then pi, which keeps
         # the radius of its own, lower bracket end
@@ -377,7 +374,7 @@ class TestMergedBisection:
         assert np.array_equal(r_pi, reference_phase_radii(spec, [math.pi]))
 
     @settings(max_examples=40, deadline=None)
-    @given(spec=any_family_spec().filter(lambda spec: spec.family is not Family.POWER))
+    @given(spec=any_family_spec(SHIFT_FAMILIES))
     def test_unreached_and_tiny_targets(self, spec):
         unreached, tiny = _phase_radii(spec, UNREACHED), _phase_radii(spec, TINY)
         assert np.array_equal(unreached, reference_phase_radii(spec, UNREACHED))
@@ -387,7 +384,6 @@ class TestMergedBisection:
         assert theta < UNREACHED[1]
 
     @pytest.mark.parametrize("family, law, beta", [
-        (Family.GAMMA, BOUSSINESQ, None),
         (Family.GAMMA_SHIFT, QUARTIC, 0.8),
         (Family.GAMMA_SHIFT, power_law(2.5), 1.5),
     ])
@@ -408,7 +404,7 @@ class TestMergedBisection:
         assert narrowed <= count[0] / 14
 
     @settings(max_examples=40, deadline=None)
-    @given(spec=any_family_spec().filter(lambda spec: spec.family is not Family.POWER))
+    @given(spec=any_family_spec(SHIFT_FAMILIES))
     def test_bisection_alone_gives_the_same_radii(self, spec):
         # a step cap of 0 sends every target to the bisection from its bracket
         u = np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500)
@@ -424,9 +420,22 @@ class TestMergedBisection:
         spec = MultiplierSpec(Family.POWER_SHIFT, s=0.95, delta=DELTA_MIN, a=0.25, beta=0.3)
         assert_even_ends_of_straddling_pairs(spec)
 
-    # the power family's radii are the closed form, not a crossing
+    @pytest.mark.parametrize("law", [LINEAR, BOUSSINESQ, QUARTIC, power_law(2.5)],
+                             ids=lambda law: law.name)
+    @pytest.mark.parametrize("delta", [1e-2, 1e-6, DELTA_MIN])
+    def test_unshifted_radii_are_the_closed_form(self, law, delta):
+        # without a shift, the phase delta * gamma(r) is inverted in closed
+        # form: no law evaluation, no walk and no bisection
+        counted, count = counting_law(law)
+        spec = MultiplierSpec(Family.GAMMA, s=0.5, delta=delta, law=counted)
+        targets = np.append(np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500), math.pi)
+        radii = _phase_radii(spec, targets)
+        assert np.array_equal(radii, law.inverse(targets / delta))
+        assert count[0] == 0
+
+    # the unshifted families' radii are the closed form, not a crossing
     @settings(max_examples=40, deadline=None)
-    @given(spec=any_family_spec().filter(lambda spec: spec.family is not Family.POWER))
+    @given(spec=any_family_spec(SHIFT_FAMILIES))
     def test_radii_are_even_ends(self, spec):
         assert_even_ends_of_straddling_pairs(spec)
 
@@ -489,8 +498,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("template", SWEEP_TEMPLATES, ids=lambda s: s.family.value)
     def test_each_delta_matches_standalone_spec(self, template):
-        # one batched inversion serves the sweep, yet each delta's envelope
-        # and scan are bit for bit those of its own spec, inverted alone
+        # each delta's envelope and scan are bit for bit those of its own spec
         result = sweep(template, DELTAS_4DEC)
         assert result.deltas == tuple(DELTAS_4DEC)
         for d, env, scan in zip(result.deltas, result.envelopes, result.scans):
@@ -504,47 +512,6 @@ class TestSweep:
         template = SWEEP_TEMPLATES[1]
         ds = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]  # ascending, as rate_fit sorts them
         assert certify(template, ds).sweep == rate_fit(template, ds).sweep
-
-    @pytest.mark.parametrize("template", SWEEP_TEMPLATES[:2], ids=lambda s: s.family.value)
-    def test_hypotheses_probed_once_per_sweep(self, template, monkeypatch):
-        # the hypotheses do not depend on delta: certify and rate_fit probe
-        # the law once per sweep, not once per delta
-        probes = []
-        original = phaselab.multipliers.check_hypotheses
-
-        def counting(law, *args):
-            probes.append(law)
-            return original(law, *args)
-
-        monkeypatch.setattr(phaselab.multipliers, "check_hypotheses", counting)
-        certify(template, DELTAS_4DEC[::2])
-        assert probes == [template.law]
-        probes.clear()
-        rate_fit(template, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-        assert probes == [template.law]
-
-    @pytest.mark.parametrize("law", [BOUSSINESQ, QUARTIC], ids=lambda law: law.name)
-    def test_batched_critical_radii_equal_scalar_inverses(self, law):
-        """g(1)/delta over ten decades, and values past g(1e9): the scalar
-        inverses stop at different halvings, and the batch still equals
-        them bit for bit."""
-        ys = np.append(float(law(1.0)) / np.geomspace(0.5, DELTA_MIN, 41),
-                       float(law(1e9)) * np.array([1.5, 1e3]))
-        counted, count = counting_law(law)
-        evaluated = []
-        for y in ys:
-            count[0] = 0
-            invert(counted, y)
-            evaluated.append(count[0])
-        assert len(set(evaluated)) > 10
-        assert np.array_equal(invert_many(law, ys), [invert(law, y) for y in ys])
-
-    def test_hypotheses_checked_before_inversion(self):
-        # a non-increasing law cannot be inverted; the hypothesis error wins
-        bumpy = custom_law(lambda r: np.asarray(r) * (2.0 + np.sin(np.asarray(r))), "bumpy")
-        template = MultiplierSpec(Family.GAMMA, s=0.5, delta=1e-3, law=bumpy)
-        with pytest.raises(HypothesisViolation, match="bumpy is ineligible"):
-            sweep(template, DELTAS_4DEC)
 
 
 class TestExtremalWitness:
