@@ -447,8 +447,21 @@ def pointwise_trace(
     pts = _points(grid, points)[0]
     times = seq.terms(k_max)
 
+    m = grid.num_modes
+    half = m if shift is not None else (m + 1) // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        radial = law(grid.radii[:half])  # once a trace, not once a time
+
     def residual(k):
-        return (np.exp(1j * _angles(grid, law, float(times[k]), shift)) - 1.0) * field.coefficients
+        # without a shift theta depends on |xi| alone, and |xi| = |-xi| bit for
+        # bit, so e^{i theta} is formed on half the lattice and mirrored
+        theta = _angles(grid, law, float(times[k]), shift, radial)
+        row = np.empty(m, dtype=complex)
+        np.exp(np.multiply(1j, theta[:half], out=row[:half]), out=row[:half])
+        row[half:] = row[: m - half][::-1]
+        row -= 1.0
+        row *= field.coefficients
+        return row
 
     values = _wave_sums(grid, pts, len(times), residual)
     # np.cumsum adds along k in order, as a running sum would (np.sum pairs

@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolation, ParameterError
-from .phase_laws import PhaseLaw, invert, power_law
+from .phase_laws import PhaseLaw, invert, invert_many, power_law
 from .propagation import _modulus, phase, shift_offset
 from .spectral import FrequencyGrid, SpectralField, _dot
 
@@ -347,7 +347,7 @@ def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
     """
     targets = np.asarray(targets, dtype=float)
     if not spec.family.shifted:
-        return spec.phase_law.inverse(targets / spec.delta)
+        return invert_many(spec.phase_law, targets / spec.delta)
 
     def theta(r):
         return phase(spec.phase_law, spec.delta, r, spec.beta, r)

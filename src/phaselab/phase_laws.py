@@ -124,11 +124,17 @@ def parse_law(text: str) -> PhaseLaw:
 
 def invert_many(law: PhaseLaw, ys) -> np.ndarray:
     """gamma^{-1} of each y, by the law's closed form; each y must be
-    positive and finite."""
+    positive and finite, and a ParameterError names the least y whose
+    inverse overflows."""
     ys = np.asarray(ys, dtype=float)
-    if not np.all(np.isfinite(ys)) or np.any(ys <= 0.0):
-        raise ParameterError("values to invert must be positive and finite")
-    return law.inverse(ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        radii = law.inverse(ys)
+    if not (np.isfinite(radii).all() and (ys > 0.0).all()):
+        if not (np.isfinite(ys).all() and (ys > 0.0).all()):
+            raise ParameterError("values to invert must be positive and finite")
+        y = float(np.min(ys[~np.isfinite(radii)]))
+        raise ParameterError(f"gamma^-1(y) overflows for {law.name} at y={y!r}")
+    return radii
 
 
 def invert(law: PhaseLaw, y: float) -> float:

@@ -66,9 +66,9 @@ def phase(law, t, r, beta: float | None, proj):
     """t*law(r) + shift_offset(t, beta)*proj, proj = mu.xi (no drift term for
     beta None).  Arguments are not checked, so bisections call it in loops."""
     theta = t * np.asarray(law(r), dtype=float)
-    if beta is None:
-        return theta
-    return theta + shift_offset(t, beta) * proj
+    if beta is not None:
+        theta += shift_offset(t, beta) * proj  # in place: one array fewer at once
+    return theta
 
 
 def _modulus(theta, r, s):
@@ -78,15 +78,17 @@ def _modulus(theta, r, s):
         return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * s)
 
 
-def _angles(grid: FrequencyGrid, law, t: float, shift: ShiftSpec | None) -> np.ndarray:
-    """The phase at every mode of the grid; ParameterError where it is not finite."""
+def _angles(grid: FrequencyGrid, law, t: float, shift: ShiftSpec | None, radial=None):
+    """The phase at every mode of the grid; ParameterError where it is not
+    finite.  ``radial``, law values the caller evaluated once, stands in for
+    the law; without a shift it may cover the first modes only, as the phase then does."""
     if not (0 <= t < math.inf):
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
     if shift is not None and shift.mu.shape != (grid.n,):
         raise ParameterError(f"mu has shape {shift.mu.shape}, expected ({grid.n},)")
     beta, proj = (None, None) if shift is None else (shift.beta, _dot(grid.modes, shift.mu))
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = phase(law, t, grid.radii, beta, proj)
+        theta = phase(law if radial is None else lambda r: radial, t, grid.radii, beta, proj)
     if not np.isfinite(theta).all():
         raise ParameterError(
             f"the phase of {getattr(law, 'name', law)} is not finite at t={t}"

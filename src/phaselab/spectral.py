@@ -9,19 +9,17 @@ terms rounded once to the nearest double, so it does not depend on
 summation order, runs or thread counts.
 
 ``csum`` sums every row of a 2-D block at once (a vector is a one-row
-block) in two steps.  The split (``_split_sums``, where the proof lives)
-splits each term once against a power of two by error-free extraction
-(Rump, Ogita and Oishi, "Accurate floating-point summation part I",
-2008): the high parts add up exactly in any order, the low parts are
-added in floating point, and it leaves per row a high sum, a low sum and
-an error bound.  The certificate (``_certify_sums``) adds them and keeps
-the rounded total where the bound proves it the exactly-rounded sum, for
-any number of rows at once.  Sums it cannot certify (ties and near-ties,
-zeros, non-finite values, terms near overflow or below 2**-960) are
-summed again from the original terms with ``math.fsum`` (Shewchuk 1997),
-so both paths give the same bits; the rare rows whose partial sums
-overflow ``fsum`` are summed exactly in integers and rounded once.
-``csum`` only reads its input: it splits a contiguous copy.
+block) in three steps: ``_scale_row`` scales each row by a power of two
+into integer units, the split (``_split_sums``, where the proof lives)
+rounds each term to an integer (Rump, Ogita and Oishi, "Accurate
+floating-point summation part I", 2008), and the certificate
+(``_certify_sums``) keeps the unscaled total where the row's error bound
+proves it the exactly-rounded sum.  Sums it cannot certify (ties and
+near-ties, zero or subnormal sums, non-finite values, rows near overflow
+or below 2**-960) are summed again from the original terms with
+``math.fsum`` (Shewchuk 1997), so both paths give the same bits; the rare
+rows whose partial sums overflow ``fsum`` are summed exactly in integers
+and rounded once.  ``csum`` only reads its input: it scales a copy.
 
 ``_wave_sums`` evaluates (2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for
 rows c at points x (checked by ``_points``), the one sampler: a field for
@@ -30,10 +28,10 @@ rows c at points x (checked by ``_points``), the one sampler: a field for
 per point (``_waves``): the lattice's second half is the conjugate of
 its first, since x.(-xi) = -(x.xi) exactly and libm's sin is odd and
 its cos even, bit for bit.  The kernel exactly rounds every (row, point)
-sum, splitting each block of at most ``BLOCK_BYTES`` of products where
-``np.multiply`` wrote it and certifying the sums once at least 1,024 have
-been split, at a block's end; a refused sum's products are formed again on
-their own for ``fsum``.
+sum: it scales each row before the multiply, splits each block of at most
+``BLOCK_BYTES`` of products where ``np.multiply`` wrote it and certifies
+the sums once at least 1,024 have been split, at a block's end; a refused
+sum's products are formed again on their own, unscaled, for ``fsum``.
 Every product over the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes
 through ``_dot``, which adds them left to right elementwise, so no BLAS
 kernel touches the bits.
@@ -79,17 +77,9 @@ BLOCK_BYTES = 1 << 20
 
 #: Unit roundoff of float64.
 _U = 2.0**-53
-#: Smallest positive subnormal; absorbs underflow in the error bound.
-_TINY = 5e-324
-#: Rows whose largest term is below 2**_MIN_EXPONENT go to ``math.fsum``,
-#: so the split point and the error bound stay clear of the subnormal range.
+#: Rows whose terms are bounded below 2**_MIN_EXPONENT go to ``math.fsum``: the
+#: subnormal term of their bound would near the half gaps it is tested against.
 _MIN_EXPONENT = -960
-#: Widest row the extraction handles; M*(M+2) must stay below 2**54.
-_MAX_WIDTH = 2**26
-#: ``_split_sums`` splits rows whose largest terms lie within
-#: _BAND + 1 binades of each other against one sigma; that loosens the
-#: error bound by at most 2**_BAND.
-_BAND = 4
 #: Exact sums this large round to infinity: the midpoint between the
 #: largest double and 2**1024.
 _OVERFLOW = 2**1024 - 2**970
@@ -105,102 +95,86 @@ def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return total
 
 
-def _split_sums(x: np.ndarray, high, low, bound, split: np.ndarray) -> None:
+def _scale_row(parts: np.ndarray, widen: float) -> tuple:
+    """Scale one row's 2M float parts in place by the 2**k of ``_split_sums``
+    and return (2**-k, the bound of its low sums), for terms at most
+    ``widen`` times its largest part (2 for products with waves, 1 for the
+    parts); a dead row is left as it is, with (1.0, inf)."""
+    m = parts.size // 2
+    levels = (m + 1).bit_length()
+    # nan propagates through both reductions and fails the range test
+    peak = widen * max(float(np.maximum.reduce(parts)), -float(np.minimum.reduce(parts)))
+    if not 2.0**_MIN_EXPONENT <= peak < 2.0 ** (1023 - levels):
+        return 1.0, math.inf
+    k = 53 - levels - math.frexp(peak)[1]
+    parts *= math.ldexp(1.0, k)
+    return math.ldexp(1.0, -k), m * m * _U + math.ldexp(m, max(k, 0) - 1017)
+
+
+def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
     """The split step of the certified sums of the complex rows of x.
 
-    ``x`` (rows, M, 2) is the interleaved layout ``np.multiply`` writes
-    into a complex array: x[i, j] holds the real and imaginary parts of
-    term j of row i.  The split works in place: it leaves x the low parts
-    p and writes the high parts q into ``split`` (at least ``x.size``
-    floats), and q + p equals the old x on every live row.  Per row it
-    writes the complex sum of the high parts into ``high``, that of the
-    low parts into ``low`` and the error bound of the low sum into
-    ``bound`` (inf for a dead row): three caller-given arrays of ``rows``
-    entries, which ``_certify_sums`` reads.  Runs under the caller's
-    ``np.errstate``.
+    ``x`` (rows, M, 2) is the interleaved layout ``np.multiply`` writes:
+    x[i, j] holds the parts of term j of row i, scaled by ``_scale_row``.
+    In place, it writes q = rint(x) into ``split`` (at least ``x.size``
+    floats), leaves x the remainders p = x - q, and writes per row the
+    complex sum of the q into ``high`` and that of the p into ``low``:
+    four passes over the terms.  Runs under the caller's ``np.errstate``.
 
-    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I", 2008).  For each row let 2**(e-1) <= max|x| < 2**e
-    over both planes (from ``frexp`` of a contiguous max and min), let
-    L = ceil(log2(M + 2)), and let sigma be any power of two with
-    sigma >= 2**(e + L).  Then q = fl(fl(x + sigma) - sigma) is exact, q
-    is a multiple of u*sigma (u = 2**-53), and p = x - q is exact with
-    |p| <= u*sigma.  Every partial sum of the q of one plane, in any
-    order, is a multiple of u*sigma no larger than M*(2**e + u*sigma) <=
-    sigma (this needs M*(M+2) <= 2**54, so M <= 2**26), hence exact:
-    t = sum(q) is exact whatever order numpy adds in.  The p sum
-    P' = fl(sum(p)), in any order, errs by at most
-    gamma_{M-1} * sum|p| <= 2*(M-1)*u * M*u*sigma < 2*M**2*u**2*sigma;
-    bound = 4*M**2*u**2*sigma keeps a factor of 2 spare, and one subnormal
-    covers the rounding of the bound when it underflows.  With
-    r = fl(t + P') and its exact residual d (TwoSum), the exact sum lies
-    within |d| + bound of r.  When that is strictly less than half the
-    smaller gap from r to a neighbouring double, r is the exactly-rounded
-    sum.  One sigma serves both planes of a row, since the row's e is at
-    least each plane's; both sums run on a complex view of the q and the
-    p, one ``sum(axis=1)`` each.
+    Error-free extraction at a granularity of one unit (Rump, Ogita and
+    Oishi, 2008).  Let L = (M + 1).bit_length(), so M <= 2**L - 2, and
+    u = 2**-53.  ``_scale_row`` takes 2**(e-1) <= w*peak < 2**e, peak the
+    row's largest part in magnitude, and multiplies the row by s = 2**k,
+    k = 53 - L - e.  A term is a part (w = 1, ``csum``) or a component of
+    a product with a wave (w = 2): as |cos|, |sin| <= 1 and rounding is
+    monotone, each rounded product is at most peak and their sum or
+    difference, fused or not, at most 2*peak.  So every scaled term is
+    below 2**(53 - L), each q is an integer of magnitude at most
+    2**(53 - L), and every partial sum of the q of one plane, in any
+    order, is an integer below M * 2**(53 - L) < 2**53: t = sum(q) is
+    exact.  p = x - q is exact with |p| <= 1/2, and P' = fl(sum(p)), in
+    any order, errs by at most gamma_{M-1} * M/2, below M**2*u/2 for
+    M <= 2**26 (no lattice here is wider) and below M**2*u up to 2**50.
 
-    Rows share sigma by bands, so the split adds and subtracts one Python
-    float instead of broadcasting a sigma per row, which numpy runs row
-    by row.  With top the largest e of the live rows, a row's band is
-    the step of _BAND + 1 binades down from top that holds its e, and
-    sigma = 2**(b + L) for the band's highest exponent b.  That sigma is
-    at most 2**_BAND times the row's own 2**(e + L), so the bound is at
-    most that much looser: a row is refused a little more often, and a
-    certified result is still the exactly-rounded sum.  When every row is
-    live and all fit the top band (every block of trace products does),
-    which the block's largest and smallest peak decide as two Python
-    floats, the whole block is split against one sigma; otherwise each run
-    of adjacent rows in one band is split against its own.
+    Scaling by s commutes with rounding except in the subnormal range of
+    the scaled or the unscaled computation, below lam = max(s, 1)*2**-1022
+    in scaled units, where a rounding errs by at most lam*u.  So a scaled
+    part or rounded product differs from s times the unscaled one by at
+    most 4*lam*u, and only below lam.  A sum or difference of two products
+    then rounds both ways to the same double when the other product is at
+    least 2**55*lam (a midpoint is 2*lam away or more); otherwise both
+    results lie below 2**56*lam, within half an ulp (4*lam) of what they
+    round, and differ by under 2**4*lam.  The scaled terms thus sum to s
+    times the unscaled sum within M * 2**4 * lam, and the bound of a live
+    row, M**2*u + M * max(s, 1) * 2**-1017, is twice both errors, which
+    leaves room for the rounding of the bound itself.
 
-    Dead rows join no band and both their planes are refused (``ok``
-    false; their bound is inf): rows whose largest term is zero or not
-    finite, rows with e <= _MIN_EXPONENT (near-subnormal rows) or
-    e + L > 1023 (sigma would overflow), and every row when M > _MAX_WIDTH.
-    Live rows are refused plane by plane when the test above fails (exact
-    and near ties, and planes that sum to zero).
+    With r = fl(t + P') and its exact residual d (TwoSum), s times the
+    exact sum of the unscaled terms lies within |d| + bound of r.  When
+    that is strictly less than half the smaller gap from r to a
+    neighbouring double, r is its exactly-rounded value, and r/s the
+    exactly-rounded unscaled sum if it is a normal double; results at or
+    below 2**-1022 once unscaled are refused, as are zeros.  Both planes of
+    a row share its s, and both sums run on a complex view, one
+    ``sum(axis=1)`` each.  A row is dead when w*peak is zero or not
+    finite, below 2**_MIN_EXPONENT, or at least 2**(1023 - L), where an
+    unscaled sum could overflow: ``_scale_row`` leaves it unscaled with
+    bound inf, so both its planes are refused.
     """
-    rows, m, _ = x.shape
-    flat = x.reshape(rows, 2 * m)
-    q = split[: x.size].reshape(rows, 2 * m)
-    levels = (m + 1).bit_length()
-    # ufunc reductions, not the array methods, save a wrapper call a block
-    peak = np.maximum(np.maximum.reduce(flat, axis=1), -np.minimum.reduce(flat, axis=1))
-    most, least = float(peak.max()), float(peak.min())
-    top = math.frexp(most)[1]
-    # comparisons with nan are false, so a block with a non-finite row
-    # takes the band path, where that row is dead
-    if least >= 2.0**_MIN_EXPONENT and most < 2.0 ** (1023 - levels) and m <= _MAX_WIDTH and (
-        top - math.frexp(least)[1] <= _BAND
-    ):
-        sigma = math.ldexp(1.0, top + levels)
-        np.add(flat, sigma, out=q)
-        q -= sigma
-        bound.fill(4.0 * m * m * _U * _U * sigma + _TINY)
-    else:
-        live = (peak >= 2.0**_MIN_EXPONENT) & (peak < 2.0 ** (1023 - levels)) & (m <= _MAX_WIDTH)
-        e = np.frexp(peak)[1]
-        top = int(e.max(where=live, initial=_MIN_EXPONENT))
-        # dead rows get sigma 0, which leaves them unsplit
-        e = top - (top - e) // (_BAND + 1) * (_BAND + 1)
-        sigma = np.where(live, np.ldexp(1.0, e + levels), 0.0)
-        edges = [0, *(np.flatnonzero(sigma[1:] != sigma[:-1]) + 1).tolist(), rows]
-        for start, stop in zip(edges, edges[1:]):
-            run = float(sigma[start])
-            np.add(flat[start:stop], run, out=q[start:stop])
-            q[start:stop] -= run
-        np.copyto(bound, np.where(live, 4.0 * m * m * _U * _U * sigma + _TINY, math.inf))
+    flat = x.reshape(len(x), -1)
+    q = np.rint(flat, out=split[: x.size].reshape(flat.shape))
     flat -= q
     np.add.reduce(q.view(complex), axis=1, out=high)
     np.add.reduce(flat.view(complex), axis=1, out=low)
 
 
-def _certify_sums(high, low, bound, terms) -> np.ndarray:
+def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
     """The certificate of the sums ``_split_sums`` split, for n sums at once.
 
-    ``high``, ``low`` and ``bound`` hold what ``_split_sums`` wrote for n
-    sums.  Replaces each high sum by r = fl(high + low) and returns ``ok``
-    (n, 2): whether r is the exactly-rounded sum, plane by plane.  Where
+    ``high`` and ``low`` hold what ``_split_sums`` wrote for n sums, and
+    ``bound`` and ``scale`` each sum's bound and 2**-k from ``_scale_row``.
+    Replaces each high sum by r = fl(high + low) unscaled and returns ``ok``
+    (n, 2): whether that is the exactly-rounded sum, plane by plane.  Where
     it is not, plane c of sum j is taken again as the ``_fsum`` of plane c
     of ``terms(j)``, the original (M, 2) terms.  ``low`` is overwritten.
     Runs under the caller's ``np.errstate``.
@@ -216,12 +190,12 @@ def _certify_sums(high, low, bound, terms) -> np.ndarray:
     t += p
     np.abs(t, out=p)
     p += bound[:, None]
-    t[...] = r
+    np.multiply(r, scale[:, None], out=t)
     # r becomes the half gap from |r| to the next double toward zero
     np.abs(r, out=r)
     r -= np.nextafter(r, 0.0, out=bb)
     r *= 0.5
-    ok = p < r
+    ok = (p < r) & (np.abs(t, out=bb) > 2.0**-1022)
     if not ok.all():
         for j in np.flatnonzero(~ok.all(axis=1)).tolist():
             planes = terms(j)
@@ -235,8 +209,7 @@ def csum(values: np.ndarray):
 
     A 1-D input gives a complex number (it is summed as a one-row block);
     a 2-D input (rows, M) gives a complex array with one sum per row.
-    ``values`` is only read: ``_split_sums`` splits a copy, and the rows
-    ``_certify_sums`` cannot certify go to ``math.fsum``.
+    ``values`` is only read: each row of a copy is scaled by its own peak.
     """
     values = np.asarray(values)
     if values.ndim == 1:
@@ -247,11 +220,11 @@ def csum(values: np.ndarray):
         return np.zeros(values.shape[0], dtype=complex)
     values = np.ascontiguousarray(values, dtype=complex)
     terms = values.view(float).reshape(values.shape + (2,))
-    rows = len(values)
-    r, low, bound = np.empty(rows, dtype=complex), np.empty(rows, dtype=complex), np.empty(rows)
+    r, low, parts = *np.empty((2, len(values)), dtype=complex), terms.copy()
+    scale, bound = np.array([_scale_row(row, 1.0) for row in parts.reshape(len(r), -1)]).T
     with np.errstate(invalid="ignore", over="ignore"):
-        _split_sums(terms.copy(), r, low, bound, np.empty(terms.size))
-        _certify_sums(r, low, bound, terms.__getitem__)
+        _split_sums(parts, r, low, np.empty(terms.size))
+        _certify_sums(r, low, bound, scale, terms.__getitem__)
     return r
 
 
@@ -409,19 +382,19 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     row i given by ``row(i)`` and read one block at a time, at each point x
     of the (P, n) array ``pts``: a (num_rows, P) array.
 
-    The waves are formed once.  Each block of (row, point) products, at
-    most ``BLOCK_BYTES``, is split in place by ``_split_sums`` in the layout
-    ``np.multiply`` writes; its high sums go straight into the result, its
-    low sums and bounds into buffers of one batch and one block.  Blocks
-    cover the result in row-major order, and ``_certify_sums`` runs on the
-    pending sums at the end of the first block that brings them to a batch
-    of ``max(1, BLOCK_BYTES >> 10)`` (1,024 by default), and once more on
-    the rest after the last block.  A refused sum's products are formed
-    again on their own, from ``row(i)`` (so every row function must be
-    pure) and the same multiply, and summed with ``_fsum``.  All buffers
-    are allocated once.  Rows are formed under the loop's ``np.errstate``,
-    so a row or product that overflows warns nothing; a product or a sum
-    that is not finite at a finite wave raises ``ParameterError``.
+    The waves are formed once, and each row is scaled (``_scale_row``) as
+    it is formed.  Each block of (row, point) products, at most
+    ``BLOCK_BYTES``, is split in place by ``_split_sums``; its high sums go
+    straight into the result, its low sums, scales and bounds into buffers
+    of one batch and one block, allocated once.  Blocks cover the result in
+    row-major order, and ``_certify_sums`` runs on the pending sums at the
+    end of the first block that brings them to a batch of
+    ``max(1, BLOCK_BYTES >> 10)`` (1,024 by default), and on the rest after
+    the last block.  A refused sum's products are formed again on their
+    own, unscaled, from ``row(i)`` (so every row function must be pure),
+    for ``_fsum``.  Rows are formed under the loop's ``np.errstate``, so a
+    row or product that overflows warns nothing; a product or a sum that
+    is not finite at a finite wave raises ``ParameterError``.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
     # a non-finite or overflowing point gives a NaN wave, so NaN sums;
@@ -437,16 +410,19 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     split = np.empty(2 * block_buf.size)
     sums = np.empty((num_rows, num_pts), dtype=complex)
     flat = sums.reshape(-1)
-    # the low sums and bounds of the ``pending`` sums from flat[done] on,
-    # split but not yet certified: less than a batch (or than all the
-    # sums) before a block, plus that block
+    # the low sums, scales and bounds of the ``pending`` sums from
+    # flat[done] on, split but not yet certified: less than a batch (or
+    # than all the sums) before a block, plus that block
     low = np.empty(min(batch, sums.size) + r_step * p_step, dtype=complex)
-    bound = np.empty(len(low))
+    deferred = np.empty((2, len(low)))
+    per_row = np.empty((2, r_step, 1))
     done = pending = 0
 
     def terms(j):
+        # formed in the block buffer, whose products are split by now
         i, p = divmod(j, num_pts)
-        product = _products(np.asarray(row(i), dtype=complex)[None], waves[p : p + 1])
+        product = block_buf[:num_modes].reshape(1, 1, num_modes)
+        _products(np.asarray(row(i), dtype=complex)[None], waves[p : p + 1], out=product)
         if not np.isfinite(product).all() and np.isfinite(waves[p]).all():
             raise ParameterError(
                 "coefficients too large to sample: their products with a plane wave overflow"
@@ -455,7 +431,8 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
 
     def certify(start, count):
         high = flat[start : start + count]
-        _certify_sums(high, low[:count], bound[:count], lambda j: terms(start + j))
+        scale, bound = deferred[:, :count]
+        _certify_sums(high, low[:count], bound, scale, lambda j: terms(start + j))
         overflow = ~np.isfinite(high)
         if overflow.any():
             points = (start + np.flatnonzero(overflow)) % num_pts
@@ -469,6 +446,7 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
             rows = coeffs[: min(r_step, num_rows - r0)]
             for i in range(len(rows)):
                 rows[i] = row(r0 + i)
+                per_row[:, i, 0] = _scale_row(rows[i].view(float), 2.0)
             for p0 in range(0, num_pts, p_step):
                 chunk = waves[p0 : p0 + p_step]
                 size = len(rows) * len(chunk)
@@ -479,9 +457,10 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
                     block.view(float).reshape(size, num_modes, 2),
                     flat[start : start + size],
                     low[pending : pending + size],
-                    bound[pending : pending + size],
                     split,
                 )
+                block_deferred = deferred[:, pending : pending + size]
+                block_deferred.reshape(2, len(rows), -1)[...] = per_row[:, : len(rows)]
                 pending += size
                 if pending >= batch:
                     certify(done, pending)

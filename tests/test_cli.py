@@ -696,11 +696,22 @@ class TestOverflowIsAnError:
     ("bound-check --family gamma --gamma power:a=60 --s 0.5 --deltas 1e-2:1e-6", 0, ""),
     ("bound-check --family gamma --gamma power:a=0.5 --s 0.5 --deltas 1e-2:1e-6", 1,
      "gamma requires gamma(r)/r nondecreasing, which power:a=0.5 is not"),
+    # the inverse y**100 overflows from y = 1209.37 on: first for the scan
+    # radii (top target 2*pi/delta), then for r_c = gamma^-1(1/delta)
+    ("bound-check --family gamma --gamma power:a=0.01 --s 0.5 --deltas 1e-2:1e-6 --unsafe-params",
+     1, "gamma^-1(y) overflows for power:a=0.01 at y=1209.370544889579"),
+    ("bound-check --family gamma --gamma power:a=0.01 --s 0.5 --deltas 1e-4:1e-8 --unsafe-params",
+     1, "gamma^-1(y) overflows for power:a=0.01 at y=10000.0"),
+    ("rate-fit --family gamma --gamma power:a=0.01 --s 0.5 --deltas 1e-2:1e-8 --unsafe-params",
+     1, "gamma^-1(y) overflows for power:a=0.01 at y=100000000.0"),
 ], ids=["propagate-nonfinite-points", "trace-overflowing-point", "trace-overflowing-mu",
-        "bound-check-overflowing-probe", "bound-check-decreasing-ratio"])
+        "bound-check-overflowing-probe", "bound-check-decreasing-ratio",
+        "bound-check-overflowing-scan-radii", "bound-check-overflowing-critical-radius",
+        "rate-fit-overflowing-critical-radius"])
 def test_no_runtime_warning_reaches_stderr(command, code, stderr, tmp_path, capsys):
-    """Non-finite sample points give NaN rows, an overflowing --mu norm or
-    an ineligible law gives one error line; numpy prints no warning."""
+    """Non-finite sample points give NaN rows, an overflowing --mu norm, an
+    ineligible law or an overflowing inverse gives one error line; numpy
+    prints no warning."""
     field = tmp_path / "f.csv"
     write_field_csv(random_field(make_grid(1, 4, 1), 1), field)
     assert TestOverflowIsAnError.run_quiet(command.format(field=field)) == code

@@ -440,6 +440,32 @@ class TestBatchedTrace:
         assert tr.partial_sums.shape == want[-1].shape
         np.testing.assert_array_equal(tr.partial_sums.view(np.int64), want[-1].view(np.int64))
 
+    @pytest.mark.parametrize("grid_args", [(1, 8, 0.125), (2, 4, 0.25), (3, 1, 0.25)])
+    @pytest.mark.parametrize("law", [power_law(0.5), BOUSSINESQ, QUARTIC], ids=lambda law: law.name)
+    @pytest.mark.parametrize("beta", [None, 1.5])
+    def test_residual_rows_are_the_full_formula(self, grid_args, law, beta, monkeypatch):
+        # the law is evaluated once a trace, and without a shift e^{i theta}
+        # is formed on half the lattice and mirrored: every row still equals
+        # the formula on the whole lattice, bit for bit
+        g = make_grid(*grid_args)
+        f = random_field(g, np.random.default_rng(43))
+        shift = ShiftSpec(beta=beta, mu=np.eye(g.n)[-1]) if beta is not None else None
+        seq, k_max = TimeSequence.geometric(0.5), 24
+        rows = []
+
+        def recording_wave_sums(grid, pts, num_rows, row):
+            rows.extend(np.array(row(k)) for k in range(num_rows))
+            return np.zeros((num_rows, len(pts)), dtype=complex)
+
+        monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
+        # s = 0.75 > 1 - a: the power law's shifted criterion accepts the sequence
+        pointwise_trace(f, law, seq, 0.75, default_points(g.n, 1), k_max=k_max, shift=shift)
+        times = seq.terms(k_max)
+        assert len(rows) == len(times)
+        for row, t in zip(rows, times):
+            want = (np.exp(1j * _angles(g, law, float(t), shift)) - 1.0) * f.coefficients
+            np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+
     def test_no_points(self):
         g = make_grid(1, 2, 0.5)
         f = random_field(g, np.random.default_rng(2))

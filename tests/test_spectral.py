@@ -339,6 +339,96 @@ class TestWaveSumsFallback:
         assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
 
 
+class TestScaledRows:
+    """Rows at the edges of the scaled kernel: every (row, point) sum equals
+    the ``math.fsum`` of its products formed unscaled, bit for bit."""
+
+    def fsum_calls(self, grid, pts, coeffs, monkeypatch):
+        return TestWaveSumsFallback().assert_wave_sums_are_fsum(grid, pts, coeffs, monkeypatch)
+
+    def test_tiny_part_beside_one(self, monkeypatch):
+        # a row spanning 1,000 binades: its tiny parts' products are all low part
+        g = make_grid(1, 2, 0.5)
+        rng = np.random.default_rng(51)
+        coeffs = complex_rows(*rng.standard_normal((2, 4, g.num_modes)))
+        coeffs[0, 3] = complex(1.0, 1e-300)
+        coeffs[1, :] = 1e-300
+        coeffs[1, 5] = 1.0j
+        coeffs[2, ::2] *= 1e-300
+        pts = np.vstack([default_points(1, 6, 9), [[0.0], [math.pi]]])
+        self.fsum_calls(g, pts, coeffs, monkeypatch)
+
+    def test_subnormal_sines(self, monkeypatch):
+        # at x = 1e-310 every sine is subnormal and every cosine 1, so the
+        # products b * sin underflow unscaled but not scaled; x = 2**-1000
+        # gives sines just above the subnormal range
+        g = make_grid(1, 2, 0.5)
+        rng = np.random.default_rng(52)
+        coeffs = complex_rows(*rng.standard_normal((2, 5, g.num_modes)))
+        coeffs[1] *= 2.0**-900
+        coeffs[2] *= 2.0**-955
+        coeffs[3].imag *= 2.0**-60
+        coeffs[4] *= 2.0**1000
+        pts = np.array([[1e-310], [-1e-310], [5e-324], [2.0**-1000]])
+        waves = spectral._waves(g, pts)
+        assert np.all(np.abs(waves[:3, g.num_modes // 2 + 1 :].imag) < 2.0**-1022)
+        self.fsum_calls(g, pts, coeffs, monkeypatch)
+
+    def test_peaks_at_the_live_thresholds(self, monkeypatch):
+        # twice the peak at 2**-960 (the floor) and 2**(1023 - L) (the
+        # ceiling), and their neighbouring doubles: live on one side, dead on
+        # the other, and the same sums on both
+        g = make_grid(1, 2, 0.5)
+        levels = (g.num_modes + 1).bit_length()
+        rng = np.random.default_rng(53)
+        base = rng.uniform(-0.5, 0.5, (2, g.num_modes))
+        rows = []
+        for edge in (2.0**-961, 2.0 ** (1022 - levels)):
+            for peak in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)):
+                re, im = base * (2.0 * peak)
+                re[3], im[6] = peak, -peak
+                rows.append(complex_rows(re, im))
+        pts = np.vstack([default_points(1, 5, 10), [[0.0]]])
+        self.fsum_calls(g, pts, np.array(rows), monkeypatch)
+
+    def test_row_cancelling_to_a_subnormal_sum(self, monkeypatch):
+        # at x = 0 the products are the coefficients, and they cancel to
+        # 3 * 2**-1074 and -2**-1030 + 2**-1074
+        g = make_grid(1, 1, 1)
+        coeffs = np.array([
+            [1.0, -1.0, 3 * 5e-324],
+            [complex(2.0**-900, 2.0**-1030), complex(-(2.0**-900), -(2.0**-1029)), 5e-324j],
+        ])
+        assert self.fsum_calls(g, np.array([[0.0]]), coeffs, monkeypatch) >= 2
+
+    def test_subnormal_product_decides_a_midpoint(self, monkeypatch):
+        # at x = 2**-93 the waves are (1, -+2**-93) and (1, 0).  b1 * 2**-93 =
+        # 2**-1023 + 2**-1075 is a tie on the subnormal grid and rounds to
+        # 2**-1023, so the unscaled product's real part A - 2**-1023 is a tie
+        # too and rounds to A (even); scaled, both roundings are in the normal
+        # range and give A - 2**-1022.  The real sum a0 + 2**-983 is a midpoint
+        # between a0 (odd) and its successor, so the scaled products sum to
+        # a0 and the unscaled ones to the successor: only the bound's
+        # subnormal term refuses the scaled sum
+        g = make_grid(1, 1, 1)
+        big = 2.0**-930 * (1.0 + 2.0**-52)
+        a = 2.0**-970 + 2.0**-1021
+        coeffs = np.array([[2.0**-983 - a, big, complex(a, big)]])
+        assert self.fsum_calls(g, np.array([[2.0**-93]]), coeffs, monkeypatch) >= 1
+        norm = g.weight / (2.0 * math.pi)
+        got = spectral._wave_sums(g, np.array([[2.0**-93]]), 1, lambda i: coeffs[0])[0, 0]
+        assert got.real == float.fromhex("0x1.0000000000002p-930") * norm
+
+    def test_one_point_geometric_block(self, monkeypatch):
+        # a geometric trace at one point: 61 rows 2**-k apart, k up to 60, in
+        # one block; each row has its own scale, so none takes the fallback
+        g = spectral.default_grid()
+        f = random_field(g, np.random.default_rng(54))
+        c = (np.exp(0.01j * np.sqrt(g.radii)) - 1.0) * f.coefficients
+        coeffs = c * np.ldexp(1.0, -np.arange(61))[:, None]
+        assert self.fsum_calls(g, np.array([[0.5]]), coeffs, monkeypatch) == 0
+
+
 def traced_wave_sums(grid, num_rows):
     """``_wave_sums`` of ``num_rows`` scaled copies of a random field at 32
     default points, traced: (sums, bytes of the waves, bytes of one
@@ -822,25 +912,26 @@ def fsum_rows(values):
 
 
 def csum_steps(values):
-    """Run ``csum`` on the rows of ``values`` and return what its two kernel
+    """Run ``csum`` on the rows of ``values`` and return what its kernel
     steps left: the certificate's ``ok`` (rows, 2), and the high parts (in
-    the split buffer) and low parts (in the split copy) of the terms."""
+    the split buffer) and low parts (in the split copy) of the terms, each
+    times its row's 2**-k (the ``scale`` the certificate reads)."""
     seen = {}
     split, certify = spectral._split_sums, spectral._certify_sums
 
-    def recording_split(x, high, low, bound, buf):
-        split(x, high, low, bound, buf)
+    def recording_split(x, high, low, buf):
+        split(x, high, low, buf)
         seen.update(high=buf[: x.size].reshape(x.shape), low=x)
 
-    def recording_certify(*args):
-        seen["ok"] = certify(*args)
+    def recording_certify(high, low, bound, scale, terms):
+        seen.update(ok=certify(high, low, bound, scale, terms), scale=scale[:, None, None])
         return seen["ok"]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_split_sums", recording_split)
         mp.setattr(spectral, "_certify_sums", recording_certify)
         csum(values)
-    return seen["ok"], seen["high"], seen["low"]
+    return seen["ok"], seen["high"] * seen["scale"], seen["low"] * seen["scale"]
 
 
 def assert_csum_is_fsum(values):
