@@ -33,6 +33,7 @@ checks its decay rate.  Constants are measured, never assumed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -121,6 +122,12 @@ def check_reads(owner: str, reads: tuple, s: float, **given) -> None:
         raise ParameterError("shift families require a finite beta")
 
 
+def _check_delta(delta: float) -> float:
+    if not (np.isfinite(delta) and DELTA_MIN <= delta < 1.0):
+        raise ParameterError(f"delta must lie in [1e-10, 1), got {delta}")
+    return delta
+
+
 @dataclass(frozen=True)
 class MultiplierSpec:
     """Selects one multiplier family with its parameters.
@@ -140,17 +147,17 @@ class MultiplierSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if not (np.isfinite(self.delta) and DELTA_MIN <= self.delta < 1.0):
-            raise ParameterError(
-                f"delta must lie in [1e-10, 1), got {self.delta}"
-            )
+        _check_delta(self.delta)
         check_reads(f"{self.family.value} family", self.family.reads, self.s,
                     a=self.a, beta=self.beta, law=self.law)
         law = self.law if self.family.uses_law else power_law(self.a)
         object.__setattr__(self, "phase_law", law)
 
     def with_delta(self, delta: float) -> "MultiplierSpec":
-        return dataclasses.replace(self, delta=float(delta))
+        """This spec at another delta: only delta is checked; the rest is copied."""
+        spec = object.__new__(type(self))
+        spec.__dict__.update(self.__dict__, delta=_check_delta(float(delta)))
+        return spec
 
     def params_dict(self) -> dict:
         """s and the family's parameters, the law by its name (delta is left out)."""
@@ -393,33 +400,62 @@ class ScanResult:
 
 
 def _scan(spec: MultiplierSpec, radii: np.ndarray) -> ScanResult:
-    radii = radii[(radii > 0.0) & np.isfinite(radii)]
-    if radii.size == 0:
-        raise ParameterError("empty scan")
-    signed = np.concatenate([radii, -radii]) if spec.family.shifted else radii
-    vals = modulus_on_axis(spec, signed)
-    top = float(vals.max())
-    ties = np.flatnonzero(vals == top)
-    # deterministic tiebreak: smaller |xi| first, then the more negative coordinate
-    order = np.lexsort((signed[ties], np.abs(signed[ties])))
-    return ScanResult(sup=top, argmax=float(signed[ties[order[0]]]), points=signed.size)
+    """sup|m| over positive finite radii, on both signs of mu for a shift family.
+
+    With h = theta/2 and den = (1+r*r)**(s/2), b = 2*min(|h|, 1) / den is at
+    least the modulus 2|fl(sin h)| / den bit for bit for a faithful sin (error
+    below one ulp): |fl(sin h)| <= min(|h|, 1), doubling is exact and division
+    monotone.  The seed, the modulus where b peaks, is at most the sup, so a
+    point with b < seed is neither the max nor a tie and gets no sin; a
+    non-finite h (a NaN sine) makes the seed NaN, which keeps every point.
+    Ties go to the smaller |xi|, then to the more negative coordinate.
+    """
+    with np.errstate(over="ignore"):  # the weight of propagation._modulus
+        den = (1.0 + radii * radii) ** (0.5 * spec.s)
+    theta = [phase(spec.phase_law, spec.delta, radii, None, None)]
+    if spec.family.shifted:  # the signs share law and den: base +- drift is phase at +-r
+        drift = shift_offset(spec.delta, spec.beta) * radii
+        theta = [theta[0] + drift, np.subtract(theta[0], drift, out=drift)]
+    halves = [np.multiply(t, 0.5, out=t) for t in theta]
+    bounds = [_bound(h, den) for h in halves]
+    seed = math.nan  # argmax and argmin find any NaN or infinity in h
+    if all(math.isfinite(h[h.argmax()]) and math.isfinite(h[h.argmin()]) for h in halves):
+        _, k, i = max((b[j], k, j) for k, b in enumerate(bounds) for j in [int(b.argmax())])
+        seed = 2.0 * abs(float(np.sin(halves[k][i]))) / float(den[i])  # np.sin as in an array
+    keep = [(~(b < seed)).nonzero()[0] for b in bounds]
+    vals = [2.0 * np.abs(np.sin(h.take(kept))) / den.take(kept) for h, kept in zip(halves, keep)]
+    # a non-finite h has a NaN modulus, so the full scan's max is NaN
+    top = math.nan if math.isnan(seed) else max(float(v.max(initial=-math.inf)) for v in vals)
+    signed = np.concatenate([sg * radii.take(k[v == top]) for sg, k, v in zip((1.0, -1.0), keep, vals)])
+    order = np.lexsort((signed, np.abs(signed)))
+    return ScanResult(sup=top, argmax=float(signed[order[0]]), points=radii.size * len(halves))
+
+
+def _bound(h, den):
+    """2*min(|h|, 1) / den, NaN where h is: see ``_scan``."""
+    return 2.0 * np.minimum(np.abs(h), 1.0) / den
+
+
+#: 10**(k / SCAN_PER_DECADE), k >= -6*SCAN_PER_DECADE, grown by numpy's pow (not at import).
+_GEOMETRIC = np.empty(0)
+_order_one_window = functools.cache(lambda: np.linspace(0.05, 20.0, 800))
 
 
 def _scan_radii(xi_max: float, r_turn: np.ndarray, r_pi: float) -> np.ndarray:
-    parts = []
-    lo_exp = -6 * SCAN_PER_DECADE
-    hi_exp = math.floor(math.log10(xi_max) * SCAN_PER_DECADE)
-    exps = np.arange(lo_exp, hi_exp + 1, dtype=float) / SCAN_PER_DECADE
-    parts.append(10.0**exps)
-    parts.append(np.asarray([xi_max]))
-    # refinement 1: resolve the phase u = theta(r) uniformly through its first turn
-    parts.append(r_turn)
-    # refinement 2: linear window around the first |numerator| = 2 crossing
-    parts.append(np.linspace(0.6 * r_pi, 1.4 * r_pi, 1001))
-    # refinement 3: the order-one region, where shifted suprema often live
-    parts.append(np.linspace(0.05, min(20.0, xi_max), 800))
-    radii = np.concatenate(parts)
-    return radii[radii <= xi_max * (1.0 + 1e-12)]
+    global _GEOMETRIC
+    lo, hi = -6 * SCAN_PER_DECADE, math.floor(math.log10(xi_max) * SCAN_PER_DECADE)
+    if hi - lo >= _GEOMETRIC.size:  # each entry is 10.0**(k / SCAN_PER_DECADE) bit for bit
+        more = np.arange(lo + _GEOMETRIC.size, hi + 1, dtype=float) / SCAN_PER_DECADE
+        _GEOMETRIC = np.concatenate([_GEOMETRIC, 10.0**more])
+    radii = np.concatenate([
+        _GEOMETRIC[:hi + 1 - lo], [xi_max],
+        r_turn,  # refinement 1: the phase u = theta(r) uniformly through its first turn
+        np.linspace(0.6 * r_pi, 1.4 * r_pi, 1001),  # 2: around the first |numerator| = 2 crossing
+        # 3: the order-one region, where shifted suprema often live
+        _order_one_window() if xi_max >= 20.0 else np.linspace(0.05, xi_max, 800),
+    ])
+    # a finite cap, so the kept radii are finite
+    return radii[(radii > 0.0) & (radii <= min(xi_max * (1.0 + 1e-12), np.finfo(float).max))]
 
 
 def numeric_sup(spec: MultiplierSpec) -> ScanResult:
@@ -430,6 +466,9 @@ def numeric_sup(spec: MultiplierSpec) -> ScanResult:
     among them the ``SCAN_REFINE`` radii of the first phase turn, found with
     that of pi in one ``_phase_radii`` call; shift families are scanned
     along both signs of mu.  ``xi_max`` covers the first turn and 4 * r_c.
+    Only points whose bound 2*min(|theta/2|, 1) / (1+r*r)**(s/2), at least the modulus
+    for a faithful sin, reaches the seed, the modulus where it peaks, get a sin, and a
+    non-finite phase keeps every point (``_scan``): the outputs are the full scan's.
     """
     # before the phase radii, so an r_c that overflows is the error named
     r_c = critical_radius(spec)
@@ -457,13 +496,10 @@ def sweep(template: MultiplierSpec, deltas, strict: bool = True) -> Sweep:
     """Each delta's envelope, then its scan.  The hypotheses do not depend
     on delta, so they are validated once, for the first delta."""
     deltas = tuple(float(d) for d in deltas)
-    first = template.with_delta(deltas[0])
     if strict:
-        validate_hypotheses(first)
-    specs = [first] + [template.with_delta(d) for d in deltas[1:]]
+        validate_hypotheses(template.with_delta(deltas[0]))
     envelopes, scans = [], []
-    for spec in specs:
-        # the delta-independent hypotheses were validated once above
+    for spec in [template.with_delta(d) for d in deltas]:
         envelopes.append(analytic_envelope(spec, strict=False))
         scans.append(numeric_sup(spec))
     return Sweep(template.family, template.params_dict(), deltas, tuple(scans), tuple(envelopes))

@@ -129,12 +129,13 @@ def invert_many(law: PhaseLaw, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         radii = law.inverse(ys)
-    if not (np.isfinite(radii).all() and (ys > 0.0).all()):
-        if not (np.isfinite(ys).all() and (ys > 0.0).all()):
-            raise ParameterError("values to invert must be positive and finite")
-        y = float(np.min(ys[~np.isfinite(radii)]))
-        raise ParameterError(f"gamma^-1(y) overflows for {law.name} at y={y!r}")
-    return radii
+    # the full check only when these fail: argmax and argmin find a NaN first, and radii are >= 0
+    if ys.size == 0 or (np.isfinite(radii.flat[radii.argmax()]) and ys.flat[ys.argmin()] > 0.0):
+        return radii
+    if not (np.isfinite(ys).all() and (ys > 0.0).all()):
+        raise ParameterError("values to invert must be positive and finite")
+    y = float(np.min(ys[~np.isfinite(radii)]))
+    raise ParameterError(f"gamma^-1(y) overflows for {law.name} at y={y!r}")
 
 
 def invert(law: PhaseLaw, y: float) -> float:

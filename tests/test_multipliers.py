@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import subprocess
+import sys
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -31,11 +34,16 @@ from phaselab import (
 from phaselab.multipliers import (
     DELTA_MIN,
     RATIO_CAP,
+    SCAN_PER_DECADE,
+    ScanResult,
+    _bound,
     _phase_radii,
+    _scan,
+    _scan_radii,
     modulus_on_axis,
     sweep,
 )
-from phaselab.propagation import phase
+from phaselab.propagation import _modulus, phase
 
 DELTAS_4DEC = [10.0 ** (-e) for e in np.linspace(2, 6, 17)]
 
@@ -668,3 +676,186 @@ class TestAxisScanConsistency:
         axis = modulus_on_axis(spec, xs)
         for x, m in zip(xs, axis):
             assert abs(multiplier_value(spec, [x])) == pytest.approx(m, rel=1e-13, abs=1e-300)
+
+
+def full_scan(spec, radii):
+    """The scan without pruning: every point's modulus from ``modulus_on_axis``,
+    the max, and its ties broken on |xi|, then on the coordinate."""
+    signed = np.concatenate([radii, -radii]) if spec.family.shifted else radii
+    vals = modulus_on_axis(spec, signed)
+    top = float(vals.max())
+    ties = np.flatnonzero(vals == top)
+    order = np.lexsort((signed[ties], np.abs(signed[ties])))
+    return ScanResult(sup=top, argmax=float(signed[ties[order[0]]]), points=signed.size)
+
+
+def outcome(scan, spec, radii, invalid="ignore"):
+    """(sup, argmax) in hex and the point count, or the error a scan ends in."""
+    try:
+        with np.errstate(over="ignore", invalid=invalid):
+            result = scan(spec, radii)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.sup.hex(), result.argmax.hex(), result.points
+
+
+def table_spec(family, radii, thetas, beta=None, s=0.5):
+    """A spec whose unshifted phase at radii[j] is thetas[j] exactly:
+    delta = 0.5 and a law that takes 2*theta there."""
+    table = dict(zip(np.asarray(radii, dtype=float).tolist(), (2.0 * np.asarray(thetas)).tolist()))
+
+    def law(r):
+        r = np.asarray(r, dtype=float)
+        return np.array([table[x] for x in r.ravel().tolist()]).reshape(r.shape)
+
+    return MultiplierSpec(family, s=s, delta=0.5, law=PhaseLaw("table", law, law, 1.0), beta=beta)
+
+
+SCAN_LAWS = [LINEAR, BOUSSINESQ, QUARTIC, power_law(0.7), power_law(1.5)]
+
+
+class TestPrunedScan:
+    """numeric_sup evaluates sin only where the bound 2*min(|h|, 1)/den
+    reaches the seed; its sup, argmax and points are the full scan's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(list(Family)),
+        s=st.floats(0.05, 2.0),
+        a=st.floats(0.2, 3.0),
+        beta=st.floats(-1.0, 3.0),
+        law=st.sampled_from(SCAN_LAWS),
+        log_delta=st.floats(-10.0, -1.0),
+    )
+    def test_numeric_sup_is_the_full_scan(self, family, s, a, beta, law, log_delta):
+        kwargs = {"law": law} if family.uses_law else {"a": a}
+        if family.shifted:
+            kwargs["beta"] = beta
+        spec = MultiplierSpec(family, s=s, delta=10.0**log_delta, **kwargs)
+        seen = []
+
+        def recorder(spec, radii):
+            seen.append(radii)
+            return _scan(spec, radii)
+
+        with mock.patch.object(phaselab.multipliers, "_scan", recorder):
+            got = outcome(lambda spec, _: numeric_sup(spec), spec, None)
+        if seen:  # no scan when the critical radius or the phase radii fail
+            assert got == outcome(full_scan, spec, seen[0])
+
+    @pytest.mark.parametrize("s", [0.25, 1.0, 2.0])
+    def test_bound_dominates_the_computed_modulus(self, s):
+        tiny = [3 * 2.0**-1074, 5e-324, 2.0**-1022, 1e-300, 1e-8, 1.0, 2.0, math.pi]
+        turns = 2 * math.pi * np.arange(1.0, 400.0)
+        near_turns = np.concatenate([np.nextafter(turns, 0.0), turns, np.nextafter(turns, np.inf)])
+        huge = [1e15, 1e22, 1e100, 1e300, sys.float_info.max]
+        theta = np.concatenate([tiny, near_turns, huge])
+        theta = np.concatenate([theta, -theta, [math.nan]])
+        for r in (0.0, 1e-3, 1.0, 1e3, 1e200):  # 1e200: the weight overflows to inf
+            rs = np.full_like(theta, r)
+            with np.errstate(over="ignore"):
+                den = (1.0 + rs * rs) ** (0.5 * s)
+            modulus, bound = _modulus(theta, rs, s), _bound(0.5 * theta, den)
+            assert not np.any(bound < modulus)
+            assert np.array_equal(np.isnan(bound), np.isnan(theta))
+            if r == 1e200:
+                assert np.all(modulus[:-1] == 0.0) and np.all(bound[:-1] == 0.0)
+        # 0.5 * 3 * 2**-1074 rounds up to 2**-1073: the bound is read off h, not theta
+        assert _modulus(np.array([3 * 2.0**-1074]), np.zeros(1), s)[0] == 4 * 2.0**-1074
+
+    def test_a_subnormal_phase_is_bounded_through_h(self):
+        # theta = 3*2**-1074 has h = 2**-1073 and modulus 4*2**-1074 > |theta|
+        radii = np.array([1e-10, 2e-10])
+        spec = table_spec(Family.GAMMA, radii, [3 * 2.0**-1074, 2.0**-1074])
+        assert _scan(spec, radii) == ScanResult(4 * 2.0**-1074, 1e-10, 2)
+        assert outcome(_scan, spec, radii) == outcome(full_scan, spec, radii)
+
+    def test_the_seed_is_a_computed_modulus(self):
+        # the bound peaks at 1e-10 (h = 1, b = 2), the modulus at 0.1 (h = pi/2)
+        radii = np.array([1e-10, 0.1])
+        spec = table_spec(Family.GAMMA, radii, [2.0, math.pi])
+        assert _scan(spec, radii).argmax == 0.1
+        assert outcome(_scan, spec, radii) == outcome(full_scan, spec, radii)
+
+    def test_a_max_the_bound_equals_is_kept(self):
+        # sin(pi/2) rounds to 1, so the seed point's bound equals its modulus
+        radii = np.array([1e-10, 1.0, 2.0])
+        spec = table_spec(Family.GAMMA, radii, [math.pi, 1.0, 1.0])
+        assert outcome(_scan, spec, radii) == outcome(full_scan, spec, radii)
+        assert _scan(spec, radii) == ScanResult(2.0, 1e-10, 3)
+
+    def test_ties_go_to_the_smaller_radius_then_the_negative_sign(self):
+        # below 1e-8 the weight is 1.0, and sin(pi/2 +- drift/2) rounds to 1
+        radii = np.array([2e-10, 1e-10, 5.0])
+        thetas = [math.pi, math.pi, 1.0]
+        plain = table_spec(Family.GAMMA, radii, thetas)
+        assert _scan(plain, radii) == ScanResult(2.0, 1e-10, 3)
+        shifted = table_spec(Family.GAMMA_SHIFT, radii, thetas, beta=1.0)
+        assert _scan(shifted, radii) == ScanResult(2.0, -1e-10, 6)
+        for spec in (plain, shifted):
+            assert outcome(_scan, spec, radii) == outcome(full_scan, spec, radii)
+
+    @pytest.mark.parametrize("family", [Family.GAMMA, Family.GAMMA_SHIFT])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_phase_ends_as_the_full_scan_does(self, family, bad):
+        # the bad phase sits where the bound is far below the seed; sin(+-inf)
+        # raises the invalid flag, so raising on it shows that sin reached it
+        radii = np.array([1e-10, 1e5, 3.0])
+        spec = table_spec(family, radii, [math.pi, bad, 1.0], beta=1.0 if family.shifted else None)
+        for invalid in ("ignore", "raise"):
+            assert outcome(_scan, spec, radii, invalid) == outcome(full_scan, spec, radii, invalid)
+
+
+def fresh_scan_radii(xi_max, r_turn, r_pi):
+    """The scan radii as built before any piece was reused."""
+    exps = np.arange(-6 * SCAN_PER_DECADE, math.floor(math.log10(xi_max) * SCAN_PER_DECADE) + 1,
+                     dtype=float) / SCAN_PER_DECADE
+    radii = np.concatenate([10.0**exps, [xi_max], r_turn, np.linspace(0.6 * r_pi, 1.4 * r_pi, 1001),
+                            np.linspace(0.05, min(20.0, xi_max), 800)])
+    radii = radii[radii <= xi_max * (1.0 + 1e-12)]
+    return radii[(radii > 0.0) & np.isfinite(radii)]
+
+
+class TestReusedScanPieces:
+    def test_geometric_points_are_fresh_powers(self, monkeypatch):
+        # every hi a scan reaches, from xi_max = 8 to the largest double: growing
+        # the table by one, then by jumps, then reading prefixes of the full table
+        monkeypatch.setattr(phaselab.multipliers, "_GEOMETRIC", np.empty(0))
+        top = math.floor(math.log10(sys.float_info.max) * SCAN_PER_DECADE)
+        his = list(range(math.floor(math.log10(8.0) * SCAN_PER_DECADE), top + 1))
+        r_turn = np.array([1.0, 2.0, 3.0])
+        for hi in his[:40] + his[40::97] + his[::-1]:
+            xi_max = sys.float_info.max if hi == top else 10.0 ** ((hi + 0.5) / SCAN_PER_DECADE)
+            assert math.floor(math.log10(xi_max) * SCAN_PER_DECADE) == hi
+            fresh = 10.0 ** (np.arange(-6 * SCAN_PER_DECADE, hi + 1, dtype=float) / SCAN_PER_DECADE)
+            assert np.array_equal(_scan_radii(xi_max, r_turn, 2.0)[:fresh.size], fresh), hi
+
+    @pytest.mark.parametrize("xi_max", [8.0, 19.99, 20.0, 20.01, 1e5, 1e300])
+    def test_scan_radii_are_the_fresh_ones(self, xi_max):
+        r_turn = np.geomspace(1e-3, xi_max / 1.05, 1500)
+        r_pi = float(r_turn[749])
+        assert np.array_equal(_scan_radii(xi_max, r_turn, r_pi), fresh_scan_radii(xi_max, r_turn, r_pi))
+
+    def test_import_builds_nothing(self):
+        code = ("import phaselab, phaselab.multipliers as m; "
+                "assert m._GEOMETRIC.size == 0; "
+                "assert m._order_one_window.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+    @pytest.mark.parametrize("template", SWEEP_TEMPLATES + [power_spec(0.5, 0.5, 1e-3)],
+                             ids=lambda s: s.family.value)
+    def test_with_delta_is_replace(self, template):
+        radii = np.geomspace(1e-3, 1e6, 50)
+        for d in (1e-10, 3e-6, 0.5):
+            lean, full = template.with_delta(d), dataclasses.replace(template, delta=d)
+            for field in dataclasses.fields(MultiplierSpec):
+                if field.name != "phase_law":
+                    assert getattr(lean, field.name) == getattr(full, field.name)
+            assert lean == full
+            assert np.array_equal(lean.phase_law(radii), full.phase_law(radii))
+        for bad in (math.nan, math.inf, 0.0, 1e-11, 1.0):
+            with pytest.raises(ParameterError) as lean_err:
+                template.with_delta(bad)
+            with pytest.raises(ParameterError) as full_err:
+                dataclasses.replace(template, delta=bad)
+            assert str(lean_err.value) == str(full_err.value)

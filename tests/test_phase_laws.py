@@ -82,6 +82,31 @@ class TestBatchedInverse:
         assert np.array_equal(invert_many(law, ys.reshape(10, 15)), batch.reshape(10, 15))
 
 
+class TestInverseChecks:
+    """The inverse is checked by two reductions; only a failure runs the
+    full check, whose messages name the cause."""
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_a_bad_y_is_named(self, bad):
+        for law in (LINEAR, QUARTIC, power_law(0.01)):
+            ys = np.array([2.0, 1e5, bad, 5.0])  # 1e5 overflows power:a=0.01 as well
+            with pytest.raises(ParameterError, match=r"^values to invert must be positive and finite$"):
+                invert_many(law, ys)
+
+    def test_the_least_overflowing_y_is_named_in_unsorted_input(self):
+        # y**100 overflows from y = 1203 on
+        ys = np.array([5.0, 1e5, 2.0, 3e3, 10.0, 2e3, 1202.0])
+        with pytest.raises(ParameterError, match=r"^gamma\^-1\(y\) overflows for power:a=0.01 at y=2000.0$"):
+            invert_many(power_law(0.01), ys)
+
+    def test_finite_radii_whose_sum_overflows_pass(self):
+        ys = np.array([1e308, 1.5e308, 1.7e308])
+        assert np.array_equal(invert_many(LINEAR, ys), ys)
+
+    def test_empty_input(self):
+        assert invert_many(QUARTIC, np.array([])).shape == (0,)
+
+
 def mp_inverse(gamma, y, growth):
     """Root of gamma(r) = y at 50 digits by secant steps from the power-law
     guess y**growth (large y) or y**(1/order at 0) (small y)."""
