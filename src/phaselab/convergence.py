@@ -372,9 +372,7 @@ class TraceResult:
     k_max: int
 
 
-def default_points(
-    n: int, count: int = DEFAULT_NUM_POINTS, seed: int = DEFAULT_SEED
-) -> np.ndarray:
+def default_points(n: int, count: int = DEFAULT_NUM_POINTS, seed: int = DEFAULT_SEED) -> np.ndarray:
     """The documented default sample set: uniform points in [-pi, pi]**n."""
     rng = np.random.default_rng(seed)
     return rng.uniform(-math.pi, math.pi, size=(count, n))
@@ -385,11 +383,7 @@ def _tail_bound(field: SpectralField, law, shift: ShiftSpec | None, seq: TimeSeq
     if seq.kind == "explicit":
         return None
     grid = field.grid
-    mass = (
-        _fsum(np.abs(field.coefficients).tolist())
-        * grid.weight
-        / (2.0 * math.pi) ** grid.n
-    )
+    mass = _fsum(np.abs(field.coefficients).tolist()) * grid.weight / (2.0 * math.pi) ** grid.n
     gmax = float(np.max(np.asarray(law(grid.radii), dtype=float)))
     proj = float(np.max(np.abs(_dot(grid.modes, shift.mu)))) if shift is not None else 0.0
 
@@ -452,16 +446,14 @@ def pointwise_trace(
     with np.errstate(over="ignore", invalid="ignore"):
         radial = law(grid.radii[:half])  # once a trace, not once a time
 
-    def residual(k):
+    def residual(k, rows):
         # without a shift theta depends on |xi| alone, and |xi| = |-xi| bit for
         # bit, so e^{i theta} is formed on half the lattice and mirrored
-        theta = _angles(grid, law, float(times[k]), shift, radial)
-        row = np.empty(m, dtype=complex)
-        np.exp(np.multiply(1j, theta[:half], out=row[:half]), out=row[:half])
-        row[half:] = row[: m - half][::-1]
-        row -= 1.0
-        row *= field.coefficients
-        return row
+        theta = _angles(grid, law, times[k : k + len(rows)], shift, radial)
+        np.exp(np.multiply(1j, theta, out=rows[:, :half]), out=rows[:, :half])
+        rows[:, half:] = rows[:, : m - half][:, ::-1]
+        rows -= 1.0
+        rows *= field.coefficients
 
     values = _wave_sums(grid, pts, len(times), residual)
     # np.cumsum adds along k in order, as a running sum would (np.sum pairs

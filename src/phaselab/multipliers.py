@@ -406,26 +406,27 @@ def _scan(spec: MultiplierSpec, radii: np.ndarray) -> ScanResult:
     least the modulus 2|fl(sin h)| / den bit for bit for a faithful sin (error
     below one ulp): |fl(sin h)| <= min(|h|, 1), doubling is exact and division
     monotone.  The seed, the modulus where b peaks, is at most the sup, so a
-    point with b < seed is neither the max nor a tie and gets no sin; a
-    non-finite h (a NaN sine) makes the seed NaN, which keeps every point.
-    Ties go to the smaller |xi|, then to the more negative coordinate.
+    point with b < seed is neither the max nor a tie and gets no sin; a phase
+    that is not finite is a ParameterError naming delta and the least such
+    |xi|.  Ties go to the smaller |xi|, then to the more negative coordinate.
     """
-    with np.errstate(over="ignore"):  # the weight of propagation._modulus
+    with np.errstate(over="ignore", invalid="ignore"):  # the weight of _modulus; theta is checked
         den = (1.0 + radii * radii) ** (0.5 * spec.s)
-    theta = [phase(spec.phase_law, spec.delta, radii, None, None)]
-    if spec.family.shifted:  # the signs share law and den: base +- drift is phase at +-r
-        drift = shift_offset(spec.delta, spec.beta) * radii
-        theta = [theta[0] + drift, np.subtract(theta[0], drift, out=drift)]
+        theta = [phase(spec.phase_law, spec.delta, radii, None, None)]
+        if spec.family.shifted:  # the signs share law and den: base +- drift is phase at +-r
+            drift = shift_offset(spec.delta, spec.beta) * radii
+            theta = [theta[0] + drift, np.subtract(theta[0], drift, out=drift)]
     halves = [np.multiply(t, 0.5, out=t) for t in theta]
+    if not all(math.isfinite(h[h.argmax()]) and math.isfinite(h[h.argmin()]) for h in halves):
+        finite = np.isfinite(halves[0]) & np.isfinite(halves[-1])  # argmax finds a NaN first
+        r = float(radii[~finite].min())
+        raise ParameterError(f"the phase at delta={spec.delta!r} is not finite at |xi|={r!r}")
     bounds = [_bound(h, den) for h in halves]
-    seed = math.nan  # argmax and argmin find any NaN or infinity in h
-    if all(math.isfinite(h[h.argmax()]) and math.isfinite(h[h.argmin()]) for h in halves):
-        _, k, i = max((b[j], k, j) for k, b in enumerate(bounds) for j in [int(b.argmax())])
-        seed = 2.0 * abs(float(np.sin(halves[k][i]))) / float(den[i])  # np.sin as in an array
+    _, k, i = max((b[j], k, j) for k, b in enumerate(bounds) for j in [int(b.argmax())])
+    seed = 2.0 * abs(float(np.sin(halves[k][i]))) / float(den[i])  # np.sin as in an array
     keep = [(~(b < seed)).nonzero()[0] for b in bounds]
     vals = [2.0 * np.abs(np.sin(h.take(kept))) / den.take(kept) for h, kept in zip(halves, keep)]
-    # a non-finite h has a NaN modulus, so the full scan's max is NaN
-    top = math.nan if math.isnan(seed) else max(float(v.max(initial=-math.inf)) for v in vals)
+    top = max(float(v.max(initial=-math.inf)) for v in vals)
     signed = np.concatenate([sg * radii.take(k[v == top]) for sg, k, v in zip((1.0, -1.0), keep, vals)])
     order = np.lexsort((signed, np.abs(signed)))
     return ScanResult(sup=top, argmax=float(signed[order[0]]), points=radii.size * len(halves))
@@ -467,8 +468,8 @@ def numeric_sup(spec: MultiplierSpec) -> ScanResult:
     that of pi in one ``_phase_radii`` call; shift families are scanned
     along both signs of mu.  ``xi_max`` covers the first turn and 4 * r_c.
     Only points whose bound 2*min(|theta/2|, 1) / (1+r*r)**(s/2), at least the modulus
-    for a faithful sin, reaches the seed, the modulus where it peaks, get a sin, and a
-    non-finite phase keeps every point (``_scan``): the outputs are the full scan's.
+    for a faithful sin, reaches the seed, the modulus where it peaks, get a sin (``_scan``):
+    the outputs are the full scan's.  A phase that is not finite is a ParameterError.
     """
     # before the phase radii, so an r_c that overflows is the error named
     r_c = critical_radius(spec)

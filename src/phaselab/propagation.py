@@ -78,27 +78,32 @@ def _modulus(theta, r, s):
         return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * s)
 
 
-def _angles(grid: FrequencyGrid, law, t: float, shift: ShiftSpec | None, radial=None):
-    """The phase at every mode of the grid; ParameterError where it is not
-    finite.  ``radial``, law values the caller evaluated once, stands in for
-    the law; without a shift it may cover the first modes only, as the phase then does."""
-    if not (0 <= t < math.inf):
-        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+def _angles(grid: FrequencyGrid, law, times, shift: ShiftSpec | None, radial=None):
+    """The (T, modes) phase at every mode for a 1-D array of T times; a ParameterError names
+    the first t that is negative or not finite or whose phase is not.  ``radial``, law values
+    evaluated once, stands in for the law; without a shift it may cover the first modes only."""
+    times = np.asarray(times, dtype=float)
+    bad = ~((0 <= times) & (times < math.inf))
+    if bad.any():
+        raise ParameterError(f"t must be nonnegative and finite, got {float(times[bad.argmax()])}")
     if shift is not None and shift.mu.shape != (grid.n,):
         raise ParameterError(f"mu has shape {shift.mu.shape}, expected ({grid.n},)")
-    beta, proj = (None, None) if shift is None else (shift.beta, _dot(grid.modes, shift.mu))
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = phase(law if radial is None else lambda r: radial, t, grid.radii, beta, proj)
-    if not np.isfinite(theta).all():
-        raise ParameterError(
-            f"the phase of {getattr(law, 'name', law)} is not finite at t={t}"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # t*law(|xi|) + t**beta * mu.xi, as phase
+        theta = np.multiply.outer(times, law(grid.radii) if radial is None else radial)
+        if shift is not None:  # row by row: one row of temporary
+            proj = _dot(grid.modes, shift.mu)
+            for row, t in zip(theta, times.tolist()):
+                row += shift_offset(t, shift.beta) * proj
+    finite = np.isfinite(theta).all(axis=1)
+    if not finite.all():
+        t = float(times[finite.argmin()])
+        raise ParameterError(f"the phase of {getattr(law, 'name', law)} is not finite at t={t}")
     return theta
 
 
 def apply_phase(field: SpectralField, law, t: float) -> SpectralField:
     """Multiply each coefficient by e^{it*gamma(|xi_j|)}; moduli are preserved."""
-    theta = _angles(field.grid, law, t, None)
+    theta = _angles(field.grid, law, [t], None)[0]
     return SpectralField(field.grid, field.coefficients * np.exp(1j * theta))
 
 
@@ -122,15 +127,15 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
     grid = field.grid
     pts, single = _points(grid, x)
 
-    def evolved(i):
+    def evolved(i, rows):
         # formed under _wave_sums' np.errstate, so an overflow warns nothing
-        t = float(times.flat[i])
-        row = field.coefficients * np.exp(1j * _angles(grid, law, t, shift))
-        if not np.isfinite(row).all():
-            raise ParameterError(
-                f"coefficients too large to sample: the evolved coefficients overflow at t={t}"
-            )
-        return row
+        ts = times.reshape(-1)[i : i + len(rows)]
+        np.exp(np.multiply(1j, _angles(grid, law, ts, shift), out=rows), out=rows)
+        np.multiply(field.coefficients, rows, out=rows)
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ParameterError("coefficients too large to sample: the evolved "
+                                 f"coefficients overflow at t={float(ts[finite.argmin()])}")
 
     sums = _wave_sums(grid, pts, times.size, evolved)
     sums = sums.reshape(times.shape + (() if single else (len(pts),)))
@@ -146,13 +151,8 @@ class ErrorField:
     hs_of_f: float
 
 
-def error_field(
-    field: SpectralField,
-    law,
-    t: float,
-    shift: ShiftSpec | None = None,
-    s: float = 0.0,
-) -> ErrorField:
+def error_field(field: SpectralField, law, t: float, shift: ShiftSpec | None = None,
+                s: float = 0.0) -> ErrorField:
     """Frequency-side residual h_j = (e^{i theta_j} - 1) f_j with its norms.
 
     ``l2`` is the discrete Plancherel norm of h and ``hs_of_f`` the weighted
@@ -160,7 +160,7 @@ def error_field(
     is the multiplier relating the two; the inequality is asserted on every
     call in test builds.
     """
-    theta = _angles(field.grid, law, t, shift)
+    theta = _angles(field.grid, law, [t], shift)[0]
     factor = np.exp(1j * theta) - 1.0
     h = SpectralField(field.grid, factor * field.coefficients)
     l2 = sobolev_norm(h, 0.0)

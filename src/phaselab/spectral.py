@@ -9,7 +9,7 @@ terms rounded once to the nearest double, so it does not depend on
 summation order, runs or thread counts.
 
 ``csum`` sums every row of a 2-D block at once (a vector is a one-row
-block) in three steps: ``_scale_row`` scales each row by a power of two
+block) in three steps: ``_scale_rows`` scales each row by a power of two
 into integer units, the split (``_split_sums``, where the proof lives)
 rounds each term to an integer (Rump, Ogita and Oishi, "Accurate
 floating-point summation part I", 2008), and the certificate
@@ -24,14 +24,11 @@ and rounded once.  ``csum`` only reads its input: it scales a copy.
 ``_wave_sums`` evaluates (2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for
 rows c at points x (checked by ``_points``), the one sampler: a field for
 ``synthesize``, the evolved datum (``evaluate_shifted``) or residual h_k
-(``pointwise_trace``) per time, each row formed with its block.  One wave
-per point (``_waves``): the lattice's second half is the conjugate of
-its first, since x.(-xi) = -(x.xi) exactly and libm's sin is odd and
-its cos even, bit for bit.  The kernel exactly rounds every (row, point)
-sum: it scales each row before the multiply, splits each block of at most
-``BLOCK_BYTES`` of products where ``np.multiply`` wrote it and certifies
-the sums once at least 1,024 have been split, at a block's end; a refused
-sum's products are formed again on their own, unscaled, for ``fsum``.
+(``pointwise_trace``) per time.  It forms one wave per point (``_waves``:
+the lattice's second half is the conjugate of its first, bit for bit)
+and R = (BLOCK_BYTES >> 3) // (16*M) rows at a time (7 at 1,025 modes, at
+least one), scaled as a batch (``_scale_rows``), then exactly rounds every
+(row, point) sum as ``csum`` does, block by block of products.
 Every product over the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes
 through ``_dot``, which adds them left to right elementwise, so no BLAS
 kernel touches the bits.
@@ -95,27 +92,27 @@ def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return total
 
 
-def _scale_row(parts: np.ndarray, widen: float) -> tuple:
-    """Scale one row's 2M float parts in place by the 2**k of ``_split_sums``
-    and return (2**-k, the bound of its low sums), for terms at most
-    ``widen`` times its largest part (2 for products with waves, 1 for the
-    parts); a dead row is left as it is, with (1.0, inf)."""
-    m = parts.size // 2
+def _scale_rows(parts: np.ndarray, widen: float) -> np.ndarray:
+    """Scale each row of the (rows, 2M) float parts in place by the 2**k of
+    ``_split_sums`` and return (2, rows): each row's 2**-k and the bound of
+    its low sums, for terms at most ``widen`` times the row's largest part
+    (2 with waves, 1 for parts); a dead row is left as it is, with (1.0, inf)."""
+    m = parts.shape[1] // 2
     levels = (m + 1).bit_length()
     # nan propagates through both reductions and fails the range test
-    peak = widen * max(float(np.maximum.reduce(parts)), -float(np.minimum.reduce(parts)))
-    if not 2.0**_MIN_EXPONENT <= peak < 2.0 ** (1023 - levels):
-        return 1.0, math.inf
-    k = 53 - levels - math.frexp(peak)[1]
-    parts *= math.ldexp(1.0, k)
-    return math.ldexp(1.0, -k), m * m * _U + math.ldexp(m, max(k, 0) - 1017)
+    peak = widen * np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    live = (2.0**_MIN_EXPONENT <= peak) & (peak < 2.0 ** (1023 - levels))
+    k = np.where(live, 53 - levels - np.frexp(peak)[1], 0)
+    parts *= np.ldexp(1.0, k)[:, None]
+    bound = m * m * _U + np.ldexp(float(m), np.maximum(k, 0) - 1017)
+    return np.stack([np.ldexp(1.0, -k), np.where(live, bound, math.inf)])
 
 
 def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
     """The split step of the certified sums of the complex rows of x.
 
     ``x`` (rows, M, 2) is the interleaved layout ``np.multiply`` writes:
-    x[i, j] holds the parts of term j of row i, scaled by ``_scale_row``.
+    x[i, j] holds the parts of term j of row i, scaled by ``_scale_rows``.
     In place, it writes q = rint(x) into ``split`` (at least ``x.size``
     floats), leaves x the remainders p = x - q, and writes per row the
     complex sum of the q into ``high`` and that of the p into ``low``:
@@ -123,7 +120,7 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
 
     Error-free extraction at a granularity of one unit (Rump, Ogita and
     Oishi, 2008).  Let L = (M + 1).bit_length(), so M <= 2**L - 2, and
-    u = 2**-53.  ``_scale_row`` takes 2**(e-1) <= w*peak < 2**e, peak the
+    u = 2**-53.  ``_scale_rows`` takes 2**(e-1) <= w*peak < 2**e, peak the
     row's largest part in magnitude, and multiplies the row by s = 2**k,
     k = 53 - L - e.  A term is a part (w = 1, ``csum``) or a component of
     a product with a wave (w = 2): as |cos|, |sin| <= 1 and rounding is
@@ -158,7 +155,7 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
     a row share its s, and both sums run on a complex view, one
     ``sum(axis=1)`` each.  A row is dead when w*peak is zero or not
     finite, below 2**_MIN_EXPONENT, or at least 2**(1023 - L), where an
-    unscaled sum could overflow: ``_scale_row`` leaves it unscaled with
+    unscaled sum could overflow: ``_scale_rows`` leaves it unscaled with
     bound inf, so both its planes are refused.
     """
     flat = x.reshape(len(x), -1)
@@ -172,7 +169,7 @@ def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
     """The certificate of the sums ``_split_sums`` split, for n sums at once.
 
     ``high`` and ``low`` hold what ``_split_sums`` wrote for n sums, and
-    ``bound`` and ``scale`` each sum's bound and 2**-k from ``_scale_row``.
+    ``bound`` and ``scale`` each sum's bound and 2**-k from ``_scale_rows``.
     Replaces each high sum by r = fl(high + low) unscaled and returns ``ok``
     (n, 2): whether that is the exactly-rounded sum, plane by plane.  Where
     it is not, plane c of sum j is taken again as the ``_fsum`` of plane c
@@ -196,11 +193,10 @@ def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
     r -= np.nextafter(r, 0.0, out=bb)
     r *= 0.5
     ok = (p < r) & (np.abs(t, out=bb) > 2.0**-1022)
-    if not ok.all():
-        for j in np.flatnonzero(~ok.all(axis=1)).tolist():
-            planes = terms(j)
-            for c in np.flatnonzero(~ok[j]).tolist():
-                t[j, c] = _fsum(planes[:, c].tolist())
+    for j in np.flatnonzero(~ok.all(axis=1)).tolist():
+        planes = terms(j)
+        for c in np.flatnonzero(~ok[j]).tolist():
+            t[j, c] = _fsum(planes[:, c].tolist())
     return ok
 
 
@@ -221,8 +217,8 @@ def csum(values: np.ndarray):
     values = np.ascontiguousarray(values, dtype=complex)
     terms = values.view(float).reshape(values.shape + (2,))
     r, low, parts = *np.empty((2, len(values)), dtype=complex), terms.copy()
-    scale, bound = np.array([_scale_row(row, 1.0) for row in parts.reshape(len(r), -1)]).T
     with np.errstate(invalid="ignore", over="ignore"):
+        scale, bound = _scale_rows(parts.reshape(len(r), -1), 1.0)
         _split_sums(parts, r, low, np.empty(terms.size))
         _certify_sums(r, low, bound, scale, terms.__getitem__)
     return r
@@ -377,24 +373,26 @@ def _waves(grid: FrequencyGrid, pts: np.ndarray) -> np.ndarray:
     return waves
 
 
-def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.ndarray:
-    """(2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for ``num_rows`` rows c,
-    row i given by ``row(i)`` and read one block at a time, at each point x
-    of the (P, n) array ``pts``: a (num_rows, P) array.
+def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.ndarray:
+    """(2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for ``num_rows`` rows c at
+    each point x of the (P, n) array ``pts``: a (num_rows, P) array.
+    ``fill(i, out)`` writes rows i, ..., i + len(out) - 1 into ``out``.
 
-    The waves are formed once, and each row is scaled (``_scale_row``) as
-    it is formed.  Each block of (row, point) products, at most
-    ``BLOCK_BYTES``, is split in place by ``_split_sums``; its high sums go
-    straight into the result, its low sums, scales and bounds into buffers
-    of one batch and one block, allocated once.  Blocks cover the result in
-    row-major order, and ``_certify_sums`` runs on the pending sums at the
-    end of the first block that brings them to a batch of
-    ``max(1, BLOCK_BYTES >> 10)`` (1,024 by default), and on the rest after
-    the last block.  A refused sum's products are formed again on their
-    own, unscaled, from ``row(i)`` (so every row function must be pure),
-    for ``_fsum``.  Rows are formed under the loop's ``np.errstate``, so a
-    row or product that overflows warns nothing; a product or a sum that
-    is not finite at a finite wave raises ``ParameterError``.
+    The waves are formed once.  The rows are filled a batch of R =
+    max(1, (BLOCK_BYTES >> 3) // (16*M)) rows at a time, in whole blocks of
+    rows, into one buffer and scaled there (``_scale_rows``).  Each block of
+    (row, point) products, at most ``BLOCK_BYTES``, is split in place by
+    ``_split_sums``; its high sums go straight into the result, its low
+    sums, scales and bounds into buffers of one batch and one block.
+    Blocks cover the result in row-major order, and ``_certify_sums`` runs
+    on the pending sums at the end of the first block that brings them to
+    ``max(1, BLOCK_BYTES >> 10)`` (1,024), and on the rest after the last
+    block.  A refused sum's row is filled again on its own (so ``fill``
+    must be pure) and its products formed, unscaled, for ``_fsum``.  A
+    batch whose ``fill`` raises is filled again a block at a time, row by
+    row, so the error raised is the one that order meets first.  Rows are
+    formed under the loop's ``np.errstate``; a product or a sum that is not
+    finite at a finite wave raises ``ParameterError``.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
     # a non-finite or overflowing point gives a NaN wave, so NaN sums;
@@ -404,8 +402,9 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     block_rows = max(1, BLOCK_BYTES // (16 * num_modes))
     p_step = max(1, min(num_pts, block_rows))
     r_step = max(1, block_rows // p_step)
+    batch_rows = r_step * max(1, (BLOCK_BYTES >> 3) // (16 * num_modes) // r_step)
     batch = max(1, BLOCK_BYTES >> 10)
-    coeffs = np.empty((r_step, num_modes), dtype=complex)
+    coeffs = np.empty((batch_rows, num_modes), dtype=complex)
     block_buf = np.empty(r_step * p_step * num_modes, dtype=complex)
     split = np.empty(2 * block_buf.size)
     sums = np.empty((num_rows, num_pts), dtype=complex)
@@ -415,14 +414,14 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
     # than all the sums) before a block, plus that block
     low = np.empty(min(batch, sums.size) + r_step * p_step, dtype=complex)
     deferred = np.empty((2, len(low)))
-    per_row = np.empty((2, r_step, 1))
     done = pending = 0
 
     def terms(j):
         # formed in the block buffer, whose products are split by now
         i, p = divmod(j, num_pts)
-        product = block_buf[:num_modes].reshape(1, 1, num_modes)
-        _products(np.asarray(row(i), dtype=complex)[None], waves[p : p + 1], out=product)
+        row = block_buf[:num_modes].reshape(1, num_modes)
+        fill(i, row)
+        product = _products(row, waves[p : p + 1], out=row[:, None])
         if not np.isfinite(product).all() and np.isfinite(waves[p]).all():
             raise ParameterError(
                 "coefficients too large to sample: their products with a plane wave overflow"
@@ -433,40 +432,47 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, row) -> np.n
         high = flat[start : start + count]
         scale, bound = deferred[:, :count]
         _certify_sums(high, low[:count], bound, scale, lambda j: terms(start + j))
-        overflow = ~np.isfinite(high)
-        if overflow.any():
-            points = (start + np.flatnonzero(overflow)) % num_pts
-            if np.isfinite(waves[points]).all(axis=1).any():
-                raise ParameterError(
-                    "coefficients too large to sample: a sum over the modes overflows"
-                )
+        points = (start + np.flatnonzero(~np.isfinite(high))) % num_pts
+        if np.isfinite(waves[points]).all(axis=1).any():
+            raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
 
-    with np.errstate(invalid="ignore", over="ignore"):
-        for r0 in range(0, num_rows, r_step):
-            rows = coeffs[: min(r_step, num_rows - r0)]
-            for i in range(len(rows)):
-                rows[i] = row(r0 + i)
-                per_row[:, i, 0] = _scale_row(rows[i].view(float), 2.0)
-            for p0 in range(0, num_pts, p_step):
-                chunk = waves[p0 : p0 + p_step]
-                size = len(rows) * len(chunk)
-                block = block_buf[: size * num_modes].reshape(len(rows), len(chunk), num_modes)
-                _products(rows, chunk, out=block)
-                start = done + pending
-                _split_sums(
-                    block.view(float).reshape(size, num_modes, 2),
-                    flat[start : start + size],
-                    low[pending : pending + size],
-                    split,
-                )
-                block_deferred = deferred[:, pending : pending + size]
-                block_deferred.reshape(2, len(rows), -1)[...] = per_row[:, : len(rows)]
-                pending += size
-                if pending >= batch:
-                    certify(done, pending)
-                    done, pending = done + pending, 0
-        if pending:
-            certify(done, pending)
+    # at numpy's default of 8,192 elements a block's product copies its broadcast row into
+    # a buffer of several rows, 0.11 MB at 1,025 modes, and runs about 1.5 times as long
+    bufsize = np.setbufsize(1024)
+    p_starts = range(0, num_pts, p_step)
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            r0 = 0
+            while r0 < num_rows:
+                formed = coeffs[: min(batch_rows, num_rows - r0)]
+                try:
+                    fill(r0, formed)
+                except ParameterError:  # formed again a block, then a row, at a time
+                    if len(formed) > r_step:
+                        batch_rows = r_step
+                        continue
+                    for i in range(len(formed)):
+                        fill(r0 + i, formed[i : i + 1])
+                scale_bound = _scale_rows(formed.view(float), 2.0)
+                for b0, p0 in itertools.product(range(0, len(formed), r_step), p_starts):
+                    rows, chunk = formed[b0 : b0 + r_step], waves[p0 : p0 + p_step]
+                    size = len(rows) * len(chunk)
+                    block = block_buf[: size * num_modes].reshape(len(rows), len(chunk), num_modes)
+                    _products(rows, chunk, out=block)
+                    start = done + pending
+                    _split_sums(block.view(float).reshape(size, num_modes, 2),
+                                flat[start : start + size], low[pending : pending + size], split)
+                    per_sum = deferred[:, pending : pending + size].reshape(2, len(rows), -1)
+                    per_sum[...] = scale_bound[:, b0 : b0 + len(rows), None]
+                    pending += size
+                    if pending >= batch:
+                        certify(done, pending)
+                        done, pending = done + pending, 0
+                r0 += len(formed)
+            if pending:
+                certify(done, pending)
+    finally:
+        np.setbufsize(bufsize)
     sums *= grid.weight / (2.0 * math.pi) ** grid.n
     return sums
 
@@ -492,7 +498,7 @@ def synthesize(field: SpectralField, x):
     complex number, or a (P, n) array of points, which gives P values.
     """
     pts, single = _points(field.grid, x)
-    sums = _wave_sums(field.grid, pts, 1, lambda i: field.coefficients)[0]
+    sums = _wave_sums(field.grid, pts, 1, lambda i, out: np.copyto(out, field.coefficients))[0]
     return complex(sums[0]) if single else sums
 
 

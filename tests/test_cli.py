@@ -704,10 +704,13 @@ class TestOverflowIsAnError:
      1, "gamma^-1(y) overflows for power:a=0.01 at y=10000.0"),
     ("rate-fit --family gamma --gamma power:a=0.01 --s 0.5 --deltas 1e-2:1e-8 --unsafe-params",
      1, "gamma^-1(y) overflows for power:a=0.01 at y=100000000.0"),
+    # the drift delta**beta * r overflows at the larger scan radii of delta = 1e-10
+    ("bound-check --family power-shift --s 0.5 --a 0.05 --beta=-11 --deltas 1e-6:1e-10 "
+     "--unsafe-params", 1, "the phase at delta=1e-10 is not finite at |xi|=1.9109529749704404e+198"),
 ], ids=["propagate-nonfinite-points", "trace-overflowing-point", "trace-overflowing-mu",
         "bound-check-overflowing-probe", "bound-check-decreasing-ratio",
         "bound-check-overflowing-scan-radii", "bound-check-overflowing-critical-radius",
-        "rate-fit-overflowing-critical-radius"])
+        "rate-fit-overflowing-critical-radius", "bound-check-overflowing-drift"])
 def test_no_runtime_warning_reaches_stderr(command, code, stderr, tmp_path, capsys):
     """Non-finite sample points give NaN rows, an overflowing --mu norm, an
     ineligible law or an overflowing inverse gives one error line; numpy

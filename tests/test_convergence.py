@@ -405,7 +405,7 @@ def reference_history(field, law, seq, points, k_max, shift=None):
     history = np.empty((len(times), pts.shape[0]))
     running = np.zeros(pts.shape[0])
     for k in range(len(times)):
-        theta = _angles(grid, law, float(times[k]), shift)
+        theta = _angles(grid, law, [times[k]], shift)[0]
         coeff = (np.exp(1j * theta) - 1.0) * field.coefficients
         for i in range(pts.shape[0]):
             z = coeff * waves[i]
@@ -453,8 +453,11 @@ class TestBatchedTrace:
         seq, k_max = TimeSequence.geometric(0.5), 24
         rows = []
 
-        def recording_wave_sums(grid, pts, num_rows, row):
-            rows.extend(np.array(row(k)) for k in range(num_rows))
+        def recording_wave_sums(grid, pts, num_rows, fill):
+            formed = np.empty((num_rows, grid.num_modes), dtype=complex)
+            for k in range(0, num_rows, 5):  # batches of 5 rows, the last one shorter
+                fill(k, formed[k : k + 5])
+            rows.extend(formed)
             return np.zeros((num_rows, len(pts)), dtype=complex)
 
         monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
@@ -463,7 +466,7 @@ class TestBatchedTrace:
         times = seq.terms(k_max)
         assert len(rows) == len(times)
         for row, t in zip(rows, times):
-            want = (np.exp(1j * _angles(g, law, float(t), shift)) - 1.0) * f.coefficients
+            want = (np.exp(1j * _angles(g, law, [t], shift)[0]) - 1.0) * f.coefficients
             np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
 
     def test_no_points(self):
@@ -501,7 +504,7 @@ class TestTorusOracle:
         norm = g.weight / (2.0 * math.pi) ** g.n
         energies = []
         for t in seq.terms(k_max):
-            h = (np.exp(1j * _angles(g, BOUSSINESQ, float(t), shift)) - 1.0) * f.coefficients
+            h = (np.exp(1j * _angles(g, BOUSSINESQ, [t], shift)[0]) - 1.0) * f.coefficients
             energies.append(math.fsum((np.abs(h) ** 2).tolist()))
         want = math.fsum(energies) * norm**2
         assert math.fsum(tr.partial_sums.tolist()) / len(points) == pytest.approx(want, rel=1e-12)

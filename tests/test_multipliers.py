@@ -797,13 +797,16 @@ class TestPrunedScan:
 
     @pytest.mark.parametrize("family", [Family.GAMMA, Family.GAMMA_SHIFT])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_a_non_finite_phase_ends_as_the_full_scan_does(self, family, bad):
-        # the bad phase sits where the bound is far below the seed; sin(+-inf)
-        # raises the invalid flag, so raising on it shows that sin reached it
-        radii = np.array([1e-10, 1e5, 3.0])
-        spec = table_spec(family, radii, [math.pi, bad, 1.0], beta=1.0 if family.shifted else None)
+    def test_a_non_finite_phase_is_a_parameter_error(self, family, bad):
+        # the bad phases sit where the bound is far below the seed, and the
+        # error names the least radius whose phase is not finite; under
+        # invalid="raise" it shows that no sin reached them
+        radii = np.array([1e-10, 1e5, 3.0, 2e5, 4e4])
+        thetas = [math.pi, bad, 1.0, bad, bad]
+        spec = table_spec(family, radii, thetas, beta=1.0 if family.shifted else None)
+        want = (ParameterError, "the phase at delta=0.5 is not finite at |xi|=40000.0")
         for invalid in ("ignore", "raise"):
-            assert outcome(_scan, spec, radii, invalid) == outcome(full_scan, spec, radii, invalid)
+            assert outcome(_scan, spec, radii, invalid) == want
 
 
 def fresh_scan_radii(xi_max, r_turn, r_pi):

@@ -3,25 +3,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselab import (
     BOUSSINESQ,
     ParameterError,
     ShiftSpec,
     SpectralField,
+    TimeSequence,
     UndefinedShiftError,
     apply_phase,
     error_field,
     evaluate_shifted,
     make_grid,
+    pointwise_trace,
     power_law,
     random_field,
     sobolev_norm,
     synthesize,
 )
-from phaselab import propagation, spectral
+from phaselab import convergence, propagation, spectral
 from phaselab.convergence import default_points
-from phaselab.propagation import _angles
+from phaselab.propagation import _angles, phase
 
 E1 = np.array([1.0])
 
@@ -135,7 +139,7 @@ def reference_evaluate(field, law, times, shift, points):
     scale = grid.weight / (2.0 * math.pi) ** grid.n
     out = np.empty((len(times), len(points)), dtype=complex)
     for i, t in enumerate(times):
-        moved = field.coefficients * np.exp(1j * _angles(grid, law, float(t), shift))
+        moved = field.coefficients * np.exp(1j * _angles(grid, law, [t], shift)[0])
         for j, x in enumerate(points):
             phase = x[0] * grid.modes[:, 0]
             for c in range(1, grid.n):
@@ -236,6 +240,117 @@ class TestBatchedEvaluate:
         f = random_field(make_grid(2, 1, 1), np.random.default_rng(0))
         with pytest.raises(ParameterError, match="points"):
             evaluate_shifted(f, BOUSSINESQ, np.array([0.1]), None, np.zeros((4, 3)))
+
+
+def row_on_its_own(field, law, t, shift, residual):
+    """A residual row (e^{i theta} - 1) f or an evolved row f e^{i theta}
+    formed for one time t, with the checks and the phase of ``_angles`` and
+    the row functions as they were when each row was formed on its own."""
+    grid = field.grid
+    if not (0 <= t < math.inf):
+        raise ParameterError(f"t must be nonnegative and finite, got {t}")
+    beta, proj = (None, None) if shift is None else (shift.beta, spectral._dot(grid.modes, shift.mu))
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = phase(law, t, grid.radii, beta, proj)
+        if not np.isfinite(theta).all():
+            raise ParameterError(f"the phase of {law.name} is not finite at t={t}")
+        if residual:
+            return (np.exp(1j * theta) - 1.0) * field.coefficients
+        row = field.coefficients * np.exp(1j * theta)
+    if not np.isfinite(row).all():
+        raise ParameterError(
+            f"coefficients too large to sample: the evolved coefficients overflow at t={t}"
+        )
+    return row
+
+
+def sums_one_row_at_a_time(field, law, times, shift, pts, residual):
+    """Each row formed on its own by ``row_on_its_own`` and summed on its own."""
+    sums = []
+    for t in times:
+        row = row_on_its_own(field, law, float(t), shift, residual)
+        sums.append(spectral._wave_sums(field.grid, pts, 1, lambda i, out: np.copyto(out, row))[0])
+    return np.array(sums)
+
+
+def outcome(run):
+    """The bits of what ``run()`` returns, or the error it raises."""
+    try:
+        return bits(run()).tolist()
+    except ParameterError as exc:
+        return type(exc), str(exc)
+
+
+class TestRowBatches:
+    """The wave sums fill their rows a batch at a time; each sum is that of
+    its row formed and summed on its own, bit for bit, and a row that cannot
+    be formed raises the error that forming the rows one at a time raises."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        residual=st.booleans(),
+        shifted=st.booleans(),
+        grid_args=st.sampled_from([(1, 8, 0.125), (2, 2, 0.25), (3, 1, 0.5)]),
+        num_rows=st.integers(16, 41),
+        num_pts=st.sampled_from([1, 2, 3, 4, 30]),
+        # one batch of all the rows, or blocks of 2 to 64 (row, point)
+        # products; at 30 points, batches of 3, 5 or 8 rows of several blocks
+        block_rows=st.sampled_from([None, 2, 24, 40, 64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batches_sum_as_rows_one_at_a_time(
+        self, residual, shifted, grid_args, num_rows, num_pts, block_rows, seed
+    ):
+        g = make_grid(*grid_args)
+        rng = np.random.default_rng(seed)
+        f = random_field(g, rng)
+        shift = ShiftSpec(beta=1.5, mu=np.eye(g.n)[-1]) if shifted else None
+        pts = rng.uniform(-4.0, 4.0, (num_pts, g.n))
+        seq = TimeSequence.geometric(0.5)
+        times = seq.terms(num_rows) if residual else rng.uniform(0.0, 3.0, num_rows)
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * block_rows)
+            if residual:
+                # the trace keeps only |sum|**2 summed over k: record the sums
+                mp.setattr(convergence, "_wave_sums",
+                           lambda *args: got.append(spectral._wave_sums(*args)) or got[-1])
+                pointwise_trace(f, BOUSSINESQ, seq, 0.5, pts, k_max=num_rows, shift=shift)
+            else:
+                got.append(evaluate_shifted(f, BOUSSINESQ, times, shift, pts))
+            want = sums_one_row_at_a_time(f, BOUSSINESQ, times, shift, pts, residual)
+        assert got[0].shape == want.shape == (num_rows, num_pts)
+        np.testing.assert_array_equal(bits(got[0]), bits(want))
+
+    @pytest.mark.parametrize("bad", [
+        {3: math.nan}, {3: -1.0}, {3: math.inf},
+        {3: 1e308},  # t * r**2 overflows: the phase is not finite
+        {2: 1e308, 4: math.nan}, {2: math.nan, 4: 1e308}, {6: -0.5, 2: 1e308},
+    ], ids=lambda bad: ",".join(f"{k}:{v}" for k, v in bad.items()))
+    def test_a_bad_row_inside_a_batch_names_its_t(self, bad):
+        g = make_grid(1, 2, 1)
+        f = random_field(g, np.random.default_rng(47))
+        times = np.linspace(0.0, 1.0, 9)
+        times[list(bad)] = list(bad.values())
+        pts = default_points(1, 3)
+        law = power_law(2.0)
+        want = outcome(lambda: sums_one_row_at_a_time(f, law, times, None, pts, False))
+        assert want[0] is ParameterError
+        assert outcome(lambda: evaluate_shifted(f, law, times, None, pts)) == want
+
+    def test_an_overflowing_row_inside_a_batch_names_its_t(self):
+        # at t = 0 the evolved row is the datum; at t = 0.5 the mode xi = 1
+        # turns by 0.5 rad, and 1.7e308 * (cos + sin) overflows
+        g = make_grid(1, 2, 1)
+        f = SpectralField(g, np.full(g.num_modes, 1.7e308 + 1.7e308j))
+        times = np.array([0.0, 0.0, 0.0, 0.5, 0.0, 1e308, math.nan])
+        pts = np.array([[math.nan], [math.inf]])  # NaN sums, which are no error
+        law = power_law(0.5)
+        want = outcome(lambda: sums_one_row_at_a_time(f, law, times, None, pts, False))
+        assert want == (ParameterError, "coefficients too large to sample: "
+                        "the evolved coefficients overflow at t=0.5")
+        assert outcome(lambda: evaluate_shifted(f, law, times, None, pts)) == want
 
 
 class TestErrorField:

@@ -297,7 +297,7 @@ class TestWaveSumsFallback:
         before = coeffs.copy()
         rec = _RecordingMath()
         monkeypatch.setattr(spectral, "math", rec)
-        got = spectral._wave_sums(grid, pts, len(coeffs), lambda i: coeffs[i])
+        got = spectral._wave_sums(grid, pts, len(coeffs), rows_of(coeffs))
         want = np.empty((len(coeffs), len(pts)), dtype=complex)
         for i, c in enumerate(coeffs):
             for p, point in enumerate(pts):
@@ -416,7 +416,7 @@ class TestScaledRows:
         coeffs = np.array([[2.0**-983 - a, big, complex(a, big)]])
         assert self.fsum_calls(g, np.array([[2.0**-93]]), coeffs, monkeypatch) >= 1
         norm = g.weight / (2.0 * math.pi)
-        got = spectral._wave_sums(g, np.array([[2.0**-93]]), 1, lambda i: coeffs[0])[0, 0]
+        got = spectral._wave_sums(g, np.array([[2.0**-93]]), 1, rows_of(coeffs))[0, 0]
         assert got.real == float.fromhex("0x1.0000000000002p-930") * norm
 
     def test_one_point_geometric_block(self, monkeypatch):
@@ -429,6 +429,21 @@ class TestScaledRows:
         assert self.fsum_calls(g, np.array([[0.5]]), coeffs, monkeypatch) == 0
 
 
+def rows_of(coeffs):
+    """The ``_wave_sums`` row source that copies the rows of ``coeffs``."""
+    return lambda i, out: np.copyto(out, coeffs[i : i + len(out)])
+
+
+def scaled_copies(c, num_rows):
+    """The ``_wave_sums`` row source of row k = c * (1 + k/num_rows), formed in place."""
+
+    def fill(i, out):
+        for k, row in enumerate(out, i):
+            np.multiply(c, 1.0 + k / num_rows, out=row)
+
+    return fill
+
+
 def traced_wave_sums(grid, num_rows):
     """``_wave_sums`` of ``num_rows`` scaled copies of a random field at 32
     default points, traced: (sums, bytes of the waves, bytes of one
@@ -439,7 +454,7 @@ def traced_wave_sums(grid, num_rows):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sums = spectral._wave_sums(grid, pts, num_rows, lambda i: c * (1.0 + i / num_rows))
+        sums = spectral._wave_sums(grid, pts, num_rows, scaled_copies(c, num_rows))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -461,7 +476,7 @@ class TestWaveSumsBatches:
         coeffs[11] = 0.0
         coeffs[11, [128, 130]] = [1.0, 2.0**-53]  # a midpoint row at x = 0
         pts = np.array([[0.7], [0.0], [-1.3]])
-        want = spectral._wave_sums(g, pts, len(coeffs), lambda i: coeffs[i])
+        want = spectral._wave_sums(g, pts, len(coeffs), rows_of(coeffs))
         for rows_per_block in (1, 2, 7):
             monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
             batches = []
@@ -475,7 +490,7 @@ class TestWaveSumsBatches:
             monkeypatch.setattr(spectral, "_certify_sums", recording_certify)
             fallback = TestWaveSumsFallback()
             assert fallback.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
-            got = spectral._wave_sums(g, pts, len(coeffs), lambda i: coeffs[i])
+            got = spectral._wave_sums(g, pts, len(coeffs), rows_of(coeffs))
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
             batch = spectral.BLOCK_BYTES >> 10
             sizes = [size for size, _ in batches[len(batches) // 2 :]]
@@ -506,7 +521,7 @@ class TestWaveSumsBatches:
                 return step(sums, *args)
 
             monkeypatch.setattr(spectral, name, recording)
-        spectral._wave_sums(g, pts, len(coeffs), lambda i: coeffs[i])
+        spectral._wave_sums(g, pts, len(coeffs), rows_of(coeffs))
         batch = spectral.BLOCK_BYTES >> 10
         # the blocks split before each certify call, which must certify
         # exactly their sums: so it starts and ends at block boundaries
@@ -547,16 +562,78 @@ class TestWaveSumsBatches:
 
         certify = spectral._certify_sums
         monkeypatch.setattr(spectral, "_certify_sums", counting_certify)
-        spectral._wave_sums(g, pts, 512, lambda i: c * (1.0 + i / 512))
+        spectral._wave_sums(g, pts, 512, scaled_copies(c, 512))
         assert g.num_modes == 1025
         assert len(calls) == math.ceil(512 * 32 / (spectral.BLOCK_BYTES >> 10)) == 16
+
+    @pytest.mark.parametrize("num_pts, r_step", [(1, 63), (2, 31)])
+    def test_multi_row_blocks(self, num_pts, r_step, monkeypatch):
+        # at 1,025 modes a block holds 63 rows of one point or 31 rows of
+        # two, and a batch is one block; a sum refused in the middle of a
+        # batch is formed again from its own row alone, as math.fsum of its
+        # products, and every sum is the csum of its row's products
+        g = spectral.default_grid()
+        pts = default_points(1, num_pts, 5)
+        k = np.arange(150)[:, None]
+        coeffs = random_field(g, 55).coefficients * np.ldexp(1.0 + k / 150, -(k % 61))
+        forced = 100 * num_pts + num_pts - 1  # row 100, at its last point
+        fills, certified = [], []
+
+        def fill(i, out):
+            fills.append((i, len(out)))
+            np.copyto(out, coeffs[i : i + len(out)])
+
+        def refusing_certify(high, low, bound, scale, terms):
+            certified.append(len(high))
+            bound = bound.copy()
+            bound[forced] = math.inf
+            return certify(high, low, bound, scale, terms)
+
+        waves = spectral._waves(g, pts)
+        norm = g.weight / (2.0 * math.pi)
+        want = np.array([[csum(spectral._products(row[None], waves[p : p + 1])[0, 0])
+                          for p in range(num_pts)] for row in coeffs]) * norm
+        certify = spectral._certify_sums
+        monkeypatch.setattr(spectral, "_certify_sums", refusing_certify)
+        rec = _RecordingMath()
+        monkeypatch.setattr(spectral, "math", rec)
+        got = spectral._wave_sums(g, pts, len(coeffs), fill)
+        starts = list(range(0, 150, r_step))
+        assert fills == [(i, min(r_step, 150 - i)) for i in starts] + [(100, 1)]
+        assert certified == [150 * num_pts]  # one batch: the refused sum is mid-batch
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        product = spectral._products(coeffs[100][None], waves[num_pts - 1 :])[0, 0]
+        planes = [product.real.tolist(), product.imag.tolist()]
+        assert [values for values, _ in rec.calls[-2:]] == planes
+        fsummed = complex(math.fsum(planes[0]), math.fsum(planes[1])) * norm
+        assert got[100, num_pts - 1] == fsummed
+
+    def test_a_row_error_follows_the_sums_before_it(self, monkeypatch):
+        # blocks of 2 rows of 32 points, batches of 8 rows, and the sums
+        # certified after every block: row 1's sums overflow and are
+        # certified before row 5 would be formed a block at a time, so that
+        # error is raised, though forming the batch meets row 5's first
+        g = make_grid(1, 2, 1)
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * 64)
+        fills = []
+
+        def fill(i, out):
+            fills.append((i, len(out)))
+            for k, row in enumerate(out, i):
+                if k == 5:
+                    raise ParameterError("row 5 cannot be formed")
+                row[...] = 1.7e308 if k == 1 else 1.0
+
+        with pytest.raises(ParameterError, match="^coefficients too large to sample: a sum over"):
+            spectral._wave_sums(g, np.zeros((32, 1)), 8, fill)
+        assert fills[:2] == [(0, 8), (0, 2)]
 
     def test_deferred_state_does_not_grow_with_the_sums(self):
         # K = 2048 rows at 32 points: beyond the result and the waves, the
         # peak is the block and its split buffer plus at most 256 KB (about
-        # 160 KB, the same at K = 512 and 8192: the batch buffers, a batch's
-        # certify temporaries, a few rows and a refused sum's fsum list);
-        # deferring every low sum and bound would add 1.5 MB
+        # 235 KB, the same at K = 512 and 8192: a batch of 7 rows, the batch
+        # buffers, a batch's certify temporaries and a refused sum's fsum
+        # list); deferring every low sum and bound would add 1.5 MB
         g = spectral.default_grid()
         num_rows = 2048
         sums, waves, block, peak = traced_wave_sums(g, num_rows)
@@ -567,8 +644,8 @@ class TestWaveSumsBatches:
         # the 2-D trace shape: 16,641 modes, 32 points and 32 rows, 3
         # (row, point) products a block.  Beyond the result and the waves,
         # the peak is the block, its split buffer, four rows' worth of
-        # terms (the row buffer, a formed row, a refused sum's products
-        # and its fsum list) and 256 KB, about 2.9 MB; forming the full
+        # terms (a batch of one row, a refused sum's products and its fsum
+        # list) and 256 KB, about 2.9 MB; forming the full
         # (P, M) phases and ``1j * phase`` before ``exp`` held 8.5 MB
         g = make_grid(2, 16, 0.25)
         g.modes  # built before tracing, as make_grid built them eagerly
