@@ -45,8 +45,8 @@ from .multipliers import (
     sweep,
 )
 from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw
-from .propagation import ShiftSpec, _angles
-from .spectral import SpectralField, _dot, _fsum, _points, _wave_sums
+from .propagation import ShiftSpec, _angles, _fold
+from .spectral import SpectralField, _fsum, _points, _wave_sums
 
 __all__ = [
     "Applicability",
@@ -378,14 +378,14 @@ def default_points(n: int, count: int = DEFAULT_NUM_POINTS, seed: int = DEFAULT_
     return rng.uniform(-math.pi, math.pi, size=(count, n))
 
 
-def _tail_bound(field: SpectralField, law, shift: ShiftSpec | None, seq: TimeSequence, k_max: int):
-    """Explicit bound on sum_{k>K} ||h_k||_inf^2 for symbolic sequences."""
+def _tail_bound(field: SpectralField, fold, seq: TimeSequence, k_max: int):
+    """Explicit bound on sum_{k>K} ||h_k||_inf^2 for symbolic sequences (maxima from the fold)."""
     if seq.kind == "explicit":
         return None
-    grid = field.grid
+    grid, shift = field.grid, fold.shift
     mass = _fsum(np.abs(field.coefficients).tolist()) * grid.weight / (2.0 * math.pi) ** grid.n
-    gmax = float(np.max(np.asarray(law(grid.radii), dtype=float)))
-    proj = float(np.max(np.abs(_dot(grid.modes, shift.mu)))) if shift is not None else 0.0
+    gmax = float(np.max(fold.gamma))
+    proj = float(np.max(np.abs(fold.proj))) if shift is not None else 0.0
 
     def tail(x: float) -> float:
         """A bound on sum_{k>K} t_k**(2x): x = 1 for the phase, beta for the drift."""
@@ -423,9 +423,8 @@ def pointwise_trace(
     """Accumulate sum_{k<=K} |h_k(x)|^2 at each sample point in fixed k order.
 
     Refuses to run unless the sequence satisfies the summability condition
-    of the matching criterion.  Terms are nonnegative, so the running sums
-    are nondecreasing in K; the returned tail bounds the discarded
-    remainder through the band-limited sup estimate
+    of the matching criterion.  The sums are nondecreasing in K; the tail
+    bounds the discarded remainder through the band-limited sup estimate
     ||h_k||_inf <= (2*pi)^(-n) * sup_j |e^{i theta_j} - 1| * sum_j |f_j| dxi^n.
     """
     if k_max < 16:
@@ -441,17 +440,10 @@ def pointwise_trace(
     pts = _points(grid, points)[0]
     times = seq.terms(k_max)
 
-    m = grid.num_modes
-    half = m if shift is not None else (m + 1) // 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        radial = law(grid.radii[:half])  # once a trace, not once a time
+    fold = _fold(grid, law, shift)  # the law once a trace, not once a time
 
     def residual(k, rows):
-        # without a shift theta depends on |xi| alone, and |xi| = |-xi| bit for
-        # bit, so e^{i theta} is formed on half the lattice and mirrored
-        theta = _angles(grid, law, times[k : k + len(rows)], shift, radial)
-        np.exp(np.multiply(1j, theta, out=rows[:, :half]), out=rows[:, :half])
-        rows[:, half:] = rows[:, : m - half][:, ::-1]
+        _angles(fold, times[k : k + len(rows)], rows)
         rows -= 1.0
         rows *= field.coefficients
 
@@ -460,4 +452,4 @@ def pointwise_trace(
     # terms); a square past the double range is inf, its rounded value
     with np.errstate(over="ignore"):
         sums = np.cumsum(values.real * values.real + values.imag * values.imag, axis=0)[-1]
-    return TraceResult(pts, sums, _tail_bound(field, law, shift, seq, len(times)), len(times))
+    return TraceResult(pts, sums, _tail_bound(field, fold, seq, len(times)), len(times))

@@ -1,20 +1,19 @@
 """Frequency-space evolution e^{it*gamma(|xi|)} and drifted evaluation.
 
 Evolution multiplies each coefficient by a unit phase, so it is exactly
-unitary on every weighted norm and satisfies the group law in t.  The
-drifted evaluation point x + t**beta * mu contributes the extra linear
-phase t**beta * mu.xi.  ``evaluate_shifted`` samples T times at P points in
-one pass: ``spectral._wave_sums`` gets one row per time, the datum times its
-phase factor, and forms each point's plane wave once.  The residual
-against the initial datum is formed directly in frequency space,
-h_j = (e^{i theta_j} - 1) f_j, which keeps synthesis quadrature out of
-the estimates under test.
+unitary on every weighted norm; the drift x + t**beta * mu adds the phase
+t**beta * mu.xi.  ``_angles`` evaluates e^{i theta} on a fold of the
+lattice (``_fold``) and mirrors it.  ``evaluate_shifted`` samples T times
+at P points in one pass of ``spectral._wave_sums``.  The residual against
+the datum is formed in frequency space, h_j = (e^{i theta_j} - 1) f_j, which
+keeps synthesis quadrature out of the estimates under test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -78,33 +77,64 @@ def _modulus(theta, r, s):
         return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * s)
 
 
-def _angles(grid: FrequencyGrid, law, times, shift: ShiftSpec | None, radial=None):
-    """The (T, modes) phase at every mode for a 1-D array of T times; a ParameterError names
-    the first t that is negative or not finite or whose phase is not.  ``radial``, law values
-    evaluated once, stands in for the law; without a shift it may cover the first modes only."""
+def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
+    """The modes ``_angles`` evaluates the phase on, with the law values
+    ``gamma`` and mu.xi ``proj`` (None without a shift) there.
+
+    theta = t*law(|xi|) + t**beta * mu.xi is even, bit for bit, in each
+    coordinate mu does not touch (every one without a shift): (-a)*(-a) ==
+    a*a, so |xi| keeps its bits, and a zero mu_i adds only a signed zero to
+    mu.xi, flipping at most the sign of a zero mu.xi, which t*law(|xi|) >= +0
+    absorbs.  So the fold keeps the coordinates <= 0 along those axes
+    (``index``), ``mirrors`` copy coordinate M+1+j from M-1-j along each in
+    turn, and each mode shares |xi|, law value and |mu.xi| with a fold mode."""
+    if shift is not None and shift.mu.shape != (grid.n,):
+        raise ParameterError(f"mu has shape {shift.mu.shape}, expected ({grid.n},)")
+    shape = (len(grid.axis),) * grid.n
+    zero = (np.zeros(grid.n) if shift is None else shift.mu) == 0
+    index = tuple(slice(shape[0] // 2 + 1 if z else None) for z in zero.tolist())
+    radii = grid.radii.reshape(shape)[index].ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.asarray(law(radii), dtype=float)
+    modes = grid.modes.reshape(shape + (grid.n,))[index].reshape(-1, grid.n)
+    proj = None if shift is None else _dot(modes, shift.mu)
+    heads = [((slice(None),) * a, h.stop, index[a:]) for a, h in enumerate(index, 1) if h.stop]
+    mirrors = [(p + (slice(m, None),) + r, p + (slice(m - 2, None, -1),) + r) for p, m, r in heads]
+    return SimpleNamespace(shape=shape, index=index, num_modes=radii.size, radii=radii, gamma=gamma,
+                           proj=proj, name=getattr(law, "name", law), shift=shift, mirrors=mirrors)
+
+
+def _angles(fold: SimpleNamespace, times, out: np.ndarray) -> np.ndarray:
+    """Write e^{i theta} for a 1-D array of T times into the C-contiguous (T,
+    modes) complex ``out``: theta on the modes of the ``_fold``, which it
+    returns, ``np.exp`` there, and the rows mirrored axis by axis.  A
+    ParameterError names the first t that is negative or not finite or whose phase is not."""
     times = np.asarray(times, dtype=float)
     bad = ~((0 <= times) & (times < math.inf))
     if bad.any():
         raise ParameterError(f"t must be nonnegative and finite, got {float(times[bad.argmax()])}")
-    if shift is not None and shift.mu.shape != (grid.n,):
-        raise ParameterError(f"mu has shape {shift.mu.shape}, expected ({grid.n},)")
     with np.errstate(over="ignore", invalid="ignore"):  # t*law(|xi|) + t**beta * mu.xi, as phase
-        theta = np.multiply.outer(times, law(grid.radii) if radial is None else radial)
-        if shift is not None:  # row by row: one row of temporary
-            proj = _dot(grid.modes, shift.mu)
+        theta = np.multiply.outer(times, fold.gamma)
+        if fold.shift is not None:  # row by row: one row of temporary
             for row, t in zip(theta, times.tolist()):
-                row += shift_offset(t, shift.beta) * proj
+                row += shift_offset(t, fold.shift.beta) * fold.proj
     finite = np.isfinite(theta).all(axis=1)
     if not finite.all():
         t = float(times[finite.argmin()])
-        raise ParameterError(f"the phase of {getattr(law, 'name', law)} is not finite at t={t}")
+        raise ParameterError(f"the phase of {fold.name} is not finite at t={t}")
+    full = out.reshape((len(out),) + fold.shape)
+    part = full[(slice(None),) + fold.index]
+    np.exp(np.multiply(1j, theta.reshape(part.shape), out=part), out=part)
+    for dst, src in fold.mirrors:
+        full[dst] = full[src]
     return theta
 
 
 def apply_phase(field: SpectralField, law, t: float) -> SpectralField:
     """Multiply each coefficient by e^{it*gamma(|xi_j|)}; moduli are preserved."""
-    theta = _angles(field.grid, law, [t], None)[0]
-    return SpectralField(field.grid, field.coefficients * np.exp(1j * theta))
+    factor = np.empty((1, field.grid.num_modes), dtype=complex)
+    _angles(_fold(field.grid, law, None), [t], factor)
+    return SpectralField(field.grid, field.coefficients * factor[0])
 
 
 def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
@@ -115,8 +145,7 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
     (P, n) array of points.  One time at one point gives a complex number;
     otherwise the result is a complex array with a time axis (for an array
     of times) followed by a point axis (for a (P, n) array), so T times at
-    P points give (T, P).  The phase is evaluated once per time and the
-    plane wave once per point.  At t = 0 (with beta > 0) this is the
+    P points give (T, P).  At t = 0 (with beta > 0) this is the
     band-limited representative of the initial datum.
     """
     times = np.asarray(t, dtype=float)
@@ -126,11 +155,12 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
         )
     grid = field.grid
     pts, single = _points(grid, x)
+    fold = _fold(grid, law, shift)
 
     def evolved(i, rows):
         # formed under _wave_sums' np.errstate, so an overflow warns nothing
         ts = times.reshape(-1)[i : i + len(rows)]
-        np.exp(np.multiply(1j, _angles(grid, law, ts, shift), out=rows), out=rows)
+        _angles(fold, ts, rows)
         np.multiply(field.coefficients, rows, out=rows)
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
@@ -160,14 +190,13 @@ def error_field(field: SpectralField, law, t: float, shift: ShiftSpec | None = N
     is the multiplier relating the two; the inequality is asserted on every
     call in test builds.
     """
-    theta = _angles(field.grid, law, [t], shift)[0]
-    factor = np.exp(1j * theta) - 1.0
-    h = SpectralField(field.grid, factor * field.coefficients)
+    fold = _fold(field.grid, law, shift)
+    factor = np.empty((1, field.grid.num_modes), dtype=complex)
+    theta = _angles(fold, [t], factor)[0]
+    h = SpectralField(field.grid, (factor[0] - 1.0) * field.coefficients)
     l2 = sobolev_norm(h, 0.0)
     hs = sobolev_norm(field, s)
     if __debug__:
-        wsup = float(np.max(_modulus(theta, field.grid.radii, s)))
-        assert l2 <= wsup * hs * (1.0 + 1e-10) + 1e-300, (
-            "discrete multiplier bound violated"
-        )
+        wsup = float(np.max(_modulus(theta, fold.radii, s)))  # the lattice's, on the fold
+        assert l2 <= wsup * hs * (1.0 + 1e-10) + 1e-300, "discrete multiplier bound violated"
     return ErrorField(h=h, l2=l2, hs_of_f=hs)

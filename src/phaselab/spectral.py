@@ -1,37 +1,28 @@
 """Band-limited fields on symmetric frequency lattices.
 
-A field lives purely in frequency space: one complex coefficient per mode
-xi_j of the lattice {-M*dxi, ..., M*dxi}**n, which n, xi_max and dxi fix
-(M = floor(xi_max/dxi)).  Integrals become finite quadrature sums with
-weight dxi**n, so norms and synthesis are exact up to floating point.
-Every reduction is exactly rounded: the result is the true sum of the
-terms rounded once to the nearest double, so it does not depend on
-summation order, runs or thread counts.
+A field is one complex coefficient per mode xi_j of the lattice
+{-M*dxi, ..., M*dxi}**n, M = floor(xi_max/dxi); integrals are quadrature
+sums with weight dxi**n.  Every reduction is exactly rounded, the true sum
+rounded once, so it does not depend on summation order, runs or threads.
 
-``csum`` sums every row of a 2-D block at once (a vector is a one-row
-block) in three steps: ``_scale_rows`` scales each row by a power of two
-into integer units, the split (``_split_sums``, where the proof lives)
-rounds each term to an integer (Rump, Ogita and Oishi, "Accurate
-floating-point summation part I", 2008), and the certificate
-(``_certify_sums``) keeps the unscaled total where the row's error bound
-proves it the exactly-rounded sum.  Sums it cannot certify (ties and
+``csum`` sums every row of a 2-D block (a vector is one row) in three
+steps: ``_scale_rows`` scales each row by a power of two into integer
+units, ``_split_sums`` (where the proof lives) rounds each term to an
+integer (Rump, Ogita and Oishi, "Accurate floating-point summation part
+I", 2008), and ``_certify_sums`` keeps the unscaled total where the row's
+error bound proves it exactly rounded.  Sums it cannot certify (ties and
 near-ties, zero or subnormal sums, non-finite values, rows near overflow
-or below 2**-960) are summed again from the original terms with
-``math.fsum`` (Shewchuk 1997), so both paths give the same bits; the rare
-rows whose partial sums overflow ``fsum`` are summed exactly in integers
-and rounded once.  ``csum`` only reads its input: it scales a copy.
+or below 2**-960) are summed again with ``math.fsum`` (Shewchuk 1997),
+exactly in integers where its partial sums overflow; same bits either way.
 
-``_wave_sums`` evaluates (2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for
-rows c at points x (checked by ``_points``), the one sampler: a field for
-``synthesize``, the evolved datum (``evaluate_shifted``) or residual h_k
-(``pointwise_trace``) per time.  It forms one wave per point (``_waves``:
-the lattice's second half is the conjugate of its first, bit for bit)
-and R = (BLOCK_BYTES >> 3) // (16*M) rows at a time (7 at 1,025 modes, at
-least one), scaled as a batch (``_scale_rows``), then exactly rounds every
-(row, point) sum as ``csum`` does, block by block of products.
-Every product over the n <= 3 coordinates (x.xi, mu.xi, |xi|) goes
-through ``_dot``, which adds them left to right elementwise, so no BLAS
-kernel touches the bits.
+``_wave_sums``, the one sampler, evaluates (2*pi)**(-n) * sum_j c_j
+e^{i x.xi_j} dxi**n for rows c (a field, or an evolved datum or residual
+per time) at points x (``_points``).  It forms one wave per point
+(``_waves``: the lattice's second half is the conjugate of its first, bit
+for bit), fills the rows a batch at a time and sums as ``csum`` does, in
+blocks whose waves, products and split fit in 2*BLOCK_BYTES.  Products
+over the n <= 3 coordinates (x.xi, mu.xi, |xi|) go through ``_dot``, left
+to right elementwise, so no BLAS kernel touches the bits.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -82,13 +73,13 @@ _MIN_EXPONENT = -960
 _OVERFLOW = 2**1024 - 2**970
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """a_1*b_1 + a_2*b_2 + ... over the last axis of two float arrays
-    (broadcast), added left to right element by element, into ``out`` if
-    given.  Unlike a BLAS product, its rounding does not depend on the CPU."""
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, spare=None) -> np.ndarray:
+    """a_1*b_1 + a_2*b_2 + ... over the last axis of two float arrays (broadcast),
+    added left to right elementwise, into ``out`` and with the products past the
+    first in ``spare`` if given.  Unlike BLAS, its rounding does not depend on the CPU."""
     total = np.multiply(a[..., 0], b[..., 0], out=out)
     for i in range(1, a.shape[-1]):
-        total += a[..., i] * b[..., i]
+        total += np.multiply(a[..., i], b[..., i], out=spare)
     return total
 
 
@@ -166,16 +157,14 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
 
 
 def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
-    """The certificate of the sums ``_split_sums`` split, for n sums at once.
+    """The certificate of n sums split by ``_split_sums``, whose ``high`` and
+    ``low`` sums it holds, with ``bound`` and ``scale`` (2**-k) from ``_scale_rows``.
 
-    ``high`` and ``low`` hold what ``_split_sums`` wrote for n sums, and
-    ``bound`` and ``scale`` each sum's bound and 2**-k from ``_scale_rows``.
     Replaces each high sum by r = fl(high + low) unscaled and returns ``ok``
     (n, 2): whether that is the exactly-rounded sum, plane by plane.  Where
-    it is not, plane c of sum j is taken again as the ``_fsum`` of plane c
-    of ``terms(j)``, the original (M, 2) terms.  ``low`` is overwritten.
-    Runs under the caller's ``np.errstate``.
-    """
+    it is not, plane c of sum j is the ``_fsum`` of plane c of ``terms(j)``,
+    the original (M, 2) terms.  Overwrites ``low``; runs under the caller's
+    ``np.errstate``."""
     t, p = high.view(float).reshape(-1, 2), low.view(float).reshape(-1, 2)
     # Knuth's TwoSum, r + e == t + p exactly, in place in t and p with two
     # temporaries: e = (t - (r - bb)) + (p - bb) for bb = r - t
@@ -196,17 +185,15 @@ def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
     for j in np.flatnonzero(~ok.all(axis=1)).tolist():
         planes = terms(j)
         for c in np.flatnonzero(~ok[j]).tolist():
-            t[j, c] = _fsum(planes[:, c].tolist())
+            t[j, c] = _fsum(memoryview(np.ascontiguousarray(planes[:, c])))
     return ok
 
 
 def csum(values: np.ndarray):
     """Exactly-rounded complex sum of a vector, or of each row of a 2-D array.
 
-    A 1-D input gives a complex number (it is summed as a one-row block);
-    a 2-D input (rows, M) gives a complex array with one sum per row.
-    ``values`` is only read: each row of a copy is scaled by its own peak.
-    """
+    A 1-D input gives a complex number (summed as a one-row block), a 2-D
+    input (rows, M) one sum per row.  ``values`` is only read: a copy is scaled."""
     values = np.asarray(values)
     if values.ndim == 1:
         return complex(csum(values[None, :])[0])
@@ -224,17 +211,15 @@ def csum(values: np.ndarray):
     return r
 
 
-def _fsum(values: list) -> float:
-    """``math.fsum``, also for rows whose partial sums overflow.
+def _fsum(values) -> float:
+    """``math.fsum`` of a list or memoryview of floats, also where partial sums overflow.
 
-    ``fsum`` refuses a row of finite terms when a partial sum overflows,
-    even if the exact sum is finite.  Such rows are summed exactly as
-    integer multiples of 2**-1074 and rounded once (``int / int`` is
-    correctly rounded); an exact sum at or beyond the midpoint between the
-    largest double and 2**1024 rounds to infinity, as IEEE round-to-nearest
-    does.  A row with non-finite terms sums to their IEEE sum, the
-    infinity they share or nan (``fsum`` raises for inf and -inf).
-    """
+    ``fsum`` refuses such a row even if its exact sum is finite; it is read
+    again and summed exactly as integer multiples of 2**-1074, rounded once
+    (``int / int`` is correctly rounded).  An exact sum at or beyond the
+    midpoint between the largest double and 2**1024 rounds to infinity, as
+    IEEE does.  Non-finite terms sum to their IEEE sum, the infinity they
+    share or nan (``fsum`` raises for inf and -inf)."""
     try:
         return math.fsum(values)
     except (OverflowError, ValueError):
@@ -338,11 +323,8 @@ class SpectralField:
 
 
 def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
-    """Weighted spectral norm (sum_j (1+|xi_j|^2)^s |f_j|^2 dxi^n)**(1/2).
-
-    s = 0 reduces to the discrete Plancherel (L2) norm.  The sum runs in
-    the fixed mode order with exactly-rounded accumulation.
-    """
+    """Weighted spectral norm (sum_j (1+|xi_j|^2)^s |f_j|^2 dxi^n)**(1/2), exactly
+    rounded; s = 0 gives the discrete Plancherel (L2) norm."""
     c = field.coefficients
     w = (1.0 + field.grid.radii**2) ** s
     total = _fsum(((c.real * c.real + c.imag * c.imag) * w).tolist())
@@ -350,23 +332,23 @@ def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
 
 
 def _products(rows: np.ndarray, waves: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The (rows, P, M) products of each coefficient row with each wave.
-    The mode axis stays last and contiguous, so numpy forms every (row,
-    point) product with the same loop over M, and a product formed on its
-    own has the bits of its slice of a block."""
+    """The (rows, P, M) products of each coefficient row with each wave.  The mode
+    axis stays last and contiguous, so numpy forms every (row, point) product with
+    the same loop over M: a product formed alone has the bits of its block's slice."""
     return np.multiply(rows[:, None, :], waves[None, :, :], out=out)
 
 
 def _waves(grid: FrequencyGrid, pts: np.ndarray) -> np.ndarray:
-    """The (P, M) plane waves e^{i x.xi_j}, bit for bit ``np.exp(1j *
-    _dot(pts[:, None, :], grid.modes))``, formed in place from the first
-    ceil(M/2) modes: xi_{M-1-j} = -xi_j, so wave M-1-j is the conjugate of
-    wave j, and adding +0.0 turns the -0 a zero phase leaves into the +0
-    of ``1j * phase``."""
+    """The (P, M) plane waves e^{i x.xi_j}, bit for bit ``np.exp(1j * _dot(pts[:,
+    None, :], grid.modes))``, formed in place from the first ceil(M/2) modes
+    (the zero real plane holds ``_dot``'s products): xi_{M-1-j} = -xi_j, so
+    wave M-1-j is the conjugate of wave j, and adding +0.0 turns the -0 a
+    zero phase leaves into the +0 of ``1j * phase``."""
     num_modes = grid.num_modes
     half = (num_modes + 1) // 2
     waves = np.zeros((len(pts), num_modes), dtype=complex)
-    _dot(pts[:, None, :], grid.modes[:half], out=waves.imag[:, :half])
+    _dot(pts[:, None, :], grid.modes[:half], out=waves.imag[:, :half], spare=waves.real[:, :half])
+    waves.real[:, :half] = 0.0
     np.exp(waves[:, :half], out=waves[:, :half])
     np.conjugate(waves[:, : num_modes - half][:, ::-1], out=waves[:, half:])
     np.add(waves.imag, 0.0, out=waves.imag)
@@ -378,30 +360,26 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
     each point x of the (P, n) array ``pts``: a (num_rows, P) array.
     ``fill(i, out)`` writes rows i, ..., i + len(out) - 1 into ``out``.
 
-    The waves are formed once.  The rows are filled a batch of R =
-    max(1, (BLOCK_BYTES >> 3) // (16*M)) rows at a time, in whole blocks of
-    rows, into one buffer and scaled there (``_scale_rows``).  Each block of
-    (row, point) products, at most ``BLOCK_BYTES``, is split in place by
-    ``_split_sums``; its high sums go straight into the result, its low
-    sums, scales and bounds into buffers of one batch and one block.
-    Blocks cover the result in row-major order, and ``_certify_sums`` runs
-    on the pending sums at the end of the first block that brings them to
-    ``max(1, BLOCK_BYTES >> 10)`` (1,024), and on the rest after the last
-    block.  A refused sum's row is filled again on its own (so ``fill``
-    must be pure) and its products formed, unscaled, for ``_fsum``.  A
-    batch whose ``fill`` raises is filled again a block at a time, row by
-    row, so the error raised is the one that order meets first.  Rows are
-    formed under the loop's ``np.errstate``; a product or a sum that is not
-    finite at a finite wave raises ``ParameterError``.
+    The rows are filled a batch of R = max(1, (BLOCK_BYTES >> 3) // (16*M))
+    rows at a time, in whole blocks of rows, and scaled (``_scale_rows``).
+    Each block of (row, point) products is split in place (``_split_sums``):
+    high sums into the result, low sums, scales and bounds into buffers.
+    Blocks cover the result in row-major order; ``_certify_sums`` runs on
+    the pending sums at the end of the first block that brings them to
+    ``max(1, BLOCK_BYTES >> 10)`` (1,024), and on the rest at the end.  A
+    refused sum's row is filled again alone (``fill`` must be pure) and its
+    products formed unscaled for ``_fsum``.  A batch whose ``fill`` raises
+    is filled again a block, then a row, at a time, so the error raised is
+    the first in that order.  Rows are formed under the loop's
+    ``np.errstate``; a product or sum not finite at a finite wave raises
+    ``ParameterError``.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
-    # a non-finite or overflowing point gives a NaN wave, so NaN sums;
-    # forming the waves holds one (P, M/2) float temporary when n > 1
-    with np.errstate(invalid="ignore", over="ignore"):
-        waves = _waves(grid, pts)
-    block_rows = max(1, BLOCK_BYTES // (16 * num_modes))
-    p_step = max(1, min(num_pts, block_rows))
-    r_step = max(1, block_rows // p_step)
+    # r rows at p points: p waves, r*p products and their split, 16*M*p*(2r + 1) bytes
+    # at most 2*BLOCK_BYTES (so L2-sized); more than one row only with every point
+    units = max(3, BLOCK_BYTES // (8 * num_modes))
+    p_step = max(1, min(num_pts, units // 3))
+    r_step = (units // p_step - 1) // 2 if p_step == num_pts else 1
     batch_rows = r_step * max(1, (BLOCK_BYTES >> 3) // (16 * num_modes) // r_step)
     batch = max(1, BLOCK_BYTES >> 10)
     coeffs = np.empty((batch_rows, num_modes), dtype=complex)
@@ -442,6 +420,8 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
     p_starts = range(0, num_pts, p_step)
     try:
         with np.errstate(invalid="ignore", over="ignore"):
+            # a non-finite or overflowing point gives a NaN wave, so NaN sums
+            waves = _waves(grid, pts)
             r0 = 0
             while r0 < num_rows:
                 formed = coeffs[: min(batch_rows, num_rows - r0)]

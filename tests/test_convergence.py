@@ -32,7 +32,9 @@ from phaselab import (
 )
 from phaselab import convergence, spectral
 from phaselab.convergence import default_points, envelope_log_slope
-from phaselab.propagation import ShiftSpec, _angles
+from phaselab.propagation import ShiftSpec
+from test_propagation import lattice_phase
+from test_spectral import block_bytes
 
 
 class TestTimeSequence:
@@ -405,7 +407,7 @@ def reference_history(field, law, seq, points, k_max, shift=None):
     history = np.empty((len(times), pts.shape[0]))
     running = np.zeros(pts.shape[0])
     for k in range(len(times)):
-        theta = _angles(grid, law, [times[k]], shift)[0]
+        theta = lattice_phase(grid, law, times[k], shift)
         coeff = (np.exp(1j * theta) - 1.0) * field.coefficients
         for i in range(pts.shape[0]):
             z = coeff * waves[i]
@@ -434,7 +436,7 @@ class TestBatchedTrace:
         if rows_per_block is not None:
             # blocks of 2 (k, point) rows split every k's 5 points; blocks of
             # 15 rows hold three k, and the last block is shorter than the rest
-            monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, len(points), rows_per_block))
         tr = pointwise_trace(f, law, seq, 0.5, points, k_max=k_max, shift=shift)
         want = reference_history(f, law, seq, points, k_max, shift)
         assert tr.partial_sums.shape == want[-1].shape
@@ -466,7 +468,7 @@ class TestBatchedTrace:
         times = seq.terms(k_max)
         assert len(rows) == len(times)
         for row, t in zip(rows, times):
-            want = (np.exp(1j * _angles(g, law, [t], shift)[0]) - 1.0) * f.coefficients
+            want = (np.exp(1j * lattice_phase(g, law, t, shift)) - 1.0) * f.coefficients
             np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
 
     def test_no_points(self):
@@ -504,7 +506,7 @@ class TestTorusOracle:
         norm = g.weight / (2.0 * math.pi) ** g.n
         energies = []
         for t in seq.terms(k_max):
-            h = (np.exp(1j * _angles(g, BOUSSINESQ, [t], shift)[0]) - 1.0) * f.coefficients
+            h = (np.exp(1j * lattice_phase(g, BOUSSINESQ, t, shift)) - 1.0) * f.coefficients
             energies.append(math.fsum((np.abs(h) ** 2).tolist()))
         want = math.fsum(energies) * norm**2
         assert math.fsum(tr.partial_sums.tolist()) / len(points) == pytest.approx(want, rel=1e-12)

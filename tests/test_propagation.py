@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from phaselab import (
     BOUSSINESQ,
+    QUARTIC,
     ParameterError,
     ShiftSpec,
     SpectralField,
@@ -25,7 +27,8 @@ from phaselab import (
 )
 from phaselab import convergence, propagation, spectral
 from phaselab.convergence import default_points
-from phaselab.propagation import _angles, phase
+from phaselab.propagation import phase
+from test_spectral import LIBM_VARIANTS, assert_passes_in_fresh_interpreter, block_bytes
 
 E1 = np.array([1.0])
 
@@ -132,6 +135,12 @@ class TestEvaluateShifted:
             evaluate_shifted(f, BOUSSINESQ, t, None, 0.0)
 
 
+def lattice_phase(grid, law, t, shift):
+    """theta at time t on every mode of the lattice, with no fold."""
+    proj = None if shift is None else spectral._dot(grid.modes, shift.mu)
+    return phase(law, t, grid.radii, None if shift is None else shift.beta, proj)
+
+
 def reference_evaluate(field, law, times, shift, points):
     """The per-(t, x) loop that the batched evaluation replaced, with each
     phase x.xi summed coordinate by coordinate from the first."""
@@ -139,7 +148,7 @@ def reference_evaluate(field, law, times, shift, points):
     scale = grid.weight / (2.0 * math.pi) ** grid.n
     out = np.empty((len(times), len(points)), dtype=complex)
     for i, t in enumerate(times):
-        moved = field.coefficients * np.exp(1j * _angles(grid, law, [t], shift)[0])
+        moved = field.coefficients * np.exp(1j * lattice_phase(grid, law, t, shift))
         for j, x in enumerate(points):
             phase = x[0] * grid.modes[:, 0]
             for c in range(1, grid.n):
@@ -180,7 +189,7 @@ class TestBatchedEvaluate:
         if rows_per_block is not None:
             # blocks of 1 or 2 (time, point) rows split every time's 5 points;
             # blocks of 15 rows hold three times, then one time is left over
-            monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, len(points), rows_per_block))
         got = evaluate_shifted(f, law, times, shift, points)
         want = reference_evaluate(f, law, times, shift, points)
         assert got.shape == (4, 5)
@@ -192,7 +201,7 @@ class TestBatchedEvaluate:
         f = random_field(g, np.random.default_rng(44))
         times = np.linspace(0.0, 1.0, 7)
         points = np.array([[0.3, -1.1]])
-        monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * 3)
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 1, 3))
         got = evaluate_shifted(f, BOUSSINESQ, times, None, points)
         want = reference_evaluate(f, BOUSSINESQ, times, None, points)
         np.testing.assert_array_equal(bits(got), bits(want))
@@ -245,13 +254,12 @@ class TestBatchedEvaluate:
 def row_on_its_own(field, law, t, shift, residual):
     """A residual row (e^{i theta} - 1) f or an evolved row f e^{i theta}
     formed for one time t, with the checks and the phase of ``_angles`` and
-    the row functions as they were when each row was formed on its own."""
-    grid = field.grid
+    the row functions as they were when each row was formed on its own, on
+    the whole lattice."""
     if not (0 <= t < math.inf):
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
-    beta, proj = (None, None) if shift is None else (shift.beta, spectral._dot(grid.modes, shift.mu))
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = phase(law, t, grid.radii, beta, proj)
+        theta = lattice_phase(field.grid, law, t, shift)
         if not np.isfinite(theta).all():
             raise ParameterError(f"the phase of {law.name} is not finite at t={t}")
         if residual:
@@ -294,7 +302,7 @@ class TestRowBatches:
         num_rows=st.integers(16, 41),
         num_pts=st.sampled_from([1, 2, 3, 4, 30]),
         # one batch of all the rows, or blocks of 2 to 64 (row, point)
-        # products; at 30 points, batches of 3, 5 or 8 rows of several blocks
+        # products; at 30 points, batches of 4, 5 or 8 rows of several blocks
         block_rows=st.sampled_from([None, 2, 24, 40, 64]),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -311,7 +319,7 @@ class TestRowBatches:
         got = []
         with pytest.MonkeyPatch.context() as mp:
             if block_rows is not None:
-                mp.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * block_rows)
+                mp.setattr(spectral, "BLOCK_BYTES", block_bytes(g, num_pts, block_rows))
             if residual:
                 # the trace keeps only |sum|**2 summed over k: record the sums
                 mp.setattr(convergence, "_wave_sums",
@@ -351,6 +359,54 @@ class TestRowBatches:
         assert want == (ParameterError, "coefficients too large to sample: "
                         "the evolved coefficients overflow at t=0.5")
         assert outcome(lambda: evaluate_shifted(f, law, times, None, pts)) == want
+
+
+def unit(*mu):
+    return np.array(mu) / math.sqrt(math.fsum(m * m for m in mu))
+
+
+#: (grid, law, mu or None, modes of the fold): no shift, mu along each axis,
+#: mu with no zero component (no fold), and mu = (-1, 0), whose zero
+#: component gives mu.xi = -0 at xi_1 = 0, xi_2 < 0 and +0 at xi_2 > 0
+FOLD_CASES = [
+    pytest.param(make_grid(1, 64, 0.125), power_law(0.5), None, 513, id="1d"),
+    pytest.param(make_grid(1, 8, 0.125), BOUSSINESQ, unit(-1.0), 129, id="1d-shift"),
+    pytest.param(make_grid(2, 16, 0.25), BOUSSINESQ, None, 65 * 65, id="2d"),
+    pytest.param(make_grid(2, 16, 0.25), BOUSSINESQ, unit(1.0, 0.0), 8385, id="2d-e1"),
+    pytest.param(make_grid(2, 4, 0.25), QUARTIC, unit(0.0, 1.0), 561, id="2d-e2"),
+    pytest.param(make_grid(2, 4, 0.25), QUARTIC, unit(0.6, -0.8), 1089, id="2d-no-fold"),
+    pytest.param(make_grid(2, 4, 0.25), power_law(2.0), unit(-1.0, 0.0), 561, id="2d-minus-e1"),
+    pytest.param(make_grid(3, 2, 0.5), power_law(0.5), None, 125, id="3d"),
+    pytest.param(make_grid(3, 2, 0.5), BOUSSINESQ, unit(0.0, 0.0, 1.0), 225, id="3d-e3"),
+    pytest.param(make_grid(3, 2, 0.5), QUARTIC, unit(0.0, -1.0, 0.0), 225, id="3d-minus-e2"),
+    pytest.param(make_grid(3, 2, 0.5), BOUSSINESQ, unit(1.0, 2.0, -2.0), 729, id="3d-no-fold"),
+]
+
+
+class TestPhaseFold:
+    """theta is evaluated on the fold and e^{i theta} mirrored from there,
+    which needs theta even, bit for bit, in each coordinate mu does not touch."""
+
+    @pytest.mark.parametrize("grid, law, mu, folded", FOLD_CASES)
+    def test_rows_are_the_full_formula_bit_for_bit(self, grid, law, mu, folded):
+        shift = None if mu is None else ShiftSpec(beta=1.5, mu=mu)
+        times = np.array([0.0, -0.0, 1e-3, 0.37, 2.5, 40.0])
+        fold = propagation._fold(grid, law, shift)
+        rows = np.empty((len(times), grid.num_modes), dtype=complex)
+        theta = propagation._angles(fold, times, rows)
+        assert fold.num_modes == folded and theta.shape == (len(times), folded)
+        for row, t in zip(rows, times):
+            want = np.exp(1j * lattice_phase(grid, law, float(t), shift))
+            np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("variant", LIBM_VARIANTS)
+    def test_rows_are_the_full_formula_under_libm_variants(self, variant):
+        test = f"{Path(__file__).resolve()}::TestPhaseFold::test_rows_are_the_full_formula_bit_for_bit"
+        assert_passes_in_fresh_interpreter(test, variant, len(FOLD_CASES))
+
+    def test_mu_must_match_the_grid(self):
+        with pytest.raises(ParameterError, match=r"mu has shape \(1,\), expected \(2,\)"):
+            propagation._fold(make_grid(2, 1, 1), BOUSSINESQ, ShiftSpec(beta=1.5, mu=E1))
 
 
 class TestErrorField:

@@ -258,7 +258,8 @@ class TestReductionsAgainstMpmath:
         if num_points is None:
             x = x[0]
         if rows_per_block is not None:
-            monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+            nbytes = block_bytes(g, len(np.atleast_2d(x)), rows_per_block)
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", nbytes)
         batches = []
 
         def recording_certify(high, *args, **kwargs):
@@ -335,7 +336,7 @@ class TestWaveSumsFallback:
         pts = np.array([[0.7], [0.0], [-1.3]])
         # 7 (row, point) sums per block: 2 rows of 3 points, so the rows
         # come in blocks of 2, 2 and 1
-        monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * 7)
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 3, 7))
         assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
 
 
@@ -429,6 +430,14 @@ class TestScaledRows:
         assert self.fsum_calls(g, np.array([[0.5]]), coeffs, monkeypatch) == 0
 
 
+def block_bytes(grid, num_pts, sums):
+    """A ``BLOCK_BYTES`` whose ``_wave_sums`` blocks at ``num_pts`` points
+    hold at most ``sums`` (row, point) sums: one row of ``sums`` points when
+    that is fewer than all, else sums // num_pts rows of every point."""
+    pts = min(num_pts, sums)
+    return 8 * grid.num_modes * pts * (2 * max(1, sums // pts) + 1)
+
+
 def rows_of(coeffs):
     """The ``_wave_sums`` row source that copies the rows of ``coeffs``."""
     return lambda i, out: np.copyto(out, coeffs[i : i + len(out)])
@@ -459,9 +468,12 @@ def traced_wave_sums(grid, num_rows):
     finally:
         tracemalloc.stop()
     assert sums.nbytes == 16 * num_rows * len(pts)
-    products = max(1, spectral.BLOCK_BYTES // (16 * grid.num_modes))
-    block = 16 * grid.num_modes * (min(len(pts), products) * max(1, products // len(pts)))
-    return sums, 16 * len(pts) * grid.num_modes, block, peak
+    # a block of r rows at p points: 16*M*p*(2r + 1) bytes of waves, products
+    # and split at most, and more than one row only with every point
+    units = spectral.BLOCK_BYTES // (8 * grid.num_modes)
+    p = min(len(pts), units // 3)
+    r = (units // p - 1) // 2 if p == len(pts) else 1
+    return sums, 16 * len(pts) * grid.num_modes, 16 * grid.num_modes * r * p, peak
 
 
 class TestWaveSumsBatches:
@@ -478,7 +490,7 @@ class TestWaveSumsBatches:
         pts = np.array([[0.7], [0.0], [-1.3]])
         want = spectral._wave_sums(g, pts, len(coeffs), rows_of(coeffs))
         for rows_per_block in (1, 2, 7):
-            monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 3, rows_per_block))
             batches = []
 
             def recording_certify(high, *args):
@@ -501,10 +513,10 @@ class TestWaveSumsBatches:
             refused = [i for i, (_, ok) in enumerate(batches[len(batches) // 2 :]) if not ok]
             assert refused == sorted({bisect.bisect(ends, j) for j in (33, 34, 35)})
             monkeypatch.setattr(spectral, "_certify_sums", certify)
-        # at 7 rows a block holds 2 rows of 3 points, and a batch of 28
+        # at 7 rows a block holds 2 rows of 3 points, and a batch of 30
         # sums ends with the first block that reaches it: the blocks of sums
         # 24-29 and 54-59; the midpoint row's sums are refused in the second
-        assert (batch, sizes, refused) == (28, [30, 30], [1])
+        assert (batch, sizes, refused) == (30, [30, 30], [1])
 
     @pytest.mark.parametrize("rows_per_block", [1, 2, 7])
     def test_batches_end_at_block_ends(self, rows_per_block, monkeypatch):
@@ -512,7 +524,7 @@ class TestWaveSumsBatches:
         g = make_grid(1, 16, 0.125)
         coeffs = complex_rows(*np.random.default_rng(32).standard_normal((2, 20, g.num_modes)))
         pts = np.array([[0.7], [0.0], [-1.3]])
-        monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * rows_per_block)
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 3, rows_per_block))
         calls = []  # (step, number of sums) of each call, in call order
         for name in ("_split_sums", "_certify_sums"):
 
@@ -609,12 +621,12 @@ class TestWaveSumsBatches:
         assert got[100, num_pts - 1] == fsummed
 
     def test_a_row_error_follows_the_sums_before_it(self, monkeypatch):
-        # blocks of 2 rows of 32 points, batches of 8 rows, and the sums
+        # blocks of 2 rows of 32 points, one batch of the 8 rows, and the sums
         # certified after every block: row 1's sums overflow and are
         # certified before row 5 would be formed a block at a time, so that
         # error is raised, though forming the batch meets row 5's first
         g = make_grid(1, 2, 1)
-        monkeypatch.setattr(spectral, "BLOCK_BYTES", 16 * g.num_modes * 64)
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 32, 64))
         fills = []
 
         def fill(i, out):
@@ -631,9 +643,9 @@ class TestWaveSumsBatches:
     def test_deferred_state_does_not_grow_with_the_sums(self):
         # K = 2048 rows at 32 points: beyond the result and the waves, the
         # peak is the block and its split buffer plus at most 256 KB (about
-        # 235 KB, the same at K = 512 and 8192: a batch of 7 rows, the batch
-        # buffers, a batch's certify temporaries and a refused sum's fsum
-        # list); deferring every low sum and bound would add 1.5 MB
+        # 200 KB, the same at K = 512 and 8192: a batch of 7 rows, the batch
+        # buffers, a batch's certify temporaries and a refused plane's
+        # copy); deferring every low sum and bound would add 1.5 MB
         g = spectral.default_grid()
         num_rows = 2048
         sums, waves, block, peak = traced_wave_sums(g, num_rows)
@@ -641,17 +653,49 @@ class TestWaveSumsBatches:
         assert peak - sums.nbytes - waves <= 2 * block + 256 * 1024
 
     def test_forming_the_waves_does_not_set_the_2d_peak(self):
-        # the 2-D trace shape: 16,641 modes, 32 points and 32 rows, 3
+        # the 2-D trace shape: 16,641 modes, 32 points and 32 rows, 2
         # (row, point) products a block.  Beyond the result and the waves,
-        # the peak is the block, its split buffer, four rows' worth of
-        # terms (a batch of one row, a refused sum's products and its fsum
-        # list) and 256 KB, about 2.9 MB; forming the full
-        # (P, M) phases and ``1j * phase`` before ``exp`` held 8.5 MB
+        # the peak is the block, its split buffer, two rows' worth of terms
+        # (a batch of one row and a refused plane's copy) and 256 KB, about
+        # 1.86 MB; it reads 1.54 MB.  Forming the full (P, M) phases and
+        # ``1j * phase`` before ``exp`` held 8.5 MB, and a (P, M/2) float
+        # temporary of the phases 2.1 MB
         g = make_grid(2, 16, 0.25)
         g.modes  # built before tracing, as make_grid built them eagerly
         sums, waves, block, peak = traced_wave_sums(g, 32)
-        assert block == 16 * 3 * g.num_modes
-        assert peak - sums.nbytes - waves <= 2 * block + 4 * (16 * g.num_modes) + 256 * 1024
+        assert block == 16 * 2 * g.num_modes
+        assert peak - sums.nbytes - waves <= 2 * block + 2 * (16 * g.num_modes) + 256 * 1024
+
+    @pytest.mark.parametrize("grid_args, num_pts, num_rows, shape", [
+        ((1, 64, 0.125), 32, 2, (1, 32)),  # trace-1d
+        ((2, 4, 0.25), 32, 2, (1, 32)),  # field-roundtrip
+        ((2, 16, 0.25), 32, 1, (1, 2)),  # trace-2d-shift: 3 points would take 2.4 MB
+        ((1, 64, 0.125), 1, 64, (63, 1)),
+        ((1, 64, 0.125), 2, 32, (31, 2)),
+    ])
+    def test_blocks_are_the_largest_whose_working_set_fits(
+        self, grid_args, num_pts, num_rows, shape, monkeypatch
+    ):
+        # a block of r rows at p points reads p waves and holds r*p products
+        # and their split: 16*M*p*(2r + 1) bytes, at most 2*BLOCK_BYTES
+        g = make_grid(*grid_args)
+        shapes = []
+
+        def recording_products(rows, waves, out=None):
+            shapes.append((len(rows), len(waves)))
+            return products(rows, waves, out=out)
+
+        products = spectral._products
+        monkeypatch.setattr(spectral, "_products", recording_products)
+        c = random_field(g, 1).coefficients
+        spectral._wave_sums(g, default_points(g.n, num_pts), num_rows, scaled_copies(c, num_rows))
+        r, p = shape
+        assert shapes[0] == shape and max(shapes) == shape
+        working_set = 16 * g.num_modes * p * (2 * r + 1)
+        assert working_set <= 2 * spectral.BLOCK_BYTES
+        # one more point, or with every point one more row, would not fit
+        larger = p * (2 * r + 3) if p == num_pts else 3 * (p + 1)
+        assert 16 * g.num_modes * larger > 2 * spectral.BLOCK_BYTES
 
     def test_products_past_the_double_range_are_an_error(self):
         g = make_grid(1, 2, 1)
@@ -715,9 +759,9 @@ class TestWaves:
     def test_every_lattice_computes_half_the_waves(self, monkeypatch):
         widths = []
 
-        def recording_dot(a, b, out=None):
+        def recording_dot(a, b, **kwargs):
             widths.append(b.shape[0])
-            return dot(a, b, out=out)
+            return dot(a, b, **kwargs)
 
         dot = spectral._dot
         monkeypatch.setattr(spectral, "_dot", recording_dot)
@@ -730,16 +774,22 @@ class TestWaves:
         # the bit-identity test again in a fresh interpreter, where the
         # variables take effect: a libm whose sin is not odd fails here
         # instead of moving a golden digest
-        src = str(Path(spectral.__file__).resolve().parents[1])
-        env = dict(os.environ, **variant)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         test = f"{Path(__file__).resolve()}::TestWaves::test_waves_are_the_full_formula_bit_for_bit"
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert f"{len(WAVE_GRIDS)} passed" in proc.stdout
+        assert_passes_in_fresh_interpreter(test, variant, len(WAVE_GRIDS))
+
+
+def assert_passes_in_fresh_interpreter(test, variant, count):
+    """Run the pytest node ``test`` in a fresh interpreter with the
+    environment ``variant`` and assert that its ``count`` cases pass."""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = dict(os.environ, **variant)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f"{count} passed" in proc.stdout
 
 
 class TestFieldValidation:
