@@ -260,8 +260,6 @@ def cmd_propagate(args) -> int:
     field = read_field_csv(args.field)
     law = _law_from_args(args)
     times = [float(v) for v in args.times.split(",")]
-    if any(t < 0 for t in times):
-        raise ParameterError("times must be nonnegative")
     points = _sample_points(args, field.grid.n)
     values = evaluate_shifted(field, law, np.asarray(times), _shift(args, field.grid.n), points)
     # one row per (time, point), times outermost; each time, coordinate

@@ -39,13 +39,12 @@ from .multipliers import (
     Family,
     MultiplierSpec,
     Sweep,
-    analytic_envelope,
     check_reads,
     regime,
     sweep,
 )
 from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw
-from .propagation import ShiftSpec, _angles, _fold
+from .propagation import ShiftSpec, _angles, _checked, _fold
 from .spectral import SpectralField, _fsum, _points, _wave_sums
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "DEFAULT_K_MAX",
     "DEFAULT_NUM_POINTS",
     "DEFAULT_SEED",
-    "K_PROBE",
     "RateReport",
     "SummabilityCondition",
     "TimeSequence",
@@ -73,8 +71,6 @@ __all__ = [
 DEFAULT_SEED = 1729
 DEFAULT_NUM_POINTS = 32
 DEFAULT_K_MAX = 2048
-#: Terms of a symbolic sequence that ``sequence_applicable``'s fallback sums.
-K_PROBE = 4096
 
 @dataclass(frozen=True)
 class TimeSequence:
@@ -242,7 +238,7 @@ def sequence_applicable(seq: TimeSequence, cond: SummabilityCondition) -> Applic
     Exact for symbolic sequences, from the summand's decay exponent q:
     power sequences qualify iff p*q > 1 and geometric sequences qualify
     for every positive exponent.  Explicit lists fall back to
-    partial sums over the first ``K_PROBE`` terms, answering "unknown"
+    partial sums over all their terms, answering "unknown"
     unless they visibly stabilize.  A summand that is not finite at some
     term, or a partial sum that overflows, raises ParameterError naming
     the term or the partial sum.
@@ -261,7 +257,7 @@ def sequence_applicable(seq: TimeSequence, cond: SummabilityCondition) -> Applic
         return Applicability("no", f"nonpositive exponent q = {q:g}")
 
     # numeric fallback: explicit lists
-    t = seq.terms(K_PROBE if seq.kind != "explicit" else len(seq.values))
+    t = seq.terms(len(seq.values))
     with np.errstate(over="ignore", invalid="ignore"):
         g = t**q if cond.summand is None else cond.summand(t)
     if not np.isfinite(g).all():
@@ -289,13 +285,9 @@ def sequence_applicable(seq: TimeSequence, cond: SummabilityCondition) -> Applic
 
 
 def envelope_log_slope(template: MultiplierSpec) -> float:
-    """d log(envelope) / d log(delta), the theoretical sup-norm decay rate."""
-    if not template.family.uses_law:
-        return regime(template.family, template.a).exponent(template)
-    # gamma families: probe the implemented envelope in the asymptotic regime
-    e1 = analytic_envelope(template.with_delta(1e-8), strict=False)
-    e2 = analytic_envelope(template.with_delta(1e-10), strict=False)
-    return float(math.log(e1 / e2) / math.log(1e-8 / 1e-10))
+    """d log(envelope) / d log(delta), the theoretical sup-norm decay rate:
+    the exponent of the template's regime row, in closed form."""
+    return regime(template.family, template.a).exponent(template)
 
 
 @dataclass(frozen=True)
@@ -384,8 +376,6 @@ def _tail_bound(field: SpectralField, fold, seq: TimeSequence, k_max: int):
         return None
     grid, shift = field.grid, fold.shift
     mass = _fsum(np.abs(field.coefficients).tolist()) * grid.weight / (2.0 * math.pi) ** grid.n
-    gmax = float(np.max(fold.gamma))
-    proj = float(np.max(np.abs(fold.proj))) if shift is not None else 0.0
 
     def tail(x: float) -> float:
         """A bound on sum_{k>K} t_k**(2x): x = 1 for the phase, beta for the drift."""
@@ -405,9 +395,9 @@ def _tail_bound(field: SpectralField, fold, seq: TimeSequence, k_max: int):
         except OverflowError:
             return math.inf
 
-    tail_sq = squared(mass * gmax) * tail(1.0)
+    tail_sq = squared(mass * fold.gmax) * tail(1.0)
     if shift is not None:
-        tail_sq = 2.0 * tail_sq + 2.0 * squared(mass * proj) * tail(shift.beta)
+        tail_sq = 2.0 * tail_sq + 2.0 * squared(mass * fold.pmax) * tail(shift.beta)
     return tail_sq
 
 
@@ -438,9 +428,8 @@ def pointwise_trace(
         )
     grid = field.grid
     pts = _points(grid, points)[0]
-    times = seq.terms(k_max)
-
     fold = _fold(grid, law, shift)  # the law once a trace, not once a time
+    times = _checked(fold, seq.terms(k_max))
 
     def residual(k, rows):
         _angles(fold, times[k : k + len(rows)], rows)

@@ -4,9 +4,10 @@ Evolution multiplies each coefficient by a unit phase, so it is exactly
 unitary on every weighted norm; the drift x + t**beta * mu adds the phase
 t**beta * mu.xi.  ``_angles`` evaluates e^{i theta} on a fold of the
 lattice (``_fold``) and mirrors it.  ``evaluate_shifted`` samples T times
-at P points in one pass of ``spectral._wave_sums``.  The residual against
-the datum is formed in frequency space, h_j = (e^{i theta_j} - 1) f_j, which
-keeps synthesis quadrature out of the estimates under test.
+at P points in one pass of ``spectral._wave_sums``.  Every time is checked
+before any row is formed (``_checked``), so forming a row cannot fail.  The
+residual against the datum is formed in frequency space, h_j = (e^{i theta_j}
+- 1) f_j, which keeps synthesis quadrature out of the estimates under test.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ def _modulus(theta, r, s):
 
 def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
     """The modes ``_angles`` evaluates the phase on, with the law values
-    ``gamma`` and mu.xi ``proj`` (None without a shift) there.
+    ``gamma`` and mu.xi ``proj`` (None without a shift) there, and their
+    largest magnitudes ``gmax`` and ``pmax`` (0 without a shift).
 
     theta = t*law(|xi|) + t**beta * mu.xi is even, bit for bit, in each
     coordinate mu does not touch (every one without a shift): (-a)*(-a) ==
@@ -96,32 +98,56 @@ def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
     radii = grid.radii.reshape(shape)[index].ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = np.asarray(law(radii), dtype=float)
+        gmax = float(np.max(np.abs(gamma)))
     modes = grid.modes.reshape(shape + (grid.n,))[index].reshape(-1, grid.n)
     proj = None if shift is None else _dot(modes, shift.mu)
+    pmax = 0.0 if shift is None else float(np.max(np.abs(proj)))
     heads = [((slice(None),) * a, h.stop, index[a:]) for a, h in enumerate(index, 1) if h.stop]
     mirrors = [(p + (slice(m, None),) + r, p + (slice(m - 2, None, -1),) + r) for p, m, r in heads]
     return SimpleNamespace(shape=shape, index=index, num_modes=radii.size, radii=radii, gamma=gamma,
-                           proj=proj, name=getattr(law, "name", law), shift=shift, mirrors=mirrors)
+                           gmax=gmax, proj=proj, pmax=pmax, name=getattr(law, "name", law),
+                           shift=shift, mirrors=mirrors)
 
 
-def _angles(fold: SimpleNamespace, times, out: np.ndarray) -> np.ndarray:
-    """Write e^{i theta} for a 1-D array of T times into the C-contiguous (T,
-    modes) complex ``out``: theta on the modes of the ``_fold``, which it
-    returns, ``np.exp`` there, and the rows mirrored axis by axis.  A
-    ParameterError names the first t that is negative or not finite or whose phase is not."""
+def _checked(fold: SimpleNamespace, times, coeffs=None) -> np.ndarray:
+    """The 1-D float array of ``times``, at which ``_angles``, and evolved rows
+    of ``coeffs`` if given, cannot fail; else a ParameterError names the first
+    t that is negative or not finite, whose phase is not, or at which the
+    evolved coefficients overflow.  Rounding is monotone, so |theta_j| <=
+    fl(t*gmax) + fl(t**beta * pmax) and each part of f_j e^{i theta_j} is at
+    most fl(|Re f_j| + |Im f_j|).  So only a t < 0, t = 0 for beta <= 0, a t
+    whose bound (nan or inf at a t not finite) reaches 2**1020, which absorbs
+    numpy's t**beta differing from Python's, and every t if the field's bound
+    is not finite can fail: each is formed alone, in time order."""
     times = np.asarray(times, dtype=float)
-    bad = ~((0 <= times) & (times < math.inf))
-    if bad.any():
-        raise ParameterError(f"t must be nonnegative and finite, got {float(times[bad.argmax()])}")
-    with np.errstate(over="ignore", invalid="ignore"):  # t*law(|xi|) + t**beta * mu.xi, as phase
-        theta = np.multiply.outer(times, fold.gamma)
-        if fold.shift is not None:  # row by row: one row of temporary
-            for row, t in zip(theta, times.tolist()):
-                row += shift_offset(t, fold.shift.beta) * fold.proj
-    finite = np.isfinite(theta).all(axis=1)
-    if not finite.all():
-        t = float(times[finite.argmin()])
-        raise ParameterError(f"the phase of {fold.name} is not finite at t={t}")
+    with np.errstate(all="ignore"):
+        bound = times * fold.gmax
+        if fold.shift is not None:
+            bound += times**fold.shift.beta * fold.pmax
+        whole = coeffs is None or np.isfinite(abs(coeffs.real) + abs(coeffs.imag)).all()
+        ok = times >= 0 if fold.shift is None or fold.shift.beta > 0 else times > 0
+        for k in np.flatnonzero(~(ok & (bound < 2.0**1020) & whole)).tolist():
+            t = float(times[k])
+            if not 0 <= t < math.inf:
+                raise ParameterError(f"t must be nonnegative and finite, got {t}")
+            row = np.empty((1, math.prod(fold.shape)), dtype=complex)
+            if not np.isfinite(_angles(fold, times[k : k + 1], row)).all():
+                raise ParameterError(f"the phase of {fold.name} is not finite at t={t}")
+            if coeffs is not None and not np.isfinite(row * coeffs).all():
+                raise ParameterError("coefficients too large to sample: the evolved "
+                                     f"coefficients overflow at t={t}")
+    return times
+
+
+def _angles(fold: SimpleNamespace, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write e^{i theta} for a 1-D array of T times, checked by ``_checked``,
+    into the C-contiguous (T, modes) complex ``out``: theta on the modes of
+    the ``_fold``, which it returns, ``np.exp`` there, and the rows mirrored
+    axis by axis."""
+    theta = np.multiply.outer(times, fold.gamma)  # t*law(|xi|) + t**beta * mu.xi, as phase
+    if fold.shift is not None:  # row by row: one row of temporary
+        for row, t in zip(theta, times.tolist()):
+            row += shift_offset(t, fold.shift.beta) * fold.proj
     full = out.reshape((len(out),) + fold.shape)
     part = full[(slice(None),) + fold.index]
     np.exp(np.multiply(1j, theta.reshape(part.shape), out=part), out=part)
@@ -132,8 +158,9 @@ def _angles(fold: SimpleNamespace, times, out: np.ndarray) -> np.ndarray:
 
 def apply_phase(field: SpectralField, law, t: float) -> SpectralField:
     """Multiply each coefficient by e^{it*gamma(|xi_j|)}; moduli are preserved."""
+    fold = _fold(field.grid, law, None)
     factor = np.empty((1, field.grid.num_modes), dtype=complex)
-    _angles(_fold(field.grid, law, None), [t], factor)
+    _angles(fold, _checked(fold, [t]), factor)
     return SpectralField(field.grid, field.coefficients * factor[0])
 
 
@@ -156,16 +183,11 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
     grid = field.grid
     pts, single = _points(grid, x)
     fold = _fold(grid, law, shift)
+    checked = _checked(fold, times.reshape(-1), field.coefficients)
 
     def evolved(i, rows):
-        # formed under _wave_sums' np.errstate, so an overflow warns nothing
-        ts = times.reshape(-1)[i : i + len(rows)]
-        _angles(fold, ts, rows)
+        _angles(fold, checked[i : i + len(rows)], rows)
         np.multiply(field.coefficients, rows, out=rows)
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            raise ParameterError("coefficients too large to sample: the evolved "
-                                 f"coefficients overflow at t={float(ts[finite.argmin()])}")
 
     sums = _wave_sums(grid, pts, times.size, evolved)
     sums = sums.reshape(times.shape + (() if single else (len(pts),)))
@@ -192,7 +214,7 @@ def error_field(field: SpectralField, law, t: float, shift: ShiftSpec | None = N
     """
     fold = _fold(field.grid, law, shift)
     factor = np.empty((1, field.grid.num_modes), dtype=complex)
-    theta = _angles(fold, [t], factor)[0]
+    theta = _angles(fold, _checked(fold, [t]), factor)[0]
     h = SpectralField(field.grid, (factor[0] - 1.0) * field.coefficients)
     l2 = sobolev_norm(h, 0.0)
     hs = sobolev_norm(field, s)

@@ -367,10 +367,9 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
     Blocks cover the result in row-major order; ``_certify_sums`` runs on
     the pending sums at the end of the first block that brings them to
     ``max(1, BLOCK_BYTES >> 10)`` (1,024), and on the rest at the end.  A
-    refused sum's row is filled again alone (``fill`` must be pure) and its
-    products formed unscaled for ``_fsum``.  A batch whose ``fill`` raises
-    is filled again a block, then a row, at a time, so the error raised is
-    the first in that order.  Rows are formed under the loop's
+    refused sum's row is filled again alone and its products formed
+    unscaled for ``_fsum``, so ``fill`` must be pure, and it must not raise:
+    its callers check their rows first.  Rows are formed under the loop's
     ``np.errstate``; a product or sum not finite at a finite wave raises
     ``ParameterError``.
     """
@@ -422,17 +421,9 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
         with np.errstate(invalid="ignore", over="ignore"):
             # a non-finite or overflowing point gives a NaN wave, so NaN sums
             waves = _waves(grid, pts)
-            r0 = 0
-            while r0 < num_rows:
+            for r0 in range(0, num_rows, batch_rows):
                 formed = coeffs[: min(batch_rows, num_rows - r0)]
-                try:
-                    fill(r0, formed)
-                except ParameterError:  # formed again a block, then a row, at a time
-                    if len(formed) > r_step:
-                        batch_rows = r_step
-                        continue
-                    for i in range(len(formed)):
-                        fill(r0 + i, formed[i : i + 1])
+                fill(r0, formed)
                 scale_bound = _scale_rows(formed.view(float), 2.0)
                 for b0, p0 in itertools.product(range(0, len(formed), r_step), p_starts):
                     rows, chunk = formed[b0 : b0 + r_step], waves[p0 : p0 + p_step]
@@ -448,7 +439,6 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
                     if pending >= batch:
                         certify(done, pending)
                         done, pending = done + pending, 0
-                r0 += len(formed)
             if pending:
                 certify(done, pending)
     finally:

@@ -181,15 +181,22 @@ class TestRegimeRows:
             MultiplierSpec(Family.POWER_SHIFT, s=0.75, delta=1e-3, a=0.7, beta=0.8),
             MultiplierSpec(Family.POWER_SHIFT, s=1.0, delta=1e-3, a=2.0, beta=1.5),
             MultiplierSpec(Family.POWER_SHIFT, s=1.0, delta=1e-3, a=2.0, beta=0.8),
+            MultiplierSpec(Family.GAMMA, s=0.5, delta=1e-3, law=BOUSSINESQ),
+            MultiplierSpec(Family.GAMMA, s=0.75, delta=1e-3, law=QUARTIC),
+            MultiplierSpec(Family.GAMMA_SHIFT, s=0.5, delta=1e-3, law=QUARTIC, beta=0.8),
+            MultiplierSpec(Family.GAMMA_SHIFT, s=0.5, delta=1e-3, law=BOUSSINESQ, beta=1.5),
         ],
-        ids=lambda spec: f"{spec.family.value}-a{spec.a}-b{spec.beta}",
+        ids=lambda spec: f"{spec.family.value}-a{spec.a}-b{spec.beta}"
+        + (f"-{spec.law.name}" if spec.law else ""),
     )
     def test_power_row_q_is_twice_the_envelope_slope(self, template):
-        criterion = {
-            Family.POWER: "power-low",
-            Family.POWER_SHIFT: "power-shift-sub" if template.a < 1 else "power-shift-super",
-        }[template.family]
-        cond = required_exponent(criterion, **template.params_dict())
+        if template.family is Family.POWER_SHIFT:
+            criterion = "power-shift-sub" if template.a < 1 else "power-shift-super"
+        else:
+            criterion = {Family.POWER: "power-low", Family.GAMMA: "gamma",
+                         Family.GAMMA_SHIFT: "gamma-shift"}[template.family]
+        params = {name: getattr(template, name) for name in template.family.reads}
+        cond = required_exponent(criterion, s=template.s, **params)
         assert 2.0 * envelope_log_slope(template) == cond.q  # bitwise
 
     @pytest.mark.parametrize("alias,law", [("boussinesq", BOUSSINESQ), ("quartic", QUARTIC)])

@@ -253,9 +253,8 @@ class TestBatchedEvaluate:
 
 def row_on_its_own(field, law, t, shift, residual):
     """A residual row (e^{i theta} - 1) f or an evolved row f e^{i theta}
-    formed for one time t, with the checks and the phase of ``_angles`` and
-    the row functions as they were when each row was formed on its own, on
-    the whole lattice."""
+    formed for one time t on the whole lattice, with the exact per-row checks
+    that ``_checked`` applies to the times it confirms."""
     if not (0 <= t < math.inf):
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -360,6 +359,75 @@ class TestRowBatches:
                         "the evolved coefficients overflow at t=0.5")
         assert outcome(lambda: evaluate_shifted(f, law, times, None, pts)) == want
 
+    def test_a_bad_t_is_reported_before_any_sum(self, monkeypatch):
+        # blocks of 2 rows of 32 points, one batch of the 8 rows, and the
+        # sums certified after every block.  At t = pi the phases t*xi**2 are
+        # 0, pi and 4*pi, so the 5 modes of 4e307 sum to about 4e307; at
+        # t = 1e-3 they sum past the double range.  Every time is checked
+        # before any row is formed, so a bad t at row 5 is reported before
+        # the sums of row 1 are certified
+        g = make_grid(1, 2, 1)
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 32, 64))
+        f = SpectralField(g, np.full(g.num_modes, 4e307))
+        times = np.full(8, math.pi)
+        times[1] = 1e-3
+        with pytest.raises(ParameterError, match="^coefficients too large to sample: a sum over"):
+            evaluate_shifted(f, power_law(2.0), times, None, np.zeros((32, 1)))
+        times[5] = -1.0
+        with pytest.raises(ParameterError, match=r"^t must be nonnegative and finite, got -1\.0$"):
+            evaluate_shifted(f, power_law(2.0), times, None, np.zeros((32, 1)))
+
+    @staticmethod
+    def confirmed(monkeypatch):
+        """A list that gets, for each call of the up-front check
+        ``_checked``, the list of times whose rows it forms alone."""
+        confirmed, angles, check = [], propagation._angles, propagation._checked
+
+        def recording(fold, times, out):
+            confirmed[-1] += times.tolist()
+            return angles(fold, times, out)
+
+        def checked(*args):
+            confirmed.append([])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(propagation, "_angles", recording)
+                return check(*args)
+
+        monkeypatch.setattr(propagation, "_checked", checked)
+        monkeypatch.setattr(convergence, "_checked", checked)
+        return confirmed
+
+    def test_ordinary_times_form_no_confirmation_row(self, monkeypatch):
+        # at positive finite times on a field of moderate size every phase
+        # bound lies far below the margin: the check forms no row
+        g = make_grid(2, 4, 0.25)
+        f = random_field(g, 61)
+        shift = ShiftSpec(beta=1.5, mu=unit(1.0, 0.0))
+        pts = default_points(2, 4)
+        confirmed = self.confirmed(monkeypatch)
+        evaluate_shifted(f, QUARTIC, np.linspace(0.05, 3.0, 20), shift, pts)
+        pointwise_trace(f, BOUSSINESQ, TimeSequence.geometric(0.5), 0.5, pts, k_max=40, shift=shift)
+        # 0.5**k underflows to t = 0 from k = 1075 on; t = 0 cannot fail
+        # without a shift or for beta > 0, so it is not confirmed either
+        seq = TimeSequence.geometric(0.5)
+        assert seq.terms(1100)[-1] == 0.0
+        pointwise_trace(f, BOUSSINESQ, seq, 0.5, pts, k_max=1100)
+        pointwise_trace(f, BOUSSINESQ, seq, 0.5, pts, k_max=1100, shift=shift)
+        assert confirmed == [[], [], [], []]
+
+    def test_a_flagged_t_with_a_finite_phase_samples_as_before(self, monkeypatch):
+        # max|xi|**2 = 4, so t = 2**1019 has the phase bound 2**1021, past
+        # the margin: that t alone is formed by the check, passes, and its
+        # row is sampled bit for bit as a row formed on its own
+        g = make_grid(1, 2, 1)
+        f = random_field(g, np.random.default_rng(67))
+        law, pts = power_law(2.0), default_points(1, 3)
+        times = np.array([0.5, 2.0**1019, 0.25])
+        confirmed = self.confirmed(monkeypatch)
+        got = evaluate_shifted(f, law, times, None, pts)
+        assert confirmed == [[2.0**1019]]
+        want = sums_one_row_at_a_time(f, law, times, None, pts, False)
+        np.testing.assert_array_equal(bits(got), bits(want))
 
 def unit(*mu):
     return np.array(mu) / math.sqrt(math.fsum(m * m for m in mu))

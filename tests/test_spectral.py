@@ -620,26 +620,6 @@ class TestWaveSumsBatches:
         fsummed = complex(math.fsum(planes[0]), math.fsum(planes[1])) * norm
         assert got[100, num_pts - 1] == fsummed
 
-    def test_a_row_error_follows_the_sums_before_it(self, monkeypatch):
-        # blocks of 2 rows of 32 points, one batch of the 8 rows, and the sums
-        # certified after every block: row 1's sums overflow and are
-        # certified before row 5 would be formed a block at a time, so that
-        # error is raised, though forming the batch meets row 5's first
-        g = make_grid(1, 2, 1)
-        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 32, 64))
-        fills = []
-
-        def fill(i, out):
-            fills.append((i, len(out)))
-            for k, row in enumerate(out, i):
-                if k == 5:
-                    raise ParameterError("row 5 cannot be formed")
-                row[...] = 1.7e308 if k == 1 else 1.0
-
-        with pytest.raises(ParameterError, match="^coefficients too large to sample: a sum over"):
-            spectral._wave_sums(g, np.zeros((32, 1)), 8, fill)
-        assert fills[:2] == [(0, 8), (0, 2)]
-
     def test_deferred_state_does_not_grow_with_the_sums(self):
         # K = 2048 rows at 32 points: beyond the result and the waves, the
         # peak is the block and its split buffer plus at most 256 KB (about
