@@ -436,9 +436,12 @@ def pointwise_trace(
         rows -= 1.0
         rows *= field.coefficients
 
-    values = _wave_sums(grid, pts, len(times), residual)
+    # times do not increase, and a residual at t = 0 is zero and adds +0 to
+    # every sum: only the rows before the first t = 0 are formed
+    values = _wave_sums(grid, pts, np.count_nonzero(times), residual)
     # np.cumsum adds along k in order, as a running sum would (np.sum pairs
     # terms); a square past the double range is inf, its rounded value
     with np.errstate(over="ignore"):
-        sums = np.cumsum(values.real * values.real + values.imag * values.imag, axis=0)[-1]
+        squares = values.real * values.real + values.imag * values.imag
+        sums = np.cumsum(squares, axis=0)[-1] if len(squares) else np.zeros(len(pts))
     return TraceResult(pts, sums, _tail_bound(field, fold, seq, len(times)), len(times))

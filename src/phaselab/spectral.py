@@ -20,9 +20,10 @@ e^{i x.xi_j} dxi**n for rows c (a field, or an evolved datum or residual
 per time) at points x (``_points``).  It forms one wave per point
 (``_waves``: the lattice's second half is the conjugate of its first, bit
 for bit), fills the rows a batch at a time and sums as ``csum`` does, in
-blocks whose waves, products and split fit in 2*BLOCK_BYTES.  Products
-over the n <= 3 coordinates (x.xi, mu.xi, |xi|) go through ``_dot``, left
-to right elementwise, so no BLAS kernel touches the bits.
+blocks whose waves, products and split fit in 2*BLOCK_BYTES, certifying
+a window of whole batches at a time.  Products over the n <= 3
+coordinates (x.xi, mu.xi, |xi|) go through ``_dot``, left to right
+elementwise, so no BLAS kernel touches the bits.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -59,8 +60,9 @@ DEFAULT_GRID_PARAMS = (1, 64.0, 0.125)
 
 #: Cap on the bytes of complex products ``_wave_sums`` sums in one block
 #: (one row at least), so a block grows with neither the row nor the point
-#: count.  Its sums are certified in batches of ``BLOCK_BYTES >> 10``
-#: (1,024), whose deferred low sums and bounds take 24 bytes a sum.
+#: count.  Its sums are certified in windows of whole row batches that hold
+#: ``BLOCK_BYTES >> 10`` (1,024) sums, fewer than 2,048 unless one batch
+#: holds more, with 32 bytes a sum of low sums and row scales and bounds.
 BLOCK_BYTES = 1 << 20
 
 #: Unit roundoff of float64.
@@ -83,15 +85,15 @@ def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, spare=None
     return total
 
 
-def _scale_rows(parts: np.ndarray, widen: float) -> np.ndarray:
+def _scale_rows(parts: np.ndarray) -> np.ndarray:
     """Scale each row of the (rows, 2M) float parts in place by the 2**k of
     ``_split_sums`` and return (2, rows): each row's 2**-k and the bound of
-    its low sums, for terms at most ``widen`` times the row's largest part
-    (2 with waves, 1 for parts); a dead row is left as it is, with (1.0, inf)."""
+    its low sums, for terms at most twice the row's largest part; a dead
+    row is left as it is, with (1.0, inf)."""
     m = parts.shape[1] // 2
     levels = (m + 1).bit_length()
     # nan propagates through both reductions and fails the range test
-    peak = widen * np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    peak = 2.0 * np.maximum(parts.max(axis=1), -parts.min(axis=1))
     live = (2.0**_MIN_EXPONENT <= peak) & (peak < 2.0 ** (1023 - levels))
     k = np.where(live, 53 - levels - np.frexp(peak)[1], 0)
     parts *= np.ldexp(1.0, k)[:, None]
@@ -111,17 +113,17 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
 
     Error-free extraction at a granularity of one unit (Rump, Ogita and
     Oishi, 2008).  Let L = (M + 1).bit_length(), so M <= 2**L - 2, and
-    u = 2**-53.  ``_scale_rows`` takes 2**(e-1) <= w*peak < 2**e, peak the
+    u = 2**-53.  ``_scale_rows`` takes 2**(e-1) <= 2*peak < 2**e, peak the
     row's largest part in magnitude, and multiplies the row by s = 2**k,
-    k = 53 - L - e.  A term is a part (w = 1, ``csum``) or a component of
-    a product with a wave (w = 2): as |cos|, |sin| <= 1 and rounding is
-    monotone, each rounded product is at most peak and their sum or
-    difference, fused or not, at most 2*peak.  So every scaled term is
-    below 2**(53 - L), each q is an integer of magnitude at most
-    2**(53 - L), and every partial sum of the q of one plane, in any
-    order, is an integer below M * 2**(53 - L) < 2**53: t = sum(q) is
-    exact.  p = x - q is exact with |p| <= 1/2, and P' = fl(sum(p)), in
-    any order, errs by at most gamma_{M-1} * M/2, below M**2*u/2 for
+    k = 53 - L - e.  A term is a part (``csum``) or a component of a
+    product with a wave: as |cos|, |sin| <= 1 and rounding is monotone,
+    each rounded product is at most peak and their sum or difference,
+    fused or not, at most 2*peak.  So every scaled term is below
+    2**(53 - L), each q is an integer of magnitude at most 2**(53 - L),
+    and every partial sum of the q of one plane, in any order, is an
+    integer below M * 2**(53 - L) < 2**53: t = sum(q) is exact.
+    p = x - q is exact with |p| <= 1/2, and P' = fl(sum(p)), in any
+    order, errs by at most gamma_{M-1} * M/2, below M**2*u/2 for
     M <= 2**26 (no lattice here is wider) and below M**2*u up to 2**50.
 
     Scaling by s commutes with rounding except in the subnormal range of
@@ -144,7 +146,7 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
     exactly-rounded unscaled sum if it is a normal double; results at or
     below 2**-1022 once unscaled are refused, as are zeros.  Both planes of
     a row share its s, and both sums run on a complex view, one
-    ``sum(axis=1)`` each.  A row is dead when w*peak is zero or not
+    ``sum(axis=1)`` each.  A row is dead when 2*peak is zero or not
     finite, below 2**_MIN_EXPONENT, or at least 2**(1023 - L), where an
     unscaled sum could overflow: ``_scale_rows`` leaves it unscaled with
     bound inf, so both its planes are refused.
@@ -205,7 +207,7 @@ def csum(values: np.ndarray):
     terms = values.view(float).reshape(values.shape + (2,))
     r, low, parts = *np.empty((2, len(values)), dtype=complex), terms.copy()
     with np.errstate(invalid="ignore", over="ignore"):
-        scale, bound = _scale_rows(parts.reshape(len(r), -1), 1.0)
+        scale, bound = _scale_rows(parts.reshape(len(r), -1))
         _split_sums(parts, r, low, np.empty(terms.size))
         _certify_sums(r, low, bound, scale, terms.__getitem__)
     return r
@@ -360,18 +362,19 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
     each point x of the (P, n) array ``pts``: a (num_rows, P) array.
     ``fill(i, out)`` writes rows i, ..., i + len(out) - 1 into ``out``.
 
-    The rows are filled a batch of R = max(1, (BLOCK_BYTES >> 3) // (16*M))
-    rows at a time, in whole blocks of rows, and scaled (``_scale_rows``).
-    Each block of (row, point) products is split in place (``_split_sums``):
-    high sums into the result, low sums, scales and bounds into buffers.
-    Blocks cover the result in row-major order; ``_certify_sums`` runs on
-    the pending sums at the end of the first block that brings them to
-    ``max(1, BLOCK_BYTES >> 10)`` (1,024), and on the rest at the end.  A
-    refused sum's row is filled again alone and its products formed
-    unscaled for ``_fsum``, so ``fill`` must be pure, and it must not raise:
-    its callers check their rows first.  Rows are formed under the loop's
-    ``np.errstate``; a product or sum not finite at a finite wave raises
-    ``ParameterError``.
+    The rows are filled a batch of R rows at a time, in whole blocks of
+    rows, and scaled (``_scale_rows``): R = max(1, (BLOCK_BYTES >> 3) //
+    (16*M)) rows rounded to whole blocks, and at most 1,024 (``BLOCK_BYTES
+    >> 10``) sums unless one block holds more.  Each block of (row, point)
+    products is split in place (``_split_sums``): high sums into the
+    result, low sums into a buffer.  ``_certify_sums`` runs once a window,
+    the fewest whole batches that hold 1,024 sums, on the window's rows
+    with their scales and bounds.  A refused sum's row is filled again
+    alone and its products formed unscaled for ``_fsum``, so ``fill`` must
+    be pure, and it must not raise: its callers check their rows first.
+    Rows are formed under the loop's ``np.errstate``; a product not finite
+    at a finite wave raises ``ParameterError`` when it is formed again, and
+    a sum not finite at a finite wave once every sum is formed.
     """
     num_modes, num_pts = grid.num_modes, len(pts)
     # r rows at p points: p waves, r*p products and their split, 16*M*p*(2r + 1) bytes
@@ -379,39 +382,30 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
     units = max(3, BLOCK_BYTES // (8 * num_modes))
     p_step = max(1, min(num_pts, units // 3))
     r_step = (units // p_step - 1) // 2 if p_step == num_pts else 1
-    batch_rows = r_step * max(1, (BLOCK_BYTES >> 3) // (16 * num_modes) // r_step)
-    batch = max(1, BLOCK_BYTES >> 10)
+    # a batch of rows holds at most ``cap`` sums unless one block holds more,
+    # and a window is the fewest batches that hold ``cap``
+    cap, row_sums = max(1, BLOCK_BYTES >> 10), max(1, num_pts)
+    batch_rows = min((BLOCK_BYTES >> 3) // (16 * num_modes), cap // row_sums)
+    batch_rows = r_step * max(1, batch_rows // r_step)
+    window = max(1, min(num_rows, batch_rows * -(-cap // (batch_rows * row_sums))))
     coeffs = np.empty((batch_rows, num_modes), dtype=complex)
     block_buf = np.empty(r_step * p_step * num_modes, dtype=complex)
     split = np.empty(2 * block_buf.size)
     sums = np.empty((num_rows, num_pts), dtype=complex)
-    flat = sums.reshape(-1)
-    # the low sums, scales and bounds of the ``pending`` sums from
-    # flat[done] on, split but not yet certified: less than a batch (or
-    # than all the sums) before a block, plus that block
-    low = np.empty(min(batch, sums.size) + r_step * p_step, dtype=complex)
-    deferred = np.empty((2, len(low)))
-    done = pending = 0
+    # the scale and bound of each row of a window, and the low sum of each of its sums
+    scale_bound, low = np.empty((2, window)), np.empty(window * num_pts, dtype=complex)
 
     def terms(j):
-        # formed in the block buffer, whose products are split by now
+        # sum j of the window, formed in the block buffer, whose products are split by now
         i, p = divmod(j, num_pts)
         row = block_buf[:num_modes].reshape(1, num_modes)
-        fill(i, row)
+        fill(w0 + i, row)
         product = _products(row, waves[p : p + 1], out=row[:, None])
         if not np.isfinite(product).all() and np.isfinite(waves[p]).all():
             raise ParameterError(
                 "coefficients too large to sample: their products with a plane wave overflow"
             )
         return product.view(float).reshape(num_modes, 2)
-
-    def certify(start, count):
-        high = flat[start : start + count]
-        scale, bound = deferred[:, :count]
-        _certify_sums(high, low[:count], bound, scale, lambda j: terms(start + j))
-        points = (start + np.flatnonzero(~np.isfinite(high))) % num_pts
-        if np.isfinite(waves[points]).all(axis=1).any():
-            raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
 
     # at numpy's default of 8,192 elements a block's product copies its broadcast row into
     # a buffer of several rows, 0.11 MB at 1,025 modes, and runs about 1.5 times as long
@@ -421,28 +415,26 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
         with np.errstate(invalid="ignore", over="ignore"):
             # a non-finite or overflowing point gives a NaN wave, so NaN sums
             waves = _waves(grid, pts)
-            for r0 in range(0, num_rows, batch_rows):
-                formed = coeffs[: min(batch_rows, num_rows - r0)]
-                fill(r0, formed)
-                scale_bound = _scale_rows(formed.view(float), 2.0)
-                for b0, p0 in itertools.product(range(0, len(formed), r_step), p_starts):
-                    rows, chunk = formed[b0 : b0 + r_step], waves[p0 : p0 + p_step]
-                    size = len(rows) * len(chunk)
-                    block = block_buf[: size * num_modes].reshape(len(rows), len(chunk), num_modes)
-                    _products(rows, chunk, out=block)
-                    start = done + pending
-                    _split_sums(block.view(float).reshape(size, num_modes, 2),
-                                flat[start : start + size], low[pending : pending + size], split)
-                    per_sum = deferred[:, pending : pending + size].reshape(2, len(rows), -1)
-                    per_sum[...] = scale_bound[:, b0 : b0 + len(rows), None]
-                    pending += size
-                    if pending >= batch:
-                        certify(done, pending)
-                        done, pending = done + pending, 0
-            if pending:
-                certify(done, pending)
+            for w0 in range(0, num_rows, window):
+                w_rows = min(window, num_rows - w0)
+                high = sums[w0 : w0 + w_rows].reshape(-1)
+                for r0 in range(0, w_rows, batch_rows):
+                    formed = coeffs[: min(batch_rows, w_rows - r0)]
+                    fill(w0 + r0, formed)
+                    scale_bound[:, r0 : r0 + len(formed)] = _scale_rows(formed.view(float))
+                    for b0, p0 in itertools.product(range(0, len(formed), r_step), p_starts):
+                        rows, chunk = formed[b0 : b0 + r_step], waves[p0 : p0 + p_step]
+                        size, start = len(rows) * len(chunk), (r0 + b0) * num_pts + p0
+                        block = block_buf[: size * num_modes].reshape(len(rows), len(chunk), -1)
+                        _products(rows, chunk, out=block)
+                        _split_sums(block.view(float).reshape(size, num_modes, 2),
+                                    high[start : start + size], low[start : start + size], split)
+                scale, bound = np.repeat(scale_bound[:, :w_rows], num_pts, axis=1)
+                _certify_sums(high, low[: len(high)], bound, scale, terms)
     finally:
         np.setbufsize(bufsize)
+    if np.isfinite(waves[~np.isfinite(sums).all(axis=0)]).all(axis=1).any():
+        raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
     sums *= grid.weight / (2.0 * math.pi) ** grid.n
     return sums
 
@@ -491,15 +483,19 @@ def write_field_csv(field: SpectralField, path) -> None:
     ``read_field_csv`` gets the same bits back, signed zeros included.
     The 2M+1 axis values are formatted once, and the mode columns are
     their n-fold product, which runs in the lexicographic mode order.
+    A path whose suffix is ``.json``, the sidecar's own, is refused.
     """
     path = Path(path)
+    sidecar_path = path.with_suffix(".json")
+    if sidecar_path == path:
+        raise ParameterError(f"{path} would be overwritten by its grid sidecar; use another suffix")
     grid = field.grid
     c = field.coefficients
     modes = map(",".join, itertools.product(map(repr, grid.axis.tolist()), repeat=grid.n))
     rows = map(",".join, zip(modes, map(repr, c.real.tolist()), map(repr, c.imag.tolist())))
     path.write_text("\n".join([_field_header(grid.n), *rows]) + "\n")
     sidecar = {"n": grid.n, "xi_max": grid.xi_max, "dxi": grid.dxi}
-    path.with_suffix(".json").write_text(json.dumps(sidecar) + "\n")
+    sidecar_path.write_text(json.dumps(sidecar) + "\n")
 
 
 def read_field_csv(path) -> SpectralField:

@@ -484,6 +484,34 @@ class TestBatchedTrace:
         tr = pointwise_trace(f, power_law(0.5), TimeSequence.power(2.0), 0.5, np.empty((0, 1)), k_max=16)
         assert tr.partial_sums.size == 0
 
+    def test_rows_at_zero_time_are_not_formed(self, monkeypatch):
+        # 0.5**k underflows to 0 from k = 1075: the kernel gets the 1,074 rows
+        # before it, and the sums are those of every row, each row at t = 0
+        # adding +0
+        g = make_grid(1, 2, 0.5)
+        f = random_field(g, np.random.default_rng(3))
+        points = default_points(1, 6)
+        seen = []
+
+        def recording_wave_sums(grid, pts, num_rows, fill):
+            seen.append((num_rows, spectral._wave_sums(grid, pts, 1100, fill)))
+            return spectral._wave_sums(grid, pts, num_rows, fill)
+
+        monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
+        tr = pointwise_trace(f, power_law(0.5), TimeSequence.geometric(0.5), 0.5, points, k_max=1100)
+        [(num_rows, every)] = seen
+        assert num_rows == 1074 and not every[num_rows:].any()
+        want = np.cumsum(every.real * every.real + every.imag * every.imag, axis=0)[-1]
+        np.testing.assert_array_equal(tr.partial_sums.view(np.int64), want.view(np.int64))
+        assert tr.k_max == 1100
+
+    def test_every_time_zero(self):
+        # (k + 1)**-2000 underflows to 0 at every k: no row is formed
+        g = make_grid(1, 2, 0.5)
+        f = random_field(g, np.random.default_rng(4))
+        tr = pointwise_trace(f, power_law(0.5), TimeSequence.power(2000.0), 0.5, default_points(1, 3), k_max=16)
+        np.testing.assert_array_equal(tr.partial_sums.view(np.int64), np.zeros(3).view(np.int64))
+
 
 class TestTorusOracle:
     """Grid means of the trace against a closed form that uses no waves.

@@ -476,10 +476,41 @@ def traced_wave_sums(grid, num_rows):
     return sums, 16 * len(pts) * grid.num_modes, 16 * grid.num_modes * r * p, peak
 
 
+def certified_windows(monkeypatch, grid, pts, num_rows, fill):
+    """Run ``_wave_sums`` and return its ``_certify_sums`` calls in order, as
+    (sums certified, the (first row, row count) batches filled since the
+    call before), checking that the calls cover the rows in order, whole."""
+    calls, batches = [], []
+
+    def recording_fill(i, out):
+        batches.append((i, len(out)))
+        fill(i, out)
+
+    def recording_certify(high, *args):
+        calls.append((len(high), batches[:]))
+        ok = certify(high, *args)
+        batches.clear()  # the rows of refused sums, filled again alone
+        return ok
+
+    certify = spectral._certify_sums
+    monkeypatch.setattr(spectral, "_certify_sums", recording_certify)
+    spectral._wave_sums(grid, pts, num_rows, recording_fill)
+    monkeypatch.setattr(spectral, "_certify_sums", certify)
+    assert not batches
+    end = 0
+    for sums, filled in calls:
+        start = end
+        for i, n in filled:
+            assert i == end
+            end += n
+        assert sums == (end - start) * len(pts)
+    assert end == num_rows
+    return calls
+
+
 class TestWaveSumsBatches:
-    """``_wave_sums`` splits once per block and certifies the pending sums
-    at the end of the first block that brings them to a batch of
-    ``BLOCK_BYTES >> 10``."""
+    """``_wave_sums`` splits once per block and certifies a window of whole
+    row batches at a time: the fewest that hold ``BLOCK_BYTES >> 10`` sums."""
 
     def test_bits_do_not_depend_on_blocks_or_batches(self, monkeypatch):
         g = make_grid(1, 16, 0.125)
@@ -513,9 +544,10 @@ class TestWaveSumsBatches:
             refused = [i for i, (_, ok) in enumerate(batches[len(batches) // 2 :]) if not ok]
             assert refused == sorted({bisect.bisect(ends, j) for j in (33, 34, 35)})
             monkeypatch.setattr(spectral, "_certify_sums", certify)
-        # at 7 rows a block holds 2 rows of 3 points, and a batch of 30
-        # sums ends with the first block that reaches it: the blocks of sums
-        # 24-29 and 54-59; the midpoint row's sums are refused in the second
+        # at 7 rows a block holds 2 rows of 3 points, a batch is one block,
+        # and a window the 5 batches that reach 30 sums: it ends with the
+        # blocks of sums 24-29 and 54-59; the midpoint row's sums are
+        # refused in the second
         assert (batch, sizes, refused) == (30, [30, 30], [1])
 
     @pytest.mark.parametrize("rows_per_block", [1, 2, 7])
@@ -536,7 +568,9 @@ class TestWaveSumsBatches:
         spectral._wave_sums(g, pts, len(coeffs), rows_of(coeffs))
         batch = spectral.BLOCK_BYTES >> 10
         # the blocks split before each certify call, which must certify
-        # exactly their sums: so it starts and ends at block boundaries
+        # exactly their sums: so it starts and ends at block boundaries, and
+        # a window of whole batches of whole blocks ends with the block that
+        # brings it to 6, 12 or 30 sums
         covered, blocks = [], []
         for name, n in calls:
             if name == "_split_sums":
@@ -562,28 +596,54 @@ class TestWaveSumsBatches:
                 alone = spectral._products(rows[i][None], waves[p : p + 1])
                 np.testing.assert_array_equal(alone[0, 0].view(np.int64), block[i, p].view(np.int64))
 
-    def test_certify_step_runs_once_per_batch(self, monkeypatch):
+    def test_certify_step_runs_once_per_window(self, monkeypatch):
+        # trace-1d's shape: batches of 7 rows of 32 points (224 sums), and
+        # windows of the 5 batches that reach 1,024 sums, 35 rows: 14 of them
+        # and the last 22 rows, batches of 7, 7, 7 and 1
         g = spectral.default_grid()
-        pts = default_points(1, 32)
         c = random_field(g, 1).coefficients
-        calls = []
-
-        def counting_certify(*args, **kwargs):
-            calls.append(1)
-            return certify(*args, **kwargs)
-
-        certify = spectral._certify_sums
-        monkeypatch.setattr(spectral, "_certify_sums", counting_certify)
-        spectral._wave_sums(g, pts, 512, scaled_copies(c, 512))
+        calls = certified_windows(monkeypatch, g, default_points(1, 32), 512, scaled_copies(c, 512))
         assert g.num_modes == 1025
-        assert len(calls) == math.ceil(512 * 32 / (spectral.BLOCK_BYTES >> 10)) == 16
+        assert [sum(n for _, n in batches) for _, batches in calls] == [35] * 14 + [22]
+        assert [len(batches) for _, batches in calls] == [5] * 14 + [4]
+        assert all(n == 7 for _, batches in calls for _, n in batches[:-1])
+
+    @pytest.mark.parametrize("num_pts, batch_rows", [(3, 4368), (300, 43), (2000, 6)])
+    def test_windows_hold_whole_batches_and_few_sums(self, num_pts, batch_rows, monkeypatch):
+        # 5 modes: a block holds thousands of sums (4368 rows of 3 points, 43
+        # rows of 300 or 6 rows of 2,000), more than the 1,024 a batch holds
+        # otherwise, so a batch is one block and a window one batch; a
+        # window never holds more than 2,048 sums or one batch
+        g = make_grid(1, 2, 1)
+        c = random_field(g, 1).coefficients
+        calls = certified_windows(monkeypatch, g, default_points(1, num_pts), 100, scaled_copies(c, 100))
+        assert g.num_modes == 5
+        for sums, batches in calls:
+            assert [n for _, n in batches] == [min(batch_rows, 100 - batches[0][0])]
+            assert sums <= max(2048, batch_rows * num_pts)
+        assert len(calls) == math.ceil(100 / batch_rows)
+
+    @pytest.mark.parametrize("num_pts, num_rows", [(1, 1200), (3, 400), (31, 80), (700, 5)])
+    def test_windows_reach_the_sum_count_with_fewest_batches(self, num_pts, num_rows, monkeypatch):
+        # 1,025 modes, where a batch (63, 20, 7 or 1 rows) holds under 1,024
+        # sums: every window but the last is the fewest batches that reach
+        # 1,024 sums, so fewer than 2,048
+        g = spectral.default_grid()
+        c = random_field(g, 1).coefficients
+        pts = default_points(1, num_pts)
+        calls = certified_windows(monkeypatch, g, pts, num_rows, scaled_copies(c, num_rows))
+        assert len(calls) >= 2
+        for sums, batches in calls[:-1]:
+            assert sums - batches[-1][1] * num_pts < 1024 <= sums < 2048
+        assert calls[-1][0] < 2048
 
     @pytest.mark.parametrize("num_pts, r_step", [(1, 63), (2, 31)])
     def test_multi_row_blocks(self, num_pts, r_step, monkeypatch):
         # at 1,025 modes a block holds 63 rows of one point or 31 rows of
-        # two, and a batch is one block; a sum refused in the middle of a
-        # batch is formed again from its own row alone, as math.fsum of its
-        # products, and every sum is the csum of its row's products
+        # two, a batch is one block, and one window holds every row; a sum
+        # refused in the middle of a window is formed again from its own row
+        # alone, as math.fsum of its products, and every sum is the csum of
+        # its row's products
         g = spectral.default_grid()
         pts = default_points(1, num_pts, 5)
         k = np.arange(150)[:, None]
@@ -612,7 +672,7 @@ class TestWaveSumsBatches:
         got = spectral._wave_sums(g, pts, len(coeffs), fill)
         starts = list(range(0, 150, r_step))
         assert fills == [(i, min(r_step, 150 - i)) for i in starts] + [(100, 1)]
-        assert certified == [150 * num_pts]  # one batch: the refused sum is mid-batch
+        assert certified == [150 * num_pts]  # one window: the refused sum is mid-window
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         product = spectral._products(coeffs[100][None], waves[num_pts - 1 :])[0, 0]
         planes = [product.real.tolist(), product.imag.tolist()]
@@ -623,8 +683,8 @@ class TestWaveSumsBatches:
     def test_deferred_state_does_not_grow_with_the_sums(self):
         # K = 2048 rows at 32 points: beyond the result and the waves, the
         # peak is the block and its split buffer plus at most 256 KB (about
-        # 200 KB, the same at K = 512 and 8192: a batch of 7 rows, the batch
-        # buffers, a batch's certify temporaries and a refused plane's
+        # 200 KB, the same at K = 512 and 8192: a batch of 7 rows, the window
+        # buffers, a window's certify temporaries and a refused plane's
         # copy); deferring every low sum and bound would add 1.5 MB
         g = spectral.default_grid()
         num_rows = 2048
@@ -898,6 +958,13 @@ class TestCsvRoundTrip:
         write_field_csv(SpectralField(g, np.zeros(9)), tmp_path / "f.csv")
         first = (tmp_path / "f.csv").read_text().splitlines()[0]
         assert first == "xi_1,xi_2,re,im"
+
+    def test_json_suffix_is_refused(self, tmp_path):
+        # the sidecar f.json would overwrite the CSV f.json
+        path = tmp_path / "f.json"
+        with pytest.raises(ParameterError, match="overwritten by its grid sidecar"):
+            write_field_csv(random_field(make_grid(1, 1, 1), 3), path)
+        assert not path.exists()
 
     def test_missing_sidecar(self, tmp_path):
         p = tmp_path / "f.csv"

@@ -1,0 +1,62 @@
+"""Compare two checkouts on one perfbench workload in alternating pairs of runs.
+
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seconds S] [--seed S0]
+
+Pair i runs ``perfbench/run.py --trace 0 --seed S0+i`` in both checkouts, the
+parent first in even pairs and the change first in odd ones.  For each
+end-to-end metric that CHANGE_DIR/BENCHMARK.json names, it prints the median and
+quartiles of each side, the change/parent ratio of the medians and the pairs the
+change won; then whether every run was correct with no failed job.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON summary (last stdout line) of one untraced perfbench run in ``root``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode or not lines:
+        sys.exit(f"{root}: perfbench failed ({out.returncode}): {out.stderr.strip()[-400:]}")
+    return json.loads(lines[-1])
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=8)
+    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = ap.parse_args()
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run(getattr(args, side), args.workload, args.seed + i, args.seconds))
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1},"
+          f" {args.seconds:g} s a run; median [quartiles], parent -> change")
+    for m in metrics:
+        a, b = ([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in ("parent", "change"))
+        sign = 1 if m["better"] == "lower" else -1
+        won = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+        ratio = statistics.median(b) / statistics.median(a)
+        q = [statistics.quantiles(v, n=4, method="inclusive") for v in (a, b)]
+        print(f"  {m['name']:<12} " + " -> ".join(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]" for q1, q2, q3 in q)
+              + f" {m['unit']}, ratio {ratio:.4f}, change won {won}/{args.pairs}")
+    for side, results in runs.items():
+        ok = all(r["correct"] and r["failed"] == 0 for r in results)
+        print(f"  {side}: every run correct with 0 failed: {'yes' if ok else 'NO'}")
+
+
+if __name__ == "__main__":
+    main()
