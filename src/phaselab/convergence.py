@@ -44,7 +44,7 @@ from .multipliers import (
     sweep,
 )
 from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw
-from .propagation import ShiftSpec, _angles, _checked, _fold
+from .propagation import ShiftSpec, _angles, _checked, _fold, _phase_bound
 from .spectral import SpectralField, _fsum, _points, _wave_sums
 
 __all__ = [
@@ -416,6 +416,23 @@ def pointwise_trace(
     of the matching criterion.  The sums are nondecreasing in K; the tail
     bounds the discarded remainder through the band-limited sup estimate
     ||h_k||_inf <= (2*pi)^(-n) * sup_j |e^{i theta_j} - 1| * sum_j |f_j| dxi^n.
+
+    Only the rows up to the last whose bound b_k = fl(C*M*w*F) * P_k reaches
+    2**-539 are formed: C = 8, M modes, w = dxi**n / (2*pi)**n, F = max_j
+    fl(|Re f_j| + |Im f_j|) and P_k the ``_phase_bound`` of t_k, at least
+    every computed |theta_j| (to an ulp of t**beta).  Past it, each part of
+    a row's sums is below 2**-538, so its square rounds to +0 and leaves the
+    running sum's bits.
+    With u = 2**-53: |fl(sin theta)| <= |theta| (faithful, at a double
+    theta), and |fl(cos theta) - 1| <= 2|theta|, since |cos theta - 1| <=
+    |theta| and cos theta rounds to 1 where |theta| < 2**-27 (it lies within
+    2**-55 of 1; glibc's and numpy's do).  So each part of a coefficient
+    (e^{i theta_j} - 1) f_j is at most 2 P_k F (1 + 4u), of its product with
+    a wave (parts at most 1) at most 4 P_k F (1 + 6u), and of the exactly
+    rounded sum over the modes, scaled by w, at most 4 M P_k F w (1 + 10u) <=
+    b_k (1 + 20u) / 2, plus at most M * 2**-1072 from subnormal rounding.
+    Rows of a time 0 have P_k = 0.  Row 0 is formed whenever t_0 > 0, so a
+    NaN wave (a point not finite) still gives NaN sums.
     """
     if k_max < 16:
         raise ParameterError(f"k_max must be at least 16, got {k_max}")
@@ -436,9 +453,13 @@ def pointwise_trace(
         rows -= 1.0
         rows *= field.coefficients
 
-    # times do not increase, and a residual at t = 0 is zero and adds +0 to
-    # every sum: only the rows before the first t = 0 are formed
-    values = _wave_sums(grid, pts, np.count_nonzero(times), residual)
+    # see the docstring: the rows past the last b_k >= 2**-539 add +0 to every sum
+    scale = 8.0 * grid.num_modes * grid.weight / (2.0 * math.pi) ** grid.n
+    with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN: a zero row
+        scale *= float(np.max(np.abs(field.coefficients.real) + np.abs(field.coefficients.imag)))
+        kept = np.flatnonzero(_phase_bound(fold, times) * scale >= 2.0**-539)
+    num_rows = max(int(kept[-1]) + 1 if kept.size else 0, int(times[0] > 0))
+    values = _wave_sums(grid, pts, num_rows, residual)
     # np.cumsum adds along k in order, as a running sum would (np.sum pairs
     # terms); a square past the double range is inf, its rounded value
     with np.errstate(over="ignore"):

@@ -286,7 +286,7 @@ def critical_radius(spec: MultiplierSpec) -> float:
 
 
 #: Doublings allowed in the search for the bracket end, and halvings
-#: allowed in the bisection.
+#: allowed in the bisection of the targets the secant leaves.
 _DOUBLINGS = 200
 _HALVINGS = 160
 #: The geometric table below a bracket end H: H * 2**(-j / _PER_BINADE)
@@ -295,41 +295,10 @@ _HALVINGS = 160
 _PER_BINADE = 8
 _TABLE_SIZE = 64 * _PER_BINADE
 _TABLE = np.array([0.0] + [2.0 ** (j / _PER_BINADE) for j in range(1 - _TABLE_SIZE, 1)])
-#: Secant steps inside a table bracket, and one-ulp steps allowed in the
-#: walk from the last secant point.
+#: Secant steps inside a table bracket, and the distance, relative to the
+#: target, within which the last secant point's phase keeps it as the radius.
 _SECANT_STEPS = 5
-_WALK_STEPS = 8
-#: A start below H * _FLOOR may need more than _HALVINGS halvings from
-#: [0, H], so it starts from [0, H].
-_FLOOR = 2.0**-100
-
-
-def _start_brackets(theta, targets, end):
-    """Each target's last secant point x, f = theta(x) - target, and its
-    bracket lo < hi for the bisection.
-
-    A target's table bracket [a, b] (adjacent table radii below the end H)
-    is narrowed by secant steps inside it.  The bisection bracket is [a, b]
-    where theta(a) < target <= theta(b) holds, else [0, H]; and [0, H]
-    wherever a < H * _FLOOR.  f is NaN where [a, b] does not straddle the
-    target or x < H * _FLOOR: those targets do not walk.
-    """
-    table = end * _TABLE
-    values = theta(table)
-    idx = np.clip(np.searchsorted(values, targets), 1, _TABLE.size - 1)
-    a, b = table[idx - 1], table[idx]
-    table_ok = (values[idx - 1] < targets) & (values[idx] >= targets)
-    x0, f0, x, f = a, values[idx - 1] - targets, b, values[idx] - targets
-    for _ in range(_SECANT_STEPS):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            step = x - f * (x - x0) / (f - f0)
-        # a step whose two phase values are equal divides by 0 and keeps its point
-        step = np.where(np.isfinite(step), np.clip(step, a, b), x)
-        x0, f0 = x, f
-        x, f = step, theta(step) - targets
-    f = np.where(table_ok & (x >= end * _FLOOR), f, np.nan)
-    floor = ~table_ok | (a < end * _FLOOR)
-    return x, f, np.where(floor, 0.0, a), np.where(floor, end, b)
+_CONVERGED = 2.0**-48
 
 
 def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
@@ -339,18 +308,22 @@ def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
     law's closed-form inverse of targets / delta.  For the shift families
     the bracket end H is the first r0 * 2**j whose phase reaches the top
     target, from r0 = max(1, min(r_c, top / delta**beta)): the drift term
-    alone reaches the top target at top / delta**beta.  Each
-    target walks one ulp a step from its secant point (``_start_brackets``)
-    towards its crossing, to the adjacent doubles lo < hi with phase(lo) <
-    target <= phase(hi), both evaluated.  The targets that cannot walk, or
-    still walk after ``_WALK_STEPS`` steps, are bisected from their bracket
-    until a step moves no bracket end (no later step of the 160 would
-    either: a step depends only on lo, hi and the target).
+    alone reaches the top target at top / delta**beta.  Each target's table
+    bracket [a, b] (adjacent table radii below H) is narrowed by
+    ``_SECANT_STEPS`` secant steps inside it, and the last secant point is
+    the radius where its phase f is within ``_CONVERGED`` of the target,
+    relative.  The other targets (no table bracket with theta(a) < target
+    <= theta(b), a NaN phase, or a secant that did not converge) are
+    bisected from [a, b], or from [0, H] where it does not straddle, until
+    a step moves no bracket end (no later step of the 160 would either: a
+    step depends only on lo, hi and the target).  A bisected radius is
+    0.5 * (lo + hi), the end of the pair whose significand is even.
 
-    The radius is 0.5 * (lo + hi), the end of the pair whose significand
-    is even, so its phase may lie below the target.  When the computed
-    phase is nondecreasing on [0, H], the straddling pair is unique, so the
-    radii are bit for bit those of 160 halvings from [0, H].
+    The radii are sample points of a sup scan, not crossings to the last
+    bit: a kept secant point's phase is the target's to 2**-48, a few ulps
+    of r.  The bisection stays for the secants that do not converge: on
+    power-shift with a = 0.048, beta = 1.29, delta = 0.065, some secant
+    points miss their phase by 100%.
     """
     targets = np.asarray(targets, dtype=float)
     if not spec.family.shifted:
@@ -366,30 +339,32 @@ def _phase_radii(spec: MultiplierSpec, targets) -> np.ndarray:
         if float(theta(end)) >= top:
             break
         end *= 2.0
-    x, f, lo, hi = _start_brackets(theta, targets, end)
-    radii = np.full_like(targets, np.nan)  # NaN until the walk or the bisection ends
-    down, going = f >= 0.0, ~np.isnan(f)
-    for _ in range(_WALK_STEPS):
-        if not going.any():
-            break
-        y = np.nextafter(x, np.where(down, 0.0, np.inf))
-        value = theta(y)
-        # a NaN phase neither crosses nor goes on, so its target is bisected
-        above, below = value >= targets, value < targets
-        np.copyto(radii, 0.5 * (x + y), where=going & np.where(down, below, above))
-        going &= np.where(down, above, below)
-        x = y
-    bisect = np.flatnonzero(np.isnan(radii))
+    table = end * _TABLE
+    values = theta(table)
+    idx = np.clip(np.searchsorted(values, targets), 1, _TABLE.size - 1)
+    a, b = table[idx - 1], table[idx]
+    straddles = (values[idx - 1] < targets) & (values[idx] >= targets)
+    x0, f0, x, f = a, values[idx - 1] - targets, b, values[idx] - targets
+    for _ in range(_SECANT_STEPS):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            step = x - f * (x - x0) / (f - f0)
+        # a step whose two phase values are equal divides by 0 and keeps its point
+        step = np.where(np.isfinite(step), np.clip(step, a, b), x)
+        x0, f0 = x, f
+        x, f = step, theta(step) - targets
+    # a NaN f is not within the tolerance, so its target is bisected
+    bisect = np.flatnonzero(~(straddles & (np.abs(f) <= _CONVERGED * targets)))
     if bisect.size:
-        lo, hi, t = lo[bisect], hi[bisect], targets[bisect]
+        lo, hi = np.where(straddles, a, 0.0)[bisect], np.where(straddles, b, end)[bisect]
+        t = targets[bisect]
         for _ in range(_HALVINGS):
             mid = 0.5 * (lo + hi)
             above = theta(mid) >= t
             if np.array_equal(mid, np.where(above, hi, lo)):
                 break
             hi, lo = np.where(above, mid, hi), np.where(above, lo, mid)
-        radii[bisect] = 0.5 * (lo + hi)
-    return radii
+        x[bisect] = 0.5 * (lo + hi)
+    return x
 
 
 @dataclass(frozen=True)
@@ -465,8 +440,10 @@ def numeric_sup(spec: MultiplierSpec) -> ScanResult:
     The scan takes a geometric grid on [1e-6, xi_max] at ``SCAN_PER_DECADE``
     points per decade plus dense refinements around the transition region,
     among them the ``SCAN_REFINE`` radii of the first phase turn, found with
-    that of pi in one ``_phase_radii`` call; shift families are scanned
-    along both signs of mu.  ``xi_max`` covers the first turn and 4 * r_c.
+    that of pi in one ``_phase_radii`` call (for the shift families, points
+    whose phase is within 2**-48 of its value, or bisections where a secant
+    does not converge); shift families are scanned along both signs of mu.
+    ``xi_max`` covers the first turn and 4 * r_c.
     Only points whose bound 2*min(|theta/2|, 1) / (1+r*r)**(s/2), at least the modulus
     for a faithful sin, reaches the seed, the modulus where it peaks, get a sin (``_scan``):
     the outputs are the full scan's.  A phase that is not finite is a ParameterError.

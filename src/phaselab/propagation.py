@@ -109,21 +109,29 @@ def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
                            shift=shift, mirrors=mirrors)
 
 
+def _phase_bound(fold: SimpleNamespace, times: np.ndarray) -> np.ndarray:
+    """fl(t*gmax) + fl(t**beta * pmax) at each t of a 1-D float array: rounding
+    is monotone, so at least every |theta_j| that ``_angles`` forms at t, up to
+    numpy's t**beta differing from Python's by an ulp."""
+    bound = times * fold.gmax
+    if fold.shift is not None:
+        bound += times**fold.shift.beta * fold.pmax
+    return bound
+
+
 def _checked(fold: SimpleNamespace, times, coeffs=None) -> np.ndarray:
     """The 1-D float array of ``times``, at which ``_angles``, and evolved rows
     of ``coeffs`` if given, cannot fail; else a ParameterError names the first
     t that is negative or not finite, whose phase is not, or at which the
-    evolved coefficients overflow.  Rounding is monotone, so |theta_j| <=
-    fl(t*gmax) + fl(t**beta * pmax) and each part of f_j e^{i theta_j} is at
-    most fl(|Re f_j| + |Im f_j|).  So only a t < 0, t = 0 for beta <= 0, a t
+    evolved coefficients overflow.  |theta_j| is at most ``_phase_bound``, and
+    rounding is monotone, so each part of f_j e^{i theta_j} is at most
+    fl(|Re f_j| + |Im f_j|).  So only a t < 0, t = 0 for beta <= 0, a t
     whose bound (nan or inf at a t not finite) reaches 2**1020, which absorbs
     numpy's t**beta differing from Python's, and every t if the field's bound
     is not finite can fail: each is formed alone, in time order."""
     times = np.asarray(times, dtype=float)
     with np.errstate(all="ignore"):
-        bound = times * fold.gmax
-        if fold.shift is not None:
-            bound += times**fold.shift.beta * fold.pmax
+        bound = _phase_bound(fold, times)
         whole = coeffs is None or np.isfinite(abs(coeffs.real) + abs(coeffs.imag)).all()
         ok = times >= 0 if fold.shift is None or fold.shift.beta > 0 else times > 0
         for k in np.flatnonzero(~(ok & (bound < 2.0**1020) & whole)).tolist():

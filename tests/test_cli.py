@@ -860,9 +860,9 @@ GOLDEN_TRACES = {
 
 # sha256 and exit code of the sweep, classifier and propagation commands'
 # JSON and CSV output, made by the laws' closed-form inverses (the critical
-# radii, and the scan radii of the unshifted families), one bisection per
-# delta from narrowed brackets for the shift families (the radii of three
-# 160-step bisections from [0, H]), rate fits summed exactly and rounded
+# radii, and the scan radii of the unshifted families), secant points whose
+# phase is within 2**-48 of its target for the shift families (a bisection
+# from the table bracket for the others), rate fits summed exactly and rounded
 # once, and propagate phases added coordinate by coordinate; {dir} is the
 # directory holding the fields that golden_fields writes
 GOLDEN_SWEEPS = {
@@ -881,26 +881,26 @@ GOLDEN_SWEEPS = {
     "bc-gamma-shift-boussinesq-0.8": (
         "bound-check --family gamma-shift --gamma boussinesq --s 0.5 --beta 0.8 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        2, "432b410cd8bc06f3caa0414cfa51726e4ce15b31d04926569ad92889e707ce24",
-        2, "8f03d48d1eb65325121c0a9b631d7652a30928975f33abecb38284932c5de77d",
+        2, "ea8b599b86350091eb03a4e3dda394c3c60de7e31d48a479665a50b51321be15",
+        2, "e79060f848d3e9c72ae09ffb2a30e5ffe1709acda22f9d6679e371326b3229ab",
     ),
     "bc-gamma-shift-boussinesq-1.5": (
         "bound-check --family gamma-shift --gamma boussinesq --s 0.5 --beta 1.5 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        0, "f975d98f4560ff2f3fe3a7eb9834b3160d19494231ec94ce4b6b680489715f4b",
-        0, "eda3642a999364d21671ea51a2a55fbd6f2b98139225736dccc24df77f45a687",
+        0, "3d04b45da2687025f4cd691ff91e838138a5ccea061d1828a815b6e1b299d4bb",
+        0, "a6cfcf1df090beee7d6d7ba013ae4a0aaaf26bf711bd29ba0758d3e0a2cb69ed",
     ),
     "bc-gamma-shift-quartic-0.8": (
         "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 0.8 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        2, "f7ad45cb5e94c3632716bdcc04592dfe37a326d6e3c60a3c1df7e195aa0cc768",
-        2, "82db837f71b0db8cdc54a383420f5115b17faee225efc7c4a3af849496aeb48c",
+        2, "4899c58737cf43ba6c5f890d3920556f9ed48e9ab39adfa8190dbb86f233b6e7",
+        2, "249a4f55466c1acf1aa10e0193e8f3f02d1cee399534d9d721583f8b45cd886e",
     ),
     "bc-gamma-shift-quartic-1.5": (
         "bound-check --family gamma-shift --gamma quartic --s 0.5 --beta 1.5 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        0, "1e27b9c879b70aebe37599f7e493604d4739958137dcea8dc6e69c7d7e8e91c1",
-        0, "a21afc290cb576eb8bf5a6043365fa093393e5a42219bc465065da1ef36b571c",
+        0, "e3d4ba01ad962264da1d87300691884ae67dc9aad74d35529d641c5691d605a5",
+        0, "544516868c5c03dcacb64c3e964e1eae86192d882807c4d8e630b37fe7115fa3",
     ),
     "bc-power-shift-sub": (
         "bound-check --family power-shift --s 0.75 --a 0.5 --beta 1.5 --deltas 1e-2:1e-6 "
@@ -911,8 +911,8 @@ GOLDEN_SWEEPS = {
     "bc-power-shift-super": (
         "bound-check --family power-shift --s 1.0 --a 2 --beta 0.8 --deltas 1e-2:1e-6 "
         "--per-decade 2",
-        2, "99c1f01e7e0703c98842bcf3622791f295047a41245c7f77a5784c531e92f7e1",
-        2, "6cace24c6975645b4546bbc6c0f02ad945f6c062cad53fe9fe6f88b694b0c386",
+        2, "4fb66d769686b16e645b130b7190fd6efcdaca31c02c98517311d8c9755ccb7c",
+        2, "a0d7c4040bfbe777c25e20d452635ecca74e09b09b9e7bb899f664670a3b758b",
     ),
     "bc-gamma-linear": (
         "bound-check --family gamma --gamma linear --s 0.5 --deltas 1e-2:1e-6 "
@@ -923,8 +923,8 @@ GOLDEN_SWEEPS = {
     "bc-gamma-power2": (
         "bound-check --family gamma-shift --gamma power:a=2 --s 0.5 --beta 1.5 --deltas "
         "1e-2:1e-6 --per-decade 2",
-        0, "124d0ad94231df9aeab8534fcc06119d594d520f37becc723b0b4064a60d5af4",
-        0, "5eb55c93ef59a4068d2320542f21efed7c2327c49f867c147ada4d45a11f9481",
+        0, "68c426dbf25024dece554c9823edc480b84d75a7a1c3708ac4aeebdd22ec35bc",
+        0, "bfdc1a50f80a291c6d9354f5c57ff533df186dd4e92624333e82c7f277411453",
     ),
     "bc-unsafe-list": (
         "bound-check --family gamma --gamma boussinesq --s 1.5 --deltas "
@@ -941,8 +941,8 @@ GOLDEN_SWEEPS = {
     "rf-gamma-shift-quartic": (
         "rate-fit --family gamma-shift --gamma quartic --s 0.5 --beta 0.8 --deltas "
         "1e-2:1e-7 --per-decade 1",
-        2, "ef1503711f84d94d8572a5550ec8aed529132572d48c554cb7a8c7c72499e5e0",
-        2, "f5b7bcbbbec46e647745aa467f120190518df9541e88b86a63cdbe4714258028",
+        2, "0d310527f9dab9a6ed37512461249f637f6164c65b305da9f48a249d7fb00d1c",
+        2, "95af2d59301ac542fb660bfc618a38961000ac04f5ce79ad1d33405503463289",
     ),
     "rf-power-shift": (
         "rate-fit --family power-shift --s 0.75 --a 0.5 --beta 0.8 --deltas 1e-2:1e-8 "

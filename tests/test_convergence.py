@@ -485,9 +485,9 @@ class TestBatchedTrace:
         assert tr.partial_sums.size == 0
 
     def test_rows_at_zero_time_are_not_formed(self, monkeypatch):
-        # 0.5**k underflows to 0 from k = 1075: the kernel gets the 1,074 rows
-        # before it, and the sums are those of every row, each row at t = 0
-        # adding +0
+        # 0.5**k underflows to 0 from k = 1075: the kernel gets the 544 rows up
+        # to the last whose bound reaches 2**-539, and the sums are those of
+        # every row, each row past it, and each row at t = 0, adding +0
         g = make_grid(1, 2, 0.5)
         f = random_field(g, np.random.default_rng(3))
         points = default_points(1, 6)
@@ -500,7 +500,7 @@ class TestBatchedTrace:
         monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
         tr = pointwise_trace(f, power_law(0.5), TimeSequence.geometric(0.5), 0.5, points, k_max=1100)
         [(num_rows, every)] = seen
-        assert num_rows == 1074 and not every[num_rows:].any()
+        assert num_rows == 544 and not every[1074:].any()
         want = np.cumsum(every.real * every.real + every.imag * every.imag, axis=0)[-1]
         np.testing.assert_array_equal(tr.partial_sums.view(np.int64), want.view(np.int64))
         assert tr.k_max == 1100
@@ -511,6 +511,38 @@ class TestBatchedTrace:
         f = random_field(g, np.random.default_rng(4))
         tr = pointwise_trace(f, power_law(0.5), TimeSequence.power(2000.0), 0.5, default_points(1, 3), k_max=16)
         np.testing.assert_array_equal(tr.partial_sums.view(np.int64), np.zeros(3).view(np.int64))
+
+
+    @pytest.mark.parametrize("r, formed", [(0.5, 551), (0.1, 166)])
+    def test_rows_that_add_zero_are_not_formed(self, r, formed, monkeypatch):
+        # the default grid at K = 2,048: the rows past the last whose bound
+        # reaches 2**-539 are not formed, and the sums are bit for bit those of
+        # every row of a nonzero time (1,074 and 323 of them)
+        g = spectral.default_grid()
+        f = random_field(g, np.random.default_rng(1))
+        seq, points = TimeSequence.geometric(r), default_points(1, 4)
+        seen = []
+
+        def recording_wave_sums(grid, pts, num_rows, fill):
+            every = spectral._wave_sums(grid, pts, np.count_nonzero(seq.terms(2048)), fill)
+            seen.append((num_rows, every))
+            return spectral._wave_sums(grid, pts, num_rows, fill)
+
+        monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
+        tr = pointwise_trace(f, power_law(0.5), seq, 0.5, points, k_max=2048)
+        [(num_rows, every)] = seen
+        assert num_rows == formed
+        want = np.cumsum(every.real * every.real + every.imag * every.imag, axis=0)[-1]
+        np.testing.assert_array_equal(tr.partial_sums.view(np.int64), want.view(np.int64))
+
+    def test_row_zero_carries_a_nan_point(self):
+        # a field so small that no row's bound reaches 2**-539: row 0 is still
+        # formed, so the point that is not finite gets a NaN sum
+        g = make_grid(1, 2, 0.5)
+        f = SpectralField(g, random_field(g, np.random.default_rng(5)).coefficients * 1e-200)
+        points = np.array([[0.5], [math.nan]])
+        tr = pointwise_trace(f, power_law(0.5), TimeSequence.power(2.0), 0.5, points, k_max=16)
+        assert tr.partial_sums[0] == 0.0 and math.isnan(tr.partial_sums[1])
 
 
 class TestTorusOracle:

@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phaselab.multipliers
@@ -362,34 +362,70 @@ SHIFT_FAMILIES = (Family.POWER_SHIFT, Family.GAMMA_SHIFT)
 
 
 #: Targets the doubling search cannot bracket (the phase at max(1, r_c) *
-#: 2**199 stays below them), and targets whose radii lie below 2**-100 of
-#: their bracket end, where the bisection starts from [0, H].
+#: 2**199 stays below them), and targets whose radii lie far below their
+#: bracket end.
 UNREACHED = [1.0, 1e300]
 TINY = [1e-300, 1e-60, 1e-25, 0.5]
+#: numeric_sup's one target set: the first turn, then pi.
+SCAN_TARGETS = np.append(np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500), math.pi)
+
+
+@st.composite
+def wide_shift_spec(draw):
+    """A shift spec over a wide range: a from 0.01 to 20 (a law for
+    gamma-shift), beta from -3 to 5 and delta from 1e-10 to 0.99."""
+    family = draw(st.sampled_from(SHIFT_FAMILIES))
+    kwargs = dict(s=0.5, delta=10.0 ** draw(st.floats(-10.0, math.log10(0.99))),
+                  beta=draw(st.floats(-3.0, 5.0)))
+    if family.uses_law:
+        kwargs["law"] = draw(st.sampled_from([BOUSSINESQ, QUARTIC, LINEAR, power_law(2.5)]))
+    else:
+        kwargs["a"] = 10.0 ** draw(st.floats(-2.0, math.log10(20.0)))
+    return MultiplierSpec(family, **kwargs)
+
+
+def shift_phase(spec, r):
+    return phase(spec.phase_law, spec.delta, r, spec.beta, r)
+
+
+def bisected_radii(spec, targets):
+    """_phase_radii with every target sent to the bisection from its bracket."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phaselab.multipliers, "_CONVERGED", -1.0)
+        return _phase_radii(spec, targets)
+
+
+def assert_converged_or_bisected(spec, targets):
+    """Each radius's phase is within 2**-48 of its target, relative, or the
+    radius is its bracket's bisection; and no radius misses its target by
+    more than reference_phase_radii's beyond 4e-15 of the target."""
+    targets = np.asarray(targets, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            radii = _phase_radii(spec, targets)
+        except ParameterError:  # r_c or the phase past the double range
+            assume(False)
+        miss = np.abs(shift_phase(spec, radii) - targets)
+        reference = np.abs(shift_phase(spec, reference_phase_radii(spec, targets)) - targets)
+    close = miss <= 2.0**-48 * targets
+    assert np.all(close | (radii == bisected_radii(spec, targets)))
+    assert np.all(~(miss > reference + 4e-15 * targets))
 
 
 class TestMergedBisection:
     @settings(max_examples=40, deadline=None)
-    @given(spec=any_family_spec(SHIFT_FAMILIES))
-    def test_bit_identical_to_three_full_bisections(self, spec):
-        # numeric_sup's one target set: the first turn, then pi, which keeps
-        # the radius of its own, lower bracket end
-        u = np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500)
-        radii = _phase_radii(spec, np.append(u, math.pi))
-        r_turn, r_pi = radii[:-1], radii[-1:]
-        assert np.array_equal(r_turn, reference_phase_radii(spec, u))
-        assert r_turn[-1] == reference_phase_radii(spec, [2.0 * math.pi])[0]
-        assert np.array_equal(r_pi, reference_phase_radii(spec, [math.pi]))
+    @given(spec=wide_shift_spec())
+    def test_radii_are_converged_secant_points_or_bisections(self, spec):
+        assert_converged_or_bisected(spec, SCAN_TARGETS)
 
     @settings(max_examples=40, deadline=None)
     @given(spec=any_family_spec(SHIFT_FAMILIES))
     def test_unreached_and_tiny_targets(self, spec):
-        unreached, tiny = _phase_radii(spec, UNREACHED), _phase_radii(spec, TINY)
-        assert np.array_equal(unreached, reference_phase_radii(spec, UNREACHED))
-        assert np.array_equal(tiny, reference_phase_radii(spec, TINY))
+        assert_converged_or_bisected(spec, TINY + UNREACHED)
+        top = _phase_radii(spec, UNREACHED)[1]
+        assert top == reference_phase_radii(spec, UNREACHED)[1]
         # the doubling search really failed: the radius stops at the bracket end
-        theta = phase(spec.phase_law, spec.delta, unreached[1], spec.beta, unreached[1])
-        assert theta < UNREACHED[1]
+        assert shift_phase(spec, top) < UNREACHED[1]
 
     @pytest.mark.parametrize("family, law, beta", [
         (Family.GAMMA_SHIFT, QUARTIC, 0.8),
@@ -397,70 +433,46 @@ class TestMergedBisection:
     ])
     @pytest.mark.parametrize("delta", [1e-2, 1e-6, DELTA_MIN])
     def test_narrowed_brackets_evaluate_few_radii(self, family, law, beta, delta):
-        """The 1500 + 1 targets of numeric_sup.  Bisecting every target from
-        [0, H] evaluates about 0.38 of the reference's radii even when the
-        loop stops early, and from the table brackets without secant steps
-        about 0.34; bisecting from a tight bracket around the secant point
-        took about 0.09, and the ulp walk from it takes 0.046-0.061."""
+        """The 1500 + 1 targets of numeric_sup: the table, the secant steps
+        and the bracket-end search, with room left for no bisection.  An ulp
+        walk from the secant points took 11,024-14,025 evaluations."""
         law, count = counting_law(law)
         spec = MultiplierSpec(family, s=0.5, delta=delta, law=law, beta=beta)
-        u = np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500)
-        _phase_radii(spec, np.append(u, math.pi))
-        narrowed, count[0] = count[0], 0
-        reference_phase_radii(spec, np.append(u, math.pi))
-        assert narrowed <= count[0] / 4
-        assert narrowed <= count[0] / 14
+        _phase_radii(spec, SCAN_TARGETS)
+        M = phaselab.multipliers
+        assert count[0] <= M._TABLE.size + M._SECANT_STEPS * SCAN_TARGETS.size + M._DOUBLINGS
 
     @settings(max_examples=40, deadline=None)
     @given(spec=any_family_spec(SHIFT_FAMILIES))
     def test_bisection_alone_gives_the_same_radii(self, spec):
-        # a step cap of 0 sends every target to the bisection from its bracket
-        u = np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(phaselab.multipliers, "_WALK_STEPS", 0)
-            radii = _phase_radii(spec, u)
-        assert np.array_equal(radii, reference_phase_radii(spec, u))
+        # with no secant point kept, every target is bisected from its bracket
+        u = SCAN_TARGETS[:-1]
+        assert np.array_equal(bisected_radii(spec, u), reference_phase_radii(spec, u))
 
-    def test_radii_set_by_the_drift_term_are_even_ends(self):
-        """power-shift with a small a: r_c = 1e40, far above the radii of
-        4.2..6283 that the drift term sets.  A bracket-end search from r_c
-        left every radius about 1e6 ulps from its crossing."""
-        spec = MultiplierSpec(Family.POWER_SHIFT, s=0.95, delta=DELTA_MIN, a=0.25, beta=0.3)
-        assert_even_ends_of_straddling_pairs(spec)
+    @pytest.mark.parametrize("spec", [
+        # power-shift with a small a: r_c = 1e40, far above the radii of
+        # 4.2..6283 that the drift term sets.  A bracket-end search from r_c
+        # left every radius about 1e6 ulps from its crossing
+        MultiplierSpec(Family.POWER_SHIFT, s=0.95, delta=DELTA_MIN, a=0.25, beta=0.3),
+        # secant points that miss their phase by up to 100%: only the
+        # bisection puts these radii on their targets
+        MultiplierSpec(Family.POWER_SHIFT, s=0.95, delta=0.065, a=0.048, beta=1.29),
+    ], ids=["drift-term", "secant-fails"])
+    def test_every_radius_is_within_tolerance(self, spec):
+        radii = _phase_radii(spec, SCAN_TARGETS)
+        assert np.all(np.abs(shift_phase(spec, radii) - SCAN_TARGETS) <= 2.0**-48 * SCAN_TARGETS)
 
     @pytest.mark.parametrize("law", [LINEAR, BOUSSINESQ, QUARTIC, power_law(2.5)],
                              ids=lambda law: law.name)
     @pytest.mark.parametrize("delta", [1e-2, 1e-6, DELTA_MIN])
     def test_unshifted_radii_are_the_closed_form(self, law, delta):
         # without a shift, the phase delta * gamma(r) is inverted in closed
-        # form: no law evaluation, no walk and no bisection
+        # form: no law evaluation, no secant and no bisection
         counted, count = counting_law(law)
         spec = MultiplierSpec(Family.GAMMA, s=0.5, delta=delta, law=counted)
-        targets = np.append(np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500), math.pi)
-        radii = _phase_radii(spec, targets)
-        assert np.array_equal(radii, law.inverse(targets / delta))
+        radii = _phase_radii(spec, SCAN_TARGETS)
+        assert np.array_equal(radii, law.inverse(SCAN_TARGETS / delta))
         assert count[0] == 0
-
-    # the unshifted families' radii are the closed form, not a crossing
-    @settings(max_examples=40, deadline=None)
-    @given(spec=any_family_spec(SHIFT_FAMILIES))
-    def test_radii_are_even_ends(self, spec):
-        assert_even_ends_of_straddling_pairs(spec)
-
-
-def assert_even_ends_of_straddling_pairs(spec):
-    """Each of numeric_sup's radii is the end with an even significand of
-    the adjacent doubles lo < hi with phase(lo) < target <= phase(hi)."""
-    targets = np.append(np.linspace(2.0 * math.pi / 1500, 2.0 * math.pi, 1500), math.pi)
-    radii = _phase_radii(spec, targets)
-
-    def theta(r):
-        return phase(spec.phase_law, spec.delta, r, spec.beta, r)
-
-    reached = theta(radii) >= targets
-    partner = theta(np.nextafter(radii, np.where(reached, 0.0, np.inf)))
-    assert np.all(np.where(reached, partner < targets, partner >= targets))
-    assert np.all(radii.view(np.int64) % 2 == 0)
 
 
 def _recorded_sups(monkeypatch, module):

@@ -5,8 +5,9 @@
 Pair i runs ``perfbench/run.py --trace 0 --seed S0+i`` in both checkouts, the
 parent first in even pairs and the change first in odd ones.  For each
 end-to-end metric that CHANGE_DIR/BENCHMARK.json names, it prints the median and
-quartiles of each side, the change/parent ratio of the medians and the pairs the
-change won; then whether every run was correct with no failed job.
+quartiles of each side, the change/parent ratio of the medians, the pairs the
+change won and a verdict (``verdict``); then whether every run was correct with
+no failed job.
 """
 
 import argparse
@@ -26,6 +27,28 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if out.returncode or not lines:
         sys.exit(f"{root}: perfbench failed ({out.returncode}): {out.stderr.strip()[-400:]}")
     return json.loads(lines[-1])
+
+
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """The verdict on one metric's runs, pair i being parent[i] and change[i].
+
+    "gain" when the change won at least 9 of 10 pairs and its median beats the
+    parent's by more than the parent's interquartile range, else "no gain".
+    Then "within bound" when the change's median is worse than the parent's
+    by at most ``bound`` of it (a relative bound, as BENCHMARK.json's are
+    read), "outside bound" when by more, and "unresolved" when the parent's
+    own IQR exceeds that bound of its median.
+    """
+    sign = 1 if better == "lower" else -1
+    won = sum(sign * (y - x) < 0 for x, y in zip(parent, change))
+    mp, mc = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gain = 10 * won >= 9 * len(parent) and sign * (mp - mc) > q3 - q1
+    if q3 - q1 > bound * abs(mp):
+        limit = "unresolved"
+    else:
+        limit = "within bound" if sign * (mc - mp) <= bound * abs(mp) else "outside bound"
+    return f"{'gain' if gain else 'no gain'}, {limit}"
 
 
 def main() -> None:
@@ -52,7 +75,8 @@ def main() -> None:
         ratio = statistics.median(b) / statistics.median(a)
         q = [statistics.quantiles(v, n=4, method="inclusive") for v in (a, b)]
         print(f"  {m['name']:<12} " + " -> ".join(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]" for q1, q2, q3 in q)
-              + f" {m['unit']}, ratio {ratio:.4f}, change won {won}/{args.pairs}")
+              + f" {m['unit']}, ratio {ratio:.4f}, change won {won}/{args.pairs}: "
+              + verdict(a, b, m["better"], m["bound"]))
     for side, results in runs.items():
         ok = all(r["correct"] and r["failed"] == 0 for r in results)
         print(f"  {side}: every run correct with 0 failed: {'yes' if ok else 'NO'}")
