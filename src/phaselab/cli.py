@@ -237,18 +237,12 @@ def cmd_seq_check(args) -> int:
     cond = required_exponent(ConvergenceCriterion(args.criterion), s=args.s, a=args.a,
                              beta=args.beta, law=law, strict=not args.unsafe_params)
     verdict = sequence_applicable(seq, cond)
-    payload = {
-        "criterion": cond.criterion.value,
-        "sequence": seq.describe(),
-        "form": cond.form,
-        "q": cond.q,
-        "decision": verdict.decision,
-        "reason": verdict.reason,
-    }
-    if args.format == "csv":
-        cells = [cond.criterion.value, seq.describe(), cond.form, repr(float(cond.q)),
-                 verdict.decision, '"' + verdict.reason.replace('"', '""') + '"']
-        text = "criterion,sequence,form,q,decision,reason\n" + ",".join(cells) + "\n"
+    payload = {"criterion": cond.criterion.value, "sequence": seq.describe(), "form": cond.form,
+               "q": cond.q, "decision": verdict.decision, "reason": verdict.reason}
+    if args.format == "csv":  # the payload's keys and one row, the reason quoted
+        quoted = '"' + verdict.reason.replace('"', '""') + '"'
+        row = {**payload, "q": repr(float(cond.q)), "reason": quoted}
+        text = ",".join(row) + "\n" + ",".join(row.values()) + "\n"
     else:
         text = _json_text(payload)
     _emit(args, text)

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import HypothesisViolation, ParameterError
 from .phase_laws import PhaseLaw, invert, invert_many, power_law
 from .propagation import _modulus, phase, shift_offset
-from .spectral import FrequencyGrid, SpectralField, _dot
+from .spectral import FrequencyGrid, SpectralField, _dot, _sobolev_weight
 
 __all__ = [
     "BoundCertificate",
@@ -239,8 +239,14 @@ def validate_hypotheses(spec: MultiplierSpec) -> None:
 def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
     """|m| along the shift axis: 2|sin(theta/2)| / (1+xi^2)^{s/2}."""
     xi = np.asarray(xi, dtype=float)
-    r = np.abs(xi)
-    return _modulus(phase(spec.phase_law, spec.delta, r, spec.beta, xi), r, spec.s)
+    return _modulus_at(spec, np.abs(xi), xi)
+
+
+def _modulus_at(spec: MultiplierSpec, r, proj):
+    """|m| at radii r where mu.xi = proj: ``_modulus`` at half the phase and the weight."""
+    h = 0.5 * phase(spec.phase_law, spec.delta, r, spec.beta, proj)
+    with np.errstate(over="ignore"):
+        return _modulus(h, _sobolev_weight(r, spec.s))
 
 
 def multiplier_value(spec: MultiplierSpec, xi) -> complex:
@@ -249,7 +255,7 @@ def multiplier_value(spec: MultiplierSpec, xi) -> complex:
     r = math.sqrt(_dot(xi, xi))
     theta = float(phase(spec.phase_law, spec.delta, r, spec.beta, float(xi[0])))
     num = complex(math.cos(theta) - 1.0, math.sin(theta))
-    return num / (1.0 + r * r) ** (0.5 * spec.s)
+    return num / _sobolev_weight(r, spec.s)
 
 
 def _float_power(base: float, exponent: float, name: str) -> float:
@@ -377,16 +383,17 @@ class ScanResult:
 def _scan(spec: MultiplierSpec, radii: np.ndarray) -> ScanResult:
     """sup|m| over positive finite radii, on both signs of mu for a shift family.
 
-    With h = theta/2 and den = (1+r*r)**(s/2), b = 2*min(|h|, 1) / den is at
-    least the modulus 2|fl(sin h)| / den bit for bit for a faithful sin (error
+    With h = theta/2 and the weight den (``spectral._sobolev_weight``), b =
+    ``_bound(h, den)`` = 2*min(|h|, 1) / den is at least ``_modulus(h, den)`` =
+    2|fl(sin h)| / den bit for bit for a faithful sin (error
     below one ulp): |fl(sin h)| <= min(|h|, 1), doubling is exact and division
     monotone.  The seed, the modulus where b peaks, is at most the sup, so a
     point with b < seed is neither the max nor a tie and gets no sin; a phase
     that is not finite is a ParameterError naming delta and the least such
     |xi|.  Ties go to the smaller |xi|, then to the more negative coordinate.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the weight of _modulus; theta is checked
-        den = (1.0 + radii * radii) ** (0.5 * spec.s)
+    with np.errstate(over="ignore", invalid="ignore"):  # the weight may overflow; theta is checked
+        den = _sobolev_weight(radii, spec.s)
         theta = [phase(spec.phase_law, spec.delta, radii, None, None)]
         if spec.family.shifted:  # the signs share law and den: base +- drift is phase at +-r
             drift = shift_offset(spec.delta, spec.beta) * radii
@@ -398,18 +405,18 @@ def _scan(spec: MultiplierSpec, radii: np.ndarray) -> ScanResult:
         raise ParameterError(f"the phase at delta={spec.delta!r} is not finite at |xi|={r!r}")
     bounds = [_bound(h, den) for h in halves]
     _, k, i = max((b[j], k, j) for k, b in enumerate(bounds) for j in [int(b.argmax())])
-    seed = 2.0 * abs(float(np.sin(halves[k][i]))) / float(den[i])  # np.sin as in an array
+    seed = float(_modulus(halves[k][i], den[i]))  # numpy's sin, as at every kept point
     keep = [(~(b < seed)).nonzero()[0] for b in bounds]
-    vals = [2.0 * np.abs(np.sin(h.take(kept))) / den.take(kept) for h, kept in zip(halves, keep)]
+    vals = [_modulus(h.take(kept), den.take(kept)) for h, kept in zip(halves, keep)]
     top = max(float(v.max(initial=-math.inf)) for v in vals)
     signed = np.concatenate([sg * radii.take(k[v == top]) for sg, k, v in zip((1.0, -1.0), keep, vals)])
     order = np.lexsort((signed, np.abs(signed)))
     return ScanResult(sup=top, argmax=float(signed[order[0]]), points=radii.size * len(halves))
 
 
-def _bound(h, den):
-    """2*min(|h|, 1) / den, NaN where h is: see ``_scan``."""
-    return 2.0 * np.minimum(np.abs(h), 1.0) / den
+def _bound(h, w):
+    """2*min(|h|, 1) / w, at least ``_modulus(h, w)``, NaN where h is: see ``_scan``."""
+    return 2.0 * np.minimum(np.abs(h), 1.0) / w
 
 
 #: 10**(k / SCAN_PER_DECADE), k >= -6*SCAN_PER_DECADE, grown by numpy's pow (not at import).
@@ -519,11 +526,11 @@ def extremal_witness(spec: MultiplierSpec, grid: FrequencyGrid) -> SpectralField
     exactly: l2 = |m(xi*)| * ||f||_{H^s}.
     """
     r = grid.radii
-    w = _modulus(phase(spec.phase_law, spec.delta, r, spec.beta, grid.modes[:, 0]), r, spec.s)
-    ties = np.flatnonzero(w == w.max())
+    m = _modulus_at(spec, r, grid.modes[:, 0])
+    ties = np.flatnonzero(m == m.max())
     # mode order is lexicographic, so the first smallest radius breaks ties
     idx = ties[np.argmin(r[ties])]
-    coeff = 1.0 / ((1.0 + r[idx] ** 2) ** (0.5 * spec.s) * grid.weight**0.5)
+    coeff = 1.0 / (_sobolev_weight(r[idx], spec.s) * grid.weight**0.5)
     coeffs = np.zeros(grid.num_modes, dtype=complex)
     coeffs[idx] = coeff
     return SpectralField(grid, coeffs)

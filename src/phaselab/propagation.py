@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError, UndefinedShiftError
-from .spectral import FrequencyGrid, SpectralField, _dot, _points, _wave_sums, sobolev_norm
+from .spectral import (FrequencyGrid, SpectralField, _dot, _points, _sobolev_weight, _wave_sums,
+                       sobolev_norm)
 
 __all__ = [
     "ErrorField",
@@ -71,11 +72,10 @@ def phase(law, t, r, beta: float | None, proj):
     return theta
 
 
-def _modulus(theta, r, s):
-    """|e^{i theta} - 1| / (1+r*r)**(s/2) as 2|sin(theta/2)| over the weight, for
-    the phase theta at radii r and the index s; a weight past the double range gives 0."""
-    with np.errstate(over="ignore"):
-        return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * s)
+def _modulus(h, w):
+    """|e^{i theta} - 1| / w as 2|sin h| / w, for the half-phase h = theta/2 and the
+    weight w (``spectral._sobolev_weight``); a weight past the double range gives 0."""
+    return 2.0 * np.abs(np.sin(h)) / w
 
 
 def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
@@ -227,6 +227,7 @@ def error_field(field: SpectralField, law, t: float, shift: ShiftSpec | None = N
     l2 = sobolev_norm(h, 0.0)
     hs = sobolev_norm(field, s)
     if __debug__:
-        wsup = float(np.max(_modulus(theta, fold.radii, s)))  # the lattice's, on the fold
+        with np.errstate(over="ignore"):  # the lattice's sup, on the fold
+            wsup = float(np.max(_modulus(0.5 * theta, _sobolev_weight(fold.radii, s))))
         assert l2 <= wsup * hs * (1.0 + 1e-10) + 1e-300, "discrete multiplier bound violated"
     return ErrorField(h=h, l2=l2, hs_of_f=hs)

@@ -255,6 +255,11 @@ class FrequencyGrid:
         return self.dxi**self.n
 
     @property
+    def synthesis_scale(self) -> float:
+        """dxi**n / (2*pi)**n, the one factor every synthesized sum is scaled by."""
+        return self.weight / (2.0 * math.pi) ** self.n
+
+    @property
     def num_modes(self) -> int:
         return (2 * self._m + 1) ** self.n
 
@@ -324,11 +329,17 @@ class SpectralField:
         object.__setattr__(self, "coefficients", coeffs)
 
 
+def _sobolev_weight(r, s):
+    """(1+r*r)**(s/2), the H^s weight at radii r, in the caller's type (a float,
+    a numpy scalar or an array); where it overflows the caller's errstate rules."""
+    return (1.0 + r * r) ** (0.5 * s)
+
+
 def sobolev_norm(field: SpectralField, s: float = 0.0) -> float:
     """Weighted spectral norm (sum_j (1+|xi_j|^2)^s |f_j|^2 dxi^n)**(1/2), exactly
     rounded; s = 0 gives the discrete Plancherel (L2) norm."""
     c = field.coefficients
-    w = (1.0 + field.grid.radii**2) ** s
+    w = _sobolev_weight(field.grid.radii, 2.0 * s)
     total = _fsum(((c.real * c.real + c.imag * c.imag) * w).tolist())
     return math.sqrt(total * field.grid.weight)
 
@@ -435,7 +446,7 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
         np.setbufsize(bufsize)
     if np.isfinite(waves[~np.isfinite(sums).all(axis=0)]).all(axis=1).any():
         raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
-    sums *= grid.weight / (2.0 * math.pi) ** grid.n
+    sums *= grid.synthesis_scale
     return sums
 
 

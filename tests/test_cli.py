@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -780,7 +781,8 @@ def test_numeric_flag_fuzz_exits_cleanly(fuzz_field, data):
     """One numeric token swapped for an edge or malformed value, and for
     commands that read {field} perhaps every coefficient too: the command
     exits 0 (2 for a failed certificate), or 1 with one error line, and never
-    raises; a seq-check that exits 0 reports a finite q, or none.  A
+    raises; a seq-check that exits 0 reports a finite q (every law carries
+    its inverse growth, so q is always a float).  A
     RuntimeWarning is raised, so one that would reach stderr fails: code
     that overflows on purpose does so inside ``np.errstate``."""
     command = data.draw(st.sampled_from(FUZZ_COMMANDS))
@@ -817,6 +819,29 @@ def run_fuzzed(argv, out, err):
             return main(argv)
         except SystemExit as exc:  # argparse's usage errors
             return exc.code
+
+
+#: sha256 of the JSON and CSV stdout of each seq-check command of
+#: FUZZ_COMMANDS, in order; no golden case covers these outputs
+FUZZ_SEQ_CHECKS = [command for command in FUZZ_COMMANDS if command.startswith("seq-check")]
+FUZZ_SEQ_CHECK_DIGESTS = [
+    ("38d6552e667cf528af2833f9df37663be91fdecb2a8d5a9226d2a6eaa1bb8865",
+     "652740080e695ce67d5517a1c96f6530fcd10e03782d157449b4bb34a0134d5b"),
+    ("6c39fe4c10a7e1ca3112a9662bee7f7fa1568940355da54d1c2d949b1968f27e",
+     "3afaa366ae9e0d6c10c16c81c252205b5c22662669a93b8e905b001704d793b2"),
+    ("a67285949a8555a2f972a57b6d4a349e9454204698791376caf0d443168bd8d6",
+     "7cc3bbc0ea2ea7e6fde035cd619e9e9adf496308167c8de4f7256717afa8c459"),
+]
+
+
+@pytest.mark.parametrize("command, digests", zip(FUZZ_SEQ_CHECKS, FUZZ_SEQ_CHECK_DIGESTS),
+                         ids=["gamma-explicit", "power-shift-sub", "gamma-shift-unsafe"])
+def test_fuzz_seq_check_bytes(command, digests, capsys):
+    got = []
+    for fmt in ("json", "csv"):
+        assert run(*command.split(), "--format", fmt) == 0
+        got.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(got) == digests
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

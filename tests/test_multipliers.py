@@ -44,6 +44,7 @@ from phaselab.multipliers import (
     sweep,
 )
 from phaselab.propagation import _modulus, phase
+from phaselab.spectral import _dot, _fsum, random_field, sobolev_norm
 
 DELTAS_4DEC = [10.0 ** (-e) for e in np.linspace(2, 6, 17)]
 
@@ -767,13 +768,13 @@ class TestPrunedScan:
             rs = np.full_like(theta, r)
             with np.errstate(over="ignore"):
                 den = (1.0 + rs * rs) ** (0.5 * s)
-            modulus, bound = _modulus(theta, rs, s), _bound(0.5 * theta, den)
+            modulus, bound = _modulus(0.5 * theta, den), _bound(0.5 * theta, den)
             assert not np.any(bound < modulus)
             assert np.array_equal(np.isnan(bound), np.isnan(theta))
             if r == 1e200:
                 assert np.all(modulus[:-1] == 0.0) and np.all(bound[:-1] == 0.0)
         # 0.5 * 3 * 2**-1074 rounds up to 2**-1073: the bound is read off h, not theta
-        assert _modulus(np.array([3 * 2.0**-1074]), np.zeros(1), s)[0] == 4 * 2.0**-1074
+        assert _modulus(0.5 * np.array([3 * 2.0**-1074]), np.ones(1))[0] == 4 * 2.0**-1074
 
     def test_a_subnormal_phase_is_bounded_through_h(self):
         # theta = 3*2**-1074 has h = 2**-1073 and modulus 4*2**-1074 > |theta|
@@ -874,3 +875,83 @@ class TestReusedScanPieces:
             with pytest.raises(ParameterError) as full_err:
                 dataclasses.replace(template, delta=bad)
             assert str(lean_err.value) == str(full_err.value)
+
+
+class TestWeightAndModulusKeepTheirBits:
+    """The library results that read the Sobolev weight and the modulus,
+    against the expressions each caller wrote inline before both had one
+    home (``spectral._sobolev_weight``, ``propagation._modulus``), compared
+    bit for bit."""
+
+    SPECS = [
+        power_spec(0.5, 0.5, 1e-3),
+        MultiplierSpec(Family.GAMMA, s=0.75, delta=1e-4, law=BOUSSINESQ),
+        MultiplierSpec(Family.POWER_SHIFT, s=0.75, delta=1e-3, a=0.5, beta=1.5),
+    ]
+    GRIDS = [(1, 64.0, 0.125), (2, 8.0, 0.25), (3, 2.0, 0.25)]
+
+    @staticmethod
+    def inline_modulus(spec, r, proj):
+        theta = phase(spec.phase_law, spec.delta, r, spec.beta, proj)
+        with np.errstate(over="ignore"):
+            return 2.0 * np.abs(np.sin(0.5 * theta)) / (1.0 + r * r) ** (0.5 * spec.s)
+
+    @pytest.mark.parametrize("grid_args", GRIDS)
+    def test_sobolev_norm(self, grid_args):
+
+        field = random_field(make_grid(*grid_args), 5)
+        c, grid = field.coefficients, field.grid
+        for s in (-1.5, 0.0, 0.3, 0.5, 0.75, 1, 2.0, 7.25):
+            w = (1.0 + grid.radii**2) ** s
+            total = _fsum(((c.real * c.real + c.imag * c.imag) * w).tolist())
+            assert sobolev_norm(field, s).hex() == math.sqrt(total * grid.weight).hex()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["power", "gamma", "power-shift"])
+    def test_multiplier_value(self, spec):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3):
+            for xi in rng.uniform(-1, 1, size=(40, n)) * 10 ** rng.uniform(-3, 8, size=(40, 1)):
+                r = math.sqrt(_dot(xi, xi))
+                theta = float(phase(spec.phase_law, spec.delta, r, spec.beta, float(xi[0])))
+                want = complex(math.cos(theta) - 1.0, math.sin(theta)) / (1.0 + r * r) ** (0.5 * spec.s)
+                got = multiplier_value(spec, xi)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["power", "gamma", "power-shift"])
+    def test_modulus_on_axis(self, spec):
+        # past 1.4e154 the weight overflows to inf; the gamma law's phase would too
+        xi = np.geomspace(1e-6, 1e150 if spec.family.uses_law else 1e200, 4001)
+        xi = np.concatenate([xi, -xi, [0.0]])
+        want = self.inline_modulus(spec, np.abs(xi), xi)
+        assert np.array_equal(modulus_on_axis(spec, xi).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("grid_args", GRIDS)
+    @pytest.mark.parametrize("spec", SPECS, ids=["power", "gamma", "power-shift"])
+    def test_extremal_witness_coefficient(self, spec, grid_args):
+        grid = make_grid(*grid_args)
+        r = grid.radii
+        m = self.inline_modulus(spec, r, grid.modes[:, 0])
+        ties = np.flatnonzero(m == m.max())
+        idx = ties[np.argmin(r[ties])]
+        coeff = 1.0 / ((1.0 + r[idx] ** 2) ** (0.5 * spec.s) * grid.weight**0.5)
+        got = extremal_witness(spec, grid).coefficients
+        assert np.flatnonzero(got).tolist() == [idx]
+        assert got[idx].real.hex() == float(coeff).hex() and got[idx].imag == 0.0
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["power", "gamma", "power-shift"])
+    def test_numeric_sup(self, spec):
+        seen = []
+
+        def recorder(spec, radii):
+            seen.append(radii)
+            return _scan(spec, radii)
+
+        with mock.patch.object(phaselab.multipliers, "_scan", recorder):
+            got = numeric_sup(spec)
+        radii = seen[0]
+        signed = np.concatenate([radii, -radii]) if spec.family.shifted else radii
+        vals = self.inline_modulus(spec, np.abs(signed), signed)
+        top = float(vals.max())
+        ties = signed[vals == top]
+        argmax = float(ties[np.lexsort((ties, np.abs(ties)))[0]])
+        assert (got.sup.hex(), got.argmax.hex(), got.points) == (top.hex(), argmax.hex(), signed.size)

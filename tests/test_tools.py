@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +41,60 @@ class TestVerdict:
     def test_a_parent_noisier_than_the_bound_is_unresolved(self):
         parent = [0.5, 0.7, 0.9, 1.0, 1.0, 1.0, 1.0, 1.1, 1.3, 1.5]
         assert ab_pairs.verdict(parent, parent, "lower", 0.1) == "no gain, unresolved"
+
+
+#: A stand-in for perfbench/run.py: imports a module from src/ as a run would,
+#: and prints a summary whose wall_s is 1 in the parent and 0.5 in the change,
+#: with the PYTHONDONTWRITEBYTECODE it saw.
+FAKE_RUN = """
+import json, os, sys
+sys.path.insert(0, "src")
+import probe
+print(json.dumps({"metrics": {"wall_s": {"value": probe.WALL}}, "correct": True, "failed": 0,
+                  "no_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE")}))
+"""
+BENCHMARK = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+
+
+def checkout(root: Path, wall: float) -> Path:
+    """A temporary checkout whose perfbench run reports ``wall`` seconds."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "src").mkdir()
+    (root / "src" / "probe.py").write_text(f"WALL = {wall}\n")
+    (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    return root
+
+
+def ab_main(monkeypatch, parent, change):
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", str(parent), str(change),
+                                      "--workload", "w", "--pairs", "2", "--seconds", "1"])
+    ab_pairs.main()
+
+
+class TestCheckouts:
+    def test_runs_write_no_bytecode_cache(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        parent, change = checkout(tmp_path / "parent", 1.0), checkout(tmp_path / "change", 0.5)
+        assert ab_pairs.run(parent, "w", 1, 1.0)["no_bytecode"] == "1"
+        ab_main(monkeypatch, parent, change)
+        out = capsys.readouterr().out
+        assert "wall_s       1 [1, 1] -> 0.5 [0.5, 0.5] s, ratio 0.5000, change won 2/2" in out
+        assert out.count("every run correct with 0 failed: yes") == 2
+        assert ab_pairs.bytecode_caches(parent) == ab_pairs.bytecode_caches(change) == []
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    def test_a_bytecode_cache_is_refused_and_named(self, side, tmp_path, monkeypatch):
+        roots = {name: checkout(tmp_path / name, 1.0) for name in ("parent", "change")}
+        cache = roots[side] / "src" / "pkg" / "__pycache__"
+        cache.mkdir(parents=True)
+        monkeypatch.setattr(ab_pairs, "run", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(SystemExit) as exc:
+            ab_main(monkeypatch, roots["parent"], roots["change"])
+        assert str(exc.value) == f"remove the bytecode caches first, they bias setup_s: {cache}"
+
+
+def test_pairs_won_follows_the_metrics_direction():
+    assert ab_pairs.pairs_won([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "lower") == 1
+    assert ab_pairs.pairs_won([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "higher") == 1
+    assert ab_pairs.pairs_won(PARENT, [x - 0.2 for x in PARENT], "lower") == 10

@@ -8,25 +8,49 @@ end-to-end metric that CHANGE_DIR/BENCHMARK.json names, it prints the median and
 quartiles of each side, the change/parent ratio of the medians, the pairs the
 change won and a verdict (``verdict``); then whether every run was correct with
 no failed job.
+
+A checkout that holds a bytecode cache (``__pycache__``) under ``src/`` starts
+faster than one that does not, which biases setup_s, so the script refuses to
+start until the caches it names are removed; its runs write none
+(PYTHONDONTWRITEBYTECODE=1).
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
+def bytecode_caches(root: Path) -> list:
+    """The ``__pycache__`` directories under ``root/src``, sorted."""
+    return sorted((root / "src").rglob("__pycache__"))
+
+
 def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON summary (last stdout line) of one untraced perfbench run in ``root``."""
+    """The JSON summary (last stdout line) of one untraced perfbench run in ``root``,
+    writing no bytecode cache."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     lines = out.stdout.strip().splitlines()
     if out.returncode or not lines:
         sys.exit(f"{root}: perfbench failed ({out.returncode}): {out.stderr.strip()[-400:]}")
     return json.loads(lines[-1])
+
+
+def _sign(better: str) -> int:
+    """1 where lower values are better, -1 where higher ones are."""
+    return 1 if better == "lower" else -1
+
+
+def pairs_won(parent: list, change: list, better: str) -> int:
+    """The pairs i in which change[i] is better than parent[i]."""
+    sign = _sign(better)
+    return sum(sign * (y - x) < 0 for x, y in zip(parent, change))
 
 
 def verdict(parent: list, change: list, better: str, bound: float) -> str:
@@ -39,8 +63,7 @@ def verdict(parent: list, change: list, better: str, bound: float) -> str:
     read), "outside bound" when by more, and "unresolved" when the parent's
     own IQR exceeds that bound of its median.
     """
-    sign = 1 if better == "lower" else -1
-    won = sum(sign * (y - x) < 0 for x, y in zip(parent, change))
+    sign, won = _sign(better), pairs_won(parent, change, better)
     mp, mc = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     gain = 10 * won >= 9 * len(parent) and sign * (mp - mc) > q3 - q1
@@ -60,6 +83,9 @@ def main() -> None:
     ap.add_argument("--seconds", type=float, default=8)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args()
+    caches = [str(path) for root in (args.parent, args.change) for path in bytecode_caches(root)]
+    if caches:
+        sys.exit("remove the bytecode caches first, they bias setup_s: " + ", ".join(caches))
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -70,8 +96,7 @@ def main() -> None:
           f" {args.seconds:g} s a run; median [quartiles], parent -> change")
     for m in metrics:
         a, b = ([r["metrics"][m["name"]]["value"] for r in runs[side]] for side in ("parent", "change"))
-        sign = 1 if m["better"] == "lower" else -1
-        won = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+        won = pairs_won(a, b, m["better"])
         ratio = statistics.median(b) / statistics.median(a)
         q = [statistics.quantiles(v, n=4, method="inclusive") for v in (a, b)]
         print(f"  {m['name']:<12} " + " -> ".join(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]" for q1, q2, q3 in q)
