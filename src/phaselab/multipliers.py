@@ -237,23 +237,39 @@ def validate_hypotheses(spec: MultiplierSpec) -> None:
 
 
 def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
-    """|m| along the shift axis: 2|sin(theta/2)| / (1+xi^2)^{s/2}."""
+    """|m| along the shift axis: 2|sin(theta/2)| / (1+xi^2)^{s/2}; a phase
+    that is not finite is ``_scan``'s ParameterError."""
     xi = np.asarray(xi, dtype=float)
     return _modulus_at(spec, np.abs(xi), xi)
 
 
 def _modulus_at(spec: MultiplierSpec, r, proj):
     """|m| at radii r where mu.xi = proj: ``_modulus`` at half the phase and the weight."""
-    h = 0.5 * phase(spec.phase_law, spec.delta, r, spec.beta, proj)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the phase is checked
+        h = 0.5 * phase(spec.phase_law, spec.delta, r, spec.beta, proj)
+        _check_phase(spec, r, h)
         return _modulus(h, _sobolev_weight(r, spec.s))
 
 
+def _check_phase(spec: MultiplierSpec, radii, *halves) -> None:
+    """A ParameterError naming delta and the least |xi| of ``radii`` where one
+    of the (half-)phases, each of their shape, is not finite (a radius not
+    finite or a phase past the double range); ``argmax`` finds a NaN first."""
+    if not all(math.isfinite(h.flat[h.argmax()]) and math.isfinite(h.flat[h.argmin()])
+               for h in halves):
+        finite = np.isfinite(halves[0]) & np.isfinite(halves[-1])
+        r = float(np.broadcast_to(radii, finite.shape)[~finite].min())
+        raise ParameterError(f"the phase at delta={spec.delta!r} is not finite at |xi|={r!r}")
+
+
 def multiplier_value(spec: MultiplierSpec, xi) -> complex:
-    """Complex multiplier value at a frequency vector xi (any dimension)."""
+    """Complex multiplier value at a frequency vector xi (any dimension); a
+    phase that is not finite is ``_scan``'s ParameterError."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    r = math.sqrt(_dot(xi, xi))
-    theta = float(phase(spec.phase_law, spec.delta, r, spec.beta, float(xi[0])))
+    with np.errstate(over="ignore", invalid="ignore"):  # |xi| past the double range is inf
+        r = math.sqrt(_dot(xi, xi))
+        theta = np.asarray(phase(spec.phase_law, spec.delta, r, spec.beta, float(xi[0])))
+    _check_phase(spec, r, theta)
     num = complex(math.cos(theta) - 1.0, math.sin(theta))
     return num / _sobolev_weight(r, spec.s)
 
@@ -399,10 +415,7 @@ def _scan(spec: MultiplierSpec, radii: np.ndarray) -> ScanResult:
             drift = shift_offset(spec.delta, spec.beta) * radii
             theta = [theta[0] + drift, np.subtract(theta[0], drift, out=drift)]
     halves = [np.multiply(t, 0.5, out=t) for t in theta]
-    if not all(math.isfinite(h[h.argmax()]) and math.isfinite(h[h.argmin()]) for h in halves):
-        finite = np.isfinite(halves[0]) & np.isfinite(halves[-1])  # argmax finds a NaN first
-        r = float(radii[~finite].min())
-        raise ParameterError(f"the phase at delta={spec.delta!r} is not finite at |xi|={r!r}")
+    _check_phase(spec, radii, *halves)
     bounds = [_bound(h, den) for h in halves]
     _, k, i = max((b[j], k, j) for k, b in enumerate(bounds) for j in [int(b.argmax())])
     seed = float(_modulus(halves[k][i], den[i]))  # numpy's sin, as at every kept point

@@ -2,12 +2,18 @@
 
 Evolution multiplies each coefficient by a unit phase, so it is exactly
 unitary on every weighted norm; the drift x + t**beta * mu adds the phase
-t**beta * mu.xi.  ``_angles`` evaluates e^{i theta} on a fold of the
-lattice (``_fold``) and mirrors it.  ``evaluate_shifted`` samples T times
-at P points in one pass of ``spectral._wave_sums``.  Every time is checked
-before any row is formed (``_checked``), so forming a row cannot fail.  The
-residual against the datum is formed in frequency space, h_j = (e^{i theta_j}
-- 1) f_j, which keeps synthesis quadrature out of the estimates under test.
+t**beta * mu.xi.  theta is equal, bit for bit, across each mirror class of
+the lattice (``_fold``), so ``_angles`` evaluates e^{i theta} on the fold
+alone, and ``apply_phase`` and ``error_field`` mirror it to the lattice
+(``_phase_factor``).  A sample sums over the fold too: sum_j f_j e^{i(x.xi_j
++ theta_j)} is sum_c e^{i theta_c} G_c(x), with the field folded into the
+waves once a call, G_c(x) the sum of f_j e^{i x.xi_j} over class c
+(``_fold_waves``).  ``evaluate_shifted`` samples T times at P points in one
+pass of ``spectral._wave_sums`` over these rows and waves, as does the
+trace over the rows e^{i theta} - 1.  Every time is checked before any row
+is formed (``_checked``), so forming a row cannot fail.  The residual
+against the datum is formed in frequency space, h_j = (e^{i theta_j} - 1)
+f_j, which keeps synthesis quadrature out of the estimates under test.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError, UndefinedShiftError
-from .spectral import (FrequencyGrid, SpectralField, _dot, _points, _sobolev_weight, _wave_sums,
-                       sobolev_norm)
+from .spectral import (BLOCK_BYTES, FrequencyGrid, SpectralField, _dot, _points, _sobolev_weight,
+                       _wave_sums, _waves, sobolev_norm)
 
 __all__ = [
     "ErrorField",
@@ -79,7 +85,8 @@ def _modulus(h, w):
 
 
 def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
-    """The modes ``_angles`` evaluates the phase on, with the law values
+    """The modes ``_angles`` evaluates the phase on and ``_fold_waves`` sums
+    onto, F = ``num_modes`` of them, with the law values
     ``gamma`` and mu.xi ``proj`` (None without a shift) there, and their
     largest magnitudes ``gmax`` and ``pmax`` (0 without a shift).
 
@@ -119,57 +126,91 @@ def _phase_bound(fold: SimpleNamespace, times: np.ndarray) -> np.ndarray:
     return bound
 
 
-def _checked(fold: SimpleNamespace, times, coeffs=None) -> np.ndarray:
-    """The 1-D float array of ``times``, at which ``_angles``, and evolved rows
-    of ``coeffs`` if given, cannot fail; else a ParameterError names the first
-    t that is negative or not finite, whose phase is not, or at which the
-    evolved coefficients overflow.  |theta_j| is at most ``_phase_bound``, and
-    rounding is monotone, so each part of f_j e^{i theta_j} is at most
-    fl(|Re f_j| + |Im f_j|).  So only a t < 0, t = 0 for beta <= 0, a t
-    whose bound (nan or inf at a t not finite) reaches 2**1020, which absorbs
-    numpy's t**beta differing from Python's, and every t if the field's bound
-    is not finite can fail: each is formed alone, in time order."""
+def _checked(fold: SimpleNamespace, times) -> np.ndarray:
+    """The 1-D float array of ``times``, at which ``_angles`` cannot fail; else
+    a ParameterError names the first t that is negative or not finite, or
+    whose phase is not.  |theta_j| is at most ``_phase_bound``, so only a
+    t < 0, t = 0 for beta <= 0 and a t whose bound (nan or inf at a t not
+    finite) reaches 2**1020, which absorbs numpy's t**beta differing from
+    Python's, can fail: each is formed alone, in time order."""
     times = np.asarray(times, dtype=float)
     with np.errstate(all="ignore"):
         bound = _phase_bound(fold, times)
-        whole = coeffs is None or np.isfinite(abs(coeffs.real) + abs(coeffs.imag)).all()
         ok = times >= 0 if fold.shift is None or fold.shift.beta > 0 else times > 0
-        for k in np.flatnonzero(~(ok & (bound < 2.0**1020) & whole)).tolist():
+        for k in np.flatnonzero(~(ok & (bound < 2.0**1020))).tolist():
             t = float(times[k])
             if not 0 <= t < math.inf:
                 raise ParameterError(f"t must be nonnegative and finite, got {t}")
-            row = np.empty((1, math.prod(fold.shape)), dtype=complex)
+            row = np.empty((1, fold.num_modes), dtype=complex)
             if not np.isfinite(_angles(fold, times[k : k + 1], row)).all():
                 raise ParameterError(f"the phase of {fold.name} is not finite at t={t}")
-            if coeffs is not None and not np.isfinite(row * coeffs).all():
-                raise ParameterError("coefficients too large to sample: the evolved "
-                                     f"coefficients overflow at t={t}")
     return times
 
 
 def _angles(fold: SimpleNamespace, times: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write e^{i theta} for a 1-D array of T times, checked by ``_checked``,
-    into the C-contiguous (T, modes) complex ``out``: theta on the modes of
-    the ``_fold``, which it returns, ``np.exp`` there, and the rows mirrored
-    axis by axis."""
+    """Write e^{i theta} on the modes of the ``_fold`` for a 1-D array of T
+    times, checked by ``_checked``, into the complex ``out`` of T rows, (T, F)
+    or the fold's box of the lattice, and return theta, (T, F)."""
     theta = np.multiply.outer(times, fold.gamma)  # t*law(|xi|) + t**beta * mu.xi, as phase
     if fold.shift is not None:  # row by row: one row of temporary
         for row, t in zip(theta, times.tolist()):
             row += shift_offset(t, fold.shift.beta) * fold.proj
-    full = out.reshape((len(out),) + fold.shape)
-    part = full[(slice(None),) + fold.index]
-    np.exp(np.multiply(1j, theta.reshape(part.shape), out=part), out=part)
+    np.exp(np.multiply(1j, theta.reshape(out.shape), out=out), out=out)
+    return theta
+
+
+def _phase_factor(fold: SimpleNamespace, t: float) -> tuple:
+    """e^{i theta} at one time t on the whole lattice, formed on the fold and
+    mirrored axis by axis, and theta on the fold."""
+    full = np.empty((1,) + fold.shape, dtype=complex)
+    theta = _angles(fold, _checked(fold, [t]), full[(slice(None),) + fold.index])
     for dst, src in fold.mirrors:
         full[dst] = full[src]
-    return theta
+    return full.reshape(-1), theta[0]
+
+
+def _fold_waves(fold: SimpleNamespace, field: SpectralField, pts: np.ndarray) -> tuple:
+    """The (P, F) folded waves of ``field`` at the (P, n) points and their
+    unscale (w, e): ``_wave_sums`` of rows e^{i theta} on the fold with them
+    is (2*pi)**(-n) * sum_j f_j e^{i(x_p.xi_j + theta_j)} dxi**n.
+
+    G_p = sum_class f_j e^{i x_p.xi_j} on each mode of the fold, the sum over
+    the modes that share its theta bit for bit (``_fold``): the products
+    f_j e^{i x_p.xi_j} are formed a chunk of points at a time on the whole
+    lattice, and the mirrored halves added onto the kept half in the reverse
+    order of ``fold.mirrors``.  f is first scaled by one power of two 2**-e,
+    e = e_F + a + 1 for F = max_j |Re f_j| + |Im f_j| < 2**e_F (read off f /
+    2**t, its parts below 1, so it cannot overflow) and a mirror class of
+    at most 2**a modes, a the folded axes: each part of a product is at most
+    F (1 + 3u) and of a class sum |c| F (1 + 10u), so every part of G is
+    below 1/2 (1 + 10u) < 1 (the ``_split_sums`` proof's wave), while 2**e
+    <= 2**(a + 2) F (1 + u).  e is at least -1021 - e_w, w = m * 2**e_w the
+    synthesis scale, so w * 2**e is normal unless it overflows, where
+    ``spectral._wave_sums`` applies it in two exact steps.  Scaling up is
+    exact; scaling down rounds f's parts below 2**(e - 1022) to the
+    subnormal grid.  A point not finite gives a NaN wave."""
+    grid, w = field.grid, field.grid.synthesis_scale
+    t = math.frexp(np.max(np.abs(field.coefficients.view(float))))[1]
+    f = np.ldexp(field.coefficients.view(float), -t).view(complex)
+    e = t + math.frexp(np.max(np.abs(f.real) + np.abs(f.imag)))[1] + len(fold.mirrors) + 1
+    e = max(e, -1021 - math.frexp(w)[1])
+    f = np.ldexp(f.view(float), t - e).view(complex)
+    step = max(1, BLOCK_BYTES // (16 * grid.num_modes))
+    waves = np.empty((len(pts), fold.num_modes), dtype=complex)
+    for p0 in range(0, len(pts), step):
+        full = _waves(grid, pts[p0 : p0 + step])
+        lattice = np.multiply(f, full, out=full).reshape((-1,) + fold.shape)  # f first, as c*w
+        for dst, src in reversed(fold.mirrors):
+            lattice[src] += lattice[dst]
+        part = lattice[(slice(None),) + fold.index]
+        waves[p0 : p0 + len(full)].reshape(part.shape)[...] = part
+    return waves, (w, e)
 
 
 def apply_phase(field: SpectralField, law, t: float) -> SpectralField:
     """Multiply each coefficient by e^{it*gamma(|xi_j|)}; moduli are preserved."""
-    fold = _fold(field.grid, law, None)
-    factor = np.empty((1, field.grid.num_modes), dtype=complex)
-    _angles(fold, _checked(fold, [t]), factor)
-    return SpectralField(field.grid, field.coefficients * factor[0])
+    factor = _phase_factor(_fold(field.grid, law, None), t)[0]
+    return SpectralField(field.grid, field.coefficients * factor)
 
 
 def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
@@ -188,16 +229,11 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
         raise ParameterError(
             f"times must be a number or a nonempty 1-D array, got shape {times.shape}"
         )
-    grid = field.grid
-    pts, single = _points(grid, x)
-    fold = _fold(grid, law, shift)
-    checked = _checked(fold, times.reshape(-1), field.coefficients)
-
-    def evolved(i, rows):
-        _angles(fold, checked[i : i + len(rows)], rows)
-        np.multiply(field.coefficients, rows, out=rows)
-
-    sums = _wave_sums(grid, pts, times.size, evolved)
+    pts, single = _points(field.grid, x)
+    fold = _fold(field.grid, law, shift)
+    checked = _checked(fold, times.reshape(-1))
+    sums = _wave_sums(*_fold_waves(fold, field, pts), times.size,
+                      lambda i, rows: _angles(fold, checked[i : i + len(rows)], rows))
     sums = sums.reshape(times.shape + (() if single else (len(pts),)))
     return complex(sums) if sums.ndim == 0 else sums
 
@@ -221,9 +257,8 @@ def error_field(field: SpectralField, law, t: float, shift: ShiftSpec | None = N
     call in test builds.
     """
     fold = _fold(field.grid, law, shift)
-    factor = np.empty((1, field.grid.num_modes), dtype=complex)
-    theta = _angles(fold, _checked(fold, [t]), factor)[0]
-    h = SpectralField(field.grid, (factor[0] - 1.0) * field.coefficients)
+    factor, theta = _phase_factor(fold, t)
+    h = SpectralField(field.grid, (factor - 1.0) * field.coefficients)
     l2 = sobolev_norm(h, 0.0)
     hs = sobolev_norm(field, s)
     if __debug__:

@@ -10,26 +10,34 @@ steps: ``_scale_rows`` scales each row by a power of two into integer
 units, ``_split_sums`` (where the proof lives) rounds each term to an
 integer (Rump, Ogita and Oishi, "Accurate floating-point summation part
 I", 2008), and ``_certify_sums`` keeps the unscaled total where the row's
-error bound proves it exactly rounded.  Sums it cannot certify (ties and
-near-ties, zero or subnormal sums, non-finite values, rows near overflow
-or below 2**-960) are summed again with ``math.fsum`` (Shewchuk 1997),
+error bound proves it exactly rounded, or where the low sum was exact,
+which settles exact ties.  Sums it cannot certify (near-ties and other
+ties, zero or subnormal sums, non-finite values, rows near overflow or
+below 2**-960) are summed again with ``math.fsum`` (Shewchuk 1997),
 exactly in integers where its partial sums overflow; same bits either way.
 
-``_wave_sums``, the one sampler, evaluates (2*pi)**(-n) * sum_j c_j
-e^{i x.xi_j} dxi**n for rows c (a field, or an evolved datum or residual
-per time) at points x (``_points``).  It forms one wave per point
-(``_waves``: the lattice's second half is the conjugate of its first, bit
-for bit), fills the rows a batch at a time and sums as ``csum`` does, in
-blocks whose waves, products and split fit in 2*BLOCK_BYTES, certifying
-a window of whole batches at a time.  Products over the n <= 3
-coordinates (x.xi, mu.xi, |xi|) go through ``_dot``, left to right
-elementwise, so no BLAS kernel touches the bits.
+``_wave_sums``, the one sampling kernel, evaluates w * 2**e * sum_j c_j
+w_pj for rows c and waves w_p whose parts are at most 1, w * 2**e the
+unscale factor of every sum.  ``synthesize`` passes the field as its one
+row, the unit waves e^{i x.xi_j} of its points (``_points``; ``_waves``:
+the lattice's second half is the conjugate of its first, bit for bit) and
+the synthesis scale (2*pi)**(-n) * dxi**n.  ``evaluate_shifted`` and the
+trace pass rows e^{i theta} or e^{i theta} - 1 on the modes of the phase
+fold and the field's folded waves, scaled by one power of two that the
+unscale factor undoes (``propagation._fold_waves``), so every sum has the
+fold's terms, about half the lattice's (513 of 1,025).  The kernel fills
+the rows a batch at a time and sums as ``csum`` does, in blocks whose
+products and split fit in BLOCK_BYTES and, with their waves, in
+2*BLOCK_BYTES, certifying a window of whole batches at a time.  Products
+over the n <= 3 coordinates (x.xi, mu.xi, |xi|) go through ``_dot``, left
+to right elementwise, so no BLAS kernel touches the bits.
 
 All types are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -58,11 +66,12 @@ __all__ = [
 DEFAULT_GRID_PARAMS = (1, 64.0, 0.125)
 
 
-#: Cap on the bytes of complex products ``_wave_sums`` sums in one block
-#: (one row at least), so a block grows with neither the row nor the point
-#: count.  Its sums are certified in windows of whole row batches that hold
-#: ``BLOCK_BYTES >> 10`` (1,024) sums, fewer than 2,048 unless one batch
-#: holds more, with 32 bytes a sum of low sums and row scales and bounds.
+#: Cap on the bytes of complex products and their split that ``_wave_sums``
+#: holds in one block (one row at least), so a block grows with neither the
+#: row nor the point count.  Its sums are certified in windows of whole row
+#: batches that hold ``BLOCK_BYTES >> 10`` (1,024) sums, fewer than 2,048
+#: unless one batch holds more, with 32 bytes a sum of low sums and row
+#: scales and bounds.
 BLOCK_BYTES = 1 << 20
 
 #: Unit roundoff of float64.
@@ -116,12 +125,18 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
     u = 2**-53.  ``_scale_rows`` takes 2**(e-1) <= 2*peak < 2**e, peak the
     row's largest part in magnitude, and multiplies the row by s = 2**k,
     k = 53 - L - e.  A term is a part (``csum``) or a component of a
-    product with a wave: as |cos|, |sin| <= 1 and rounding is monotone,
-    each rounded product is at most peak and their sum or difference,
-    fused or not, at most 2*peak.  So every scaled term is below
-    2**(53 - L), each q is an integer of magnitude at most 2**(53 - L),
-    and every partial sum of the q of one plane, in any order, is an
-    integer below M * 2**(53 - L) < 2**53: t = sum(q) is exact.
+    product with a wave whose parts are at most 1: a unit wave's, as |cos|,
+    |sin| <= 1, or a folded wave G of ``propagation._fold_waves``, formed
+    from the field times one power of two 2**-e that takes every part of G
+    below 1.  The sums are those of the waves as formed: scaling the field
+    down (e > 0) rounds its parts below 2**(e - 1022) to the subnormal grid
+    before any product is formed, scaling up is exact, and the kernel's
+    factor w * 2**e undoes it exactly.  As rounding is monotone, each
+    rounded product is at most peak and their sum or difference, fused or
+    not, at most 2*peak.  So every scaled term is below 2**(53 - L), each
+    q is an integer of magnitude at most 2**(53 - L), and every partial sum
+    of the q of one plane, in any order, is an integer below M * 2**(53 -
+    L) < 2**53: t = sum(q) is exact.
     p = x - q is exact with |p| <= 1/2, and P' = fl(sum(p)), in any
     order, errs by at most gamma_{M-1} * M/2, below M**2*u/2 for
     M <= 2**26 (no lattice here is wider) and below M**2*u up to 2**50.
@@ -144,9 +159,21 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
     that is strictly less than half the smaller gap from r to a
     neighbouring double, r is its exactly-rounded value, and r/s the
     exactly-rounded unscaled sum if it is a normal double; results at or
-    below 2**-1022 once unscaled are refused, as are zeros.  Both planes of
-    a row share its s, and both sums run on a complex view, one
-    ``sum(axis=1)`` each.  A row is dead when 2*peak is zero or not
+    below 2**-1022 once unscaled are refused, as are zeros.
+
+    The bound cannot settle an exact sum at a midpoint, an exact tie, which
+    fewer, larger terms make likelier.  But P' is exact, in any order, when
+    every nonzero term of its plane is at least 2**(L-2): each p is then a
+    multiple of 2**(L-54), the least ulp of such a term, and every partial
+    sum, at most M/2 < 2**(L-1), is a double.  Then r rounds t + P', the
+    exact sum of the split's terms, once, ties to even; if those terms are
+    exactly s times the unscaled ones (no subnormal rounding on either
+    side), r/s is the exactly-rounded unscaled sum where it is a normal
+    double.  ``_certify_sums`` checks both on each refused sum of a live
+    row.
+
+    Both planes of a row share its s, and both sums run on a complex view,
+    one ``sum(axis=1)`` each.  A row is dead when 2*peak is zero or not
     finite, below 2**_MIN_EXPONENT, or at least 2**(1023 - L), where an
     unscaled sum could overflow: ``_scale_rows`` leaves it unscaled with
     bound inf, so both its planes are refused.
@@ -164,9 +191,13 @@ def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
 
     Replaces each high sum by r = fl(high + low) unscaled and returns ``ok``
     (n, 2): whether that is the exactly-rounded sum, plane by plane.  Where
-    it is not, plane c of sum j is the ``_fsum`` of plane c of ``terms(j)``,
-    the original (M, 2) terms.  Overwrites ``low``; runs under the caller's
-    ``np.errstate``."""
+    the bound cannot prove it, ``terms(j, s)`` gives the (M, 2) terms of sum
+    j formed from its row times s: at s = 1/scale the split's own, at s = 1
+    the original ones.  A refused plane is kept where the split's terms are
+    exactly s times the original ones on a live row and its low sum was
+    exact (``_split_sums``), which settles exact ties; else it is the
+    ``_fsum`` of the original terms.  Overwrites ``low``; runs under the
+    caller's ``np.errstate``."""
     t, p = high.view(float).reshape(-1, 2), low.view(float).reshape(-1, 2)
     # Knuth's TwoSum, r + e == t + p exactly, in place in t and p with two
     # temporaries: e = (t - (r - bb)) + (p - bb) for bb = r - t
@@ -185,7 +216,17 @@ def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
     r *= 0.5
     ok = (p < r) & (np.abs(t, out=bb) > 2.0**-1022)
     for j in np.flatnonzero(~ok.all(axis=1)).tolist():
-        planes = terms(j)
+        # a live sum whose split terms are s times the unscaled ones and whose
+        # low sum is exact (``_split_sums``) has r exactly rounded, ties too
+        up = 1.0 / scale[j]
+        scaled = terms(j, up).copy() if bound[j] < math.inf else np.full((1, 2), np.nan)
+        planes = terms(j, 1.0)
+        # each side scaled up only, which is exact
+        exact = (np.array_equal(scaled, planes * up) if up > 1
+                 else np.array_equal(scaled * scale[j], planes))
+        least = np.abs(scaled).min(axis=0, initial=math.inf, where=scaled != 0)
+        least_ok = least >= 2.0 ** ((len(planes) + 1).bit_length() - 2)
+        ok[j] |= exact & least_ok & (np.abs(t[j]) > 2.0**-1022)
         for c in np.flatnonzero(~ok[j]).tolist():
             t[j, c] = _fsum(memoryview(np.ascontiguousarray(planes[:, c])))
     return ok
@@ -209,7 +250,7 @@ def csum(values: np.ndarray):
     with np.errstate(invalid="ignore", over="ignore"):
         scale, bound = _scale_rows(parts.reshape(len(r), -1))
         _split_sums(parts, r, low, np.empty(terms.size))
-        _certify_sums(r, low, bound, scale, terms.__getitem__)
+        _certify_sums(r, low, bound, scale, lambda j, s: terms[j] * s)
     return r
 
 
@@ -351,6 +392,21 @@ def _products(rows: np.ndarray, waves: np.ndarray, out: np.ndarray | None = None
     return np.multiply(rows[:, None, :], waves[None, :, :], out=out)
 
 
+@contextlib.contextmanager
+def _ufunc_buffer():
+    """numpy's ufunc buffer at 1,024 elements, with no warning for a value that
+    overflows or is NaN.  At numpy's default of 8,192 elements a block's product
+    copies its broadcast row into a buffer of several rows, 0.11 MB at 1,025
+    modes, and runs about 1.5 times as long, and the in-place ``exp`` of
+    ``_waves`` holds 257 KB of temporaries at 32 points of 1,025 modes."""
+    bufsize = np.setbufsize(1024)
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            yield
+    finally:
+        np.setbufsize(bufsize)
+
+
 def _waves(grid: FrequencyGrid, pts: np.ndarray) -> np.ndarray:
     """The (P, M) plane waves e^{i x.xi_j}, bit for bit ``np.exp(1j * _dot(pts[:,
     None, :], grid.modes))``, formed in place from the first ceil(M/2) modes
@@ -360,39 +416,44 @@ def _waves(grid: FrequencyGrid, pts: np.ndarray) -> np.ndarray:
     num_modes = grid.num_modes
     half = (num_modes + 1) // 2
     waves = np.zeros((len(pts), num_modes), dtype=complex)
-    _dot(pts[:, None, :], grid.modes[:half], out=waves.imag[:, :half], spare=waves.real[:, :half])
-    waves.real[:, :half] = 0.0
-    np.exp(waves[:, :half], out=waves[:, :half])
-    np.conjugate(waves[:, : num_modes - half][:, ::-1], out=waves[:, half:])
-    np.add(waves.imag, 0.0, out=waves.imag)
+    with _ufunc_buffer():
+        _dot(pts[:, None, :], grid.modes[:half], out=waves.imag[:, :half], spare=waves.real[:, :half])
+        waves.real[:, :half] = 0.0
+        np.exp(waves[:, :half], out=waves[:, :half])
+        np.conjugate(waves[:, : num_modes - half][:, ::-1], out=waves[:, half:])
+        np.add(waves.imag, 0.0, out=waves.imag)
     return waves
 
 
-def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.ndarray:
-    """(2*pi)**(-n) * sum_j c_j e^{i x.xi_j} dxi**n for ``num_rows`` rows c at
-    each point x of the (P, n) array ``pts``: a (num_rows, P) array.
-    ``fill(i, out)`` writes rows i, ..., i + len(out) - 1 into ``out``.
+def _wave_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.ndarray:
+    """w * 2**e * sum_j c_j w_pj for ``num_rows`` rows c and each wave w_p, a
+    row of the (P, F) complex ``waves`` whose parts are at most 1 (the
+    ``_split_sums`` proof), with ``unscale`` = (w, e): a (num_rows, P)
+    array.  ``fill(i, out)`` writes rows i, ..., i + len(out) - 1 into
+    ``out``.
 
     The rows are filled a batch of R rows at a time, in whole blocks of
     rows, and scaled (``_scale_rows``): R = max(1, (BLOCK_BYTES >> 3) //
-    (16*M)) rows rounded to whole blocks, and at most 1,024 (``BLOCK_BYTES
+    (16*F)) rows rounded to whole blocks, and at most 1,024 (``BLOCK_BYTES
     >> 10``) sums unless one block holds more.  Each block of (row, point)
     products is split in place (``_split_sums``): high sums into the
     result, low sums into a buffer.  ``_certify_sums`` runs once a window,
     the fewest whole batches that hold 1,024 sums, on the window's rows
     with their scales and bounds.  A refused sum's row is filled again
-    alone and its products formed unscaled for ``_fsum``, so ``fill`` must
-    be pure, and it must not raise: its callers check their rows first.
-    Rows are formed under the loop's ``np.errstate``; a product not finite
-    at a finite wave raises ``ParameterError`` when it is formed again, and
-    a sum not finite at a finite wave once every sum is formed.
+    alone and its products formed there, scaled as the split formed them
+    (on a live row, for ``_certify_sums``' tie check) and unscaled for
+    ``_fsum``, so ``fill`` must be pure, and it must not raise: its callers check their rows first.
+    Rows are formed under ``_ufunc_buffer``.  A row's parts must stay below
+    2**1020, so that no product with a wave overflows (``synthesize``
+    scales a field near the double range); a sum not finite at a finite
+    wave raises ``ParameterError`` once every sum is formed and unscaled.
     """
-    num_modes, num_pts = grid.num_modes, len(pts)
-    # r rows at p points: p waves, r*p products and their split, 16*M*p*(2r + 1) bytes
-    # at most 2*BLOCK_BYTES (so L2-sized); more than one row only with every point
-    units = max(3, BLOCK_BYTES // (8 * num_modes))
-    p_step = max(1, min(num_pts, units // 3))
-    r_step = (units // p_step - 1) // 2 if p_step == num_pts else 1
+    num_pts, num_modes = waves.shape
+    # r rows at p points: p waves and one row's p products and split, 48*F*p bytes,
+    # at most 2*BLOCK_BYTES (so L2-sized), and r rows' products and split, 32*F*p*r
+    # bytes, at most BLOCK_BYTES, one row at least; more than one only with every point
+    p_step = max(1, min(num_pts, BLOCK_BYTES // (24 * num_modes)))
+    r_step = max(1, BLOCK_BYTES // (32 * num_modes * p_step)) if p_step == num_pts else 1
     # a batch of rows holds at most ``cap`` sums unless one block holds more,
     # and a window is the fewest batches that hold ``cap``
     cap, row_sums = max(1, BLOCK_BYTES >> 10), max(1, num_pts)
@@ -406,47 +467,43 @@ def _wave_sums(grid: FrequencyGrid, pts: np.ndarray, num_rows: int, fill) -> np.
     # the scale and bound of each row of a window, and the low sum of each of its sums
     scale_bound, low = np.empty((2, window)), np.empty(window * num_pts, dtype=complex)
 
-    def terms(j):
-        # sum j of the window, formed in the block buffer, whose products are split by now
+    def terms(j, s):
+        # sum j of the window from its row times s (as ``_scale_rows`` scales it),
+        # formed in the block buffer, whose products are split by now
         i, p = divmod(j, num_pts)
         row = block_buf[:num_modes].reshape(1, num_modes)
         fill(w0 + i, row)
+        row.view(float)[...] *= s
         product = _products(row, waves[p : p + 1], out=row[:, None])
-        if not np.isfinite(product).all() and np.isfinite(waves[p]).all():
-            raise ParameterError(
-                "coefficients too large to sample: their products with a plane wave overflow"
-            )
         return product.view(float).reshape(num_modes, 2)
 
-    # at numpy's default of 8,192 elements a block's product copies its broadcast row into
-    # a buffer of several rows, 0.11 MB at 1,025 modes, and runs about 1.5 times as long
-    bufsize = np.setbufsize(1024)
     p_starts = range(0, num_pts, p_step)
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            # a non-finite or overflowing point gives a NaN wave, so NaN sums
-            waves = _waves(grid, pts)
-            for w0 in range(0, num_rows, window):
-                w_rows = min(window, num_rows - w0)
-                high = sums[w0 : w0 + w_rows].reshape(-1)
-                for r0 in range(0, w_rows, batch_rows):
-                    formed = coeffs[: min(batch_rows, w_rows - r0)]
-                    fill(w0 + r0, formed)
-                    scale_bound[:, r0 : r0 + len(formed)] = _scale_rows(formed.view(float))
-                    for b0, p0 in itertools.product(range(0, len(formed), r_step), p_starts):
-                        rows, chunk = formed[b0 : b0 + r_step], waves[p0 : p0 + p_step]
-                        size, start = len(rows) * len(chunk), (r0 + b0) * num_pts + p0
-                        block = block_buf[: size * num_modes].reshape(len(rows), len(chunk), -1)
-                        _products(rows, chunk, out=block)
-                        _split_sums(block.view(float).reshape(size, num_modes, 2),
-                                    high[start : start + size], low[start : start + size], split)
-                scale, bound = np.repeat(scale_bound[:, :w_rows], num_pts, axis=1)
-                _certify_sums(high, low[: len(high)], bound, scale, terms)
-    finally:
-        np.setbufsize(bufsize)
+    with _ufunc_buffer():
+        for w0 in range(0, num_rows, window):
+            w_rows = min(window, num_rows - w0)
+            high = sums[w0 : w0 + w_rows].reshape(-1)
+            for r0 in range(0, w_rows, batch_rows):
+                formed = coeffs[: min(batch_rows, w_rows - r0)]
+                fill(w0 + r0, formed)
+                scale_bound[:, r0 : r0 + len(formed)] = _scale_rows(formed.view(float))
+                for b0, p0 in itertools.product(range(0, len(formed), r_step), p_starts):
+                    rows, chunk = formed[b0 : b0 + r_step], waves[p0 : p0 + p_step]
+                    size, start = len(rows) * len(chunk), (r0 + b0) * num_pts + p0
+                    block = block_buf[: size * num_modes].reshape(len(rows), len(chunk), -1)
+                    _products(rows, chunk, out=block)
+                    _split_sums(block.view(float).reshape(size, num_modes, 2),
+                                high[start : start + size], low[start : start + size], split)
+            scale, bound = np.repeat(scale_bound[:, :w_rows], num_pts, axis=1)
+            _certify_sums(high, low[: len(high)], bound, scale, terms)
+        # times w * 2**e, exact; past the double range, 2**(e - 1024) in a
+        # second step that overflows only where the exact product does
+        m, e = math.frexp(unscale[0])
+        e += unscale[1]
+        sums *= math.ldexp(m, min(e, 1024))
+        if e > 1024:
+            np.ldexp(sums.view(float), e - 1024, out=sums.view(float))
     if np.isfinite(waves[~np.isfinite(sums).all(axis=0)]).all(axis=1).any():
         raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
-    sums *= grid.synthesis_scale
     return sums
 
 
@@ -471,7 +528,13 @@ def synthesize(field: SpectralField, x):
     complex number, or a (P, n) array of points, which gives P values.
     """
     pts, single = _points(field.grid, x)
-    sums = _wave_sums(field.grid, pts, 1, lambda i, out: np.copyto(out, field.coefficients))[0]
+    # a field whose parts reach 2**1019 is scaled by 2**-s, so that no
+    # product with a wave can overflow
+    coeffs = field.coefficients.view(float)
+    s = max(0, math.frexp(np.max(np.abs(coeffs)))[1] - 1019)
+    coeffs = np.ldexp(coeffs, -s).view(complex)
+    sums = _wave_sums(_waves(field.grid, pts), (field.grid.synthesis_scale, s), 1,
+                      lambda i, out: np.copyto(out, coeffs))[0]
     return complex(sums[0]) if single else sums
 
 

@@ -30,10 +30,10 @@ from phaselab import (
     required_exponent,
     sequence_applicable,
 )
-from phaselab import convergence, spectral
+from phaselab import convergence, propagation, spectral
 from phaselab.convergence import default_points, envelope_log_slope
 from phaselab.propagation import ShiftSpec
-from test_propagation import lattice_phase
+from test_propagation import fold_sum, lattice_phase, on_fold, reference_folded_waves
 from test_spectral import block_bytes
 
 
@@ -401,24 +401,18 @@ class TestPointwiseTrace:
 
 
 def reference_history(field, law, seq, points, k_max, shift=None):
-    """The per-(k, point) fsum loop that the batched trace reduction replaced,
-    with each phase x.xi summed coordinate by coordinate from the first."""
+    """The per-(k, point) fsum of the fold terms (e^{i theta_kj} - 1) * G_pj,
+    with the folded waves written out apart from the sampler."""
     grid = field.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    norm = grid.weight / (2.0 * math.pi) ** grid.n
-    phases = pts[:, None, 0] * grid.modes[:, 0]
-    for i in range(1, grid.n):
-        phases = phases + pts[:, None, i] * grid.modes[:, i]
-    waves = np.exp(1j * phases)
+    waves = reference_folded_waves(field, shift, pts)
     times = seq.terms(k_max)
     history = np.empty((len(times), pts.shape[0]))
     running = np.zeros(pts.shape[0])
     for k in range(len(times)):
-        theta = lattice_phase(grid, law, times[k], shift)
-        coeff = (np.exp(1j * theta) - 1.0) * field.coefficients
+        row = on_fold(grid, shift, np.exp(1j * lattice_phase(grid, law, times[k], shift))) - 1.0
         for i in range(pts.shape[0]):
-            z = coeff * waves[i]
-            val = complex(math.fsum(z.real), math.fsum(z.imag)) * norm
+            val = fold_sum(row, waves[i], grid)
             running[i] += val.real * val.real + val.imag * val.imag
         history[k] = running
     return history
@@ -443,7 +437,8 @@ class TestBatchedTrace:
         if rows_per_block is not None:
             # blocks of 2 (k, point) rows split every k's 5 points; blocks of
             # 15 rows hold three k, and the last block is shorter than the rest
-            monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, len(points), rows_per_block))
+            fold = propagation._fold(g, law, shift)  # the kernel's rows are fold-wide
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(fold, len(points), rows_per_block))
         tr = pointwise_trace(f, law, seq, 0.5, points, k_max=k_max, shift=shift)
         want = reference_history(f, law, seq, points, k_max, shift)
         assert tr.partial_sums.shape == want[-1].shape
@@ -453,21 +448,21 @@ class TestBatchedTrace:
     @pytest.mark.parametrize("law", [power_law(0.5), BOUSSINESQ, QUARTIC], ids=lambda law: law.name)
     @pytest.mark.parametrize("beta", [None, 1.5])
     def test_residual_rows_are_the_full_formula(self, grid_args, law, beta, monkeypatch):
-        # the law is evaluated once a trace, and without a shift e^{i theta}
-        # is formed on half the lattice and mirrored: every row still equals
-        # the formula on the whole lattice, bit for bit
+        # the law is evaluated once a trace, and e^{i theta} - 1 is formed on
+        # the fold alone (the field enters the folded waves): every row
+        # equals the formula on the whole lattice at the fold's modes, bit for bit
         g = make_grid(*grid_args)
         f = random_field(g, np.random.default_rng(43))
         shift = ShiftSpec(beta=beta, mu=np.eye(g.n)[-1]) if beta is not None else None
         seq, k_max = TimeSequence.geometric(0.5), 24
         rows = []
 
-        def recording_wave_sums(grid, pts, num_rows, fill):
-            formed = np.empty((num_rows, grid.num_modes), dtype=complex)
+        def recording_wave_sums(waves, unscale, num_rows, fill):
+            formed = np.empty((num_rows, waves.shape[1]), dtype=complex)
             for k in range(0, num_rows, 5):  # batches of 5 rows, the last one shorter
                 fill(k, formed[k : k + 5])
             rows.extend(formed)
-            return np.zeros((num_rows, len(pts)), dtype=complex)
+            return np.zeros((num_rows, len(waves)), dtype=complex)
 
         monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
         # s = 0.75 > 1 - a: the power law's shifted criterion accepts the sequence
@@ -475,7 +470,7 @@ class TestBatchedTrace:
         times = seq.terms(k_max)
         assert len(rows) == len(times)
         for row, t in zip(rows, times):
-            want = (np.exp(1j * lattice_phase(g, law, t, shift)) - 1.0) * f.coefficients
+            want = on_fold(g, shift, np.exp(1j * lattice_phase(g, law, t, shift)) - 1.0)
             np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
 
     def test_no_points(self):
@@ -493,9 +488,9 @@ class TestBatchedTrace:
         points = default_points(1, 6)
         seen = []
 
-        def recording_wave_sums(grid, pts, num_rows, fill):
-            seen.append((num_rows, spectral._wave_sums(grid, pts, 1100, fill)))
-            return spectral._wave_sums(grid, pts, num_rows, fill)
+        def recording_wave_sums(waves, unscale, num_rows, fill):
+            seen.append((num_rows, spectral._wave_sums(waves, unscale, 1100, fill)))
+            return spectral._wave_sums(waves, unscale, num_rows, fill)
 
         monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
         tr = pointwise_trace(f, power_law(0.5), TimeSequence.geometric(0.5), 0.5, points, k_max=1100)
@@ -523,10 +518,10 @@ class TestBatchedTrace:
         seq, points = TimeSequence.geometric(r), default_points(1, 4)
         seen = []
 
-        def recording_wave_sums(grid, pts, num_rows, fill):
-            every = spectral._wave_sums(grid, pts, np.count_nonzero(seq.terms(2048)), fill)
+        def recording_wave_sums(waves, unscale, num_rows, fill):
+            every = spectral._wave_sums(waves, unscale, np.count_nonzero(seq.terms(2048)), fill)
             seen.append((num_rows, every))
-            return spectral._wave_sums(grid, pts, num_rows, fill)
+            return spectral._wave_sums(waves, unscale, num_rows, fill)
 
         monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
         tr = pointwise_trace(f, power_law(0.5), seq, 0.5, points, k_max=2048)

@@ -113,6 +113,35 @@ class TestMultiplierValue:
             assert abs(multiplier_value(spec, xi)) <= 2.0 / (1 + r * r) ** 0.35 * (1 + 1e-12)
 
 
+class TestPhasePastTheDoubleRange:
+    """``modulus_on_axis`` and ``multiplier_value`` raise ``_scan``'s
+    ParameterError, naming delta and the least |xi|, where the phase or the
+    radius is not finite, with no numpy warning (an error under pytest)."""
+
+    SPEC = MultiplierSpec(Family.GAMMA, s=0.75, delta=1e-4, law=BOUSSINESQ)
+
+    def test_modulus_on_axis(self):
+        # r * sqrt(1 + r**2) overflows from about 1.3e154 on
+        with pytest.raises(ParameterError, match=r"^the phase at delta=0\.0001 is not finite at \|xi\|=1e\+160$"):
+            modulus_on_axis(self.SPEC, [1e150, 1e200, 1e160])
+        with pytest.raises(ParameterError, match=r"at \|xi\|=nan$"):
+            modulus_on_axis(self.SPEC, [1.0, math.nan])
+        assert np.isfinite(modulus_on_axis(self.SPEC, [1e150, -1e150])).all()
+
+    def test_multiplier_value(self):
+        # |xi| = sqrt(xi.xi) is inf at 1e160; under the quartic law the phase
+        # r**2 + r**4 overflows at the finite |xi| = 1e100
+        with pytest.raises(ParameterError, match=r"^the phase at delta=0\.0001 is not finite at \|xi\|=inf$"):
+            multiplier_value(self.SPEC, [1e160])
+        quartic = MultiplierSpec(Family.GAMMA, s=0.75, delta=1e-4, law=QUARTIC)
+        with pytest.raises(ParameterError, match=r"^the phase at delta=0\.0001 is not finite at \|xi\|=1e\+100$"):
+            multiplier_value(quartic, [1e100])
+        shifted = MultiplierSpec(Family.POWER_SHIFT, s=0.5, delta=1e-4, a=0.5, beta=1.5)
+        with pytest.raises(ParameterError, match=r"at \|xi\|=inf$"):
+            multiplier_value(shifted, [1e200, 1e200])
+        assert math.isfinite(abs(multiplier_value(self.SPEC, [1e150])))
+
+
 class TestAnalyticEnvelope:
     def test_power_value(self):
         assert analytic_envelope(power_spec(0.5, 1.0, 1e-4)) == pytest.approx(1e-2, rel=1e-14)

@@ -1,0 +1,159 @@
+"""``evaluate_shifted`` and ``pointwise_trace`` against ``mpmath`` sums of the
+exact phases at 40 digits.
+
+Every input double (coefficient, mode, point, time, beta, mu) is taken
+exactly; the phase x.xi + t*gamma(|xi|) + t**beta * mu.xi, its exponential
+and the sum are then formed at working precision, with the double
+w = dxi**n / (2*pi)**n that the sampler scales by.  A sampled value v of an
+exact sum S = w * sum_j f_j c_j (c_j = e^{i phi_j}, or e^{i theta_j} - 1 in
+the trace) lies within
+
+    B = w * sum_j |f_j| * (32u * a_j + 64u) + 4u * |S|,   u = 2**-53,
+
+where a_j = sum_i |x_i xi_ji| + |t*gamma(|xi_j|)| + t**beta * sum_i |mu_i xi_ji|
+bounds what the phase's rounding scales with: the dot products and the law
+err by at most 16u * a_j together (u per operation, the law's condition
+number at most 4), and the rest (``np.exp`` within 4u, e^{i theta} - 1, the
+product with f and with the row, a mirror class of at most 8 terms, the
+exactly rounded sum and the unscale) by at most 64u * |f_j| and 4u * |S|.
+A trace's partial sum sum_k |h_k|**2 then lies within sum_k (2 |h_k| B_k +
+B_k**2) + (K + 4) u * sum_k |h_k|**2 of the exact one.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from phaselab import (
+    BOUSSINESQ,
+    QUARTIC,
+    ShiftSpec,
+    TimeSequence,
+    evaluate_shifted,
+    make_grid,
+    pointwise_trace,
+    power_law,
+    random_field,
+)
+from phaselab.convergence import default_points
+
+U = 2.0**-53
+DPS = 40
+
+#: The laws at working precision, by name; power laws by their exponent.
+MP_LAWS = {
+    "boussinesq": lambda r: r * mpmath.sqrt(1 + r * r),
+    "quartic": lambda r: r**2 + r**4,
+}
+
+
+def mp_law(law):
+    if law.name in MP_LAWS:
+        return MP_LAWS[law.name]
+    return lambda r, a=mpmath.mpf(law.power): r**a
+
+
+class ExactPhases:
+    """The exact phase parts of a field's modes at working precision: x.xi
+    and |x.xi| per point, t*gamma(|xi|) + t**beta * mu.xi and its absolute
+    bound per time."""
+
+    def __init__(self, field, law, shift):
+        self.shift = shift
+        self.law = mp_law(law)
+        self.modes = [[mpmath.mpf(v) for v in xi] for xi in field.grid.modes.tolist()]
+        self.radii = [mpmath.sqrt(mpmath.fsum(v * v for v in xi)) for xi in self.modes]
+        mu = [0.0] * field.grid.n if shift is None else shift.mu.tolist()
+        self.proj = [mpmath.fsum(mpmath.mpf(m) * v for m, v in zip(mu, xi)) for xi in self.modes]
+        self.abs_proj = [mpmath.fsum(abs(mpmath.mpf(m) * v) for m, v in zip(mu, xi))
+                         for xi in self.modes]
+
+    def point(self, x):
+        """(x.xi_j, sum_i |x_i xi_ji|) for each mode."""
+        x = [mpmath.mpf(v) for v in x]
+        return [(mpmath.fsum(a * b for a, b in zip(x, xi)),
+                 mpmath.fsum(abs(a * b) for a, b in zip(x, xi))) for xi in self.modes]
+
+    def time(self, t):
+        """(theta_j, |t*gamma| + t**beta * sum_i |mu_i xi_ji|) for each mode."""
+        t = mpmath.mpf(float(t))
+        drift = 0 if self.shift is None or t == 0 else t ** mpmath.mpf(self.shift.beta)
+        return [(t * self.law(r) + drift * p, abs(t * self.law(r)) + abs(drift) * q)
+                for r, p, q in zip(self.radii, self.proj, self.abs_proj)]
+
+
+def bound(w, field, a, exact):
+    """B for the terms whose phase bounds are ``a``, at the exact value ``exact``."""
+    mass = mpmath.fsum(abs(mpmath.mpc(f)) * (32 * U * aj + 64 * U)
+                       for f, aj in zip(field.coefficients.tolist(), a))
+    return w * mass + 4 * U * abs(exact)
+
+
+def exact_sample(field, at_x, at_t):
+    """The exact sample w * sum_j f_j e^{i(x.xi_j + theta_j)} at the parts
+    ``at_x`` of a point and ``at_t`` of a time (``ExactPhases``), and its B."""
+    w = field.grid.synthesis_scale
+    exact = w * mpmath.fsum(mpmath.mpc(c) * mpmath.expj(px + th)
+                            for c, (px, _), (th, _) in zip(field.coefficients.tolist(), at_x, at_t))
+    return exact, bound(w, field, [ax + at for (_, ax), (_, at) in zip(at_x, at_t)], exact)
+
+
+EVALUATE_CASES = {
+    "1d": ((1, 8, 0.25), power_law(0.5), None, [0.0, 0.05, 1.0]),
+    "2d-shift-e1": ((2, 2, 0.25), BOUSSINESQ, ShiftSpec(beta=1.5, mu=np.array([1.0, 0.0])),
+                    [0.0, 0.1, 0.5]),
+    "2d-shift-oblique": ((2, 2, 0.25), QUARTIC, ShiftSpec(beta=0.8, mu=np.array([0.6, -0.8])),
+                         [0.05, 0.5]),
+    "3d": ((3, 1, 0.25), QUARTIC, None, [0.1, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
+def test_evaluate_shifted_against_mpmath(case):
+    grid_args, law, shift, times = EVALUATE_CASES[case]
+    g = make_grid(*grid_args)
+    f = random_field(g, np.random.default_rng(71))
+    points = default_points(g.n, 3, 72)
+    got = evaluate_shifted(f, law, np.array(times), shift, points)
+    with mpmath.workdps(DPS):
+        phases = ExactPhases(f, law, shift)
+        for p, x in enumerate(points.tolist()):
+            at_x = phases.point(x)
+            for k, t in enumerate(times):
+                exact, b = exact_sample(f, at_x, phases.time(t))
+                err = abs(mpmath.mpc(complex(got[k, p])) - exact)
+                assert err <= b, (t, x, float(err), float(b))
+
+
+TRACE_CASES = {
+    "1d": ((1, 4, 0.25), power_law(0.5), TimeSequence.power(2.0), None),
+    "2d-shift": ((2, 2, 0.25), BOUSSINESQ, TimeSequence.geometric(0.5),
+                 ShiftSpec(beta=1.5, mu=np.array([1.0, 0.0]))),
+    "3d": ((3, 1, 0.5), BOUSSINESQ, TimeSequence.geometric(0.5), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_pointwise_trace_against_mpmath(case):
+    grid_args, law, seq, shift = TRACE_CASES[case]
+    g = make_grid(*grid_args)
+    f = random_field(g, np.random.default_rng(73))
+    points, k_max = default_points(g.n, 2, 74), 16
+    got = pointwise_trace(f, law, seq, 0.75, points, k_max=k_max, shift=shift).partial_sums
+    w = g.synthesis_scale
+    with mpmath.workdps(DPS):
+        phases = ExactPhases(f, law, shift)
+        coeffs = [mpmath.mpc(c) for c in f.coefficients.tolist()]
+        rows = [phases.time(t) for t in seq.terms(k_max).tolist()]
+        for p, x in enumerate(points.tolist()):
+            at_x = phases.point(x)
+            waves = [c * mpmath.expj(px) for c, (px, _) in zip(coeffs, at_x)]
+            total = slack = 0
+            for at_t in rows:
+                h = w * mpmath.fsum((mpmath.expj(th) - 1) * v for v, (th, _) in zip(waves, at_t))
+                b = bound(w, f, [ax + at for (_, ax), (_, at) in zip(at_x, at_t)], h)
+                total += abs(h) ** 2
+                slack += 2 * abs(h) * b + b * b
+            slack += (k_max + 4) * U * total
+            err = abs(mpmath.mpf(float(got[p])) - total)
+            assert err <= slack, (x, float(err), float(slack))

@@ -2,6 +2,7 @@ import cmath
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from phaselab import (
 from phaselab import convergence, propagation, spectral
 from phaselab.convergence import default_points
 from phaselab.propagation import phase
+from test_oracle import DPS, ExactPhases, exact_sample
 from test_spectral import LIBM_VARIANTS, assert_passes_in_fresh_interpreter, block_bytes
 
 E1 = np.array([1.0])
@@ -141,20 +143,59 @@ def lattice_phase(grid, law, t, shift):
     return phase(law, t, grid.radii, None if shift is None else shift.beta, proj)
 
 
-def reference_evaluate(field, law, times, shift, points):
-    """The per-(t, x) loop that the batched evaluation replaced, with each
-    phase x.xi summed coordinate by coordinate from the first."""
+def fold_box(grid, shift):
+    """The fold's box of the lattice, written out apart from ``_fold``: the
+    coordinates <= 0 along each axis mu does not touch (every axis without a
+    shift), whole along the others."""
+    m = len(grid.axis) // 2
+    return tuple(slice(m + 1) if shift is None or shift.mu[a] == 0 else slice(None)
+                 for a in range(grid.n))
+
+
+def on_fold(grid, shift, values):
+    """The lattice ``values`` (in mode order) on the modes of the fold."""
+    return values.reshape((len(grid.axis),) * grid.n)[fold_box(grid, shift)].ravel()
+
+
+def reference_folded_waves(field, shift, points):
+    """The unscaled folded waves G_p on the fold, written out apart from
+    ``_fold_waves``: the products f_j e^{i x.xi_j}, x.xi summed coordinate by
+    coordinate from the first, and along each axis mu does not touch, the last
+    first, the product at coordinate -c plus the one at +c."""
     grid = field.grid
-    scale = grid.weight / (2.0 * math.pi) ** grid.n
+    m = len(grid.axis) // 2
+    out = []
+    for x in points:
+        phase = x[0] * grid.modes[:, 0]
+        for c in range(1, grid.n):
+            phase = phase + x[c] * grid.modes[:, c]
+        g = (field.coefficients * np.exp(1j * phase)).reshape((2 * m + 1,) * grid.n)
+        for a in reversed(range(grid.n)):
+            if shift is None or shift.mu[a] == 0:
+                kept = g.take(range(m), axis=a) + g.take(range(2 * m, m, -1), axis=a)
+                g = np.concatenate([kept, g.take([m], axis=a)], axis=a)
+        out.append(g.ravel())
+    return np.array(out)
+
+
+def fold_sum(row, wave, grid):
+    """The fsum of the fold terms row_j * G_pj, scaled by dxi**n / (2*pi)**n:
+    for unscaled waves, what the kernel gives with its scaled waves and
+    unscale factor, bit for bit, where no part is subnormal."""
+    z = row * wave
+    return complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist())) * (
+        grid.weight / (2.0 * math.pi) ** grid.n)
+
+
+def reference_evaluate(field, law, times, shift, points):
+    """The per-(t, x) fsum of the fold terms e^{i theta_j} * G_pj."""
+    grid = field.grid
+    waves = reference_folded_waves(field, shift, points)
     out = np.empty((len(times), len(points)), dtype=complex)
     for i, t in enumerate(times):
-        moved = field.coefficients * np.exp(1j * lattice_phase(grid, law, t, shift))
-        for j, x in enumerate(points):
-            phase = x[0] * grid.modes[:, 0]
-            for c in range(1, grid.n):
-                phase = phase + x[c] * grid.modes[:, c]
-            z = moved * np.exp(1j * phase)
-            out[i, j] = complex(math.fsum(z.real.tolist()), math.fsum(z.imag.tolist())) * scale
+        row = on_fold(grid, shift, np.exp(1j * lattice_phase(grid, law, t, shift)))
+        for j, wave in enumerate(waves):
+            out[i, j] = fold_sum(row, wave, grid)
     return out
 
 
@@ -170,13 +211,51 @@ EVALUATE_CASES = {
 
 
 class TestBatchedEvaluate:
-    def test_evolved_coefficients_past_the_double_range(self):
-        g = make_grid(1, 2, 1)
+    def test_coefficients_near_the_double_range_sample_where_finite(self):
+        # the rows are unit phases and f enters the folded waves, scaled by a
+        # power of two near the double range, so a field of 1.7e308 + 1.7e308j
+        # samples wherever its value is finite: at x = 1 the 9 terms nearly
+        # cancel, and a point not finite gives NaN
+        g = make_grid(1, 4, 1)
         f = SpectralField(g, np.full(g.num_modes, 1.7e308 + 1.7e308j))
-        # at t = 0 the evolved row is the datum; at t = 0.5 the mode xi = 1
-        # turns by 0.5 rad, and 1.7e308 * (cos + sin) overflows
-        with pytest.raises(ParameterError, match=r"^coefficients too large to sample: the evolved coefficients overflow at t=0\.5$"):
-            evaluate_shifted(f, power_law(0.5), np.array([0.0, 0.5]), None, np.array([[math.nan]]))
+        law, times = power_law(0.5), np.array([0.0, 0.5])
+        got = evaluate_shifted(f, law, times, None, np.array([[1.0], [math.nan]]))
+        assert np.isnan(got[:, 1].real).all() and np.isnan(got[:, 1].imag).all()
+        with mpmath.workdps(DPS):
+            phases = ExactPhases(f, law, None)
+            for k, t in enumerate(times):
+                exact, b = exact_sample(f, phases.point([1.0]), phases.time(t))
+                assert abs(mpmath.mpc(complex(got[k, 0])) - exact) <= b
+        # at x = 0 they add up past the double range, at both times
+        for t in times:
+            with pytest.raises(ParameterError, match=r"^coefficients too large to sample: a sum over the modes overflows$"):
+                evaluate_shifted(f, law, t, None, np.array([[0.0]]))
+
+    def test_a_cancelling_field_at_the_double_range_samples_its_value(self):
+        # w = dxi / (2*pi) = 1 and f = (a, -a, a): at x = 0 and t = 0 the sum
+        # is a itself, while w times the field's power of two overflows
+        g = make_grid(1, 2.0 * math.pi, 2.0 * math.pi)
+        a = 1.7e308
+        f = SpectralField(g, np.array([a, -a, a], dtype=complex))
+        assert g.synthesis_scale == 1.0
+        assert evaluate_shifted(f, power_law(0.5), 0.0, None, 0.0) == a
+        assert synthesize(f, 0.0) == a
+
+    def test_a_subnormal_field_on_a_wide_grid_samples(self):
+        # w = 30 / (2*pi) > 4: the field's power of two is at its floor, and
+        # the field is scaled up by more than 2**1023 into the normal range
+        g = make_grid(1, 30, 30)
+        f = SpectralField(g, np.array([3, -7 + 2j, 5j]) * 5e-324)
+        law, times, points = power_law(0.5), np.array([0.0, 0.5]), np.array([[0.0], [0.7]])
+        got = evaluate_shifted(f, law, times, None, points)
+        with mpmath.workdps(DPS):
+            phases = ExactPhases(f, law, None)
+            for k, t in enumerate(times):
+                for p, x in enumerate(points):
+                    exact, b = exact_sample(f, phases.point(x.tolist()), phases.time(t))
+                    assert abs(mpmath.mpc(complex(got[k, p])) - exact) <= b + 2.0**-1074
+        trace = pointwise_trace(f, law, TimeSequence.power(2.0), 0.5, points, k_max=16)
+        assert np.isfinite(trace.partial_sums).all()
 
     @pytest.mark.parametrize("case", sorted(EVALUATE_CASES))
     @pytest.mark.parametrize("rows_per_block", [None, 1, 2, 15])
@@ -189,7 +268,8 @@ class TestBatchedEvaluate:
         if rows_per_block is not None:
             # blocks of 1 or 2 (time, point) rows split every time's 5 points;
             # blocks of 15 rows hold three times, then one time is left over
-            monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, len(points), rows_per_block))
+            fold = propagation._fold(g, law, shift)  # the kernel's rows are fold-wide
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(fold, len(points), rows_per_block))
         got = evaluate_shifted(f, law, times, shift, points)
         want = reference_evaluate(f, law, times, shift, points)
         assert got.shape == (4, 5)
@@ -201,7 +281,8 @@ class TestBatchedEvaluate:
         f = random_field(g, np.random.default_rng(44))
         times = np.linspace(0.0, 1.0, 7)
         points = np.array([[0.3, -1.1]])
-        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 1, 3))
+        fold = propagation._fold(g, BOUSSINESQ, None)  # the kernel's rows are fold-wide
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(fold, 1, 3))
         got = evaluate_shifted(f, BOUSSINESQ, times, None, points)
         want = reference_evaluate(f, BOUSSINESQ, times, None, points)
         np.testing.assert_array_equal(bits(got), bits(want))
@@ -251,32 +332,28 @@ class TestBatchedEvaluate:
             evaluate_shifted(f, BOUSSINESQ, np.array([0.1]), None, np.zeros((4, 3)))
 
 
-def row_on_its_own(field, law, t, shift, residual):
-    """A residual row (e^{i theta} - 1) f or an evolved row f e^{i theta}
-    formed for one time t on the whole lattice, with the exact per-row checks
-    that ``_checked`` applies to the times it confirms."""
+def row_on_its_own(grid, law, t, shift, residual):
+    """A residual row e^{i theta} - 1 or an evolved row e^{i theta} formed for
+    one time t on the modes of the fold, with the exact per-row checks that
+    ``_checked`` applies to the times it confirms."""
     if not (0 <= t < math.inf):
         raise ParameterError(f"t must be nonnegative and finite, got {t}")
     with np.errstate(over="ignore", invalid="ignore"):
-        theta = lattice_phase(field.grid, law, t, shift)
-        if not np.isfinite(theta).all():
-            raise ParameterError(f"the phase of {law.name} is not finite at t={t}")
-        if residual:
-            return (np.exp(1j * theta) - 1.0) * field.coefficients
-        row = field.coefficients * np.exp(1j * theta)
-    if not np.isfinite(row).all():
-        raise ParameterError(
-            f"coefficients too large to sample: the evolved coefficients overflow at t={t}"
-        )
-    return row
+        theta = lattice_phase(grid, law, t, shift)
+    if not np.isfinite(theta).all():
+        raise ParameterError(f"the phase of {law.name} is not finite at t={t}")
+    row = on_fold(grid, shift, np.exp(1j * theta))
+    return row - 1.0 if residual else row
 
 
 def sums_one_row_at_a_time(field, law, times, shift, pts, residual):
-    """Each row formed on its own by ``row_on_its_own`` and summed on its own."""
+    """Each row formed on its own by ``row_on_its_own`` and summed on its own
+    against the field's folded waves."""
+    waves, unscale = propagation._fold_waves(propagation._fold(field.grid, law, shift), field, pts)
     sums = []
     for t in times:
-        row = row_on_its_own(field, law, float(t), shift, residual)
-        sums.append(spectral._wave_sums(field.grid, pts, 1, lambda i, out: np.copyto(out, row))[0])
+        row = row_on_its_own(field.grid, law, float(t), shift, residual)
+        sums.append(spectral._wave_sums(waves, unscale, 1, lambda i, out: np.copyto(out, row))[0])
     return np.array(sums)
 
 
@@ -318,7 +395,8 @@ class TestRowBatches:
         got = []
         with pytest.MonkeyPatch.context() as mp:
             if block_rows is not None:
-                mp.setattr(spectral, "BLOCK_BYTES", block_bytes(g, num_pts, block_rows))
+                fold = propagation._fold(g, BOUSSINESQ, shift)  # the kernel's rows are fold-wide
+                mp.setattr(spectral, "BLOCK_BYTES", block_bytes(fold, num_pts, block_rows))
             if residual:
                 # the trace keeps only |sum|**2 summed over k: record the sums
                 mp.setattr(convergence, "_wave_sums",
@@ -346,30 +424,33 @@ class TestRowBatches:
         assert want[0] is ParameterError
         assert outcome(lambda: evaluate_shifted(f, law, times, None, pts)) == want
 
-    def test_an_overflowing_row_inside_a_batch_names_its_t(self):
-        # at t = 0 the evolved row is the datum; at t = 0.5 the mode xi = 1
-        # turns by 0.5 rad, and 1.7e308 * (cos + sin) overflows
+    def test_coefficients_near_the_double_range_do_not_stop_a_batch(self):
+        # the rows are unit phases and f enters the folded waves, so a field
+        # of 1.7e308 + 1.7e308j forms every row, f e^{i theta} at t = 0.5
+        # included: the first bad t is the nan of row 6 (at t = 1e308 the
+        # phase 1e308 * 2**0.5 is finite)
         g = make_grid(1, 2, 1)
         f = SpectralField(g, np.full(g.num_modes, 1.7e308 + 1.7e308j))
         times = np.array([0.0, 0.0, 0.0, 0.5, 0.0, 1e308, math.nan])
         pts = np.array([[math.nan], [math.inf]])  # NaN sums, which are no error
         law = power_law(0.5)
         want = outcome(lambda: sums_one_row_at_a_time(f, law, times, None, pts, False))
-        assert want == (ParameterError, "coefficients too large to sample: "
-                        "the evolved coefficients overflow at t=0.5")
+        assert want == (ParameterError, "t must be nonnegative and finite, got nan")
         assert outcome(lambda: evaluate_shifted(f, law, times, None, pts)) == want
 
     def test_a_bad_t_is_reported_before_any_sum(self, monkeypatch):
-        # blocks of 2 rows of 32 points, one batch of the 8 rows, and the
-        # sums certified after every block.  At t = pi the phases t*xi**2 are
-        # 0, pi and 4*pi, so the 5 modes of 4e307 sum to about 4e307; at
-        # t = 1e-3 they sum past the double range.  Every time is checked
-        # before any row is formed, so a bad t at row 5 is reported before
-        # the sums of row 1 are certified
-        g = make_grid(1, 2, 1)
-        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 32, 64))
-        f = SpectralField(g, np.full(g.num_modes, 4e307))
+        # blocks of 2 rows of 32 points, and the sums certified after every
+        # block.  At t = pi the phases t*xi**2 are near multiples of pi, so
+        # the 17 modes of 1.7e308 nearly cancel and the samples are finite;
+        # at t = 1e-3 they add up past the double range.  Every time is
+        # checked before any row is formed, so a bad t at row 5 is reported
+        # before the sums of row 1 are certified
+        g = make_grid(1, 8, 1)
+        fold = propagation._fold(g, power_law(2.0), None)  # the kernel's rows are fold-wide
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(fold, 32, 64))
+        f = SpectralField(g, np.full(g.num_modes, 1.7e308))
         times = np.full(8, math.pi)
+        assert np.isfinite(evaluate_shifted(f, power_law(2.0), times, None, np.zeros((32, 1)))).all()
         times[1] = 1e-3
         with pytest.raises(ParameterError, match="^coefficients too large to sample: a sum over"):
             evaluate_shifted(f, power_law(2.0), times, None, np.zeros((32, 1)))
@@ -460,12 +541,15 @@ class TestPhaseFold:
         shift = None if mu is None else ShiftSpec(beta=1.5, mu=mu)
         times = np.array([0.0, -0.0, 1e-3, 0.37, 2.5, 40.0])
         fold = propagation._fold(grid, law, shift)
-        rows = np.empty((len(times), grid.num_modes), dtype=complex)
+        rows = np.empty((len(times), fold.num_modes), dtype=complex)
         theta = propagation._angles(fold, times, rows)
         assert fold.num_modes == folded and theta.shape == (len(times), folded)
         for row, t in zip(rows, times):
             want = np.exp(1j * lattice_phase(grid, law, float(t), shift))
-            np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+            # the rows on the fold, and mirrored to the whole lattice
+            np.testing.assert_array_equal(row.view(np.int64), on_fold(grid, shift, want).view(np.int64))
+            factor, _ = propagation._phase_factor(fold, float(t))
+            np.testing.assert_array_equal(factor.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("variant", LIBM_VARIANTS)
     def test_rows_are_the_full_formula_under_libm_variants(self, variant):

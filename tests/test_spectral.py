@@ -28,7 +28,7 @@ from phaselab import (
     synthesize,
     write_field_csv,
 )
-from phaselab import spectral
+from phaselab import BOUSSINESQ, ShiftSpec, evaluate_shifted, power_law, propagation, spectral
 from phaselab.convergence import default_points
 from phaselab.spectral import csum
 
@@ -298,7 +298,7 @@ class TestWaveSumsFallback:
         before = coeffs.copy()
         rec = _RecordingMath()
         monkeypatch.setattr(spectral, "math", rec)
-        got = spectral._wave_sums(grid, pts, len(coeffs), rows_of(coeffs))
+        got = unit_wave_sums(grid, pts, len(coeffs), rows_of(coeffs))
         want = np.empty((len(coeffs), len(pts)), dtype=complex)
         for i, c in enumerate(coeffs):
             for p, point in enumerate(pts):
@@ -326,6 +326,21 @@ class TestWaveSumsFallback:
         # one is zero: both are refused, and the row at x = 1 is certified
         pts = np.array([[0.0], [1.0]])
         assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) == 2
+
+    def test_exact_tie_with_an_exact_low_sum_is_certified(self, monkeypatch):
+        # (2**51 - 0.25) + (2**51 - 0.5) is the midpoint 2**52 - 0.75, which
+        # the bound refuses; scaled by 2**-2 every term is at least 2**(L-2)
+        # = 1, so the low sum is exact and r, rounded ties to even, is the
+        # exactly rounded sum.  Only the zero imaginary plane goes to fsum,
+        # and a wave sum of the same terms (x = 0, every wave 1) agrees
+        rec = _RecordingMath()
+        monkeypatch.setattr(spectral, "math", rec)
+        values = np.array([2.0**51 - 0.25, 2.0**51 - 0.5])
+        assert csum(values) == math.fsum(values.tolist()) == 2.0**52 - 1
+        assert [values for values, _ in rec.calls] == [[0.0, 0.0]]
+        rows = np.array([[values[0], values[1], 0.0]], dtype=complex)
+        got = spectral._wave_sums(np.ones((1, 3), dtype=complex), (1.0, 0), 1, rows_of(rows))
+        assert got[0, 0] == 2.0**52 - 1 and len(rec.calls) == 2
 
     def test_ragged_last_block(self, monkeypatch):
         g = make_grid(1, 2, 0.5)
@@ -417,7 +432,7 @@ class TestScaledRows:
         coeffs = np.array([[2.0**-983 - a, big, complex(a, big)]])
         assert self.fsum_calls(g, np.array([[2.0**-93]]), coeffs, monkeypatch) >= 1
         norm = g.weight / (2.0 * math.pi)
-        got = spectral._wave_sums(g, np.array([[2.0**-93]]), 1, rows_of(coeffs))[0, 0]
+        got = unit_wave_sums(g, np.array([[2.0**-93]]), 1, rows_of(coeffs))[0, 0]
         assert got.real == float.fromhex("0x1.0000000000002p-930") * norm
 
     def test_one_point_geometric_block(self, monkeypatch):
@@ -431,11 +446,19 @@ class TestScaledRows:
 
 
 def block_bytes(grid, num_pts, sums):
-    """A ``BLOCK_BYTES`` whose ``_wave_sums`` blocks at ``num_pts`` points
+    """A ``BLOCK_BYTES`` whose ``_wave_sums`` blocks of ``grid.num_modes`` terms
+    (a lattice's, or a fold's for the folded waves) at ``num_pts`` points
     hold at most ``sums`` (row, point) sums: one row of ``sums`` points when
     that is fewer than all, else sums // num_pts rows of every point."""
     pts = min(num_pts, sums)
-    return 8 * grid.num_modes * pts * (2 * max(1, sums // pts) + 1)
+    return 24 * grid.num_modes * pts if pts < num_pts else 32 * grid.num_modes * pts * (sums // pts)
+
+
+def unit_wave_sums(grid, pts, num_rows, fill):
+    """``_wave_sums`` of the rows ``fill`` writes, on the whole lattice, with the
+    unit waves of ``pts`` and the synthesis scale: as ``synthesize`` calls it."""
+    waves = spectral._waves(grid, pts)
+    return spectral._wave_sums(waves, (grid.synthesis_scale, 0), num_rows, fill)
 
 
 def rows_of(coeffs):
@@ -463,16 +486,16 @@ def traced_wave_sums(grid, num_rows):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sums = spectral._wave_sums(grid, pts, num_rows, scaled_copies(c, num_rows))
+        sums = unit_wave_sums(grid, pts, num_rows, scaled_copies(c, num_rows))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert sums.nbytes == 16 * num_rows * len(pts)
-    # a block of r rows at p points: 16*M*p*(2r + 1) bytes of waves, products
-    # and split at most, and more than one row only with every point
-    units = spectral.BLOCK_BYTES // (8 * grid.num_modes)
-    p = min(len(pts), units // 3)
-    r = (units // p - 1) // 2 if p == len(pts) else 1
+    # a block of r rows at p points: 48*M*p bytes of waves and one row's
+    # products and split, 32*M*p*r of r rows' products and split, and more
+    # than one row only with every point
+    p = min(len(pts), spectral.BLOCK_BYTES // (24 * grid.num_modes))
+    r = max(1, spectral.BLOCK_BYTES // (32 * grid.num_modes * p)) if p == len(pts) else 1
     return sums, 16 * len(pts) * grid.num_modes, 16 * grid.num_modes * r * p, peak
 
 
@@ -494,7 +517,7 @@ def certified_windows(monkeypatch, grid, pts, num_rows, fill):
 
     certify = spectral._certify_sums
     monkeypatch.setattr(spectral, "_certify_sums", recording_certify)
-    spectral._wave_sums(grid, pts, num_rows, recording_fill)
+    unit_wave_sums(grid, pts, num_rows, recording_fill)
     monkeypatch.setattr(spectral, "_certify_sums", certify)
     assert not batches
     end = 0
@@ -519,7 +542,7 @@ class TestWaveSumsBatches:
         coeffs[11] = 0.0
         coeffs[11, [128, 130]] = [1.0, 2.0**-53]  # a midpoint row at x = 0
         pts = np.array([[0.7], [0.0], [-1.3]])
-        want = spectral._wave_sums(g, pts, len(coeffs), rows_of(coeffs))
+        want = unit_wave_sums(g, pts, len(coeffs), rows_of(coeffs))
         for rows_per_block in (1, 2, 7):
             monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 3, rows_per_block))
             batches = []
@@ -533,7 +556,7 @@ class TestWaveSumsBatches:
             monkeypatch.setattr(spectral, "_certify_sums", recording_certify)
             fallback = TestWaveSumsFallback()
             assert fallback.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
-            got = spectral._wave_sums(g, pts, len(coeffs), rows_of(coeffs))
+            got = unit_wave_sums(g, pts, len(coeffs), rows_of(coeffs))
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
             batch = spectral.BLOCK_BYTES >> 10
             sizes = [size for size, _ in batches[len(batches) // 2 :]]
@@ -545,10 +568,10 @@ class TestWaveSumsBatches:
             assert refused == sorted({bisect.bisect(ends, j) for j in (33, 34, 35)})
             monkeypatch.setattr(spectral, "_certify_sums", certify)
         # at 7 rows a block holds 2 rows of 3 points, a batch is one block,
-        # and a window the 5 batches that reach 30 sums: it ends with the
-        # blocks of sums 24-29 and 54-59; the midpoint row's sums are
-        # refused in the second
-        assert (batch, sizes, refused) == (30, [30, 30], [1])
+        # and a window the 8 batches that reach 48 sums: it ends with the
+        # blocks of sums 42-47 and, the last, 54-59; the midpoint row's sums
+        # are refused in the first
+        assert (batch, sizes, refused) == (48, [48, 12], [0])
 
     @pytest.mark.parametrize("rows_per_block", [1, 2, 7])
     def test_batches_end_at_block_ends(self, rows_per_block, monkeypatch):
@@ -565,7 +588,7 @@ class TestWaveSumsBatches:
                 return step(sums, *args)
 
             monkeypatch.setattr(spectral, name, recording)
-        spectral._wave_sums(g, pts, len(coeffs), rows_of(coeffs))
+        unit_wave_sums(g, pts, len(coeffs), rows_of(coeffs))
         batch = spectral.BLOCK_BYTES >> 10
         # the blocks split before each certify call, which must certify
         # exactly their sums: so it starts and ends at block boundaries, and
@@ -597,7 +620,8 @@ class TestWaveSumsBatches:
                 np.testing.assert_array_equal(alone[0, 0].view(np.int64), block[i, p].view(np.int64))
 
     def test_certify_step_runs_once_per_window(self, monkeypatch):
-        # trace-1d's shape: batches of 7 rows of 32 points (224 sums), and
+        # 512 rows of trace-1d's 1,025 lattice modes (its own rows have the
+        # fold's 513 terms): batches of 7 rows of 32 points (224 sums), and
         # windows of the 5 batches that reach 1,024 sums, 35 rows: 14 of them
         # and the last 22 rows, batches of 7, 7, 7 and 1
         g = spectral.default_grid()
@@ -608,10 +632,10 @@ class TestWaveSumsBatches:
         assert [len(batches) for _, batches in calls] == [5] * 14 + [4]
         assert all(n == 7 for _, batches in calls for _, n in batches[:-1])
 
-    @pytest.mark.parametrize("num_pts, batch_rows", [(3, 4368), (300, 43), (2000, 6)])
+    @pytest.mark.parametrize("num_pts, batch_rows", [(3, 2184), (300, 21), (2000, 3)])
     def test_windows_hold_whole_batches_and_few_sums(self, num_pts, batch_rows, monkeypatch):
-        # 5 modes: a block holds thousands of sums (4368 rows of 3 points, 43
-        # rows of 300 or 6 rows of 2,000), more than the 1,024 a batch holds
+        # 5 modes: a block holds thousands of sums (2184 rows of 3 points, 21
+        # rows of 300 or 3 rows of 2,000), more than the 1,024 a batch holds
         # otherwise, so a batch is one block and a window one batch; a
         # window never holds more than 2,048 sums or one batch
         g = make_grid(1, 2, 1)
@@ -625,7 +649,7 @@ class TestWaveSumsBatches:
 
     @pytest.mark.parametrize("num_pts, num_rows", [(1, 1200), (3, 400), (31, 80), (700, 5)])
     def test_windows_reach_the_sum_count_with_fewest_batches(self, num_pts, num_rows, monkeypatch):
-        # 1,025 modes, where a batch (63, 20, 7 or 1 rows) holds under 1,024
+        # 1,025 modes, where a batch (31, 10, 7 or 1 rows) holds under 1,024
         # sums: every window but the last is the fewest batches that reach
         # 1,024 sums, so fewer than 2,048
         g = spectral.default_grid()
@@ -637,9 +661,9 @@ class TestWaveSumsBatches:
             assert sums - batches[-1][1] * num_pts < 1024 <= sums < 2048
         assert calls[-1][0] < 2048
 
-    @pytest.mark.parametrize("num_pts, r_step", [(1, 63), (2, 31)])
+    @pytest.mark.parametrize("num_pts, r_step", [(1, 31), (2, 15)])
     def test_multi_row_blocks(self, num_pts, r_step, monkeypatch):
-        # at 1,025 modes a block holds 63 rows of one point or 31 rows of
+        # at 1,025 modes a block holds 31 rows of one point or 15 rows of
         # two, a batch is one block, and one window holds every row; a sum
         # refused in the middle of a window is formed again from its own row
         # alone, as math.fsum of its products, and every sum is the csum of
@@ -669,7 +693,7 @@ class TestWaveSumsBatches:
         monkeypatch.setattr(spectral, "_certify_sums", refusing_certify)
         rec = _RecordingMath()
         monkeypatch.setattr(spectral, "math", rec)
-        got = spectral._wave_sums(g, pts, len(coeffs), fill)
+        got = unit_wave_sums(g, pts, len(coeffs), fill)
         starts = list(range(0, 150, r_step))
         assert fills == [(i, min(r_step, 150 - i)) for i in starts] + [(100, 1)]
         assert certified == [150 * num_pts]  # one window: the refused sum is mid-window
@@ -692,33 +716,70 @@ class TestWaveSumsBatches:
         assert block == 16 * 32 * g.num_modes  # 32 points of one row
         assert peak - sums.nbytes - waves <= 2 * block + 256 * 1024
 
-    def test_forming_the_waves_does_not_set_the_2d_peak(self):
-        # the 2-D trace shape: 16,641 modes, 32 points and 32 rows, 2
-        # (row, point) products a block.  Beyond the result and the waves,
-        # the peak is the block, its split buffer, two rows' worth of terms
-        # (a batch of one row and a refused plane's copy) and 256 KB, about
-        # 1.86 MB; it reads 1.54 MB.  Forming the full (P, M) phases and
-        # ``1j * phase`` before ``exp`` held 8.5 MB, and a (P, M/2) float
-        # temporary of the phases 2.1 MB
+    def test_forming_the_folded_waves_holds_no_lattice_table(self):
+        # trace-2d-shift's shape: 16,641 modes folded to 8,385 by mu = e_1, at
+        # 32 points.  The folded waves G are formed 3 points at a time
+        # (BLOCK_BYTES // (16 M)), so beyond G itself the peak is one chunk
+        # of lattice products, the copy numpy makes of a mirrored half, and a
+        # chunk's scale reductions: about 2.0 MB, under three chunks (2.4 MB),
+        # where a (P, M) table of unit waves would hold 8.5 MB
         g = make_grid(2, 16, 0.25)
-        g.modes  # built before tracing, as make_grid built them eagerly
-        sums, waves, block, peak = traced_wave_sums(g, 32)
-        assert block == 16 * 2 * g.num_modes
-        assert peak - sums.nbytes - waves <= 2 * block + 2 * (16 * g.num_modes) + 256 * 1024
+        g.modes, g.radii  # built before tracing, as make_grid built them eagerly
+        f = random_field(g, 3)
+        fold = propagation._fold(g, BOUSSINESQ, ShiftSpec(beta=1.5, mu=np.array([1.0, 0.0])))
+        pts = default_points(g.n, 32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            waves, unscale = propagation._fold_waves(fold, f, pts)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        chunk = 16 * g.num_modes * (spectral.BLOCK_BYTES // (16 * g.num_modes))
+        assert waves.shape == (32, 8385) and chunk == 16 * g.num_modes * 3
+        assert peak - waves.nbytes <= 3 * chunk
+        assert peak < 16 * len(pts) * g.num_modes
 
-    @pytest.mark.parametrize("grid_args, num_pts, num_rows, shape", [
-        ((1, 64, 0.125), 32, 2, (1, 32)),  # trace-1d
-        ((2, 4, 0.25), 32, 2, (1, 32)),  # field-roundtrip
-        ((2, 16, 0.25), 32, 1, (1, 2)),  # trace-2d-shift: 3 points would take 2.4 MB
-        ((1, 64, 0.125), 1, 64, (63, 1)),
-        ((1, 64, 0.125), 2, 32, (31, 2)),
+    def test_the_kernel_does_not_set_the_2d_peak(self):
+        # trace-2d-shift's kernel shape: 32 rows of the fold's F = 8,385 terms
+        # at 32 points, 5 (row, point) products a block.  Beyond the result
+        # and the waves, formed before the call, the peak is the block, its
+        # split buffer, two rows' worth of terms (a batch of one row and a
+        # refused plane's copy) and 256 KB
+        width, num_rows = 8385, 32
+        rng = np.random.default_rng(width)
+        waves = np.exp(1j * rng.uniform(-50.0, 50.0, (32, width)))
+        c = complex_rows(*rng.standard_normal((2, width)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sums = spectral._wave_sums(waves, (1.0, 0), num_rows, scaled_copies(c, num_rows))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        block = 16 * width * 5
+        assert 48 * width * 5 <= 2 * spectral.BLOCK_BYTES < 48 * width * 6
+        assert peak - sums.nbytes <= 2 * block + 2 * (16 * width) + 256 * 1024
+
+    @pytest.mark.parametrize("width, num_pts, num_rows, shape", [
+        (513, 32, 4, (1, 32)),  # trace-1d's fold of 1,025 modes: 2 rows hold 1.05 MB
+        (561, 32, 4, (1, 32)),  # field-roundtrip's fold of 1,089 modes (mu = e_1)
+        (8385, 32, 1, (1, 5)),  # trace-2d-shift's fold of 16,641 modes: 6 points take 2.4 MB
+        (1025, 32, 2, (1, 32)),  # synthesize on trace-1d's lattice
+        (1089, 32, 2, (1, 32)),
+        (16641, 32, 1, (1, 2)),  # 3 points would take 2.4 MB
+        (1025, 1, 64, (31, 1)),
+        (1025, 2, 32, (15, 2)),
     ])
     def test_blocks_are_the_largest_whose_working_set_fits(
-        self, grid_args, num_pts, num_rows, shape, monkeypatch
+        self, width, num_pts, num_rows, shape, monkeypatch
     ):
         # a block of r rows at p points reads p waves and holds r*p products
-        # and their split: 16*M*p*(2r + 1) bytes, at most 2*BLOCK_BYTES
-        g = make_grid(*grid_args)
+        # and their split: p waves and one row's products and split, 48*F*p
+        # bytes, at most 2*BLOCK_BYTES, and r rows' products and split,
+        # 32*F*p*r bytes, at most BLOCK_BYTES
         shapes = []
 
         def recording_products(rows, waves, out=None):
@@ -727,24 +788,35 @@ class TestWaveSumsBatches:
 
         products = spectral._products
         monkeypatch.setattr(spectral, "_products", recording_products)
-        c = random_field(g, 1).coefficients
-        spectral._wave_sums(g, default_points(g.n, num_pts), num_rows, scaled_copies(c, num_rows))
+        rng = np.random.default_rng(width)
+        waves = np.exp(1j * rng.uniform(-50.0, 50.0, (num_pts, width)))
+        c = complex_rows(*rng.standard_normal((2, width)))
+        spectral._wave_sums(waves, (1.0, 0), num_rows, scaled_copies(c, num_rows))
         r, p = shape
         assert shapes[0] == shape and max(shapes) == shape
-        working_set = 16 * g.num_modes * p * (2 * r + 1)
-        assert working_set <= 2 * spectral.BLOCK_BYTES
+        assert 48 * width * p <= 2 * spectral.BLOCK_BYTES
+        assert r == 1 or 32 * width * p * r <= spectral.BLOCK_BYTES
         # one more point, or with every point one more row, would not fit
-        larger = p * (2 * r + 3) if p == num_pts else 3 * (p + 1)
-        assert 16 * g.num_modes * larger > 2 * spectral.BLOCK_BYTES
+        if p < num_pts:
+            assert 48 * width * (p + 1) > 2 * spectral.BLOCK_BYTES
+        else:
+            assert 32 * width * p * (r + 1) > spectral.BLOCK_BYTES
 
-    def test_products_past_the_double_range_are_an_error(self):
+    def test_coefficients_near_the_double_range_sample_where_finite(self):
+        # a field near the double range is scaled by a power of two first
+        # (in ``synthesize``), so no product overflows: 1.7e308 + 1.7e308j
+        # samples where its value is finite, bit for bit as evaluate_shifted
+        # at t = 0 does with a shift (no fold: the same terms)
         g = make_grid(1, 2, 1)
         f = SpectralField(g, np.full(g.num_modes, 1.7e308 + 1.7e308j))
-        # at x = 0.1 a product's imaginary part is 1.7e308*(cos + sin) > DBL_MAX
-        with pytest.raises(ParameterError, match="^coefficients too large to sample: their products"):
-            synthesize(f, 0.1)
-        # at x = 0 every product is its coefficient, and the sum overflows
-        with pytest.raises(ParameterError, match="^coefficients too large to sample: a sum"):
+        got = synthesize(f, 0.1)
+        shift = ShiftSpec(beta=0.5, mu=np.array([1.0]))
+        assert math.isfinite(got.real) and math.isfinite(got.imag)
+        assert got == evaluate_shifted(f, power_law(0.5), 0.0, shift, 0.1)
+        # on 9 modes at x = 0 they add up to 9 * 1.7e308 / (2*pi) per part
+        g = make_grid(1, 4, 1)
+        f = SpectralField(g, np.full(g.num_modes, 1.7e308 + 1.7e308j))
+        with pytest.raises(ParameterError, match="^coefficients too large to sample: a sum over the modes overflows$"):
             synthesize(f, 0.0)
         # a non-finite point still gives NaN
         assert math.isnan(synthesize(f, math.nan).real)
