@@ -44,8 +44,8 @@ from .multipliers import (
     sweep,
 )
 from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw
-from .propagation import ShiftSpec, _angles, _checked, _fold, _fold_waves, _phase_bound
-from .spectral import SpectralField, _fsum, _points, _wave_sums
+from .propagation import ShiftSpec, _angles, _checked, _fold, _phase_bound
+from .spectral import SpectralField, _fold_waves, _fsum, _points, _wave_sums
 
 __all__ = [
     "Applicability",
@@ -414,33 +414,23 @@ def pointwise_trace(
     bounds the discarded remainder through the band-limited sup estimate
     ||h_k||_inf <= (2*pi)^(-n) * sup_j |e^{i theta_j} - 1| * sum_j |f_j| dxi^n.
 
-    Only the rows up to the last whose bound b_k = fl(C*M*w*F) * P_k reaches
-    2**-539 are formed: C = 8, M modes, w = ``grid.synthesis_scale``, the
-    double fl(dxi**n / (2*pi)**n) that the sampler scales by, F = max_j
-    fl(|Re f_j| + |Im f_j|) and P_k the ``_phase_bound`` of t_k, at least
-    every computed |theta_j| (to an ulp of t**beta).  Past it, each part of
-    a row's sums is below 2**-538, so its square rounds to +0 and leaves the
-    running sum's bits.
-    With u = 2**-53: |fl(sin theta)| <= |theta| (faithful, at a double
-    theta), and |fl(cos theta) - 1| <= 2|theta|, since |cos theta - 1| <=
-    |theta| and cos theta rounds to 1 where |theta| < 2**-27 (it lies within
-    2**-55 of 1; glibc's and numpy's do).  So each part of a row e^{i
-    theta_c} - 1 on the fold is at most 2 P_k, and the row is 0 where P_k
-    is.  It is summed against the folded wave G_c = sum f_j e^{i x.xi_j}
-    over its mirror class c of at most 2**a modes, a the folded axes
-    (``_fold_waves``), formed from f scaled by a power of two 2**-e that the
-    unscale factor w * 2**e undoes, with 2**e <= 2**(a + 2) F (1 + u) or e
-    at its floor.  Each part of a product f_j e^{i x.xi_j} is at most F (1 +
-    3u), of G_c at most |c| F (1 + 10u), and of a term (e^{i theta_c} - 1)
-    G_c at most 4 P_k |c| F (1 + 13u); the classes partition the M modes,
-    so the exactly rounded sum over the fold, unscaled, is at most 4 M P_k
-    F w (1 + 16u) <= b_k (1 + 22u) / 2.  A term's products rounded in the
-    subnormal range err by at most 2**-1074 a part, 2**(e - 1074) * w
-    unscaled: with P_k >= 2**-1074 where it is not 0, at most b_k 2**(a -
-    1) / M (1 + 4u) a term, and there are at most (2/3)**a M classes, so at
-    most (4/3)**a b_k / 2 <= 1.19 b_k in all (below 2**-2094 where e sits
-    at its floor).  With the sum's own rounding, every part of a sum is
-    below 1.7 b_k + 2**-1074 < 2**-538.
+    Only the rows up to the last whose bound b_k = fl(4 F w 2**e) * P_k
+    reaches 2**-539 are formed: F the fold's width and (w, e) the unscale
+    of the folded waves G (``spectral._fold_waves``), every part of which is
+    below 1/2 (1 + 10u), u = 2**-53, and P_k the ``_phase_bound`` of t_k, at
+    least every computed |theta_j| (to an ulp of t**beta).  Past it, each
+    part of a row's sums is below 2**-538, so its square rounds to +0 and
+    leaves the running sum's bits.
+    |fl(sin theta)| <= |theta| (faithful, at a double theta), and
+    |fl(cos theta) - 1| <= 2|theta|, since |cos theta - 1| <= |theta| and
+    cos theta rounds to 1 where |theta| < 2**-27 (it lies within 2**-55 of
+    1; glibc's and numpy's do).  So each part of a row e^{i theta_c} - 1 on
+    the fold is at most 2 P_k, and the row is 0 where P_k is.  Each part of
+    a term (e^{i theta_c} - 1) G_c is then at most 2 P_k (1 + 13u), plus
+    2**-1073 for its two products rounded in the subnormal range, which is
+    at most 2 P_k where P_k is not 0 (P_k >= 2**-1074).  So the exactly
+    rounded sum of the F terms, unscaled, is at most 4 F P_k w 2**e (1 +
+    16u) + 2**-1075 <= b_k (1 + 19u) + 2**-1073 < 2**-538.
     Rows of a time 0 have P_k = 0.  Row 0 is formed whenever t_0 > 0, so a
     NaN wave (a point not finite) still gives NaN sums.
     """
@@ -462,13 +452,13 @@ def pointwise_trace(
         _angles(fold, times[k : k + len(rows)], rows)
         rows -= 1.0
 
+    waves, (w, e) = _fold_waves(field, pts, fold)
     # see the docstring: the rows past the last b_k >= 2**-539 add +0 to every sum
-    scale = 8.0 * grid.num_modes * grid.synthesis_scale
     with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 is NaN: a zero row
-        scale *= float(np.max(np.abs(field.coefficients.real) + np.abs(field.coefficients.imag)))
+        scale = np.ldexp(4.0 * fold.num_modes * w, e)
         kept = np.flatnonzero(_phase_bound(fold, times) * scale >= 2.0**-539)
     num_rows = max(int(kept[-1]) + 1 if kept.size else 0, int(times[0] > 0))
-    values = _wave_sums(*_fold_waves(fold, field, pts), num_rows, residual)
+    values = _wave_sums(waves, (w, e), num_rows, residual)
     # np.cumsum adds along k in order, as a running sum would (np.sum pairs
     # terms); a square past the double range is inf, its rounded value
     with np.errstate(over="ignore"):

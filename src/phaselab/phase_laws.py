@@ -16,7 +16,7 @@ probed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -89,13 +89,7 @@ def _quartic_inverse(y):
     return np.sqrt(y / (0.5 + np.sqrt(0.25 + y)))
 
 
-LINEAR = PhaseLaw(
-    "linear",
-    lambda r: np.asarray(r, dtype=float),
-    lambda y: np.asarray(y, dtype=float),
-    inverse_growth=1.0,
-    power=1.0,
-)
+LINEAR = replace(power_law(1.0), name="linear")
 BOUSSINESQ = PhaseLaw(
     "boussinesq",
     lambda r: np.asarray(r, dtype=float) * np.sqrt(1.0 + np.asarray(r, dtype=float) ** 2),

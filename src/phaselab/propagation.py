@@ -8,12 +8,14 @@ alone, and ``apply_phase`` and ``error_field`` mirror it to the lattice
 (``_phase_factor``).  A sample sums over the fold too: sum_j f_j e^{i(x.xi_j
 + theta_j)} is sum_c e^{i theta_c} G_c(x), with the field folded into the
 waves once a call, G_c(x) the sum of f_j e^{i x.xi_j} over class c
-(``_fold_waves``).  ``evaluate_shifted`` samples T times at P points in one
-pass of ``spectral._wave_sums`` over these rows and waves, as does the
-trace over the rows e^{i theta} - 1.  Every time is checked before any row
-is formed (``_checked``), so forming a row cannot fail.  The residual
-against the datum is formed in frequency space, h_j = (e^{i theta_j} - 1)
-f_j, which keeps synthesis quadrature out of the estimates under test.
+(``spectral._fold_waves``, which ``synthesize`` calls with no fold, so the
+field is scaled in one place).  ``evaluate_shifted`` samples T times at
+P points in one pass of ``spectral._wave_sums`` over these rows and
+waves, as does the trace over the rows e^{i theta} - 1.  Every time is
+checked before any row is formed (``_checked``), so forming a row cannot
+fail.  The residual against the datum is formed in frequency space,
+h_j = (e^{i theta_j} - 1) f_j, which keeps synthesis quadrature out of
+the estimates under test.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError, UndefinedShiftError
-from .spectral import (BLOCK_BYTES, FrequencyGrid, SpectralField, _dot, _points, _sobolev_weight,
-                       _wave_sums, _waves, sobolev_norm)
+from .spectral import (FrequencyGrid, SpectralField, _dot, _fold_waves, _points, _sobolev_weight,
+                       _wave_sums, sobolev_norm)
 
 __all__ = [
     "ErrorField",
@@ -85,8 +87,8 @@ def _modulus(h, w):
 
 
 def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
-    """The modes ``_angles`` evaluates the phase on and ``_fold_waves`` sums
-    onto, F = ``num_modes`` of them, with the law values
+    """The modes ``_angles`` evaluates the phase on and ``spectral._fold_waves``
+    sums onto, F = ``num_modes`` of them, with the law values
     ``gamma`` and mu.xi ``proj`` (None without a shift) there, and their
     largest magnitudes ``gmax`` and ``pmax`` (0 without a shift).
 
@@ -169,44 +171,6 @@ def _phase_factor(fold: SimpleNamespace, t: float) -> tuple:
     return full.reshape(-1), theta[0]
 
 
-def _fold_waves(fold: SimpleNamespace, field: SpectralField, pts: np.ndarray) -> tuple:
-    """The (P, F) folded waves of ``field`` at the (P, n) points and their
-    unscale (w, e): ``_wave_sums`` of rows e^{i theta} on the fold with them
-    is (2*pi)**(-n) * sum_j f_j e^{i(x_p.xi_j + theta_j)} dxi**n.
-
-    G_p = sum_class f_j e^{i x_p.xi_j} on each mode of the fold, the sum over
-    the modes that share its theta bit for bit (``_fold``): the products
-    f_j e^{i x_p.xi_j} are formed a chunk of points at a time on the whole
-    lattice, and the mirrored halves added onto the kept half in the reverse
-    order of ``fold.mirrors``.  f is first scaled by one power of two 2**-e,
-    e = e_F + a + 1 for F = max_j |Re f_j| + |Im f_j| < 2**e_F (read off f /
-    2**t, its parts below 1, so it cannot overflow) and a mirror class of
-    at most 2**a modes, a the folded axes: each part of a product is at most
-    F (1 + 3u) and of a class sum |c| F (1 + 10u), so every part of G is
-    below 1/2 (1 + 10u) < 1 (the ``_split_sums`` proof's wave), while 2**e
-    <= 2**(a + 2) F (1 + u).  e is at least -1021 - e_w, w = m * 2**e_w the
-    synthesis scale, so w * 2**e is normal unless it overflows, where
-    ``spectral._wave_sums`` applies it in two exact steps.  Scaling up is
-    exact; scaling down rounds f's parts below 2**(e - 1022) to the
-    subnormal grid.  A point not finite gives a NaN wave."""
-    grid, w = field.grid, field.grid.synthesis_scale
-    t = math.frexp(np.max(np.abs(field.coefficients.view(float))))[1]
-    f = np.ldexp(field.coefficients.view(float), -t).view(complex)
-    e = t + math.frexp(np.max(np.abs(f.real) + np.abs(f.imag)))[1] + len(fold.mirrors) + 1
-    e = max(e, -1021 - math.frexp(w)[1])
-    f = np.ldexp(f.view(float), t - e).view(complex)
-    step = max(1, BLOCK_BYTES // (16 * grid.num_modes))
-    waves = np.empty((len(pts), fold.num_modes), dtype=complex)
-    for p0 in range(0, len(pts), step):
-        full = _waves(grid, pts[p0 : p0 + step])
-        lattice = np.multiply(f, full, out=full).reshape((-1,) + fold.shape)  # f first, as c*w
-        for dst, src in reversed(fold.mirrors):
-            lattice[src] += lattice[dst]
-        part = lattice[(slice(None),) + fold.index]
-        waves[p0 : p0 + len(full)].reshape(part.shape)[...] = part
-    return waves, (w, e)
-
-
 def apply_phase(field: SpectralField, law, t: float) -> SpectralField:
     """Multiply each coefficient by e^{it*gamma(|xi_j|)}; moduli are preserved."""
     factor = _phase_factor(_fold(field.grid, law, None), t)[0]
@@ -232,7 +196,7 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
     pts, single = _points(field.grid, x)
     fold = _fold(field.grid, law, shift)
     checked = _checked(fold, times.reshape(-1))
-    sums = _wave_sums(*_fold_waves(fold, field, pts), times.size,
+    sums = _wave_sums(*_fold_waves(field, pts, fold), times.size,
                       lambda i, rows: _angles(fold, checked[i : i + len(rows)], rows))
     sums = sums.reshape(times.shape + (() if single else (len(pts),)))
     return complex(sums) if sums.ndim == 0 else sums

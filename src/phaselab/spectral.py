@@ -18,19 +18,23 @@ exactly in integers where its partial sums overflow; same bits either way.
 
 ``_wave_sums``, the one sampling kernel, evaluates w * 2**e * sum_j c_j
 w_pj for rows c and waves w_p whose parts are at most 1, w * 2**e the
-unscale factor of every sum.  ``synthesize`` passes the field as its one
-row, the unit waves e^{i x.xi_j} of its points (``_points``; ``_waves``:
-the lattice's second half is the conjugate of its first, bit for bit) and
-the synthesis scale (2*pi)**(-n) * dxi**n.  ``evaluate_shifted`` and the
-trace pass rows e^{i theta} or e^{i theta} - 1 on the modes of the phase
-fold and the field's folded waves, scaled by one power of two that the
-unscale factor undoes (``propagation._fold_waves``), so every sum has the
-fold's terms, about half the lattice's (513 of 1,025).  The kernel fills
-the rows a batch at a time and sums as ``csum`` does, in blocks whose
-products and split fit in BLOCK_BYTES and, with their waves, in
-2*BLOCK_BYTES, certifying a window of whole batches at a time.  Products
-over the n <= 3 coordinates (x.xi, mu.xi, |xi|) go through ``_dot``, left
-to right elementwise, so no BLAS kernel touches the bits.
+unscale factor of every sum.  Every sample takes its waves and unscale
+from ``_fold_waves``, the one place a field becomes sampler input: the
+field scaled by one power of two 2**-e, times the unit waves e^{i
+x.xi_j} of the points (``_points``; ``_waves``: the lattice's second half
+is the conjugate of its first, bit for bit), summed over each mirror
+class of a phase fold if one is given, with w the synthesis scale
+(2*pi)**(-n) * dxi**n.
+``synthesize`` sums a row of ones against them on the whole lattice;
+``evaluate_shifted`` and the trace pass rows e^{i theta} or
+e^{i theta} - 1 on the modes of the phase fold (``propagation._fold``),
+so every sum has the fold's terms, about half the lattice's (513 of
+1,025).  The kernel fills the rows a batch at a time and sums as
+``csum`` does, in blocks whose products and split fit in BLOCK_BYTES
+and, with their waves, in 2*BLOCK_BYTES, certifying a window of whole
+batches at a time.  Products over the n <= 3 coordinates (x.xi, mu.xi,
+|xi|) go through ``_dot``, left to right elementwise, so no BLAS kernel
+touches the bits.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -126,7 +130,7 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
     row's largest part in magnitude, and multiplies the row by s = 2**k,
     k = 53 - L - e.  A term is a part (``csum``) or a component of a
     product with a wave whose parts are at most 1: a unit wave's, as |cos|,
-    |sin| <= 1, or a folded wave G of ``propagation._fold_waves``, formed
+    |sin| <= 1, or a folded wave G of ``_fold_waves``, formed
     from the field times one power of two 2**-e that takes every part of G
     below 1.  The sums are those of the waves as formed: scaling the field
     down (e > 0) rounds its parts below 2**(e - 1022) to the subnormal grid
@@ -444,9 +448,9 @@ def _wave_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.nda
     (on a live row, for ``_certify_sums``' tie check) and unscaled for
     ``_fsum``, so ``fill`` must be pure, and it must not raise: its callers check their rows first.
     Rows are formed under ``_ufunc_buffer``.  A row's parts must stay below
-    2**1020, so that no product with a wave overflows (``synthesize``
-    scales a field near the double range); a sum not finite at a finite
-    wave raises ``ParameterError`` once every sum is formed and unscaled.
+    2**1020, so that no product with a wave overflows; a sum not finite at
+    a finite wave raises ``ParameterError`` once every sum is formed and
+    unscaled.
     """
     num_pts, num_modes = waves.shape
     # r rows at p points: p waves and one row's p products and split, 48*F*p bytes,
@@ -521,20 +525,64 @@ def _points(grid: FrequencyGrid, x):
     return pts, False
 
 
+def _fold_waves(field: SpectralField, pts: np.ndarray, fold=None) -> tuple:
+    """The (P, F) folded waves of ``field`` at the (P, n) points and their
+    unscale (w, e), the sampler input of every sample: ``_wave_sums`` of
+    rows c on the fold with them is w * sum_c c_c G_pc, which for c_c =
+    e^{i theta_c}, one value on each class, is (2*pi)**(-n) * sum_j f_j
+    e^{i(x_p.xi_j + theta_j)} dxi**n.
+
+    ``fold`` is a ``propagation._fold``: its ``index`` keeps F =
+    ``num_modes`` modes of the lattice's box, and its ``mirrors`` fold the
+    others onto them along a axes, so each mirror class has at most 2**a
+    modes; None is the whole lattice, a = 0 and F the mode count.  G_p =
+    sum_class f_j e^{i x_p.xi_j} on each kept mode: the products f_j e^{i
+    x_p.xi_j} are formed a chunk of points at a time on the whole lattice,
+    and the mirrored halves added onto the kept half in the reverse order
+    of the mirrors.
+
+    f is first scaled by one power of two 2**-e, e = e_h + a + 2 for h =
+    max_j fl(|Re f_j|/2 + |Im f_j|/2) < 2**e_h, which cannot overflow.  F =
+    max_j |Re f_j| + |Im f_j| is below 2**(e_h + 1): halving is exact but
+    for parts below 2**-1021, whose halves round by at most 2**-1075, and
+    the sum of two halves so rounded falls below a power of two that F/2
+    reaches only at F = 2**-1073, where h = 0 and e_h = 0.  With u =
+    2**-53, each part of a product is then at most 2**-(a + 1) (1 + 3u)
+    and of a class sum below 1/2 (1 + 10u) < 1 (the ``_split_sums`` proof's
+    wave), while 2**e <= 2**(a + 2) F (1 + u) above e's floor: a scale
+    one power of two larger would halve every sum against the split's
+    fixed error bound, which then certifies fewer of them.  e is at least -1021 - e_w, w = m * 2**e_w the synthesis scale, so w *
+    2**e is normal unless it overflows, where ``_wave_sums`` applies it in
+    two exact steps.  Scaling up is exact; scaling down rounds f's parts
+    below 2**(e - 1022) to the subnormal grid.  A point not finite gives a
+    NaN wave."""
+    grid, w = field.grid, field.grid.synthesis_scale
+    index, mirrors = ((), []) if fold is None else (fold.index, fold.mirrors)
+    half = np.max(0.5 * np.abs(field.coefficients.real) + 0.5 * np.abs(field.coefficients.imag))
+    e = max(math.frexp(half)[1] + len(mirrors) + 2, -1021 - math.frexp(w)[1])
+    f = np.ldexp(field.coefficients.view(float), -e).view(complex)
+    step = max(1, BLOCK_BYTES // (16 * grid.num_modes))
+    waves = np.empty((len(pts), grid.num_modes if fold is None else fold.num_modes), dtype=complex)
+    for p0 in range(0, len(pts), step):
+        full = _waves(grid, pts[p0 : p0 + step])
+        # the products f first, as c*w, on the lattice's box
+        lattice = np.multiply(f, full, out=full).reshape((-1,) + (len(grid.axis),) * grid.n)
+        for dst, src in reversed(mirrors):
+            lattice[src] += lattice[dst]
+        part = lattice[(slice(None),) + index]
+        waves[p0 : p0 + len(full)].reshape(part.shape)[...] = part
+    return waves, (w, e)
+
+
 def synthesize(field: SpectralField, x):
     """Evaluate (2*pi)**(-n) * sum_j e^{i x.xi_j} f_j dxi^n at physical points.
 
     ``x`` is one point (shape (n,), or a number when n = 1), which gives a
-    complex number, or a (P, n) array of points, which gives P values.
+    complex number, or a (P, n) array of points, which gives P values: a
+    row of ones summed against the field's waves on the whole lattice.
     """
     pts, single = _points(field.grid, x)
-    # a field whose parts reach 2**1019 is scaled by 2**-s, so that no
-    # product with a wave can overflow
-    coeffs = field.coefficients.view(float)
-    s = max(0, math.frexp(np.max(np.abs(coeffs)))[1] - 1019)
-    coeffs = np.ldexp(coeffs, -s).view(complex)
-    sums = _wave_sums(_waves(field.grid, pts), (field.grid.synthesis_scale, s), 1,
-                      lambda i, out: np.copyto(out, coeffs))[0]
+    sums = _wave_sums(*_fold_waves(field, pts), 1, lambda i, out: out.fill(1.0))[0]
     return complex(sums[0]) if single else sums
 
 

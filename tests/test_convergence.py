@@ -480,7 +480,7 @@ class TestBatchedTrace:
         assert tr.partial_sums.size == 0
 
     def test_rows_at_zero_time_are_not_formed(self, monkeypatch):
-        # 0.5**k underflows to 0 from k = 1075: the kernel gets the 544 rows up
+        # 0.5**k underflows to 0 from k = 1075: the kernel gets the 545 rows up
         # to the last whose bound reaches 2**-539, and the sums are those of
         # every row, each row past it, and each row at t = 0, adding +0
         g = make_grid(1, 2, 0.5)
@@ -495,7 +495,7 @@ class TestBatchedTrace:
         monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
         tr = pointwise_trace(f, power_law(0.5), TimeSequence.geometric(0.5), 0.5, points, k_max=1100)
         [(num_rows, every)] = seen
-        assert num_rows == 544 and not every[1074:].any()
+        assert num_rows == 545 and not every[1074:].any()
         want = np.cumsum(every.real * every.real + every.imag * every.imag, axis=0)[-1]
         np.testing.assert_array_equal(tr.partial_sums.view(np.int64), want.view(np.int64))
         assert tr.k_max == 1100
@@ -508,7 +508,7 @@ class TestBatchedTrace:
         np.testing.assert_array_equal(tr.partial_sums.view(np.int64), np.zeros(3).view(np.int64))
 
 
-    @pytest.mark.parametrize("r, formed", [(0.5, 551), (0.1, 166)])
+    @pytest.mark.parametrize("r, formed", [(0.5, 552), (0.1, 166)])
     def test_rows_that_add_zero_are_not_formed(self, r, formed, monkeypatch):
         # the default grid at K = 2,048: the rows past the last whose bound
         # reaches 2**-539 are not formed, and the sums are bit for bit those of

@@ -1,5 +1,5 @@
 """``evaluate_shifted`` and ``pointwise_trace`` against ``mpmath`` sums of the
-exact phases at 40 digits.
+exact phases at 40 digits, and ``synthesize`` of a subnormal field at 60.
 
 Every input double (coefficient, mode, point, time, beta, mu) is taken
 exactly; the phase x.xi + t*gamma(|xi|) + t**beta * mu.xi, its exponential
@@ -26,14 +26,17 @@ import pytest
 
 from phaselab import (
     BOUSSINESQ,
+    LINEAR,
     QUARTIC,
     ShiftSpec,
+    SpectralField,
     TimeSequence,
     evaluate_shifted,
     make_grid,
     pointwise_trace,
     power_law,
     random_field,
+    synthesize,
 )
 from phaselab.convergence import default_points
 
@@ -157,3 +160,21 @@ def test_pointwise_trace_against_mpmath(case):
             slack += (k_max + 4) * U * total
             err = abs(mpmath.mpf(float(got[p])) - total)
             assert err <= slack, (x, float(err), float(slack))
+
+
+def test_synthesize_a_subnormal_field_within_half_a_unit():
+    # a field of 2**-1060 times Gaussians, whose samples are subnormal: the
+    # field enters its waves scaled up by a power of two, so no product
+    # rounds to the subnormal grid, and the sample is off only by its last
+    # rounding; products formed unscaled would leave this one 0.77 units off
+    g = make_grid(1, 2, 0.5)
+    f = SpectralField(g, random_field(g, 5).coefficients * 2.0**-1060)
+    x = default_points(1, 4, 5)[0]
+    got = synthesize(f, x)
+    with mpmath.workdps(60):
+        at_x = ExactPhases(f, LINEAR, None).point(x)
+        exact = g.synthesis_scale * mpmath.fsum(
+            mpmath.mpc(c) * mpmath.expj(px) for c, (px, _) in zip(f.coefficients.tolist(), at_x))
+        unit = mpmath.mpf(2) ** -1074
+        assert abs(got.real - exact.real) <= unit / 2, float((got.real - exact.real) / unit)
+        assert abs(got.imag - exact.imag) <= unit / 2, float((got.imag - exact.imag) / unit)

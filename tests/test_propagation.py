@@ -349,7 +349,7 @@ def row_on_its_own(grid, law, t, shift, residual):
 def sums_one_row_at_a_time(field, law, times, shift, pts, residual):
     """Each row formed on its own by ``row_on_its_own`` and summed on its own
     against the field's folded waves."""
-    waves, unscale = propagation._fold_waves(propagation._fold(field.grid, law, shift), field, pts)
+    waves, unscale = spectral._fold_waves(field, pts, propagation._fold(field.grid, law, shift))
     sums = []
     for t in times:
         row = row_on_its_own(field.grid, law, float(t), shift, residual)

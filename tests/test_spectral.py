@@ -28,7 +28,7 @@ from phaselab import (
     synthesize,
     write_field_csv,
 )
-from phaselab import BOUSSINESQ, ShiftSpec, evaluate_shifted, power_law, propagation, spectral
+from phaselab import BOUSSINESQ, LINEAR, ShiftSpec, evaluate_shifted, power_law, propagation, spectral
 from phaselab.convergence import default_points
 from phaselab.spectral import csum
 
@@ -193,6 +193,24 @@ class TestSynthesize:
         g = make_grid(2, 1, 1)
         assert synthesize(SpectralField(g, np.zeros(9)), [0.4, -0.2]) == 0
 
+    @pytest.mark.parametrize("case", ["1d-constant", "2d-random"])
+    def test_a_field_near_the_double_range_samples_as_evaluate_shifted(self, case):
+        # the field enters its waves scaled by one power of two, as it does in
+        # evaluate_shifted, which at t = 0 with mu touching every axis folds
+        # nothing and sums the same terms: bit for bit the same, finite
+        if case == "1d-constant":
+            f, pts, mu = SpectralField(make_grid(1, 8, 0.125), np.full(129, 1e307)), 0.0, [1.0]
+        else:
+            g = make_grid(2, 16, 0.25)
+            f = SpectralField(g, random_field(g, 0).coefficients * 1e306)
+            pts, mu = default_points(2, 7, 0), [0.6, 0.8]
+        got = np.atleast_1d(synthesize(f, pts))
+        want = np.atleast_1d(evaluate_shifted(f, LINEAR, 0.0, ShiftSpec(1.0, np.array(mu)), pts))
+        assert np.isfinite(got.view(float)).all()
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        if case == "1d-constant":
+            assert got[0] == 2.5663734573568123e307
+
 
 def exact_sum(values):
     """The double nearest the exact sum of doubles, ties to even.
@@ -272,9 +290,11 @@ class TestReductionsAgainstMpmath:
         got = np.atleast_1d(synthesize(f, x))
         # the certify step writes the fsum of each sum it refuses into its
         # high sums before it returns, and the result is scaled only after
-        # every batch, so each recorded batch holds its final unscaled sums
+        # every batch, so each recorded batch holds its final sums of the
+        # field scaled by 2**-e, e = e_F + 1 for max_j |Re f_j| + |Im f_j| < 2**e_F
         sums = [v for r in batches for v in r.tolist()]
         scale = g.weight / (2.0 * math.pi) ** g.n
+        e = math.frexp(np.max(np.abs(f.coefficients.real) + np.abs(f.coefficients.imag)))[1] + 1
         assert len(sums) == len(got)
         for p, point in enumerate(np.atleast_2d(x)):
             # x.xi summed coordinate by coordinate from the first
@@ -283,7 +303,7 @@ class TestReductionsAgainstMpmath:
                 phase = phase + point[c] * g.modes[:, c]
             z = f.coefficients * np.exp(1j * phase)
             want = complex(exact_sum(z.real), exact_sum(z.imag))
-            assert sums[p] == want
+            assert sums[p] * 2.0**e == want
             assert csum(z) == want  # the 1-D path of csum
             assert got[p] == want * scale
 
@@ -456,7 +476,7 @@ def block_bytes(grid, num_pts, sums):
 
 def unit_wave_sums(grid, pts, num_rows, fill):
     """``_wave_sums`` of the rows ``fill`` writes, on the whole lattice, with the
-    unit waves of ``pts`` and the synthesis scale: as ``synthesize`` calls it."""
+    unit waves of ``pts`` and the synthesis scale."""
     waves = spectral._waves(grid, pts)
     return spectral._wave_sums(waves, (grid.synthesis_scale, 0), num_rows, fill)
 
@@ -732,7 +752,7 @@ class TestWaveSumsBatches:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            waves, unscale = propagation._fold_waves(fold, f, pts)
+            waves, unscale = spectral._fold_waves(f, pts, fold)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -803,8 +823,8 @@ class TestWaveSumsBatches:
             assert 32 * width * p * (r + 1) > spectral.BLOCK_BYTES
 
     def test_coefficients_near_the_double_range_sample_where_finite(self):
-        # a field near the double range is scaled by a power of two first
-        # (in ``synthesize``), so no product overflows: 1.7e308 + 1.7e308j
+        # a field near the double range enters its waves scaled by a power
+        # of two (``_fold_waves``), so no product overflows: 1.7e308 + 1.7e308j
         # samples where its value is finite, bit for bit as evaluate_shifted
         # at t = 0 does with a shift (no fold: the same terms)
         g = make_grid(1, 2, 1)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +99,43 @@ def test_pairs_won_follows_the_metrics_direction():
     assert ab_pairs.pairs_won([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "lower") == 1
     assert ab_pairs.pairs_won([1.0, 2.0, 3.0], [0.5, 2.0, 4.0], "higher") == 1
     assert ab_pairs.pairs_won(PARENT, [x - 0.2 for x in PARENT], "lower") == 10
+
+
+#: A module of 22 physical lines, 8 of them code: ``import``, ``class``,
+#: ``def``, the four lines of the call (its string argument is code, not a
+#: docstring) and the assignment with a trailing comment.  The docstrings,
+#: the bare string statement, comment-only and blank lines are not code.
+SAMPLE = '''"""A module docstring
+over two lines."""
+
+# a comment-only line
+import os
+
+
+class Sample:
+    """A class docstring."""
+
+    def join(self, x):
+        """A function docstring."""
+
+        # a comment in a body
+        return os.path.join(
+            x,
+            "a string argument",
+        )
+
+
+"a bare string statement"
+LABEL = "a string that is assigned"  # a trailing comment
+'''
+
+
+def test_code_lines_counts_the_lines_that_hold_code(tmp_path):
+    (tmp_path / "sample.py").write_text(SAMPLE)
+    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n')
+    (tmp_path / "notes.txt").write_text("x = 1\n")  # not a module: not read
+    script = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    out = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                         capture_output=True, text=True, check=True).stdout
+    # the docstring-only module adds a physical line and no code line
+    assert out == "code lines: 8\nphysical lines: 23\n"
