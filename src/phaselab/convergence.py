@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisViolation, NotApplicableError, ParameterError
+from .errors import NotApplicableError, ParameterError
 from .multipliers import (
     REGIMES,
     Family,
@@ -196,7 +196,8 @@ def required_exponent(
     Raises ParameterError when s, a or beta lies outside its domain, when a
     parameter the row reads is missing or one it does not read is given
     (``multipliers.check_reads``), and (strict mode) HypothesisViolation naming
-    the failed inequality when the parameters fall outside the row's range.
+    the failed inequality when the parameters fall outside the row's range
+    or, in a gamma row, the law is not eligible (``Regime.check``).
     A gamma-sum's summand raises ParameterError naming the first term t at
     which g(1)/t overflows.
     """
@@ -416,8 +417,9 @@ def pointwise_trace(
 
     Only the rows up to the last whose bound b_k = fl(4 F w 2**e) * P_k
     reaches 2**-539 are formed: F the fold's width and (w, e) the unscale
-    of the folded waves G (``spectral._fold_waves``), every part of which is
-    below 1/2 (1 + 10u), u = 2**-53, and P_k the ``_phase_bound`` of t_k, at
+    of the folded waves G (``spectral._fold_waves``), every part of which,
+    a product of up to n unit waves with folds between, is below 1/2 (1 +
+    22u), u = 2**-53, and P_k the ``_phase_bound`` of t_k, at
     least every computed |theta_j| (to an ulp of t**beta).  Past it, each
     part of a row's sums is below 2**-538, so its square rounds to +0 and
     leaves the running sum's bits.
@@ -426,11 +428,13 @@ def pointwise_trace(
     cos theta rounds to 1 where |theta| < 2**-27 (it lies within 2**-55 of
     1; glibc's and numpy's do).  So each part of a row e^{i theta_c} - 1 on
     the fold is at most 2 P_k, and the row is 0 where P_k is.  Each part of
-    a term (e^{i theta_c} - 1) G_c is then at most 2 P_k (1 + 13u), plus
+    a term (e^{i theta_c} - 1) G_c is then at most 2 P_k (1 + 25u), plus
     2**-1073 for its two products rounded in the subnormal range, which is
     at most 2 P_k where P_k is not 0 (P_k >= 2**-1074).  So the exactly
     rounded sum of the F terms, unscaled, is at most 4 F P_k w 2**e (1 +
-    16u) + 2**-1075 <= b_k (1 + 19u) + 2**-1073 < 2**-538.
+    28u) + 2**-1075 <= b_k (1 + 31u) + 2**-1073 < 2**-538: G's bound
+    enters only the u terms, and the 4 (twice the row's 2 P_k, for the
+    subnormal roundings) holds with room of a factor near 2.
     Rows of a time 0 have P_k = 0.  Row 0 is formed whenever t_0 > 0, so a
     NaN wave (a point not finite) still gives NaN sums.
     """

@@ -68,7 +68,6 @@ __all__ = [
     "numeric_sup",
     "regime",
     "sweep",
-    "validate_hypotheses",
 ]
 
 #: Phases below this delta are not representable reliably in float64.
@@ -177,11 +176,16 @@ class Regime(NamedTuple):
     delta_power: Callable
 
     def check(self, p) -> None:
-        """Raise HypothesisViolation naming the first hypothesis p fails."""
+        """Raise HypothesisViolation naming the first hypothesis p fails, and
+        after them, for the gamma rows, the law's eligibility."""
         for text, holds in self.hypotheses.items():
             if not holds(p):
                 got = [f"{k}={getattr(p, k)}" for k in ("s", *self.family.reads) if k != "law"]
                 raise HypothesisViolation(f"{self.name} requires {text} (got {', '.join(got)})")
+        if self.family.uses_law and not p.law.eligible:
+            raise HypothesisViolation(
+                f"{self.name} requires gamma(r)/r nondecreasing, which {p.law.name} is not"
+            )
 
     def exponent(self, p) -> float:
         """e in sup|m_delta| <~ delta**e."""
@@ -223,17 +227,6 @@ def regime(family: Family, a: float | None = None) -> Regime:
     if family is Family.POWER_SHIFT:
         return REGIMES["power-shift-sub" if a < 1 else "power-shift-super"]
     return next(row for row in REGIMES.values() if row.family is family)
-
-
-def validate_hypotheses(spec: MultiplierSpec) -> None:
-    """The hypotheses of the spec's regime row, and for the gamma families
-    the law's eligibility; errors name the violated inequality."""
-    row = regime(spec.family, spec.a)
-    row.check(spec)
-    if spec.family.uses_law and not spec.law.eligible:
-        raise HypothesisViolation(
-            f"{row.name} requires gamma(r)/r nondecreasing, which {spec.law.name} is not"
-        )
 
 
 def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
@@ -285,9 +278,9 @@ def _float_power(base: float, exponent: float, name: str) -> float:
 def analytic_envelope(spec: MultiplierSpec, strict: bool = True) -> float:
     """The family's delta-envelope for sup|m| (no constant attached);
     strict=False skips the hypotheses (the formula never changes)."""
-    if strict:
-        validate_hypotheses(spec)
     row = regime(spec.family, spec.a)
+    if strict:
+        row.check(spec)
     env = _float_power(spec.delta, row.delta_power(spec), "delta**e")
     if spec.family.uses_law:
         env *= 1.0 / _float_power(critical_radius(spec), spec.s, "r_c**s")
@@ -492,10 +485,10 @@ class Sweep:
 
 def sweep(template: MultiplierSpec, deltas, strict: bool = True) -> Sweep:
     """Each delta's envelope, then its scan.  The hypotheses do not depend
-    on delta, so they are validated once, for the first delta."""
+    on delta, so they are checked once, for the first delta."""
     deltas = tuple(float(d) for d in deltas)
     if strict:
-        validate_hypotheses(template.with_delta(deltas[0]))
+        regime(template.family, template.a).check(template.with_delta(deltas[0]))
     envelopes, scans = [], []
     for spec in [template.with_delta(d) for d in deltas]:
         envelopes.append(analytic_envelope(spec, strict=False))

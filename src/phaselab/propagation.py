@@ -4,18 +4,19 @@ Evolution multiplies each coefficient by a unit phase, so it is exactly
 unitary on every weighted norm; the drift x + t**beta * mu adds the phase
 t**beta * mu.xi.  theta is equal, bit for bit, across each mirror class of
 the lattice (``_fold``), so ``_angles`` evaluates e^{i theta} on the fold
-alone, and ``apply_phase`` and ``error_field`` mirror it to the lattice
+alone, and ``apply_phase`` and ``error_field`` unfold it to the lattice
 (``_phase_factor``).  A sample sums over the fold too: sum_j f_j e^{i(x.xi_j
 + theta_j)} is sum_c e^{i theta_c} G_c(x), with the field folded into the
 waves once a call, G_c(x) the sum of f_j e^{i x.xi_j} over class c
-(``spectral._fold_waves``, which ``synthesize`` calls with no fold, so the
-field is scaled in one place).  ``evaluate_shifted`` samples T times at
-P points in one pass of ``spectral._wave_sums`` over these rows and
-waves, as does the trace over the rows e^{i theta} - 1.  Every time is
-checked before any row is formed (``_checked``), so forming a row cannot
-fail.  The residual against the datum is formed in frequency space,
-h_j = (e^{i theta_j} - 1) f_j, which keeps synthesis quadrature out of
-the estimates under test.
+(``spectral._fold_waves``, which forms the waves an axis at a time and
+folds each folded axis as it goes, and which ``synthesize`` calls with
+no fold, so the field is scaled in one place).  ``evaluate_shifted``
+samples T times at P points in one pass of ``spectral._wave_sums`` over
+these rows and waves, as does the trace over the rows e^{i theta} - 1.
+Every time is checked before any row is formed (``_checked``), so
+forming a row cannot fail.  The residual against the datum is formed in
+frequency space, h_j = (e^{i theta_j} - 1) f_j, which keeps synthesis
+quadrature out of the estimates under test.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
     a*a, so |xi| keeps its bits, and a zero mu_i adds only a signed zero to
     mu.xi, flipping at most the sign of a zero mu.xi, which t*law(|xi|) >= +0
     absorbs.  So the fold keeps the coordinates <= 0 along those axes
-    (``index``), ``mirrors`` copy coordinate M+1+j from M-1-j along each in
-    turn, and each mode shares |xi|, law value and |mu.xi| with a fold mode."""
+    (``index``, whose stop there is M+1), and each mode shares |xi|, law
+    value and |mu.xi| with a fold mode."""
     if shift is not None and shift.mu.shape != (grid.n,):
         raise ParameterError(f"mu has shape {shift.mu.shape}, expected ({grid.n},)")
     shape = (len(grid.axis),) * grid.n
@@ -111,11 +112,9 @@ def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
     modes = grid.modes.reshape(shape + (grid.n,))[index].reshape(-1, grid.n)
     proj = None if shift is None else _dot(modes, shift.mu)
     pmax = 0.0 if shift is None else float(np.max(np.abs(proj)))
-    heads = [((slice(None),) * a, h.stop, index[a:]) for a, h in enumerate(index, 1) if h.stop]
-    mirrors = [(p + (slice(m, None),) + r, p + (slice(m - 2, None, -1),) + r) for p, m, r in heads]
     return SimpleNamespace(shape=shape, index=index, num_modes=radii.size, radii=radii, gamma=gamma,
                            gmax=gmax, proj=proj, pmax=pmax, name=getattr(law, "name", law),
-                           shift=shift, mirrors=mirrors)
+                           shift=shift)
 
 
 def _phase_bound(fold: SimpleNamespace, times: np.ndarray) -> np.ndarray:
@@ -163,11 +162,15 @@ def _angles(fold: SimpleNamespace, times: np.ndarray, out: np.ndarray) -> np.nda
 
 def _phase_factor(fold: SimpleNamespace, t: float) -> tuple:
     """e^{i theta} at one time t on the whole lattice, formed on the fold and
-    mirrored axis by axis, and theta on the fold."""
+    unfolded axis by axis, the last first: along a folded axis, coordinate c
+    = 1, ..., M copies -c, on the coordinates the fold keeps along the
+    axes before it and every coordinate along those after it."""
     full = np.empty((1,) + fold.shape, dtype=complex)
     theta = _angles(fold, _checked(fold, [t]), full[(slice(None),) + fold.index])
-    for dst, src in fold.mirrors:
-        full[dst] = full[src]
+    for d, keep in reversed(list(enumerate(fold.index))):
+        if keep.stop:
+            head = (slice(None),) + fold.index[:d]
+            full[head + (slice(keep.stop, None), ...)] = full[head + (slice(keep.stop - 2, None, -1), ...)]
     return full.reshape(-1), theta[0]
 
 

@@ -19,11 +19,12 @@ exactly in integers where its partial sums overflow; same bits either way.
 ``_wave_sums``, the one sampling kernel, evaluates w * 2**e * sum_j c_j
 w_pj for rows c and waves w_p whose parts are at most 1, w * 2**e the
 unscale factor of every sum.  Every sample takes its waves and unscale
-from ``_fold_waves``, the one place a field becomes sampler input: the
-field scaled by one power of two 2**-e, times the unit waves e^{i
-x.xi_j} of the points (``_points``; ``_waves``: the lattice's second half
-is the conjugate of its first, bit for bit), summed over each mirror
-class of a phase fold if one is given, with w the synthesis scale
+from ``_fold_waves``, the one place a field becomes sampler input and
+the one place plane waves are exponentiated: the field scaled by one
+power of two 2**-e, times the unit waves e^{i x.xi_j} of the points
+(``_points``), formed an axis at a time as prod_d e^{i x_d xi_d}, and
+summed over each mirror class of a phase fold if one is given, each
+folded axis before the next product, with w the synthesis scale
 (2*pi)**(-n) * dxi**n.
 ``synthesize`` sums a row of ones against them on the whole lattice;
 ``evaluate_shifted`` and the trace pass rows e^{i theta} or
@@ -32,8 +33,8 @@ so every sum has the fold's terms, about half the lattice's (513 of
 1,025).  The kernel fills the rows a batch at a time and sums as
 ``csum`` does, in blocks whose products and split fit in BLOCK_BYTES
 and, with their waves, in 2*BLOCK_BYTES, certifying a window of whole
-batches at a time.  Products over the n <= 3 coordinates (x.xi, mu.xi,
-|xi|) go through ``_dot``, left to right elementwise, so no BLAS kernel
+batches at a time.  Products over the n <= 3 coordinates (mu.xi, |xi|)
+go through ``_dot``, left to right elementwise, so no BLAS kernel
 touches the bits.
 
 All types are immutable after construction and all operations are pure.
@@ -88,13 +89,12 @@ _MIN_EXPONENT = -960
 _OVERFLOW = 2**1024 - 2**970
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, spare=None) -> np.ndarray:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_1*b_1 + a_2*b_2 + ... over the last axis of two float arrays (broadcast),
-    added left to right elementwise, into ``out`` and with the products past the
-    first in ``spare`` if given.  Unlike BLAS, its rounding does not depend on the CPU."""
-    total = np.multiply(a[..., 0], b[..., 0], out=out)
+    added left to right elementwise.  Unlike BLAS, its rounding does not depend on the CPU."""
+    total = a[..., 0] * b[..., 0]
     for i in range(1, a.shape[-1]):
-        total += np.multiply(a[..., i], b[..., i], out=spare)
+        total += a[..., i] * b[..., i]
     return total
 
 
@@ -317,7 +317,7 @@ class FrequencyGrid:
 
     @cached_property
     def modes(self) -> np.ndarray:
-        """The (num_modes, n) modes in lexicographic order; reversed, they are negated."""
+        """The (num_modes, n) modes in lexicographic order."""
         mesh = np.meshgrid(*([self.axis] * self.n), indexing="ij")
         modes = np.stack([g.ravel() for g in mesh], axis=-1)
         modes.setflags(write=False)
@@ -401,32 +401,14 @@ def _ufunc_buffer():
     """numpy's ufunc buffer at 1,024 elements, with no warning for a value that
     overflows or is NaN.  At numpy's default of 8,192 elements a block's product
     copies its broadcast row into a buffer of several rows, 0.11 MB at 1,025
-    modes, and runs about 1.5 times as long, and the in-place ``exp`` of
-    ``_waves`` holds 257 KB of temporaries at 32 points of 1,025 modes."""
+    modes, and runs about 1.5 times as long; ``_fold_waves`` forms its
+    broadcast products of waves under it too."""
     bufsize = np.setbufsize(1024)
     try:
         with np.errstate(invalid="ignore", over="ignore"):
             yield
     finally:
         np.setbufsize(bufsize)
-
-
-def _waves(grid: FrequencyGrid, pts: np.ndarray) -> np.ndarray:
-    """The (P, M) plane waves e^{i x.xi_j}, bit for bit ``np.exp(1j * _dot(pts[:,
-    None, :], grid.modes))``, formed in place from the first ceil(M/2) modes
-    (the zero real plane holds ``_dot``'s products): xi_{M-1-j} = -xi_j, so
-    wave M-1-j is the conjugate of wave j, and adding +0.0 turns the -0 a
-    zero phase leaves into the +0 of ``1j * phase``."""
-    num_modes = grid.num_modes
-    half = (num_modes + 1) // 2
-    waves = np.zeros((len(pts), num_modes), dtype=complex)
-    with _ufunc_buffer():
-        _dot(pts[:, None, :], grid.modes[:half], out=waves.imag[:, :half], spare=waves.real[:, :half])
-        waves.real[:, :half] = 0.0
-        np.exp(waves[:, :half], out=waves[:, :half])
-        np.conjugate(waves[:, : num_modes - half][:, ::-1], out=waves[:, half:])
-        np.add(waves.imag, 0.0, out=waves.imag)
-    return waves
 
 
 def _wave_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.ndarray:
@@ -533,44 +515,66 @@ def _fold_waves(field: SpectralField, pts: np.ndarray, fold=None) -> tuple:
     e^{i(x_p.xi_j + theta_j)} dxi**n.
 
     ``fold`` is a ``propagation._fold``: its ``index`` keeps F =
-    ``num_modes`` modes of the lattice's box, and its ``mirrors`` fold the
-    others onto them along a axes, so each mirror class has at most 2**a
-    modes; None is the whole lattice, a = 0 and F the mode count.  G_p =
-    sum_class f_j e^{i x_p.xi_j} on each kept mode: the products f_j e^{i
-    x_p.xi_j} are formed a chunk of points at a time on the whole lattice,
-    and the mirrored halves added onto the kept half in the reverse order
-    of the mirrors.
+    ``num_modes`` modes of the lattice's box, the coordinates <= 0 along a
+    folded axes and every coordinate along the others, so each mirror
+    class has at most 2**a modes; None is the whole lattice, a = 0 and F
+    the mode count.  G_p = sum_class f_j e^{i x_p.xi_j} on each kept mode,
+    formed a chunk of points at a time and an axis at a time, the last
+    first, as e^{i x.xi} = prod_d e^{i x_d xi_d}: the running products,
+    f first, times e^{i x_d xi_d} on the coordinates axis d keeps, and on
+    a folded axis the products at +c times the conjugate of the wave at
+    -c added onto those at -c.  So the products and folds alternate, and
+    a call exponentiates P * sum_d K_d values, K_d the coordinates axis d
+    keeps (the products at +c need sin odd and cos even, bit for bit).
 
     f is first scaled by one power of two 2**-e, e = e_h + a + 2 for h =
     max_j fl(|Re f_j|/2 + |Im f_j|/2) < 2**e_h, which cannot overflow.  F =
     max_j |Re f_j| + |Im f_j| is below 2**(e_h + 1): halving is exact but
     for parts below 2**-1021, whose halves round by at most 2**-1075, and
     the sum of two halves so rounded falls below a power of two that F/2
-    reaches only at F = 2**-1073, where h = 0 and e_h = 0.  With u =
-    2**-53, each part of a product is then at most 2**-(a + 1) (1 + 3u)
-    and of a class sum below 1/2 (1 + 10u) < 1 (the ``_split_sums`` proof's
-    wave), while 2**e <= 2**(a + 2) F (1 + u) above e's floor: a scale
-    one power of two larger would halve every sum against the split's
-    fixed error bound, which then certifies fewer of them.  e is at least -1021 - e_w, w = m * 2**e_w the synthesis scale, so w *
-    2**e is normal unless it overflows, where ``_wave_sums`` applies it in
-    two exact steps.  Scaling up is exact; scaling down rounds f's parts
-    below 2**(e - 1022) to the subnormal grid.  A point not finite gives a
-    NaN wave."""
+    reaches only at F = 2**-1073, where h = 0 and e_h = 0.  So every scaled
+    f_j has modulus below 2**-(a + 1).  With u = 2**-53, a wave's parts are
+    at most 1 and its modulus below 1 + 2u (cos and sin each within an
+    ulp); each part of a product z*w, two products and a sum rounded,
+    errs by at most (2u + u**2) |z| |w| (Cauchy-Schwarz), so its modulus
+    is at most |z| |w| (1 + 3u) <= |z| (1 + 6u); a fold's sum p + q has
+    modulus at most (|p| + |q|) (1 + u).  After the n <= 3 products and a
+    <= n folds, each part of G, a sum over at most 2**a modes, is below
+    2**a * 2**-(a + 1) (1 + 6u)**3 (1 + u)**3 + 2**-1071 <= 1/2 (1 + 22u)
+    < 1, roundings in the subnormal range included (the ``_split_sums``
+    proof's wave), while 2**e <= 2**(a + 2) F (1 + u) above e's floor: a
+    scale one power of two larger would halve every sum against the
+    split's fixed error bound, which then certifies fewer of them.  e is
+    at least -1021 - e_w, w = m * 2**e_w the synthesis scale, so w * 2**e
+    is normal unless it overflows, where ``_wave_sums`` applies it in two
+    exact steps.  Scaling up is exact; scaling down rounds f's parts below
+    2**(e - 1022) to the subnormal grid.  A point not finite gives a NaN
+    wave."""
     grid, w = field.grid, field.grid.synthesis_scale
-    index, mirrors = ((), []) if fold is None else (fold.index, fold.mirrors)
+    index = (slice(None),) * grid.n if fold is None else fold.index
     half = np.max(0.5 * np.abs(field.coefficients.real) + 0.5 * np.abs(field.coefficients.imag))
-    e = max(math.frexp(half)[1] + len(mirrors) + 2, -1021 - math.frexp(w)[1])
-    f = np.ldexp(field.coefficients.view(float), -e).view(complex)
+    e = max(math.frexp(half)[1] + sum(k.stop is not None for k in index) + 2, -1021 - math.frexp(w)[1])
+    f = np.ldexp(field.coefficients.view(float), -e).view(complex).reshape((1,) + (len(grid.axis),) * grid.n)
+    kept = tuple(len(grid.axis[k]) for k in index)
     step = max(1, BLOCK_BYTES // (16 * grid.num_modes))
-    waves = np.empty((len(pts), grid.num_modes if fold is None else fold.num_modes), dtype=complex)
-    for p0 in range(0, len(pts), step):
-        full = _waves(grid, pts[p0 : p0 + step])
-        # the products f first, as c*w, on the lattice's box
-        lattice = np.multiply(f, full, out=full).reshape((-1,) + (len(grid.axis),) * grid.n)
-        for dst, src in reversed(mirrors):
-            lattice[src] += lattice[dst]
-        part = lattice[(slice(None),) + index]
-        waves[p0 : p0 + len(full)].reshape(part.shape)[...] = part
+    waves = np.empty((len(pts), math.prod(kept)), dtype=complex)
+    with _ufunc_buffer():
+        for p0 in range(0, len(pts), step):
+            x, prod = pts[p0 : p0 + step], f
+            for d in reversed(range(grid.n)):
+                # e^{i x_d xi_d} on the coordinates axis d keeps, along axis d + 1 of prod
+                wave = np.multiply(1j, np.multiply.outer(x[:, d], grid.axis[index[d]]))
+                wave = np.exp(wave, out=wave).reshape((len(x),) + (1,) * d + (-1,) + (1,) * (grid.n - 1 - d))
+                head, m = (slice(None),) * (d + 1), index[d].stop
+                new = np.multiply(prod[head + (index[d],)], wave,
+                                  out=waves[p0 : p0 + len(x)].reshape((len(x),) + kept) if d == 0 else None)
+                if m:  # the products at +c = M, ..., 1 onto those at -c, with the conjugates
+                    # of the waves at -c, each formed in place where it fits
+                    neg = head + (slice(m - 1),)
+                    conj, onto = np.conjugate(wave[neg], out=wave[neg]), new[neg]
+                    onto += np.multiply(prod[head + (slice(None, m - 1, -1),)], conj,
+                                        out=conj if conj.shape == onto.shape else None)
+                prod = new
     return waves, (w, e)
 
 

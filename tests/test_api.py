@@ -1,5 +1,6 @@
 """Each module's ``__all__`` names only what the module defines or imports,
-and every error type is raised somewhere in the library."""
+every error type is raised somewhere in the library, and the library's
+input checks raise their messages."""
 
 import importlib
 import inspect
@@ -7,6 +8,7 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phaselab
@@ -33,3 +35,32 @@ def test_every_error_type_is_raised():
     assert types
     unraised = [cls.__name__ for cls in types if not re.search(rf"raise {cls.__name__}\(", source)]
     assert unraised == []
+
+
+def edited_field(tmp_path):
+    """Read back a written field whose first mode cell was edited."""
+    path = tmp_path / "field.csv"
+    phaselab.write_field_csv(phaselab.random_field(phaselab.make_grid(1, 2, 1), 0), path)
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, "-2.5" + first[first.index(","):], *rest]) + "\n")
+    return phaselab.read_field_csv(path)
+
+
+FIELD_1D = phaselab.random_field(phaselab.make_grid(1, 2, 1), 0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda _: phaselab.evaluate_shifted(FIELD_1D, phaselab.power_law(0.5), 1e-10,
+                                         phaselab.ShiftSpec(-40.0, [1.0]), 0.1),
+     errors.ParameterError, "t**beta overflows at t=1e-10 for beta=-40.0"),
+    (lambda _: phaselab.synthesize(FIELD_1D, np.zeros(2)),
+     errors.ParameterError, "point has shape (2,), expected (1,)"),
+    (lambda _: phaselab.TimeSequence("weird"), errors.ParameterError, "unknown sequence kind 'weird'"),
+    (lambda _: phaselab.TimeSequence.power(2).terms(0), errors.ParameterError,
+     "k_max must be positive, got 0"),
+    (edited_field, errors.GridMismatchError, "mode columns in {path} do not match the sidecar grid"),
+], ids=["drift-overflow", "point-shape", "sequence-kind", "k-max", "mode-columns"])
+def test_input_check_raises(call, error, message, tmp_path):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(path=tmp_path / "field.csv")

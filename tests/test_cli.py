@@ -243,6 +243,22 @@ class TestSeqCheck:
         assert code == 1
         assert "s > a*(1-beta)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("criterion, flags", [("gamma", ()), ("gamma-shift", ("--beta", "0.8"))])
+    def test_ineligible_law_is_an_error(self, criterion, flags, capsys):
+        # power:a=0.5 meets the row's inequalities but gamma(r)/r decreases,
+        # as bound-check reports for the same law
+        args = ("seq-check", "--criterion", criterion, "--gamma", "power:a=0.5", "--s", "0.5",
+                *flags, "--seq", "power:p=3")
+        assert run(*args) == 1
+        err = capsys.readouterr()
+        assert err.out == ""
+        assert err.err.splitlines() == [
+            f"phaselab: error: {criterion} requires gamma(r)/r nondecreasing, which power:a=0.5 is not"
+        ]
+        # --unsafe-params skips the hypotheses, eligibility with them
+        assert run(*args, "--unsafe-params") == 0
+        assert json.loads(capsys.readouterr().out)["decision"] == "yes"
+
 
 @pytest.mark.parametrize("command", [
     "seq-check --criterion power-low --seq power:p=2 --s 0.5 --a 0.5",
@@ -573,6 +589,31 @@ class TestNonFiniteDriftAndTime:
         assert err.err == f"phaselab: error: t must be nonnegative and finite, got {bad}\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    ("bound-check --family power --s 0.5 --a 0.5 --deltas 1e-2:1e-4:1e-6",
+     "deltas must be start:end or a comma list, got '1e-2:1e-4:1e-6'"),
+    ("trace --a 0.5 --s 0.5 --seq power:p=2 --K 16 --points 0.1,0.2",
+     "point '0.1,0.2' does not have dimension 1"),
+    ("trace --a 0.5 --s 0.5 --seq power:p=2 --K 16 --beta 1.5 --mu 1,0",
+     "mu must have dimension 1"),
+    ("trace --a 0.5 --gamma boussinesq --s 0.5 --seq power:p=2 --K 16",
+     "give either --gamma or --a, not both"),
+    ("trace --s 0.5 --seq power:p=2 --K 16",
+     "a phase law is required (--gamma NAME or --a EXPONENT)"),
+    ("trace --a 0.5 --s 0.5 --seq geometric:r=1.5 --K 16",
+     "geometric ratio must lie in (0,1), got 1.5"),
+    ("seq-check --criterion power-low --a 0.5 --s 0.5 --seq harmonic:p=2",
+     "unknown sequence 'harmonic:p=2'"),
+    ("rate-fit --family power --s 0.5 --a 0.5 --deltas 0.5:1e-5",
+     "rate-fit deltas must lie in (1e-10, 1e-1)"),
+], ids=["deltas", "points", "mu", "law-twice", "no-law", "geometric", "sequence", "rate-fit-deltas"])
+def test_input_check_is_an_error(command, message, capsys):
+    assert run(*command.split()) == 1
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [f"phaselab: error: {message}"]
+
+
 class TestOverflowIsAnError:
     """A power, phase, quotient or summand that overflows, or an envelope
     that underflows to 0, is one error line naming it, with no traceback
@@ -871,9 +912,9 @@ def test_parser_is_built_once(monkeypatch, capsys):
 
 # sha256 of the trace CLI's JSON and CSV output, made by the per-(k, point)
 # fsum of the fold terms (e^{i theta} - 1) * G (each residual row on the
-# modes of the phase fold, G the field's folded wave: the products f e^{i x.xi}
-# summed over each mirror class, kept half plus mirrored half, the last
-# folded axis first), with x.xi and mu.xi added coordinate by coordinate;
+# modes of the phase fold, G the field's folded wave: f times e^{i x_d xi_d}
+# an axis at a time, the last first, each folded axis summed, kept half plus
+# mirrored half, before the next product), with mu.xi added coordinate by coordinate;
 # the 2-D case has more (point, mode) products than one reduction block
 # holds, so each k is split over points
 GOLDEN_TRACES = {
@@ -885,14 +926,14 @@ GOLDEN_TRACES = {
     "2d-shift": (
         "trace --gamma boussinesq --s 0.5 --seq geometric:r=0.5 --beta 1.5 --grid 2,16,0.25"
         " --K 16 --num-points 8 --seed 5",
-        "2ac34b7a1e463422268675fed953b3d64ed4d003a90e2b15c3a1dd2b8ecf691c",
-        "9ef7264253166664bde87b6ee1c5ee96ed5d1112170df02eadfb3f0db98af9c4",
+        "f8cce39ee4d7bad26a8cf742ec7eb7500f393a37aacc367be2e9db887237d395",
+        "964abd5149070dbd32cefcfe6a9d440c5babed249cbe1d4d24470f3833e99b8b",
     ),
     "3d": (
         "trace --gamma boussinesq --s 0.5 --seq geometric:r=0.5 --grid 3,2,0.25"
         " --K 16 --num-points 8 --seed 1",
-        "3aef0bcedada77eb6f6f6c40b674f30694438f7a6ee0519cb2531cd5e4351612",
-        "dbabc3675fd601d05f1ca1cf8c97ab8e28aa8f585498ed0fc79417a58820f167",
+        "15c3fa7aca1ef2733a094b0370da74b03fee0dd0ddf1cf3b1b7aebf1b7e5a423",
+        "6809f6a374cd7555445417dc75daecd1178742aaf8109ff662ae56922b28c290",
     ),
 }
 
@@ -1009,8 +1050,8 @@ GOLDEN_SWEEPS = {
     "prop-beta-2d": (
         "propagate --field {dir}/f2.csv --gamma boussinesq --times 0,0.1,0.5 --beta 1.5 "
         "--mu 1,2 --num-points 4 --seed 3",
-        0, "f56ade5bb5669c99201663029dc25e612bce1838947a4fce34012ab2a5bea1c7",
-        0, "9c6ca3ec7ce8f3c54f9784f63be4ed5d8abea1f145c1146165f6dffef2b61f75",
+        0, "ce4413e710784e908a22754e386c39d4f7c3b916a75b033ef6e6eb8c9bde4056",
+        0, "39ca811455a58a0d129a00e67f61295d2ae8d54e5e9f3aace6502ccdb6b8c0c7",
     ),
     "prop-beta-1d": (
         "propagate --field {dir}/f1.csv --a 0.5 --times 0.05,1 --beta 0.8 --num-points 4 "
@@ -1021,22 +1062,22 @@ GOLDEN_SWEEPS = {
     "prop-plain-2d": (
         "propagate --field {dir}/f2.csv --gamma quartic --times 0.25 --points "
         "0.1,0.2;0.3,-0.4",
-        0, "c31f199c19f6322378157d2741dc7587fec950dd56db6baecc08f724fb5dd5ea",
-        0, "c9092c08eeabc39cd05e8c87dd9872103c90be7a5a34046acaac26f8daf67523",
+        0, "7d2488663c7506fec43106ba2e1b20403d94ce8a82b8c7a04ce0a6f79a9db644",
+        0, "e6afd5bf9269a1489230fec3c20492d384330ad046f069487eeba637c4c6e35e",
     ),
     # 4225 modes at 32 points: one time's (point, mode) products exceed a
     # synthesis block, so the points of each time are split over blocks
     "prop-beta-2d-wide": (
         "propagate --field {dir}/f3.csv --gamma quartic --times 0,0.05,0.5 --beta 1.5 "
         "--mu 1,2 --num-points 32 --seed 6",
-        0, "eaaaf3a7bd99e355909412cbb581b476737248dc3fe9e69549edb2ed569b007d",
-        0, "d3dc14792476fff03863ddafa1ee311435183a25813cbb8f26bfd0345cdd9da8",
+        0, "a9678fab4d27be56dfe06a64a092266798b36d4d0719bcb0abee8b2f75d9553b",
+        0, "976da560951b36b94739555b0752947614d0a8a72afc2939f2a964ca12c099c6",
     ),
     "prop-beta-3d": (
         "propagate --field {dir}/f4.csv --gamma boussinesq --times 0,0.1,0.5 --beta 1.5 "
         "--mu 1,2,2 --num-points 4 --seed 7",
-        0, "b539f44403da6ee677513520b11a1ad1b5d831d906b572b73993f01734802fce",
-        0, "b592934f9478d8d7ab2b0c6dac68fa0d18652755683a58f187036cf03ff2d6eb",
+        0, "f8b8489d311ea43451879f6a745cf53bbc69041cca7a4e8e6b8a95e14f19369b",
+        0, "11a5910f7757a9a25350a6392bff5cfd800283881ef11e70b9a7e7e33dbe4b2f",
     ),
     # a signed zero and non-finite points: JSON spells the non-finite
     # values NaN, Infinity and -Infinity, CSV writes their repr

@@ -157,25 +157,28 @@ def on_fold(grid, shift, values):
     return values.reshape((len(grid.axis),) * grid.n)[fold_box(grid, shift)].ravel()
 
 
-def reference_folded_waves(field, shift, points):
-    """The unscaled folded waves G_p on the fold, written out apart from
-    ``_fold_waves``: the products f_j e^{i x.xi_j}, x.xi summed coordinate by
-    coordinate from the first, and along each axis mu does not touch, the last
-    first, the product at coordinate -c plus the one at +c."""
+def reference_waves(field, points, folded):
+    """The unscaled waves G_p of ``_fold_waves``, written out apart from it: an
+    axis at a time, the last first, the products, f first, times e^{i x_d xi_d},
+    each wave its own ``exp`` (no conjugates), and along each axis a with
+    ``folded[a]`` the product at coordinate -c plus the one at +c."""
     grid = field.grid
     m = len(grid.axis) // 2
     out = []
     for x in points:
-        phase = x[0] * grid.modes[:, 0]
-        for c in range(1, grid.n):
-            phase = phase + x[c] * grid.modes[:, c]
-        g = (field.coefficients * np.exp(1j * phase)).reshape((2 * m + 1,) * grid.n)
+        g = field.coefficients.reshape((2 * m + 1,) * grid.n)
         for a in reversed(range(grid.n)):
-            if shift is None or shift.mu[a] == 0:
+            g = g * np.exp(1j * (x[a] * grid.axis)).reshape((-1,) + (1,) * (grid.n - 1 - a))
+            if folded[a]:
                 kept = g.take(range(m), axis=a) + g.take(range(2 * m, m, -1), axis=a)
                 g = np.concatenate([kept, g.take([m], axis=a)], axis=a)
         out.append(g.ravel())
     return np.array(out)
+
+
+def reference_folded_waves(field, shift, points):
+    """``reference_waves`` on the fold: folded along each axis mu does not touch."""
+    return reference_waves(field, points, [keep.stop is not None for keep in fold_box(field.grid, shift)])
 
 
 def fold_sum(row, wave, grid):
@@ -559,6 +562,91 @@ class TestPhaseFold:
     def test_mu_must_match_the_grid(self):
         with pytest.raises(ParameterError, match=r"mu has shape \(1,\), expected \(2,\)"):
             propagation._fold(make_grid(2, 1, 1), BOUSSINESQ, ShiftSpec(beta=1.5, mu=E1))
+
+
+def wave_points(n, rng):
+    """Sample points for the wave tests: random ones, moderate and large,
+    and the edges: (0.25, 0.25) (whose phases include +0 on both sides of
+    the lattice), (1, -1), zero and -0.0 coordinates, nan, +-inf and
+    1e308, whose phases overflow."""
+    edges = [[0.25] * n, [1.0, -1.0, 0.5][:n], [0.0] * n, [-0.0] * n, [0.0, -0.0, 0.0][:n],
+             [-0.0, 0.5, 0.0][:n], [math.nan] * n, [0.5, math.nan, 1.0][:n], [math.inf] * n,
+             [-math.inf] * n, [1.0, -math.inf, 0.0][:n], [1e308] * n, [-1e308, 0.25, 1e308][:n]]
+    return np.concatenate(
+        [rng.uniform(-4.0, 4.0, (16, n)), rng.uniform(-1e6, 1e6, (4, n)), np.array(edges)]
+    )
+
+
+WAVE_GRIDS = [
+    pytest.param(make_grid(1, 64, 0.125), id="1d-1025"),
+    pytest.param(make_grid(2, 4, 0.25), id="2d-1089"),
+    pytest.param(make_grid(2, 16, 0.25), id="2d-16641"),
+    pytest.param(make_grid(3, 2, 0.5), id="3d-729"),
+]
+
+#: The folds the wave tests cover on each grid: the whole lattice (no fold,
+#: as ``synthesize`` samples), every axis folded, and every axis but the
+#: first or the last
+WAVE_FOLDS = ["whole", "unshifted", "mu-e1", "mu-last"]
+
+
+class TestWaves:
+    """``_fold_waves`` forms the waves an axis at a time and the products at
+    +c from the conjugates of the waves at -c, which needs libm's sin odd and
+    cos even bit for bit."""
+
+    @pytest.mark.parametrize("grid", WAVE_GRIDS)
+    @pytest.mark.parametrize("fold", WAVE_FOLDS)
+    def test_folded_waves_are_the_reference_bit_for_bit(self, grid, fold):
+        pts = wave_points(grid.n, np.random.default_rng(grid.num_modes))
+        f = random_field(grid, grid.num_modes)
+        mu = {"mu-e1": np.eye(grid.n)[0], "mu-last": np.eye(grid.n)[-1]}.get(fold)
+        shift = None if mu is None else ShiftSpec(beta=1.5, mu=mu)
+        folded = [keep.stop is not None and fold != "whole" for keep in fold_box(grid, shift)]
+        waves, (_, e) = spectral._fold_waves(
+            f, pts, None if fold == "whole" else propagation._fold(grid, BOUSSINESQ, shift))
+        scaled = SpectralField(grid, np.ldexp(f.coefficients.view(float), -e).view(complex))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = reference_waves(scaled, pts, folded).view(float)
+        got = waves.view(float)
+        # where the reference gives nan, so must the waves, with any payload
+        # and sign; everywhere else the bits are equal
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+        assert nan.any() and not nan.all()
+
+    @pytest.mark.parametrize("variant", LIBM_VARIANTS)
+    def test_folded_waves_are_the_reference_under_libm_variants(self, variant):
+        # the bit-identity test again in a fresh interpreter, where the
+        # variables take effect: a libm whose sin is not odd fails here
+        # instead of moving a golden digest
+        test = f"{Path(__file__).resolve()}::TestWaves::test_folded_waves_are_the_reference_bit_for_bit"
+        assert_passes_in_fresh_interpreter(test, variant, len(WAVE_GRIDS) * len(WAVE_FOLDS))
+
+    @pytest.mark.parametrize("grid, shift, folded, kept", [
+        pytest.param(spectral.default_grid(), None, True, 513, id="trace-1d"),
+        pytest.param(make_grid(2, 16, 0.25), ShiftSpec(beta=1.5, mu=np.array([1.0, 0.0])), True,
+                     129 + 65, id="trace-2d-shift"),
+        pytest.param(make_grid(2, 16, 0.25), None, False, 2 * 129, id="synthesize-16641"),
+    ])
+    def test_a_call_exponentiates_the_kept_coordinates_of_every_axis(
+        self, grid, shift, folded, kept, monkeypatch
+    ):
+        # P times the coordinates each axis keeps, where a table of the
+        # lattice's waves would take P times half its modes (8,321 on 16,641)
+        sizes = []
+
+        def recording_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        exp = np.exp
+        f = random_field(grid, 3)
+        fold = propagation._fold(grid, BOUSSINESQ, shift) if folded else None
+        monkeypatch.setattr(np, "exp", recording_exp)
+        spectral._fold_waves(f, default_points(grid.n, 32), fold)
+        assert sum(sizes) == 32 * kept
 
 
 class TestErrorField:

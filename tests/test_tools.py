@@ -44,12 +44,12 @@ class TestVerdict:
         assert ab_pairs.verdict(parent, parent, "lower", 0.1) == "no gain, unresolved"
 
 
-#: A stand-in for perfbench/run.py: imports a module from src/ as a run would,
-#: and prints a summary whose wall_s is 1 in the parent and 0.5 in the change,
-#: with the PYTHONDONTWRITEBYTECODE it saw.
+#: A stand-in for perfbench/run.py: imports a module from src/phaselab/ as a
+#: run would, and prints a summary whose wall_s is 1 in the parent and 0.5 in
+#: the change, with the PYTHONDONTWRITEBYTECODE it saw.
 FAKE_RUN = """
 import json, os, sys
-sys.path.insert(0, "src")
+sys.path.insert(0, "src/phaselab")
 import probe
 print(json.dumps({"metrics": {"wall_s": {"value": probe.WALL}}, "correct": True, "failed": 0,
                   "no_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE")}))
@@ -58,11 +58,13 @@ BENCHMARK = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "
 
 
 def checkout(root: Path, wall: float) -> Path:
-    """A temporary checkout whose perfbench run reports ``wall`` seconds."""
+    """A temporary checkout whose perfbench run reports ``wall`` seconds, with a
+    package of a docstring line, a code line and one more per whole second."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(FAKE_RUN)
-    (root / "src").mkdir()
-    (root / "src" / "probe.py").write_text(f"WALL = {wall}\n")
+    (root / "src" / "phaselab").mkdir(parents=True)
+    code = f"WALL = {wall}\n" + "TWICE = 2 * WALL\n" * int(wall)
+    (root / "src" / "phaselab" / "probe.py").write_text('"""A probe."""\n' + code)
     (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     return root
 
@@ -82,6 +84,8 @@ class TestCheckouts:
         out = capsys.readouterr().out
         assert "wall_s       1 [1, 1] -> 0.5 [0.5, 0.5] s, ratio 0.5000, change won 2/2" in out
         assert out.count("every run correct with 0 failed: yes") == 2
+        # the line counts of each checkout's package close the summary
+        assert out.endswith("  code lines 2 -> 1, physical lines 3 -> 2\n")
         assert ab_pairs.bytecode_caches(parent) == ab_pairs.bytecode_caches(change) == []
 
     @pytest.mark.parametrize("side", ["parent", "change"])

@@ -7,7 +7,8 @@ parent first in even pairs and the change first in odd ones.  For each
 end-to-end metric that CHANGE_DIR/BENCHMARK.json names, it prints the median and
 quartiles of each side, the change/parent ratio of the medians, the pairs the
 change won and a verdict (``verdict``); then whether every run was correct with
-no failed job.
+no failed job, and the code and physical line counts of each checkout's
+``src/phaselab`` as ``tools/code_lines.py`` (beside this script) prints them.
 
 A checkout that holds a bytecode cache (``__pycache__``) under ``src/`` starts
 faster than one that does not, which biases setup_s, so the script refuses to
@@ -40,6 +41,14 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if out.returncode or not lines:
         sys.exit(f"{root}: perfbench failed ({out.returncode}): {out.stderr.strip()[-400:]}")
     return json.loads(lines[-1])
+
+
+def code_lines(root: Path) -> dict:
+    """The counts ``code_lines.py`` prints for ``root/src/phaselab``, by name."""
+    script = Path(__file__).resolve().with_name("code_lines.py")
+    out = subprocess.run([sys.executable, str(script), str(root / "src" / "phaselab")],
+                         capture_output=True, text=True, check=True).stdout
+    return dict(line.split(": ") for line in out.splitlines())
 
 
 def _sign(better: str) -> int:
@@ -105,6 +114,8 @@ def main() -> None:
     for side, results in runs.items():
         ok = all(r["correct"] and r["failed"] == 0 for r in results)
         print(f"  {side}: every run correct with 0 failed: {'yes' if ok else 'NO'}")
+    parent, change = code_lines(args.parent), code_lines(args.change)
+    print("  " + ", ".join(f"{name} {parent[name]} -> {change[name]}" for name in parent))
 
 
 if __name__ == "__main__":
