@@ -386,16 +386,13 @@ def _tail_bound(field: SpectralField, fold, seq: TimeSequence, k_max: int):
             return math.inf
         return (k_max + 1.0) ** (1.0 - c) / (c - 1.0)
 
-    def squared(x: float) -> float:
-        """x**2, and inf past the double range, where float ** raises."""
-        try:
-            return x**2
-        except OverflowError:
-            return math.inf
-
-    tail_sq = squared(mass * fold.gmax) * tail(1.0)
+    # squares by one rounded product, inf past the double range (libm's pow
+    # need not round x**2 correctly, and float ** raises there)
+    g = mass * fold.gmax
+    tail_sq = g * g * tail(1.0)
     if shift is not None:
-        tail_sq = 2.0 * tail_sq + 2.0 * squared(mass * fold.pmax) * tail(shift.beta)
+        p = mass * fold.pmax
+        tail_sq = 2.0 * tail_sq + 2.0 * (p * p) * tail(shift.beta)
     return tail_sq
 
 

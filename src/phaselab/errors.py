@@ -1,5 +1,8 @@
 """Exception types shared across the library."""
 
+__all__ = ["GridMismatchError", "HypothesisViolation", "NotApplicableError", "ParameterError",
+           "UndefinedShiftError"]
+
 
 class ParameterError(ValueError):
     """A parameter violates an operation's domain requirements."""

@@ -487,6 +487,8 @@ def sweep(template: MultiplierSpec, deltas, strict: bool = True) -> Sweep:
     """Each delta's envelope, then its scan.  The hypotheses do not depend
     on delta, so they are checked once, for the first delta."""
     deltas = tuple(float(d) for d in deltas)
+    if not deltas:
+        raise ParameterError("a delta sweep needs at least one delta")
     if strict:
         regime(template.family, template.a).check(template.with_delta(deltas[0]))
     envelopes, scans = [], []

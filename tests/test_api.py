@@ -1,6 +1,7 @@
 """Each module's ``__all__`` names only what the module defines or imports,
-every error type is raised somewhere in the library, and the library's
-input checks raise their messages."""
+the package exports the union of the library modules' ``__all__``, every
+error type is raised somewhere in the library, and the library's input
+checks raise their messages."""
 
 import importlib
 import inspect
@@ -26,6 +27,16 @@ def test_every_exported_name_exists(name):
     assert len(set(exported)) == len(exported), "a name is exported twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_the_package_exports_each_library_modules_all():
+    # every module but the CLI front end is re-exported, name for name
+    library = [importlib.import_module(name) for name in MODULES if name != "phaselab.cli"]
+    assert len(set(phaselab.__all__)) == len(phaselab.__all__), "a name is exported twice"
+    assert set(phaselab.__all__) == {attr for module in library for attr in module.__all__}
+    rebound = [attr for module in library for attr in module.__all__
+             if getattr(phaselab, attr) is not getattr(module, attr)]
+    assert rebound == []
 
 
 def test_every_error_type_is_raised():

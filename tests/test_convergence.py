@@ -399,6 +399,18 @@ class TestPointwiseTrace:
         with pytest.raises(ParameterError):
             pointwise_trace(f, power_law(0.5), TimeSequence.power(2.0), 0.5, [[0.0]], k_max=8)
 
+    def test_tail_squares_by_one_rounded_product(self):
+        # at this scale x = mass * gmax is 0x1.8d4bb49cd7a0fp+3, whose x**2 by
+        # glibc's pow is an ulp above the correctly rounded x * x (found by a
+        # search over scales 1 + i/4096), and the tail keeps that ulp
+        g, law, k_max = make_grid(1, 8, 0.25), power_law(0.5), 16
+        f = SpectralField(g, random_field(g, np.random.default_rng(55)).coefficients * 1.13818359375)
+        tr = pointwise_trace(f, law, TimeSequence.power(2.0), 0.5, [[0.0]], k_max=k_max)
+        mass = spectral._fsum(np.abs(f.coefficients).tolist()) * g.weight / (2.0 * math.pi) ** g.n
+        x = mass * propagation._fold(g, law, None).gmax
+        c = 4.0  # 2p for the phase's t_k**2
+        assert tr.tail == x * x * ((k_max + 1.0) ** (1.0 - c) / (c - 1.0))
+
 
 def reference_history(field, law, seq, points, k_max, shift=None):
     """The per-(k, point) fsum of the fold terms (e^{i theta_kj} - 1) * G_pj,

@@ -563,6 +563,13 @@ class TestSweep:
         ds = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]  # ascending, as rate_fit sorts them
         assert certify(template, ds).sweep == rate_fit(template, ds).sweep
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_an_empty_delta_list_is_refused(self, strict):
+        # as certify and rate_fit refuse short sweeps, before any hypothesis check
+        template = MultiplierSpec(Family("power"), 0.5, 1e-2, 0.5)
+        with pytest.raises(ParameterError, match="^a delta sweep needs at least one delta$"):
+            sweep(template, [], strict)
+
 
 class TestExtremalWitness:
     def test_one_mode_equality_at_grid_argmax(self):

@@ -18,7 +18,13 @@ product with f and with the row, a mirror class of at most 8 terms, the
 exactly rounded sum and the unscale) by at most 64u * |f_j| and 4u * |S|.
 A trace's partial sum sum_k |h_k|**2 then lies within sum_k (2 |h_k| B_k +
 B_k**2) + (K + 4) u * sum_k |h_k|**2 of the exact one.
+
+A trace's tail is checked against the bound it states, formed at working
+precision from the doubles the code forms it from (the mass and the fold's
+largest law value and drift).
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -39,6 +45,8 @@ from phaselab import (
     synthesize,
 )
 from phaselab.convergence import default_points
+from phaselab.propagation import _fold
+from phaselab.spectral import _fsum
 
 U = 2.0**-53
 DPS = 40
@@ -160,6 +168,48 @@ def test_pointwise_trace_against_mpmath(case):
             slack += (k_max + 4) * U * total
             err = abs(mpmath.mpf(float(got[p])) - total)
             assert err <= slack, (x, float(err), float(slack))
+
+
+def tail_sum(seq, x, k_max):
+    """S(x) = sum_{k>K} t_k**(2x) at working precision, and the factor F(x) by
+    which the trace's bound on it may exceed it: 1 for the closed form
+    rho**(K+1) / (1 - rho) of a geometric sequence (rho = r**(2x)), and for a
+    power sequence's integral bound (K+1)**(1-c) / (c-1), c = 2px, the ratio
+    ((K+2)/(K+1))**(c-1) of the integrals from K+1 and from K+2, which
+    S = zeta(c, K+2) lies between."""
+    x = mpmath.mpf(x)
+    if seq.kind == "geometric":
+        rho = mpmath.mpf(seq.r) ** (2 * x)
+        return rho ** (k_max + 1) / (1 - rho), 1
+    c = 2 * mpmath.mpf(seq.p) * x
+    return mpmath.zeta(c, k_max + 2), (mpmath.mpf(k_max + 2) / (k_max + 1)) ** (c - 1)
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_trace_tail_against_mpmath(case):
+    # the tail bounds sum_{k>K} ||h_k||_inf**2 by B = (m gmax)**2 S(1), and
+    # with a shift by B = 2 (m gmax)**2 S(1) + 2 (m pmax)**2 S(beta); the
+    # printed tail is at least B and at most B with each S(x) times F(x), up
+    # to 8u: at most eight roundings on any path from the doubles m, gmax
+    # and pmax (rho is a power of two in these cases, so rho**(K+1) is exact)
+    grid_args, law, seq, shift = TRACE_CASES[case]
+    g = make_grid(*grid_args)
+    f = random_field(g, np.random.default_rng(73))
+    k_max = 16
+    got = pointwise_trace(f, law, seq, 0.75, default_points(g.n, 2, 74), k_max=k_max,
+                          shift=shift).tail
+    fold = _fold(g, law, shift)
+    mass = _fsum(np.abs(f.coefficients).tolist()) * g.weight / (2.0 * math.pi) ** g.n
+    with mpmath.workdps(DPS):
+        # (the largest term, the exponent x, the count of such terms)
+        parts = [(fold.gmax, 1.0, 1)] if shift is None else [(fold.gmax, 1.0, 2),
+                                                            (fold.pmax, shift.beta, 2)]
+        low = high = 0
+        for peak, x, count in parts:
+            s, factor = tail_sum(seq, x, k_max)
+            term = count * (mpmath.mpf(mass) * mpmath.mpf(peak)) ** 2 * s
+            low, high = low + term, high + term * factor
+        assert low * (1 - 8 * U) <= got <= high * (1 + 8 * U), (got, float(low), float(high))
 
 
 def test_synthesize_a_subnormal_field_within_half_a_unit():

@@ -79,13 +79,17 @@ class TestCheckouts:
     def test_runs_write_no_bytecode_cache(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
         parent, change = checkout(tmp_path / "parent", 1.0), checkout(tmp_path / "change", 0.5)
+        (parent / "src" / "phaselab" / "deleted.py").write_text("X = 1\nY = 2\n")
+        (change / "src" / "phaselab" / "added.py").write_text("Z = 3\n")
         assert ab_pairs.run(parent, "w", 1, 1.0)["no_bytecode"] == "1"
         ab_main(monkeypatch, parent, change)
         out = capsys.readouterr().out
         assert "wall_s       1 [1, 1] -> 0.5 [0.5, 0.5] s, ratio 0.5000, change won 2/2" in out
         assert out.count("every run correct with 0 failed: yes") == 2
-        # the line counts of each checkout's package close the summary
-        assert out.endswith("  code lines 2 -> 1, physical lines 3 -> 2\n")
+        # the line counts of each checkout's package close the summary, then
+        # each file of either checkout, 0 where a checkout lacks it
+        assert out.endswith("  code lines 4 -> 2, physical lines 5 -> 3, deleted.py 2 -> 0,"
+                            " probe.py 2 -> 1, added.py 0 -> 1\n")
         assert ab_pairs.bytecode_caches(parent) == ab_pairs.bytecode_caches(change) == []
 
     @pytest.mark.parametrize("side", ["parent", "change"])
@@ -141,5 +145,6 @@ def test_code_lines_counts_the_lines_that_hold_code(tmp_path):
     script = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
     out = subprocess.run([sys.executable, str(script), str(tmp_path)],
                          capture_output=True, text=True, check=True).stdout
-    # the docstring-only module adds a physical line and no code line
-    assert out == "code lines: 8\nphysical lines: 23\n"
+    # the docstring-only module adds a physical line and no code line; each
+    # module's code count follows the totals, in the order of the file names
+    assert out == "code lines: 8\nphysical lines: 23\nempty.py: 0\nsample.py: 8\n"

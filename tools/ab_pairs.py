@@ -8,7 +8,8 @@ end-to-end metric that CHANGE_DIR/BENCHMARK.json names, it prints the median and
 quartiles of each side, the change/parent ratio of the medians, the pairs the
 change won and a verdict (``verdict``); then whether every run was correct with
 no failed job, and the code and physical line counts of each checkout's
-``src/phaselab`` as ``tools/code_lines.py`` (beside this script) prints them.
+``src/phaselab`` as ``tools/code_lines.py`` (beside this script) prints them,
+with each file of either checkout (0 where a checkout lacks it).
 
 A checkout that holds a bytecode cache (``__pycache__``) under ``src/`` starts
 faster than one that does not, which biases setup_s, so the script refuses to
@@ -115,7 +116,8 @@ def main() -> None:
         ok = all(r["correct"] and r["failed"] == 0 for r in results)
         print(f"  {side}: every run correct with 0 failed: {'yes' if ok else 'NO'}")
     parent, change = code_lines(args.parent), code_lines(args.change)
-    print("  " + ", ".join(f"{name} {parent[name]} -> {change[name]}" for name in parent))
+    names = list(parent) + [name for name in change if name not in parent]
+    print("  " + ", ".join(f"{name} {parent.get(name, 0)} -> {change.get(name, 0)}" for name in names))
 
 
 if __name__ == "__main__":
