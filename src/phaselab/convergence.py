@@ -17,9 +17,12 @@ hypotheses are not satisfied, never that the error sum diverges.
 ``rate_fit`` is the second verdict on a ``multipliers.sweep``: it checks
 the measured sup-norm decay against the envelope exponent on a log-log
 least-squares fit, computed exactly in rationals and rounded once.
-``pointwise_trace`` sums |h_k(x)|^2 over k at sample points, each h_k(x)
-from spectral's one wave reduction, together with an explicit bound on
-the truncated tail.
+``pointwise_trace`` sums |h_k(x)|^2 over k at sample points, together
+with an explicit bound on the truncated tail.  It prints only the running
+sums, and ``_square_sums`` certifies them from one BLAS product a batch of
+rows and a proven error radius: a h_k(x) is summed exactly, by spectral's
+one wave reduction, only where the radius leaves a rounding step of the
+running sum open, so the bytes are those of every h_k(x) summed exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .multipliers import (
 )
 from .phase_laws import BOUSSINESQ, QUARTIC, PhaseLaw
 from .propagation import ShiftSpec, _angles, _checked, _fold, _phase_bound
-from .spectral import SpectralField, _fold_waves, _fsum, _points, _wave_sums
+from .spectral import (BLOCK_BYTES, SpectralField, _fold_waves, _fsum, _points, _ufunc_buffer,
+                       _unscale, _wave_sums)
 
 __all__ = [
     "Applicability",
@@ -366,34 +370,139 @@ def default_points(n: int, count: int = DEFAULT_NUM_POINTS, seed: int = DEFAULT_
     return rng.uniform(-math.pi, math.pi, size=(count, n))
 
 
+def _tail_sum(seq: TimeSequence, x: float, k_max: int) -> float:
+    """sum_{k>K} t_k**(2x), K = k_max, or a bound on it, for a symbolic
+    sequence: x = 1 for the phase, beta for the drift.
+
+    Geometric: rho**(K+1) / (1 - rho), rho = r**(2x).  Where 2x = m is an
+    integer (the phase, beta = 1.5), that is the exact rational num**n /
+    (den**(n-m) (den**m - num**m)), r = num/den and n = m (K+1), rounded
+    once (``int / int`` rounds correctly), so rho's rounding is not raised
+    to the power K+1; it is +0 where r**n < 2**-1140, as 1 - r**m >= 2**-53
+    puts the sum below 2**-1087.  Otherwise rho is taken one double up
+    (pow is faithful), so its rounding, grown K+1-fold, errs upward.
+    Power: sum_{k>K} (k+1)**(-c) <= (K+1)**(1-c) / (c-1), c = 2px.
+    """
+    if seq.kind != "geometric":
+        c = 2.0 * seq.p * x
+        return (k_max + 1.0) ** (1.0 - c) / (c - 1.0) if c > 1.0 else math.inf
+    if not (2.0 * x).is_integer():
+        rho = math.nextafter(seq.r ** (2.0 * x), math.inf)
+        return rho ** (k_max + 1) / (1.0 - rho) if rho < 1.0 else math.inf
+    m, n = int(2.0 * x), int(2.0 * x) * (k_max + 1)
+    num, den = seq.r.as_integer_ratio()
+    return 0.0 if n * -math.log2(seq.r) > 1140 else num**n / (den ** (n - m) * (den**m - num**m))
+
+
 def _tail_bound(field: SpectralField, fold, seq: TimeSequence, k_max: int):
     """Explicit bound on sum_{k>K} ||h_k||_inf^2 for symbolic sequences (maxima from the fold)."""
     if seq.kind == "explicit":
         return None
-    grid, shift = field.grid, fold.shift
     # not mass * grid.synthesis_scale: the tail is printed, and that association
     # rounds many masses differently (1,802 of 6,000 random masses and grids)
-    mass = _fsum(np.abs(field.coefficients).tolist()) * grid.weight / (2.0 * math.pi) ** grid.n
-
-    def tail(x: float) -> float:
-        """A bound on sum_{k>K} t_k**(2x): x = 1 for the phase, beta for the drift."""
-        if seq.kind == "geometric":
-            rho = seq.r ** (2.0 * x)
-            return rho ** (k_max + 1) / (1.0 - rho)
-        # sum_{k>K} (k+1)^(-c) <= (K+1)^(1-c) / (c-1)
-        c = 2.0 * seq.p * x
-        if c <= 1.0:
-            return math.inf
-        return (k_max + 1.0) ** (1.0 - c) / (c - 1.0)
-
+    mass = _fsum(np.abs(field.coefficients).tolist()) * field.grid.weight / (2.0 * math.pi) ** field.grid.n
     # squares by one rounded product, inf past the double range (libm's pow
     # need not round x**2 correctly, and float ** raises there)
     g = mass * fold.gmax
-    tail_sq = g * g * tail(1.0)
-    if shift is not None:
+    tail_sq = g * g * _tail_sum(seq, 1.0, k_max)
+    if fold.shift is not None:
         p = mass * fold.pmax
-        tail_sq = 2.0 * tail_sq + 2.0 * (p * p) * tail(shift.beta)
+        tail_sq = 2.0 * tail_sq + 2.0 * (p * p) * _tail_sum(seq, fold.shift.beta, k_max)
     return tail_sq
+
+
+def _squares(z: np.ndarray) -> np.ndarray:
+    """re*re + im*im of a complex array: the square the trace sums."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _square_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.ndarray:
+    """np.cumsum(|s|**2, axis=0)[-1], bit for bit, for the (num_rows, P) sums
+    s = ``_wave_sums(waves, unscale, num_rows, ...)``: at each point, the
+    squares re*re + im*im added in row order.  ``fill(ks, out)`` writes the
+    rows of the 1-D index array ``ks`` into ``out``; it must be pure.
+
+    Only these running sums are printed, and a late row's square, far below
+    them, moves them through one rounding step, so most sums need not be
+    exact.  The rows are filled a batch of max(1, (BLOCK_BYTES >> 3) //
+    (16 F)) at a time and multiplied by the (P, F) waves with BLAS, a =
+    rows @ waves.T, one product a batch.  BLAS never supplies an output
+    bit: it only decides which sums are summed exactly.
+
+    Certificate.  u = 2**-53, gamma_n = n u / (1 - n u).  The one
+    assumption about BLAS is that each part of a is some sum of the 2F real
+    products of a row's and a wave's parts, each rounded or fused into an
+    addition, in any order: any kernel, thread count or FMA, but not a
+    Strassen or 3M product.  It then lies within gamma_2F sum |r||G| + F
+    2**-1074 of their exact sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 3.1; the second term
+    bounds the subnormal roundings).  ``_wave_sums`` rounds exactly the sum
+    T of the products r_c G_c as numpy forms them, each part within gamma_2
+    (|.| + |.|) + 2**-1074 of its exact value, fused or not.  By
+    Cauchy-Schwarz over the 2F parts, sum |r||G| <= ||r|| ||G|| for either
+    part, so |a - T| <= gamma_{2F+2} ||r|| ||G|| + F 2**-1073.  The radius
+    rad = fl(fl(n(r) fl(c n(G))) + F 2**-1070), with the double c = (2F +
+    2) u (1 + 2**-20) and n(x) = fl(fl(sqrt(s)) + 2**-511), s the sum of
+    the 2F squared parts of x in any order, is at least that for F <=
+    2**26.  s >= (1 - gamma_2F) ||x||**2 - F 2**-1074, and (sqrt(s) +
+    2**-511)**2 >= s + 2**-1022 covers the subnormal term, so n(x) >=
+    ||x|| (1 - 2**-25); the factor 1 + 2**-20 covers both norms, the three
+    roundings of rad and gamma's 1 / (1 - (2F + 2) u), and the room in F
+    2**-1070 the roundings of rad in the subnormal range.
+    So T lies in [a - rad, a + rad].  Rounding is monotone, so the exactly
+    rounded sum lies between lo and hi, fl(a - rad) one double down and
+    fl(a + rad) one double up (formed as -lo, from fl(rad - a) one double
+    up); the unscaled sum between lo and hi unscaled (``_unscale``,
+    monotone, which for a finite sum gives the magnitude of the complex
+    multiply ``_wave_sums`` applies); each of fl(re*re) and fl(im*im)
+    between the squares of the least and the largest magnitude in its
+    interval, so the square q_k between q_lo and q_hi, the rounded sums of
+    those; and each running sum S_k = fl(S_{k-1} + q_k) between the running
+    sums of the q_lo and of the q_hi.  Where those two agree at the last
+    row, S_K is their value.
+
+    A row is summed exactly (``_wave_sums`` over the index array of such
+    rows) where some point leaves its step open, fl(prev + q_lo) != fl(prev
+    + q_hi) with prev the running sum of the q_lo, or where an end is not
+    finite (a NaN or infinite product or radius, or an end that overflows
+    once unscaled), which is never certified: so a point that is not
+    finite gets NaN, and a sum that overflows raises ``ParameterError``,
+    both from ``_wave_sums``.  Its q_lo = q_hi is then the exact square.  A
+    point whose two running sums still differ at the last row (the rows
+    were chosen from the q_lo alone) has its whole column summed exactly,
+    which settles it: two exact passes at most.  A NaN running sum of the
+    q_lo comes from an exact NaN square, and is the point's sum.
+    """
+    num_pts, num_modes = waves.shape
+    batch = max(1, (BLOCK_BYTES >> 3) // (16 * num_modes))
+    # c n(G) of each wave, once for each part of its sums
+    c = (2 * num_modes + 2) * 2.0**-53 * (1.0 + 2.0**-20)
+    wave_norms = np.repeat(c * (np.sqrt(np.vecdot(waves, waves).real) + 2.0**-511), 2)
+    # q_lo and q_hi of the rows, after a row 0 of zeros that leaves every running sum's bits
+    bounds = np.zeros((2, num_rows + 1, num_pts))
+    with _ufunc_buffer():
+        for k in range(0, num_rows, batch):
+            formed = np.empty((min(batch, num_rows - k), num_modes), dtype=complex)
+            fill(np.arange(k, k + len(formed)), formed)
+            rad = np.multiply.outer(np.sqrt(np.vecdot(formed, formed).real) + 2.0**-511, wave_norms)
+            rad += num_modes * 2.0**-1070
+            # -lo and hi: fl(rad - a) = -fl(a - rad), and one double up is one down negated
+            ends = np.multiply.outer([-1.0, 1.0], np.matmul(formed, waves.T).view(float)) + rad
+            _unscale(np.nextafter(ends, np.inf, out=ends), unscale)
+            large = ends.max(axis=0).view(complex)
+            bounds[0, k + 1 : k + 1 + len(formed)] = _squares(np.maximum(-ends.min(axis=0), 0.0).view(complex))
+            bounds[1, k + 1 : k + 1 + len(formed)] = np.where(np.isfinite(large), _squares(large), np.nan)
+        lower = np.cumsum(bounds[0], axis=0)
+        exact = np.flatnonzero((lower[1:] != lower[:-1] + bounds[1, 1:]).any(axis=1))
+        del lower  # before the exact kernel allocates its buffers
+        bounds[:, exact + 1] = _squares(_wave_sums(waves, unscale, exact.size,
+                                                   lambda i, out: fill(exact[i : i + len(out)], out)))
+        low, high = np.cumsum(bounds, axis=1, out=bounds)[:, -1]
+        cols = np.flatnonzero(~((low == high) | np.isnan(low)))
+        if cols.size:
+            sums = _wave_sums(waves[cols], unscale, num_rows, lambda i, out: fill(np.arange(i, i + len(out)), out))
+            low[cols] = np.cumsum(_squares(sums), axis=0)[-1]
+    return low
 
 
 def pointwise_trace(
@@ -444,13 +553,12 @@ def pointwise_trace(
             f"sequence {seq.describe()} not accepted for criterion "
             f"{criterion.value}: {verdict.reason}"
         )
-    grid = field.grid
-    pts = _points(grid, points)[0]
-    fold = _fold(grid, law, shift)  # the law once a trace, not once a time
+    pts = _points(field.grid, points)[0]
+    fold = _fold(field.grid, law, shift)  # the law once a trace, not once a time
     times = _checked(fold, seq.terms(k_max))
 
-    def residual(k, rows):
-        _angles(fold, times[k : k + len(rows)], rows)
+    def residual(ks, rows):
+        _angles(fold, times[ks], rows)
         rows -= 1.0
 
     waves, (w, e) = _fold_waves(field, pts, fold)
@@ -459,10 +567,5 @@ def pointwise_trace(
         scale = np.ldexp(4.0 * fold.num_modes * w, e)
         kept = np.flatnonzero(_phase_bound(fold, times) * scale >= 2.0**-539)
     num_rows = max(int(kept[-1]) + 1 if kept.size else 0, int(times[0] > 0))
-    values = _wave_sums(waves, (w, e), num_rows, residual)
-    # np.cumsum adds along k in order, as a running sum would (np.sum pairs
-    # terms); a square past the double range is inf, its rounded value
-    with np.errstate(over="ignore"):
-        squares = values.real * values.real + values.imag * values.imag
-        sums = np.cumsum(squares, axis=0)[-1] if len(squares) else np.zeros(len(pts))
-    return TraceResult(pts, sums, _tail_bound(field, fold, seq, len(times)), len(times))
+    return TraceResult(pts, _square_sums(waves, (w, e), num_rows, residual),
+                       _tail_bound(field, fold, seq, len(times)), len(times))

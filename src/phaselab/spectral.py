@@ -35,7 +35,10 @@ so every sum has the fold's terms, about half the lattice's (513 of
 and, with their waves, in 2*BLOCK_BYTES, certifying a window of whole
 batches at a time.  Products over the n <= 3 coordinates (mu.xi, |xi|)
 go through ``_dot``, left to right elementwise, so no BLAS kernel
-touches the bits.
+touches the bits.  BLAS enters only the trace's certificate
+(``convergence._square_sums``), which calls the kernel for the rows and
+points whose printed running sums it cannot settle from a BLAS product
+and its error radius; it decides which sums are formed here, never a bit.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -481,16 +484,21 @@ def _wave_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.nda
                                 high[start : start + size], low[start : start + size], split)
             scale, bound = np.repeat(scale_bound[:, :w_rows], num_pts, axis=1)
             _certify_sums(high, low[: len(high)], bound, scale, terms)
-        # times w * 2**e, exact; past the double range, 2**(e - 1024) in a
-        # second step that overflows only where the exact product does
-        m, e = math.frexp(unscale[0])
-        e += unscale[1]
-        sums *= math.ldexp(m, min(e, 1024))
-        if e > 1024:
-            np.ldexp(sums.view(float), e - 1024, out=sums.view(float))
+        _unscale(sums, unscale)
     if np.isfinite(waves[~np.isfinite(sums).all(axis=0)]).all(axis=1).any():
         raise ParameterError("coefficients too large to sample: a sum over the modes overflows")
     return sums
+
+
+def _unscale(values: np.ndarray, unscale: tuple) -> None:
+    """Multiply the float or complex ``values`` in place by w * 2**e, ``unscale``
+    = (w, e).  With w * 2**e = m * 2**e', 1/2 <= m < 1, that is the double
+    m * 2**min(e', 1024), formed exactly, then 2**max(0, e' - 1024), an
+    exact step, so past the double range a part overflows only where its
+    exact product does.  Both steps are monotone."""
+    m, e = math.frexp(unscale[0])
+    values *= math.ldexp(m, min(e + unscale[1], 1024))
+    np.ldexp(values.view(float), max(e + unscale[1] - 1024, 0), out=values.view(float))
 
 
 def _points(grid: FrequencyGrid, x):

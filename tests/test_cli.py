@@ -1185,6 +1185,15 @@ def test_trace_golden_digests(threads, coretype):
     assert _cli_digests(cases, threads, coretype) == want
 
 
+@pytest.mark.parametrize("threads, coretype", [("1", None), ("2", None), ("1", "Prescott")])
+def test_trace_digest_does_not_depend_on_blas(threads, coretype):
+    # the trace's products go through BLAS, which only chooses the sums that
+    # are computed exactly: a kernel or thread count must not move a byte
+    args, json_digest, csv_digest = GOLDEN_TRACES["2d-shift"]
+    want = {"2d-shift.json": [0, json_digest], "2d-shift.csv": [0, csv_digest]}
+    assert _cli_digests({"2d-shift": args}, threads, coretype) == want
+
+
 def write_golden_fields(root):
     """Seeded random fields for the propagate cases, written into ``root``:
     65 modes in 1-D, 289 and 4225 in 2-D, 729 in 3-D."""

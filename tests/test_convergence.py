@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import math
 import re
 
@@ -30,9 +33,10 @@ from phaselab import (
     required_exponent,
     sequence_applicable,
 )
-from phaselab import convergence, propagation, spectral
+from phaselab import cli, convergence, propagation, spectral
 from phaselab.convergence import default_points, envelope_log_slope
 from phaselab.propagation import ShiftSpec
+from test_cli import GOLDEN_TRACES
 from test_propagation import fold_sum, lattice_phase, on_fold, reference_folded_waves
 from test_spectral import block_bytes
 
@@ -412,6 +416,12 @@ class TestPointwiseTrace:
         assert tr.tail == x * x * ((k_max + 1.0) ** (1.0 - c) / (c - 1.0))
 
 
+def every_row_sums(waves, unscale, num_rows, fill):
+    """The exact wave sums of rows 0, ..., num_rows - 1 of the trace's ``fill``,
+    which takes an index array."""
+    return spectral._wave_sums(waves, unscale, num_rows, lambda i, out: fill(np.arange(i, i + len(out)), out))
+
+
 def reference_history(field, law, seq, points, k_max, shift=None):
     """The per-(k, point) fsum of the fold terms (e^{i theta_kj} - 1) * G_pj,
     with the folded waves written out apart from the sampler."""
@@ -469,14 +479,19 @@ class TestBatchedTrace:
         seq, k_max = TimeSequence.geometric(0.5), 24
         rows = []
 
-        def recording_wave_sums(waves, unscale, num_rows, fill):
+        def recording_square_sums(waves, unscale, num_rows, fill):
             formed = np.empty((num_rows, waves.shape[1]), dtype=complex)
             for k in range(0, num_rows, 5):  # batches of 5 rows, the last one shorter
-                fill(k, formed[k : k + 5])
+                fill(np.arange(k, min(k + 5, num_rows)), formed[k : k + 5])
+            # and rows in any order, as the exact rows are filled
+            ks = np.array([num_rows - 1, 0, num_rows // 2])
+            again = np.empty((len(ks), waves.shape[1]), dtype=complex)
+            fill(ks, again)
+            np.testing.assert_array_equal(again.view(np.int64), formed[ks].view(np.int64))
             rows.extend(formed)
-            return np.zeros((num_rows, len(waves)), dtype=complex)
+            return np.zeros(len(waves))
 
-        monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
+        monkeypatch.setattr(convergence, "_square_sums", recording_square_sums)
         # s = 0.75 > 1 - a: the power law's shifted criterion accepts the sequence
         pointwise_trace(f, law, seq, 0.75, default_points(g.n, 1), k_max=k_max, shift=shift)
         times = seq.terms(k_max)
@@ -498,13 +513,13 @@ class TestBatchedTrace:
         g = make_grid(1, 2, 0.5)
         f = random_field(g, np.random.default_rng(3))
         points = default_points(1, 6)
-        seen = []
+        seen, square_sums = [], convergence._square_sums
 
-        def recording_wave_sums(waves, unscale, num_rows, fill):
-            seen.append((num_rows, spectral._wave_sums(waves, unscale, 1100, fill)))
-            return spectral._wave_sums(waves, unscale, num_rows, fill)
+        def recording_square_sums(waves, unscale, num_rows, fill):
+            seen.append((num_rows, every_row_sums(waves, unscale, 1100, fill)))
+            return square_sums(waves, unscale, num_rows, fill)
 
-        monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
+        monkeypatch.setattr(convergence, "_square_sums", recording_square_sums)
         tr = pointwise_trace(f, power_law(0.5), TimeSequence.geometric(0.5), 0.5, points, k_max=1100)
         [(num_rows, every)] = seen
         assert num_rows == 545 and not every[1074:].any()
@@ -528,14 +543,14 @@ class TestBatchedTrace:
         g = spectral.default_grid()
         f = random_field(g, np.random.default_rng(1))
         seq, points = TimeSequence.geometric(r), default_points(1, 4)
-        seen = []
+        seen, square_sums = [], convergence._square_sums
 
-        def recording_wave_sums(waves, unscale, num_rows, fill):
-            every = spectral._wave_sums(waves, unscale, np.count_nonzero(seq.terms(2048)), fill)
+        def recording_square_sums(waves, unscale, num_rows, fill):
+            every = every_row_sums(waves, unscale, np.count_nonzero(seq.terms(2048)), fill)
             seen.append((num_rows, every))
-            return spectral._wave_sums(waves, unscale, num_rows, fill)
+            return square_sums(waves, unscale, num_rows, fill)
 
-        monkeypatch.setattr(convergence, "_wave_sums", recording_wave_sums)
+        monkeypatch.setattr(convergence, "_square_sums", recording_square_sums)
         tr = pointwise_trace(f, power_law(0.5), seq, 0.5, points, k_max=2048)
         [(num_rows, every)] = seen
         assert num_rows == formed
@@ -550,6 +565,102 @@ class TestBatchedTrace:
         points = np.array([[0.5], [math.nan]])
         tr = pointwise_trace(f, power_law(0.5), TimeSequence.power(2.0), 0.5, points, k_max=16)
         assert tr.partial_sums[0] == 0.0 and math.isnan(tr.partial_sums[1])
+
+
+U = 2.0**-53
+
+
+def products_at_the_radius(seed):
+    """A stand-in for ``np.matmul(rows, waves.T)`` in ``_square_sums``: each part
+    of the exactly rounded sums moved by a random sign times the radius the
+    certificate assumes, gamma_{2F+2} ||r|| ||G|| + F 2**-1073, or a random
+    fraction of it, and rounded toward the exact sum, so no part is further
+    from it than the radius."""
+    rng = np.random.default_rng(seed)
+
+    def matmul(rows, waves_t):
+        waves, num_modes = waves_t.T, rows.shape[1]
+        exact = spectral._wave_sums(waves, (1.0, 0), len(rows),
+                                    lambda i, out: np.copyto(out, rows[i : i + len(out)]))
+        n = 2 * num_modes + 2
+        norms = [np.sqrt((np.abs(z) ** 2).sum(axis=1)) for z in (rows, waves)]
+        rad = n * U / (1 - n * U) * np.multiply.outer(*norms) + num_modes * 2.0**-1073
+        x = exact.view(float)
+        full = rng.random(x.shape) < 0.5
+        d = np.repeat(rad, 2, axis=1) * np.where(full, 1.0, rng.random(x.shape))
+        d *= rng.choice([-1.0, 1.0], x.shape)
+        # TwoSum: s + err is x + d exactly; where s overshoots it, step back toward x
+        s = x + d
+        bb = s - x
+        err = (x - (s - bb)) + (d - bb)
+        s = np.where(np.sign(err) * np.sign(d) < 0, np.nextafter(s, x), s)
+        return s.view(complex)
+
+    return matmul
+
+
+def exact_square_sums(waves, unscale, num_rows, fill):
+    """The trace's printed sums from every sum of every row, exactly rounded."""
+    sums = every_row_sums(waves, unscale, num_rows, fill)
+    return np.cumsum(sums.real * sums.real + sums.imag * sums.imag, axis=0)[-1] if num_rows else np.zeros(len(waves))
+
+
+class TestSquareSumCertificate:
+    """``_square_sums`` takes its products from BLAS and proves, from their
+    radius, which steps of the printed running sums they settle.  Any product
+    within that radius of the exact sums must give the same bytes."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+    def test_golden_traces_keep_their_bytes(self, name, monkeypatch, capsys):
+        args, json_digest, csv_digest = GOLDEN_TRACES[name]
+        monkeypatch.setattr(np, "matmul", products_at_the_radius(61))
+        got = []
+        for fmt in ("json", "csv"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main([*args.split(), "--format", fmt]) == 0
+            got.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+        assert got == [json_digest, csv_digest]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid_args=st.sampled_from([(1, 8, 0.125), (1, 32, 0.25), (2, 2, 0.25), (3, 1, 0.5)]),
+        law=st.sampled_from([power_law(0.5), BOUSSINESQ]),
+        shifted=st.booleans(),
+        seq=st.one_of(st.floats(0.2, 0.95).map(TimeSequence.geometric),
+                      st.sampled_from([2.0, 3.0]).map(TimeSequence.power)),
+        k_max=st.integers(16, 120),
+        num_pts=st.integers(1, 6),
+        nan_point=st.booleans(),
+        scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sums_within_the_radius_keep_their_bits(
+        self, grid_args, law, shifted, seq, k_max, num_pts, nan_point, scale, seed
+    ):
+        g = make_grid(*grid_args)
+        rng = np.random.default_rng(seed)
+        f = SpectralField(g, random_field(g, rng).coefficients * scale)
+        shift = ShiftSpec(beta=1.5, mu=np.eye(g.n)[-1]) if shifted else None
+        pts = rng.uniform(-4.0, 4.0, (num_pts, g.n))
+        if nan_point:
+            pts[0, -1] = math.nan
+        trace = lambda: pointwise_trace(f, law, seq, 0.75, pts, k_max=k_max, shift=shift).partial_sums
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convergence, "_square_sums", exact_square_sums)
+            want = trace()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "matmul", products_at_the_radius(seed))
+            got = trace()
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_sum_that_overflows_raises(self):
+        # the residual sums at x = 0 add up past the double range: their upper
+        # ends are not finite, so they are summed exactly, which raises
+        g = make_grid(1, 4, 1)
+        f = SpectralField(g, np.full(g.num_modes, 1.7e308 + 1.7e308j))
+        with pytest.raises(ParameterError, match="a sum over the modes overflows"):
+            pointwise_trace(f, power_law(0.5), TimeSequence.power(0.75), 0.5, [[0.0]], k_max=16)
 
 
 class TestTorusOracle:

@@ -44,6 +44,7 @@ from phaselab import (
     random_field,
     synthesize,
 )
+from phaselab import convergence
 from phaselab.convergence import default_points
 from phaselab.propagation import _fold
 from phaselab.spectral import _fsum
@@ -210,6 +211,27 @@ def test_trace_tail_against_mpmath(case):
             term = count * (mpmath.mpf(mass) * mpmath.mpf(peak)) ** 2 * s
             low, high = low + term, high + term * factor
         assert low * (1 - 8 * U) <= got <= high * (1 + 8 * U), (got, float(low), float(high))
+
+
+@pytest.mark.parametrize("r, x", [(0.99, 1.0), (0.99, 1.5), (0.9, 1.0), (0.3, 1.5), (0.999, 1.0)])
+def test_geometric_tail_within_half_a_unit(r, x):
+    # where 2x is an integer the geometric tail is the exact rational rounded
+    # once; rounding rho = r**(2x) first and raising it to the power K+1
+    # left it 215 units below at r = 0.99
+    k_max = 2048
+    got = convergence._tail_sum(TimeSequence.geometric(r), x, k_max)
+    with mpmath.workdps(DPS):
+        want = tail_sum(TimeSequence.geometric(r), x, k_max)[0]
+        assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(math.ulp(got)) / 2, (got, float(want))
+
+
+@pytest.mark.parametrize("r, k_max", [(0.99, 2048), (0.9, 2048), (0.5, 256)])
+def test_geometric_tail_of_a_fractional_power_bounds_the_sum(r, k_max):
+    # 2x = 1.6: rho is taken one double up, so the tail is not below the sum
+    got = convergence._tail_sum(TimeSequence.geometric(r), 0.8, k_max)
+    with mpmath.workdps(DPS):
+        want = tail_sum(TimeSequence.geometric(r), 0.8, k_max)[0]
+        assert want <= got <= want * (1 + 4 * (k_max + 1) * U), (got, float(want))
 
 
 def test_synthesize_a_subnormal_field_within_half_a_unit():

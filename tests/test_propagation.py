@@ -395,21 +395,21 @@ class TestRowBatches:
         pts = rng.uniform(-4.0, 4.0, (num_pts, g.n))
         seq = TimeSequence.geometric(0.5)
         times = seq.terms(num_rows) if residual else rng.uniform(0.0, 3.0, num_rows)
-        got = []
         with pytest.MonkeyPatch.context() as mp:
             if block_rows is not None:
                 fold = propagation._fold(g, BOUSSINESQ, shift)  # the kernel's rows are fold-wide
                 mp.setattr(spectral, "BLOCK_BYTES", block_bytes(fold, num_pts, block_rows))
             if residual:
-                # the trace keeps only |sum|**2 summed over k: record the sums
-                mp.setattr(convergence, "_wave_sums",
-                           lambda *args: got.append(spectral._wave_sums(*args)) or got[-1])
-                pointwise_trace(f, BOUSSINESQ, seq, 0.5, pts, k_max=num_rows, shift=shift)
+                got = pointwise_trace(f, BOUSSINESQ, seq, 0.5, pts, k_max=num_rows, shift=shift).partial_sums
             else:
-                got.append(evaluate_shifted(f, BOUSSINESQ, times, shift, pts))
+                got = evaluate_shifted(f, BOUSSINESQ, times, shift, pts)
             want = sums_one_row_at_a_time(f, BOUSSINESQ, times, shift, pts, residual)
-        assert got[0].shape == want.shape == (num_rows, num_pts)
-        np.testing.assert_array_equal(bits(got[0]), bits(want))
+        assert want.shape == (num_rows, num_pts)
+        if residual:
+            # the trace prints only S_K, the squares of the sums added in k order
+            want = np.cumsum(want.real * want.real + want.imag * want.imag, axis=0)[-1]
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("bad", [
         {3: math.nan}, {3: -1.0}, {3: math.inf},
