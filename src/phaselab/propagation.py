@@ -11,8 +11,9 @@ waves once a call, G_c(x) the sum of f_j e^{i x.xi_j} over class c
 (``spectral._fold_waves``, which forms the waves an axis at a time and
 folds each folded axis as it goes, and which ``synthesize`` calls with
 no fold, so the field is scaled in one place).  ``evaluate_shifted``
-samples T times at P points in one pass of ``spectral._wave_sums`` over
-these rows and waves, as does the trace over the rows e^{i theta} - 1.
+samples T times at P points in one pass of the exact kernel over these
+rows and waves (``spectral._sample``); the trace sums the rows e^{i
+theta} - 1 against the same waves (``spectral._square_sums``).
 Every time is checked before any row is formed (``_checked``), so
 forming a row cannot fail.  The residual against the datum is formed in
 frequency space, h_j = (e^{i theta_j} - 1) f_j, which keeps synthesis
@@ -28,8 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError, UndefinedShiftError
-from .spectral import (FrequencyGrid, SpectralField, _dot, _fold_waves, _points, _sobolev_weight,
-                       _wave_sums, sobolev_norm)
+from .spectral import FrequencyGrid, SpectralField, _dot, _points, _sample, _sobolev_weight, sobolev_norm
 
 __all__ = [
     "ErrorField",
@@ -199,8 +199,7 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
     pts, single = _points(field.grid, x)
     fold = _fold(field.grid, law, shift)
     checked = _checked(fold, times.reshape(-1))
-    sums = _wave_sums(*_fold_waves(field, pts, fold), times.size,
-                      lambda i, rows: _angles(fold, checked[i : i + len(rows)], rows))
+    sums = _sample(field, pts, fold, np.arange(times.size), lambda ks, rows: _angles(fold, checked[ks], rows))
     sums = sums.reshape(times.shape + (() if single else (len(pts),)))
     return complex(sums) if sums.ndim == 0 else sums
 

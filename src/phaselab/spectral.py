@@ -10,22 +10,23 @@ steps: ``_scale_rows`` scales each row by a power of two into integer
 units, ``_split_sums`` (where the proof lives) rounds each term to an
 integer (Rump, Ogita and Oishi, "Accurate floating-point summation part
 I", 2008), and ``_certify_sums`` keeps the unscaled total where the row's
-error bound proves it exactly rounded, or where the low sum was exact,
-which settles exact ties.  Sums it cannot certify (near-ties and other
-ties, zero or subnormal sums, non-finite values, rows near overflow or
+error bound proves it exactly rounded.  Sums it cannot certify (near-ties
+and ties, zero or subnormal sums, non-finite values, rows near overflow or
 below 2**-960) are summed again with ``math.fsum`` (Shewchuk 1997),
 exactly in integers where its partial sums overflow; same bits either way.
 
 ``_wave_sums``, the one sampling kernel, evaluates w * 2**e * sum_j c_j
 w_pj for rows c and waves w_p whose parts are at most 1, w * 2**e the
-unscale factor of every sum.  Every sample takes its waves and unscale
-from ``_fold_waves``, the one place a field becomes sampler input and
-the one place plane waves are exponentiated: the field scaled by one
-power of two 2**-e, times the unit waves e^{i x.xi_j} of the points
-(``_points``), formed an axis at a time as prod_d e^{i x_d xi_d}, and
-summed over each mirror class of a phase fold if one is given, each
-folded axis before the next product, with w the synthesis scale
-(2*pi)**(-n) * dxi**n.
+unscale factor of every sum.  Its callers name the rows by an index
+array, and their row source ``fill(ks, out)`` writes the rows ks.  Every
+sample takes its waves and unscale (``_sample``, and the trace's
+``_square_sums``) from ``_fold_waves``, the one place a field becomes
+sampler input and the one place plane waves are exponentiated: the field
+scaled by one power of two 2**-e, times the unit waves e^{i x.xi_j} of
+the points (``_points``), formed an axis at a time as prod_d e^{i x_d
+xi_d}, and summed over each mirror class of a phase fold if one is
+given, each folded axis before the next product, with w the synthesis
+scale (2*pi)**(-n) * dxi**n.
 ``synthesize`` sums a row of ones against them on the whole lattice;
 ``evaluate_shifted`` and the trace pass rows e^{i theta} or
 e^{i theta} - 1 on the modes of the phase fold (``propagation._fold``),
@@ -36,9 +37,9 @@ and, with their waves, in 2*BLOCK_BYTES, certifying a window of whole
 batches at a time.  Products over the n <= 3 coordinates (mu.xi, |xi|)
 go through ``_dot``, left to right elementwise, so no BLAS kernel
 touches the bits.  BLAS enters only the trace's certificate
-(``convergence._square_sums``), which calls the kernel for the rows and
-points whose printed running sums it cannot settle from a BLAS product
-and its error radius; it decides which sums are formed here, never a bit.
+(``_square_sums``), which calls the kernel for the rows and points
+whose printed running sums it cannot settle from a BLAS product and its
+error radius; it decides which sums are formed exactly, never a bit.
 
 All types are immutable after construction and all operations are pure.
 """
@@ -166,18 +167,8 @@ def _split_sums(x: np.ndarray, high, low, split: np.ndarray) -> None:
     that is strictly less than half the smaller gap from r to a
     neighbouring double, r is its exactly-rounded value, and r/s the
     exactly-rounded unscaled sum if it is a normal double; results at or
-    below 2**-1022 once unscaled are refused, as are zeros.
-
-    The bound cannot settle an exact sum at a midpoint, an exact tie, which
-    fewer, larger terms make likelier.  But P' is exact, in any order, when
-    every nonzero term of its plane is at least 2**(L-2): each p is then a
-    multiple of 2**(L-54), the least ulp of such a term, and every partial
-    sum, at most M/2 < 2**(L-1), is a double.  Then r rounds t + P', the
-    exact sum of the split's terms, once, ties to even; if those terms are
-    exactly s times the unscaled ones (no subnormal rounding on either
-    side), r/s is the exactly-rounded unscaled sum where it is a normal
-    double.  ``_certify_sums`` checks both on each refused sum of a live
-    row.
+    below 2**-1022 once unscaled are refused, as are zeros and exact ties
+    (an exact sum at a midpoint), which no bound settles.
 
     Both planes of a row share its s, and both sums run on a complex view,
     one ``sum(axis=1)`` each.  A row is dead when 2*peak is zero or not
@@ -197,14 +188,10 @@ def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
     ``low`` sums it holds, with ``bound`` and ``scale`` (2**-k) from ``_scale_rows``.
 
     Replaces each high sum by r = fl(high + low) unscaled and returns ``ok``
-    (n, 2): whether that is the exactly-rounded sum, plane by plane.  Where
-    the bound cannot prove it, ``terms(j, s)`` gives the (M, 2) terms of sum
-    j formed from its row times s: at s = 1/scale the split's own, at s = 1
-    the original ones.  A refused plane is kept where the split's terms are
-    exactly s times the original ones on a live row and its low sum was
-    exact (``_split_sums``), which settles exact ties; else it is the
-    ``_fsum`` of the original terms.  Overwrites ``low``; runs under the
-    caller's ``np.errstate``."""
+    (n, 2): whether the bound proves it the exactly-rounded sum, plane by
+    plane.  A refused plane becomes the ``_fsum`` of the terms of sum j,
+    formed unscaled: ``terms(j)`` gives them, (M, 2).  Overwrites ``low``;
+    runs under the caller's ``np.errstate``."""
     t, p = high.view(float).reshape(-1, 2), low.view(float).reshape(-1, 2)
     # Knuth's TwoSum, r + e == t + p exactly, in place in t and p with two
     # temporaries: e = (t - (r - bb)) + (p - bb) for bb = r - t
@@ -223,17 +210,7 @@ def _certify_sums(high, low, bound, scale, terms) -> np.ndarray:
     r *= 0.5
     ok = (p < r) & (np.abs(t, out=bb) > 2.0**-1022)
     for j in np.flatnonzero(~ok.all(axis=1)).tolist():
-        # a live sum whose split terms are s times the unscaled ones and whose
-        # low sum is exact (``_split_sums``) has r exactly rounded, ties too
-        up = 1.0 / scale[j]
-        scaled = terms(j, up).copy() if bound[j] < math.inf else np.full((1, 2), np.nan)
-        planes = terms(j, 1.0)
-        # each side scaled up only, which is exact
-        exact = (np.array_equal(scaled, planes * up) if up > 1
-                 else np.array_equal(scaled * scale[j], planes))
-        least = np.abs(scaled).min(axis=0, initial=math.inf, where=scaled != 0)
-        least_ok = least >= 2.0 ** ((len(planes) + 1).bit_length() - 2)
-        ok[j] |= exact & least_ok & (np.abs(t[j]) > 2.0**-1022)
+        planes = terms(j)
         for c in np.flatnonzero(~ok[j]).tolist():
             t[j, c] = _fsum(memoryview(np.ascontiguousarray(planes[:, c])))
     return ok
@@ -257,7 +234,7 @@ def csum(values: np.ndarray):
     with np.errstate(invalid="ignore", over="ignore"):
         scale, bound = _scale_rows(parts.reshape(len(r), -1))
         _split_sums(parts, r, low, np.empty(terms.size))
-        _certify_sums(r, low, bound, scale, lambda j, s: terms[j] * s)
+        _certify_sums(r, low, bound, scale, lambda j: terms[j])
     return r
 
 
@@ -414,12 +391,12 @@ def _ufunc_buffer():
         np.setbufsize(bufsize)
 
 
-def _wave_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.ndarray:
-    """w * 2**e * sum_j c_j w_pj for ``num_rows`` rows c and each wave w_p, a
-    row of the (P, F) complex ``waves`` whose parts are at most 1 (the
-    ``_split_sums`` proof), with ``unscale`` = (w, e): a (num_rows, P)
-    array.  ``fill(i, out)`` writes rows i, ..., i + len(out) - 1 into
-    ``out``.
+def _wave_sums(waves: np.ndarray, unscale: tuple, rows: np.ndarray, fill) -> np.ndarray:
+    """w * 2**e * sum_j c_j w_pj for the rows c named by the 1-D index array
+    ``rows`` and each wave w_p, a row of the (P, F) complex ``waves`` whose
+    parts are at most 1 (the ``_split_sums`` proof), with ``unscale`` = (w,
+    e): a (len(rows), P) array.  ``fill(ks, out)`` writes the rows of
+    ``ks``, always a slice of ``rows``, into ``out``.
 
     The rows are filled a batch of R rows at a time, in whole blocks of
     rows, and scaled (``_scale_rows``): R = max(1, (BLOCK_BYTES >> 3) //
@@ -429,20 +406,20 @@ def _wave_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.nda
     result, low sums into a buffer.  ``_certify_sums`` runs once a window,
     the fewest whole batches that hold 1,024 sums, on the window's rows
     with their scales and bounds.  A refused sum's row is filled again
-    alone and its products formed there, scaled as the split formed them
-    (on a live row, for ``_certify_sums``' tie check) and unscaled for
-    ``_fsum``, so ``fill`` must be pure, and it must not raise: its callers check their rows first.
+    alone, by its own index, and its products formed there for ``_fsum``,
+    so ``fill`` must be pure, and it must not raise: its callers check their rows first.
     Rows are formed under ``_ufunc_buffer``.  A row's parts must stay below
     2**1020, so that no product with a wave overflows; a sum not finite at
     a finite wave raises ``ParameterError`` once every sum is formed and
     unscaled.
     """
-    num_pts, num_modes = waves.shape
+    (num_pts, num_modes), num_rows = waves.shape, len(rows)
     # r rows at p points: p waves and one row's p products and split, 48*F*p bytes,
     # at most 2*BLOCK_BYTES (so L2-sized), and r rows' products and split, 32*F*p*r
-    # bytes, at most BLOCK_BYTES, one row at least; more than one only with every point
+    # bytes, at most BLOCK_BYTES, one row at least; more than one only with every
+    # point, as p < P puts 24*F*(p + 1), so 64*F*p, above BLOCK_BYTES
     p_step = max(1, min(num_pts, BLOCK_BYTES // (24 * num_modes)))
-    r_step = max(1, BLOCK_BYTES // (32 * num_modes * p_step)) if p_step == num_pts else 1
+    r_step = max(1, BLOCK_BYTES // (32 * num_modes * p_step))
     # a batch of rows holds at most ``cap`` sums unless one block holds more,
     # and a window is the fewest batches that hold ``cap``
     cap, row_sums = max(1, BLOCK_BYTES >> 10), max(1, num_pts)
@@ -456,13 +433,12 @@ def _wave_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.nda
     # the scale and bound of each row of a window, and the low sum of each of its sums
     scale_bound, low = np.empty((2, window)), np.empty(window * num_pts, dtype=complex)
 
-    def terms(j, s):
-        # sum j of the window from its row times s (as ``_scale_rows`` scales it),
-        # formed in the block buffer, whose products are split by now
+    def terms(j):
+        # sum j of the window from its row, formed in the block buffer, whose
+        # products are split by now
         i, p = divmod(j, num_pts)
         row = block_buf[:num_modes].reshape(1, num_modes)
-        fill(w0 + i, row)
-        row.view(float)[...] *= s
+        fill(rows[w0 + i : w0 + i + 1], row)
         product = _products(row, waves[p : p + 1], out=row[:, None])
         return product.view(float).reshape(num_modes, 2)
 
@@ -473,13 +449,13 @@ def _wave_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.nda
             high = sums[w0 : w0 + w_rows].reshape(-1)
             for r0 in range(0, w_rows, batch_rows):
                 formed = coeffs[: min(batch_rows, w_rows - r0)]
-                fill(w0 + r0, formed)
+                fill(rows[w0 + r0 : w0 + r0 + len(formed)], formed)
                 scale_bound[:, r0 : r0 + len(formed)] = _scale_rows(formed.view(float))
                 for b0, p0 in itertools.product(range(0, len(formed), r_step), p_starts):
-                    rows, chunk = formed[b0 : b0 + r_step], waves[p0 : p0 + p_step]
-                    size, start = len(rows) * len(chunk), (r0 + b0) * num_pts + p0
-                    block = block_buf[: size * num_modes].reshape(len(rows), len(chunk), -1)
-                    _products(rows, chunk, out=block)
+                    part, chunk = formed[b0 : b0 + r_step], waves[p0 : p0 + p_step]
+                    size, start = len(part) * len(chunk), (r0 + b0) * num_pts + p0
+                    block = block_buf[: size * num_modes].reshape(len(part), len(chunk), -1)
+                    _products(part, chunk, out=block)
                     _split_sums(block.view(float).reshape(size, num_modes, 2),
                                 high[start : start + size], low[start : start + size], split)
             scale, bound = np.repeat(scale_bound[:, :w_rows], num_pts, axis=1)
@@ -499,6 +475,101 @@ def _unscale(values: np.ndarray, unscale: tuple) -> None:
     m, e = math.frexp(unscale[0])
     values *= math.ldexp(m, min(e + unscale[1], 1024))
     np.ldexp(values.view(float), max(e + unscale[1] - 1024, 0), out=values.view(float))
+
+
+def _squares(z: np.ndarray) -> np.ndarray:
+    """re*re + im*im of a complex array: the square the trace sums."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _square_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.ndarray:
+    """np.cumsum(|s|**2, axis=0)[-1], bit for bit, for the (num_rows, P) sums
+    s = ``_wave_sums(waves, unscale, np.arange(num_rows), fill)``: at each
+    point, the squares re*re + im*im added in row order.  ``fill(ks, out)``
+    writes the rows of the 1-D index array ``ks`` into ``out``, as for
+    ``_wave_sums``; it must be pure.
+
+    Only these running sums are printed, and a late row's square, far below
+    them, moves them through one rounding step, so most sums need not be
+    exact.  The rows are filled a batch of max(1, (BLOCK_BYTES >> 3) //
+    (16 F)) at a time and multiplied by the (P, F) waves with BLAS, a =
+    rows @ waves.T, one product a batch.  BLAS never supplies an output
+    bit: it only decides which sums are summed exactly.
+
+    Certificate.  u = 2**-53, gamma_n = n u / (1 - n u).  The one
+    assumption about BLAS is that each part of a is some sum of the 2F real
+    products of a row's and a wave's parts, each rounded or fused into an
+    addition, in any order: any kernel, thread count or FMA, but not a
+    Strassen or 3M product.  It then lies within gamma_2F sum |r||G| + F
+    2**-1074 of their exact sum (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 3.1; the second term
+    bounds the subnormal roundings).  ``_wave_sums`` rounds exactly the sum
+    T of the products r_c G_c as numpy forms them, each part within gamma_2
+    (|.| + |.|) + 2**-1074 of its exact value, fused or not.  By
+    Cauchy-Schwarz over the 2F parts, sum |r||G| <= ||r|| ||G|| for either
+    part, so |a - T| <= gamma_{2F+2} ||r|| ||G|| + F 2**-1073.  The radius
+    rad = fl(fl(n(r) fl(c n(G))) + F 2**-1070), with the double c = (2F +
+    2) u (1 + 2**-20) and n(x) = fl(fl(sqrt(s)) + 2**-511), s the sum of
+    the 2F squared parts of x in any order, is at least that for F <=
+    2**26.  s >= (1 - gamma_2F) ||x||**2 - F 2**-1074, and (sqrt(s) +
+    2**-511)**2 >= s + 2**-1022 covers the subnormal term, so n(x) >=
+    ||x|| (1 - 2**-25); the factor 1 + 2**-20 covers both norms, the three
+    roundings of rad and gamma's 1 / (1 - (2F + 2) u), and the room in F
+    2**-1070 the roundings of rad in the subnormal range.
+    So T lies in [a - rad, a + rad].  Rounding is monotone, so the exactly
+    rounded sum lies between lo and hi, fl(a - rad) one double down and
+    fl(a + rad) one double up (formed as -lo, from fl(rad - a) one double
+    up); the unscaled sum between lo and hi unscaled (``_unscale``,
+    monotone, which for a finite sum gives the magnitude of the complex
+    multiply ``_wave_sums`` applies); each of fl(re*re) and fl(im*im)
+    between the squares of the least and the largest magnitude in its
+    interval, so the square q_k between q_lo and q_hi, the rounded sums of
+    those; and each running sum S_k = fl(S_{k-1} + q_k) between the running
+    sums of the q_lo and of the q_hi.  Where those two agree at the last
+    row, S_K is their value.
+
+    A row is summed exactly (``_wave_sums`` over the index array of such
+    rows) where some point whose every end is finite leaves its step open,
+    fl(prev + q_lo) != fl(prev + q_hi) with prev the running sum of the
+    q_lo; its q_lo = q_hi is then the exact square.  A point with an end
+    that is not finite (a NaN or infinite product or radius, or an end that
+    overflows once unscaled), which is never certified and has q_hi NaN,
+    and a point whose two running sums still differ at the last row (the
+    rows were chosen from the q_lo alone) have their whole columns summed
+    exactly, which settles them: two exact passes at most.  So a point
+    that is not finite gets NaN, and a sum that overflows raises
+    ``ParameterError``, both from ``_wave_sums``.
+    """
+    num_pts, num_modes = waves.shape
+    batch = max(1, (BLOCK_BYTES >> 3) // (16 * num_modes))
+    # c n(G) of each wave, once for each part of its sums
+    c = (2 * num_modes + 2) * 2.0**-53 * (1.0 + 2.0**-20)
+    wave_norms = np.repeat(c * (np.sqrt(np.vecdot(waves, waves).real) + 2.0**-511), 2)
+    # q_lo and q_hi of the rows, after a row 0 of zeros that leaves every running sum's bits
+    bounds = np.zeros((2, num_rows + 1, num_pts))
+    with _ufunc_buffer():
+        for k in range(0, num_rows, batch):
+            formed = np.empty((min(batch, num_rows - k), num_modes), dtype=complex)
+            fill(np.arange(k, k + len(formed)), formed)
+            rad = np.multiply.outer(np.sqrt(np.vecdot(formed, formed).real) + 2.0**-511, wave_norms)
+            rad += num_modes * 2.0**-1070
+            # -lo and hi: fl(rad - a) = -fl(a - rad), and one double up is one down negated
+            ends = np.multiply.outer([-1.0, 1.0], np.matmul(formed, waves.T).view(float)) + rad
+            _unscale(np.nextafter(ends, np.inf, out=ends), unscale)
+            large = ends.max(axis=0).view(complex)
+            bounds[0, k + 1 : k + 1 + len(formed)] = _squares(np.maximum(-ends.min(axis=0), 0.0).view(complex))
+            bounds[1, k + 1 : k + 1 + len(formed)] = np.where(np.isfinite(large), _squares(large), np.nan)
+        lower = np.cumsum(bounds[0], axis=0)
+        finite = ~np.isnan(bounds[1]).any(axis=0)
+        exact = np.flatnonzero(((lower[1:] != lower[:-1] + bounds[1, 1:]) & finite).any(axis=1))
+        del lower  # before the exact kernel allocates its buffers
+        bounds[:, exact + 1] = _squares(_wave_sums(waves, unscale, exact, fill))
+        low, high = np.cumsum(bounds, axis=1, out=bounds)[:, -1]
+        cols = np.flatnonzero(low != high)  # NaN != NaN: a point not finite too
+        if cols.size:
+            sums = _wave_sums(waves[cols], unscale, np.arange(num_rows), fill)
+            low[cols] = np.cumsum(_squares(sums), axis=0)[-1]
+    return low
 
 
 def _points(grid: FrequencyGrid, x):
@@ -586,6 +657,14 @@ def _fold_waves(field: SpectralField, pts: np.ndarray, fold=None) -> tuple:
     return waves, (w, e)
 
 
+def _sample(field: SpectralField, pts: np.ndarray, fold, rows: np.ndarray, fill) -> np.ndarray:
+    """``_wave_sums`` of the rows named by the index array ``rows``, which
+    ``fill`` writes, against the waves of ``field`` at the (P, n) points on
+    the ``fold`` (``_fold_waves``): (len(rows), P) samples.  ``synthesize``
+    and ``propagation.evaluate_shifted`` sample through it."""
+    return _wave_sums(*_fold_waves(field, pts, fold), rows, fill)
+
+
 def synthesize(field: SpectralField, x):
     """Evaluate (2*pi)**(-n) * sum_j e^{i x.xi_j} f_j dxi^n at physical points.
 
@@ -594,7 +673,7 @@ def synthesize(field: SpectralField, x):
     row of ones summed against the field's waves on the whole lattice.
     """
     pts, single = _points(field.grid, x)
-    sums = _wave_sums(*_fold_waves(field, pts), 1, lambda i, out: out.fill(1.0))[0]
+    sums = _sample(field, pts, None, np.arange(1), lambda ks, out: out.fill(1.0))[0]
     return complex(sums[0]) if single else sums
 
 

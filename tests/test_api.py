@@ -1,8 +1,10 @@
 """Each module's ``__all__`` names only what the module defines or imports,
-the package exports the union of the library modules' ``__all__``, every
-error type is raised somewhere in the library, and the library's input
-checks raise their messages."""
+the package exports the union of the library modules' ``__all__``, no
+module but ``spectral`` imports the exact kernel's internals, every error
+type is raised somewhere in the library, and the library's input checks
+raise their messages."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -37,6 +39,24 @@ def test_the_package_exports_each_library_modules_all():
     rebound = [attr for module in library for attr in module.__all__
              if getattr(phaselab, attr) is not getattr(module, attr)]
     assert rebound == []
+
+
+#: The exact kernel's internals: its block size, ufunc buffer, unscale and steps.
+KERNEL_INTERNALS = {"_wave_sums", "_unscale", "_ufunc_buffer", "BLOCK_BYTES", "_scale_rows",
+                    "_split_sums", "_certify_sums"}
+
+
+def test_only_spectral_imports_the_kernel_internals():
+    # the kernel's callers hand it waves, an unscale and a row source, and
+    # the trace's certificate lives beside it
+    imported = {}
+    for path in sorted(Path(phaselab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names} & KERNEL_INTERNALS
+                if names and path.stem != "spectral":
+                    imported.setdefault(path.stem, set()).update(names)
+    assert imported == {}
 
 
 def test_every_error_type_is_raised():

@@ -390,10 +390,11 @@ class TestTrace:
         assert a.read_bytes() == b.read_bytes()
 
     def test_trace_1d_rows_are_certified(self, monkeypatch, capsys):
-        # the trace-1d benchmark job sums 512 x 32 rows of 513 fold terms;
-        # the certified kernel settles its 29 exact ties with exact low sums
-        # and sends none of its 32768 plane sums to fsum, so a kernel that
-        # slid into the fsum fallback would show here
+        # the trace-1d benchmark job has 512 x 32 sums of 513 fold terms;
+        # at seed 1 its certificate leaves 133 rows to the exact kernel,
+        # whose bound refuses 10 of their 8,512 plane sums (exact ties among
+        # them), each summed by fsum, so a kernel that slid into the fsum
+        # fallback would show here
         calls = []
 
         def counting_fsum(values):

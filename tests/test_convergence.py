@@ -417,9 +417,8 @@ class TestPointwiseTrace:
 
 
 def every_row_sums(waves, unscale, num_rows, fill):
-    """The exact wave sums of rows 0, ..., num_rows - 1 of the trace's ``fill``,
-    which takes an index array."""
-    return spectral._wave_sums(waves, unscale, num_rows, lambda i, out: fill(np.arange(i, i + len(out)), out))
+    """The exact wave sums of rows 0, ..., num_rows - 1 of the trace's ``fill``."""
+    return spectral._wave_sums(waves, unscale, np.arange(num_rows), fill)
 
 
 def reference_history(field, law, seq, points, k_max, shift=None):
@@ -580,8 +579,8 @@ def products_at_the_radius(seed):
 
     def matmul(rows, waves_t):
         waves, num_modes = waves_t.T, rows.shape[1]
-        exact = spectral._wave_sums(waves, (1.0, 0), len(rows),
-                                    lambda i, out: np.copyto(out, rows[i : i + len(out)]))
+        exact = spectral._wave_sums(waves, (1.0, 0), np.arange(len(rows)),
+                                    lambda ks, out: np.copyto(out, rows[ks]))
         n = 2 * num_modes + 2
         norms = [np.sqrt((np.abs(z) ** 2).sum(axis=1)) for z in (rows, waves)]
         rad = n * U / (1 - n * U) * np.multiply.outer(*norms) + num_modes * 2.0**-1073
@@ -653,6 +652,42 @@ class TestSquareSumCertificate:
             mp.setattr(np, "matmul", products_at_the_radius(seed))
             got = trace()
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_nan_point_leaves_the_other_points_rows(self, monkeypatch):
+        # trace-1d's shape at 32 points, one of them NaN: the rows summed
+        # exactly are those the other 31 points leave open, and the NaN
+        # point's column is summed whole, once.  The products are the exact
+        # sums (within any radius), so each point's open rows are its own
+        g = spectral.default_grid()
+        f = random_field(g, np.random.default_rng(3))
+        pts = default_points(1, 32)
+        pts[7] = math.nan
+        wave_sums, calls = spectral._wave_sums, []
+
+        def recording_wave_sums(waves, unscale, rows, fill):
+            calls.append((len(waves), rows.copy()))
+            return wave_sums(waves, unscale, rows, fill)
+
+        def exact_products(rows, waves_t):
+            copy = lambda ks, out: np.copyto(out, rows[ks])
+            return wave_sums(waves_t.T, (1.0, 0), np.arange(len(rows)), copy)
+
+        trace = lambda points: pointwise_trace(f, power_law(0.5), TimeSequence.power(2.0), 0.5, points,
+                                               k_max=512).partial_sums
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convergence, "_square_sums", exact_square_sums)
+            want = trace(pts)
+        got = trace(pts)
+        monkeypatch.setattr(spectral, "_wave_sums", recording_wave_sums)
+        monkeypatch.setattr(np, "matmul", exact_products)
+        assert trace(pts).view(np.int64).tolist() == want.view(np.int64).tolist()
+        [(width, open_rows), (one, column)] = calls
+        calls.clear()
+        trace(np.delete(pts, 7, axis=0))
+        [(others, others_open)] = calls
+        assert (width, one, others) == (32, 1, 31) and column.tolist() == list(range(512))
+        assert 0 < len(open_rows) < 512 and open_rows.tolist() == others_open.tolist()
+        assert math.isnan(got[7]) and got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_a_sum_that_overflows_raises(self):
         # the residual sums at x = 0 add up past the double range: their upper

@@ -225,6 +225,17 @@ def test_geometric_tail_within_half_a_unit(r, x):
         assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(math.ulp(got)) / 2, (got, float(want))
 
 
+@pytest.mark.parametrize("r, k_max", [(0.999, 200_000), (0.99, 30_000)])
+def test_long_geometric_tail_bounds_the_sum(r, k_max):
+    # num**n would take 2x (K+1) times the 53 bits of num, past 2**19 bits
+    # (seconds of integer powers), so rho is taken one double up: the tail
+    # is not below the sum, and within a relative 1e-9 of it
+    got = convergence._tail_sum(TimeSequence.geometric(r), 1.0, k_max)
+    with mpmath.workdps(DPS):
+        want = tail_sum(TimeSequence.geometric(r), 1.0, k_max)[0]
+        assert want <= got <= want * (1 + 1e-9), (got, float(want))
+
+
 @pytest.mark.parametrize("r, k_max", [(0.99, 2048), (0.9, 2048), (0.5, 256)])
 def test_geometric_tail_of_a_fractional_power_bounds_the_sum(r, k_max):
     # 2x = 1.6: rho is taken one double up, so the tail is not below the sum

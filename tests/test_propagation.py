@@ -356,7 +356,7 @@ def sums_one_row_at_a_time(field, law, times, shift, pts, residual):
     sums = []
     for t in times:
         row = row_on_its_own(field.grid, law, float(t), shift, residual)
-        sums.append(spectral._wave_sums(waves, unscale, 1, lambda i, out: np.copyto(out, row))[0])
+        sums.append(spectral._wave_sums(waves, unscale, np.arange(1), lambda ks, out: np.copyto(out, row))[0])
     return np.array(sums)
 
 

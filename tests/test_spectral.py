@@ -317,7 +317,7 @@ class TestWaveSumsFallback:
         before = coeffs.copy()
         rec = _RecordingMath()
         monkeypatch.setattr(spectral, "math", rec)
-        got = unit_wave_sums(grid, pts, len(coeffs), rows_of(coeffs))
+        got = unit_wave_sums(grid, pts, np.arange(len(coeffs)), rows_of(coeffs))
         want = np.empty((len(coeffs), len(pts)), dtype=complex)
         for i, c in enumerate(coeffs):
             for p, point in enumerate(pts):
@@ -347,19 +347,19 @@ class TestWaveSumsFallback:
         assert self.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) == 2
 
     def test_exact_tie_with_an_exact_low_sum_is_certified(self, monkeypatch):
-        # (2**51 - 0.25) + (2**51 - 0.5) is the midpoint 2**52 - 0.75, which
-        # the bound refuses; scaled by 2**-2 every term is at least 2**(L-2)
-        # = 1, so the low sum is exact and r, rounded ties to even, is the
-        # exactly rounded sum.  Only the zero imaginary plane goes to fsum,
-        # and a wave sum of the same terms (x = 0, every wave 1) agrees
+        # (2**51 - 0.25) + (2**51 - 0.5) is the midpoint 2**52 - 0.75, an
+        # exact tie, which the bound refuses: its plane goes to fsum beside
+        # the zero imaginary plane, and csum and a wave sum of the same terms
+        # (x = 0, every wave 1) both give the exactly rounded 2**52 - 1
         rec = _RecordingMath()
         monkeypatch.setattr(spectral, "math", rec)
         values = np.array([2.0**51 - 0.25, 2.0**51 - 0.5])
         assert csum(values) == math.fsum(values.tolist()) == 2.0**52 - 1
-        assert [values for values, _ in rec.calls] == [[0.0, 0.0]]
+        assert [seen for seen, _ in rec.calls] == [values.tolist(), [0.0, 0.0]]
         rows = np.array([[values[0], values[1], 0.0]], dtype=complex)
-        got = spectral._wave_sums(np.ones((1, 3), dtype=complex), (1.0, 0), 1, rows_of(rows))
-        assert got[0, 0] == 2.0**52 - 1 and len(rec.calls) == 2
+        got = spectral._wave_sums(np.ones((1, 3), dtype=complex), (1.0, 0), np.arange(1), rows_of(rows))
+        assert got[0, 0] == 2.0**52 - 1
+        assert [seen for seen, _ in rec.calls[2:]] == [[*values.tolist(), 0.0], [0.0, 0.0, 0.0]]
 
     def test_ragged_last_block(self, monkeypatch):
         g = make_grid(1, 2, 0.5)
@@ -451,7 +451,7 @@ class TestScaledRows:
         coeffs = np.array([[2.0**-983 - a, big, complex(a, big)]])
         assert self.fsum_calls(g, np.array([[2.0**-93]]), coeffs, monkeypatch) >= 1
         norm = g.weight / (2.0 * math.pi)
-        got = unit_wave_sums(g, np.array([[2.0**-93]]), 1, rows_of(coeffs))[0, 0]
+        got = unit_wave_sums(g, np.array([[2.0**-93]]), np.arange(1), rows_of(coeffs))[0, 0]
         assert got.real == float.fromhex("0x1.0000000000002p-930") * norm
 
     def test_one_point_geometric_block(self, monkeypatch):
@@ -478,23 +478,24 @@ def unit_waves(grid, pts):
     return np.exp(1j * spectral._dot(pts[:, None, :], grid.modes))
 
 
-def unit_wave_sums(grid, pts, num_rows, fill):
-    """``_wave_sums`` of the rows ``fill`` writes, on the whole lattice, with the
-    unit waves of ``pts`` and the synthesis scale."""
+def unit_wave_sums(grid, pts, rows, fill):
+    """``_wave_sums`` of the rows of the index array ``rows`` that ``fill``
+    writes, on the whole lattice, with the unit waves of ``pts`` and the
+    synthesis scale."""
     waves = unit_waves(grid, pts)
-    return spectral._wave_sums(waves, (grid.synthesis_scale, 0), num_rows, fill)
+    return spectral._wave_sums(waves, (grid.synthesis_scale, 0), rows, fill)
 
 
 def rows_of(coeffs):
     """The ``_wave_sums`` row source that copies the rows of ``coeffs``."""
-    return lambda i, out: np.copyto(out, coeffs[i : i + len(out)])
+    return lambda ks, out: np.copyto(out, coeffs[ks])
 
 
 def scaled_copies(c, num_rows):
     """The ``_wave_sums`` row source of row k = c * (1 + k/num_rows), formed in place."""
 
-    def fill(i, out):
-        for k, row in enumerate(out, i):
+    def fill(ks, out):
+        for k, row in zip(ks.tolist(), out):
             np.multiply(c, 1.0 + k / num_rows, out=row)
 
     return fill
@@ -510,7 +511,7 @@ def traced_wave_sums(grid, num_rows):
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        sums = unit_wave_sums(grid, pts, num_rows, scaled_copies(c, num_rows))
+        sums = unit_wave_sums(grid, pts, np.arange(num_rows), scaled_copies(c, num_rows))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -519,7 +520,7 @@ def traced_wave_sums(grid, num_rows):
     # products and split, 32*M*p*r of r rows' products and split, and more
     # than one row only with every point
     p = min(len(pts), spectral.BLOCK_BYTES // (24 * grid.num_modes))
-    r = max(1, spectral.BLOCK_BYTES // (32 * grid.num_modes * p)) if p == len(pts) else 1
+    r = max(1, spectral.BLOCK_BYTES // (32 * grid.num_modes * p))
     return sums, 16 * len(pts) * grid.num_modes, 16 * grid.num_modes * r * p, peak
 
 
@@ -529,9 +530,9 @@ def certified_windows(monkeypatch, grid, pts, num_rows, fill):
     call before), checking that the calls cover the rows in order, whole."""
     calls, batches = [], []
 
-    def recording_fill(i, out):
-        batches.append((i, len(out)))
-        fill(i, out)
+    def recording_fill(ks, out):
+        batches.append((int(ks[0]), len(ks)))
+        fill(ks, out)
 
     def recording_certify(high, *args):
         calls.append((len(high), batches[:]))
@@ -541,7 +542,7 @@ def certified_windows(monkeypatch, grid, pts, num_rows, fill):
 
     certify = spectral._certify_sums
     monkeypatch.setattr(spectral, "_certify_sums", recording_certify)
-    unit_wave_sums(grid, pts, num_rows, recording_fill)
+    unit_wave_sums(grid, pts, np.arange(num_rows), recording_fill)
     monkeypatch.setattr(spectral, "_certify_sums", certify)
     assert not batches
     end = 0
@@ -566,7 +567,7 @@ class TestWaveSumsBatches:
         coeffs[11] = 0.0
         coeffs[11, [128, 130]] = [1.0, 2.0**-53]  # a midpoint row at x = 0
         pts = np.array([[0.7], [0.0], [-1.3]])
-        want = unit_wave_sums(g, pts, len(coeffs), rows_of(coeffs))
+        want = unit_wave_sums(g, pts, np.arange(len(coeffs)), rows_of(coeffs))
         for rows_per_block in (1, 2, 7):
             monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes(g, 3, rows_per_block))
             batches = []
@@ -580,7 +581,7 @@ class TestWaveSumsBatches:
             monkeypatch.setattr(spectral, "_certify_sums", recording_certify)
             fallback = TestWaveSumsFallback()
             assert fallback.assert_wave_sums_are_fsum(g, pts, coeffs, monkeypatch) >= 2
-            got = unit_wave_sums(g, pts, len(coeffs), rows_of(coeffs))
+            got = unit_wave_sums(g, pts, np.arange(len(coeffs)), rows_of(coeffs))
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
             batch = spectral.BLOCK_BYTES >> 10
             sizes = [size for size, _ in batches[len(batches) // 2 :]]
@@ -612,7 +613,7 @@ class TestWaveSumsBatches:
                 return step(sums, *args)
 
             monkeypatch.setattr(spectral, name, recording)
-        unit_wave_sums(g, pts, len(coeffs), rows_of(coeffs))
+        unit_wave_sums(g, pts, np.arange(len(coeffs)), rows_of(coeffs))
         batch = spectral.BLOCK_BYTES >> 10
         # the blocks split before each certify call, which must certify
         # exactly their sums: so it starts and ends at block boundaries, and
@@ -699,9 +700,9 @@ class TestWaveSumsBatches:
         forced = 100 * num_pts + num_pts - 1  # row 100, at its last point
         fills, certified = [], []
 
-        def fill(i, out):
-            fills.append((i, len(out)))
-            np.copyto(out, coeffs[i : i + len(out)])
+        def fill(ks, out):
+            fills.append((int(ks[0]), len(ks)))
+            np.copyto(out, coeffs[ks])
 
         def refusing_certify(high, low, bound, scale, terms):
             certified.append(len(high))
@@ -717,7 +718,7 @@ class TestWaveSumsBatches:
         monkeypatch.setattr(spectral, "_certify_sums", refusing_certify)
         rec = _RecordingMath()
         monkeypatch.setattr(spectral, "math", rec)
-        got = unit_wave_sums(g, pts, len(coeffs), fill)
+        got = unit_wave_sums(g, pts, np.arange(len(coeffs)), fill)
         starts = list(range(0, 150, r_step))
         assert fills == [(i, min(r_step, 150 - i)) for i in starts] + [(100, 1)]
         assert certified == [150 * num_pts]  # one window: the refused sum is mid-window
@@ -727,6 +728,42 @@ class TestWaveSumsBatches:
         assert [values for values, _ in rec.calls[-2:]] == planes
         fsummed = complex(math.fsum(planes[0]), math.fsum(planes[1])) * norm
         assert got[100, num_pts - 1] == fsummed
+
+    def test_rows_are_named_by_an_index_array(self, monkeypatch):
+        # 150 of 1,000 rows, sparse and out of order, at one point: blocks of
+        # 31 rows, one window, and a sum refused mid-window.  fill is asked
+        # only for slices of the index array, the refused sum's row again by
+        # its own index, and each row's sum is that of a one-row call
+        g = spectral.default_grid()
+        pts = default_points(1, 1, 5)
+        c = random_field(g, 56).coefficients
+        rows = np.random.default_rng(56).permutation(1000)[:150].copy()
+        fills = []
+
+        def fill(ks, out):
+            fills.append(ks)
+            for k, row in zip(ks.tolist(), out):
+                np.multiply(c, math.ldexp(1.0 + k / 1000, -(k % 61)), out=row)
+
+        def refusing_certify(high, low, bound, scale, terms):
+            bound = bound.copy()
+            bound[100] = math.inf
+            return certify(high, low, bound, scale, terms)
+
+        want = np.array([unit_wave_sums(g, pts, rows[i : i + 1], fill)[0] for i in range(150)])
+        fills.clear()
+        certify = spectral._certify_sums
+        monkeypatch.setattr(spectral, "_certify_sums", refusing_certify)
+        rec = _RecordingMath()
+        monkeypatch.setattr(spectral, "math", rec)
+        got = unit_wave_sums(g, pts, rows, fill)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        starts = [rows.tolist().index(ks[0]) for ks in fills]
+        assert all(ks.base is rows for ks in fills)
+        assert all(ks.tolist() == rows[i : i + len(ks)].tolist() for i, ks in zip(starts, fills))
+        batches = [(i, min(31, 150 - i)) for i in range(0, 150, 31)]
+        assert [(i, len(ks)) for i, ks in zip(starts, fills)] == batches + [(100, 1)]
+        assert len(rec.calls) == 2  # both planes of the refused sum
 
     def test_deferred_state_does_not_grow_with_the_sums(self):
         # K = 2048 rows at 32 points: beyond the result and the waves, the
@@ -780,7 +817,7 @@ class TestWaveSumsBatches:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            sums = spectral._wave_sums(waves, (1.0, 0), num_rows, scaled_copies(c, num_rows))
+            sums = spectral._wave_sums(waves, (1.0, 0), np.arange(num_rows), scaled_copies(c, num_rows))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -816,7 +853,7 @@ class TestWaveSumsBatches:
         rng = np.random.default_rng(width)
         waves = np.exp(1j * rng.uniform(-50.0, 50.0, (num_pts, width)))
         c = complex_rows(*rng.standard_normal((2, width)))
-        spectral._wave_sums(waves, (1.0, 0), num_rows, scaled_copies(c, num_rows))
+        spectral._wave_sums(waves, (1.0, 0), np.arange(num_rows), scaled_copies(c, num_rows))
         r, p = shape
         assert shapes[0] == shape and max(shapes) == shape
         assert 48 * width * p <= 2 * spectral.BLOCK_BYTES
