@@ -77,10 +77,12 @@ DEFAULT_GRID_PARAMS = (1, 64.0, 0.125)
 
 #: Cap on the bytes of complex products and their split that ``_wave_sums``
 #: holds in one block (one row at least), so a block grows with neither the
-#: row nor the point count.  Its sums are certified in windows of whole row
-#: batches that hold ``BLOCK_BYTES >> 10`` (1,024) sums, fewer than 2,048
-#: unless one batch holds more, with 32 bytes a sum of low sums and row
-#: scales and bounds.
+#: row nor the point count, and on the rows of a batch that ``_square_sums``
+#: multiplies by the waves in one BLAS product (one row at least).  A batch
+#: of either holds at most ``BLOCK_BYTES >> 10`` (1,024) sums unless one row
+#: (one block, in ``_wave_sums``) holds more.  ``_wave_sums`` certifies its
+#: sums in windows of whole batches, fewer than 2,048 sums unless one batch
+#: holds more, with 32 bytes a sum of low sums and row scales and bounds.
 BLOCK_BYTES = 1 << 20
 
 #: Unit roundoff of float64.
@@ -491,10 +493,14 @@ def _square_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.n
 
     Only these running sums are printed, and a late row's square, far below
     them, moves them through one rounding step, so most sums need not be
-    exact.  The rows are filled a batch of max(1, (BLOCK_BYTES >> 3) //
-    (16 F)) at a time and multiplied by the (P, F) waves with BLAS, a =
-    rows @ waves.T, one product a batch.  BLAS never supplies an output
-    bit: it only decides which sums are summed exactly.
+    exact.  The rows are filled into one buffer a batch at a time, as many
+    as fit in BLOCK_BYTES and at most BLOCK_BYTES >> 10 (1,024) sums,
+    max(1, min(BLOCK_BYTES // (16 F), 1,024 // P)) rows: 32 at F = 513 and
+    P = 32 (``trace-1d``), 7 at F = 8,385 (``trace-2d-shift``), 127 at one
+    point.  Each batch is multiplied by the (P, F) waves with BLAS, a =
+    rows @ waves.T, one product a batch, and the buffer is freed before
+    the exact passes.  BLAS never supplies an output bit: it only decides
+    which sums are summed exactly.
 
     Certificate.  u = 2**-53, gamma_n = n u / (1 - n u).  The one
     assumption about BLAS is that each part of a is some sum of the 2F real
@@ -529,30 +535,35 @@ def _square_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.n
     row, S_K is their value.
 
     A row is summed exactly (``_wave_sums`` over the index array of such
-    rows) where some point whose every end is finite leaves its step open,
-    fl(prev + q_lo) != fl(prev + q_hi) with prev the running sum of the
-    q_lo; its q_lo = q_hi is then the exact square.  A point with an end
+    rows) where some point leaves its step open, fl(prev + q_lo) < fl(prev
+    + q_hi) with prev the running sum of the q_lo (q_lo <= q_hi, so the two
+    differ there alone); its q_lo = q_hi is then the exact square.  An end
     that is not finite (a NaN or infinite product or radius, or an end that
-    overflows once unscaled), which is never certified and has q_hi NaN,
-    and a point whose two running sums still differ at the last row (the
-    rows were chosen from the q_lo alone) have their whole columns summed
-    exactly, which settles them: two exact passes at most.  So a point
-    that is not finite gets NaN, and a sum that overflows raises
-    ``ParameterError``, both from ``_wave_sums``.
+    overflows once unscaled) gives q_hi NaN, which opens no step and is
+    never certified.  A point that is not finite has a wave with a NaN part
+    (``_fold_waves``), so a NaN n(G), and every product with a (finite)
+    row, every sum and every square is NaN, and so is its high running
+    sum, which is kept: its column is not summed again.  Every other point
+    whose two running sums still differ at the last row (the rows were
+    chosen from the q_lo alone, or an end was not finite) has its whole
+    column summed exactly, which settles it: two exact passes at most.  So
+    a sum that overflows raises ``ParameterError`` from ``_wave_sums``.
     """
     num_pts, num_modes = waves.shape
-    batch = max(1, (BLOCK_BYTES >> 3) // (16 * num_modes))
+    batch = max(1, min(BLOCK_BYTES // (16 * num_modes), (BLOCK_BYTES >> 10) // max(1, num_pts)))
     # c n(G) of each wave, once for each part of its sums
     c = (2 * num_modes + 2) * 2.0**-53 * (1.0 + 2.0**-20)
     wave_norms = np.repeat(c * (np.sqrt(np.vecdot(waves, waves).real) + 2.0**-511), 2)
     # q_lo and q_hi of the rows, after a row 0 of zeros that leaves every running sum's bits
     bounds = np.zeros((2, num_rows + 1, num_pts))
+    # one buffer for every batch; the last batch, a slice of it, may be shorter
+    formed = np.empty((min(batch, num_rows), num_modes), dtype=complex)
     with _ufunc_buffer():
         for k in range(0, num_rows, batch):
-            formed = np.empty((min(batch, num_rows - k), num_modes), dtype=complex)
+            formed = formed[: num_rows - k]
             fill(np.arange(k, k + len(formed)), formed)
-            rad = np.multiply.outer(np.sqrt(np.vecdot(formed, formed).real) + 2.0**-511, wave_norms)
-            rad += num_modes * 2.0**-1070
+            norms = np.sqrt(np.vecdot(formed, formed).real) + 2.0**-511
+            rad = np.multiply.outer(norms, wave_norms) + num_modes * 2.0**-1070
             # -lo and hi: fl(rad - a) = -fl(a - rad), and one double up is one down negated
             ends = np.multiply.outer([-1.0, 1.0], np.matmul(formed, waves.T).view(float)) + rad
             _unscale(np.nextafter(ends, np.inf, out=ends), unscale)
@@ -560,16 +571,18 @@ def _square_sums(waves: np.ndarray, unscale: tuple, num_rows: int, fill) -> np.n
             bounds[0, k + 1 : k + 1 + len(formed)] = _squares(np.maximum(-ends.min(axis=0), 0.0).view(complex))
             bounds[1, k + 1 : k + 1 + len(formed)] = np.where(np.isfinite(large), _squares(large), np.nan)
         lower = np.cumsum(bounds[0], axis=0)
-        finite = ~np.isnan(bounds[1]).any(axis=0)
-        exact = np.flatnonzero(((lower[1:] != lower[:-1] + bounds[1, 1:]) & finite).any(axis=1))
-        del lower  # before the exact kernel allocates its buffers
+        # q_lo <= q_hi, so a step is open where its two sums differ, and a NaN end opens none
+        exact = np.flatnonzero((lower[1:] < lower[:-1] + bounds[1, 1:]).any(axis=1))
+        del lower, formed  # before the exact kernel allocates its buffers
         bounds[:, exact + 1] = _squares(_wave_sums(waves, unscale, exact, fill))
         low, high = np.cumsum(bounds, axis=1, out=bounds)[:, -1]
-        cols = np.flatnonzero(low != high)  # NaN != NaN: a point not finite too
+        # a wave with a NaN part (a point not finite) has a NaN norm and NaN sums at every
+        # row, as high already is; every other column whose two sums differ is summed whole
+        cols = np.flatnonzero((low != high) & ~np.isnan(wave_norms[::2]))
         if cols.size:
             sums = _wave_sums(waves[cols], unscale, np.arange(num_rows), fill)
-            low[cols] = np.cumsum(_squares(sums), axis=0)[-1]
-    return low
+            high[cols] = np.cumsum(_squares(sums), axis=0)[-1]
+    return high
 
 
 def _points(grid: FrequencyGrid, x):

@@ -656,8 +656,9 @@ class TestSquareSumCertificate:
     def test_a_nan_point_leaves_the_other_points_rows(self, monkeypatch):
         # trace-1d's shape at 32 points, one of them NaN: the rows summed
         # exactly are those the other 31 points leave open, and the NaN
-        # point's column is summed whole, once.  The products are the exact
-        # sums (within any radius), so each point's open rows are its own
+        # point's column is not summed again (its sums are all NaN).  The
+        # products are the exact sums (within any radius), so each point's
+        # open rows are its own
         g = spectral.default_grid()
         f = random_field(g, np.random.default_rng(3))
         pts = default_points(1, 32)
@@ -681,13 +682,70 @@ class TestSquareSumCertificate:
         monkeypatch.setattr(spectral, "_wave_sums", recording_wave_sums)
         monkeypatch.setattr(np, "matmul", exact_products)
         assert trace(pts).view(np.int64).tolist() == want.view(np.int64).tolist()
-        [(width, open_rows), (one, column)] = calls
+        [(width, open_rows)] = calls
         calls.clear()
         trace(np.delete(pts, 7, axis=0))
         [(others, others_open)] = calls
-        assert (width, one, others) == (32, 1, 31) and column.tolist() == list(range(512))
+        assert (width, others) == (32, 31)
         assert 0 < len(open_rows) < 512 and open_rows.tolist() == others_open.tolist()
         assert math.isnan(got[7]) and got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("case", ["1d", "2d-shift"])
+    @pytest.mark.parametrize("point", [math.nan, -math.nan, math.inf], ids=["nan", "-nan", "inf"])
+    def test_a_point_not_finite_gets_the_nan_of_the_exact_sums(self, case, point, monkeypatch):
+        # a point that is not finite has a NaN wave: it keeps the NaN of its
+        # upper running sum, with no pass over its column, and that NaN is
+        # bit for bit (sign and payload) the one the exact sums give
+        grid_args, law, seq, beta, k_max = TRACE_CASES[case]
+        g = make_grid(*grid_args)
+        f = random_field(g, np.random.default_rng(53))
+        shift = ShiftSpec(beta=beta, mu=np.eye(g.n)[0]) if beta is not None else None
+        pts = default_points(g.n, 4)
+        pts[2, -1] = point
+        trace = lambda: pointwise_trace(f, law, seq, 0.5, pts, k_max=k_max, shift=shift).partial_sums
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convergence, "_square_sums", exact_square_sums)
+            want = trace()
+        wave_sums, widths = spectral._wave_sums, []
+
+        def recording_wave_sums(waves, unscale, rows, fill):
+            widths.append(len(waves))
+            return wave_sums(waves, unscale, rows, fill)
+
+        monkeypatch.setattr(spectral, "_wave_sums", recording_wave_sums)
+        got = trace()
+        assert widths == [len(pts)] and math.isnan(got[2])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("case, k_max", [("1d", 23), ("2d-shift", 17)])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_bits_do_not_depend_on_the_batch(self, case, k_max, batch, monkeypatch):
+        # BLOCK_BYTES holds a batch of 1, 2 or 3 rows, which the row count
+        # does not divide, and the products are anywhere within the radius
+        grid_args, law, seq, beta, _ = TRACE_CASES[case]
+        g = make_grid(*grid_args)
+        f = random_field(g, np.random.default_rng(59))
+        shift = ShiftSpec(beta=beta, mu=np.eye(g.n)[0]) if beta is not None else None
+        points = default_points(g.n, 5)
+        trace = lambda: pointwise_trace(f, law, seq, 0.5, points, k_max=k_max, shift=shift).partial_sums
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(convergence, "_square_sums", exact_square_sums)
+            want = trace()
+        at_radius, batches = products_at_the_radius(batch), []
+
+        def recording_matmul(rows, waves_t):
+            batches.append(len(rows))
+            return at_radius(rows, waves_t)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        # ``batch`` rows fit in BLOCK_BYTES and hold its 1,024th part, and one of the two is tight
+        width = propagation._fold(g, law, shift).num_modes
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", batch * max(16 * width, 1024 * len(points)))
+        got = trace()
+        num_rows = sum(batches)
+        assert batches == [batch] * (num_rows // batch) + [num_rows % batch] * (batch > 1)
+        assert num_rows % batch or batch == 1
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_a_sum_that_overflows_raises(self):
         # the residual sums at x = 0 add up past the double range: their upper

@@ -884,6 +884,80 @@ class TestWaveSumsBatches:
         assert math.isnan(synthesize(f, math.nan).real)
 
 
+def square_sums_case(width, num_pts, num_rows):
+    """Random unit waves at ``num_pts`` points on ``width`` terms, and the row
+    source of ``num_rows`` scaled copies of a random row, for ``_square_sums``."""
+    rng = np.random.default_rng(width)
+    waves = np.exp(1j * rng.uniform(-50.0, 50.0, (num_pts, width)))
+    return waves, scaled_copies(complex_rows(*rng.standard_normal((2, width))), num_rows)
+
+
+class TestSquareSumBatches:
+    """``_square_sums`` multiplies a batch of rows by the waves in one BLAS
+    product: as many rows as fit in BLOCK_BYTES, and at most 1,024 sums."""
+
+    @pytest.mark.parametrize("width, num_pts, num_rows, block, batches", [
+        (513, 32, 70, None, [32, 32, 6]),  # trace-1d's shape: 32 rows of 32 sums
+        (8385, 32, 32, None, [7, 7, 7, 7, 4]),  # trace-2d-shift's: 7 rows of 134 KB
+        (513, 1, 300, None, [127, 127, 46]),  # one point: 127 rows of 8 KB
+        (513, 2, 3, 4096, [1, 1, 1]),  # a row of 8 KB above BLOCK_BYTES
+    ])
+    def test_batches_fit_in_block_bytes_and_hold_1024_sums(
+        self, width, num_pts, num_rows, block, batches, monkeypatch
+    ):
+        if block is not None:
+            monkeypatch.setattr(spectral, "BLOCK_BYTES", block)
+        waves, fill = square_sums_case(width, num_pts, num_rows)
+        matmul, rows = np.matmul, []
+
+        def recording_matmul(a, b):
+            rows.append(len(a))
+            return matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        got = spectral._square_sums(waves, (1.0, 0), num_rows, fill)
+        assert rows == batches
+        sums = spectral._wave_sums(waves, (1.0, 0), np.arange(num_rows), fill)
+        want = np.cumsum(spectral._squares(sums), axis=0)[-1]
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_the_certificate_does_not_set_the_2d_peak(self, monkeypatch):
+        # trace-2d-shift's shape: 32 rows of the fold's F = 8,385 terms at
+        # 32 points, filled 7 rows (0.94 MB) at a time into one buffer.  The
+        # exact pass sums every row here, and beyond the result and the
+        # waves the peak stays within the exact kernel's bound in
+        # test_the_kernel_does_not_set_the_2d_peak: the buffer is freed first
+        width, num_rows = 8385, 32
+        waves, fill = square_sums_case(width, 32, num_rows)
+        wave_sums, exact = spectral._wave_sums, []
+
+        def recording_wave_sums(waves, unscale, rows, fill):
+            exact.append(len(rows))
+            return wave_sums(waves, unscale, rows, fill)
+
+        monkeypatch.setattr(spectral, "_wave_sums", recording_wave_sums)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            got = spectral._square_sums(waves, (1.0, 0), num_rows, fill)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert exact == [num_rows]
+        assert peak - got.nbytes <= 2 * (16 * width * 5) + 2 * (16 * width) + 256 * 1024
+
+    def test_no_rows(self):
+        # zero rows: every running sum is +0, and no row is filled
+        waves, _ = square_sums_case(513, 5, 0)
+
+        def fill(ks, out):
+            raise AssertionError("no row to fill")
+
+        got = spectral._square_sums(waves, (1.0, 0), 0, fill)
+        np.testing.assert_array_equal(got.view(np.int64), np.zeros(5).view(np.int64))
+
+
 #: Per-process variants of the elementary functions the waves must not
 #: depend on: glibc's non-FMA sin and cos, and numpy's AVX2 and SSE4 dispatch
 LIBM_VARIANTS = [
