@@ -44,7 +44,7 @@ import numpy as np
 from .errors import HypothesisViolation, ParameterError
 from .phase_laws import PhaseLaw, invert, invert_many, power_law
 from .propagation import _modulus, phase, shift_offset
-from .spectral import FrequencyGrid, SpectralField, _dot, _sobolev_weight
+from .spectral import FrequencyGrid, SpectralField, _sobolev_weight
 
 __all__ = [
     "BoundCertificate",
@@ -63,8 +63,6 @@ __all__ = [
     "certify",
     "critical_radius",
     "extremal_witness",
-    "modulus_on_axis",
-    "multiplier_value",
     "numeric_sup",
     "regime",
     "sweep",
@@ -229,13 +227,6 @@ def regime(family: Family, a: float | None = None) -> Regime:
     return next(row for row in REGIMES.values() if row.family is family)
 
 
-def modulus_on_axis(spec: MultiplierSpec, xi) -> np.ndarray:
-    """|m| along the shift axis: 2|sin(theta/2)| / (1+xi^2)^{s/2}; a phase
-    that is not finite is ``_scan``'s ParameterError."""
-    xi = np.asarray(xi, dtype=float)
-    return _modulus_at(spec, np.abs(xi), xi)
-
-
 def _modulus_at(spec: MultiplierSpec, r, proj):
     """|m| at radii r where mu.xi = proj: ``_modulus`` at half the phase and the weight."""
     with np.errstate(over="ignore", invalid="ignore"):  # the phase is checked
@@ -253,18 +244,6 @@ def _check_phase(spec: MultiplierSpec, radii, *halves) -> None:
         finite = np.isfinite(halves[0]) & np.isfinite(halves[-1])
         r = float(np.broadcast_to(radii, finite.shape)[~finite].min())
         raise ParameterError(f"the phase at delta={spec.delta!r} is not finite at |xi|={r!r}")
-
-
-def multiplier_value(spec: MultiplierSpec, xi) -> complex:
-    """Complex multiplier value at a frequency vector xi (any dimension); a
-    phase that is not finite is ``_scan``'s ParameterError."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):  # |xi| past the double range is inf
-        r = math.sqrt(_dot(xi, xi))
-        theta = np.asarray(phase(spec.phase_law, spec.delta, r, spec.beta, float(xi[0])))
-    _check_phase(spec, r, theta)
-    num = complex(math.cos(theta) - 1.0, math.sin(theta))
-    return num / _sobolev_weight(r, spec.s)
 
 
 def _float_power(base: float, exponent: float, name: str) -> float:

@@ -4,8 +4,7 @@ Evolution multiplies each coefficient by a unit phase, so it is exactly
 unitary on every weighted norm; the drift x + t**beta * mu adds the phase
 t**beta * mu.xi.  theta is equal, bit for bit, across each mirror class of
 the lattice (``_fold``), so ``_angles`` evaluates e^{i theta} on the fold
-alone, and ``apply_phase`` and ``error_field`` unfold it to the lattice
-(``_phase_factor``).  A sample sums over the fold too: sum_j f_j e^{i(x.xi_j
+alone.  A sample sums over the fold too: sum_j f_j e^{i(x.xi_j
 + theta_j)} is sum_c e^{i theta_c} G_c(x), with the field folded into the
 waves once a call, G_c(x) the sum of f_j e^{i x.xi_j} over class c
 (``spectral._fold_waves``, which forms the waves an axis at a time and
@@ -29,13 +28,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ParameterError, UndefinedShiftError
-from .spectral import FrequencyGrid, SpectralField, _dot, _points, _sample, _sobolev_weight, sobolev_norm
+from .spectral import FrequencyGrid, SpectralField, _dot, _points, _sample
 
 __all__ = [
-    "ErrorField",
     "ShiftSpec",
-    "apply_phase",
-    "error_field",
     "evaluate_shifted",
     "phase",
     "shift_offset",
@@ -112,9 +108,8 @@ def _fold(grid: FrequencyGrid, law, shift: ShiftSpec | None) -> SimpleNamespace:
     modes = grid.modes.reshape(shape + (grid.n,))[index].reshape(-1, grid.n)
     proj = None if shift is None else _dot(modes, shift.mu)
     pmax = 0.0 if shift is None else float(np.max(np.abs(proj)))
-    return SimpleNamespace(shape=shape, index=index, num_modes=radii.size, radii=radii, gamma=gamma,
-                           gmax=gmax, proj=proj, pmax=pmax, name=getattr(law, "name", law),
-                           shift=shift)
+    return SimpleNamespace(index=index, num_modes=radii.size, gamma=gamma, gmax=gmax, proj=proj,
+                           pmax=pmax, name=getattr(law, "name", law), shift=shift)
 
 
 def _phase_bound(fold: SimpleNamespace, times: np.ndarray) -> np.ndarray:
@@ -150,34 +145,14 @@ def _checked(fold: SimpleNamespace, times) -> np.ndarray:
 
 def _angles(fold: SimpleNamespace, times: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write e^{i theta} on the modes of the ``_fold`` for a 1-D array of T
-    times, checked by ``_checked``, into the complex ``out`` of T rows, (T, F)
-    or the fold's box of the lattice, and return theta, (T, F)."""
+    times, checked by ``_checked``, into the complex ``out``, (T, F), and
+    return theta, (T, F)."""
     theta = np.multiply.outer(times, fold.gamma)  # t*law(|xi|) + t**beta * mu.xi, as phase
     if fold.shift is not None:  # row by row: one row of temporary
         for row, t in zip(theta, times.tolist()):
             row += shift_offset(t, fold.shift.beta) * fold.proj
-    np.exp(np.multiply(1j, theta.reshape(out.shape), out=out), out=out)
+    np.exp(np.multiply(1j, theta, out=out), out=out)
     return theta
-
-
-def _phase_factor(fold: SimpleNamespace, t: float) -> tuple:
-    """e^{i theta} at one time t on the whole lattice, formed on the fold and
-    unfolded axis by axis, the last first: along a folded axis, coordinate c
-    = 1, ..., M copies -c, on the coordinates the fold keeps along the
-    axes before it and every coordinate along those after it."""
-    full = np.empty((1,) + fold.shape, dtype=complex)
-    theta = _angles(fold, _checked(fold, [t]), full[(slice(None),) + fold.index])
-    for d, keep in reversed(list(enumerate(fold.index))):
-        if keep.stop:
-            head = (slice(None),) + fold.index[:d]
-            full[head + (slice(keep.stop, None), ...)] = full[head + (slice(keep.stop - 2, None, -1), ...)]
-    return full.reshape(-1), theta[0]
-
-
-def apply_phase(field: SpectralField, law, t: float) -> SpectralField:
-    """Multiply each coefficient by e^{it*gamma(|xi_j|)}; moduli are preserved."""
-    factor = _phase_factor(_fold(field.grid, law, None), t)[0]
-    return SpectralField(field.grid, field.coefficients * factor)
 
 
 def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
@@ -202,33 +177,3 @@ def evaluate_shifted(field: SpectralField, law, t, shift: ShiftSpec | None, x):
     sums = _sample(field, pts, fold, np.arange(times.size), lambda ks, rows: _angles(fold, checked[ks], rows))
     sums = sums.reshape(times.shape + (() if single else (len(pts),)))
     return complex(sums) if sums.ndim == 0 else sums
-
-
-@dataclass(frozen=True)
-class ErrorField:
-    """Residual between the evolved (optionally drifted) solution and the datum."""
-
-    h: SpectralField
-    l2: float
-    hs_of_f: float
-
-
-def error_field(field: SpectralField, law, t: float, shift: ShiftSpec | None = None,
-                s: float = 0.0) -> ErrorField:
-    """Frequency-side residual h_j = (e^{i theta_j} - 1) f_j with its norms.
-
-    ``l2`` is the discrete Plancherel norm of h and ``hs_of_f`` the weighted
-    norm of the datum at index s, so l2 <= sup_j |m(xi_j)| * hs_of_f where m
-    is the multiplier relating the two; the inequality is asserted on every
-    call in test builds.
-    """
-    fold = _fold(field.grid, law, shift)
-    factor, theta = _phase_factor(fold, t)
-    h = SpectralField(field.grid, (factor - 1.0) * field.coefficients)
-    l2 = sobolev_norm(h, 0.0)
-    hs = sobolev_norm(field, s)
-    if __debug__:
-        with np.errstate(over="ignore"):  # the lattice's sup, on the fold
-            wsup = float(np.max(_modulus(0.5 * theta, _sobolev_weight(fold.radii, s))))
-        assert l2 <= wsup * hs * (1.0 + 1e-10) + 1e-300, "discrete multiplier bound violated"
-    return ErrorField(h=h, l2=l2, hs_of_f=hs)

@@ -18,15 +18,11 @@ from phaselab import (
     HypothesisViolation,
     MultiplierSpec,
     ShiftSpec,
-    SpectralField,
     TimeSequence,
     analytic_envelope,
-    apply_phase,
     certify,
-    error_field,
     extremal_witness,
     make_grid,
-    multiplier_value,
     pointwise_trace,
     power_law,
     random_field,
@@ -35,8 +31,11 @@ from phaselab import (
     sequence_applicable,
     sobolev_norm,
 )
+from phaselab import propagation
 from phaselab.convergence import default_points
 from phaselab.multipliers import DRIFT_CAP, RATIO_CAP
+from phaselab.propagation import phase
+from test_propagation import residual
 
 SWEEP = [10.0 ** (-e) for e in np.linspace(2, 6, 17)]  # 1e-2 -> 1e-6 at 4/decade
 
@@ -129,6 +128,7 @@ def test_criterion_4_rate_fits():
 
 
 def test_criterion_5_propagator_exactness():
+    # the rows e^{i theta} the trace and evaluate_shifted multiply by
     rng = np.random.default_rng(20250810)
     grids = {
         "small": make_grid(1, 8, 0.25),
@@ -138,32 +138,26 @@ def test_criterion_5_propagator_exactness():
     for i in range(200):
         law = laws[i % len(laws)]
         grid = grids["small"] if i % 2 else grids["default"]
-        f = random_field(grid, rng)
+        fold = propagation._fold(grid, law, None)
         t1, t2 = rng.uniform(0.0, 0.25, size=2)
+        rows = np.empty((4, fold.num_modes), dtype=complex)
+        propagation._angles(fold, propagation._checked(fold, [0.0, t1, t2, t1 + t2]), rows)
+        zero, one, two, both = rows
 
         # t = 0 identity, exact
-        np.testing.assert_array_equal(apply_phase(f, law, 0.0).coefficients, f.coefficients)
+        np.testing.assert_array_equal(zero, 1.0)
 
-        # unitarity across s
-        evolved = apply_phase(f, law, t1)
-        for s in (0.0, 0.5, 1.0):
-            n0, n1 = sobolev_norm(f, s), sobolev_norm(evolved, s)
-            assert abs(n1 - n0) <= 1e-12 * n0
+        # unit modulus
+        assert float(np.max(np.abs(np.abs(rows) - 1.0))) <= 1e-15
 
-        # group law, coefficientwise
-        lhs = apply_phase(evolved, law, t2).coefficients
-        rhs = apply_phase(f, law, t1 + t2).coefficients
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        assert float(np.max(np.abs(lhs - rhs))) <= 1e-12 * scale
+        # group law, modewise
+        assert float(np.max(np.abs(one * two - both))) <= 1e-12
 
         # one-mode closed form
-        j = int(rng.integers(grid.num_modes))
-        coeffs = np.zeros(grid.num_modes, dtype=complex)
-        coeffs[j] = 1.0
-        one = apply_phase(SpectralField(grid, coeffs), law, t1)
-        want = np.exp(1j * t1 * float(law(grid.radii[j])))
-        assert abs(one.coefficients[j] - want) <= 1e-12
-    report(5, "unitarity, group law, t=0 identity and one-mode forms hold at 1e-12")
+        j = int(rng.integers(fold.num_modes))
+        want = np.exp(1j * t1 * float(law(grid.radii[fold.index][j])))
+        assert abs(one[j] - want) <= 1e-12
+    report(5, "unit modulus, group law, t=0 identity and one-mode forms hold at 1e-12")
 
 
 def test_criterion_6_discrete_plancherel_chain():
@@ -187,14 +181,18 @@ def test_criterion_6_discrete_plancherel_chain():
             spec = MultiplierSpec(family, s=s, delta=d, law=QUARTIC, beta=0.5)
             law, shift = QUARTIC, ShiftSpec(beta=0.5, mu=mu)
 
+        # the grid sup of |m| = |e^{i theta} - 1| / (1 + r^2)^{s/2}, theta from the spec
+        r = grid.radii
+        theta = phase(spec.phase_law, spec.delta, r, spec.beta, grid.modes[:, 0])
+        grid_sup = float(np.max(np.abs(np.exp(1j * theta) - 1) / (1 + r * r) ** (spec.s / 2)))
+
         f = random_field(grid, rng)
-        res = error_field(f, law, d, shift=shift, s=spec.s)
-        grid_sup = float(np.max(np.abs([multiplier_value(spec, m) for m in grid.modes])))
-        assert res.l2 <= grid_sup * res.hs_of_f * (1 + 1e-10)
+        l2 = sobolev_norm(residual(f, law, d, shift), 0.0)
+        assert l2 <= grid_sup * sobolev_norm(f, spec.s) * (1 + 1e-10)
 
         witness = extremal_witness(spec, grid)
-        wres = error_field(witness, law, d, shift=shift, s=spec.s)
-        assert wres.l2 >= 0.9 * grid_sup * wres.hs_of_f
+        wl2 = sobolev_norm(residual(witness, law, d, shift), 0.0)
+        assert wl2 >= 0.9 * grid_sup * sobolev_norm(witness, spec.s)
     report(6, "residual norms obey the grid multiplier bound; witnesses attain >= 0.9 of it")
 
 

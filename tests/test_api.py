@@ -1,5 +1,6 @@
 """Each module's ``__all__`` names only what the module defines or imports,
-the package exports the union of the library modules' ``__all__``, no
+the package exports the union of the library modules' ``__all__``, every
+public function but a few kept on purpose has a reader in the library, no
 module but ``spectral`` imports the exact kernel's internals, every error
 type is raised somewhere in the library, and the library's input checks
 raise their messages."""
@@ -39,6 +40,43 @@ def test_the_package_exports_each_library_modules_all():
     rebound = [attr for module in library for attr in module.__all__
              if getattr(phaselab, attr) is not getattr(module, attr)]
     assert rebound == []
+
+
+#: Public functions that nothing in the library reads, each kept for a user.
+KEEP = {
+    "csum": "the exact kernel's entry point for a user's own terms (read only by itself)",
+    "extremal_witness": "the field that attains the grid's multiplier bound with one mode",
+    "sobolev_norm": "||f||_s, the datum's norm in the multiplier bound",
+    "synthesize": "samples a field at points; the README's field I/O",
+    "write_field_csv": "writes a field for `propagate`; the README's field I/O",
+}
+
+
+def loaded_names(node, owner=None):
+    """The names loaded under ``node``, by name or as an attribute, outside
+    the body of a function of the same name (``owner``, the innermost def)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from loaded_names(child, child.name)
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            name = child.id
+        else:
+            name = child.attr if isinstance(child, ast.Attribute) else None
+        if name not in (None, owner):
+            yield name
+        yield from loaded_names(child, owner)
+
+
+def test_every_public_function_has_a_reader():
+    # a public function with no caller in the library is a second way to do
+    # what the CLI does, or a name kept, with its reason, in KEEP
+    read = set()
+    for path in Path(phaselab.__file__).parent.glob("*.py"):
+        read.update(loaded_names(ast.parse(path.read_text())))
+    unread = {name for name in phaselab.__all__
+              if inspect.isfunction(getattr(phaselab, name)) and name not in read}
+    assert unread == set(KEEP)
 
 
 #: The exact kernel's internals: its block size, ufunc buffer, unscale and steps.

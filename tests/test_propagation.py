@@ -16,8 +16,6 @@ from phaselab import (
     SpectralField,
     TimeSequence,
     UndefinedShiftError,
-    apply_phase,
-    error_field,
     evaluate_shifted,
     make_grid,
     pointwise_trace,
@@ -42,39 +40,53 @@ def one_mode(grid, xi, c):
     return SpectralField(grid, coeffs)
 
 
-class TestApplyPhase:
+def fold_rows(grid, law, times, shift=None):
+    """The rows e^{i theta} that ``_angles`` forms on the fold at each of ``times``."""
+    fold = propagation._fold(grid, law, shift)
+    rows = np.empty((len(times), fold.num_modes), dtype=complex)
+    propagation._angles(fold, propagation._checked(fold, times), rows)
+    return rows
+
+
+class TestAngles:
+    """The rows the trace and ``evaluate_shifted`` multiply by: unit phases
+    that compose as the flow e^{it*gamma(|xi|)} does."""
+
     def test_t_zero_is_identity(self):
-        f = random_field(make_grid(1, 4, 0.5), np.random.default_rng(0))
-        out = apply_phase(f, BOUSSINESQ, 0.0)
-        np.testing.assert_array_equal(out.coefficients, f.coefficients)
+        np.testing.assert_array_equal(fold_rows(make_grid(1, 4, 0.5), BOUSSINESQ, [0.0]), 1.0)
 
-    def test_unit_phase_single_mode(self):
-        g = make_grid(1, 1, 1)
-        f = one_mode(g, [1.0], 1.0)
-        out = apply_phase(f, power_law(2.0), math.pi)
-        idx = np.flatnonzero(np.abs(out.coefficients))[0]
-        assert out.coefficients[idx] == pytest.approx(-1.0, abs=1e-14)
+    def test_half_and_full_turns(self):
+        # t*gamma(1) = pi and 2*pi at |xi| = 1, the fold's first mode
+        half, full = fold_rows(make_grid(1, 1, 1), power_law(1.0), [math.pi, 2 * math.pi])[:, 0]
+        assert abs(half + 1.0) <= 1e-14 and abs(full - 1.0) <= 1e-14
 
-    def test_unitary_on_random_field(self):
-        g = make_grid(1, 8, 0.25)
-        f = random_field(g, np.random.default_rng(3))
-        out = apply_phase(f, BOUSSINESQ, 0.3)
-        for s in (0.0, 0.5, 1.0):
-            before, after = sobolev_norm(f, s), sobolev_norm(out, s)
-            assert abs(after - before) <= 1e-12 * before
+    def test_unit_modulus(self):
+        rows = fold_rows(make_grid(1, 8, 0.25), BOUSSINESQ, [0.3, 17.0])
+        assert np.max(np.abs(np.abs(rows) - 1.0)) <= 1e-15
 
     def test_group_law(self):
-        g = make_grid(1, 8, 0.25)
-        f = random_field(g, np.random.default_rng(4))
-        two_step = apply_phase(apply_phase(f, BOUSSINESQ, 0.11), BOUSSINESQ, 0.07)
-        one_step = apply_phase(f, BOUSSINESQ, 0.18)
-        diff = np.max(np.abs(two_step.coefficients - one_step.coefficients))
-        assert diff <= 1e-12 * max(1.0, np.max(np.abs(one_step.coefficients)))
+        r1, r2, r12 = fold_rows(make_grid(1, 8, 0.25), BOUSSINESQ, [0.11, 0.07, 0.18])
+        assert np.max(np.abs(r1 * r2 - r12)) <= 1e-12
+
+    def test_group_law_with_a_linear_drift(self):
+        # t**beta * mu.xi is linear in t at beta = 1, so the drifted rows compose too
+        shift = ShiftSpec(beta=1.0, mu=unit(1.0, 2.0))
+        r1, r2, r12 = fold_rows(make_grid(2, 4, 0.5), BOUSSINESQ, [0.11, 0.07, 0.18], shift)
+        assert np.max(np.abs(r1 * r2 - r12)) <= 1e-12
+
+    def test_shifted_rows_match_the_closed_form(self):
+        # e^{i(t |xi|**0.5 + t**1.5 xi_1)} on each kept mode, written out apart from ``phase``
+        grid, times, shift = make_grid(2, 4, 0.5), [0.0, 0.3, 0.9], ShiftSpec(beta=1.5, mu=unit(1.0, 0.0))
+        xi1, xi2 = (on_fold(grid, shift, grid.modes[:, d]) for d in range(2))
+        rows = fold_rows(grid, power_law(0.5), times, shift)
+        for row, t in zip(rows, times):
+            want = np.exp(1j * (t * np.hypot(xi1, xi2) ** 0.5 + t**1.5 * xi1))
+            assert np.max(np.abs(row - want)) <= 1e-12
 
     def test_negative_time_rejected(self):
-        f = random_field(make_grid(1, 1, 1), np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            apply_phase(f, BOUSSINESQ, -0.1)
+        # the first bad time in time order is named, before any row is formed
+        with pytest.raises(ParameterError, match=r"^t must be nonnegative and finite, got -0\.25$"):
+            fold_rows(make_grid(1, 4, 0.5), BOUSSINESQ, [0.5, -0.25, math.nan])
 
 
 class TestEvaluateShifted:
@@ -536,8 +548,8 @@ FOLD_CASES = [
 
 
 class TestPhaseFold:
-    """theta is evaluated on the fold and e^{i theta} mirrored from there,
-    which needs theta even, bit for bit, in each coordinate mu does not touch."""
+    """theta is evaluated on the fold alone, which needs theta even, bit for
+    bit, in each coordinate mu does not touch."""
 
     @pytest.mark.parametrize("grid, law, mu, folded", FOLD_CASES)
     def test_rows_are_the_full_formula_bit_for_bit(self, grid, law, mu, folded):
@@ -549,10 +561,12 @@ class TestPhaseFold:
         assert fold.num_modes == folded and theta.shape == (len(times), folded)
         for row, t in zip(rows, times):
             want = np.exp(1j * lattice_phase(grid, law, float(t), shift))
-            # the rows on the fold, and mirrored to the whole lattice
             np.testing.assert_array_equal(row.view(np.int64), on_fold(grid, shift, want).view(np.int64))
-            factor, _ = propagation._phase_factor(fold, float(t))
-            np.testing.assert_array_equal(factor.view(np.int64), want.view(np.int64))
+            # the lattice's rows at each mode and its mirror along each folded axis
+            box = want.reshape((len(grid.axis),) * grid.n)
+            for axis, keep in enumerate(fold_box(grid, shift)):
+                if keep.stop is not None:
+                    np.testing.assert_array_equal(bits(np.flip(box, axis)), bits(box))
 
     @pytest.mark.parametrize("variant", LIBM_VARIANTS)
     def test_rows_are_the_full_formula_under_libm_variants(self, variant):
@@ -649,28 +663,19 @@ class TestWaves:
         assert sum(sizes) == 32 * kept
 
 
-class TestErrorField:
-    def test_t_zero_no_shift(self):
-        f = random_field(make_grid(1, 4, 0.5), np.random.default_rng(1))
-        res = error_field(f, BOUSSINESQ, 0.0)
-        assert res.l2 == 0.0
-        assert np.all(res.h.coefficients == 0)
+def residual(field, law, t, shift=None):
+    """h = (e^{i theta} - 1) f on the whole lattice, theta from ``lattice_phase``."""
+    return SpectralField(field.grid, (np.exp(1j * lattice_phase(field.grid, law, t, shift)) - 1.0)
+                         * field.coefficients)
 
-    def test_full_turn_cancels(self):
-        g = make_grid(1, 1, 1)
-        f = one_mode(g, [1.0], 1.0)
-        res = error_field(f, power_law(1.0), 2 * math.pi)  # t*gamma(1) = 2*pi
-        assert res.l2 <= 1e-14
 
-    def test_half_turn_doubles(self):
-        g = make_grid(1, 1, 1)
-        f = one_mode(g, [1.0], 1.0)
-        res = error_field(f, power_law(1.0), math.pi)
-        assert res.l2 == pytest.approx(2.0, rel=1e-14)
+class TestResidual:
+    """Norms of h = (e^{i theta} - 1) f against the multiplier that relates
+    them, ||h||_2 <= sup_j |m(xi_j)| ||f||_{H^s}."""
 
     def test_multiplier_bound_on_random_draws_per_family(self):
         # 200 draws per family: ||h||_2 never exceeds the grid multiplier sup
-        # times ||f||_{H^s}; the sup is recomputed here from the phases
+        # times ||f||_{H^s}; the sup is the closed form on the grid
         rng = np.random.default_rng(77)
         g = make_grid(1, 8, 0.5)
         setups = [
@@ -684,18 +689,27 @@ class TestErrorField:
             for _ in range(200):
                 f = random_field(g, rng)
                 t = float(10 ** rng.uniform(-4, -0.5))
-                res = error_field(f, law, t, shift=shift, s=s)
-                theta = t * np.asarray(law(g.radii), dtype=float)
-                if shift is not None:
-                    theta = theta + t**shift.beta * g.modes[:, 0]
-                w = 2 * np.abs(np.sin(0.5 * theta)) / (1 + g.radii**2) ** (s / 2)
-                assert res.l2 <= float(np.max(w)) * res.hs_of_f * (1 + 1e-10)
+                theta = lattice_phase(g, law, t, shift)
+                sup = np.max(np.abs(np.exp(1j * theta) - 1) / (1 + g.radii * g.radii) ** (s / 2))
+                assert sobolev_norm(residual(f, law, t, shift), 0.0) <= sup * sobolev_norm(f, s) * (1 + 1e-10)
+
+    def test_sampled_residual_is_the_evolved_field_minus_the_datum(self):
+        # h sampled on the whole lattice against the library's two samplers,
+        # the evolved field on the law's fold less the datum, at every point
+        g = make_grid(2, 4, 0.5)
+        f = random_field(g, np.random.default_rng(12))
+        pts = default_points(2, 8)
+        for law, shift in [(power_law(0.5), None), (BOUSSINESQ, ShiftSpec(beta=1.5, mu=unit(0.6, 0.8)))]:
+            for t in (0.3, 0.01):
+                h = synthesize(residual(f, law, t, shift), pts)
+                want = evaluate_shifted(f, law, t, shift, pts) - synthesize(f, pts)
+                assert np.max(np.abs(h - want)) <= 1e-12 * np.max(np.abs(synthesize(f, pts)))
 
     def test_l2_decay_order_of_magnitude(self):
         g = make_grid(1, 64, 0.125)
         f = random_field(g, np.random.default_rng(9))
         law = power_law(0.5)
-        values = [error_field(f, law, 10.0**-k).l2 for k in range(1, 7)]
+        values = [sobolev_norm(residual(f, law, 10.0**-k), 0.0) for k in range(1, 7)]
         for worse, better in zip(values, values[1:]):
             assert better < worse
         assert values[-1] < 1e-4 * values[0]
